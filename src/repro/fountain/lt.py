@@ -58,7 +58,10 @@ class LTStream:
         intermediate_bits = np.asarray(intermediate_bits, dtype=np.uint8)
         if intermediate_bits.size != self.n_intermediate:
             raise ValueError("intermediate block size mismatch")
-        out = np.empty(count, dtype=np.uint8)
-        for j, nbrs in enumerate(self.neighbour_range(start, count)):
-            out[j] = intermediate_bits[nbrs].sum() & 1
-        return out
+        if count == 0:
+            return np.empty(0, dtype=np.uint8)
+        neighbours = self.neighbour_range(start, count)
+        # every output has degree >= 1, so no XOR segment is empty
+        starts = np.cumsum([0] + [nbrs.size for nbrs in neighbours[:-1]])
+        taps = intermediate_bits[np.concatenate(neighbours)]
+        return np.bitwise_xor.reduceat(taps, starts) & 1

@@ -51,7 +51,12 @@ class RaptorCodec:
         self.precode = LdpcPrecode(k, rate=precode_rate,
                                    left_degree=left_degree, seed=precode_seed)
         self.lt = LTStream(self.precode.n_intermediate, seed=lt_seed)
-        self._pc_checks, self._pc_vars = self.precode.check_edges()
+        # Precode edges in (check, var) order, sorted once: with the LT
+        # edges (one check per output, sorted neighbours) ahead of them,
+        # every decode graph arrives sorted and BP skips its lexsort.
+        pc_checks, pc_vars = self.precode.check_edges()
+        order = np.lexsort((pc_vars, pc_checks))
+        self._pc_checks, self._pc_vars = pc_checks[order], pc_vars[order]
 
     @property
     def bits_per_symbol(self) -> int:
@@ -83,10 +88,9 @@ class RaptorCodec:
         """
         n_outputs = bit_llrs.size
         lt_neighbours = self.lt.neighbour_range(0, n_outputs)
-        lt_checks = np.concatenate([
-            np.full(nbrs.size, j, dtype=np.int64)
-            for j, nbrs in enumerate(lt_neighbours)
-        ]) if n_outputs else np.empty(0, dtype=np.int64)
+        degrees = np.fromiter(map(len, lt_neighbours), dtype=np.int64,
+                              count=n_outputs)
+        lt_checks = np.repeat(np.arange(n_outputs, dtype=np.int64), degrees)
         lt_vars = (np.concatenate(lt_neighbours)
                    if n_outputs else np.empty(0, dtype=np.int64))
 

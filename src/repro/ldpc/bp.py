@@ -10,7 +10,11 @@ One engine serves both baselines that need it:
 
 The engine is edge-vectorised: messages live on flat edge arrays ordered by
 check, with a cached permutation to variable order, so each iteration is a
-handful of ``np.add.reduceat`` calls regardless of graph shape.
+handful of ``np.add.reduceat`` calls regardless of graph shape.  Graph
+bookkeeping (edge order, segment starts, edgeless nodes) is done once per
+graph and the per-edge observation terms once per decode; the iteration
+loop reuses scratch buffers and keeps the order of every rounding
+operation.
 
 LLR convention: positive favours bit value 0.
 """
@@ -24,6 +28,43 @@ __all__ = ["BeliefPropagation"]
 _TANH_CLIP = 1.0 - 1e-12
 _TANH_FLOOR = 1e-30  # |tanh| floor: zero-LLR messages must multiply to ~0, not NaN
 _LLR_CLIP = 40.0
+_SIGNS = np.array([1.0, -1.0])  # indexed by a negative flag
+
+
+def _is_sorted(check_index: np.ndarray, var_index: np.ndarray) -> bool:
+    """True when the edges are already in lexicographic (check, var) order."""
+    d_check = np.diff(check_index)
+    return bool(((d_check > 0)
+                 | ((d_check == 0) & (np.diff(var_index) >= 0))).all())
+
+
+def _with_edges(starts: np.ndarray, n_edges: int) -> np.ndarray | None:
+    """Indices of the segments that own edges, or None when all of them do."""
+    has_edges = np.diff(starts, append=n_edges) > 0
+    return None if has_edges.all() else np.flatnonzero(has_edges)
+
+
+def _segment_reduce(
+    ufunc: np.ufunc,
+    values: np.ndarray,
+    starts: np.ndarray,
+    with_edges: np.ndarray | None,
+    n_segments: int,
+    fill: float,
+) -> np.ndarray:
+    """``ufunc.reduceat`` over segments, ``fill`` for the edgeless ones.
+
+    ``reduceat`` rejects a start index equal to the array length, which a
+    trailing edgeless segment has, so edgeless segments are dropped from
+    the call and filled afterwards.  A segment's end is the next start, so
+    dropping the empty segments leaves every other segment unchanged.
+    """
+    if with_edges is None:
+        return ufunc.reduceat(values, starts)
+    out = np.full(n_segments, fill, dtype=values.dtype)
+    if with_edges.size:
+        out[with_edges] = ufunc.reduceat(values, starts[with_edges])
+    return out
 
 
 class BeliefPropagation:
@@ -49,9 +90,13 @@ class BeliefPropagation:
         var_index = np.asarray(var_index, dtype=np.int64)
         if check_index.shape != var_index.shape:
             raise ValueError("edge arrays must align")
-        order = np.lexsort((var_index, check_index))
-        self.check_index = check_index[order]
-        self.var_index = var_index[order]
+        # A stable lexsort of edges already in (check, var) order is the
+        # identity, so sorted input (Raptor's graphs) skips it.
+        if not _is_sorted(check_index, var_index):
+            order = np.lexsort((var_index, check_index))
+            check_index, var_index = check_index[order], var_index[order]
+        self.check_index = check_index
+        self.var_index = var_index
         self.n_edges = self.check_index.size
         self.n_checks = n_checks
         self.n_vars = n_vars
@@ -59,32 +104,33 @@ class BeliefPropagation:
         self._check_starts = np.searchsorted(
             self.check_index, np.arange(n_checks)
         )
+        self._checks_with_edges = _with_edges(self._check_starts, self.n_edges)
         # permutation into variable order and its boundaries
         self._to_var_order = np.argsort(self.var_index, kind="stable")
         self._var_sorted_vars = self.var_index[self._to_var_order]
         self._var_starts = np.searchsorted(
             self._var_sorted_vars, np.arange(n_vars)
         )
+        self._vars_with_edges = _with_edges(self._var_starts, self.n_edges)
 
     # -- helpers -----------------------------------------------------------
 
+    def _check_reduce(self, ufunc: np.ufunc, edge_values: np.ndarray,
+                      fill: float = 0.0) -> np.ndarray:
+        """Per-check ``ufunc`` reduction of an edge array (check order);
+        edgeless checks get ``fill``."""
+        return _segment_reduce(ufunc, edge_values, self._check_starts,
+                               self._checks_with_edges, self.n_checks, fill)
+
     def _check_sums(self, edge_values: np.ndarray) -> np.ndarray:
         """Per-check sums of an edge array (check order)."""
-        sums = np.add.reduceat(edge_values, self._check_starts)
-        # reduceat repeats the previous segment for empty checks; zero them
-        empty = np.diff(np.append(self._check_starts, self.n_edges)) == 0
-        if empty.any():
-            sums[empty] = 0.0
-        return sums
+        return self._check_reduce(np.add, edge_values)
 
     def _var_sums(self, edge_values: np.ndarray) -> np.ndarray:
         """Per-variable sums of an edge array (check order in, var totals out)."""
-        in_var_order = edge_values[self._to_var_order]
-        sums = np.add.reduceat(in_var_order, self._var_starts)
-        empty = np.diff(np.append(self._var_starts, self.n_edges)) == 0
-        if empty.any():
-            sums[empty] = 0.0
-        return sums
+        return _segment_reduce(np.add, edge_values[self._to_var_order],
+                               self._var_starts, self._vars_with_edges,
+                               self.n_vars, 0.0)
 
     # -- main loop ---------------------------------------------------------
 
@@ -120,58 +166,71 @@ class BeliefPropagation:
                        -_LLR_CLIP, _LLR_CLIP)
         if chan.size != self.n_vars:
             raise ValueError("channel_llrs must have one entry per variable")
-        if check_obs_llrs is None:
-            obs_sign = np.ones(self.n_checks)
-            obs_logmag = np.zeros(self.n_checks)
-            pure_parity = True
-        else:
+        ci = self.check_index
+        pure_parity = check_obs_llrs is None
+        if not pure_parity:
             obs = np.asarray(check_obs_llrs, dtype=np.float64)
-            t = np.tanh(np.clip(obs, -_LLR_CLIP, _LLR_CLIP) / 2.0)
-            t = np.clip(t, -_TANH_CLIP, _TANH_CLIP)
-            obs_sign = np.sign(t)
-            obs_sign[obs_sign == 0] = 1.0
-            obs_logmag = np.log(np.maximum(np.abs(t), _TANH_FLOOR))
-            infinite = ~np.isfinite(obs) & (obs > 0)
-            obs_logmag[infinite] = 0.0
-            obs_sign[infinite] = 1.0
-            pure_parity = False
+            obs_t = np.tanh(np.clip(obs, -_LLR_CLIP, _LLR_CLIP) / 2.0)
+            obs_t = np.clip(obs_t, -_TANH_CLIP, _TANH_CLIP)
+            obs_logmag = np.log(np.maximum(np.abs(obs_t), _TANH_FLOOR))
+            obs_logmag[~np.isfinite(obs) & (obs > 0)] = 0.0  # hard parity
+            # per-edge observation terms, fixed for the whole decode
+            obs_logmag_e = obs_logmag[ci]
+            obs_neg_e = (obs_t < 0)[ci]
+        if algorithm == "sum-product":
+            # Per-edge scratch reused by every iteration.  The arithmetic
+            # keeps the textbook order; the one reshaped step is exact: the
+            # sign of a product of +-1 factors is the parity of its
+            # negative factors.
+            t = np.empty(self.n_edges)
+            logmag = np.empty(self.n_edges)
+            e_mag = np.empty(self.n_edges)
+            c2v = np.empty(self.n_edges)
 
         v2c = chan[self.var_index]
-        c2v = np.zeros(self.n_edges)
-        hard = (chan < 0).astype(np.uint8)
-
+        posterior = chan
+        stop_early = early_exit and pure_parity
         for _ in range(iterations):
             if algorithm == "min-sum":
                 c2v = self._min_sum_check_update(v2c, min_sum_scale)
             else:
                 # ---- check update (sign/log-magnitude split) ----
-                t = np.clip(np.tanh(v2c / 2.0), -_TANH_CLIP, _TANH_CLIP)
-                sign = np.where(t < 0, -1.0, 1.0)
-                logmag = np.log(np.maximum(np.abs(t), _TANH_FLOOR))
+                np.divide(v2c, 2.0, out=t)
+                np.tanh(t, out=t)
+                np.clip(t, -_TANH_CLIP, _TANH_CLIP, out=t)
+                neg = t < 0
+                np.abs(t, out=logmag)
+                np.maximum(logmag, _TANH_FLOOR, out=logmag)
+                np.log(logmag, out=logmag)
                 total_logmag = self._check_sums(logmag)
-                # product of signs per check via counting negatives
-                neg = (sign < 0).astype(np.float64)
-                total_neg = self._check_sums(neg)
-                check_sign = np.where(total_neg % 2 == 1, -1.0, 1.0)
-                e_logmag = (total_logmag[self.check_index] - logmag
-                            + obs_logmag[self.check_index])
-                e_sign = (check_sign[self.check_index] * sign
-                          * obs_sign[self.check_index])
-                prod = e_sign * np.exp(np.minimum(e_logmag, 0.0))
-                prod = np.clip(prod, -_TANH_CLIP, _TANH_CLIP)
-                c2v = 2.0 * np.arctanh(prod)
-                c2v = np.clip(c2v, -_LLR_CLIP, _LLR_CLIP)
+                # sign of the product of the other factors of each check
+                e_neg = self._check_reduce(np.logical_xor, neg)[ci]
+                e_neg ^= neg
+                np.subtract(total_logmag[ci], logmag, out=e_mag)
+                if not pure_parity:
+                    e_neg ^= obs_neg_e
+                    e_mag += obs_logmag_e
+                np.minimum(e_mag, 0.0, out=e_mag)
+                np.exp(e_mag, out=e_mag)
+                e_mag *= _SIGNS.take(e_neg.view(np.uint8))
+                np.clip(e_mag, -_TANH_CLIP, _TANH_CLIP, out=e_mag)
+                np.arctanh(e_mag, out=c2v)
+                np.multiply(c2v, 2.0, out=c2v)
+                np.clip(c2v, -_LLR_CLIP, _LLR_CLIP, out=c2v)
 
             # ---- variable update ----
             var_total = self._var_sums(c2v)
             posterior = chan + var_total
-            v2c = np.clip(posterior[self.var_index] - c2v,
-                          -_LLR_CLIP, _LLR_CLIP)
+            v2c = posterior[self.var_index]
+            v2c -= c2v
+            np.clip(v2c, -_LLR_CLIP, _LLR_CLIP, out=v2c)
 
-            hard = (posterior < 0).astype(np.uint8)
-            if early_exit and pure_parity and self.syndrome_ok(hard):
-                return hard, True
+            if stop_early:
+                hard = (posterior < 0).astype(np.uint8)
+                if self.syndrome_ok(hard):
+                    return hard, True
 
+        hard = (posterior < 0).astype(np.uint8)
         ok = pure_parity and self.syndrome_ok(hard)
         return hard, ok
 
@@ -186,14 +245,15 @@ class BeliefPropagation:
         handled for free.
         """
         vabs = np.abs(v2c)
-        m1 = np.minimum.reduceat(vabs, self._check_starts)
+        m1 = self._check_reduce(np.minimum, vabs, np.inf)
         # first occurrence of the minimum within each check segment
         is_min = vabs == m1[self.check_index]
         csum = np.cumsum(is_min)
-        seg_base = csum[self._check_starts] - is_min[self._check_starts]
-        first_min = is_min & (csum - seg_base[self.check_index] == 1)
+        edge_start = self._check_starts[self.check_index]
+        seg_base = csum[edge_start] - is_min[edge_start]
+        first_min = is_min & (csum - seg_base == 1)
         masked = np.where(first_min, np.inf, vabs)
-        m2 = np.minimum.reduceat(masked, self._check_starts)
+        m2 = self._check_reduce(np.minimum, masked, np.inf)
         excl_min = np.where(first_min, m2[self.check_index],
                             m1[self.check_index])
 

@@ -1,10 +1,29 @@
 """Max-log-MAP (BCJR) decoding of one RSC constituent code.
 
-The forward/backward recursions are inherently sequential in time, so the
-time loop stays in Python with all per-step work vectorised over the 16
-trellis branches; the final LLR extraction is fully vectorised over time.
 Max-log (max instead of log-sum-exp) costs ~0.1 dB versus exact log-MAP
 and is what high-throughput turbo implementations use.
+
+The forward (alpha) and backward (beta) recursions are sequential in time
+but independent of each other, so one Python time loop runs both: step
+``t`` advances a stacked row ``[alpha[t] | beta[T - t]]`` of ``2 * S``
+state metrics to ``[alpha[t + 1] | beta[T - t - 1]]``.  Every RSC state
+has exactly two incoming and two outgoing branches (:class:`BcjrTrellis`
+checks this), so each new metric is the larger of two candidates
+``metric[state] + gamma[branch]``.  A step is therefore one ``take``
+through a fixed ``(2, 2 * S)`` gather index, one add of a precomputed
+``(2, 2 * S)`` branch-metric slab, a pairwise ``np.maximum`` of the two
+candidate rows, a floor at ``_NEG`` and a per-half max normalisation.
+
+The fused step is bit-identical to the textbook form that scatters every
+branch with ``np.maximum.at`` into a ``_NEG``-filled array.  That form
+computes ``max(max(_NEG, c0), c1)`` with the candidates in branch order;
+``max`` is exact, so ``max(max(c0, c1), _NEG)`` yields the same value,
+and the candidate rows keep branch order so ties resolve alike.  Without
+the floor the two would differ whenever both candidates fall below
+``_NEG``, which branch metrics of the size of ``_NEG`` make visible in
+the LLRs.  The per-half normalisation subtracts each recursion's own
+maximum, exactly as the separate recursions did.  The final LLR
+extraction is vectorised over time.
 
 LLR convention matches the rest of the library: positive favours bit 0.
 """
@@ -20,8 +39,23 @@ __all__ = ["max_log_bcjr", "BcjrTrellis"]
 _NEG = -1e30
 
 
+def _two_per_state(states: np.ndarray, n_states: int, what: str) -> np.ndarray:
+    """(2, n_states) branch indices per state, in branch order."""
+    counts = np.bincount(states, minlength=n_states)
+    if counts.size != n_states or (counts != 2).any():
+        raise ValueError(
+            f"BCJR needs exactly two {what} branches per state, got counts "
+            f"{counts.tolist()}"
+        )
+    return np.argsort(states, kind="stable").reshape(n_states, 2).T
+
+
 class BcjrTrellis:
-    """Precomputed flat branch arrays for an RSC trellis."""
+    """Precomputed branch arrays and fused-recursion tables for an RSC trellis.
+
+    Raises ``ValueError`` unless every state has exactly two incoming and
+    two outgoing branches.
+    """
 
     def __init__(self, code: RscCode):
         self.code = code
@@ -41,6 +75,15 @@ class BcjrTrellis:
         self.par_sign = 1.0 - 2.0 * par
         self.n_states = ns
         self.n_branches = len(branches)
+        #: (2, S) branches into / out of each state, in branch order
+        self.in_branches = _two_per_state(self.to_state, ns, "incoming")
+        self.out_branches = _two_per_state(self.from_state, ns, "outgoing")
+        #: (2, 2S) gather of the stacked [alpha | beta] row: candidate k of
+        #: alpha[j] reads the source state of j's k-th incoming branch,
+        #: candidate k of beta[i] the target state of i's k-th outgoing one
+        self.gather = np.concatenate(
+            [self.from_state[self.in_branches],
+             ns + self.to_state[self.out_branches]], axis=1)
 
 
 def max_log_bcjr(
@@ -79,30 +122,44 @@ def max_log_bcjr(
     )
     gamma = sys_term + par_term  # (T, n_branches)
 
-    frm, to = trellis.from_state, trellis.to_state
+    # slab[t]: the branch metrics added to gather(row t), laid out like it;
+    # the beta half runs backwards in time
+    slab = np.concatenate([gamma[:, trellis.in_branches],
+                           gamma[::-1][:, trellis.out_branches]], axis=2)
 
-    alpha = np.full((t_len + 1, ns), _NEG)
-    alpha[0, 0] = 0.0
-    for t in range(t_len):
-        cand = alpha[t, frm] + gamma[t]
-        nxt = np.full(ns, _NEG)
-        np.maximum.at(nxt, to, cand)
-        nxt -= nxt.max()  # normalise to avoid drift
-        alpha[t + 1] = nxt
-
-    beta = np.full((t_len + 1, ns), _NEG)
+    # rows[t] = [alpha[t] | beta[T - t]]
+    rows = np.empty((t_len + 1, 2 * ns))
+    rows[0] = _NEG
+    rows[0, 0] = 0.0  # start in state 0
     if terminated:
-        beta[t_len, 0] = 0.0
+        rows[0, ns] = 0.0  # end in state 0
     else:
-        beta[t_len, :] = 0.0
-    for t in range(t_len - 1, -1, -1):
-        cand = beta[t + 1, to] + gamma[t]
-        prv = np.full(ns, _NEG)
-        np.maximum.at(prv, frm, cand)
-        prv -= prv.max()
-        beta[t] = prv
+        rows[0, ns:] = 0.0
+    # Per-step views and out= buffers built once: the loop body is six
+    # numpy calls on 2S-element rows, so call overhead is the whole cost.
+    row_list = list(rows)
+    halves_list = list(rows.reshape(t_len + 1, 2, ns))
+    gather = trellis.gather
+    cand = np.empty(gather.shape)
+    cand0, cand1 = cand
+    floor = np.full(2 * ns, _NEG)
+    half_max = np.empty((2, 1))
+    take, add, maximum = np.take, np.add, np.maximum
+    for t, slab_t in enumerate(slab):
+        take(row_list[t], gather, out=cand, mode="clip")
+        add(cand, slab_t, out=cand)
+        nxt = row_list[t + 1]
+        maximum(cand0, cand1, out=nxt)
+        maximum(nxt, floor, out=nxt)
+        halves = halves_list[t + 1]  # normalise each recursion against drift
+        maximum.reduce(halves, axis=1, keepdims=True, out=half_max)
+        halves -= half_max
+
+    alpha = rows[:, :ns]
+    beta = rows[::-1, ns:]
 
     # posterior LLRs, vectorised over time
+    frm, to = trellis.from_state, trellis.to_state
     metric = alpha[:-1][:, frm] + gamma + beta[1:][:, to]  # (T, n_branches)
     zero_mask = trellis.input_bit == 0
     llr = metric[:, zero_mask].max(axis=1) - metric[:, ~zero_mask].max(axis=1)

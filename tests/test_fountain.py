@@ -70,6 +70,8 @@ class TestLTStream:
         out = s.encode_range(block, 0, 30)
         for i in range(30):
             assert out[i] == block[s.neighbours(i)].sum() % 2
+        assert out.dtype == np.uint8
+        assert s.encode_range(block, 5, 0).size == 0
 
     def test_range_consistency(self):
         s = LTStream(30, seed=6)
@@ -149,6 +151,39 @@ class TestRaptorCodec:
         llrs = soft_demap(codec.constellation, y, 1e-4)
         decoded, _ = codec.decode(llrs, iterations=20)
         assert not np.array_equal(decoded, msg)
+
+    # Hard bits and precode-satisfied flag of a small seeded code (k=64,
+    # qam-16), pinned from the reference decoder: two failures, one of
+    # them 8 bits off, and one success.
+    GOLDEN = {
+        (10.0, 30): ("00010000111110010011001001101000"
+                     "11011101110000000110110000011100", False),
+        (10.0, 40): ("01000110000111100001111111011000"
+                     "11001010001010110101000000111100", True),
+        (14.0, 24): ("01001010000110000001111011011001"
+                     "11001010011010110101010000111100", False),
+    }
+
+    @pytest.mark.parametrize("snr_db, n_symbols", sorted(GOLDEN))
+    def test_literal_decode(self, snr_db, n_symbols):
+        codec = RaptorCodec(64, "qam-16", lt_seed=3, precode_seed=5)
+        msg = np.random.default_rng(11).integers(0, 2, size=64,
+                                                 dtype=np.uint8)
+        inter = codec.encode_intermediate(msg)
+        ch = AWGNChannel(snr_db, rng=4)
+        y = ch.transmit(codec.symbols(inter, 0, n_symbols)).values
+        llrs = soft_demap(codec.constellation, y, ch.noise_power)
+        bits, satisfied = codec.decode(llrs)
+        want_bits, want_satisfied = self.GOLDEN[snr_db, n_symbols]
+        assert "".join(map(str, bits.tolist())) == want_bits
+        assert satisfied is want_satisfied
+
+    def test_decode_graph_arrives_sorted(self):
+        """LT edges then presorted precode edges: BP needs no lexsort."""
+        codec = RaptorCodec(64, "qam-16", lt_seed=3, precode_seed=5)
+        checks, vars_ = codec._pc_checks, codec._pc_vars
+        assert np.array_equal(np.lexsort((vars_, checks)),
+                              np.arange(checks.size))
 
 
 class TestRaptorScheme:

@@ -96,6 +96,69 @@ class TestBeliefPropagation:
             BeliefPropagation(np.zeros(3, int), np.zeros(2, int), 1, 2)
 
 
+class TestEdgelessNodes:
+    """Checks and variables without edges, including trailing ones.
+
+    An edgeless check constrains nothing and an edgeless variable keeps its
+    channel LLR, so results must match the graph without them.
+    """
+
+    CHAN = np.array([3.0, -1.0])
+
+    @pytest.mark.parametrize("algorithm", ["sum-product", "min-sum"])
+    def test_trailing_edgeless_check(self, algorithm):
+        bare = BeliefPropagation([0, 0], [0, 1], 1, 2)
+        padded = BeliefPropagation([0, 0], [0, 1], 2, 2)
+        for early_exit in (True, False):
+            got = padded.decode(self.CHAN, iterations=4, algorithm=algorithm,
+                                early_exit=early_exit)
+            want = bare.decode(self.CHAN, iterations=4, algorithm=algorithm,
+                               early_exit=early_exit)
+            assert got[0].tolist() == want[0].tolist()
+            assert got[1] == want[1]
+
+    def test_trailing_edgeless_check_with_observation(self):
+        bare = BeliefPropagation([0, 0], [0, 1], 1, 2)
+        padded = BeliefPropagation([0, 0], [0, 1], 2, 2)
+        got, _ = padded.decode(self.CHAN, iterations=3, early_exit=False,
+                               check_obs_llrs=np.array([-9.0, 5.0]))
+        want, _ = bare.decode(self.CHAN, iterations=3, early_exit=False,
+                              check_obs_llrs=np.array([-9.0]))
+        assert got.tolist() == want.tolist()
+
+    def test_syndrome_ignores_edgeless_check(self):
+        padded = BeliefPropagation([0, 0], [0, 1], 2, 2)
+        assert padded.syndrome_ok(np.array([1, 1], dtype=np.uint8))
+        assert not padded.syndrome_ok(np.array([1, 0], dtype=np.uint8))
+
+    @pytest.mark.parametrize("algorithm", ["sum-product", "min-sum"])
+    def test_trailing_edgeless_variable(self, algorithm):
+        bare = BeliefPropagation([0, 0], [0, 1], 1, 2)
+        padded = BeliefPropagation([0, 0], [0, 1], 1, 3)
+        chan = np.array([3.0, -1.0, -2.0])
+        got, got_ok = padded.decode(chan, iterations=4, algorithm=algorithm)
+        want, want_ok = bare.decode(chan[:2], iterations=4,
+                                    algorithm=algorithm)
+        assert got.tolist() == want.tolist() + [1]
+        assert got_ok == want_ok
+
+    def test_interior_edgeless_nodes(self):
+        # check 1 and variable 1 sit between connected nodes
+        bp = BeliefPropagation([0, 0, 2, 2], [0, 2, 2, 3], 3, 4)
+        bits, ok = bp.decode(np.array([5.0, -4.0, 0.0, 0.0]), iterations=5)
+        assert ok
+        assert bits.tolist() == [0, 1, 0, 0]
+
+    @pytest.mark.parametrize("algorithm", ["sum-product", "min-sum"])
+    def test_no_edges_at_all(self, algorithm):
+        bp = BeliefPropagation([], [], 2, 3)
+        chan = np.array([1.0, -2.0, 0.0])
+        bits, ok = bp.decode(chan, iterations=3, algorithm=algorithm)
+        assert bits.tolist() == [0, 1, 0]
+        assert ok
+        assert bp.syndrome_ok(np.array([1, 0, 1], dtype=np.uint8))
+
+
 class TestQcConstruction:
     @pytest.mark.parametrize("rate,rows", [("1/2", 12), ("2/3", 8),
                                            ("3/4", 6), ("5/6", 4)])

@@ -1,13 +1,16 @@
 """Tests for the Strider stack: RSC, BCJR, turbo, layered SIC."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.channels.awgn import AWGNChannel
 from repro.modulation import QPSK, soft_demap
 from repro.simulation import measure_scheme
 from repro.strider import RscCode, StriderCodec, StriderScheme, TurboCodec
-from repro.strider.bcjr import BcjrTrellis, max_log_bcjr
+from repro.strider.bcjr import _NEG, BcjrTrellis, max_log_bcjr
 from repro.utils.bitops import random_message
 
 
@@ -83,6 +86,184 @@ class TestBcjr:
         par_llr = 4.0 * (1.0 - 2.0 * par)
         llr, ext = max_log_bcjr(trellis, sys_llr, par_llr)
         assert np.allclose(ext, llr - sys_llr)
+
+
+def _maximum_at_bcjr(trellis, sys_llrs, parity_llrs, a_priori=None,
+                     terminated=True):
+    """Reference max-log BCJR: separate forward and backward recursions
+    that scatter every branch with ``np.maximum.at`` into a ``_NEG``-filled
+    array (the textbook form the fused recursion must reproduce bit for
+    bit)."""
+    sys_llrs = np.asarray(sys_llrs, dtype=np.float64)
+    parity_llrs = np.asarray(parity_llrs, dtype=np.float64)
+    t_len = sys_llrs.size
+    if a_priori is None:
+        a_priori = np.zeros(t_len)
+    ns = trellis.n_states
+    sys_term = 0.5 * (sys_llrs + a_priori)[:, None] * trellis.sys_sign[None, :]
+    par_term = 0.5 * np.einsum("pt,bp->tb", parity_llrs, trellis.par_sign)
+    gamma = sys_term + par_term
+    frm, to = trellis.from_state, trellis.to_state
+
+    alpha = np.full((t_len + 1, ns), _NEG)
+    alpha[0, 0] = 0.0
+    for t in range(t_len):
+        nxt = np.full(ns, _NEG)
+        np.maximum.at(nxt, to, alpha[t, frm] + gamma[t])
+        alpha[t + 1] = nxt - nxt.max()
+
+    beta = np.full((t_len + 1, ns), _NEG)
+    if terminated:
+        beta[t_len, 0] = 0.0
+    else:
+        beta[t_len, :] = 0.0
+    for t in range(t_len - 1, -1, -1):
+        prv = np.full(ns, _NEG)
+        np.maximum.at(prv, frm, beta[t + 1, to] + gamma[t])
+        beta[t] = prv - prv.max()
+
+    metric = alpha[:-1][:, frm] + gamma + beta[1:][:, to]
+    zero_mask = trellis.input_bit == 0
+    llr = metric[:, zero_mask].max(axis=1) - metric[:, ~zero_mask].max(axis=1)
+    return llr, llr - sys_llrs - a_priori
+
+
+# A short seeded input and the outputs pinned from the maximum.at
+# recursion, as float.hex literals compared exactly.
+_GOLDEN_SYS = [-2.78, 0.714, -1.791, -1.107, -3.731, 2.51, 0.478, -0.799,
+               1.25]
+_GOLDEN_PAR = [[1.366, 5.423, 1.678, -1.314, -1.149, -5.608, -1.55, 0.76,
+                0.608],
+               [2.117, 1.361, -1.558, 2.667, 1.517, -3.401, 3.264, -1.873,
+                -1.448]]
+_GOLDEN_APRI = [-0.84, 1.926, 0.165, 0.194, 0.789, 2.027, 0.508, -1.206,
+                2.468]
+_GOLDEN_OUT = {  # (terminated, with a_priori): (llr, extrinsic)
+    (True, False): (
+        ["-0x1.9d916872b020ep+1", "-0x1.9d916872b020ep+1",
+         "0x1.9d916872b020ep+1", "-0x1.e1a9fbe76c8b4p+1",
+         "-0x1.f6a7ef9db22d0p+1", "0x1.f147ae147ae14p+1",
+         "0x1.9d916872b020cp+1", "-0x1.9d916872b020cp+1",
+         "0x1.f147ae147ae13p+1"],
+        ["-0x1.cdd2f1a9fbe88p-2", "-0x1.f8f5c28f5c291p+1",
+         "0x1.416872b020c4ap+2", "-0x1.53f7ced916872p+1",
+         "-0x1.916872b020c40p-3", "0x1.6000000000000p+0",
+         "0x1.60624dd2f1aa0p+1", "-0x1.374bc6a7ef9dbp+1",
+         "0x1.5147ae147ae13p+1"],
+    ),
+    (True, True): (
+        ["-0x1.7ed916872b020p+1", "-0x1.7ed916872b020p+1",
+         "0x1.0189374bc6a7fp+2", "-0x1.7ed916872b021p+1",
+         "-0x1.1e24dd2f1a9fcp+2", "0x1.4cdd2f1a9fbe8p+2",
+         "0x1.7ed916872b021p+1", "-0x1.0189374bc6a7fp+2",
+         "0x1.8d1eb851eb852p+2"],
+        ["0x1.420c49ba5e355p-1", "-0x1.68624dd2f1a9fp+2",
+         "0x1.6999999999999p+2", "-0x1.09fbe76c8b43ap+1",
+         "-0x1.876c8b4395812p+0", "0x1.53f7ced916878p-1",
+         "0x1.00a3d70a3d70ap+1", "-0x1.026e978d4fdf4p+1",
+         "0x1.3e5604189374cp+1"],
+    ),
+    (False, False): (
+        ["0x1.16c8b43958104p+1", "0x1.16c8b43958105p+1",
+         "0x1.f0a3d70a3d708p-1", "0x1.f0a3d70a3d70cp-1",
+         "-0x1.6c49ba5e353f7p+0", "0x1.6666666666666p+1",
+         "0x1.6c49ba5e353f7p+0", "0x1.f0a3d70a3d70ep-1",
+         "0x1.90624dd2f1aa0p+0"],
+        ["0x1.3d4fdf3b645a0p+2", "0x1.76c8b43958104p+0",
+         "0x1.616872b020c49p+1", "0x1.09db22d0e5604p+1",
+         "0x1.276c8b4395810p+1", "0x1.28f5c28f5c290p-2",
+         "0x1.e3d70a3d70a3cp-1", "0x1.c4dd2f1a9fbeap+0",
+         "0x1.4189374bc6a80p-2"],
+    ),
+    (False, True): (
+        ["0x1.204189374bc68p+1", "0x1.204189374bc68p+1",
+         "0x1.9db22d0e56000p-4", "0x1.f7ced916872c0p-4",
+         "-0x1.9db22d0e56020p-4", "0x1.6be76c8b43958p+2",
+         "0x1.9db22d0e56040p-4", "0x1.9db22d0e56050p-4",
+         "0x1.69ba5e353f7cfp+1"],
+        ["0x1.77ced916872aep+2", "-0x1.8d4fdf3b645b4p-2",
+         "0x1.ba1cac083126ap+0", "0x1.09374bc6a7efbp+0",
+         "0x1.6ba5e353f7ceep+1", "0x1.2624dd2f1a9fcp+0",
+         "-0x1.c51eb851eb852p-1", "0x1.0d916872b020dp+1",
+         "-0x1.c8b4395810624p-1"],
+    ),
+}
+
+
+class TestBcjrGolden:
+    @pytest.mark.parametrize("terminated, with_apriori", sorted(_GOLDEN_OUT))
+    def test_literal_vectors(self, terminated, with_apriori):
+        trellis = BcjrTrellis(RscCode())
+        a_priori = np.array(_GOLDEN_APRI) if with_apriori else None
+        llr, ext = max_log_bcjr(trellis, np.array(_GOLDEN_SYS),
+                                np.array(_GOLDEN_PAR), a_priori,
+                                terminated=terminated)
+        want_llr, want_ext = _GOLDEN_OUT[terminated, with_apriori]
+        assert [x.hex() for x in llr.tolist()] == want_llr
+        assert [x.hex() for x in ext.tolist()] == want_ext
+
+
+class TestFusedBcjr:
+    @given(
+        st.integers(1, 200),
+        st.sampled_from([0.0, 1e-3, 1.0, 8.0, 100.0, 1e4]),
+        st.booleans(),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_matches_maximum_at_recursion(self, t_len, scale, terminated,
+                                          with_apriori, seed):
+        trellis = BcjrTrellis(RscCode())
+        rng = np.random.default_rng(seed)
+        sys_llrs = scale * rng.normal(size=t_len)
+        parity = scale * rng.normal(size=(2, t_len))
+        a_priori = scale * rng.normal(size=t_len) if with_apriori else None
+        got = max_log_bcjr(trellis, sys_llrs, parity, a_priori, terminated)
+        want = _maximum_at_bcjr(trellis, sys_llrs, parity, a_priori,
+                                terminated)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("scale", [1e30, 1e31])
+    def test_floor_keeps_huge_metrics_exact(self, scale):
+        """Branch metrics as large as _NEG push candidates below it and let
+        them reach the LLR maxima; only the floor keeps the fused step
+        equal to maximum.at."""
+        trellis = BcjrTrellis(RscCode())
+        rng = np.random.default_rng(3)
+        for terminated in (True, False):
+            args = (scale * rng.normal(size=40),
+                    scale * rng.normal(size=(2, 40)),
+                    scale * rng.normal(size=40))
+            got = max_log_bcjr(trellis, *args, terminated=terminated)
+            want = _maximum_at_bcjr(trellis, *args, terminated=terminated)
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
+
+    def test_branches_per_state(self):
+        trellis = BcjrTrellis(RscCode())
+        for table, states in ((trellis.in_branches, trellis.to_state),
+                              (trellis.out_branches, trellis.from_state)):
+            assert table.shape == (2, trellis.n_states)
+            assert (states[table] == np.arange(trellis.n_states)).all()
+            assert (table[0] < table[1]).all()  # branch order kept
+
+    def test_rejects_state_without_two_predecessors(self):
+        # both inputs of states 0 and 1 lead to state 0: state 0 gets four
+        # incoming branches and state 1 none
+        next_state = np.array([[0, 0], [0, 0], [2, 3], [2, 3]])
+        code = SimpleNamespace(n_states=4, next_state=next_state,
+                               parity_out=np.zeros((4, 2, 2), dtype=np.int64))
+        with pytest.raises(ValueError, match="incoming"):
+            BcjrTrellis(code)
+
+    def test_rejects_state_count_mismatch(self):
+        # a next-state table naming a state beyond n_states
+        code = SimpleNamespace(n_states=2, next_state=np.array([[0, 1], [2, 0]]),
+                               parity_out=np.zeros((2, 2, 2), dtype=np.int64))
+        with pytest.raises(ValueError, match="incoming"):
+            BcjrTrellis(code)
 
 
 class TestTurbo:
