@@ -8,11 +8,13 @@ kernel, not just "decode got slower":
 
 - ``hash``: every registered spine hash (:func:`repro.core.hashes.
   available_hashes`) over beam-sized and cohort-sized uint32 state arrays,
-  the exact shapes the tree expansion hashes each step;
+  the element counts the tree expansion hashes each step, and at the
+  branch-cost broadcast ``(n_slots, 1) x (1, n_states)``;
 - ``branch_cost``: :meth:`BubbleDecoder._branch_costs` — broadcast hash +
   distance arithmetic over all received symbols of one spine position —
   for the paper's AWGN code, the rate-1/3 BSC code, and a fading store
-  with per-symbol CSI;
+  with per-symbol CSI; plus the batch kernel at the ``spinal_awgn``
+  cohort shape;
 - ``select``: :func:`repro.core.decoder.select_beams` (argpartition
   subtree pruning) in scalar (1-D) and batch-cohort (2-D) shapes.
 
@@ -140,6 +142,32 @@ def test_hash_kernel(benchmark, kernel_records, hash_name, n_states, backend):
             hash=hash_name, n_states=n_states, backend=backend)
 
 
+#: The decoder's branch-cost broadcast: ``h(states[None, :], slots[:, None])``
+#: over one spine position's received slots (8 passes) and a full beam.
+OUTER_SLOTS = 8
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("hash_name", available_hashes())
+def test_hash_kernel_outer(benchmark, kernel_records, hash_name, backend):
+    """The decoder's real layout: ``(n_slots, 1) x (1, n_states)``.
+
+    The flat equal-shape cases above cannot see work that depends on the
+    layout, such as one_at_a_time absorbing the state at its own shape.
+    """
+    rng = np.random.default_rng(8)
+    states = rng.integers(0, 2**32, size=(1, BEAM), dtype=np.uint32)
+    slots = np.arange(OUTER_SLOTS, dtype=np.uint32)[:, None]
+    with use_backend(backend):
+        hash_fn = get_hash(hash_name)
+        out = benchmark(hash_fn, states, slots)
+    assert out.shape == (OUTER_SLOTS, BEAM) and out.dtype == np.uint32
+    _record(kernel_records, benchmark, "hash",
+            f"{hash_name}/{OUTER_SLOTS}x{BEAM}{_suffix(backend)}",
+            hash=hash_name, n_states=BEAM, n_slots=OUTER_SLOTS,
+            backend=backend)
+
+
 # ---------------------------------------------------------------------------
 # branch-cost kernel
 # ---------------------------------------------------------------------------
@@ -199,6 +227,34 @@ def test_branch_cost_kernel_fading_csi(benchmark, kernel_records, backend):
     _record(kernel_records, benchmark, "branch_cost",
             f"awgn_k4_c6_csi{_suffix(backend)}",
             config="awgn_k4_c6_csi", n_states=BEAM, backend=backend)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_branch_cost_kernel_cohort(benchmark, kernel_records, backend):
+    """AWGN branch costs at the spinal_awgn cohort shape.
+
+    fig8_1's ``spinal n=256`` series decodes 3 messages per cohort with
+    B=256 and k=4, so each spine position scores ``(3, 4096)`` children
+    against every received slot (here 8 passes).
+    """
+    params = SpinalParams()
+    n_msgs = 3
+    rng = np.random.default_rng(12)
+    states = rng.integers(0, 2**32, size=(n_msgs, BEAM), dtype=np.uint32)
+    slots = np.arange(OUTER_SLOTS, dtype=np.uint32)
+    values = (rng.normal(size=(n_msgs, OUTER_SLOTS))
+              + 1j * rng.normal(size=(n_msgs, OUTER_SLOTS)))
+    levels = params.make_mapping().levels
+    with use_backend(backend) as active:
+        costs = benchmark(
+            active.branch_costs_batch, states, slots, values, None,
+            hash_name=params.hash_name, levels=levels, c=params.c,
+            is_bsc=False)
+    assert costs.shape == (n_msgs, BEAM) and np.all(costs >= 0.0)
+    _record(kernel_records, benchmark, "branch_cost",
+            f"awgn_k4_c6_cohort{n_msgs}{_suffix(backend)}",
+            config="awgn_k4_c6", n_states=BEAM, n_msgs=n_msgs,
+            n_slots=OUTER_SLOTS, backend=backend)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """The numba backend: JIT-compiled scalar loops for the decode hot path.
 
-The numpy reference kernels are many-pass: ``one_at_a_time`` alone makes
-~30 full-array sweeps per call, and the branch-cost evaluation adds the
-hash, two gather passes, and the distance arithmetic as separate
-traversals.  This backend fuses each family into a single ``@njit``
-scalar loop — one pass over the candidate states, hash and distance
-computed per element in registers — which is where the ≥5x ``kernel.hash``
-/ ≥3x cohort-decode targets gated by ``repro.obs.perf compare`` come from.
+The numpy reference kernels are many-pass: ``one_at_a_time`` makes ~20
+output-sized sweeps per call, and the branch-cost evaluation adds two
+table lookups, their sum and the reduction as separate traversals.  This
+backend fuses each family into a single ``@njit`` scalar loop — one pass
+over the candidate states, hash and distance computed per element in
+registers — which is where the ≥5x ``kernel.hash`` / ≥3x cohort-decode
+targets gated by ``repro.obs.perf compare`` come from.
 
 Bit-identical output is the contract (see :mod:`repro.backend.base`):
 
@@ -23,6 +23,9 @@ Bit-identical output is the contract (see :mod:`repro.backend.base`):
   numpy does (``re = h.re*x_i - h.im*x_q``, ``im = h.re*x_q + h.im*x_i``).
   numba's default (no fastmath) does not contract into FMAs, so every
   rounding step matches IEEE-wise.
+- Like the numpy kernel, the one-at-a-time slot loops absorb a state's
+  bytes once (``_oaat_absorb``) and only the slot's bytes per slot, so
+  the numpy/numba speedup ratios compare equally optimised code.
 - Beam selection: shared with the numpy backend — ``argpartition``
   introselect *order* is part of the decode contract, so it is not
   re-implemented here.
@@ -83,19 +86,28 @@ def _rotl(x: np.uint64, k: np.uint64) -> np.uint64:
 
 
 @njit(cache=True)
-def _oaat_word(s: np.uint64, d: np.uint64) -> np.uint64:
-    """Jenkins one-at-a-time of the 4+4 little-endian bytes of (s, d)."""
-    h = np.uint64(0)
-    for w in (s, d):
-        for shift in (np.uint64(0), np.uint64(8), np.uint64(16),
-                      np.uint64(24)):
-            h = (h + ((w >> shift) & np.uint64(0xFF))) & _M32
-            h = (h + (h << np.uint64(10))) & _M32
-            h = h ^ (h >> np.uint64(6))
+def _oaat_absorb(h: np.uint64, w: np.uint64) -> np.uint64:
+    """Mix the 4 little-endian bytes of ``w`` into a one-at-a-time state."""
+    for shift in (np.uint64(0), np.uint64(8), np.uint64(16), np.uint64(24)):
+        h = (h + ((w >> shift) & np.uint64(0xFF))) & _M32
+        h = (h + (h << np.uint64(10))) & _M32
+        h = h ^ (h >> np.uint64(6))
+    return h
+
+
+@njit(cache=True)
+def _oaat_finish(h: np.uint64) -> np.uint64:
+    """The one-at-a-time final avalanche."""
     h = (h + (h << np.uint64(3))) & _M32
     h = h ^ (h >> np.uint64(11))
     h = (h + (h << np.uint64(15))) & _M32
     return h
+
+
+@njit(cache=True)
+def _oaat_word(s: np.uint64, d: np.uint64) -> np.uint64:
+    """Jenkins one-at-a-time of the 4+4 little-endian bytes of (s, d)."""
+    return _oaat_finish(_oaat_absorb(_oaat_absorb(np.uint64(0), s), d))
 
 
 @njit(cache=True)
@@ -194,6 +206,21 @@ def _hash_word(hid: int, s: np.uint64, d: np.uint64) -> np.uint64:
 
 
 @njit(cache=True)
+def _slot_word(hid: int, s: np.uint64, prefix: np.uint64,
+               d: np.uint64) -> np.uint64:
+    """``h(s, d)`` inside a slot loop over one state.
+
+    ``prefix`` is ``_oaat_absorb(0, s)``, hoisted out of the loop by the
+    caller: one-at-a-time then absorbs only the slot's bytes, as the numpy
+    kernel does at the state's shape.  Other hashes mix state and data
+    together and take the full ``_hash_word``.
+    """
+    if hid == 0:
+        return _oaat_finish(_oaat_absorb(prefix, d))
+    return _hash_word(hid, s, d)
+
+
+@njit(cache=True)
 def _hash_flat(hid: int, states: np.ndarray, datas: np.ndarray,
                out: np.ndarray) -> None:
     """Elementwise hash of equal-length flat uint32 arrays into ``out``."""
@@ -216,9 +243,10 @@ def _branch_awgn(hid: int, states: np.ndarray, slots: np.ndarray,
     cshift = np.uint64(c)
     for i in range(states.size):
         s = np.uint64(states[i])
+        prefix = _oaat_absorb(np.uint64(0), s)
         acc = 0.0
         for t in range(slots.size):
-            w = _hash_word(hid, s, np.uint64(slots[t]))
+            w = _slot_word(hid, s, prefix, np.uint64(slots[t]))
             x_i = levels[np.intp(w & cmask)]
             x_q = levels[np.intp((w >> cshift) & cmask)]
             if have_csi:
@@ -239,9 +267,10 @@ def _branch_bsc(hid: int, states: np.ndarray, slots: np.ndarray,
     """Fused BSC branch costs (Hamming distance on the low hash bit)."""
     for i in range(states.size):
         s = np.uint64(states[i])
+        prefix = _oaat_absorb(np.uint64(0), s)
         acc = 0.0
         for t in range(slots.size):
-            w = _hash_word(hid, s, np.uint64(slots[t]))
+            w = _slot_word(hid, s, prefix, np.uint64(slots[t]))
             bit = np.float64(w & np.uint64(1))
             acc = acc + abs(bit - values[t])
         out[i] = acc

@@ -1,12 +1,16 @@
-"""The numpy reference backend — the bit-exactness contract, moved intact.
+"""The numpy reference backend — the bit-exactness contract.
 
-These are the exact kernels the decoder ran before the backend seam
-existed: the vectorised branch-cost bodies of ``BubbleDecoder`` /
-``BatchBubbleDecoder`` and the ``argpartition`` beam selection, plus the
-reference hash implementations of :mod:`repro.core.hashes`.  Every other
-backend is judged against this one — same uint32 words, same float64
-reduction order (the slot axis leads, so the sum over received symbols
-accumulates in slot order), same introselect selection order.
+These kernels reproduce, bit for bit, what the decoder ran before the
+backend seam existed: the vectorised branch-cost bodies of
+``BubbleDecoder`` / ``BatchBubbleDecoder`` and the ``argpartition`` beam
+selection, plus the reference hash implementations of
+:mod:`repro.core.hashes`.  The non-CSI AWGN metric reads per-slot
+distance tables (see :func:`_awgn_table_costs`), which perform the same
+IEEE operations as gathering each word's levels and so give the same
+costs.  Every other backend is judged against this one — same uint32
+words, same float64 reduction order (the slot axis leads, so the sum
+over received symbols accumulates in slot order), same introselect
+selection order.
 
 Observability follows the decode hot-loop discipline (see ``repro.obs``):
 the hash inside a branch-cost evaluation is timed as ``kernel.hash`` and
@@ -61,6 +65,39 @@ def select_beams(group_costs: np.ndarray, n_beam: int) -> np.ndarray:
     return np.broadcast_to(np.arange(group_costs.shape[1]), group_costs.shape)
 
 
+def _awgn_table_costs(
+    words: np.ndarray, y: np.ndarray, levels: np.ndarray, c: int
+) -> np.ndarray:
+    """Non-CSI AWGN branch costs ``sum_slots |y - x(word)|^2``.
+
+    ``words`` is ``(n_slots, [M,] n_states)`` and ``y`` holds one received
+    value per leading ``(slot[, message])`` pair.  Each pair gets two
+    tables of ``2^c`` entries, ``(y_r - level)^2`` and ``(y_q - level)^2``,
+    flattened row after row; a word scores by two ``np.take`` on uint32
+    offsets ``row * 2^c + index`` and one ``+``.  A table entry is the
+    same IEEE subtract-then-square of the same two operands as the direct
+    ``d = y - levels[index]; d * d``, so every summand, the slot-leading
+    sum over them and any NaN or inf come out bit for bit as before, at a
+    fraction of the element work.
+    """
+    n_levels = levels.size
+    d_r = y.real[..., None] - levels
+    d_q = y.imag[..., None] - levels
+    tab_r = (d_r * d_r).ravel()
+    tab_q = (d_q * d_q).ravel()
+    rows = np.arange(y.size, dtype=np.uint32) * _U32(n_levels)
+    rows = rows.reshape(y.shape + (1,))
+    mask = _U32(n_levels - 1)
+    offsets = words & mask
+    offsets += rows
+    cost = np.take(tab_r, offsets)
+    np.right_shift(words, _U32(c), out=offsets)
+    offsets &= mask
+    offsets += rows
+    cost += np.take(tab_q, offsets)
+    return cost.sum(axis=0)
+
+
 def branch_costs(
     states: np.ndarray,
     slots: np.ndarray,
@@ -94,15 +131,8 @@ def branch_costs(
     if is_bsc:
         bits = (words & _U32(1)).astype(np.float64)
         out = np.abs(bits - values[:, None]).sum(axis=0)
-        if _on:
-            OBS.add_time("kernel.branch_cost", clock() - t1)
-        return out
-    c_mask = _U32((1 << c) - 1)
-    x_i = levels[(words & c_mask).astype(np.intp)]
-    x_q = levels[((words >> _U32(c)) & c_mask).astype(np.intp)]
-    if csi is None:
-        d_r = values.real[:, None] - x_i
-        d_q = values.imag[:, None] - x_q
+    elif csi is None:
+        out = _awgn_table_costs(words, values, levels, c)
     else:
         # Coherent metric |y - h x|^2 with the complex product h*x spelled
         # as separately-rounded real ufuncs.  numpy's complex-multiply loop
@@ -110,11 +140,14 @@ def branch_costs(
         # the reference costs machine-dependent in the last ulp — explicit
         # real ops pin one rounding sequence everywhere, and it is the
         # sequence a scalar kernel (numba) reproduces exactly.
+        c_mask = _U32((1 << c) - 1)
+        x_i = levels[(words & c_mask).astype(np.intp)]
+        x_q = levels[((words >> _U32(c)) & c_mask).astype(np.intp)]
         f_r = csi.real[:, None] * x_i - csi.imag[:, None] * x_q
         f_q = csi.real[:, None] * x_q + csi.imag[:, None] * x_i
         d_r = values.real[:, None] - f_r
         d_q = values.imag[:, None] - f_q
-    out = (d_r * d_r + d_q * d_q).sum(axis=0)
+        out = (d_r * d_r + d_q * d_q).sum(axis=0)
     if _on:
         OBS.add_time("kernel.branch_cost", clock() - t1)
     return out
@@ -154,24 +187,20 @@ def branch_costs_batch(
     if is_bsc:
         bits = (words & _U32(1)).astype(np.float64)
         out = np.abs(bits - values.T[:, :, None]).sum(axis=0)
-        if _on:
-            OBS.add_time("kernel.branch_cost", clock() - t1)
-        return out
-    c_mask = _U32((1 << c) - 1)
-    x_i = levels[(words & c_mask).astype(np.intp)]
-    x_q = levels[((words >> _U32(c)) & c_mask).astype(np.intp)]
-    if csi is None:
-        d_r = values.real.T[:, :, None] - x_i
-        d_q = values.imag.T[:, :, None] - x_q
+    elif csi is None:
+        out = _awgn_table_costs(words, values.T, levels, c)
     else:
         # Coherent metric |y - h x|^2 (§8.3): same separately-rounded real
         # ops as the scalar kernel (see its comment on FMA contraction),
         # broadcast over M.
+        c_mask = _U32((1 << c) - 1)
+        x_i = levels[(words & c_mask).astype(np.intp)]
+        x_q = levels[((words >> _U32(c)) & c_mask).astype(np.intp)]
         f_r = csi.real.T[:, :, None] * x_i - csi.imag.T[:, :, None] * x_q
         f_q = csi.real.T[:, :, None] * x_q + csi.imag.T[:, :, None] * x_i
         d_r = values.real.T[:, :, None] - f_r
         d_q = values.imag.T[:, :, None] - f_q
-    out = (d_r * d_r + d_q * d_q).sum(axis=0)
+        out = (d_r * d_r + d_q * d_q).sum(axis=0)
     if _on:
         OBS.add_time("kernel.branch_cost", clock() - t1)
     return out

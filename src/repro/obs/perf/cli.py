@@ -12,6 +12,9 @@ The performance-trajectory surface over the bench history:
   exits non-zero on any gated regression (the CI bench gate that
   replaced the hand-tuned ``--min-speedup`` flags);
 - ``report`` renders the recorded trajectory per suite and metric.
+
+``compare`` and ``report`` both print how many history lines they could
+not read, per reason (``--report-out`` carries it as ``history_skipped``).
 """
 
 from __future__ import annotations
@@ -128,6 +131,13 @@ def _load_live_shares(path: str | None) -> dict | None:
     return kernels if isinstance(kernels, dict) else None
 
 
+def _skipped_line(skipped: dict[str, int]) -> str:
+    """One line saying how many history lines were unreadable, and why."""
+    detail = ", ".join(f"{reason} {n}" for reason, n in skipped.items())
+    return (f"history: {sum(skipped.values())} unreadable line(s) "
+            f"skipped ({detail})")
+
+
 def _cmd_compare(args: argparse.Namespace) -> int:
     history = BenchHistory(args.history_dir)
     baselines = None
@@ -151,8 +161,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
                               baselines=baselines)
     attribution = attribute_regressions(
         comparisons, live_shares=_load_live_shares(args.metrics))
+    skipped = history.load_counted()[1]
     print(render_comparison(comparisons, attribution,
                             verbose=args.verbose))
+    print(_skipped_line(skipped))
     if args.report_out is not None:
         path = write_canonical_json(args.report_out, {
             "schema_version": COMPARISON_SCHEMA_VERSION,
@@ -164,6 +176,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             },
             "suites": [c.as_dict() for c in comparisons],
             "attribution": attribution,
+            "history_skipped": skipped,
             "n_regressions": sum(len(c.regressions) for c in comparisons),
         })
         print(f"[perf] report -> {path}")
@@ -182,6 +195,7 @@ def _fmt_value(value: float, unit: str) -> str:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     history = BenchHistory(args.history_dir)
+    print(_skipped_line(history.load_counted()[1]))
     suites = args.suite if args.suite is not None else history.suites()
     if not suites:
         print("(empty history)")

@@ -45,6 +45,7 @@ from repro.utils.results import write_canonical_json
 
 __all__ = [
     "HISTORY_SCHEMA_VERSION",
+    "SKIP_REASONS",
     "Metric",
     "machine_fingerprint",
     "fingerprint_id",
@@ -61,6 +62,9 @@ HISTORY_FILENAME = "BENCH_history.jsonl"
 
 #: Subdirectory holding the committed per-suite baselines.
 BASELINES_DIRNAME = "baselines"
+
+#: Why :meth:`BenchHistory.load_counted` passed over a history line.
+SKIP_REASONS = ("malformed_json", "not_a_record", "future_schema")
 
 
 @dataclass(frozen=True)
@@ -311,12 +315,26 @@ class BenchHistory:
     def load(self, suite: str | None = None) -> list[dict]:
         """All history records (oldest first), optionally one suite's.
 
-        Unreadable lines and records from a future schema are skipped —
-        the history is an append-only log shared across versions, so a
-        reader must tolerate what it does not understand.
+        Lines that are not readable records are skipped; see
+        :meth:`load_counted` for how many and why.
         """
+        return self.load_counted(suite)[0]
+
+    def load_counted(
+        self, suite: str | None = None
+    ) -> tuple[list[dict], dict[str, int]]:
+        """:meth:`load` plus the number of skipped lines per reason.
+
+        The history is an append-only log shared across versions, so a
+        reader passes over what it cannot use: a line that is not JSON (a
+        write cut short), JSON that is not a record, or a record from a
+        future schema.  Each is counted under its reason in
+        :data:`SKIP_REASONS` (for the whole file, whatever ``suite``) so
+        ``report`` and ``compare`` can say what they did not read.
+        """
+        skipped = dict.fromkeys(SKIP_REASONS, 0)
         if not os.path.exists(self.path):
-            return []
+            return [], skipped
         records: list[dict] = []
         with open(self.path, encoding="utf-8") as f:
             for line in f:
@@ -326,16 +344,20 @@ class BenchHistory:
                 try:
                     record = json.loads(line)
                 except json.JSONDecodeError:
+                    skipped["malformed_json"] += 1
                     continue
-                if not isinstance(record, dict):
+                try:
+                    version = int(record.get("schema_version", 0))
+                except (AttributeError, TypeError, ValueError):
+                    skipped["not_a_record"] += 1
                     continue
-                if int(record.get("schema_version", 0)) > \
-                        HISTORY_SCHEMA_VERSION:
+                if version > HISTORY_SCHEMA_VERSION:
+                    skipped["future_schema"] += 1
                     continue
                 if suite is not None and record.get("suite") != suite:
                     continue
                 records.append(record)
-        return records
+        return records, skipped
 
     def latest(self, suite: str) -> dict | None:
         """The most recent history record for ``suite``, if any."""

@@ -15,6 +15,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.backend as backend_mod
 from repro.backend import (
@@ -257,6 +258,111 @@ class TestBranchCostBitIdentity:
                 values.reshape(2, 0) if mod is nbm else values.reshape(2, 0),
                 None, **kwargs)
             assert np.array_equal(out2, np.zeros((2, 5)))
+
+
+# ---------------------------------------------------------------------------
+# the non-CSI AWGN metric against the gather formulation it replaced
+# ---------------------------------------------------------------------------
+
+def _gather_awgn_oracle(words, y, levels, c):
+    """Reference oracle: look each word's levels up, then subtract and square.
+
+    This is the direct formulation the numpy kernels used before they read
+    per-slot distance tables.  ``words`` is ``(n_slots, [M,] n_states)``
+    and ``y`` has one received value per leading ``(slot[, message])``.
+    """
+    c_mask = np.uint32((1 << c) - 1)
+    x_i = levels[(words & c_mask).astype(np.intp)]
+    x_q = levels[((words >> np.uint32(c)) & c_mask).astype(np.intp)]
+    d_r = y.real[..., None] - x_i
+    d_q = y.imag[..., None] - x_q
+    return (d_r * d_r + d_q * d_q).sum(axis=0)
+
+
+def _bits(x):
+    """float64 bit patterns, so NaN positions and payloads must match."""
+    return np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
+
+
+_SPECIAL = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 1e300])
+
+
+def _received(rng, shape, n_special):
+    """Complex received values, some components replaced by inf/NaN/etc.
+
+    Built component-wise: ``re + 1j * im`` would turn an infinite ``im``
+    into a NaN real part.
+    """
+    values = np.empty(shape, dtype=np.complex128)
+    for part in (values.real, values.imag):
+        flat = rng.normal(scale=2.0, size=part.size)
+        hit = rng.choice(part.size, size=min(n_special, part.size),
+                         replace=False) if part.size else []
+        flat[hit] = rng.choice(_SPECIAL, size=len(hit))
+        part[...] = flat.reshape(shape)
+    return values
+
+
+def _check_against_oracle(seed, n_slots, n_msgs, n_states, c, n_special):
+    rng = np.random.default_rng(seed)
+    levels = np.sort(rng.normal(size=1 << c))
+    states = rng.integers(0, 2**32, size=(n_msgs, n_states), dtype=np.uint32)
+    # Slots span the full word so every data byte of the hash is exercised.
+    slots = rng.integers(0, 2**32, size=n_slots, dtype=np.uint32)
+    values = _received(rng, (n_msgs, n_slots), n_special)
+    kwargs = dict(hash_name="one_at_a_time", levels=levels, c=c,
+                  is_bsc=False)
+    ref_hash = reference_hashes()["one_at_a_time"]
+    # inf - inf and 1e300 squared are meant to happen here
+    with np.errstate(all="ignore"):
+        batch = npb.branch_costs_batch(states, slots, values, None, **kwargs)
+        words = ref_hash(states[None, :, :], slots[:, None, None])
+        expect = _gather_awgn_oracle(words, values.T, levels, c)
+        assert batch.shape == expect.shape == (n_msgs, n_states)
+        assert np.array_equal(_bits(batch), _bits(expect))
+
+        for m in range(n_msgs):
+            scalar = npb.branch_costs(states[m], slots, values[m], None,
+                                      **kwargs)
+            words = ref_hash(states[m][None, :], slots[:, None])
+            expect = _gather_awgn_oracle(words, values[m], levels, c)
+            assert np.array_equal(_bits(scalar), _bits(expect))
+
+
+class TestAwgnMetricOracle:
+    """Both numpy kernels reproduce the gather oracle bit for bit."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n_slots=st.integers(0, 40),
+           n_msgs=st.integers(1, 4), n_states=st.integers(1, 24),
+           c=st.integers(2, 8), n_special=st.integers(0, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_gather_oracle(self, seed, n_slots, n_msgs, n_states,
+                                   c, n_special):
+        _check_against_oracle(seed, n_slots, n_msgs, n_states, c,
+                              n_special)
+
+    def test_c16(self):
+        """The widest constellation: 2^16-entry tables per slot."""
+        _check_against_oracle(7, n_slots=3, n_msgs=2, n_states=9, c=16,
+                              n_special=2)
+
+    def test_position_without_symbols(self):
+        """A punctured spine position costs exactly zero, as in the oracle."""
+        _check_against_oracle(11, n_slots=0, n_msgs=3, n_states=5, c=6,
+                              n_special=0)
+
+
+class TestNumbaOaatHoist:
+    """The numba slot loop absorbs a state's bytes once, bit-identically."""
+
+    @given(s=st.integers(0, 2**32 - 1), d=st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_slot_word_matches_hash_word(self, s, d):
+        s, d = np.uint64(s), np.uint64(d)
+        prefix = nbm._oaat_absorb(np.uint64(0), s)
+        for hid in sorted(nbm._HASH_IDS.values()):
+            assert nbm._slot_word(hid, s, prefix, d) == \
+                nbm._hash_word(hid, s, d)
 
 
 # ---------------------------------------------------------------------------

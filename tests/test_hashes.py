@@ -51,6 +51,71 @@ def _oaat_reference(state: int, data: int) -> int:
     return h
 
 
+def _layout(name, rng, a, b):
+    """A (state, data) operand pair in one of the decoder's broadcast layouts."""
+    def words(*shape):
+        return rng.integers(0, 2**32, size=shape, dtype=np.uint32)
+
+    if name == "state_larger":        # one slot against many states
+        return words(a, b), words(a, 1)
+    if name == "data_larger":         # one state against many data words
+        return words(1, b), words(a, b)
+    if name == "outer":               # branch costs: (1, n) x (n_slots, 1)
+        return words(1, b), words(a, 1)
+    if name == "both_0d":
+        return np.uint32(words(1)[0]), np.uint32(words(1)[0])
+    if name == "state_0d":
+        return np.uint32(words(1)[0]), words(a, b)
+    if name == "strided_view":        # every other state, transposed
+        return words(b, 2 * a)[:, ::2].T, words(1, b)
+    if name == "beam_gather":
+        # tree expansion after selection: rows gathered out of a 4-d
+        # (M, n_beam, K, W) child array, hashed against every edge
+        states4 = words(a, b, 4, 3)
+        row_idx = np.arange(a)[:, None]
+        parents = rng.integers(0, b, size=(a, 2))
+        sel_edges = rng.integers(0, 4, size=(a, 2))
+        leaf = states4[row_idx, parents, sel_edges, :]
+        return leaf[:, :, :, None], np.arange(4, dtype=np.uint32)
+    raise AssertionError(name)
+
+
+_LAYOUTS = ("state_larger", "data_larger", "outer", "both_0d", "state_0d",
+            "strided_view", "beam_gather")
+
+
+class TestBroadcastLayouts:
+    """one_at_a_time absorbs the state at its own shape before broadcasting.
+
+    Every layout the decoder produces must still give the value and shape
+    of the per-element Python transcription.
+    """
+
+    @given(layout=st.sampled_from(_LAYOUTS), seed=st.integers(0, 2**32 - 1),
+           a=st.integers(1, 5), b=st.integers(1, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_python_transcription(self, layout, seed, a, b):
+        state, data = _layout(layout, np.random.default_rng(seed), a, b)
+        out = one_at_a_time(state, data)
+        shape = np.broadcast_shapes(np.shape(state), np.shape(data))
+        assert isinstance(out, np.ndarray)
+        assert out.shape == shape and out.dtype == np.uint32
+        flat_s = np.broadcast_to(state, shape).ravel()
+        flat_d = np.broadcast_to(data, shape).ravel()
+        expect = [_oaat_reference(int(s), int(d))
+                  for s, d in zip(flat_s, flat_d)]
+        assert out.ravel().tolist() == expect
+
+    def test_inputs_untouched(self):
+        """The in-place rounds never write through to the operands."""
+        rng = np.random.default_rng(4)
+        state, data = _layout("beam_gather", rng, 3, 4)
+        before = (state.copy(), data.copy())
+        one_at_a_time(state, data)
+        assert np.array_equal(state, before[0])
+        assert np.array_equal(data, before[1])
+
+
 class TestVectorisation:
     @pytest.mark.parametrize("hash_fn", ALL_HASHES)
     def test_vector_matches_scalar(self, hash_fn):

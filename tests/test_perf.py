@@ -195,6 +195,23 @@ class TestHistory:
             f.write(json.dumps(future) + "\n")
         assert len(history.load("kernels")) == 2
 
+    def test_skipped_lines_counted_per_reason(self, tmp_path):
+        """Fault injection: a write cut short, a non-record, a future schema."""
+        history = seeded_history(tmp_path, n=2)
+        good = history.load()[0]
+        line = json.dumps(good)
+        with open(history.path, "a", encoding="utf-8") as f:
+            f.write(line[:len(line) // 2] + "\n")     # truncated write
+            f.write("[1, 2, 3]\n")                     # JSON, not a record
+            f.write(json.dumps(dict(good, schema_version=999)) + "\n")
+            f.write(json.dumps(dict(good, schema_version="v2")) + "\n")
+        records, skipped = history.load_counted()
+        assert len(records) == 2
+        assert skipped == {"malformed_json": 1, "not_a_record": 2,
+                           "future_schema": 1}
+        # counts cover the whole file, whichever suite is asked for
+        assert history.load_counted("missing") == ([], skipped)
+
     def test_suites_and_profile(self, tmp_path):
         history = BenchHistory(str(tmp_path / "h"))
         history.record("kernels", kernels_payload())
@@ -241,6 +258,17 @@ class TestCompare:
         worst = comp.regressions[0]
         assert worst.worsening == pytest.approx(1.0, rel=1e-6)
         assert worst.gated and worst.status == "regression"
+
+    def test_metric_without_baseline_row_is_skipped(self, tmp_path):
+        """A bench case added after the baseline was recorded is not judged."""
+        payload = kernels_payload()
+        payload["records"].append(
+            {"group": "hash", "name": "one_at_a_time/8x4096",
+             "mean_s": 2e-4, "stddev_s": 1e-5, "rounds": 400})
+        comp = self._compare(tmp_path, payload)
+        assert "hash.one_at_a_time/8x4096" not in {m.name
+                                                   for m in comp.metrics}
+        assert len(comp.metrics) == 4 and comp.regressions == []
 
     def test_improvement_is_not_a_regression(self, tmp_path):
         comp = self._compare(tmp_path, kernels_payload(hash_scale=0.5))
@@ -427,6 +455,27 @@ class TestPerfCli:
         assert "kernels: 3 record(s) shown" in out
         assert "hash.lookup3/4096" in out
         assert "->" in out
+
+    def test_skipped_lines_reported(self, tmp_path, capsys):
+        """report and compare (text and --report-out) show the skips."""
+        history = seeded_history(tmp_path, n=3)
+        line = json.dumps(history.load()[-1])
+        with open(history.path, "a", encoding="utf-8") as f:
+            f.write(line[:-7] + "\n")
+            f.write(json.dumps(dict(history.load()[0],
+                                    schema_version=999)) + "\n")
+        expect = ("history: 2 unreadable line(s) skipped (malformed_json 1, "
+                  "not_a_record 0, future_schema 1)")
+        assert perf_main(["report", "--history-dir", history.root]) == 0
+        assert expect in capsys.readouterr().out
+        report_path = str(tmp_path / "compare.json")
+        perf_main(["compare", "--history-dir", history.root,
+                   "--report-out", report_path])
+        assert expect in capsys.readouterr().out
+        with open(report_path, encoding="utf-8") as f:
+            report = json.load(f)
+        assert report["history_skipped"] == {
+            "malformed_json": 1, "not_a_record": 0, "future_schema": 1}
 
     def test_report_empty_history(self, tmp_path, capsys):
         assert perf_main(["report", "--history-dir",
