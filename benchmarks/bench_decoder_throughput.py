@@ -1,27 +1,20 @@
-"""Decode hot-path throughput: batched cohorts vs the scalar loops.
+"""Decode hot-path throughput: one-message sessions vs batched cohorts.
 
 Measures messages/second through the full rateless Monte-Carlo loop
-(encode, channel, probe + bisect decode) for three engines on AWGN:
+(encode, channel, probe + bisect decode) on AWGN, for the one pipeline
+run two ways:
 
-- ``scalar_rebuild`` — the pre-batching hot path: one message at a time,
-  rebuilding the received-symbol store from per-symbol Python lists on
-  every decode attempt (faithful re-implementation, kept here as the
-  regression baseline);
-- ``scalar`` — the current scalar engine: one incremental columnar store
-  per session, prefix-view decode attempts;
+- ``scalar`` — one message at a time (``measure_scheme`` without
+  ``batch_size``): each message is a one-row cohort;
 - ``batch`` — ``measure_scheme(batch_size=...)``: whole cohorts decoded by
-  the vectorised batch bubble decoder;
+  one vectorised bubble search;
 
-and for the two current engines on Rayleigh block fading with full CSI at
-the receiver (the Figure 8-4 configuration) — fading cohorts used to bail
-out of the batch pipeline entirely, so ``fading_speedup_batch_vs_scalar``
-is the one to watch for the paper's slowest sweeps.
+and the same pair on Rayleigh block fading with full CSI at the receiver
+(the Figure 8-4 configuration), the paper's slowest sweeps.
 
-Every engine pair produces the *same* :class:`RateMeasurement` (asserted),
-so this is a pure speed comparison.  Note the scalar store rewrite is
-roughly speed-neutral on its own (decode arithmetic dominates a scalar
-session); its payoff is the checkpointed prefix views the batch pipeline
-is built on.  Writes ``bench_results/BENCH_decoder_throughput.json``
+Both runs produce the *same* :class:`RateMeasurement` (asserted), so this
+is a pure speed comparison.  Writes
+``bench_results/BENCH_decoder_throughput.json``
 including the speedups and records it into the bench history
 (``bench_results/history/``); regression gating lives in
 ``python -m repro.obs.perf compare`` — noise-aware thresholds against
@@ -33,101 +26,13 @@ a separate step.
 import argparse
 import sys
 
-import numpy as np
-
 from repro.backend import get_backend, set_backend, use_backend
 from repro.channels import AWGNChannel, RayleighBlockFadingChannel
-from repro.core.decoder import BubbleDecoder
-from repro.core.encoder import SpinalEncoder
 from repro.core.params import DecoderParams, SpinalParams
 from repro.obs import clock
 from repro.simulation import SpinalScheme, measure_scheme
-from repro.simulation.engine import probe_schedule
-from repro.utils.bitops import random_message
 
 from _common import write_json
-
-
-class _ListStore:
-    """The seed repo's ReceivedSymbols: per-symbol Python list appends."""
-
-    def __init__(self, n_spine):
-        self.n_spine = n_spine
-        self._slots = [[] for _ in range(n_spine)]
-        self._values = [[] for _ in range(n_spine)]
-        self._count = 0
-
-    @property
-    def n_symbols(self):
-        return self._count
-
-    def add_block(self, spine_indices, slots, values):
-        for j in range(values.size):
-            i = int(spine_indices[j])
-            self._slots[i].append(int(slots[j]))
-            self._values[i].append(values[j])
-        self._count += values.size
-
-    def for_spine(self, i):
-        return (
-            np.asarray(self._slots[i], dtype=np.uint32),
-            np.asarray(self._values[i], dtype=np.complex128),
-            None,
-        )
-
-
-def _legacy_run_message(params, dec, message, channel, probe_growth):
-    """Pre-batching session: rebuild the whole store on every attempt."""
-    encoder = SpinalEncoder(params, message)
-    decoder = BubbleDecoder(params, dec, message.size)
-    blocks = []
-
-    def ensure(count):
-        while len(blocks) < count:
-            block = encoder.generate(len(blocks))
-            blocks.append((block, channel.transmit(block.values).values))
-
-    def attempt(n):
-        ensure(n)
-        store = _ListStore(encoder.n_spine)
-        for block, values in blocks[:n]:
-            store.add_block(block.spine_indices, block.slots, values)
-        return decoder.decode(store).matches(message)
-
-    w = encoder.subpasses_per_pass
-    max_subpasses = dec.max_passes * w
-    lo, hi = 0, None
-    for g in probe_schedule(probe_growth, max_subpasses):
-        if attempt(g):
-            hi = g
-            break
-        lo = g
-    if hi is None:
-        ensure(max_subpasses)
-        return 0, sum(len(b[0]) for b in blocks)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if attempt(mid):
-            hi = mid
-        else:
-            lo = mid
-    return message.size, sum(len(b[0]) for b in blocks[:hi])
-
-
-def _measure_legacy(params, dec, n_bits, snr_db, n_messages, seed, probe_growth):
-    """The pre-batching measure_scheme loop, with identical seeding."""
-    master = np.random.default_rng(seed)
-    total_bits = total_symbols = n_success = 0
-    for _ in range(n_messages):
-        rng = np.random.default_rng(master.integers(0, 2**63))
-        channel = AWGNChannel(snr_db, rng=rng)
-        message = random_message(n_bits, rng)
-        bits, symbols = _legacy_run_message(
-            params, dec, message, channel, probe_growth)
-        total_bits += bits
-        total_symbols += symbols
-        n_success += bits > 0
-    return total_bits, total_symbols, n_success
 
 
 def _timed(fn):
@@ -146,8 +51,6 @@ def run(quick: bool) -> dict:
     dec = DecoderParams(B=64, max_passes=16)
     scheme = SpinalScheme(params, dec, n_bits, probe_growth=probe_growth)
 
-    legacy, t_legacy = _timed(lambda: _measure_legacy(
-        params, dec, n_bits, snr_db, n_messages, seed, probe_growth))
     scalar, t_scalar = _timed(lambda: measure_scheme(
         scheme, lambda rng: AWGNChannel(snr_db, rng=rng), snr_db,
         n_messages, seed=seed))
@@ -155,8 +58,7 @@ def run(quick: bool) -> dict:
         scheme, lambda rng: AWGNChannel(snr_db, rng=rng), snr_db,
         n_messages, seed=seed, batch_size=batch_size))
 
-    # All three engines are the same measurement — only speed may differ.
-    assert legacy == (batch.total_bits, batch.total_symbols, batch.n_success)
+    # Both runs are the same measurement — only speed may differ.
     assert scalar == batch
 
     payload = {
@@ -168,24 +70,16 @@ def run(quick: bool) -> dict:
             "backend": get_backend().name,
         },
         "rate_bits_per_symbol": round(batch.rate, 9),
-        "scalar_rebuild_msgs_per_sec": round(n_messages / t_legacy, 3),
         "scalar_msgs_per_sec": round(n_messages / t_scalar, 3),
         "batch_msgs_per_sec": round(n_messages / t_batch, 3),
-        "speedup_batch_vs_scalar_rebuild": round(t_legacy / t_batch, 3),
         "speedup_batch_vs_scalar": round(t_scalar / t_batch, 3),
-        "speedup_scalar_vs_scalar_rebuild": round(t_legacy / t_scalar, 3),
     }
     payload.update(run_fading(quick=quick))
     return payload
 
 
 def run_fading(quick: bool) -> dict:
-    """Rayleigh + full CSI (the Figure 8-4 shape): scalar vs batch.
-
-    Before the fading/CSI batch path existed, ``batch_size`` silently fell
-    back to the scalar engine here, so ``scalar`` doubles as the pre-batch
-    baseline for this case.
-    """
+    """Rayleigh + full CSI (the Figure 8-4 shape): scalar vs batch."""
     n_messages = 48 if quick else 192
     batch_size = 48
     n_bits, snr_db, tau, seed, probe_growth = 128, 13.0, 10, 0, 1.5
@@ -203,7 +97,7 @@ def run_fading(quick: bool) -> dict:
         scheme, factory, snr_db, n_messages, seed=seed,
         batch_size=batch_size, capacity_reference="rayleigh"))
 
-    # The batched fading pipeline must be bit-identical to the scalar one.
+    # Batching must not change the fading measurement by one bit.
     assert scalar == batch
 
     return {
@@ -328,9 +222,9 @@ def main(argv=None) -> int:
     # Regression gating moved to `python -m repro.obs.perf compare`:
     # write_json recorded this run into the bench history, which the gate
     # judges against the committed baselines with noise-aware thresholds.
-    print(f"ok: batch path {payload['speedup_batch_vs_scalar_rebuild']}x "
-          f"over the per-attempt-rebuild loop, fading batch "
-          f"{payload['fading_speedup_batch_vs_scalar']}x over scalar")
+    print(f"ok: batch path {payload['speedup_batch_vs_scalar']}x over "
+          f"one message at a time, fading batch "
+          f"{payload['fading_speedup_batch_vs_scalar']}x")
     return 0
 
 

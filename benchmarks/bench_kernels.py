@@ -12,11 +12,11 @@ kernel, not just "decode got slower":
   branch-cost broadcast ``(n_slots, 1) x (1, n_states)``;
 - ``branch_cost``: :meth:`BubbleDecoder._branch_costs` — broadcast hash +
   distance arithmetic over all received symbols of one spine position —
-  for the paper's AWGN code, the rate-1/3 BSC code, and a fading store
-  with per-symbol CSI; plus the batch kernel at the ``spinal_awgn``
-  cohort shape;
+  on a one-message (one-row) view, for the paper's AWGN code, the
+  rate-1/3 BSC code, and a fading store with per-symbol CSI; plus the
+  kernel at the ``spinal_awgn`` cohort shape;
 - ``select``: :func:`repro.core.decoder.select_beams` (argpartition
-  subtree pruning) in scalar (1-D) and batch-cohort (2-D) shapes.
+  subtree pruning) on one message's row and on a 16-message cohort.
 
 The hash and branch-cost benchmarks run once per available backend
 (:mod:`repro.backend`): numpy always, numba when installed.  numpy records
@@ -193,12 +193,13 @@ def test_branch_cost_kernel(benchmark, kernel_records, config, backend):
     params, n_bits, x = CONFIGS[config]
     store = _filled_store(params, n_bits, x)
     states = np.random.default_rng(3).integers(
-        0, 2**32, size=BEAM, dtype=np.uint32)
+        0, 2**32, size=(1, BEAM), dtype=np.uint32)
+    view = store.prefix(store.checkpoint())
     with use_backend(backend):
         # the decoder binds its backend at construction
         decoder = BubbleDecoder(params, DecoderParams(B=256), n_bits)
-        costs = benchmark(decoder._branch_costs, states, 1, store)
-    assert costs.shape == (BEAM,) and np.all(costs >= 0.0)
+        costs = benchmark(decoder._branch_costs, states, 1, view)
+    assert costs.shape == (1, BEAM) and np.all(costs >= 0.0)
     _record(kernel_records, benchmark, "branch_cost",
             f"{config}{_suffix(backend)}",
             config=config, n_states=BEAM, backend=backend)
@@ -219,11 +220,12 @@ def test_branch_cost_kernel_fading_csi(benchmark, kernel_records, backend):
         phases = np.exp(2j * np.pi * rng.random(slots.size))
         csi_store.add_block(np.full(slots.size, i), slots, values, csi=phases)
     states = np.random.default_rng(3).integers(
-        0, 2**32, size=BEAM, dtype=np.uint32)
+        0, 2**32, size=(1, BEAM), dtype=np.uint32)
+    view = csi_store.prefix(csi_store.checkpoint())
     with use_backend(backend):
         decoder = BubbleDecoder(params, DecoderParams(B=256), 32)
-        costs = benchmark(decoder._branch_costs, states, 1, csi_store)
-    assert costs.shape == (BEAM,) and np.all(costs >= 0.0)
+        costs = benchmark(decoder._branch_costs, states, 1, view)
+    assert costs.shape == (1, BEAM) and np.all(costs >= 0.0)
     _record(kernel_records, benchmark, "branch_cost",
             f"awgn_k4_c6_csi{_suffix(backend)}",
             config="awgn_k4_c6_csi", n_states=BEAM, backend=backend)
@@ -261,14 +263,14 @@ def test_branch_cost_kernel_cohort(benchmark, kernel_records, backend):
 # selection kernel (backend-shared by contract; measured once)
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("shape,n_beam", [
-    ((BEAM,), 256),
-    ((16, BEAM), 256),
+# The one-message row keeps the record name of the 1-D shape it replaced.
+@pytest.mark.parametrize("shape,n_beam,name", [
+    ((1, BEAM), 256, f"{BEAM}/B256"),
+    ((16, BEAM), 256, f"16x{BEAM}/B256"),
 ], ids=["scalar", "batch16"])
-def test_select_kernel(benchmark, kernel_records, shape, n_beam):
+def test_select_kernel(benchmark, kernel_records, shape, n_beam, name):
     costs = np.random.default_rng(5).random(shape)
     kept = benchmark(select_beams, costs, n_beam)
-    assert kept.shape[-1] == n_beam
-    _record(kernel_records, benchmark, "select",
-            f"{'x'.join(map(str, shape))}/B{n_beam}",
+    assert kept.shape == (shape[0], n_beam)
+    _record(kernel_records, benchmark, "select", name,
             shape=list(shape), n_beam=n_beam)

@@ -312,48 +312,6 @@ def _make_hash(hid: int) -> HashFn:
     return h
 
 
-def branch_costs(
-    states: np.ndarray,
-    slots: np.ndarray,
-    values: np.ndarray,
-    csi: np.ndarray | None,
-    *,
-    hash_name: str,
-    levels: np.ndarray,
-    c: int,
-    is_bsc: bool,
-) -> np.ndarray:
-    """Scalar branch costs via the fused kernels: states (n,) -> (n,)."""
-    states = np.ascontiguousarray(states, dtype=np.uint32)
-    if slots.size == 0:
-        return np.zeros(states.size, dtype=np.float64)
-    hid = _HASH_IDS[hash_name]
-    slots_u = np.ascontiguousarray(slots, dtype=np.uint32)
-    out = np.empty(states.size, dtype=np.float64)
-    _on = OBS.enabled
-    if _on:
-        t0 = clock()
-    if is_bsc:
-        _branch_bsc(hid, states, slots_u,
-                    np.ascontiguousarray(values, dtype=np.float64), out)
-    else:
-        vre = np.ascontiguousarray(values.real)
-        vim = np.ascontiguousarray(values.imag)
-        if csi is None:
-            _branch_awgn(hid, states, slots_u, vre, vim, vre, vim, False,
-                         levels, c, out)
-        else:
-            _branch_awgn(hid, states, slots_u, vre, vim,
-                         np.ascontiguousarray(csi.real),
-                         np.ascontiguousarray(csi.imag), True,
-                         levels, c, out)
-    if _on:
-        # Fused kernel: hash + distance in one pass, timed wholly as
-        # kernel.branch_cost (kernel.hash then counts tree expansion only).
-        OBS.add_time("kernel.branch_cost", clock() - t0)
-    return out
-
-
 def branch_costs_batch(
     states: np.ndarray,
     slots: np.ndarray,
@@ -414,16 +372,12 @@ def _warmup() -> None:
     states = np.arange(4, dtype=np.uint32)
     slots = np.arange(2, dtype=np.uint32)
     levels = np.array([-1.0, 1.0], dtype=np.float64)
-    v = np.zeros(2, dtype=np.float64)
     out_w = np.empty(4, dtype=np.uint32)
-    out_f = np.empty(4, dtype=np.float64)
     states2 = states.reshape(2, 2)
     v2 = np.zeros((2, 2), dtype=np.float64)
     out_f2 = np.empty((2, 2), dtype=np.float64)
     for hid in sorted(_HASH_IDS.values()):
         _hash_flat(hid, states, states, out_w)
-    _branch_awgn(0, states, slots, v, v, v, v, False, levels, 1, out_f)
-    _branch_bsc(0, states, slots, v, out_f)
     _branch_awgn_batch(0, states2, slots, v2, v2, v2, v2, False, levels, 1,
                        out_f2)
     _branch_bsc_batch(0, states2, slots, v2, out_f2)
@@ -460,7 +414,6 @@ def make_backend() -> Backend:
             name="numba",
             hash_fns={name: _make_hash(hid)
                       for name, hid in _HASH_IDS.items()},
-            branch_costs=branch_costs,
             branch_costs_batch=branch_costs_batch,
             # argpartition introselect order is part of the decode
             # contract; selection stays on the shared reference kernel.

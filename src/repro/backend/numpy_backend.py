@@ -1,10 +1,10 @@
 """The numpy reference backend — the bit-exactness contract.
 
 These kernels reproduce, bit for bit, what the decoder ran before the
-backend seam existed: the vectorised branch-cost bodies of
-``BubbleDecoder`` / ``BatchBubbleDecoder`` and the ``argpartition`` beam
-selection, plus the reference hash implementations of
-:mod:`repro.core.hashes`.  The non-CSI AWGN metric reads per-slot
+backend seam existed: the vectorised branch-cost body of the bubble
+search (one kernel, over an ``(M, n_states)`` cohort; a single message is
+``M = 1``) and the ``argpartition`` beam selection, plus the reference
+hash implementations of :mod:`repro.core.hashes`.  The non-CSI AWGN metric reads per-slot
 distance tables (see :func:`_awgn_table_costs`), which perform the same
 IEEE operations as gathering each word's levels and so give the same
 costs.  Every other backend is judged against this one — same uint32
@@ -25,13 +25,13 @@ import numpy as np
 from repro.backend.base import Backend, HashFn
 from repro.obs import OBS, clock
 
-__all__ = ["branch_costs", "branch_costs_batch", "select_beams", "make_backend"]
+__all__ = ["branch_costs_batch", "select_beams", "make_backend"]
 
 _U32 = np.uint32
 
 # Lazily bound reference-hash registry (resolving it at import time would
 # close the hashes -> backend -> hashes import cycle the wrong way round).
-# Bound once: the scalar decoder calls branch_costs per spine position per
+# Bound once: the decoder calls branch_costs_batch per spine position per
 # attempt, so per-call registry rebuilds would be pure overhead.
 _HASHES: dict[str, HashFn] | None = None
 
@@ -46,19 +46,13 @@ def _hash_fn(name: str) -> HashFn:
 
 
 def select_beams(group_costs: np.ndarray, n_beam: int) -> np.ndarray:
-    """Indices of the ``n_beam`` cheapest candidate subtrees (per row).
+    """Indices of the ``n_beam`` cheapest candidate subtrees of each row.
 
-    A 1-D input is one message's flattened candidate costs (scalar
-    decoder); a 2-D input selects along axis 1 for every message of a
-    batch.  Both shapes use ``argpartition`` with introselect order
-    preserved — the surviving index sets *and their order* are part of
-    the decode contract, so all backends share this implementation.
+    ``group_costs`` is ``(M, n_candidates)``; selection runs along axis 1
+    with ``argpartition``, introselect order preserved — the surviving
+    index sets *and their order* are part of the decode contract, so all
+    backends share this implementation.
     """
-    if group_costs.ndim == 1:
-        n_keep = min(n_beam, group_costs.size)
-        if n_keep < group_costs.size:
-            return np.argpartition(group_costs, n_keep - 1)[:n_keep]
-        return np.arange(group_costs.size)
     n_keep = min(n_beam, group_costs.shape[1])
     if n_keep < group_costs.shape[1]:
         return np.argpartition(group_costs, n_keep - 1, axis=1)[:, :n_keep]
@@ -98,61 +92,6 @@ def _awgn_table_costs(
     return cost.sum(axis=0)
 
 
-def branch_costs(
-    states: np.ndarray,
-    slots: np.ndarray,
-    values: np.ndarray,
-    csi: np.ndarray | None,
-    *,
-    hash_name: str,
-    levels: np.ndarray,
-    c: int,
-    is_bsc: bool,
-) -> np.ndarray:
-    """Scalar branch costs: ``states (n,)`` -> ``costs (n,)``.
-
-    Sums over every received symbol of one spine position: all passes
-    plus tail symbols arrive as distinct slots, evaluated in one
-    broadcast hash of shape ``(n_slots, n_states)``.
-    """
-    states = np.asarray(states, dtype=np.uint32)
-    if slots.size == 0:
-        return np.zeros(states.size, dtype=np.float64)
-    # Metrics discipline (see repro.obs): snapshot the flag, time with
-    # plain clock reads, flush once — disabled cost is one branch.
-    _on = OBS.enabled
-    if _on:
-        t0 = clock()
-    hash_fn = _hash_fn(hash_name)
-    words = hash_fn(states[None, :], np.asarray(slots, np.uint32)[:, None])
-    if _on:
-        t1 = clock()
-        OBS.add_time("kernel.hash", t1 - t0)
-    if is_bsc:
-        bits = (words & _U32(1)).astype(np.float64)
-        out = np.abs(bits - values[:, None]).sum(axis=0)
-    elif csi is None:
-        out = _awgn_table_costs(words, values, levels, c)
-    else:
-        # Coherent metric |y - h x|^2 with the complex product h*x spelled
-        # as separately-rounded real ufuncs.  numpy's complex-multiply loop
-        # may contract into FMAs on hosts that have them, which would make
-        # the reference costs machine-dependent in the last ulp — explicit
-        # real ops pin one rounding sequence everywhere, and it is the
-        # sequence a scalar kernel (numba) reproduces exactly.
-        c_mask = _U32((1 << c) - 1)
-        x_i = levels[(words & c_mask).astype(np.intp)]
-        x_q = levels[((words >> _U32(c)) & c_mask).astype(np.intp)]
-        f_r = csi.real[:, None] * x_i - csi.imag[:, None] * x_q
-        f_q = csi.real[:, None] * x_q + csi.imag[:, None] * x_i
-        d_r = values.real[:, None] - f_r
-        d_q = values.imag[:, None] - f_q
-        out = (d_r * d_r + d_q * d_q).sum(axis=0)
-    if _on:
-        OBS.add_time("kernel.branch_cost", clock() - t1)
-    return out
-
-
 def branch_costs_batch(
     states: np.ndarray,
     slots: np.ndarray,
@@ -164,12 +103,15 @@ def branch_costs_batch(
     c: int,
     is_bsc: bool,
 ) -> np.ndarray:
-    """Batch branch costs: ``states (M, n)`` -> ``costs (M, n)``.
+    """Branch costs of M messages: ``states (M, n)`` -> ``costs (M, n)``.
 
-    The slot axis leads exactly as in the scalar kernel's
-    ``(n_slots, n_states)``, so the sum reduces in the same order and the
-    coherent CSI metric performs the same complex product and component
-    subtractions — every message reproduces the scalar kernel bit for bit.
+    Sums over every received symbol of one spine position: all passes
+    plus tail symbols arrive as distinct slots, evaluated in one broadcast
+    hash of shape ``(n_slots, M, n_states)``.  The slot axis leads, so
+    each (message, state) sum accumulates in slot order and a row's costs
+    do not depend on the other rows.  (numpy sums a lone column pairwise
+    instead, so that holds for ``M * n_states > 1``; the decoder always
+    scores at least ``2^k`` states.)
     """
     states = np.asarray(states, dtype=np.uint32)
     n_msgs, n_states = states.shape
@@ -190,9 +132,13 @@ def branch_costs_batch(
     elif csi is None:
         out = _awgn_table_costs(words, values.T, levels, c)
     else:
-        # Coherent metric |y - h x|^2 (§8.3): same separately-rounded real
-        # ops as the scalar kernel (see its comment on FMA contraction),
-        # broadcast over M.
+        # Coherent metric |y - h x|^2 (§8.3) with the complex product h*x
+        # spelled as separately-rounded real ufuncs.  numpy's
+        # complex-multiply loop may contract into FMAs on hosts that have
+        # them, which would make the reference costs machine-dependent in
+        # the last ulp — explicit real ops pin one rounding sequence
+        # everywhere, and it is the sequence a scalar kernel (numba)
+        # reproduces exactly.
         c_mask = _U32((1 << c) - 1)
         x_i = levels[(words & c_mask).astype(np.intp)]
         x_q = levels[((words >> _U32(c)) & c_mask).astype(np.intp)]
@@ -218,7 +164,6 @@ def make_backend() -> Backend:
         _BACKEND = Backend(
             name="numpy",
             hash_fns=reference_hashes(),
-            branch_costs=branch_costs,
             branch_costs_batch=branch_costs_batch,
             select_beams=select_beams,
         )

@@ -43,7 +43,8 @@ class Channel:
     #: True when :meth:`transmit` reports per-symbol coefficients in
     #: ``ChannelOutput.csi`` (fading models).  The batch engine uses this
     #: to keep cohorts CSI-homogeneous — its store's CSI plane is
-    #: all-or-nothing across rows, so mixed cohorts take the scalar path.
+    #: all-or-nothing across rows, so a mixed cohort runs each message as
+    #: its own one-row cohort.
     reports_csi = False
 
     @property
@@ -53,8 +54,8 @@ class Channel:
         The batched Monte-Carlo engine requires each message's output
         stream to be a pure function of its channel's constructor
         arguments and its own sequence of :meth:`transmit` calls; it
-        routes channels that can't promise this back to the scalar
-        engine.  Memoryless channels qualify trivially (the conservative
+        runs each message of a channel that can't promise this as its own
+        one-row cohort.  Memoryless channels qualify trivially (the conservative
         default this property derives).  Stateful models qualify only if
         their state is *not* coupled across instances or flows, and must
         opt in with an explicit class attribute after auditing — block
@@ -80,9 +81,8 @@ def transmit_batch(
     """Transmit row ``m`` of ``values`` through ``channels[m]``.
 
     Each message keeps its *own* channel (and noise generator), so the draws
-    are exactly the ones the scalar path would make for that message — the
-    invariant the batched Monte-Carlo engine's bit-identical guarantee rests
-    on.  Returns one :class:`ChannelOutput` whose rows stack the per-message
+    are exactly the ones that message would make alone — the invariant the
+    batched Monte-Carlo engine's bit-identical guarantee rests on.  Returns one :class:`ChannelOutput` whose rows stack the per-message
     outputs; ``csi`` stacks the per-symbol coefficients when the channels
     report them (fading cohorts) and is ``None`` when they don't.  A cohort
     must be homogeneous: some channels reporting CSI and others not would

@@ -20,89 +20,20 @@ import numpy as np
 
 from repro.core.params import SpinalParams
 from repro.core.puncturing import transmission_plan
-from repro.core.spine import spine_states, spine_states_batch
+from repro.core.spine import spine_states_batch
 
-__all__ = ["SymbolBlock", "BatchSymbolBlock", "SpinalEncoder", "BatchSpinalEncoder"]
+__all__ = ["SymbolBlock", "SpinalEncoder", "BatchSpinalEncoder"]
 
 
 @dataclass
 class SymbolBlock:
     """A contiguous chunk of the rateless symbol stream.
 
-    ``values`` is complex128 for I/Q constellations or uint8 for BSC bits;
-    ``spine_indices``/``slots`` identify which RNG draw produced each entry
-    (the receiver needs them to replay candidate encodings).
-    """
-
-    spine_indices: np.ndarray
-    slots: np.ndarray
-    values: np.ndarray
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
-class SpinalEncoder:
-    """Encode one message; produce any number of symbols on demand.
-
-    Parameters
-    ----------
-    params: code parameters (shared with the decoder).
-    message_bits: uint8 array of n message bits, n divisible by k.
-    """
-
-    def __init__(self, params: SpinalParams, message_bits: np.ndarray):
-        message_bits = np.asarray(message_bits, dtype=np.uint8)
-        self.params = params
-        self.n_bits = message_bits.size
-        self.n_spine = params.n_spine(self.n_bits)
-        self.message_bits = message_bits
-        self.spine = spine_states(params.hash_fn, params.k, message_bits, params.s0)
-        self._rng = params.make_rng()
-        self._mapping = params.make_mapping()
-        self._schedule = params.make_schedule()
-
-    @property
-    def subpasses_per_pass(self) -> int:
-        return self._schedule.subpasses_per_pass
-
-    def symbols_per_pass(self) -> int:
-        """Channel uses consumed by one full pass (incl. tail symbols)."""
-        return self.n_spine - 1 + self.params.tail_symbols
-
-    def symbols_at(self, spine_indices: np.ndarray, slots: np.ndarray) -> np.ndarray:
-        """Channel symbols for explicit (spine, slot) pairs.
-
-        Complex I/Q values for AWGN-style mappings, bits (uint8) for BSC.
-        """
-        seeds = self.spine[np.asarray(spine_indices, dtype=np.intp)]
-        slots = np.asarray(slots, dtype=np.uint32)
-        if self.params.is_bsc:
-            return self._rng.bits(seeds, slots)
-        i_vals, q_vals = self._rng.iq_values(seeds, slots)
-        return self._mapping.map(i_vals) + 1j * self._mapping.map(q_vals)
-
-    def generate(self, first_subpass: int, n_subpasses: int = 1) -> SymbolBlock:
-        """Generate the symbols of a range of (global) subpasses."""
-        spine_idx, slots = transmission_plan(
-            self._schedule, self.n_spine, self.params.tail_symbols,
-            first_subpass, n_subpasses,
-        )
-        return SymbolBlock(spine_idx, slots, self.symbols_at(spine_idx, slots))
-
-    def generate_passes(self, n_passes: int) -> SymbolBlock:
-        """Generate ``n_passes`` complete passes starting from the stream head."""
-        w = self._schedule.subpasses_per_pass
-        return self.generate(0, n_passes * w)
-
-
-@dataclass
-class BatchSymbolBlock:
-    """A subpass range of the symbol streams of M aligned messages.
-
-    The transmission plan (``spine_indices``, ``slots``) is shared — every
-    message sends the same (spine, slot) sequence — while ``values`` has
-    shape ``(M, block_length)``, one symbol stream per message.
+    ``values`` is complex128 for I/Q constellations or uint8 for BSC bits,
+    shaped ``(block_length,)`` for one message or ``(M, block_length)``
+    for M aligned messages; ``spine_indices``/``slots`` identify which RNG
+    draw produced each entry (the receiver needs them to replay candidate
+    encodings) and are shared by every message.
     """
 
     spine_indices: np.ndarray
@@ -116,9 +47,9 @@ class BatchSymbolBlock:
 class BatchSpinalEncoder:
     """Encode M equal-length messages with one set of vectorised calls.
 
-    Per message, the output is bit-identical to a :class:`SpinalEncoder`
-    over the same bits: the spine construction, RNG draws and constellation
-    mapping all broadcast over a leading message axis.
+    The spine construction, RNG draws and constellation mapping all
+    broadcast over a leading message axis, so each row's symbols depend
+    only on its own message.
 
     Parameters
     ----------
@@ -174,7 +105,7 @@ class BatchSpinalEncoder:
         first_subpass: int,
         n_subpasses: int = 1,
         rows: np.ndarray | None = None,
-    ) -> BatchSymbolBlock:
+    ) -> SymbolBlock:
         """Generate a range of (global) subpasses for every message in rows.
 
         Late subpasses of a cohort are usually driven by a few undecoded
@@ -185,6 +116,34 @@ class BatchSpinalEncoder:
             self._schedule, self.n_spine, self.params.tail_symbols,
             first_subpass, n_subpasses,
         )
-        return BatchSymbolBlock(
+        return SymbolBlock(
             spine_idx, slots, self.symbols_at(spine_idx, slots, rows=rows)
         )
+
+
+class SpinalEncoder(BatchSpinalEncoder):
+    """Encode one message; produce any number of symbols on demand.
+
+    The one-row :class:`BatchSpinalEncoder`: ``spine`` is its row of
+    ``spines`` and :meth:`generate` returns 1-D symbol blocks
+    (``symbols_at`` keeps the batch shape, ``(1, len(slots))``).
+
+    Parameters
+    ----------
+    params: code parameters (shared with the decoder).
+    message_bits: uint8 array of n message bits, n divisible by k.
+    """
+
+    def __init__(self, params: SpinalParams, message_bits: np.ndarray):
+        super().__init__(params, np.asarray(message_bits, np.uint8).reshape(1, -1))
+        self.message_bits = self.messages[0]
+        self.spine = self.spines[0]
+
+    def generate(self, first_subpass: int, n_subpasses: int = 1) -> SymbolBlock:
+        """Generate the symbols of a range of (global) subpasses."""
+        block = self.generate_batch(first_subpass, n_subpasses)
+        return SymbolBlock(block.spine_indices, block.slots, block.values[0])
+
+    def generate_passes(self, n_passes: int) -> SymbolBlock:
+        """Generate ``n_passes`` complete passes starting from the stream head."""
+        return self.generate(0, n_passes * self.subpasses_per_pass)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.hashes import HashFn
-from repro.utils.bitops import chunk_bits
 
 __all__ = ["spine_states", "spine_states_batch", "expand_states"]
 
@@ -26,15 +25,11 @@ def spine_states(
     """Compute all n/k spine values for a message (encoder side).
 
     Returns a ``(n/k,)`` uint32 array; entry i is ``s_{i+1}`` in the paper's
-    numbering (the state *after* absorbing chunk i).
+    numbering (the state *after* absorbing chunk i).  The one-message row
+    of :func:`spine_states_batch`.
     """
-    chunks = chunk_bits(np.asarray(message_bits, dtype=np.uint8), k)
-    states = np.empty(chunks.size, dtype=np.uint32)
-    s = np.asarray([s0], dtype=np.uint32)
-    for i, chunk in enumerate(chunks):
-        s = hash_fn(s, np.asarray([chunk], dtype=np.uint32))
-        states[i] = s[0]
-    return states
+    messages = np.asarray(message_bits, dtype=np.uint8).reshape(1, -1)
+    return spine_states_batch(hash_fn, k, messages, s0)[0]
 
 
 def spine_states_batch(
@@ -43,8 +38,8 @@ def spine_states_batch(
     """Spines of M equal-length messages in one pass: ``(M, n/k)`` uint32.
 
     One hash call per spine step covers the whole batch, so building M
-    spines costs the same number of numpy calls as building one.  Row ``m``
-    equals ``spine_states(hash_fn, k, messages[m], s0)`` exactly.
+    spines costs the same number of numpy calls as building one; each row
+    depends only on its own message.
     """
     messages = np.atleast_2d(np.asarray(messages, dtype=np.uint8))
     n_msgs, n_bits = messages.shape

@@ -251,6 +251,11 @@ class PacketTransmitter:
                 and self.subpass < self.max_subpasses
                 and not all(self._sender_acks))
 
+    @property
+    def sender_acks(self) -> list[bool]:
+        """The sender's (possibly stale) copy of the receiver's ACK bitmap."""
+        return list(self._sender_acks)
+
     def next_event_time(self) -> int | None:
         """Earliest queued feedback arrival (for idle-clock scheduling)."""
         if self.result is not None or not self._feedback:

@@ -168,10 +168,17 @@ class LinkScheduler:
                        (f.next_event_time() for f in self._flows)
                        if t is not None]
             if not pending:
-                # No sendable flow and no feedback in flight — only
-                # possible if an unfinished transmitter is stuck, which
-                # poll() resolves as a give-up; loop once more.
-                continue
+                # Every transmitter's poll() resolves "out of subpasses,
+                # nothing in flight" as a give-up, so this state means one
+                # is stuck; nothing here can change it, and looping again
+                # would spin forever.
+                stuck = "; ".join(
+                    f"{fs.flow.name}: subpass {fs.tx.subpass} of "
+                    f"{fs.tx.max_subpasses}, sender ACKs {fs.tx.sender_acks}"
+                    for fs in self._flows if fs.tx is not None)
+                raise RuntimeError(
+                    "link scheduler stalled: no flow can send and no "
+                    f"feedback is in flight ({stuck})")
             target = min(pending)
             if target > self.link.time:
                 self.link.advance(target - self.link.time)

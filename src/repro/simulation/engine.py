@@ -11,29 +11,31 @@ exhaustive scan with overwhelming probability while running ~5x fewer
 attempts.  (Set ``probe_growth=1`` to force the exhaustive per-subpass scan
 the paper describes.)
 
-Each session owns **one** incremental :class:`ReceivedSymbols` store:
-subpasses are appended as they are transmitted and every decode attempt
-reads an O(1) prefix view of the store (a per-subpass checkpoint cursor),
-so probing and bisection never rebuild symbol storage.
+There is one probe/bisect loop, :class:`BatchSession`, and it runs M
+independent messages as one cohort: at every probe point all
+still-undecoded messages are decoded together by one bubble search
+(:class:`~repro.core.decoder.BatchBubbleDecoder`), and bisection steps are
+grouped by probe point, which amortises the per-step numpy call overhead
+over the whole cohort.  A :class:`SpinalSession` is the one-message
+cohort.  Each cohort owns **one** incremental
+:class:`~repro.core.symbols.BatchReceivedSymbols` store: subpasses are
+appended as they are transmitted and every decode attempt reads an O(1)
+prefix view of the store (a per-subpass checkpoint cursor), so probing
+and bisection never rebuild symbol storage.
 
-:class:`BatchSession` runs M independent messages as one cohort: at every
-probe point all still-undecoded messages are decoded together by a
-:class:`~repro.core.decoder.BatchBubbleDecoder` (and bisection steps are
-grouped by probe point), which amortises the per-step numpy call overhead
-over the whole cohort.  The batch path requires **per-message channel
-ownership** (``Channel.private_state``, and no instance shared between
-rows): each message's channel state and RNG stream must be a pure function
-of that message's own transmit sequence, which the cohort preserves — a
-row transmits the same subpass blocks, in the same order, as its scalar
-twin, and leaves the cohort at exactly the subpass where the scalar
-session would stop.  That makes stateful-but-private models (Rayleigh
-block fading, whose coherence block spans transmit calls) batchable, and
-CSI-consuming decodes batch too: the store carries a per-message CSI plane
-and the batch decoder the coherent ``|y - h x|^2`` metric (the "phase"
-policy derotates at receive time, exactly as the scalar receiver does).
-Only channels whose state is coupled *across* instances — the
-shared-medium symbol clock — fall back to per-message scalar
-:class:`SpinalSession` runs, preserving results exactly at scalar speed.
+Rows may share a cohort only under **per-message channel ownership**
+(``Channel.private_state``, and no instance shared between rows): each
+message's channel state and RNG stream must be a pure function of that
+message's own transmit sequence, which the cohort preserves — a row
+transmits the same subpass blocks, in the same order, as it would alone,
+and leaves the cohort at exactly the subpass where it would stop alone.
+That makes stateful-but-private models (Rayleigh block fading, whose
+coherence block spans transmit calls) batchable, and CSI-consuming
+decodes batch too: the store carries a per-message CSI plane and the
+decoder the coherent ``|y - h x|^2`` metric (the "phase" policy derotates
+at receive time).  Channels whose state is coupled *across* instances —
+the shared-medium symbol clock — run each message as its own one-row
+cohort, which is exact because one row cannot interleave with another.
 
 Success is judged against the transmitted message (oracle mode, standard
 for rate curves — it measures code performance without protocol overhead).
@@ -48,10 +50,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.channels.base import Channel, ChannelOutput, transmit_batch
-from repro.core.decoder import BatchBubbleDecoder, BubbleDecoder
+from repro.core.decoder import BatchBubbleDecoder
 from repro.core.encoder import BatchSpinalEncoder, SpinalEncoder
 from repro.core.params import DecoderParams, SpinalParams
-from repro.core.symbols import BatchReceivedSymbols, ReceivedSymbols
+from repro.core.symbols import BatchReceivedSymbols
 from repro.obs import OBS
 
 __all__ = [
@@ -135,7 +137,8 @@ class SessionResult:
 
 
 class SpinalSession:
-    """Drives one message through the rateless loop.
+    """Drives one message through the rateless loop: a one-row
+    :class:`BatchSession`.
 
     Parameters
     ----------
@@ -161,113 +164,24 @@ class SpinalSession:
         give_csi: bool | str = False,
         probe_growth: float = 1.5,
     ):
-        self.params = params
-        self.dec = decoder_params
-        self.message_bits = np.asarray(message_bits, dtype=np.uint8)
-        self.channel = channel
-        self.csi_mode = csi_mode(give_csi)
-        if probe_growth < 1.0:
-            raise ValueError("probe_growth must be >= 1")
-        self.probe_growth = probe_growth
-        self.encoder = SpinalEncoder(params, self.message_bits)
-        self.decoder = BubbleDecoder(params, decoder_params, self.message_bits.size)
-        # One incremental store for the whole session; decode attempts read
-        # prefix views through these per-subpass checkpoints instead of
-        # rebuilding symbol storage per attempt.
-        self._store = ReceivedSymbols(
-            self.encoder.n_spine, complex_valued=not self.params.is_bsc
+        self._cohort = BatchSession(
+            params, decoder_params,
+            np.asarray(message_bits, dtype=np.uint8).reshape(1, -1), [channel],
+            give_csi=give_csi, probe_growth=probe_growth,
         )
-        self._checkpoints = [self._store.checkpoint()]
-        self._cum_symbols = [0]
-        self._n_attempts = 0
-        self._last_cost = float("nan")
-
-    # -- transmission ----------------------------------------------------
 
     @property
-    def _n_subpasses_stored(self) -> int:
-        return len(self._checkpoints) - 1
-
-    def _ensure_subpasses(self, count: int) -> None:
-        """Transmit through the channel up to ``count`` subpasses."""
-        while self._n_subpasses_stored < count:
-            block = self.encoder.generate(self._n_subpasses_stored)
-            out = self.channel.transmit(block.values)
-            values, csi = received_view(out, self.csi_mode)
-            self._store.add_block(block.spine_indices, block.slots, values, csi=csi)
-            self._checkpoints.append(self._store.checkpoint())
-            self._cum_symbols.append(self._cum_symbols[-1] + len(block))
-
-    def _symbols_in(self, n_subpasses: int) -> int:
-        return self._cum_symbols[n_subpasses]
-
-    # -- decoding --------------------------------------------------------
-
-    def _attempt(self, n_subpasses: int) -> bool:
-        """Decode from the first ``n_subpasses`` subpasses."""
-        self._ensure_subpasses(n_subpasses)
-        view = self._store.prefix(self._checkpoints[n_subpasses])
-        OBS.counter("decode.attempts")
-        with OBS.timer("decode.attempt"):
-            result = self.decoder.decode(view)
-        self._n_attempts += 1
-        self._last_cost = result.path_cost
-        return result.matches(self.message_bits)
+    def encoder(self) -> SpinalEncoder:
+        """The message's encoder (stateless, so a fresh one is equivalent)."""
+        return SpinalEncoder(self._cohort.params, self._cohort.messages[0])
 
     def run(self) -> SessionResult:
         """Rateless transmission until decoded or ``max_passes`` exhausted."""
-        w = self.encoder.subpasses_per_pass
-        max_subpasses = self.dec.max_passes * w
-
-        # Geometric probe for the first success (shared schedule with the
-        # batch engine — the bit-identical contract depends on it).
-        lo = 0  # highest known-failing subpass count
-        hi = None
-        for g in probe_schedule(self.probe_growth, max_subpasses):
-            if self._attempt(g):
-                hi = g
-                break
-            lo = g
-
-        if hi is None:
-            self._ensure_subpasses(max_subpasses)
-            return SessionResult(
-                success=False,
-                n_symbols=self._symbols_in(max_subpasses),
-                n_subpasses=max_subpasses,
-                n_bits=self.message_bits.size,
-                n_attempts=self._n_attempts,
-            )
-
-        # Bisect for the minimal successful prefix in (lo, hi].
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self._attempt(mid):
-                hi = mid
-            else:
-                lo = mid
-        return SessionResult(
-            success=True,
-            n_symbols=self._symbols_in(hi),
-            n_subpasses=hi,
-            n_bits=self.message_bits.size,
-            n_attempts=self._n_attempts,
-            path_cost=self._last_cost,
-        )
+        return self._cohort.run()[0]
 
     def run_fixed_rate(self, n_passes: int) -> SessionResult:
         """Fixed-rate variant (Figure 8-2): send exactly L passes, decode once."""
-        w = self.encoder.subpasses_per_pass
-        n_subpasses = n_passes * w
-        ok = self._attempt(n_subpasses)
-        return SessionResult(
-            success=ok,
-            n_symbols=self._symbols_in(n_subpasses),
-            n_subpasses=n_subpasses,
-            n_bits=self.message_bits.size,
-            n_attempts=self._n_attempts,
-            path_cost=self._last_cost,
-        )
+        return self._cohort.run_fixed_rate(n_passes)[0]
 
 
 class BatchSession:
@@ -277,16 +191,17 @@ class BatchSession:
     stream); the decode pipeline is shared.  At each probe point of the
     common schedule, all still-undecoded messages are decoded in one
     batched bubble search; bisection steps are grouped by probe point the
-    same way.  Per message, the outcome is **bit-identical** to running
-    :class:`SpinalSession` on the same (message, channel) pair: same
-    success flags, symbol counts, attempt counts and path costs.
+    same way.  Per message, the outcome does not depend on the cohort: it
+    is **bit-identical** to running the same (message, channel) pair as a
+    one-row cohort (a :class:`SpinalSession`) — same success flags, symbol
+    counts, attempt counts and path costs.
 
     Channels must be per-message (``Channel.private_state``, one distinct
-    instance per row) for the batch path — stateful-but-private models
-    (block fading) and CSI-consuming decodes batch fine; cohorts containing
-    cross-message state (shared-medium channels, or one instance reused
-    across rows) are transparently run through per-message scalar sessions
-    instead — see the module docstring for why.
+    instance per row) for rows to share a cohort — stateful-but-private
+    models (block fading) and CSI-consuming decodes batch fine; cohorts
+    containing cross-message state (shared-medium channels, or one
+    instance reused across rows) transparently run each message as its own
+    one-row cohort instead — see the module docstring for why.
 
     Parameters
     ----------
@@ -327,26 +242,28 @@ class BatchSession:
         # like block fading batch fine.  Shared-state channels cannot, and
         # neither can one instance reused across rows — interleaved cohort
         # transmits would consume its RNG/state in a different order than
-        # M sequential scalar sessions.  The cohort must also be
+        # M sequential one-message sessions.  The cohort must also be
         # CSI-homogeneous (the batch store's CSI plane is all-or-nothing
-        # across rows); mixed-family cohorts are fine per message, so they
-        # take the scalar path.
-        return (all(ch.private_state for ch in self.channels)
-                and len({id(ch) for ch in self.channels}) == self.n_messages
-                and len({ch.reports_csi for ch in self.channels}) == 1)
+        # across rows).  A single row interleaves with nothing, so it
+        # always batches.
+        return self.n_messages == 1 or (
+            all(ch.private_state for ch in self.channels)
+            and len({id(ch) for ch in self.channels}) == self.n_messages
+            and len({ch.reports_csi for ch in self.channels}) == 1)
 
-    def _run_scalar(
+    def _run_rows_apart(
         self, fixed_passes: int | None = None
     ) -> list[SessionResult]:
-        """Per-message fallback: exact scalar semantics, scalar speed."""
+        """Fallback: each message as its own one-row cohort, in row order."""
         out: list[SessionResult] = []
         for m in range(self.n_messages):
-            session = SpinalSession(
-                self.params, self.dec, self.messages[m], self.channels[m],
+            row = BatchSession(
+                self.params, self.dec, self.messages[m:m + 1],
+                self.channels[m:m + 1],
                 give_csi=self.csi_mode, probe_growth=self.probe_growth,
             )
-            out.append(session.run() if fixed_passes is None
-                       else session.run_fixed_rate(fixed_passes))
+            out.extend(row.run() if fixed_passes is None
+                       else row.run_fixed_rate(fixed_passes))
         return out
 
     def _make_pipeline(
@@ -366,7 +283,7 @@ class BatchSession:
     def run(self) -> list[SessionResult]:
         """Rateless transmission of the cohort; one result per message."""
         if not self._can_batch():
-            return self._run_scalar()
+            return self._run_rows_apart()
 
         M = self.n_messages
         encoder, decoder, store = self._make_pipeline()
@@ -379,8 +296,8 @@ class BatchSession:
             """Transmit up to ``count`` subpasses for the messages in rows.
 
             Only still-active rows transmit — a decoded message's channel
-            stops drawing noise at exactly the subpass where its scalar
-            twin would have stopped.
+            stops drawing noise at exactly the subpass where it would have
+            stopped alone.
             """
             while len(checkpoints) - 1 < count:
                 block = encoder.generate_batch(len(checkpoints) - 1, rows=rows)
@@ -469,13 +386,13 @@ class BatchSession:
     def run_fixed_rate(self, n_passes: int) -> list[SessionResult]:
         """Fixed-rate cohort (Figure 8-2): L passes each, one batched decode.
 
-        Per message, bit-identical to
-        :meth:`SpinalSession.run_fixed_rate` on the same (message, channel)
-        pair — every row transmits the same L passes its scalar twin would,
-        then the whole cohort decodes once.
+        Per message, bit-identical to a one-row cohort
+        (:meth:`SpinalSession.run_fixed_rate`) on the same (message,
+        channel) pair — every row transmits the same L passes it would
+        alone, then the whole cohort decodes once.
         """
         if not self._can_batch():
-            return self._run_scalar(fixed_passes=n_passes)
+            return self._run_rows_apart(fixed_passes=n_passes)
 
         M = self.n_messages
         encoder, decoder, store = self._make_pipeline()

@@ -247,9 +247,10 @@ class SpinalScheme(RatelessScheme):
         """Batched cohort: one vectorised decode pipeline for all messages.
 
         Messages are drawn per-rng in cohort order — the same draws the
-        scalar loop makes — and :class:`BatchSession` falls back to scalar
-        sessions itself when a channel's state is not message-private, so
-        this is always result-identical to the base-class loop.
+        one-message loop makes — and :class:`BatchSession` runs each
+        message as its own one-row cohort when a channel's state is not
+        message-private, so this is always result-identical to the
+        base-class loop.
         """
         messages = np.stack([random_message(self.n_bits, rng) for rng in rngs])
         session = BatchSession(

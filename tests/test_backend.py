@@ -2,7 +2,8 @@
 
 The contract under test (see :mod:`repro.backend.base`): every backend
 produces bit-identical output — hash words, float64 branch costs, beam
-selections, and therefore whole ``DecodeResult``s and store bytes.  The
+selections, and therefore whole ``DecodeResult``s (equal to the reference
+search of ``tests/reference_decoder.py``) and store bytes.  The
 numba backend's kernels are additionally covered here *without* numba
 installed: its ``@njit`` decorator degrades to an identity decorator, so
 the same scalar loops run as pure Python against the numpy reference.
@@ -32,12 +33,14 @@ from repro.backend.base import Backend
 from repro.backend.numba_backend import NUMBA_AVAILABLE
 from repro.backend.u32 import MASK32, rotl32
 from repro.channels import AWGNChannel, BSCChannel
-from repro.core.decoder import BatchBubbleDecoder, BubbleDecoder
-from repro.core.encoder import BatchSpinalEncoder, SpinalEncoder
+from repro.core.decoder import BatchBubbleDecoder
+from repro.core.encoder import BatchSpinalEncoder
 from repro.core.hashes import available_hashes, get_hash, reference_hashes
 from repro.core.params import DecoderParams, SpinalParams
 from repro.core.symbols import BatchReceivedSymbols, ReceivedSymbols
 from repro.utils.bitops import random_message
+
+from reference_decoder import reference_decode
 
 
 @pytest.fixture(autouse=True)
@@ -65,7 +68,6 @@ def _pure_python_numba_backend() -> Backend:
         name="numba",
         hash_fns={name: nbm._make_hash(hid)
                   for name, hid in nbm._HASH_IDS.items()},
-        branch_costs=nbm.branch_costs,
         branch_costs_batch=nbm.branch_costs_batch,
         select_beams=npb.select_beams,
     )
@@ -191,73 +193,67 @@ class TestRotl32:
 # ---------------------------------------------------------------------------
 
 class TestBranchCostBitIdentity:
+    """The one branch-cost kernel, numba algorithms vs numpy reference.
+
+    Every case runs a one-message (M=1) input and a cohort input.
+    """
+
     LEVELS = np.linspace(-1.5, 1.5, 8)
+
+    def _check(self, states, slots, values, csi, **kwargs):
+        a = npb.branch_costs_batch(states, slots, values, csi, **kwargs)
+        b = nbm.branch_costs_batch(states, slots, values, csi, **kwargs)
+        assert a.dtype == b.dtype == np.float64
+        assert a.shape == states.shape
+        assert np.array_equal(a, b)  # bitwise, not approx
+
+    def _awgn(self, seed, M, n_states, hash_name, with_csi):
+        rng = np.random.default_rng(seed)
+        states = rng.integers(0, 2**32, size=(M, n_states), dtype=np.uint32)
+        slots = rng.integers(0, 100, size=5, dtype=np.uint32)
+        values = rng.normal(size=(M, 5)) + 1j * rng.normal(size=(M, 5))
+        csi = (rng.normal(size=(M, 5)) + 1j * rng.normal(size=(M, 5))
+               if with_csi else None)
+        self._check(states, slots, values, csi, hash_name=hash_name,
+                    levels=self.LEVELS, c=3, is_bsc=False)
 
     @pytest.mark.parametrize("hash_name", sorted(GOLDEN_VECTORS))
     @pytest.mark.parametrize("with_csi", [False, True],
                              ids=["awgn", "fading-csi"])
     def test_scalar(self, hash_name, with_csi):
-        rng = np.random.default_rng(3)
-        states = rng.integers(0, 2**32, size=37, dtype=np.uint32)
-        slots = rng.integers(0, 100, size=5, dtype=np.uint32)
-        values = rng.normal(size=5) + 1j * rng.normal(size=5)
-        csi = (rng.normal(size=5) + 1j * rng.normal(size=5)
-               if with_csi else None)
-        kwargs = dict(hash_name=hash_name, levels=self.LEVELS,
-                      c=3, is_bsc=False)
-        a = npb.branch_costs(states, slots, values, csi, **kwargs)
-        b = nbm.branch_costs(states, slots, values, csi, **kwargs)
-        assert a.dtype == b.dtype == np.float64
-        assert np.array_equal(a, b)  # bitwise, not approx
+        """One message: a one-row cohort."""
+        self._awgn(3, 1, 37, hash_name, with_csi)
 
     @pytest.mark.parametrize("hash_name", sorted(GOLDEN_VECTORS))
     @pytest.mark.parametrize("with_csi", [False, True],
                              ids=["awgn", "fading-csi"])
     def test_batch(self, hash_name, with_csi):
-        rng = np.random.default_rng(4)
-        states = rng.integers(0, 2**32, size=(4, 21), dtype=np.uint32)
-        slots = rng.integers(0, 100, size=5, dtype=np.uint32)
-        values = rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5))
-        csi = (rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5))
-               if with_csi else None)
-        kwargs = dict(hash_name=hash_name, levels=self.LEVELS,
-                      c=3, is_bsc=False)
-        a = npb.branch_costs_batch(states, slots, values, csi, **kwargs)
-        b = nbm.branch_costs_batch(states, slots, values, csi, **kwargs)
-        assert np.array_equal(a, b)
+        self._awgn(4, 4, 21, hash_name, with_csi)
 
     @pytest.mark.parametrize("hash_name", sorted(GOLDEN_VECTORS))
     def test_bsc(self, hash_name):
         rng = np.random.default_rng(5)
         states = rng.integers(0, 2**32, size=37, dtype=np.uint32)
         slots = rng.integers(0, 100, size=6, dtype=np.uint32)
-        values = rng.integers(0, 2, size=6).astype(np.float64)
         kwargs = dict(hash_name=hash_name, levels=self.LEVELS,
                       c=1, is_bsc=True)
-        assert np.array_equal(
-            npb.branch_costs(states, slots, values, None, **kwargs),
-            nbm.branch_costs(states, slots, values, None, **kwargs))
-        st2 = states.reshape(-1, 37)[:1].repeat(3, axis=0)
-        v2 = rng.integers(0, 2, size=(3, 6)).astype(np.float64)
-        assert np.array_equal(
-            npb.branch_costs_batch(st2, slots, v2, None, **kwargs),
-            nbm.branch_costs_batch(st2, slots, v2, None, **kwargs))
+        for M in (1, 3):
+            values = rng.integers(0, 2, size=(M, 6)).astype(np.float64)
+            self._check(np.tile(states, (M, 1)), slots, values, None,
+                        **kwargs)
 
     def test_empty_slots(self):
         """Punctured spine positions cost zero through every backend."""
         states = np.arange(5, dtype=np.uint32)
         slots = np.empty(0, dtype=np.uint32)
-        values = np.empty(0, dtype=np.complex128)
         kwargs = dict(hash_name="one_at_a_time", levels=self.LEVELS,
                       c=3, is_bsc=False)
         for mod in (npb, nbm):
-            out = mod.branch_costs(states, slots, values, None, **kwargs)
-            assert np.array_equal(out, np.zeros(5))
-            out2 = mod.branch_costs_batch(
-                np.tile(states, (2, 1)), slots,
-                values.reshape(2, 0) if mod is nbm else values.reshape(2, 0),
-                None, **kwargs)
-            assert np.array_equal(out2, np.zeros((2, 5)))
+            for M in (1, 2):
+                out = mod.branch_costs_batch(
+                    np.tile(states, (M, 1)), slots,
+                    np.empty((M, 0), dtype=np.complex128), None, **kwargs)
+                assert np.array_equal(out, np.zeros((M, 5)))
 
 
 # ---------------------------------------------------------------------------
@@ -321,16 +317,18 @@ def _check_against_oracle(seed, n_slots, n_msgs, n_states, c, n_special):
         assert batch.shape == expect.shape == (n_msgs, n_states)
         assert np.array_equal(_bits(batch), _bits(expect))
 
+        # Each message alone, as a one-row input.
         for m in range(n_msgs):
-            scalar = npb.branch_costs(states[m], slots, values[m], None,
-                                      **kwargs)
-            words = ref_hash(states[m][None, :], slots[:, None])
-            expect = _gather_awgn_oracle(words, values[m], levels, c)
-            assert np.array_equal(_bits(scalar), _bits(expect))
+            one = npb.branch_costs_batch(states[m:m + 1], slots,
+                                         values[m:m + 1], None, **kwargs)
+            words = ref_hash(states[None, m:m + 1, :], slots[:, None, None])
+            expect = _gather_awgn_oracle(words, values[m:m + 1].T, levels, c)
+            assert np.array_equal(_bits(one), _bits(expect))
 
 
 class TestAwgnMetricOracle:
-    """Both numpy kernels reproduce the gather oracle bit for bit."""
+    """The numpy kernel reproduces the gather oracle bit for bit, on a
+    cohort and on each of its messages as a one-row input."""
 
     @given(seed=st.integers(0, 2**32 - 1), n_slots=st.integers(0, 40),
            n_msgs=st.integers(1, 4), n_states=st.integers(1, 24),
@@ -462,25 +460,9 @@ class TestBackendSelection:
 # cross-backend decode equivalence matrix
 # ---------------------------------------------------------------------------
 
-def _scalar_store(params, n_bits, x, seed=99, csi_phases=False,
-                  n_subpasses=3):
-    rng = np.random.default_rng(seed)
-    encoder = SpinalEncoder(params, random_message(n_bits, rng))
-    channel = (BSCChannel(x, rng=rng) if params.is_bsc
-               else AWGNChannel(x, rng=rng))
-    store = ReceivedSymbols(encoder.n_spine,
-                            complex_valued=not params.is_bsc)
-    block = encoder.generate(0, n_subpasses)
-    values = channel.transmit(block.values).values
-    csi = None
-    if csi_phases:
-        csi = np.exp(2j * np.pi * rng.random(values.size))
-    store.add_block(block.spine_indices, block.slots, values, csi=csi)
-    return store
-
-
-def _batch_store(params, n_bits, x, M=3, seed=17, csi_phases=False,
-                 n_subpasses=3):
+def _cohort_stores(params, n_bits, x, M=3, seed=17, csi_phases=False,
+                   n_subpasses=3):
+    """A cohort's batch view plus one single-message store per row."""
     rng = np.random.default_rng(seed)
     messages = np.stack([random_message(n_bits, rng) for _ in range(M)])
     encoder = BatchSpinalEncoder(params, messages)
@@ -498,7 +480,14 @@ def _batch_store(params, n_bits, x, M=3, seed=17, csi_phases=False,
     if csi_phases:
         csi = np.exp(2j * np.pi * rng.random(received.shape))
     store.add_block(block.spine_indices, block.slots, received, csi=csi)
-    return store.prefix(np.arange(M), store.checkpoint())
+    rows = []
+    for m in range(M):
+        one = ReceivedSymbols(encoder.n_spine,
+                              complex_valued=not params.is_bsc)
+        one.add_block(block.spine_indices, block.slots, received[m],
+                      csi=None if csi is None else csi[m])
+        rows.append(one)
+    return store.prefix(np.arange(M), store.checkpoint()), rows
 
 
 def _decode_configs(hashes):
@@ -516,7 +505,8 @@ def _decode_configs(hashes):
 
 
 class TestCrossBackendDecode:
-    """Identical ``DecodeResult``s from every backend, scalar and batch.
+    """Every backend decodes each message, alone and in a cohort, to the
+    reference search's ``DecodeResult``.
 
     Locally the alternate backend is the numba algorithms run as pure
     Python (hash ``one_at_a_time`` only — interpreted salsa20 is far too
@@ -537,28 +527,27 @@ class TestCrossBackendDecode:
         _decode_configs(available_hashes() if NUMBA_AVAILABLE
                         else ["one_at_a_time"]))
     def test_scalar_and_batch_decode_identical(self, params, x, csi):
-        store = _scalar_store(params, self.N_BITS, x, csi_phases=csi)
-        view = _batch_store(params, self.N_BITS, x, csi_phases=csi)
+        view, rows = _cohort_stores(params, self.N_BITS, x, csi_phases=csi)
+        refs = [reference_decode(params, self.DEC, self.N_BITS, one)
+                for one in rows]
+
+        def check_active_backend():
+            dec = BatchBubbleDecoder(params, self.DEC, self.N_BITS)
+            cohort = dec.decode_batch(view)
+            assert len(cohort) == len(refs)
+            for ref, one, row in zip(refs, rows, cohort):
+                self._assert_equal_results(ref, row)
+                self._assert_equal_results(ref, dec.decode(one))
+            return dec
 
         set_backend("numpy")
-        ref_dec = BubbleDecoder(params, self.DEC, self.N_BITS)
-        ref = ref_dec.decode(store)
-        ref_batch = BatchBubbleDecoder(
-            params, self.DEC, self.N_BITS).decode_batch(view)
-
+        check_active_backend()
         if NUMBA_AVAILABLE:
             set_backend("numba")
             assert get_backend().name == "numba"
         else:
             backend_mod._active = _pure_python_numba_backend()
-        alt_dec = BubbleDecoder(params, self.DEC, self.N_BITS)
-        assert alt_dec._backend.name == "numba"
-        self._assert_equal_results(ref, alt_dec.decode(store))
-        alt_batch = BatchBubbleDecoder(
-            params, self.DEC, self.N_BITS).decode_batch(view)
-        assert len(ref_batch) == len(alt_batch)
-        for a, b in zip(ref_batch, alt_batch):
-            self._assert_equal_results(a, b)
+        assert check_active_backend()._backend.name == "numba"
 
 
 # ---------------------------------------------------------------------------

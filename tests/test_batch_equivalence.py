@@ -1,19 +1,22 @@
-"""Batched decode pipeline == scalar pipeline, bit for bit.
+"""Cohort-size invariance of the decode pipeline, bit for bit.
 
-The batch engine's contract is strict: running M messages as one
-:class:`BatchSession` cohort must reproduce M independent
-:class:`SpinalSession` runs *exactly* — same success flags, symbol counts,
+There is one pipeline, and a single message (:class:`SpinalSession`) is a
+one-row cohort of it.  Its contract is strict: running M messages as one
+:class:`BatchSession` cohort must reproduce the same messages run in any
+split into smaller cohorts *exactly* — same success flags, symbol counts,
 subpass counts, attempt counts, and (floating-point identical) path costs —
-because each message keeps its own channel/RNG and the vectorised kernels
-preserve the scalar arithmetic ordering.  These tests pin that contract on
-AWGN, BSC and Rayleigh block fading (under every CSI policy the receiver
-supports), across puncturing schedules and pruning depths, including
-failing messages, and at the measurement layer (`measure_scheme` with and
-without ``batch_size``).
+because each message keeps its own channel/RNG and the kernels never mix
+rows.  These tests pin that contract on AWGN, BSC and Rayleigh block
+fading (under every CSI policy the receiver supports), across puncturing
+schedules and pruning depths, including failing messages, and at the
+measurement layer (`measure_scheme` with and without ``batch_size``).
+Decodes are also checked against the reference search of
+``tests/reference_decoder.py``.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.channels import AWGNChannel, BSCChannel, RayleighBlockFadingChannel
 from repro.core.decoder import BatchBubbleDecoder, BubbleDecoder
@@ -27,6 +30,8 @@ from repro.simulation import (
     measure_scheme,
 )
 from repro.utils.bitops import random_message
+
+from reference_decoder import reference_decode
 
 
 def _cohort(make_channel, n_bits, n_messages, seed):
@@ -273,11 +278,54 @@ class TestBatchSessionEquivalence:
         assert not session._can_batch()
 
 
+_FAMILIES = {
+    "awgn": (SpinalParams(), lambda rng: AWGNChannel(6, rng=rng)),
+    "bsc": (SpinalParams.bsc(), lambda rng: BSCChannel(0.05, rng=rng)),
+    "rayleigh": (SpinalParams(), lambda rng: RayleighBlockFadingChannel(
+        10, coherence_time=5, rng=rng)),
+}
+
+
+class TestCohortSizeInvariance:
+    @given(family=st.sampled_from(sorted(_FAMILIES)),
+           give_csi=st.sampled_from(["none", "full", "phase"]),
+           probe_growth=st.sampled_from([1.0, 1.5]),
+           fixed_passes=st.sampled_from([None, 1, 3]),
+           seed=st.integers(0, 2**16), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_any_split_gives_the_same_results(self, family, give_csi,
+                                              probe_growth, fixed_passes,
+                                              seed, data):
+        """One cohort == the same rows run as sub-cohorts, concatenated."""
+        M = data.draw(st.integers(1, 5), label="M")
+        cuts = data.draw(st.sets(st.integers(1, M - 1)) if M > 1
+                         else st.just(set()), label="cuts")
+        params, make = _FAMILIES[family]
+        dec = DecoderParams(B=8, max_passes=6)
+
+        def run(messages, channels):
+            session = BatchSession(params, dec, messages, channels,
+                                   give_csi=give_csi,
+                                   probe_growth=probe_growth)
+            return (session.run() if fixed_passes is None
+                    else session.run_fixed_rate(fixed_passes))
+
+        messages, channels, rebuild = _cohort(make, 32, M, seed)
+        whole = run(messages, channels)
+        messages, channels, _ = rebuild()
+        bounds = [0, *sorted(cuts), M]
+        parts = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            parts.extend(run(messages[lo:hi], channels[lo:hi]))
+        _assert_results_identical(whole, parts)
+
+
 class TestBatchDecoderEquivalence:
     @pytest.mark.parametrize("params,dec,n_bits,make_channel", CONFIGS[:6])
     def test_decode_batch_matches_scalar_decode(self, params, dec, n_bits,
                                                 make_channel):
-        """One shared prefix: batch decode == per-message scalar decode."""
+        """One shared prefix: every cohort row and every one-message decode
+        equals the reference search, bit for bit."""
         M = 4
         rng = np.random.default_rng(11)
         messages = np.stack([random_message(n_bits, rng) for _ in range(M)])
@@ -297,16 +345,16 @@ class TestBatchDecoderEquivalence:
         batch_results = batch_dec.decode_batch(
             batch_store.prefix(np.arange(M), batch_store.checkpoint()))
 
-        scalar_dec = BubbleDecoder(params, dec, n_bits)
+        one_dec = BubbleDecoder(params, dec, n_bits)
         for m in range(M):
             store = ReceivedSymbols(
                 batch_enc.n_spine, complex_valued=not params.is_bsc)
             store.add_block(block.spine_indices, block.slots, received[m])
-            ref = scalar_dec.decode(store)
-            assert np.array_equal(ref.message_bits,
-                                  batch_results[m].message_bits)
-            assert ref.path_cost == batch_results[m].path_cost
-            assert ref.n_symbols_used == batch_results[m].n_symbols_used
+            ref = reference_decode(params, dec, n_bits, store)
+            for got in (batch_results[m], one_dec.decode(store)):
+                assert np.array_equal(ref.message_bits, got.message_bits)
+                assert ref.path_cost == got.path_cost
+                assert ref.n_symbols_used == got.n_symbols_used
 
     def test_batch_encoder_matches_scalar_encoder(self):
         for params in (SpinalParams(), SpinalParams.bsc()):

@@ -9,7 +9,7 @@ from repro.channels.bsc import BSCChannel
 from repro.core.decoder import BubbleDecoder
 from repro.core.encoder import SpinalEncoder
 from repro.core.params import DecoderParams, SpinalParams
-from repro.core.symbols import ReceivedSymbols
+from repro.core.symbols import BatchReceivedSymbols, ReceivedSymbols
 from repro.utils.bitops import random_message
 
 
@@ -246,6 +246,13 @@ class TestDecodeResult:
         store = ReceivedSymbols(10)
         with pytest.raises(ValueError):
             BubbleDecoder(params, DecoderParams(), 64).decode(store)
+
+    def test_one_message_decode_rejects_a_cohort_view(self):
+        params = SpinalParams()
+        store = BatchReceivedSymbols(params.n_spine(32), 2)
+        view = store.prefix(np.arange(2), store.checkpoint())
+        with pytest.raises(ValueError, match="decode_batch"):
+            BubbleDecoder(params, DecoderParams(), 32).decode(view)
 
 
 @given(st.integers(0, 1000))

@@ -1,5 +1,7 @@
 """Tests for the packet-level link layer (§5, §6, §8.4)."""
 
+import signal
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,37 @@ class TestScheduler:
         report = sched.run(max_time=64)
         assert report.conservation_ok()
         assert sum(f.n_packets for f in report.flows) >= 1
+
+    def test_stuck_transmitter_raises_instead_of_spinning(self, params,
+                                                         monkeypatch):
+        """A transmitter that neither sends, waits for feedback, nor gives
+        up must stop the scheduler with a diagnosis, not hang it."""
+        from repro.link.protocol import PacketTransmitter
+
+        def lossy_poll(tx):
+            # Feedback is lost and the give-up check never runs.
+            tx._feedback.clear()
+
+        monkeypatch.setattr(PacketTransmitter, "poll", lossy_poll)
+        dec = DecoderParams(B=4, max_passes=1)
+        flows = [Flow("stuck", params, dec,
+                      [random_message(32, 0)], LinkConfig(framing=False))]
+        sched = LinkScheduler(AWGNChannel(-10, rng=1), flows)
+
+        def timeout(signum, frame):
+            raise TimeoutError("LinkScheduler.run did not return")
+
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(20)
+        try:
+            with pytest.raises(RuntimeError) as err:
+                sched.run()
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        message = str(err.value)
+        assert "stuck: subpass 8 of 8" in message
+        assert "sender ACKs [False]" in message
 
 
 class TestRunner:
