@@ -14,8 +14,9 @@ many workers computed them or in what order points finished.
 A store file is a cache, never a source of truth, so :meth:`ResultStore.
 load` refuses to let a bad file wedge a sweep: a file that does not parse
 (a run killed mid-write on a filesystem where the rename is not atomic),
-or whose embedded ``spec_hash`` disagrees with the spec being loaded (a
-hand-copied or stale file under the wrong name), is quarantined — renamed
+whose embedded ``spec_hash`` disagrees with the spec being loaded (a
+hand-copied or stale file under the wrong name), or whose ``points`` is
+not a map of record dicts (a hand-edited file), is quarantined — renamed
 to ``<spec-hash>.json.bad`` with a warning — and the sweep resumes from
 empty, recomputing at worst what the bad file claimed to hold.
 """
@@ -68,9 +69,11 @@ class ResultStore:
     def load(self, spec: ExperimentSpec) -> dict[str, dict]:
         """Completed point records for this spec (empty if none yet).
 
-        Never raises on a bad file: corrupt JSON and ``spec_hash``
-        mismatches are quarantined (see module docstring) so ``run`` /
-        ``resume`` always make progress.
+        Never raises on a bad file: corrupt JSON, ``spec_hash``
+        mismatches and a ``points`` value that is not a map of record
+        dicts are quarantined (see module docstring) so ``run`` /
+        ``resume`` always make progress.  A record's fields are not
+        checked against its point kind.
         """
         path = self.path_for(spec)
         if not os.path.exists(path):
@@ -92,7 +95,13 @@ class ResultStore:
                 f"hashes to {spec_hash(spec)!r} (hand-copied or stale file)",
             )
             return {}
-        return dict(payload.get("points", {}))
+        points = payload.get("points", {})
+        if not (isinstance(points, dict)
+                and all(isinstance(r, dict) for r in points.values())):
+            self._quarantine(path, "holds a malformed points map "
+                                   "(points must map hashes to records)")
+            return {}
+        return dict(points)
 
     def save(self, spec: ExperimentSpec, points: dict[str, dict]) -> str:
         """Write the spec's store file; returns the file path.

@@ -41,6 +41,7 @@ from repro.experiments import (
     z_score,
 )
 from repro.experiments.store import StoreQuarantineWarning
+from repro.obs import OBS
 from repro.simulation.sweep import RatelessScheme
 
 
@@ -239,6 +240,33 @@ class TestStoreHardening:
             json.dump(["not", "a", "store"], f)
         with pytest.warns(StoreQuarantineWarning):
             assert store.load(spec) == {}
+
+    @pytest.mark.parametrize("points", [
+        5, "abc", ["h"], {"h": 3}, {"h": ["rate", 1.0]}])
+    def test_malformed_points_are_quarantined(self, tmp_path, points):
+        """A right-address file whose points map is not hash -> record
+        dict is quarantined at load, not trusted until reports crash."""
+        spec = tiny_measure_spec(n_points=1)
+        store = ResultStore(str(tmp_path / "store"))
+        run_experiment(spec, store=store, n_workers=1)
+        path = store.path_for(spec)
+        with open(path) as f:
+            payload = json.load(f)
+        payload["points"] = points
+        with open(path, "w") as f:
+            json.dump(payload, f)
+        OBS.enable()
+        try:
+            with pytest.warns(StoreQuarantineWarning, match="malformed"):
+                run = run_experiment(spec, store=store, n_workers=1)
+            assert OBS.snapshot()["counters"]["store.quarantine"] == 1
+        finally:
+            OBS.disable()
+            OBS.reset()
+        assert os.path.exists(path + ".bad")
+        assert run.n_quarantined == 1
+        assert run.n_computed == 1
+        assert isinstance(run.rates()["tiny"][5.0], float)
 
     def test_healthy_store_loads_without_warning(self, tmp_path):
         spec = tiny_measure_spec(n_points=1)
