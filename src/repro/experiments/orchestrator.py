@@ -12,12 +12,15 @@ identity or scheduling, so the same spec at ``n_workers=1`` and
 
 Completed points are flushed to the store as they arrive, which is what
 makes an interrupted sweep resumable: the next run computes only the
-missing points.
+missing points.  A worker killed mid-point fails the run with
+``BrokenProcessPool`` naming the first unfinished point.
 """
 
 from __future__ import annotations
 
 import os
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Callable
 
@@ -284,10 +287,20 @@ def run_experiment(
         job_fn = run_point
 
     with OBS.span("orchestrator.run", experiment=spec.experiment_id,
-                  points=len(hashes), missing=len(missing)):
-        for (h, point), outcome in zip(
-                missing,
-                imap_jobs(job_fn, [p for _, p in missing], n_workers)):
+                  points=len(hashes), missing=len(missing)), \
+            closing(imap_jobs(job_fn, [p for _, p in missing],
+                              n_workers)) as outcomes:
+        for h, point in missing:
+            try:
+                outcome = next(outcomes)
+            except BrokenProcessPool as exc:
+                raise BrokenProcessPool(
+                    f"{spec.experiment_id}: a worker process died (killed, "
+                    f"e.g. out of memory) before point {h} ({point.series} "
+                    f"@ x={point.x:g}) finished; {len(results)}/"
+                    f"{len(hashes)} points completed"
+                    + (", and `resume` computes the rest from the store"
+                       if store is not None else "")) from exc
             if measured:
                 record, worker_snapshot, wall_s, worker_pid = outcome
                 if worker_snapshot is not None:

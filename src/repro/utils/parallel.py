@@ -11,12 +11,18 @@ experiment orchestrator share one worker-pool discipline:
 Consequently ``n_workers=1`` and ``n_workers=8`` produce byte-identical
 output for any deterministic job function — the guarantee
 ``tests/test_link.py`` and ``tests/test_experiments.py`` lock in.
+
+The pool is a :class:`concurrent.futures.ProcessPoolExecutor`, not a
+``multiprocessing.Pool``: when a worker dies without reporting back
+(SIGKILL from the OOM killer, a segfault), ``Pool.imap`` waits forever
+for the lost task, while the executor marks every unfinished job failed
+with :class:`~concurrent.futures.process.BrokenProcessPool`.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterator, Sequence, TypeVar
 
 __all__ = ["imap_jobs", "map_jobs", "resolve_workers"]
@@ -43,14 +49,21 @@ def imap_jobs(
     debuggers and on single-core boxes.  Results stream as they finish so
     callers can persist incrementally (the experiment store flushes after
     every yielded point, which is what makes interrupted sweeps resumable).
+
+    A worker that dies mid-job raises ``BrokenProcessPool`` here, at the
+    first job whose result had not been yielded yet.  Jobs not started
+    when the caller stops iterating are cancelled, not run.
     """
     n_workers = resolve_workers(len(jobs), n_workers)
     if n_workers <= 1 or len(jobs) <= 1:
         for job in jobs:
             yield fn(job)
         return
-    with multiprocessing.Pool(processes=n_workers) as pool:
-        yield from pool.imap(fn, jobs, chunksize=1)
+    executor = ProcessPoolExecutor(max_workers=n_workers)
+    try:
+        yield from executor.map(fn, jobs, chunksize=1)
+    finally:
+        executor.shutdown(wait=True, cancel_futures=True)
 
 
 def map_jobs(

@@ -12,8 +12,14 @@ The load-bearing properties:
   deterministic trial count.
 """
 
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
+
 import pytest
 
+import repro.experiments.spec as spec_module
 from repro.experiments import (
     AdaptivePolicy,
     ChannelSpec,
@@ -34,6 +40,7 @@ from repro.experiments import (
 )
 from repro.experiments.cli import main as cli_main
 from repro.simulation.sweep import RatelessScheme
+from repro.utils.parallel import imap_jobs
 
 
 def tiny_point(x=10.0, seed=42, series="tiny", n_messages=2, **overrides):
@@ -210,6 +217,97 @@ class TestOrchestratorDeterminism:
                           channel=ChannelSpec("awgn"))
         with pytest.raises(ValueError, match="unknown point kind"):
             run_point(point)
+
+
+_TEST_PID = os.getpid()
+
+
+@contextmanager
+def _deadline(seconds):
+    """Fail instead of hanging: a lost worker used to block forever."""
+    def timeout(signum, frame):
+        raise TimeoutError(f"still waiting after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _die_in_worker():
+    # never in the test process itself, whatever the pool does inline
+    if os.getpid() != _TEST_PID:
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _kill_on_three(job):
+    if job == 3:
+        _die_in_worker()
+    return job * 10
+
+
+class _KillerScheme(DummyScheme):
+    """Dies (SIGKILL, as the OOM killer would) while ``marker`` exists."""
+
+    def __init__(self, marker, kill):
+        super().__init__()
+        self.marker = marker
+        self.kill = kill
+
+    def run_message(self, channel, rng):
+        if self.kill and os.path.exists(self.marker):
+            _die_in_worker()
+        return super().run_message(channel, rng)
+
+
+class TestWorkerLoss:
+    def test_imap_jobs_raises_instead_of_hanging(self):
+        with _deadline(60), pytest.raises(BrokenProcessPool):
+            list(imap_jobs(_kill_on_three, list(range(6)), n_workers=2))
+
+    def test_imap_jobs_keeps_job_order(self):
+        assert list(imap_jobs(_kill_on_three, [0, 1, 2], n_workers=2)) == \
+            [0, 10, 20]
+
+    def test_lost_point_is_named_and_the_sweep_resumes(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setitem(spec_module._SCHEMES, "killer", _KillerScheme)
+        marker = str(tmp_path / "kill-switch")
+        points = tuple(
+            PointSpec(
+                series="killer", x=x, seed=300 + i,
+                scheme=SchemeSpec("killer",
+                                  {"marker": marker, "kill": x == 15.0}),
+                channel=ChannelSpec("awgn"), n_messages=2)
+            for i, x in enumerate((5.0, 10.0, 15.0, 20.0)))
+        spec = ExperimentSpec(experiment_id="killer", title="killer",
+                              profile="quick", points=points)
+        store = ResultStore(str(tmp_path / "store"))
+        open(marker, "w").close()
+        with _deadline(60), pytest.raises(BrokenProcessPool) as err:
+            run_experiment(spec, store=store, n_workers=2)
+        # the error names the first point whose result never came back;
+        # every point before it was flushed, none after
+        flushed = store.load(spec)
+        hashes = [point_hash(p) for p in points]
+        lost = next(i for i, h in enumerate(hashes) if h not in flushed)
+        assert lost <= 2
+        assert set(flushed) == set(hashes[:lost])
+        message = str(err.value)
+        assert hashes[lost] in message
+        assert f"killer @ x={points[lost].x:g}" in message
+        assert f"{lost}/4 points completed" in message
+
+        os.remove(marker)
+        with _deadline(60):
+            resumed = run_experiment(spec, store=store, n_workers=2)
+        assert resumed.n_cached == lost
+        assert resumed.n_computed == 4 - lost
+        clean = run_experiment(spec, n_workers=1)
+        assert resumed.results == clean.results
 
 
 class TestAdaptive:

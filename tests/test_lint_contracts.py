@@ -144,6 +144,15 @@ def test_fork_safety_reports_unguarded_worker_mutation_with_line():
     assert "adopt()" in fork[0].hint
 
 
+def test_fork_safety_covers_process_pool_executor():
+    """``utils.parallel`` fans out through ``ProcessPoolExecutor``; its
+    ``.map`` and ``.submit`` call sites are worker entry points too."""
+    report = lint_tree(os.path.join(CONTRACTS, "fork_executor_bad.py"))
+    fork = findings_by_rule(report, "fork-fence-safety")
+    path = "tests/lint_fixtures/contracts/fork_executor_bad.py"
+    assert sorted((f.path, f.line) for f in fork) == [(path, 17), (path, 23)]
+
+
 def test_fork_safety_negative_on_guarded_memo():
     report = lint_tree(os.path.join(CONTRACTS, "fork_ok.py"))
     assert findings_by_rule(report, "fork-fence-safety") == []
