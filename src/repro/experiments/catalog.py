@@ -1,12 +1,24 @@
 """Registered experiments: paper sweeps as declarative specs.
 
-Each entry pairs a spec builder (profile -> :class:`ExperimentSpec`) with
-a report function that turns an orchestrated run back into the exact
-printed series, tables, and CSV artifacts its legacy ``benchmarks/``
-script produced — the migration contract is byte-identical series output
-at the same seeds, so the specs encode the legacy scripts' seeding
-policies verbatim (``base + 101*i`` per grid index for Figure 8-1,
-``int(snr) + tau`` for Figure 8-4, ``500 + i`` for the BSC chart).
+Each :class:`CatalogEntry` pairs a point builder (profile -> the sweep's
+:class:`PointSpec` list) with a report function that turns an
+orchestrated run back into the exact printed series, tables, and CSV
+artifacts its legacy ``benchmarks/`` script produced — the migration
+contract is byte-identical series output at the same seeds, so the
+builders encode the legacy scripts' seeding policies verbatim
+(``base + 101*i`` per grid index for Figure 8-1, ``int(snr) + tau`` for
+Figure 8-4, ``500 + i`` for the BSC chart).  :func:`build_spec` checks
+the profile and wraps the points in the :class:`ExperimentSpec`.
+
+Most of §8 varies one spinal knob per curve over an SNR grid (k and B, B
+and d, c, tail symbols, puncturing, block length, the hash).  Those
+figures are rows of one table, ``_SWEEPS``: each :class:`_Sweep` row
+holds the grid, the quick/full message counts, the knob values, the
+series label and spinal scheme options per value, the per-value seed
+base (a point's seed is ``base(value) + int(snr)``) and whether the
+report is rate vs SNR or gap to capacity.  The remaining entries mix
+schemes, point kinds or seeding policies and keep a builder of their own,
+written with the same :func:`_points` helper.
 
 Profiles mirror ``benchmarks/_common.py``: ``quick`` (the default, coarse
 grids) and ``full`` (the paper's density).  The ``smoke`` experiments are
@@ -17,7 +29,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable
+from functools import partial
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -36,6 +49,7 @@ from repro.experiments.spec import (
     SchemeSpec,
     grid,
 )
+from repro.theory import achievable_rate_bound
 from repro.utils.results import (
     ExperimentResult,
     render_table,
@@ -49,7 +63,7 @@ __all__ = [
     "get_entry",
 ]
 
-#: Profiles a builder implements directly.
+#: Profiles a point builder implements directly.
 _BUILD_PROFILES = ("quick", "full")
 
 #: Profiles :func:`build_spec` accepts.  ``adaptive`` is derived: the
@@ -60,22 +74,67 @@ PROFILES = ("quick", "full", "adaptive")
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """One registered experiment.
+
+    ``title`` is the spec title (part of the spec hash); ``points`` builds
+    the sweep for a ``quick`` or ``full`` profile.
+    """
+
     name: str
+    title: str
     summary: str
-    build: Callable[[str], ExperimentSpec]
+    points: Callable[[str], list[PointSpec]]
     report: Callable[[ExperimentRun, str], dict]
 
 
-def _check_profile(profile: str) -> str:
-    if profile not in _BUILD_PROFILES:
-        raise ValueError(
-            f"unknown profile {profile!r}; expected one of {_BUILD_PROFILES}")
-    return profile
-
-
-def _scale(profile: str, quick: int, full: int) -> int:
+def _scale(profile: str, quick: Any, full: Any) -> Any:
     return full if profile == "full" else quick
 
+
+_AWGN = ChannelSpec("awgn")
+
+
+def _points(
+    series: str,
+    scheme: SchemeSpec | None,
+    snrs: Sequence[float],
+    n_msgs: int,
+    seed: Callable[[int, float], int],
+    channel: ChannelSpec = _AWGN,
+    batched: bool = True,
+    **fields: Any,
+) -> list[PointSpec]:
+    """One series over a grid: ``seed(i, x)`` per grid index ``i``.
+
+    Cohorts batch the whole message count; ``batched=False`` leaves
+    ``batch_size`` unset (messages run one at a time).
+    """
+    return [
+        PointSpec(
+            series=series, x=x, seed=seed(i, x), scheme=scheme,
+            channel=channel, n_messages=n_msgs,
+            batch_size=n_msgs if batched else None, **fields,
+        )
+        for i, x in enumerate(snrs)
+    ]
+
+
+def _link_points(series: str, tag: str, snrs: Sequence[float],
+                 seed: Callable[[int], int], **options: Any
+                 ) -> list[PointSpec]:
+    """One ``link`` series (a packet-level ARQ job per SNR)."""
+    return [
+        PointSpec(
+            series=series, x=snr, seed=seed(i), kind="link", channel=_AWGN,
+            options={"job_id": f"{tag}_snr{snr:g}", **options},
+        )
+        for i, snr in enumerate(snrs)
+    ]
+
+
+# --------------------------------------------------------------------------
+# report building blocks
+# --------------------------------------------------------------------------
 
 def _finish(result: ExperimentResult, results_dir: str) -> None:
     """Print and persist one series set (mirrors ``benchmarks/_common``)."""
@@ -94,28 +153,45 @@ def _series_report(
     x_label: str = "snr_db",
     y_label: str = "rate_bits_per_symbol",
     head_series: dict[str, Callable[[float], float]] | None = None,
+    tail_series: dict[str, Callable[[float], float]] | None = None,
 ) -> tuple[list[float], dict[str, dict[float, float]]]:
     """The common report shape: every measured series as rate-vs-x rows.
 
-    ``head_series`` prepends derived curves (capacity bounds) ahead of the
-    measured ones, exactly where the legacy benches printed them.  Measured
-    series print their *own* x points (series need not share a grid); the
-    returned grid is the first series' sorted x set, which is what the
-    figure reports' shared-grid assertions consume.
+    ``head_series``/``tail_series`` add derived curves (capacity bounds)
+    before/after the measured ones, exactly where the legacy benches
+    printed them.  Measured series print their *own* x points (series
+    need not share a grid); the returned grid is the first series' sorted
+    x set, which is what the figure reports' shared-grid assertions
+    consume.
     """
     curves = run.rates()
     xs = sorted(next(iter(curves.values()))) if curves else []
     result = ExperimentResult(name, title, x_label, y_label)
-    for label, fn in (head_series or {}).items():
-        s = result.new_series(label)
-        for x in xs:
-            s.add(x, fn(x))
+
+    def derived(series: dict[str, Callable[[float], float]] | None) -> None:
+        for label, fn in (series or {}).items():
+            s = result.new_series(label)
+            for x in xs:
+                s.add(x, fn(x))
+
+    derived(head_series)
     for label, curve in curves.items():
         s = result.new_series(label)
         for x in sorted(curve):
             s.add(x, curve[x])
+    derived(tail_series)
     _finish(result, results_dir)
     return xs, curves
+
+
+def _rate_report(name: str, run: ExperimentRun, results_dir: str,
+                 title: str | None = None,
+                 head: dict[str, Callable[[float], float]] | None = None
+                 ) -> dict:
+    """Rate vs SNR for every series, titled like the spec by default."""
+    snrs, curves = _series_report(run, results_dir, name,
+                                  title or run.spec.title, head_series=head)
+    return {"snrs": snrs, "curves": curves}
 
 
 def _gap_report(
@@ -124,11 +200,12 @@ def _gap_report(
     title: str,
     snrs: list[float],
     labelled_curves: Iterable[tuple[str, dict[float, float]]],
+    y_label: str = "gap_to_capacity_db",
 ) -> None:
     """Gap-to-capacity chart: one series per ``(label, rate curve)`` pair,
     with points only where the measured rate is positive (a zero rate has
     no finite gap)."""
-    result = ExperimentResult(name, title, "snr_db", "gap_to_capacity_db")
+    result = ExperimentResult(name, title, "snr_db", y_label)
     for label, curve in labelled_curves:
         s = result.new_series(label)
         for snr in snrs:
@@ -137,58 +214,194 @@ def _gap_report(
     _finish(result, results_dir)
 
 
+def _capacity_fractions(rates: dict[str, dict[float, float]], series: str
+                        ) -> float:
+    """Mean fraction of AWGN capacity over the shared SNR grid."""
+    curve = rates[series]
+    snrs = sorted(next(iter(rates.values())))
+    return float(np.mean([curve[snr] / awgn_capacity(snr) for snr in snrs]))
+
+
+# --------------------------------------------------------------------------
+# the one-knob sweep table (Figures 8-7 .. 8-12 and the ablations)
+# --------------------------------------------------------------------------
+
+def _spinal(n_bits: int = 256, B: int = 256, **options: Any) -> dict:
+    """Spinal scheme options with the sweeps' usual 40-pass decoder."""
+    return {"n_bits": n_bits, "decoder": {"B": B, "max_passes": 40},
+            **options}
+
+
+@dataclass(frozen=True)
+class _Sweep:
+    """One spinal knob varied per series over an SNR grid.
+
+    Series ``label(v)`` runs ``SchemeSpec("spinal", scheme(v))`` at every
+    SNR of ``grid(*snrs[:2], step)`` (``snrs[2]`` is the quick step,
+    ``snrs[3]`` the full one) with seed ``seed(v) + int(snr)``.  The
+    report charts the rates (``gap=False``, with optional derived
+    ``head``/``tail`` curves) or the gap to capacity (``gap=True``) as
+    ``<csv>.csv`` and returns ``snrs`` plus ``curves`` keyed by knob
+    value; ``extra`` adds keys computed from those two.
+    """
+
+    title: str
+    summary: str
+    csv: str
+    snrs: tuple[float, float, float, float]
+    messages: tuple[int, int]
+    values: tuple
+    label: Callable[[Any], str]
+    scheme: Callable[[Any], dict]
+    seed: Callable[[Any], int]
+    gap: bool = False
+    quick_values: tuple | None = None
+    head: dict[str, Callable[[float], float]] | None = None
+    tail: dict[str, Callable[[float], float]] | None = None
+    extra: Callable[[list[float], dict], dict] | None = None
+
+    def points(self, profile: str) -> list[PointSpec]:
+        lo, hi, quick_step, full_step = self.snrs
+        snrs = grid(lo, hi, _scale(profile, quick_step, full_step))
+        n_msgs = _scale(profile, *self.messages)
+        values = _scale(profile, self.quick_values or self.values,
+                        self.values)
+        points: list[PointSpec] = []
+        for v in values:
+            base = self.seed(v)
+            scheme = SchemeSpec("spinal", self.scheme(v))
+            points += _points(self.label(v), scheme, snrs, n_msgs,
+                              seed=lambda i, snr: base + int(snr))
+        return points
+
+    def report(self, run: ExperimentRun, results_dir: str) -> dict:
+        rates = run.rates()
+        values = [v for v in self.values if self.label(v) in rates]
+        curves = {v: rates[self.label(v)] for v in values}
+        if self.gap:
+            snrs = sorted(next(iter(rates.values())))
+            _gap_report(results_dir, self.csv, run.spec.title, snrs,
+                        [(self.label(v), curves[v]) for v in values])
+        else:
+            snrs, _ = _series_report(run, results_dir, self.csv,
+                                     run.spec.title, head_series=self.head,
+                                     tail_series=self.tail)
+        out = {"snrs": snrs, "curves": curves}
+        if self.extra is not None:
+            out.update(self.extra(snrs, curves))
+        return out
+
+
+def _fig8_12_avg_gap(snrs: list[float], curves: dict) -> dict:
+    avg_gap = {}
+    for n in sorted(curves):
+        gaps = [gap_to_capacity_db(curves[n][snr], snr)
+                for snr in snrs if curves[n][snr] > 0]
+        avg_gap[n] = sum(gaps) / len(gaps)
+    print("average gap by n:", {n: round(g, 2) for n, g in avg_gap.items()})
+    return {"avg_gap": avg_gap}
+
+
+#: The legacy Figure 8-10 bench seeded each schedule's sweep with
+#: ``hash(sched) % 1000`` — Python string hashing, which is randomized per
+#: interpreter run, so the bench never reproduced its own numbers.  The
+#: spec freezes the values the formula yields under ``PYTHONHASHSEED=0``
+#: (the golden-capture convention) as plain constants; the sweep is now
+#: reproducible everywhere.
+_FIG8_10_SEEDS = {"none": 972, "2-way": 126, "4-way": 699, "8-way": 333}
+
+_FIG8_12_LENGTHS = (64, 128, 256, 512, 1024, 2048)
+
+_SWEEPS: dict[str, _Sweep] = {
+    "fig8_7": _Sweep(
+        title="Bubble depth trade-off (Figure 8-7)",
+        summary="beam width vs pruning depth at constant work: (B, d) in "
+                "{(512,1)..(1,4)} (Figure 8-7)",
+        csv="fig8_7_bubble_depth", snrs=(0, 30, 10.0, 5.0), messages=(2, 8),
+        values=((512, 1), (64, 2), (8, 3), (1, 4)),
+        label=lambda bd: f"B={bd[0]}, d={bd[1]}",
+        # n/k = 85 spine values at k=3
+        scheme=lambda bd: {"n_bits": 255, "params": {"k": 3},
+                           "decoder": {"B": bd[0], "d": bd[1],
+                                       "max_passes": 40}},
+        seed=lambda bd: bd[0] + bd[1], gap=True),
+    "fig8_8": _Sweep(
+        title="Output symbol density c (Figure 8-8)",
+        summary="output symbol density c=1..6 vs the Shannon bound "
+                "(Figure 8-8)",
+        csv="fig8_8_density", snrs=(0, 35, 7.0, 5.0), messages=(2, 8),
+        values=(1, 2, 3, 4, 5, 6), label=lambda c: f"c={c}",
+        scheme=lambda c: _spinal(params={"c": c}),
+        seed=lambda c: c * 100, head={"shannon bound": awgn_capacity}),
+    "fig8_9": _Sweep(
+        title="Tail symbol count (Figure 8-9)",
+        summary="tail symbol count 1..5 (Figure 8-9)",
+        csv="fig8_9_tail_symbols", snrs=(5, 25, 10.0, 5.0), messages=(3, 10),
+        values=(1, 2, 3, 4, 5), label=lambda t: f"{t} tail symbols",
+        scheme=lambda t: _spinal(params={"tail_symbols": t}),
+        seed=lambda t: t * 19),
+    "fig8_10": _Sweep(
+        title="Puncturing schedules (Figure 8-10)",
+        summary="puncturing schedules none/2/4/8-way as gap to capacity "
+                "(Figure 8-10)",
+        csv="fig8_10_puncturing", snrs=(5, 30, 5.0, 1.0), messages=(3, 10),
+        values=("none", "2-way", "4-way", "8-way"),
+        label=lambda s: f"{s} puncturing",
+        scheme=lambda s: _spinal(1024, params={"puncturing": s}),
+        seed=_FIG8_10_SEEDS.__getitem__, gap=True),
+    "fig8_12": _Sweep(
+        title="Code block length (Figure 8-12)",
+        summary="code block length n=64..2048 as gap to capacity "
+                "(Figure 8-12)",
+        csv="fig8_12_block_length", snrs=(5, 25, 10.0, 5.0), messages=(3, 10),
+        # the legacy bench drops n=2048 in the quick profile
+        values=_FIG8_12_LENGTHS, quick_values=_FIG8_12_LENGTHS[:5],
+        label=lambda n: f"n={n}", scheme=lambda n: _spinal(n),
+        seed=lambda n: n, gap=True, extra=_fig8_12_avg_gap),
+    "ablation_constellation": _Sweep(
+        title="Constellation map ablation (§3.3, §4.6)",
+        summary="uniform vs truncated-Gaussian constellation map plus the "
+                "Theorem 1 bound (§3.3, §4.6)",
+        csv="ablation_constellation", snrs=(0, 25, 5.0, 1.0),
+        messages=(3, 10), values=("uniform", "gaussian"), label=str,
+        scheme=lambda m: _spinal(params={"mapping_name": m}),
+        seed=lambda m: 5,
+        tail={"theorem-1 bound (c=6)":
+              partial(achievable_rate_bound, 6)}),
+    "ablation_hash": _Sweep(
+        title="Hash function ablation (§7.1)",
+        summary="one-at-a-time vs lookup3 vs Salsa20 spine hashes (§7.1)",
+        csv="ablation_hash", snrs=(5, 25, 10.0, 5.0), messages=(3, 10),
+        values=("one_at_a_time", "lookup3", "salsa20"), label=str,
+        scheme=lambda h: _spinal(B=128, params={"hash_name": h}),
+        seed=lambda h: 0),
+}
+
+
 # --------------------------------------------------------------------------
 # fig8_1 — rate comparison (Figure 8-1 + the intro's summary table)
 # --------------------------------------------------------------------------
 
-def _fig8_1_sweep(
-    series: str,
-    scheme: SchemeSpec,
-    snrs: list[float],
-    n_messages: int,
-    base_seed: int,
-) -> list[PointSpec]:
-    """The legacy ``_measure_rateless`` loop as points: seed steps by 101
-    per grid index, cohorts are batched at the full message count."""
-    return [
-        PointSpec(
-            series=series, x=snr, seed=base_seed + 101 * i,
-            scheme=scheme, channel=ChannelSpec("awgn"),
-            n_messages=n_messages, batch_size=n_messages,
-        )
-        for i, snr in enumerate(snrs)
-    ]
-
-
-def _build_fig8_1(profile: str) -> ExperimentSpec:
-    _check_profile(profile)
-    snrs = grid(-5, 35, 5.0 if profile == "quick" else 1.0)
-    n_msgs = _scale(profile, 3, 10)
+def _fig8_1_points(profile: str) -> list[PointSpec]:
+    """The legacy ``_measure_rateless`` loops: series ``j`` (from 1) seeds
+    ``j + 101 * i`` per grid index, cohorts batch the full count."""
+    snrs = grid(-5, 35, _scale(profile, 5.0, 1.0))
     dec = {"B": 256, "max_passes": 40}
+    strider = {"n_bits": 1920, "n_layers": 12, "max_passes": 30}
+    sweeps = (
+        ("spinal n=256",
+         SchemeSpec("spinal", {"n_bits": 256, "decoder": dec}), (3, 10)),
+        ("spinal n=1024",
+         SchemeSpec("spinal", {"n_bits": 1024, "decoder": dec}), (2, 6)),
+        ("raptor/qam-256", SchemeSpec("raptor", {"k": 2048}), (2, 6)),
+        ("strider", SchemeSpec("strider", strider), (2, 5)),
+        ("strider+",
+         SchemeSpec("strider", {**strider, "subpasses_per_pass": 4}), (1, 5)),
+    )
     points: list[PointSpec] = []
-    points += _fig8_1_sweep(
-        "spinal n=256",
-        SchemeSpec("spinal", {"n_bits": 256, "decoder": dec}),
-        snrs, n_msgs, base_seed=1)
-    points += _fig8_1_sweep(
-        "spinal n=1024",
-        SchemeSpec("spinal", {"n_bits": 1024, "decoder": dec}),
-        snrs, _scale(profile, 2, 6), base_seed=2)
-    points += _fig8_1_sweep(
-        "raptor/qam-256",
-        SchemeSpec("raptor", {"k": 2048}),
-        snrs, _scale(profile, 2, 6), base_seed=3)
-    points += _fig8_1_sweep(
-        "strider",
-        SchemeSpec("strider",
-                   {"n_bits": 1920, "n_layers": 12, "max_passes": 30}),
-        snrs, _scale(profile, 2, 5), base_seed=4)
-    points += _fig8_1_sweep(
-        "strider+",
-        SchemeSpec("strider",
-                   {"n_bits": 1920, "n_layers": 12,
-                    "subpasses_per_pass": 4, "max_passes": 30}),
-        snrs, _scale(profile, 1, 5), base_seed=5)
+    for base, (series, scheme, msgs) in enumerate(sweeps, start=1):
+        points += _points(series, scheme, snrs, _scale(profile, *msgs),
+                          seed=lambda i, snr: base + 101 * i)
     points += [
         PointSpec(
             series="ldpc envelope", x=snr, seed=6, kind="ldpc_envelope",
@@ -197,12 +410,7 @@ def _build_fig8_1(profile: str) -> ExperimentSpec:
         )
         for snr in snrs
     ]
-    return ExperimentSpec(
-        experiment_id="fig8_1",
-        title="Rate comparison (Figure 8-1)",
-        profile=profile,
-        points=tuple(points),
-    )
+    return points
 
 
 _FIG8_1_BANDS = {"< 10dB": lambda s: s < 10,
@@ -212,18 +420,10 @@ _FIG8_1_BANDS = {"< 10dB": lambda s: s < 10,
 
 def _report_fig8_1(run: ExperimentRun, results_dir: str) -> dict:
     snrs, curves = _series_report(
-        run, results_dir, "fig8_1_rates", "Rate comparison (Figure 8-1)",
+        run, results_dir, "fig8_1_rates", run.spec.title,
         head_series={"shannon bound": awgn_capacity})
-
-    gaps = ExperimentResult("fig8_1_gaps", "Gap to capacity (Figure 8-1)",
-                            "snr_db", "gap_db")
-    for label, curve in curves.items():
-        s = gaps.new_series(label)
-        for snr in snrs:
-            if curve[snr] > 0:
-                s.add(snr, gap_to_capacity_db(curve[snr], snr))
-    _finish(gaps, results_dir)
-
+    _gap_report(results_dir, "fig8_1_gaps", "Gap to capacity (Figure 8-1)",
+                snrs, curves.items(), y_label="gap_db")
     rows = []
     fractions: dict[str, dict[str, float]] = {}
     for label, curve in curves.items():
@@ -247,34 +447,20 @@ def _report_fig8_1(run: ExperimentRun, results_dir: str) -> dict:
 _BSC_FLIPS = (0.01, 0.05, 0.1, 0.2, 0.3)
 
 
-def _build_bsc(profile: str) -> ExperimentSpec:
-    _check_profile(profile)
-    n_msgs = _scale(profile, 3, 10)
+def _bsc_points(profile: str) -> list[PointSpec]:
     scheme = SchemeSpec("spinal", {
         "n_bits": 256,
         "params": {"c": 1, "mapping_name": "bsc"},
         "decoder": {"B": 256, "max_passes": 64},
     })
-    points = tuple(
-        PointSpec(
-            series="spinal k=4 B=256", x=p, seed=500 + i,
-            scheme=scheme, channel=ChannelSpec("bsc"),
-            n_messages=n_msgs, batch_size=n_msgs,
-            capacity_reference="bsc",
-        )
-        for i, p in enumerate(_BSC_FLIPS)
-    )
-    return ExperimentSpec(
-        experiment_id="bsc",
-        title="Spinal over BSC (§4.6)",
-        profile=profile,
-        points=points,
-    )
+    return _points("spinal k=4 B=256", scheme, _BSC_FLIPS,
+                   _scale(profile, 3, 10), seed=lambda i, p: 500 + i,
+                   channel=ChannelSpec("bsc"), capacity_reference="bsc")
 
 
 def _report_bsc(run: ExperimentRun, results_dir: str) -> dict:
     rates = run.rates()["spinal k=4 B=256"]
-    result = ExperimentResult("bsc_rate", "Spinal over BSC (§4.6)",
+    result = ExperimentResult("bsc_rate", run.spec.title,
                               "flip_probability", "rate_bits_per_use")
     cap = result.new_series("bsc capacity")
     meas = result.new_series("spinal k=4 B=256")
@@ -286,120 +472,40 @@ def _report_bsc(run: ExperimentRun, results_dir: str) -> dict:
 
 
 # --------------------------------------------------------------------------
-# fig8_4 — Rayleigh fading with exact fading information (Figure 8-4)
+# fig8_4 / fig8_5 — Rayleigh fading with and without fading information
 # --------------------------------------------------------------------------
 
-_FIG8_4_TAUS = (1, 10, 100)
-
-
-def _build_fig8_4(profile: str) -> ExperimentSpec:
-    _check_profile(profile)
-    snrs = grid(0, 30, 10.0 if profile == "quick" else 5.0)
-    n_msgs = _scale(profile, 2, 8)
+def _fading_points(give_csi: bool | str, lo: float,
+                   profile: str) -> list[PointSpec]:
+    """Spinal vs Strider+ at tau = 1/10/100.  Figure 8-5's "no fading
+    information" still assumes carrier-phase recovery (a receiver with
+    uniformly random uncompensated phase could decode nothing at all), so
+    it runs the amplitude-blind ``"phase"`` CSI policy — the legacy
+    bench's exact configuration."""
+    snrs = grid(lo, 30, _scale(profile, 10.0, 5.0))
     points: list[PointSpec] = []
-    for tau in _FIG8_4_TAUS:
+    for tau in (1, 10, 100):
+        channel = ChannelSpec("rayleigh", {"coherence_time": tau})
         spinal = SchemeSpec("spinal", {
             "n_bits": 256,
             "decoder": {"B": 256, "max_passes": 48},
-            "give_csi": True,
+            "give_csi": give_csi,
             "label": f"spinal tau={tau}",
         })
         strider = SchemeSpec("strider", {
             "n_bits": 1920, "n_layers": 12, "subpasses_per_pass": 4,
-            "max_passes": 30, "give_csi": True,
+            "max_passes": 30, "give_csi": give_csi,
             "label": f"strider+ tau={tau}",
         })
-        channel = ChannelSpec("rayleigh", {"coherence_time": tau})
-        points += [
-            PointSpec(
-                series=f"spinal tau={tau}", x=snr, seed=int(snr) + tau,
-                scheme=spinal, channel=channel, n_messages=n_msgs,
-                batch_size=n_msgs,
-            )
-            for snr in snrs
-        ]
-        points += [
-            PointSpec(
-                series=f"strider+ tau={tau}", x=snr, seed=int(snr) + tau + 7,
-                scheme=strider, channel=channel,
-                n_messages=_scale(profile, 1, 5),
-            )
-            for snr in snrs
-        ]
-    return ExperimentSpec(
-        experiment_id="fig8_4",
-        title="Rayleigh fading with CSI (Figure 8-4)",
-        profile=profile,
-        points=tuple(points),
-    )
-
-
-def _report_fig8_4(run: ExperimentRun, results_dir: str) -> dict:
-    snrs, curves = _series_report(
-        run, results_dir, "fig8_4_fading_csi",
-        "Rayleigh fading with CSI (Figure 8-4)",
-        head_series={"fading capacity": rayleigh_capacity})
-    return {"snrs": snrs, "curves": curves}
-
-
-# --------------------------------------------------------------------------
-# fig8_5 — Rayleigh fading decoded *without* fading information (Figure 8-5)
-# --------------------------------------------------------------------------
-
-_FIG8_5_TAUS = (1, 10, 100)
-
-
-def _build_fig8_5(profile: str) -> ExperimentSpec:
-    _check_profile(profile)
-    snrs = grid(10, 30, 10.0 if profile == "quick" else 5.0)
-    n_msgs = _scale(profile, 2, 8)
-    points: list[PointSpec] = []
-    for tau in _FIG8_5_TAUS:
-        # "No fading information" still assumes carrier-phase recovery (a
-        # receiver with uniformly random uncompensated phase could decode
-        # nothing at all): both schemes run the amplitude-blind "phase"
-        # CSI policy — the legacy bench's exact configuration.
-        spinal = SchemeSpec("spinal", {
-            "n_bits": 256,
-            "decoder": {"B": 256, "max_passes": 48},
-            "give_csi": "phase",
-            "label": f"spinal tau={tau}",
-        })
-        strider = SchemeSpec("strider", {
-            "n_bits": 1920, "n_layers": 12, "subpasses_per_pass": 4,
-            "max_passes": 30, "give_csi": "phase",
-            "label": f"strider+ tau={tau}",
-        })
-        channel = ChannelSpec("rayleigh", {"coherence_time": tau})
-        points += [
-            PointSpec(
-                series=f"spinal tau={tau}", x=snr, seed=int(snr) + tau,
-                scheme=spinal, channel=channel, n_messages=n_msgs,
-                batch_size=n_msgs,
-            )
-            for snr in snrs
-        ]
-        points += [
-            PointSpec(
-                series=f"strider+ tau={tau}", x=snr, seed=int(snr) + tau + 7,
-                scheme=strider, channel=channel,
-                n_messages=_scale(profile, 1, 5),
-            )
-            for snr in snrs
-        ]
-    return ExperimentSpec(
-        experiment_id="fig8_5",
-        title="Rayleigh fading without CSI (Figure 8-5)",
-        profile=profile,
-        points=tuple(points),
-    )
-
-
-def _report_fig8_5(run: ExperimentRun, results_dir: str) -> dict:
-    snrs, curves = _series_report(
-        run, results_dir, "fig8_5_fading_nocsi",
-        "Rayleigh fading, AWGN decoders / no CSI (Figure 8-5)")
-    return {"snrs": snrs, "curves": curves}
+        points += _points(f"spinal tau={tau}", spinal, snrs,
+                          _scale(profile, 2, 8),
+                          seed=lambda i, snr: int(snr) + tau,
+                          channel=channel)
+        points += _points(f"strider+ tau={tau}", strider, snrs,
+                          _scale(profile, 1, 5),
+                          seed=lambda i, snr: int(snr) + tau + 7,
+                          channel=channel, batched=False)
+    return points
 
 
 # --------------------------------------------------------------------------
@@ -407,50 +513,26 @@ def _report_fig8_5(run: ExperimentRun, results_dir: str) -> dict:
 # --------------------------------------------------------------------------
 
 _FIG8_2_FIXED_PASSES = (1, 2, 3, 4, 6, 8, 12)
-_FIG8_2_N_BITS = 256
 
 
-def _build_fig8_2(profile: str) -> ExperimentSpec:
-    _check_profile(profile)
-    snrs = grid(0, 30, 5.0 if profile == "quick" else 2.0)
+def _fig8_2_points(profile: str) -> list[PointSpec]:
+    snrs = grid(0, 30, _scale(profile, 5.0, 2.0))
     n_msgs = _scale(profile, 4, 20)
-    params = {"puncturing": "none", "tail_symbols": 2}
-    dec = {"B": 256, "max_passes": 40}
-    points: list[PointSpec] = [
-        PointSpec(
-            series="spinal rateless", x=snr, seed=100 + i,
-            scheme=SchemeSpec("spinal", {
-                "n_bits": _FIG8_2_N_BITS, "params": params, "decoder": dec}),
-            channel=ChannelSpec("awgn"),
-            n_messages=n_msgs, batch_size=n_msgs,
-        )
-        for i, snr in enumerate(snrs)
-    ]
+    options = {"n_bits": 256,
+               "params": {"puncturing": "none", "tail_symbols": 2},
+               "decoder": {"B": 256, "max_passes": 40}}
+    points = _points("spinal rateless", SchemeSpec("spinal", options),
+                     snrs, n_msgs, seed=lambda i, snr: 100 + i)
     for L in _FIG8_2_FIXED_PASSES:
-        scheme = SchemeSpec("spinal", {
-            "n_bits": _FIG8_2_N_BITS, "params": params, "decoder": dec,
-            "fixed_passes": L,
-        })
-        points += [
-            PointSpec(
-                series=f"spinal fixed L={L}", x=snr, seed=200 + 17 * i + L,
-                scheme=scheme, channel=ChannelSpec("awgn"),
-                n_messages=n_msgs, batch_size=n_msgs,
-            )
-            for i, snr in enumerate(snrs)
-        ]
-    return ExperimentSpec(
-        experiment_id="fig8_2",
-        title="Rateless vs rated spinal (Figure 8-2)",
-        profile=profile,
-        points=tuple(points),
-    )
+        points += _points(f"spinal fixed L={L}",
+                          SchemeSpec("spinal", {**options, "fixed_passes": L}),
+                          snrs, n_msgs, seed=lambda i, snr: 200 + 17 * i + L)
+    return points
 
 
 def _report_fig8_2(run: ExperimentRun, results_dir: str) -> dict:
     snrs, curves = _series_report(
-        run, results_dir, "fig8_2_rateless_vs_rated",
-        "Rateless vs rated spinal (Figure 8-2)")
+        run, results_dir, "fig8_2_rateless_vs_rated", run.spec.title)
     rateless = curves["spinal rateless"]
     rated = {L: curves[f"spinal fixed L={L}"] for L in _FIG8_2_FIXED_PASSES}
     return {"snrs": snrs, "rateless": rateless, "rated": rated}
@@ -472,64 +554,38 @@ def _strider_layers(n_bits: int) -> int:
     return 4
 
 
-def _build_fig8_3(profile: str) -> ExperimentSpec:
-    _check_profile(profile)
-    snrs = grid(5, 25, 10.0 if profile == "quick" else 2.0)
+def _fig8_3_points(profile: str) -> list[PointSpec]:
+    snrs = grid(5, 25, _scale(profile, 10.0, 2.0))
     n_msgs = _scale(profile, 2, 8)
     dec = {"B": 256, "max_passes": 40}
     points: list[PointSpec] = []
     for n in _FIG8_3_SIZES:
-        g = _strider_layers(n)
+        strider = {"n_bits": n, "n_layers": _strider_layers(n),
+                   "max_passes": 30}
+        per_code = (
+            SchemeSpec("spinal", {"n_bits": n, "decoder": dec}),
+            SchemeSpec("raptor", {"k": n}),
+            SchemeSpec("strider", strider),
+            SchemeSpec("strider", {**strider, "subpasses_per_pass": 4}),
+        )
         # the legacy bench's seed bases: n, n+1, n+2, n+3 per code, then
         # + 31 * grid_index inside each sweep
-        per_code = (
-            ("spinal", SchemeSpec("spinal", {"n_bits": n, "decoder": dec}),
-             n_msgs, n),
-            ("raptor", SchemeSpec("raptor", {"k": n}), n_msgs, n + 1),
-            ("strider",
-             SchemeSpec("strider",
-                        {"n_bits": n, "n_layers": g, "max_passes": 30}),
-             n_msgs, n + 2),
-            ("strider+",
-             SchemeSpec("strider",
-                        {"n_bits": n, "n_layers": g,
-                         "subpasses_per_pass": 4, "max_passes": 30}),
-             _scale(profile, 1, 6), n + 3),
-        )
-        for code, scheme, msgs, base in per_code:
-            points += [
-                PointSpec(
-                    series=f"{code} n={n}", x=snr, seed=base + 31 * i,
-                    scheme=scheme, channel=ChannelSpec("awgn"),
-                    n_messages=msgs, batch_size=msgs,
-                )
-                for i, snr in enumerate(snrs)
-            ]
-    return ExperimentSpec(
-        experiment_id="fig8_3",
-        title="Fraction of capacity at small block sizes (Figure 8-3)",
-        profile=profile,
-        points=tuple(points),
-    )
+        for j, (code, scheme) in enumerate(zip(_FIG8_3_CODES, per_code)):
+            msgs = _scale(profile, 1, 6) if code == "strider+" else n_msgs
+            points += _points(f"{code} n={n}", scheme, snrs, msgs,
+                              seed=lambda i, snr: n + j + 31 * i)
+    return points
 
 
 def _report_fig8_3(run: ExperimentRun, results_dir: str) -> dict:
-    curves = run.rates()
-    snrs = sorted(next(iter(curves.values())))
+    rates = run.rates()
     table = {
-        n: {
-            code: float(np.mean([
-                curves[f"{code} n={n}"][snr] / awgn_capacity(snr)
-                for snr in snrs
-            ]))
-            for code in _FIG8_3_CODES
-        }
+        n: {code: _capacity_fractions(rates, f"{code} n={n}")
+            for code in _FIG8_3_CODES}
         for n in _FIG8_3_SIZES
     }
-    result = ExperimentResult(
-        "fig8_3_short_messages",
-        "Fraction of capacity at small block sizes (Figure 8-3)",
-        "message_bits", "fraction_of_capacity")
+    result = ExperimentResult("fig8_3_short_messages", run.spec.title,
+                              "message_bits", "fraction_of_capacity")
     for code in _FIG8_3_CODES:
         s = result.new_series(code)
         for n in _FIG8_3_SIZES:
@@ -547,59 +603,35 @@ def _report_fig8_3(run: ExperimentRun, results_dir: str) -> dict:
 
 _FIG8_6_BUDGETS = (16, 64, 256, 1024)  # branch evaluations per bit
 _FIG8_6_KS = (1, 2, 3, 4, 5, 6)
-_FIG8_6_N_BITS = 240  # divisible by every k (lcm(1..6) = 60)
 
 
-def _b_for_budget(budget: int, k: int) -> int:
-    return max(1, round(budget * k / (1 << k)))
-
-
-def _build_fig8_6(profile: str) -> ExperimentSpec:
-    _check_profile(profile)
-    snrs = grid(2, 24, 11.0 if profile == "quick" else 4.0)
-    n_msgs = _scale(profile, 2, 6)
+def _fig8_6_points(profile: str) -> list[PointSpec]:
+    snrs = grid(2, 24, _scale(profile, 11.0, 4.0))
     points: list[PointSpec] = []
     for k in _FIG8_6_KS:
         for budget in _FIG8_6_BUDGETS:
             scheme = SchemeSpec("spinal", {
-                "n_bits": _FIG8_6_N_BITS,
+                "n_bits": 240,  # divisible by every k (lcm(1..6) = 60)
                 "params": {"k": k},
-                "decoder": {"B": _b_for_budget(budget, k), "max_passes": 40},
+                "decoder": {"B": max(1, round(budget * k / (1 << k))),
+                            "max_passes": 40},
             })
-            points += [
-                PointSpec(
-                    series=f"k={k} budget={budget}", x=snr,
-                    seed=1000 * k + budget + i,
-                    scheme=scheme, channel=ChannelSpec("awgn"),
-                    n_messages=n_msgs, batch_size=n_msgs,
-                )
-                for i, snr in enumerate(snrs)
-            ]
-    return ExperimentSpec(
-        experiment_id="fig8_6",
-        title="Compute budget vs fraction of capacity (Figure 8-6)",
-        profile=profile,
-        points=tuple(points),
-    )
+            points += _points(f"k={k} budget={budget}", scheme, snrs,
+                              _scale(profile, 2, 6),
+                              seed=lambda i, snr: 1000 * k + budget + i)
+    return points
 
 
 def _report_fig8_6(run: ExperimentRun, results_dir: str) -> dict:
     rates = run.rates()
-    snrs = sorted(next(iter(rates.values())))
     curves = {
-        k: {
-            budget: float(np.mean([
-                rates[f"k={k} budget={budget}"][snr] / awgn_capacity(snr)
-                for snr in snrs
-            ]))
-            for budget in _FIG8_6_BUDGETS
-        }
+        k: {budget: _capacity_fractions(rates, f"k={k} budget={budget}")
+            for budget in _FIG8_6_BUDGETS}
         for k in _FIG8_6_KS
     }
-    result = ExperimentResult(
-        "fig8_6_compute_budget",
-        "Compute budget vs fraction of capacity (Figure 8-6)",
-        "branch_evaluations_per_bit", "fraction_of_capacity")
+    result = ExperimentResult("fig8_6_compute_budget", run.spec.title,
+                              "branch_evaluations_per_bit",
+                              "fraction_of_capacity")
     for k in _FIG8_6_KS:
         s = result.new_series(f"k={k}")
         for budget in _FIG8_6_BUDGETS:
@@ -609,202 +641,17 @@ def _report_fig8_6(run: ExperimentRun, results_dir: str) -> dict:
 
 
 # --------------------------------------------------------------------------
-# fig8_7 — beam width vs pruning depth at constant work (Figure 8-7)
-# --------------------------------------------------------------------------
-
-_FIG8_7_CONFIGS = ((512, 1), (64, 2), (8, 3), (1, 4))
-_FIG8_7_N_BITS = 255  # n/k = 85 spine values at k=3
-
-
-def _build_fig8_7(profile: str) -> ExperimentSpec:
-    _check_profile(profile)
-    snrs = grid(0, 30, 10.0 if profile == "quick" else 5.0)
-    n_msgs = _scale(profile, 2, 8)
-    points: list[PointSpec] = []
-    for b, d in _FIG8_7_CONFIGS:
-        scheme = SchemeSpec("spinal", {
-            "n_bits": _FIG8_7_N_BITS,
-            "params": {"k": 3},
-            "decoder": {"B": b, "d": d, "max_passes": 40},
-        })
-        points += [
-            PointSpec(
-                series=f"B={b}, d={d}", x=snr, seed=b + d + int(snr),
-                scheme=scheme, channel=ChannelSpec("awgn"),
-                n_messages=n_msgs, batch_size=n_msgs,
-            )
-            for snr in snrs
-        ]
-    return ExperimentSpec(
-        experiment_id="fig8_7",
-        title="Bubble depth trade-off (Figure 8-7)",
-        profile=profile,
-        points=tuple(points),
-    )
-
-
-def _report_fig8_7(run: ExperimentRun, results_dir: str) -> dict:
-    rates = run.rates()
-    snrs = sorted(next(iter(rates.values())))
-    curves = {(b, d): rates[f"B={b}, d={d}"] for b, d in _FIG8_7_CONFIGS}
-    _gap_report(
-        results_dir, "fig8_7_bubble_depth",
-        "Bubble depth trade-off (Figure 8-7)", snrs,
-        [(f"B={b}, d={d}", curves[(b, d)]) for b, d in _FIG8_7_CONFIGS])
-    return {"snrs": snrs, "curves": curves}
-
-
-# --------------------------------------------------------------------------
-# fig8_8 — output symbol density, choosing c (Figure 8-8)
-# --------------------------------------------------------------------------
-
-_FIG8_8_CS = (1, 2, 3, 4, 5, 6)
-
-
-def _build_fig8_8(profile: str) -> ExperimentSpec:
-    _check_profile(profile)
-    snrs = grid(0, 35, 7.0 if profile == "quick" else 5.0)
-    n_msgs = _scale(profile, 2, 8)
-    points: list[PointSpec] = []
-    for c in _FIG8_8_CS:
-        scheme = SchemeSpec("spinal", {
-            "n_bits": 256,
-            "params": {"c": c},
-            "decoder": {"B": 256, "max_passes": 40},
-        })
-        points += [
-            PointSpec(
-                series=f"c={c}", x=snr, seed=c * 100 + int(snr),
-                scheme=scheme, channel=ChannelSpec("awgn"),
-                n_messages=n_msgs, batch_size=n_msgs,
-            )
-            for snr in snrs
-        ]
-    return ExperimentSpec(
-        experiment_id="fig8_8",
-        title="Output symbol density c (Figure 8-8)",
-        profile=profile,
-        points=tuple(points),
-    )
-
-
-def _report_fig8_8(run: ExperimentRun, results_dir: str) -> dict:
-    snrs, labelled = _series_report(
-        run, results_dir, "fig8_8_density",
-        "Output symbol density c (Figure 8-8)",
-        head_series={"shannon bound": awgn_capacity})
-    curves = {c: labelled[f"c={c}"] for c in _FIG8_8_CS}
-    return {"snrs": snrs, "curves": curves}
-
-
-# --------------------------------------------------------------------------
-# fig8_9 — number of tail symbols (Figure 8-9)
-# --------------------------------------------------------------------------
-
-_FIG8_9_TAILS = (1, 2, 3, 4, 5)
-
-
-def _build_fig8_9(profile: str) -> ExperimentSpec:
-    _check_profile(profile)
-    snrs = grid(5, 25, 10.0 if profile == "quick" else 5.0)
-    n_msgs = _scale(profile, 3, 10)
-    points: list[PointSpec] = []
-    for tail in _FIG8_9_TAILS:
-        scheme = SchemeSpec("spinal", {
-            "n_bits": 256,
-            "params": {"tail_symbols": tail},
-            "decoder": {"B": 256, "max_passes": 40},
-        })
-        points += [
-            PointSpec(
-                series=f"{tail} tail symbols", x=snr,
-                seed=tail * 19 + int(snr),
-                scheme=scheme, channel=ChannelSpec("awgn"),
-                n_messages=n_msgs, batch_size=n_msgs,
-            )
-            for snr in snrs
-        ]
-    return ExperimentSpec(
-        experiment_id="fig8_9",
-        title="Tail symbol count (Figure 8-9)",
-        profile=profile,
-        points=tuple(points),
-    )
-
-
-def _report_fig8_9(run: ExperimentRun, results_dir: str) -> dict:
-    snrs, labelled = _series_report(
-        run, results_dir, "fig8_9_tail_symbols",
-        "Tail symbol count (Figure 8-9)")
-    curves = {t: labelled[f"{t} tail symbols"] for t in _FIG8_9_TAILS}
-    return {"snrs": snrs, "curves": curves}
-
-
-# --------------------------------------------------------------------------
-# fig8_10 — puncturing schedules (Figure 8-10)
-# --------------------------------------------------------------------------
-
-#: The legacy bench seeded each schedule's sweep with ``hash(sched) % 1000``
-#: — Python string hashing, which is randomized per interpreter run, so the
-#: bench never reproduced its own numbers.  The spec freezes the values the
-#: formula yields under ``PYTHONHASHSEED=0`` (the golden-capture convention)
-#: as plain constants; the sweep is now reproducible everywhere.
-_FIG8_10_SEEDS = {"none": 972, "2-way": 126, "4-way": 699, "8-way": 333}
-_FIG8_10_SCHEDULES = ("none", "2-way", "4-way", "8-way")
-
-
-def _build_fig8_10(profile: str) -> ExperimentSpec:
-    _check_profile(profile)
-    snrs = grid(5, 30, 5.0 if profile == "quick" else 1.0)
-    n_msgs = _scale(profile, 3, 10)
-    points: list[PointSpec] = []
-    for sched in _FIG8_10_SCHEDULES:
-        scheme = SchemeSpec("spinal", {
-            "n_bits": 1024,
-            "params": {"puncturing": sched},
-            "decoder": {"B": 256, "max_passes": 40},
-        })
-        points += [
-            PointSpec(
-                series=f"{sched} puncturing", x=snr,
-                seed=_FIG8_10_SEEDS[sched] + int(snr),
-                scheme=scheme, channel=ChannelSpec("awgn"),
-                n_messages=n_msgs, batch_size=n_msgs,
-            )
-            for snr in snrs
-        ]
-    return ExperimentSpec(
-        experiment_id="fig8_10",
-        title="Puncturing schedules (Figure 8-10)",
-        profile=profile,
-        points=tuple(points),
-    )
-
-
-def _report_fig8_10(run: ExperimentRun, results_dir: str) -> dict:
-    rates = run.rates()
-    snrs = sorted(next(iter(rates.values())))
-    curves = {s: rates[f"{s} puncturing"] for s in _FIG8_10_SCHEDULES}
-    _gap_report(
-        results_dir, "fig8_10_puncturing",
-        "Puncturing schedules (Figure 8-10)", snrs,
-        [(f"{s} puncturing", curves[s]) for s in _FIG8_10_SCHEDULES])
-    return {"snrs": snrs, "curves": curves}
-
-
-# --------------------------------------------------------------------------
 # fig8_11 — CDF of symbols needed to decode, per SNR (Figure 8-11)
 # --------------------------------------------------------------------------
 
 _FIG8_11_SNRS = (6, 10, 14, 18, 22, 26)
 
 
-def _build_fig8_11(profile: str) -> ExperimentSpec:
-    _check_profile(profile)
-    points = tuple(
+def _fig8_11_points(profile: str) -> list[PointSpec]:
+    return [
         PointSpec(
             series=f"SNR={snr}dB", x=float(snr), seed=snr,
-            kind="symbol_cdf", channel=ChannelSpec("awgn"),
+            kind="symbol_cdf", channel=_AWGN,
             n_messages=_scale(profile, 12, 60),
             options={
                 "n_bits": 256,
@@ -813,13 +660,7 @@ def _build_fig8_11(profile: str) -> ExperimentSpec:
             },
         )
         for snr in _FIG8_11_SNRS
-    )
-    return ExperimentSpec(
-        experiment_id="fig8_11",
-        title="CDF of symbols to decode (Figure 8-11)",
-        profile=profile,
-        points=points,
-    )
+    ]
 
 
 def _report_fig8_11(run: ExperimentRun, results_dir: str) -> dict:
@@ -828,9 +669,8 @@ def _report_fig8_11(run: ExperimentRun, results_dir: str) -> dict:
         snr: np.array(curves[f"SNR={snr}dB"][float(snr)]["counts"])
         for snr in _FIG8_11_SNRS
     }
-    result = ExperimentResult(
-        "fig8_11_symbol_cdf", "CDF of symbols to decode (Figure 8-11)",
-        "n_symbols", "cdf")
+    result = ExperimentResult("fig8_11_symbol_cdf", run.spec.title,
+                              "n_symbols", "cdf")
     for snr in _FIG8_11_SNRS:
         s = result.new_series(f"SNR={snr}dB")
         data = np.sort(counts[snr])
@@ -843,60 +683,6 @@ def _report_fig8_11(run: ExperimentRun, results_dir: str) -> dict:
 
 
 # --------------------------------------------------------------------------
-# fig8_12 — effect of code block length (Figure 8-12)
-# --------------------------------------------------------------------------
-
-_FIG8_12_LENGTHS = (64, 128, 256, 512, 1024, 2048)
-
-
-def _fig8_12_lengths(profile: str) -> tuple[int, ...]:
-    # the legacy bench drops n=2048 in the quick profile
-    return _FIG8_12_LENGTHS if profile != "quick" else _FIG8_12_LENGTHS[:5]
-
-
-def _build_fig8_12(profile: str) -> ExperimentSpec:
-    _check_profile(profile)
-    snrs = grid(5, 25, 10.0 if profile == "quick" else 5.0)
-    n_msgs = _scale(profile, 3, 10)
-    points: list[PointSpec] = []
-    for n in _fig8_12_lengths(profile):
-        scheme = SchemeSpec("spinal", {
-            "n_bits": n, "decoder": {"B": 256, "max_passes": 40}})
-        points += [
-            PointSpec(
-                series=f"n={n}", x=snr, seed=n + int(snr),
-                scheme=scheme, channel=ChannelSpec("awgn"),
-                n_messages=n_msgs, batch_size=n_msgs,
-            )
-            for snr in snrs
-        ]
-    return ExperimentSpec(
-        experiment_id="fig8_12",
-        title="Code block length (Figure 8-12)",
-        profile=profile,
-        points=tuple(points),
-    )
-
-
-def _report_fig8_12(run: ExperimentRun, results_dir: str) -> dict:
-    rates = run.rates()
-    snrs = sorted(next(iter(rates.values())))
-    lengths = _fig8_12_lengths(run.spec.profile)
-    curves = {n: rates[f"n={n}"] for n in lengths}
-    _gap_report(
-        results_dir, "fig8_12_block_length",
-        "Code block length (Figure 8-12)", snrs,
-        [(f"n={n}", curves[n]) for n in lengths])
-    avg_gap = {}
-    for n in sorted(curves):
-        gaps = [gap_to_capacity_db(curves[n][snr], snr)
-                for snr in snrs if curves[n][snr] > 0]
-        avg_gap[n] = sum(gaps) / len(gaps)
-    print("average gap by n:", {n: round(g, 2) for n, g in avg_gap.items()})
-    return {"snrs": snrs, "curves": curves, "avg_gap": avg_gap}
-
-
-# --------------------------------------------------------------------------
 # figB_2 — the hardware parameter set in simulation (Figure B-2)
 # --------------------------------------------------------------------------
 
@@ -904,46 +690,24 @@ _FIGB_2_HW_SERIES = "simulation, hardware parameters (B=4)"
 _FIGB_2_SW_SERIES = "simulation, B=256 reference"
 
 
-def _build_figB_2(profile: str) -> ExperimentSpec:
-    _check_profile(profile)
-    snrs = grid(0, 14, 2.0 if profile == "quick" else 1.0)
-    hw_params = {"k": 4, "c": 7}  # SpinalParams.hardware_profile()
-    hw_msgs = _scale(profile, 5, 25)
-    sw_msgs = _scale(profile, 3, 10)
-    hw_scheme = SchemeSpec("spinal", {
-        "n_bits": 192, "params": hw_params,
-        "decoder": {"B": 4, "d": 1, "max_passes": 48}})
-    sw_scheme = SchemeSpec("spinal", {
-        "n_bits": 192, "params": hw_params,
-        "decoder": {"B": 256, "d": 1, "max_passes": 48}})
-    points: list[PointSpec] = [
-        PointSpec(
-            series=_FIGB_2_HW_SERIES, x=snr, seed=300 + i,
-            scheme=hw_scheme, channel=ChannelSpec("awgn"),
-            n_messages=hw_msgs, batch_size=hw_msgs,
-        )
-        for i, snr in enumerate(snrs)
-    ]
-    points += [
-        PointSpec(
-            series=_FIGB_2_SW_SERIES, x=snr, seed=400 + i,
-            scheme=sw_scheme, channel=ChannelSpec("awgn"),
-            n_messages=sw_msgs, batch_size=sw_msgs,
-        )
-        for i, snr in enumerate(snrs)
-    ]
-    return ExperimentSpec(
-        experiment_id="figB_2",
-        title="Hardware profile simulation (Figure B-2)",
-        profile=profile,
-        points=tuple(points),
-    )
+def _figB_2_points(profile: str) -> list[PointSpec]:
+    snrs = grid(0, 14, _scale(profile, 2.0, 1.0))
+
+    def scheme(B: int) -> SchemeSpec:
+        return SchemeSpec("spinal", {
+            "n_bits": 192,
+            "params": {"k": 4, "c": 7},  # SpinalParams.hardware_profile()
+            "decoder": {"B": B, "d": 1, "max_passes": 48}})
+
+    return (_points(_FIGB_2_HW_SERIES, scheme(4), snrs,
+                    _scale(profile, 5, 25), seed=lambda i, snr: 300 + i)
+            + _points(_FIGB_2_SW_SERIES, scheme(256), snrs,
+                      _scale(profile, 3, 10), seed=lambda i, snr: 400 + i))
 
 
 def _report_figB_2(run: ExperimentRun, results_dir: str) -> dict:
-    snrs, curves = _series_report(
-        run, results_dir, "figB_2_hardware",
-        "Hardware profile simulation (Figure B-2)")
+    snrs, curves = _series_report(run, results_dir, "figB_2_hardware",
+                                  run.spec.title)
     return {"snrs": snrs,
             "hw": curves[_FIGB_2_HW_SERIES],
             "sw": curves[_FIGB_2_SW_SERIES]}
@@ -961,22 +725,15 @@ _TABLE8_1_ROWS = (
 )
 
 
-def _build_table8_1(profile: str) -> ExperimentSpec:
-    _check_profile(profile)
+def _table8_1_points(profile: str) -> list[PointSpec]:
     n_symbols = _scale(profile, 20_000, 400_000)
-    points = tuple(
+    return [
         PointSpec(
             series=label, x=float(i), seed=8, kind="papr",
             options={"constellation": name, "n_ofdm_symbols": n_symbols},
         )
         for i, (label, name) in enumerate(_TABLE8_1_ROWS)
-    )
-    return ExperimentSpec(
-        experiment_id="table8_1",
-        title="OFDM PAPR (Table 8.1)",
-        profile=profile,
-        points=points,
-    )
+    ]
 
 
 def _report_table8_1(run: ExperimentRun, results_dir: str) -> dict:
@@ -986,7 +743,7 @@ def _report_table8_1(run: ExperimentRun, results_dir: str) -> dict:
                 curves[label][float(i)]["p9999_papr_db"])
         for i, (label, _) in enumerate(_TABLE8_1_ROWS)
     }
-    result = ExperimentResult("table8_1_papr", "OFDM PAPR (Table 8.1)",
+    result = ExperimentResult("table8_1_papr", run.spec.title,
                               "row", "papr_db")
     mean_series = result.new_series("mean")
     tail_series = result.new_series("p99.99")
@@ -999,93 +756,6 @@ def _report_table8_1(run: ExperimentRun, results_dir: str) -> dict:
     _finish(result, results_dir)
     print(render_table(["Constellation", "Mean PAPR", "99.99% below"], rows))
     return {"table": table}
-
-
-# --------------------------------------------------------------------------
-# ablations — constellation map (§3.3, §4.6) and hash function (§7.1)
-# --------------------------------------------------------------------------
-
-_ABLATION_MAPS = ("uniform", "gaussian")
-_ABLATION_HASHES = ("one_at_a_time", "lookup3", "salsa20")
-
-
-def _build_ablation_constellation(profile: str) -> ExperimentSpec:
-    _check_profile(profile)
-    snrs = grid(0, 25, 5.0 if profile == "quick" else 1.0)
-    n_msgs = _scale(profile, 3, 10)
-    points: list[PointSpec] = []
-    for name in _ABLATION_MAPS:
-        scheme = SchemeSpec("spinal", {
-            "n_bits": 256,
-            "params": {"mapping_name": name},
-            "decoder": {"B": 256, "max_passes": 40},
-        })
-        points += [
-            PointSpec(
-                series=name, x=snr, seed=int(snr) + 5,
-                scheme=scheme, channel=ChannelSpec("awgn"),
-                n_messages=n_msgs, batch_size=n_msgs,
-            )
-            for snr in snrs
-        ]
-    return ExperimentSpec(
-        experiment_id="ablation_constellation",
-        title="Constellation map ablation (§3.3, §4.6)",
-        profile=profile,
-        points=tuple(points),
-    )
-
-
-def _report_ablation_constellation(
-        run: ExperimentRun, results_dir: str) -> dict:
-    from repro.theory import achievable_rate_bound
-    curves = run.rates()
-    snrs = sorted(next(iter(curves.values())))
-    result = ExperimentResult(
-        "ablation_constellation", "Constellation map ablation (§3.3, §4.6)",
-        "snr_db", "rate_bits_per_symbol")
-    for name in _ABLATION_MAPS:
-        s = result.new_series(name)
-        for snr in snrs:
-            s.add(snr, curves[name][snr])
-    bound = result.new_series("theorem-1 bound (c=6)")
-    for snr in snrs:
-        bound.add(snr, achievable_rate_bound(6, snr))
-    _finish(result, results_dir)
-    return {"snrs": snrs, "curves": curves}
-
-
-def _build_ablation_hash(profile: str) -> ExperimentSpec:
-    _check_profile(profile)
-    snrs = grid(5, 25, 10.0 if profile == "quick" else 5.0)
-    n_msgs = _scale(profile, 3, 10)
-    points: list[PointSpec] = []
-    for name in _ABLATION_HASHES:
-        scheme = SchemeSpec("spinal", {
-            "n_bits": 256,
-            "params": {"hash_name": name},
-            "decoder": {"B": 128, "max_passes": 40},
-        })
-        points += [
-            PointSpec(
-                series=name, x=snr, seed=int(snr),
-                scheme=scheme, channel=ChannelSpec("awgn"),
-                n_messages=n_msgs, batch_size=n_msgs,
-            )
-            for snr in snrs
-        ]
-    return ExperimentSpec(
-        experiment_id="ablation_hash",
-        title="Hash function ablation (§7.1)",
-        profile=profile,
-        points=tuple(points),
-    )
-
-
-def _report_ablation_hash(run: ExperimentRun, results_dir: str) -> dict:
-    snrs, curves = _series_report(
-        run, results_dir, "ablation_hash", "Hash function ablation (§7.1)")
-    return {"snrs": snrs, "curves": curves}
 
 
 # --------------------------------------------------------------------------
@@ -1102,47 +772,25 @@ _LINK_SERIES = (
 )
 
 
-def _build_link_goodput(profile: str) -> ExperimentSpec:
-    _check_profile(profile)
-    snrs = grid(5, 25, 5.0 if profile == "quick" else 1.0)
+def _link_goodput_points(profile: str) -> list[PointSpec]:
+    snrs = grid(5, 25, _scale(profile, 5.0, 1.0))
     n_packets = _scale(profile, 3, 8)
     payload_bytes = _scale(profile, 16, 64)
     dec = {"B": 64, "max_passes": 32}
     # paper-standard reference curve (independent seeds; plotted only)
-    points: list[PointSpec] = [
-        PointSpec(
-            series=_LINK_REF_SERIES, x=snr, seed=300 + i,
-            scheme=SchemeSpec("spinal", {
-                "n_bits": payload_bytes * 8, "decoder": dec}),
-            channel=ChannelSpec("awgn"),
-            n_messages=n_packets, batch_size=n_packets,
-        )
-        for i, snr in enumerate(snrs)
-    ]
+    points = _points(
+        _LINK_REF_SERIES,
+        SchemeSpec("spinal", {"n_bits": payload_bytes * 8, "decoder": dec}),
+        snrs, n_packets, seed=lambda i, snr: 300 + i)
     # the three link sweeps share per-point seeds, so the oracle-mode jobs
     # see the same payload bytes and channel RNG stream as the framed jobs
     # — the comparison isolates protocol overhead, not sampling noise
     for series, tag, config in _LINK_SERIES:
-        points += [
-            PointSpec(
-                series=series, x=snr, seed=500 + 17 * i, kind="link",
-                channel=ChannelSpec("awgn"),
-                options={
-                    "job_id": f"{tag}_snr{snr:g}",
-                    "n_packets": n_packets,
-                    "payload_bytes": payload_bytes,
-                    "decoder": dec,
-                    "config": config,
-                },
-            )
-            for i, snr in enumerate(snrs)
-        ]
-    return ExperimentSpec(
-        experiment_id="link_goodput",
-        title="Oracle rate vs framed link goodput",
-        profile=profile,
-        points=tuple(points),
-    )
+        points += _link_points(series, tag, snrs, lambda i: 500 + 17 * i,
+                               n_packets=n_packets,
+                               payload_bytes=payload_bytes,
+                               decoder=dec, config=config)
+    return points
 
 
 def _link_records(curve: dict[float, dict]) -> list[dict]:
@@ -1161,9 +809,8 @@ def _report_link_goodput(run: ExperimentRun, results_dir: str) -> dict:
     snrs = sorted(reference)
     oracle, framed, delayed = (
         _link_records(curves[series]) for series, _, _ in _LINK_SERIES)
-    result = ExperimentResult(
-        "link_goodput", "Oracle rate vs framed link goodput",
-        "snr_db", "bits_per_symbol")
+    result = ExperimentResult("link_goodput", run.spec.title,
+                              "snr_db", "bits_per_symbol")
     s_ref = result.new_series(_LINK_REF_SERIES)
     series = [result.new_series(label) for label, _, _ in _LINK_SERIES]
     for i, snr in enumerate(snrs):
@@ -1197,92 +844,38 @@ def _report_link_goodput(run: ExperimentRun, results_dir: str) -> dict:
 # smoke — deliberately tiny specs for CI and the test suite
 # --------------------------------------------------------------------------
 
-def _build_smoke(profile: str) -> ExperimentSpec:
-    _check_profile(profile)
-    scheme = SchemeSpec("spinal", {
-        "n_bits": 16, "decoder": {"B": 4, "max_passes": 8}})
-    points = tuple(
-        PointSpec(
-            series="spinal tiny", x=snr, seed=9000 + i,
-            scheme=scheme, channel=ChannelSpec("awgn"),
-            n_messages=2, batch_size=2,
-        )
-        for i, snr in enumerate((5.0, 15.0))
-    )
-    return ExperimentSpec(
-        experiment_id="smoke",
-        title="Tiny end-to-end spec (CI smoke)",
-        profile=profile,
-        points=points,
-    )
+_TINY = {"n_bits": 16, "decoder": {"B": 4, "max_passes": 8}}
 
 
-def _build_smoke_adaptive(profile: str) -> ExperimentSpec:
-    _check_profile(profile)
-    scheme = SchemeSpec("spinal", {
-        "n_bits": 16, "decoder": {"B": 4, "max_passes": 8}})
+def _smoke_points(profile: str) -> list[PointSpec]:
+    return _points("spinal tiny", SchemeSpec("spinal", _TINY), (5.0, 15.0),
+                   2, seed=lambda i, snr: 9000 + i)
+
+
+def _smoke_adaptive_points(profile: str) -> list[PointSpec]:
     policy = AdaptivePolicy(
         target_half_width=0.25, confidence=0.95,
         initial_messages=4, growth=2.0, max_messages=32)
-    points = (
-        PointSpec(
-            series="spinal tiny adaptive", x=10.0, seed=9100,
-            scheme=scheme, channel=ChannelSpec("awgn"),
-            batch_size=4, adaptive=policy,
-        ),
-    )
-    return ExperimentSpec(
-        experiment_id="smoke_adaptive",
-        title="Tiny adaptive-sampling spec (CI smoke)",
-        profile=profile,
-        points=points,
-    )
+    return [PointSpec(
+        series="spinal tiny adaptive", x=10.0, seed=9100,
+        scheme=SchemeSpec("spinal", _TINY), channel=_AWGN,
+        batch_size=4, adaptive=policy,
+    )]
 
 
-def _build_smoke_fading(profile: str) -> ExperimentSpec:
-    _check_profile(profile)
-    scheme = SchemeSpec("spinal", {
-        "n_bits": 16, "decoder": {"B": 4, "max_passes": 8},
-        "give_csi": "full"})
-    points = tuple(
-        PointSpec(
-            series="spinal tiny fading", x=snr, seed=9200 + i,
-            scheme=scheme,
-            channel=ChannelSpec("rayleigh", {"coherence_time": 10}),
-            n_messages=2, batch_size=2, capacity_reference="rayleigh",
-        )
-        for i, snr in enumerate((10.0, 20.0))
-    )
-    return ExperimentSpec(
-        experiment_id="smoke_fading",
-        title="Tiny batched-fading spec (CI smoke)",
-        profile=profile,
-        points=points,
-    )
+def _smoke_fading_points(profile: str) -> list[PointSpec]:
+    return _points("spinal tiny fading",
+                   SchemeSpec("spinal", {**_TINY, "give_csi": "full"}),
+                   (10.0, 20.0), 2, seed=lambda i, snr: 9200 + i,
+                   channel=ChannelSpec("rayleigh", {"coherence_time": 10}),
+                   capacity_reference="rayleigh")
 
 
-def _build_smoke_link(profile: str) -> ExperimentSpec:
-    _check_profile(profile)
-    points = tuple(
-        PointSpec(
-            series="link tiny", x=snr, seed=9300 + i, kind="link",
-            channel=ChannelSpec("awgn"),
-            options={
-                "job_id": f"smoke_snr{snr:g}",
-                "n_packets": 1,
-                "payload_bytes": 4,
-                "decoder": {"B": 4, "max_passes": 8},
-                "config": {"max_block_bits": 64},
-            },
-        )
-        for i, snr in enumerate((8.0, 18.0))
-    )
-    return ExperimentSpec(
-        experiment_id="smoke_link",
-        title="Tiny packet-level link spec (CI smoke)",
-        profile=profile,
-        points=points,
-    )
+def _smoke_link_points(profile: str) -> list[PointSpec]:
+    return _link_points("link tiny", "smoke", (8.0, 18.0),
+                        lambda i: 9300 + i, n_packets=1, payload_bytes=4,
+                        decoder=_TINY["decoder"],
+                        config={"max_block_bits": 64})
 
 
 def _report_generic(run: ExperimentRun, results_dir: str) -> dict:
@@ -1312,110 +905,84 @@ def _report_link_generic(run: ExperimentRun, results_dir: str) -> dict:
 CATALOG: dict[str, CatalogEntry] = {
     entry.name: entry for entry in (
         CatalogEntry(
-            "fig8_1",
+            "fig8_1", "Rate comparison (Figure 8-1)",
             "rate vs SNR for all schemes + gap panel + capacity-fraction "
             "table (Figure 8-1)",
-            _build_fig8_1, _report_fig8_1),
+            _fig8_1_points, _report_fig8_1),
         CatalogEntry(
-            "bsc",
+            "bsc", "Spinal over BSC (§4.6)",
             "spinal rate vs BSC flip probability against 1 - H(p) (§4.6)",
-            _build_bsc, _report_bsc),
+            _bsc_points, _report_bsc),
         CatalogEntry(
-            "fig8_2",
+            "fig8_2", "Rateless vs rated spinal (Figure 8-2)",
             "rateless spinal vs every fixed-rate version of itself "
             "(Figure 8-2)",
-            _build_fig8_2, _report_fig8_2),
+            _fig8_2_points, _report_fig8_2),
         CatalogEntry(
-            "fig8_4",
+            "fig8_4", "Rayleigh fading with CSI (Figure 8-4)",
             "Rayleigh fading with CSI: spinal vs Strider+ at tau=1/10/100 "
             "(Figure 8-4)",
-            _build_fig8_4, _report_fig8_4),
+            partial(_fading_points, True, 0),
+            partial(_rate_report, "fig8_4_fading_csi",
+                    head={"fading capacity": rayleigh_capacity})),
         CatalogEntry(
-            "fig8_5",
+            "fig8_5", "Rayleigh fading without CSI (Figure 8-5)",
             "Rayleigh fading decoded blind (phase-only CSI): spinal vs "
             "Strider+ at tau=1/10/100 (Figure 8-5)",
-            _build_fig8_5, _report_fig8_5),
+            partial(_fading_points, "phase", 10),
+            partial(_rate_report, "fig8_5_fading_nocsi",
+                    title="Rayleigh fading, AWGN decoders / no CSI "
+                          "(Figure 8-5)")),
         CatalogEntry(
-            "fig8_3",
+            "fig8_3", "Fraction of capacity at small block sizes (Figure 8-3)",
             "fraction of capacity at 1024/2048/3072-bit blocks for all "
             "schemes (Figure 8-3)",
-            _build_fig8_3, _report_fig8_3),
+            _fig8_3_points, _report_fig8_3),
         CatalogEntry(
-            "fig8_6",
+            "fig8_6", "Compute budget vs fraction of capacity (Figure 8-6)",
             "compute budget (branch evaluations per bit) vs fraction of "
             "capacity, one curve per k (Figure 8-6)",
-            _build_fig8_6, _report_fig8_6),
+            _fig8_6_points, _report_fig8_6),
         CatalogEntry(
-            "fig8_7",
-            "beam width vs pruning depth at constant work: (B, d) in "
-            "{(512,1)..(1,4)} (Figure 8-7)",
-            _build_fig8_7, _report_fig8_7),
-        CatalogEntry(
-            "fig8_8",
-            "output symbol density c=1..6 vs the Shannon bound "
-            "(Figure 8-8)",
-            _build_fig8_8, _report_fig8_8),
-        CatalogEntry(
-            "fig8_9",
-            "tail symbol count 1..5 (Figure 8-9)",
-            _build_fig8_9, _report_fig8_9),
-        CatalogEntry(
-            "fig8_10",
-            "puncturing schedules none/2/4/8-way as gap to capacity "
-            "(Figure 8-10)",
-            _build_fig8_10, _report_fig8_10),
-        CatalogEntry(
-            "fig8_11",
+            "fig8_11", "CDF of symbols to decode (Figure 8-11)",
             "per-message symbol-count CDFs at six SNRs (Figure 8-11; "
             "distributional symbol_cdf points)",
-            _build_fig8_11, _report_fig8_11),
+            _fig8_11_points, _report_fig8_11),
         CatalogEntry(
-            "fig8_12",
-            "code block length n=64..2048 as gap to capacity "
-            "(Figure 8-12)",
-            _build_fig8_12, _report_fig8_12),
-        CatalogEntry(
-            "figB_2",
+            "figB_2", "Hardware profile simulation (Figure B-2)",
             "the Airblue FPGA parameter set (B=4) vs the B=256 reference "
             "in simulation (Figure B-2)",
-            _build_figB_2, _report_figB_2),
+            _figB_2_points, _report_figB_2),
         CatalogEntry(
-            "table8_1",
+            "table8_1", "OFDM PAPR (Table 8.1)",
             "OFDM PAPR, mean and p99.99, for sparse vs dense "
             "constellations (Table 8.1; papr points)",
-            _build_table8_1, _report_table8_1),
+            _table8_1_points, _report_table8_1),
         CatalogEntry(
-            "ablation_constellation",
-            "uniform vs truncated-Gaussian constellation map plus the "
-            "Theorem 1 bound (§3.3, §4.6)",
-            _build_ablation_constellation, _report_ablation_constellation),
-        CatalogEntry(
-            "ablation_hash",
-            "one-at-a-time vs lookup3 vs Salsa20 spine hashes (§7.1)",
-            _build_ablation_hash, _report_ablation_hash),
-        CatalogEntry(
-            "link_goodput",
+            "link_goodput", "Oracle rate vs framed link goodput",
             "oracle code rate vs CRC-framed ARQ goodput with and without "
             "feedback delay (§5, §6, §8.4; link points)",
-            _build_link_goodput, _report_link_goodput),
+            _link_goodput_points, _report_link_goodput),
         CatalogEntry(
-            "smoke_fading",
+            "smoke_fading", "Tiny batched-fading spec (CI smoke)",
             "tiny Rayleigh spec exercising the batched fading/CSI decode "
             "path end-to-end",
-            _build_smoke_fading, _report_generic),
+            _smoke_fading_points, _report_generic),
         CatalogEntry(
-            "smoke",
+            "smoke", "Tiny end-to-end spec (CI smoke)",
             "tiny fixed-count spec: two AWGN points, seconds to run",
-            _build_smoke, _report_generic),
+            _smoke_points, _report_generic),
         CatalogEntry(
-            "smoke_adaptive",
+            "smoke_adaptive", "Tiny adaptive-sampling spec (CI smoke)",
             "tiny adaptive-sampling spec: one point, sequential stopping",
-            _build_smoke_adaptive, _report_generic),
+            _smoke_adaptive_points, _report_generic),
         CatalogEntry(
-            "smoke_link",
+            "smoke_link", "Tiny packet-level link spec (CI smoke)",
             "tiny packet-level link spec: two ARQ points through the "
             "link point kind",
-            _build_smoke_link, _report_link_generic),
+            _smoke_link_points, _report_link_generic),
+        *(CatalogEntry(name, row.title, row.summary, row.points, row.report)
+          for name, row in _SWEEPS.items()),
     )
 }
 
@@ -1463,6 +1030,12 @@ def _adaptive_variant(spec: ExperimentSpec) -> ExperimentSpec:
 
 
 def build_spec(name: str, profile: str = "quick") -> ExperimentSpec:
+    """The registered experiment ``name`` as a spec at ``profile``."""
+    entry = get_entry(name)
     if profile == "adaptive":
-        return _adaptive_variant(get_entry(name).build("full"))
-    return get_entry(name).build(profile)
+        return _adaptive_variant(build_spec(name, "full"))
+    if profile not in _BUILD_PROFILES:
+        raise ValueError(
+            f"unknown profile {profile!r}; expected one of {_BUILD_PROFILES}")
+    return ExperimentSpec(experiment_id=entry.name, title=entry.title,
+                          profile=profile, points=tuple(entry.points(profile)))
