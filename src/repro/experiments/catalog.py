@@ -214,8 +214,8 @@ def _gap_report(
     _finish(result, results_dir)
 
 
-def _capacity_fractions(rates: dict[str, dict[float, float]], series: str
-                        ) -> float:
+def _mean_capacity_fraction(rates: dict[str, dict[float, float]],
+                            series: str) -> float:
     """Mean fraction of AWGN capacity over the shared SNR grid."""
     curve = rates[series]
     snrs = sorted(next(iter(rates.values())))
@@ -580,7 +580,7 @@ def _fig8_3_points(profile: str) -> list[PointSpec]:
 def _report_fig8_3(run: ExperimentRun, results_dir: str) -> dict:
     rates = run.rates()
     table = {
-        n: {code: _capacity_fractions(rates, f"{code} n={n}")
+        n: {code: _mean_capacity_fraction(rates, f"{code} n={n}")
             for code in _FIG8_3_CODES}
         for n in _FIG8_3_SIZES
     }
@@ -625,7 +625,7 @@ def _fig8_6_points(profile: str) -> list[PointSpec]:
 def _report_fig8_6(run: ExperimentRun, results_dir: str) -> dict:
     rates = run.rates()
     curves = {
-        k: {budget: _capacity_fractions(rates, f"k={k} budget={budget}")
+        k: {budget: _mean_capacity_fraction(rates, f"k={k} budget={budget}")
             for budget in _FIG8_6_BUDGETS}
         for k in _FIG8_6_KS
     }
