@@ -44,12 +44,16 @@ def run_catalog(name: str):
     writes exactly the series/CSV the pre-migration bench produced.
     Returns the report's data dict for the bench's assertions.
     """
-    from repro.experiments import ResultStore, get_entry, run_experiment
+    from repro.experiments import (
+        ResultStore,
+        build_spec,
+        get_entry,
+        run_experiment,
+    )
 
-    entry = get_entry(name)
-    spec = entry.build(PROFILE)
+    spec = build_spec(name, PROFILE)
     run = run_experiment(spec, store=ResultStore(STORE_DIR))
-    report = entry.report(run, RESULTS_DIR)
+    report = get_entry(name).report(run, RESULTS_DIR)
     # accounting goes to stderr so the bench's stdout stays byte-identical
     # to its pre-migration output
     quarantined = (f", {run.n_quarantined} quarantined"
@@ -91,5 +95,12 @@ def write_json(name: str, payload) -> str:
 
 
 def run_once(benchmark, fn):
-    """Run an experiment exactly once under pytest-benchmark timing."""
+    """Run an experiment exactly once under pytest-benchmark timing.
+
+    ``benchmark`` is pytest-benchmark's fixture, or ``None`` when the
+    bench runs as a plain script (``python bench_<x>.py`` calls its test
+    function with ``None``).
+    """
+    if benchmark is None:
+        return fn()
     return benchmark.pedantic(fn, iterations=1, rounds=1)

@@ -37,8 +37,4 @@ def test_bench_ablation_constellation(benchmark):
 
 
 if __name__ == "__main__":
-    class _Bench:
-        @staticmethod
-        def pedantic(fn, iterations, rounds):
-            return fn()
-    test_bench_ablation_constellation(_Bench())
+    test_bench_ablation_constellation(None)

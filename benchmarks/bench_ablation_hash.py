@@ -32,8 +32,4 @@ def test_bench_ablation_hash(benchmark):
 
 
 if __name__ == "__main__":
-    class _Bench:
-        @staticmethod
-        def pedantic(fn, iterations, rounds):
-            return fn()
-    test_bench_ablation_hash(_Bench())
+    test_bench_ablation_hash(None)

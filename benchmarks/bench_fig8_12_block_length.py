@@ -28,8 +28,4 @@ def test_bench_fig8_12(benchmark):
 
 
 if __name__ == "__main__":
-    class _Bench:
-        @staticmethod
-        def pedantic(fn, iterations, rounds):
-            return fn()
-    test_bench_fig8_12(_Bench())
+    test_bench_fig8_12(None)

@@ -38,8 +38,4 @@ def test_bench_fig8_1(benchmark):
 
 
 if __name__ == "__main__":
-    class _Bench:
-        @staticmethod
-        def pedantic(fn, iterations, rounds):
-            return fn()
-    test_bench_fig8_1(_Bench())
+    test_bench_fig8_1(None)

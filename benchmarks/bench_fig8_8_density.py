@@ -34,8 +34,4 @@ def test_bench_fig8_8(benchmark):
 
 
 if __name__ == "__main__":
-    class _Bench:
-        @staticmethod
-        def pedantic(fn, iterations, rounds):
-            return fn()
-    test_bench_fig8_8(_Bench())
+    test_bench_fig8_8(None)

@@ -33,8 +33,4 @@ def test_bench_figB_2(benchmark):
 
 
 if __name__ == "__main__":
-    class _Bench:
-        @staticmethod
-        def pedantic(fn, iterations, rounds):
-            return fn()
-    test_bench_figB_2(_Bench())
+    test_bench_figB_2(None)

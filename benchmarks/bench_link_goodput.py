@@ -54,8 +54,4 @@ def test_bench_link_goodput(benchmark):
 
 
 if __name__ == "__main__":
-    class _Bench:
-        @staticmethod
-        def pedantic(fn, iterations, rounds):
-            return fn()
-    test_bench_link_goodput(_Bench())
+    test_bench_link_goodput(None)
