@@ -19,7 +19,7 @@ missing points.  A worker killed mid-point fails the run with
 from __future__ import annotations
 
 import os
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import BrokenExecutor
 from contextlib import closing
 from dataclasses import dataclass
 from typing import Callable
@@ -293,8 +293,8 @@ def run_experiment(
         for h, point in missing:
             try:
                 outcome = next(outcomes)
-            except BrokenProcessPool as exc:
-                raise BrokenProcessPool(
+            except BrokenExecutor as exc:  # imap_jobs raises BrokenProcessPool
+                raise type(exc)(
                     f"{spec.experiment_id}: a worker process died (killed, "
                     f"e.g. out of memory) before point {h} ({point.series} "
                     f"@ x={point.x:g}) finished; {len(results)}/"

@@ -22,7 +22,6 @@ with :class:`~concurrent.futures.process.BrokenProcessPool`.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterator, Sequence, TypeVar
 
 __all__ = ["imap_jobs", "map_jobs", "resolve_workers"]
@@ -59,6 +58,8 @@ def imap_jobs(
         for job in jobs:
             yield fn(job)
         return
+    # imported here so one-worker runs skip the process-pool machinery
+    from concurrent.futures import ProcessPoolExecutor
     executor = ProcessPoolExecutor(max_workers=n_workers)
     try:
         yield from executor.map(fn, jobs, chunksize=1)
