@@ -260,14 +260,19 @@ class _Sweep:
     tail: dict[str, Callable[[float], float]] | None = None
     extra: Callable[[list[float], dict], dict] | None = None
 
+    def knob_values(self, profile: str) -> tuple:
+        """The values swept at ``profile`` (``adaptive`` derives from
+        ``full``)."""
+        if profile == "quick" and self.quick_values is not None:
+            return self.quick_values
+        return self.values
+
     def points(self, profile: str) -> list[PointSpec]:
         lo, hi, quick_step, full_step = self.snrs
         snrs = grid(lo, hi, _scale(profile, quick_step, full_step))
         n_msgs = _scale(profile, *self.messages)
-        values = _scale(profile, self.quick_values or self.values,
-                        self.values)
         points: list[PointSpec] = []
-        for v in values:
+        for v in self.knob_values(profile):
             base = self.seed(v)
             scheme = SchemeSpec("spinal", self.scheme(v))
             points += _points(self.label(v), scheme, snrs, n_msgs,
@@ -276,7 +281,8 @@ class _Sweep:
 
     def report(self, run: ExperimentRun, results_dir: str) -> dict:
         rates = run.rates()
-        values = [v for v in self.values if self.label(v) in rates]
+        # every value the spec was built with: a missing series raises
+        values = self.knob_values(run.spec.profile)
         curves = {v: rates[self.label(v)] for v in values}
         if self.gap:
             snrs = sorted(next(iter(rates.values())))

@@ -19,7 +19,6 @@ missing points.  A worker killed mid-point fails the run with
 from __future__ import annotations
 
 import os
-from concurrent.futures import BrokenExecutor
 from contextlib import closing
 from dataclasses import dataclass
 from typing import Callable
@@ -293,7 +292,12 @@ def run_experiment(
         for h, point in missing:
             try:
                 outcome = next(outcomes)
-            except BrokenExecutor as exc:  # imap_jobs raises BrokenProcessPool
+            except Exception as exc:
+                # imported on failure only: importing the orchestrator
+                # does not load concurrent.futures
+                from concurrent.futures import BrokenExecutor
+                if not isinstance(exc, BrokenExecutor):
+                    raise
                 raise type(exc)(
                     f"{spec.experiment_id}: a worker process died (killed, "
                     f"e.g. out of memory) before point {h} ({point.series} "

@@ -23,9 +23,9 @@ Worker entry points, in decreasing specificity:
 - first argument of ``imap_jobs`` / ``map_jobs`` (the
   ``repro.utils.parallel`` wrappers all fan-out goes through);
 - first argument of a pool-method call (``.map``, ``.imap``,
-  ``.imap_unordered``, ``.starmap``, ``.apply_async``, ``.submit``, ...)
-  in a module that imports ``multiprocessing``, ``concurrent.futures``
-  or ``repro.utils.parallel``;
+  ``.imap_unordered``, ``.starmap``, ``.apply_async``, ...) in a module
+  that imports ``multiprocessing``, ``concurrent.futures`` or
+  ``repro.utils.parallel``;
 - the ``target=`` keyword of any call (``Process(target=fn)``).
 
 An argument that is a plain variable is resolved flow-insensitively to
@@ -51,7 +51,7 @@ _PARALLEL_WRAPPERS = ("utils.parallel.imap_jobs", "utils.parallel.map_jobs")
 #: Pool methods whose first argument runs in a worker process.
 _POOL_METHODS = frozenset({
     "map", "imap", "imap_unordered", "starmap", "starmap_async",
-    "map_async", "apply", "apply_async", "submit",
+    "map_async", "apply", "apply_async",
 })
 
 #: Module imports that mark a file as pool-using (keeps the attribute

@@ -50,8 +50,9 @@ def imap_jobs(
     every yielded point, which is what makes interrupted sweeps resumable).
 
     A worker that dies mid-job raises ``BrokenProcessPool`` here, at the
-    first job whose result had not been yielded yet.  Jobs not started
-    when the caller stops iterating are cancelled, not run.
+    first job whose result had not been yielded yet.  When a job raises or
+    the caller stops iterating, the jobs still running are terminated and
+    the rest cancelled, not run.
     """
     n_workers = resolve_workers(len(jobs), n_workers)
     if n_workers <= 1 or len(jobs) <= 1:
@@ -63,8 +64,29 @@ def imap_jobs(
     executor = ProcessPoolExecutor(max_workers=n_workers)
     try:
         yield from executor.map(fn, jobs, chunksize=1)
+    except BaseException:
+        # a failed job, a caller that stopped iterating, or a signal:
+        # stop the jobs still running instead of waiting them out
+        _terminate_workers(executor)
+        raise
     finally:
         executor.shutdown(wait=True, cancel_futures=True)
+
+
+def _terminate_workers(executor) -> None:
+    """Kill every worker of ``executor`` now, as ``Pool.terminate`` did.
+
+    ``shutdown`` cancels only jobs not yet started and then waits for the
+    running ones, which for a sweep point can take minutes.  Python 3.14
+    has ``terminate_workers``; before it the processes are private.
+    """
+    terminate = getattr(executor, "terminate_workers", None)
+    if terminate is not None:
+        terminate()
+        return
+    for process in list((getattr(executor, "_processes", None) or {})
+                        .values()):
+        process.terminate()
 
 
 def map_jobs(

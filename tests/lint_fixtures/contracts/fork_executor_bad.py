@@ -1,7 +1,7 @@
-"""Fork-unsafe fixture: ``concurrent.futures`` workers rebind globals.
+"""Fork-unsafe fixture: a ``concurrent.futures`` worker rebinds a global.
 
-tests/test_lint_contracts.py pins the exact lines of the seeded
-mutations, one reached through ``.map`` and one through ``.submit``.
+tests/test_lint_contracts.py pins the exact line of the seeded mutation,
+reached through ``ProcessPoolExecutor.map``.
 """
 
 from __future__ import annotations
@@ -9,7 +9,6 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 
 _MAPPED = 0
-_SUBMITTED = 0
 
 
 def _mapped(job):
@@ -18,13 +17,6 @@ def _mapped(job):
     return job * 2
 
 
-def _submitted(job):
-    global _SUBMITTED
-    _SUBMITTED = job   # seeded: unguarded worker-side rebind
-    return job
-
-
 def run_all(jobs):
     with ProcessPoolExecutor(max_workers=2) as executor:
-        first = executor.submit(_submitted, 0)
-        return list(executor.map(_mapped, jobs)) + [first.result()]
+        return list(executor.map(_mapped, jobs))

@@ -23,6 +23,7 @@ must never be re-captured to make a refactor pass.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -195,6 +196,19 @@ def test_knob_keyed_curves(tmp_path, capsys):
     assert all(isinstance(g, float) for g in fig8_12["avg_gap"].values())
     full = _report("fig8_12", tmp_path / "12f", capsys, profile="full")
     assert 2048 in full["avg_gap"]
+
+
+@pytest.mark.parametrize("name,lost", [("fig8_9", "3 tail symbols"),
+                                       ("fig8_10", "4-way puncturing")])
+def test_missing_knob_series_raises(name, lost, tmp_path):
+    """A knob value whose series never ran must not vanish from the
+    figure: the report raises instead of drawing one curve fewer."""
+    run = synthetic_run(name, "quick")
+    kept = tuple(p for p in run.spec.points if p.series != lost)
+    run.spec = dataclasses.replace(run.spec, points=kept)
+    run.results = {point_hash(p): run.results[point_hash(p)] for p in kept}
+    with pytest.raises(KeyError, match=lost):
+        get_entry(name).report(run, str(tmp_path))
 
 
 def test_table_and_distribution_reports(tmp_path, capsys):

@@ -14,8 +14,9 @@ The load-bearing properties:
 
 import os
 import signal
+import time
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 
 import pytest
 
@@ -249,6 +250,16 @@ def _kill_on_three(job):
     return job * 10
 
 
+def _fail_or_sleep(job):
+    """Job -1 fails at once, job 0 returns at once, any other job sleeps
+    far longer than the tests' deadlines."""
+    if job < 0:
+        raise ValueError(f"job {job} failed")
+    if job > 0:
+        time.sleep(120)
+    return job
+
+
 class _KillerScheme(DummyScheme):
     """Dies (SIGKILL, as the OOM killer would) while ``marker`` exists."""
 
@@ -271,6 +282,21 @@ class TestWorkerLoss:
     def test_imap_jobs_keeps_job_order(self):
         assert list(imap_jobs(_kill_on_three, [0, 1, 2], n_workers=2)) == \
             [0, 10, 20]
+
+    def test_failed_job_stops_the_running_ones(self):
+        # a pool that waited for the sleeping job would hit the deadline
+        start = time.monotonic()
+        with _deadline(30), pytest.raises(ValueError, match="job -1"):
+            list(imap_jobs(_fail_or_sleep, [-1, 1], n_workers=2))
+        assert time.monotonic() - start < 20
+
+    def test_closing_early_stops_the_running_jobs(self):
+        start = time.monotonic()
+        with _deadline(30):
+            with closing(imap_jobs(_fail_or_sleep, [0, 1],
+                                   n_workers=2)) as outcomes:
+                assert next(outcomes) == 0
+        assert time.monotonic() - start < 20
 
     def test_lost_point_is_named_and_the_sweep_resumes(
             self, tmp_path, monkeypatch):
