@@ -65,28 +65,15 @@ def imap_jobs(
     try:
         yield from executor.map(fn, jobs, chunksize=1)
     except BaseException:
-        # a failed job, a caller that stopped iterating, or a signal:
-        # stop the jobs still running instead of waiting them out
-        _terminate_workers(executor)
+        # a failed job, a caller that stopped iterating, or a signal: kill
+        # the jobs still running, as ``Pool.terminate`` did, instead of
+        # waiting minutes for them in ``shutdown`` (the executor has no
+        # public way to do this before Python 3.14's terminate_workers)
+        for process in list((executor._processes or {}).values()):
+            process.terminate()
         raise
     finally:
         executor.shutdown(wait=True, cancel_futures=True)
-
-
-def _terminate_workers(executor) -> None:
-    """Kill every worker of ``executor`` now, as ``Pool.terminate`` did.
-
-    ``shutdown`` cancels only jobs not yet started and then waits for the
-    running ones, which for a sweep point can take minutes.  Python 3.14
-    has ``terminate_workers``; before it the processes are private.
-    """
-    terminate = getattr(executor, "terminate_workers", None)
-    if terminate is not None:
-        terminate()
-        return
-    for process in list((getattr(executor, "_processes", None) or {})
-                        .values()):
-        process.terminate()
 
 
 def map_jobs(
