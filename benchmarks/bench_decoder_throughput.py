@@ -36,8 +36,8 @@ from _common import write_json
 
 
 def _timed(fn):
-    # benchmarks time through repro.obs.clock like library code — the
-    # recorded benchmarks-directory policy in repro.lint.config
+    # benchmarks time through repro.obs.clock like library code: no
+    # repro.lint policy exempts them from no-wallclock
     t0 = clock()
     out = fn()
     return out, clock() - t0

@@ -206,7 +206,7 @@ class ExperimentRun:
     results: dict[str, dict]          # point hash -> record
     n_cached: int = 0                 # points served from the store
     n_computed: int = 0               # simulation jobs actually run
-    n_quarantined: int = 0            # bad store files moved aside on load
+    n_quarantined: int = 0            # bad store files or records dropped on load
     computed_hashes: tuple[str, ...] = ()  # point hashes that missed the store
     store_path: str | None = None
 

@@ -18,7 +18,10 @@ whose embedded ``spec_hash`` disagrees with the spec being loaded (a
 hand-copied or stale file under the wrong name), or whose ``points`` is
 not a map of record dicts (a hand-edited file), is quarantined — renamed
 to ``<spec-hash>.json.bad`` with a warning — and the sweep resumes from
-empty, recomputing at worst what the bad file claimed to hold.
+empty, recomputing at worst what the bad file claimed to hold.  Inside a
+good file, a point's record that lacks a field its kind always writes
+(see :data:`RECORD_FIELDS`) is dropped with a warning, and only that
+point is recomputed.
 """
 
 from __future__ import annotations
@@ -27,24 +30,47 @@ import json
 import os
 import warnings
 
-from repro.experiments.spec import ExperimentSpec, spec_hash
+from repro.experiments.spec import ExperimentSpec, point_hash, spec_hash
 from repro.obs import OBS
 from repro.utils.results import write_canonical_json
 
-__all__ = ["ResultStore", "StoreQuarantineWarning"]
+__all__ = ["RECORD_FIELDS", "ResultStore", "StoreQuarantineWarning"]
+
+#: Point kind -> the fields every record of that kind carries: what the
+#: kind's runner in :mod:`repro.experiments.orchestrator` returns, plus
+#: the ``series`` and ``x`` that ``run_point`` adds.  Optional extras (a
+#: measure point's ``adaptive`` trace) are not listed.
+RECORD_FIELDS: dict[str, frozenset[str]] = {
+    kind: frozenset({"series", "x", *fields})
+    for kind, fields in {
+        "measure": ("label", "snr_db", "n_messages", "n_success",
+                    "total_bits", "total_symbols", "capacity_reference",
+                    "rate"),
+        "ldpc_envelope": ("rate", "best_operating_point"),
+        "link": ("flow", "n_packets", "n_delivered",
+                 "payload_bits_delivered", "symbols", "wasted_symbols",
+                 "retransmissions", "goodput", "framing_overhead",
+                 "latency_p50", "latency_p90", "latency_p99", "job_id",
+                 "seed", "snr_db", "channel", "feedback_delay"),
+        "symbol_cdf": ("counts", "n_messages", "n_success"),
+        "papr": ("mean_papr_db", "p9999_papr_db"),
+    }.items()
+}
 
 
 class StoreQuarantineWarning(UserWarning):
-    """A store file was unusable and has been moved aside (``.bad``)."""
+    """A store file was unusable and has been moved aside (``.bad``), or
+    a record in it was incomplete and has been dropped."""
 
 
 class ResultStore:
     """Per-spec point-result cache rooted at ``root`` (a directory).
 
-    ``n_quarantined`` counts the bad files this instance has moved aside —
-    the orchestrator reports it in the run accounting line (and as the
-    ``store.quarantine`` metrics counter) so quarantines show up in CI
-    logs, not only as Python warnings.
+    ``n_quarantined`` counts the bad files this instance has moved aside
+    and the incomplete records it has dropped — the orchestrator reports
+    it in the run accounting line (and as the ``store.quarantine``
+    metrics counter) so quarantines show up in CI logs, not only as
+    Python warnings.
     """
 
     def __init__(self, root: str) -> None:
@@ -54,17 +80,37 @@ class ResultStore:
     def path_for(self, spec: ExperimentSpec) -> str:
         return os.path.join(self.root, f"{spec_hash(spec)}.json")
 
+    def _warn(self, message: str) -> None:
+        self.n_quarantined += 1
+        OBS.counter("store.quarantine")
+        warnings.warn(message, StoreQuarantineWarning, stacklevel=4)
+
     def _quarantine(self, path: str, reason: str) -> None:
         bad_path = f"{path}.bad"
         os.replace(path, bad_path)
-        self.n_quarantined += 1
-        OBS.counter("store.quarantine")
-        warnings.warn(
+        self._warn(
             f"store file {path} {reason}; quarantined to {bad_path} and "
-            "resuming from empty (completed points will be recomputed)",
-            StoreQuarantineWarning,
-            stacklevel=3,
-        )
+            "resuming from empty (completed points will be recomputed)")
+
+    def _complete_records(self, spec: ExperimentSpec,
+                          points: dict[str, dict]) -> dict[str, dict]:
+        """``points`` minus each spec point's record that lacks a field
+        of its kind (see :data:`RECORD_FIELDS`)."""
+        kept = dict(points)
+        for point in spec.points:
+            h = point_hash(point)
+            if h not in kept:
+                continue
+            missing = (RECORD_FIELDS.get(point.kind, frozenset())
+                       - kept[h].keys())
+            if missing:
+                del kept[h]
+                self._warn(
+                    f"store file {self.path_for(spec)} holds an incomplete "
+                    f"record for point {h} ({point.series} @ x={point.x:g}, "
+                    f"missing {', '.join(sorted(missing))}); dropped it, "
+                    "the point will be recomputed")
+        return kept
 
     def load(self, spec: ExperimentSpec) -> dict[str, dict]:
         """Completed point records for this spec (empty if none yet).
@@ -72,8 +118,9 @@ class ResultStore:
         Never raises on a bad file: corrupt JSON, ``spec_hash``
         mismatches and a ``points`` value that is not a map of record
         dicts are quarantined (see module docstring) so ``run`` /
-        ``resume`` always make progress.  A record's fields are not
-        checked against its point kind.
+        ``resume`` always make progress.  Each spec point's record is
+        checked against its point kind's :data:`RECORD_FIELDS`; one that
+        lacks a field is left out, so that point alone is recomputed.
         """
         path = self.path_for(spec)
         if not os.path.exists(path):
@@ -101,7 +148,7 @@ class ResultStore:
             self._quarantine(path, "holds a malformed points map "
                                    "(points must map hashes to records)")
             return {}
-        return dict(points)
+        return self._complete_records(spec, points)
 
     def save(self, spec: ExperimentSpec, points: dict[str, dict]) -> str:
         """Write the spec's store file; returns the file path.

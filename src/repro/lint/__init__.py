@@ -1,8 +1,9 @@
 """AST-based determinism and reproducibility linter.
 
 The repo's headline guarantees — byte-identical store files, worker-count
-invariant sweeps, batch == scalar decode — rest on source-level invariants
-that a ``grep`` cannot see through an import alias:
+invariant sweeps — rest on source-level invariants that a ``grep`` cannot
+see through an import alias, and that a behavioural test misses when the
+nondeterminism happens to leave its outputs alone:
 
 - no wall-clock reads outside :mod:`repro.obs` (``no-wallclock``),
 - no ``PYTHONHASHSEED``-dependent seeding via builtin ``hash()``
@@ -12,45 +13,24 @@ that a ``grep`` cannot see through an import alias:
   ``Generator`` (``rng-stream-discipline``),
 - no order-nondeterministic serialization: set iteration, unsorted
   directory listings, ``json.dumps`` without ``sort_keys``
-  (``canonical-serialization``),
-- no width-ambiguous dtypes or mixed ``math.fsum``/``sum`` accumulation
-  in cost code (``no-float-env-drift``).
-
-On top of those per-file rules sits the **contract layer**
-(:mod:`repro.lint.contracts`), which reasons across modules over a
-shared :class:`~repro.lint.contracts.ModuleGraph`:
-
-- every backend implements the full ``Backend`` registry with
-  reference-identical kernel signatures (``backend-parity``),
-- kernel dtype flow is sound: no unmasked uint arithmetic, bare-literal
-  promotion, or complex multiplies in ``@njit``/backend kernels, and no
-  float-width conversion drift between a backend pair
-  (``kernel-dtype-flow``),
-- nothing reachable from a multiprocessing worker entry point rebinds a
-  module global without a guarded-memo fence (``fork-fence-safety``).
+  (``canonical-serialization``).
 
 :mod:`repro.lint.engine` provides the visitor framework (import/alias
-resolution, per-line ``# repro: disable=<rule>`` suppressions with
-unused-suppression detection, and the module graph handed to cross-file
-rules); :mod:`repro.lint.rules` the rules; :mod:`repro.lint.config` the
-per-directory policies (``obs/`` may read the clock, ``tests/`` may
-time, benchmarks may not); and ``python -m repro.lint`` the CLI with
-text, JSON, and SARIF output plus git-aware ``--changed-only``
-selection.
+resolution, bound names, parent links); :mod:`repro.lint.rules` the
+rules; :mod:`repro.lint.config` the per-directory policies (``obs/`` may
+read the clock, ``tests/`` may time); and ``python -m repro.lint`` the
+CLI.
 """
 
-from repro.lint.config import DEFAULT_CONFIG, LintConfig, Policy, rules_for
-from repro.lint.contracts import ModuleGraph
+from repro.lint.config import POLICIES, Policy, rules_for
 from repro.lint.engine import Finding, Linter, LintReport
 from repro.lint.rules import RULES
 
 __all__ = [
-    "DEFAULT_CONFIG",
     "Finding",
-    "LintConfig",
     "LintReport",
     "Linter",
-    "ModuleGraph",
+    "POLICIES",
     "Policy",
     "RULES",
     "rules_for",

@@ -1,31 +1,18 @@
-"""``python -m repro.lint`` — run the determinism rules over the tree.
+"""``python -m repro.lint [paths]`` — run the determinism rules over the tree.
 
-Exit status is 0 when every checked file is clean and 1 when any finding
-survives suppression, so CI can gate on it directly (it replaced the old
-``grep``-based wall-clock check).  ``--json`` prints the machine-readable
-report to stdout; ``--output`` additionally writes it to a file (the CI
-failure artifact) regardless of the stdout format; ``--sarif`` writes a
-SARIF 2.1.0 projection of the same findings for code-scanning upload.
-
-``--changed-only`` narrows the file set to what ``git`` reports as
-modified (vs ``HEAD``) or untracked — the fast pre-commit loop.  Outside
-a git repository (or if ``git`` fails) it falls back to the full walk,
-so the flag can never silently lint nothing.  Note the cross-file
-contract rules see a module graph of only the selected files under this
-flag: pair-wise checks like backend parity need both sides selected to
-fire, so CI always runs the full walk.
+Paths default to ``src benchmarks examples`` and directory policies
+resolve against the current directory, so run it from the repo root.
+Exit status is 0 when every checked file is clean and 1 on any finding.
+``--list-rules`` prints the rule table and the directory policies.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import subprocess
 import sys
 
-from repro.lint.config import DEFAULT_CONFIG
-from repro.lint.engine import Linter, LintReport, iter_python_files
+from repro.lint.config import POLICIES
+from repro.lint.engine import Linter
 from repro.lint.rules import RULES
 
 __all__ = ["main"]
@@ -34,51 +21,18 @@ DEFAULT_PATHS = ("src", "benchmarks", "examples")
 
 
 def _list_rules() -> int:
-    width = max(len(rule_id) for rule_id in RULES)
+    table = {rule_id: rule.description for rule_id, rule in RULES.items()}
+    table["parse-error"] = "file does not parse as Python"
+    width = max(len(rule_id) for rule_id in table)
     print("rules:")
-    for rule_id in sorted(RULES):
-        print(f"  {rule_id:<{width}}  {RULES[rule_id].description}")
-    print("\nsuppression syntax:  # repro: disable=<rule-id>[,<rule-id>...]")
+    for rule_id in sorted(table):
+        print(f"  {rule_id:<{width}}  {table[rule_id]}")
     print("\ndirectory policies (longest prefix wins; unmatched paths get "
           "every rule):")
-    for policy in DEFAULT_CONFIG.policies:
-        disabled = ", ".join(sorted(policy.disable)) or "(none disabled)"
-        print(f"  {policy.prefix}: {disabled}")
+    for policy in POLICIES:
+        print(f"  {policy.prefix}: {', '.join(sorted(policy.disable))}")
         print(f"      {policy.note}")
     return 0
-
-
-def _git_changed_files(root: str) -> set[str] | None:
-    """Absolute paths of modified + untracked files, or None if git fails.
-
-    ``git diff --name-only HEAD`` covers staged and unstaged edits;
-    ``git ls-files --others --exclude-standard`` adds new files no commit
-    knows about yet.  Paths come back repo-relative, so they are resolved
-    against the repo's own toplevel (which need not equal ``root``).
-    """
-    def run(*cmd: str) -> list[str]:
-        proc = subprocess.run(
-            ["git", *cmd], cwd=root, capture_output=True, text=True,
-            check=True)
-        return [line for line in proc.stdout.splitlines() if line]
-
-    try:
-        toplevel = run("rev-parse", "--show-toplevel")[0]
-        names = run("diff", "--name-only", "HEAD")
-        names += run("ls-files", "--others", "--exclude-standard")
-    except (OSError, subprocess.CalledProcessError, IndexError):
-        return None
-    return {os.path.abspath(os.path.join(toplevel, name))
-            for name in names}
-
-
-def _render_text(report: LintReport) -> str:
-    lines = [finding.render() for finding in report.findings]
-    lines.append(
-        f"{len(report.findings)} finding(s) in {report.n_files} file(s)"
-        if report.findings
-        else f"ok: {report.n_files} file(s) clean")
-    return "\n".join(lines)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -91,75 +45,19 @@ def main(argv: list[str] | None = None) -> int:
         "paths", nargs="*", default=list(DEFAULT_PATHS),
         help=f"files or directories to lint (default: {' '.join(DEFAULT_PATHS)})")
     parser.add_argument(
-        "--json", action="store_true",
-        help="print the findings report as JSON instead of text")
-    parser.add_argument(
-        "--output", metavar="PATH", default=None,
-        help="also write the JSON report to PATH (written on success and "
-             "failure; CI uploads it as the findings artifact)")
-    parser.add_argument(
-        "--sarif", metavar="PATH", default=None,
-        help="also write the findings as SARIF 2.1.0 to PATH (CI uploads "
-             "it to code scanning; the --output JSON artifact is "
-             "unchanged)")
-    parser.add_argument(
-        "--changed-only", action="store_true",
-        help="lint only files git reports as modified (vs HEAD) or "
-             "untracked, intersected with the given paths; falls back to "
-             "the full walk outside a git repository.  Cross-file "
-             "contract rules only see the selected files, so pair-wise "
-             "checks (backend-parity, dtype drift) need both sides "
-             "changed to fire — CI runs the full walk")
-    parser.add_argument(
-        "--rules", metavar="ID[,ID...]", default=None,
-        help="run exactly these rule ids, ignoring directory policies")
-    parser.add_argument(
-        "--root", default=None,
-        help="base directory policies resolve against (default: cwd)")
-    parser.add_argument(
         "--list-rules", action="store_true",
-        help="print the rule table, suppression syntax, and directory "
-             "policies, then exit")
+        help="print the rule table and directory policies, then exit")
     args = parser.parse_args(argv)
 
     if args.list_rules:
         return _list_rules()
 
-    forced = None
-    if args.rules is not None:
-        forced = frozenset(r.strip() for r in args.rules.split(",") if r.strip())
-        unknown = forced - set(RULES)
-        if unknown:
-            parser.error(f"unknown rule id(s): {', '.join(sorted(unknown))}; "
-                         "see --list-rules")
-
-    linter = Linter(rules=forced, root=args.root)
-    paths = list(args.paths)
-    if args.changed_only:
-        changed = _git_changed_files(args.root or os.getcwd())
-        if changed is not None:
-            paths = [p for p in iter_python_files(paths)
-                     if os.path.abspath(p) in changed]
-    report = linter.lint_paths(paths)
-    payload = report.as_dict()
-
-    def write_json(path: str, document: dict) -> None:
-        parent = os.path.dirname(os.path.abspath(path))
-        os.makedirs(parent, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(json.dumps(document, sort_keys=True, indent=2) + "\n")
-
-    if args.output:
-        write_json(args.output, payload)
-    if args.sarif:
-        from repro.lint.sarif import sarif_report
-
-        write_json(args.sarif, sarif_report(report))
-
-    if args.json:
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        print(_render_text(report))
+    report = Linter().lint_paths(args.paths)
+    for finding in report.findings:
+        print(finding.render())
+    print(f"{len(report.findings)} finding(s) in {report.n_files} file(s)"
+          if report.findings
+          else f"ok: {report.n_files} file(s) clean")
     return 0 if report.ok else 1
 
 

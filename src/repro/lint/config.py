@@ -1,31 +1,19 @@
 """Per-directory rule policies: which rules apply where, and why.
 
-The default is maximal: every checkable rule plus ``unused-suppression``
-applies to any path no policy matches (so seeding a violation into a
-scratch file anywhere fails the lint).  Policies then *subtract* rules
-for directories whose job makes a rule wrong, each with a recorded
-reason — policy lives here, in code review's view, not in scattered
-inline exemptions:
+The default is maximal: every rule applies to any path no policy matches
+(so seeding a violation into a scratch file anywhere fails the lint).
+Policies then *subtract* rules for directories whose job makes a rule
+wrong, each with a recorded reason.  They are the only exemption
+mechanism; there are no inline waivers.
 
 - ``src/repro/obs`` may read the wall clock: it *owns* the clock
   (``repro.obs.clock``), and keeping every other directory wallclock-free
-  is exactly what makes metrics provably out-of-band.
-- ``benchmarks`` gets **no** timing exemption — this is the recorded
-  benchmarks-directory policy: benchmark wall time is measured through
-  ``repro.obs.clock`` like library code, so BENCH JSON artifacts stay
-  comparable and the timing primitive stays singular.  (Before this
-  package, ``bench_decoder_throughput.py`` used ``time.perf_counter``
-  under an ad-hoc grep exclusion.)
+  is exactly what makes metrics provably out-of-band.  ``benchmarks`` and
+  ``examples`` get no policy: they time through ``repro.obs.clock`` like
+  library code.
 - ``tests`` may time and use ad-hoc randomness locally: the suite
   *asserts* library determinism, it does not need to be deterministic
-  itself (hypothesis, timing-tolerance checks).  ``kernel-dtype-flow``
-  is also off here: the equivalence tests (``test_backend.py`` — a
-  ``*_backend`` stem) recompute reference costs with straight-line
-  complex numpy on purpose, to check the kernels *against* the
-  convenient formulation the rule bans inside kernels.
-- ``examples`` runs single-process by design (the README quickstarts);
-  ``fork-fence-safety`` reasons about multiprocessing workers and has
-  nothing true to say about code that never forks.
+  itself (hypothesis, timing-tolerance checks).
 - ``tests/lint_fixtures`` is the deliberate-violation corpus; it is
   linted only with explicit rule sets by ``tests/test_lint.py``.
 """
@@ -33,11 +21,11 @@ inline exemptions:
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.lint.rules import checkable_rule_ids
+from repro.lint.rules import RULES
 
-__all__ = ["DEFAULT_CONFIG", "LintConfig", "Policy", "rules_for"]
+__all__ = ["POLICIES", "Policy", "rules_for"]
 
 
 @dataclass(frozen=True)
@@ -53,43 +41,8 @@ class Policy:
             self.prefix + "/")
 
 
-@dataclass(frozen=True)
-class LintConfig:
-    """Ordered policies; the longest matching prefix wins."""
-
-    policies: tuple[Policy, ...] = ()
-    base_disable: frozenset[str] = field(default_factory=frozenset)
-
-    def policy_for(self, rel_path: str) -> Policy | None:
-        rel = rel_path.replace(os.sep, "/")
-        while rel.startswith("./"):
-            rel = rel[2:]
-        best: Policy | None = None
-        for policy in self.policies:
-            if policy.matches(rel) and (
-                    best is None or len(policy.prefix) > len(best.prefix)):
-                best = policy
-        return best
-
-    def rules_for(self, rel_path: str) -> frozenset[str]:
-        policy = self.policy_for(rel_path)
-        disable = policy.disable if policy is not None else self.base_disable
-        return (checkable_rule_ids() | {"unused-suppression"}) - disable
-
-
-DEFAULT_CONFIG = LintConfig(policies=(
-    Policy(
-        prefix="src/repro/backend",
-        disable=frozenset(),
-        note=("backend kernels are the bit-exactness contract itself: "
-              "every rule applies in full from day one — timing goes "
-              "through repro.obs.clock, widths are explicit, and any "
-              "nondeterminism here would silently break the "
-              "cross-backend equivalence matrix; the contract rules "
-              "(backend-parity, kernel-dtype-flow, fork-fence-safety) "
-              "were written for this directory and are likewise "
-              "undiluted"),
-    ),
+#: The policies; for a path several match, the longest prefix wins.
+POLICIES: tuple[Policy, ...] = (
     Policy(
         prefix="src/repro/obs",
         disable=frozenset({"no-wallclock"}),
@@ -98,47 +51,30 @@ DEFAULT_CONFIG = LintConfig(policies=(
               "everywhere else"),
     ),
     Policy(
-        prefix="benchmarks",
-        disable=frozenset(),
-        note=("benchmarks-directory policy: wall time is measured through "
-              "repro.obs.clock like library code — a recorded policy, not "
-              "an ad-hoc exemption; BENCH JSON stays comparable across "
-              "hosts and the timing primitive stays singular"),
-    ),
-    Policy(
-        prefix="examples",
-        disable=frozenset({"fork-fence-safety"}),
-        note=("examples are library clients and follow library rules; "
-              "fork-fence-safety is off because the quickstarts are "
-              "single-process by design — the rule reasons about "
-              "multiprocessing worker reachability and would only ever "
-              "fire here on a false pattern match"),
-    ),
-    Policy(
         prefix="tests",
         disable=frozenset({
-            "no-wallclock", "no-unseeded-rng",
-            "no-float-env-drift", "canonical-serialization",
-            "kernel-dtype-flow",
+            "no-wallclock", "no-unseeded-rng", "canonical-serialization",
         }),
-        note=("tests assert library determinism but may time, randomize, "
-              "and build loose-dtype fixtures locally — including "
-              "deliberately non-canonical store files (the quarantine "
-              "tests) that the serialization rule would flag; "
-              "kernel-dtype-flow is off because the backend equivalence "
-              "suite (test_backend.py, a *_backend stem) deliberately "
-              "recomputes kernel outputs with the convenient complex "
-              "formulation to check the decomposed kernels against it"),
+        note=("tests assert library determinism but may time and "
+              "randomize locally, and write deliberately non-canonical "
+              "store files (the quarantine tests) that the serialization "
+              "rule would flag"),
     ),
     Policy(
         prefix="tests/lint_fixtures",
-        disable=checkable_rule_ids() | frozenset({"unused-suppression"}),
+        disable=frozenset(RULES),
         note=("deliberate-violation corpus, linted with explicit rule "
               "sets by tests/test_lint.py"),
     ),
-))
+)
 
 
 def rules_for(rel_path: str) -> frozenset[str]:
-    """Enabled rules for a repo-relative path under the default config."""
-    return DEFAULT_CONFIG.rules_for(rel_path)
+    """Enabled rules for a repo-relative path: every rule, minus those the
+    longest matching policy disables."""
+    rel = rel_path.replace(os.sep, "/")
+    matching = [policy for policy in POLICIES if policy.matches(rel)]
+    if not matching:
+        return frozenset(RULES)
+    longest = max(matching, key=lambda policy: len(policy.prefix))
+    return frozenset(RULES) - longest.disable

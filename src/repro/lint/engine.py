@@ -1,4 +1,4 @@
-"""Rule engine: parse once, resolve imports, run rules, apply suppressions.
+"""Rule engine: parse once, resolve imports, run the enabled rules.
 
 The engine gives every rule the same three ingredients so each rule stays
 a ~20-line check instead of its own mini-parser:
@@ -9,42 +9,27 @@ a ~20-line check instead of its own mini-parser:
   ``from time import perf_counter as pc; pc()`` and
   ``from datetime import datetime; datetime.now()`` all resolve to the
   ``time.*`` / ``datetime.*`` names a rule matches on — the aliased forms
-  the old CI ``grep`` was blind to.
+  a ``grep`` is blind to.
 - **Bound-name awareness.**  ``ModuleContext.bound_names`` holds every
   name the module ever binds (assignments, parameters, imports, defs), so
-  a rule matching a builtin (``hash``, ``sum``) can stand down when the
+  a rule matching a builtin (``hash``, ``sorted``) can stand down when the
   module shadows it.
 - **Parent links.**  ``ModuleContext.parent`` lets a rule look outward
   (is this ``os.listdir`` call wrapped in ``sorted(...)``?) without
   threading state through a visitor.
 
-Suppressions are per-line comments — ``# repro: disable=rule-a,rule-b`` —
-and must actually suppress something: a disable comment whose named rule
-produced no finding on that line (or is not enabled for that directory)
-is itself reported as ``unused-suppression``, so stale exemptions cannot
-accumulate.
+There are no inline suppressions: the per-directory policies in
+:mod:`repro.lint.config` are the only exemption mechanism.
 """
 
 from __future__ import annotations
 
 import ast
-import io
 import os
-import re
-import tokenize
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.lint.config import LintConfig
-    from repro.lint.contracts.modgraph import ModuleGraph
+from typing import Iterable, Iterator
 
 __all__ = ["Finding", "Linter", "LintReport", "ModuleContext", "Rule"]
-
-#: Schema version of the JSON report (bump on incompatible change).
-REPORT_VERSION = 1
-
-_SUPPRESS_RE = re.compile(r"#\s*repro:\s*disable=([A-Za-z0-9_,\- ]+)")
 
 #: Directory names never descended into when expanding path arguments.
 _SKIP_DIRS = {"__pycache__", ".git", ".ruff_cache", "bench_results", ".venv"}
@@ -61,16 +46,6 @@ class Finding:
     message: str
     hint: str | None = None
 
-    def as_dict(self) -> dict:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "hint": self.hint,
-        }
-
     def render(self) -> str:
         text = f"{self.path}:{self.line}:{self.col}: [{self.rule}] {self.message}"
         if self.hint:
@@ -79,42 +54,15 @@ class Finding:
 
 
 class Rule:
-    """Base class: subclasses set ``id``/``description``/``hint``.
-
-    A rule may implement either or both analysis scopes:
-
-    - ``run(ctx)`` — the per-file scope of the six PR-7 rules: one
-      :class:`ModuleContext`, findings about that module alone;
-    - ``run_graph(graph)`` — the cross-file scope of the contract rules:
-      one :class:`~repro.lint.contracts.modgraph.ModuleGraph` over every
-      linted file, findings anchored to whichever file exhibits the
-      contract violation.  Set ``cross_file = True`` so ``--list-rules``
-      can say which rules need the whole tree to be meaningful.
-
-    Both scopes share the suppression machinery: a graph finding on a
-    line is waived by the same ``# repro: disable=<rule-id>`` comment a
-    file finding would be, with identical unused-suppression accounting.
-    """
+    """Base class: subclasses set ``id``/``description``/``hint`` and
+    implement ``run(ctx)``, yielding findings about that one module."""
 
     id: str = ""
     description: str = ""
     hint: str | None = None
-    #: False for meta rules (``unused-suppression``, ``parse-error``) the
-    #: engine emits itself; they appear in ``RULES`` for documentation and
-    #: config but have no analysis of their own.
-    checkable: bool = True
-    #: True when ``run_graph`` carries (part of) the analysis, i.e. the
-    #: rule reasons across modules and is only complete under
-    #: ``lint_paths`` over the full tree.
-    cross_file: bool = False
 
     def run(self, ctx: "ModuleContext") -> Iterable["Finding"]:
-        """Per-file findings (default: none)."""
-        return ()
-
-    def run_graph(self, graph: "ModuleGraph") -> Iterable["Finding"]:
-        """Cross-file findings over the module graph (default: none)."""
-        return ()
+        raise NotImplementedError
 
     def finding(self, ctx: "ModuleContext", node: ast.AST, message: str,
                 hint: str | None = None) -> "Finding":
@@ -158,10 +106,11 @@ def _collect_aliases(tree: ast.Module) -> dict[str, str]:
 def _collect_bound_names(tree: ast.Module) -> frozenset[str]:
     """Every name the module binds anywhere (any scope).
 
-    Used to decide whether a bare builtin call (``hash``, ``sum``) could
-    refer to a local rebinding instead of the builtin.  Deliberately
-    scope-insensitive: one rebinding anywhere exempts the whole module,
-    which errs on the quiet side and stays trivially deterministic.
+    Used to decide whether a bare builtin call (``hash``, ``sorted``)
+    could refer to a local rebinding instead of the builtin.
+    Deliberately scope-insensitive: one rebinding anywhere exempts the
+    whole module, which errs on the quiet side and stays trivially
+    deterministic.
     """
     bound: set[str] = set()
     for node in ast.walk(tree):
@@ -192,11 +141,9 @@ def _collect_bound_names(tree: ast.Module) -> frozenset[str]:
 class ModuleContext:
     """Everything a rule needs about one parsed module."""
 
-    def __init__(self, path: str, tree: ast.Module, source: str):
+    def __init__(self, path: str, tree: ast.Module):
         self.path = path
         self.tree = tree
-        self.source = source
-        self.lines = source.splitlines()
         self.aliases = _collect_aliases(tree)
         self.bound_names = _collect_bound_names(tree)
         self._all_nodes = list(ast.walk(tree))
@@ -234,30 +181,6 @@ class ModuleContext:
         return self.resolve(call.func)
 
 
-def parse_suppressions(source: str) -> dict[int, frozenset[str]]:
-    """``line number -> rule ids`` named by ``# repro: disable=`` comments.
-
-    Tokenized, not regex-over-lines, so the marker only counts inside a
-    real comment — a docstring *describing* the syntax is not a
-    suppression.
-    """
-    out: dict[int, frozenset[str]] = {}
-    try:
-        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-            if tok.type != tokenize.COMMENT:
-                continue
-            m = _SUPPRESS_RE.search(tok.string)
-            if m:
-                names = frozenset(
-                    part.strip() for part in m.group(1).split(",")
-                    if part.strip())
-                if names:
-                    out[tok.start[0]] = names
-    except tokenize.TokenError:  # pragma: no cover - parse already failed
-        pass
-    return out
-
-
 @dataclass(frozen=True)
 class LintReport:
     """Outcome of linting a set of paths."""
@@ -268,14 +191,6 @@ class LintReport:
     @property
     def ok(self) -> bool:
         return not self.findings
-
-    def as_dict(self) -> dict:
-        return {
-            "version": REPORT_VERSION,
-            "n_files": self.n_files,
-            "n_findings": len(self.findings),
-            "findings": [f.as_dict() for f in self.findings],
-        }
 
 
 def iter_python_files(paths: Iterable[str]) -> list[str]:
@@ -295,147 +210,44 @@ def iter_python_files(paths: Iterable[str]) -> list[str]:
 
 
 class Linter:
-    """Run the configured rules over files, applying per-line suppressions.
+    """Run the rules over files.
 
     ``rules`` forces an explicit rule set (the fixture tests' mode);
-    ``None`` consults the per-directory policies in ``config`` for each
-    file, resolved against ``root`` (default: the current directory —
-    run from the repo root, as CI does).
+    ``None`` applies the per-directory policies of
+    :mod:`repro.lint.config` to each file's path relative to ``root``
+    (default: the current directory — run from the repo root).
     """
 
-    def __init__(
-        self,
-        rules: Iterable[str] | None = None,
-        config: "LintConfig | None" = None,
-        root: str | None = None,
-    ):
-        from repro.lint.config import DEFAULT_CONFIG
-        self.config = config if config is not None else DEFAULT_CONFIG
+    def __init__(self, rules: Iterable[str] | None = None,
+                 root: str | None = None):
         self.forced_rules = None if rules is None else frozenset(rules)
         self.root = os.path.abspath(root or os.getcwd())
 
-    def rules_for(self, path: str) -> frozenset[str]:
-        if self.forced_rules is not None:
-            return self.forced_rules
-        rel = os.path.relpath(os.path.abspath(path), self.root)
-        return self.config.rules_for(rel)
+    def lint_file(self, path: str) -> list[Finding]:
+        """Findings for one file, in line order."""
+        from repro.lint.config import rules_for
+        from repro.lint.rules import RULES
 
-    def _display_path(self, path: str) -> str:
         rel = os.path.relpath(os.path.abspath(path), self.root)
-        return path if rel.startswith("..") else rel
-
-    def _parse(self, path: str) -> tuple[str, str, "ModuleContext | None",
-                                         Finding | None]:
-        """Read and parse one file: (display, source, ctx, parse finding)."""
-        display = self._display_path(path)
+        enabled = (self.forced_rules if self.forced_rules is not None
+                   else rules_for(rel))
+        display = path if rel.startswith("..") else rel
         with open(path, encoding="utf-8") as f:
             source = f.read()
         try:
             tree = ast.parse(source, filename=path)
         except SyntaxError as exc:
-            return display, source, None, Finding(
-                "parse-error", display, exc.lineno or 1, exc.offset or 0,
-                f"file does not parse: {exc.msg}")
-        return display, source, ModuleContext(display, tree, source), None
-
-    def _finalize(self, display: str, source: str,
-                  enabled: frozenset[str],
-                  raw: list[Finding]) -> list[Finding]:
-        """Apply per-line suppressions and unused-suppression accounting.
-
-        One shared pass for file-scope and graph-scope findings, so a
-        ``# repro: disable`` naming a cross-file rule is honoured — and
-        audited — exactly like one naming a per-file rule.
-        """
-        from repro.lint.rules import RULES
-
-        suppressions = parse_suppressions(source)
-        kept: list[Finding] = []
-        used: set[tuple[int, str]] = set()
-        for finding in raw:
-            names = suppressions.get(finding.line, frozenset())
-            if finding.rule in names:
-                used.add((finding.line, finding.rule))
-            else:
-                kept.append(finding)
-
-        if "unused-suppression" in enabled:
-            for lineno in sorted(suppressions):
-                for name in sorted(suppressions[lineno]):
-                    if (lineno, name) in used:
-                        continue
-                    if name not in RULES:
-                        message = (f"suppression names unknown rule "
-                                   f"{name!r}")
-                    elif name not in enabled:
-                        message = (f"suppression for {name!r} is dead: the "
-                                   "rule is not enabled for this directory "
-                                   "(see repro.lint.config policies)")
-                    else:
-                        message = (f"suppression for {name!r} suppresses "
-                                   "nothing on this line")
-                    kept.append(Finding(
-                        "unused-suppression", display, lineno, 0, message,
-                        hint="remove the stale `# repro: disable` comment"))
-
-        return sorted(kept, key=lambda f: (f.line, f.col, f.rule))
-
-    def _lint(self, files: list[str]) -> LintReport:
-        """The full pipeline: parse all, file rules, graph rules, finalize.
-
-        Cross-file rules see a :class:`ModuleGraph` over every parseable
-        file in this invocation, so ``lint_paths`` over the tree gives
-        them the whole-repo view while ``lint_file`` degrades to a
-        single-module graph (enough for same-module contracts like fork
-        safety; the backend pair rules simply find no pair).
-        """
-        from repro.lint.contracts.modgraph import ModuleGraph
-        from repro.lint.rules import RULES
-
-        parsed: list[tuple[str, str, "ModuleContext | None",
-                           frozenset[str]]] = []
-        raw_by_file: dict[str, list[Finding]] = {}
-        for path in files:
-            enabled = self.rules_for(path)
-            display, source, ctx, parse_finding = self._parse(path)
-            parsed.append((display, source, ctx, enabled))
-            raw = raw_by_file.setdefault(display, [])
-            if parse_finding is not None:
-                raw.append(parse_finding)
-                continue
-            assert ctx is not None
-            for rule_id in sorted(enabled):
-                rule = RULES.get(rule_id)
-                if rule is not None and rule.checkable:
-                    raw.extend(rule.run(ctx))
-
-        enabled_for = {display: enabled
-                       for display, _, _, enabled in parsed}
-        enabled_union: frozenset[str] = frozenset().union(
-            *enabled_for.values()) if enabled_for else frozenset()
-        graph = ModuleGraph(
-            [ctx for _, _, ctx, _ in parsed if ctx is not None])
-        for rule_id in sorted(enabled_union):
-            rule = RULES.get(rule_id)
-            if rule is None or not (rule.checkable and rule.cross_file):
-                continue
-            for finding in rule.run_graph(graph):
-                if rule_id in enabled_for.get(finding.path, frozenset()):
-                    raw_by_file.setdefault(finding.path, []).append(finding)
-
-        findings: list[Finding] = []
-        for display, source, ctx, enabled in parsed:
-            raw = raw_by_file.get(display, [])
-            if ctx is None:
-                findings.extend(raw)  # parse error: nothing to suppress
-            else:
-                findings.extend(
-                    self._finalize(display, source, enabled, raw))
-        findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-        return LintReport(findings=tuple(findings), n_files=len(files))
-
-    def lint_file(self, path: str) -> list[Finding]:
-        return list(self._lint([path]).findings)
+            return [Finding("parse-error", display, exc.lineno or 1,
+                            exc.offset or 0,
+                            f"file does not parse: {exc.msg}")]
+        ctx = ModuleContext(display, tree)
+        findings = [finding
+                    for rule_id in sorted(enabled)
+                    for finding in RULES[rule_id].run(ctx)]
+        return sorted(findings, key=lambda f: (f.line, f.col, f.rule))
 
     def lint_paths(self, paths: Iterable[str]) -> LintReport:
-        return self._lint(iter_python_files(paths))
+        files = iter_python_files(paths)
+        findings = [finding for path in files
+                    for finding in self.lint_file(path)]
+        return LintReport(findings=tuple(findings), n_files=len(files))

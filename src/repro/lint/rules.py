@@ -8,9 +8,8 @@ call names, bound-name shadowing info, and parent links, so rules match
 semantics (``from time import perf_counter as pc; pc()``) instead of
 text.
 
-Which rules apply where is decided by :mod:`repro.lint.config`; a finding
-on one line can be waived with ``# repro: disable=<rule-id>`` — but only
-if it actually waives something (see ``unused-suppression``).
+Which rules apply where is decided by :mod:`repro.lint.config`; there is
+no per-line waiver.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from typing import Iterable
 
 from repro.lint.engine import Finding, ModuleContext, Rule
 
-__all__ = ["RULES", "Rule", "checkable_rule_ids"]
+__all__ = ["RULES", "Rule"]
 
 
 #: Wall-clock reads (aliased or not) that make output depend on run time.
@@ -279,91 +278,6 @@ class CanonicalSerialization(Rule):
                         "insertion order, not canonically")
 
 
-#: Builtin type names that, used as dtypes, hide the width behind the
-#: platform/interpreter default instead of naming it.  ``bool`` is absent:
-#: ``dtype=bool`` has exactly one width everywhere.
-_BARE_DTYPES = frozenset({"float", "int", "complex"})
-
-
-class NoFloatEnvDrift(Rule):
-    """Width-ambiguous dtypes and mixed accumulation in cost code.
-
-    Branch costs are compared across scalar/batch engines and across
-    machines; ``dtype=float`` reads as "whatever float means here" and
-    mixing ``math.fsum`` (exact) with builtin ``sum`` (left-fold) in one
-    module makes two code paths accumulate differently.
-    """
-
-    id = "no-float-env-drift"
-    description = ("bare builtin dtype (dtype=float / .astype(float)) or "
-                   "math.fsum-vs-sum mixing")
-    hint = ("name the width explicitly (np.float64) and pick one "
-            "accumulation primitive per module")
-
-    def run(self, ctx: ModuleContext) -> Iterable[Finding]:
-        for call in ctx.nodes(ast.Call):
-            for kw in call.keywords:
-                if (kw.arg == "dtype" and isinstance(kw.value, ast.Name)
-                        and kw.value.id in _BARE_DTYPES
-                        and kw.value.id not in ctx.bound_names):
-                    yield self.finding(
-                        ctx, kw.value,
-                        f"dtype={kw.value.id} leaves the width implicit; "
-                        f"spell it (np.float64-style)")
-            if (isinstance(call.func, ast.Attribute)
-                    and call.func.attr == "astype"
-                    and len(call.args) == 1
-                    and isinstance(call.args[0], ast.Name)
-                    and call.args[0].id in _BARE_DTYPES
-                    and call.args[0].id not in ctx.bound_names):
-                yield self.finding(
-                    ctx, call,
-                    f".astype({call.args[0].id}) leaves the width "
-                    f"implicit; spell it (np.float64-style)")
-
-        uses_fsum = any(
-            ctx.call_name(call) == "math.fsum"
-            for call in ctx.nodes(ast.Call))
-        if uses_fsum and "sum" not in ctx.bound_names:
-            for call in ctx.nodes(ast.Call):
-                if (isinstance(call.func, ast.Name)
-                        and call.func.id == "sum"):
-                    yield self.finding(
-                        ctx, call,
-                        "module mixes math.fsum and builtin sum: the two "
-                        "accumulate in different orders/precisions")
-
-
-class UnusedSuppression(Rule):
-    """Meta rule: a ``# repro: disable`` that waives nothing (engine-emitted)."""
-
-    id = "unused-suppression"
-    description = ("`# repro: disable=<rule>` comment that suppresses "
-                   "nothing (stale or misplaced)")
-    hint = "remove the stale `# repro: disable` comment"
-    checkable = False
-
-    def run(self, ctx: ModuleContext) -> Iterable[Finding]:  # pragma: no cover
-        return ()
-
-
-class ParseError(Rule):
-    """Meta rule: the file does not parse (engine-emitted)."""
-
-    id = "parse-error"
-    description = "file does not parse as Python"
-    hint = None
-    checkable = False
-
-    def run(self, ctx: ModuleContext) -> Iterable[Finding]:  # pragma: no cover
-        return ()
-
-
-# The cross-module contract rules live in their own subpackage (they need
-# the ModuleGraph infrastructure); imported here, at the bottom, so they
-# can subclass the same Rule base without a cycle.
-from repro.lint.contracts import CONTRACT_RULES  # noqa: E402
-
 RULES: dict[str, Rule] = {
     rule.id: rule
     for rule in (
@@ -372,14 +286,5 @@ RULES: dict[str, Rule] = {
         NoUnseededRng(),
         RngStreamDiscipline(),
         CanonicalSerialization(),
-        NoFloatEnvDrift(),
-        *CONTRACT_RULES,
-        UnusedSuppression(),
-        ParseError(),
     )
 }
-
-
-def checkable_rule_ids() -> frozenset[str]:
-    """The substantive rules (excludes the engine's meta rules)."""
-    return frozenset(r.id for r in RULES.values() if r.checkable)

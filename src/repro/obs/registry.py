@@ -23,7 +23,7 @@ that hold:
 All wall-clock reads in the repository go through this module's
 :data:`clock` (re-exported by :mod:`repro.obs`): the ``no-wallclock``
 rule in :mod:`repro.lint` flags ad-hoc ``time.time()`` / ``perf_counter``
-use outside ``obs/`` (enforced in CI), so timing can never leak into
+use outside ``obs/`` (enforced by the tier-1 suite), so timing can never leak into
 simulation logic.
 """
 

@@ -40,7 +40,8 @@ from repro.experiments import (
     spec_hash,
     z_score,
 )
-from repro.experiments.store import StoreQuarantineWarning
+from repro.experiments.orchestrator import _RUNNERS
+from repro.experiments.store import RECORD_FIELDS, StoreQuarantineWarning
 from repro.obs import OBS
 from repro.simulation.sweep import RatelessScheme
 
@@ -267,6 +268,25 @@ class TestStoreHardening:
         assert run.n_quarantined == 1
         assert run.n_computed == 1
         assert isinstance(run.rates()["tiny"][5.0], float)
+
+    @pytest.mark.parametrize("kind", sorted(RECORD_FIELDS))
+    def test_record_fields_are_what_the_runner_writes(self, kind):
+        points = {
+            "measure": tiny_measure_spec(n_points=1).points[0],
+            "ldpc_envelope": PointSpec(
+                series="ldpc", x=10.0, seed=6, kind="ldpc_envelope",
+                options={"n_blocks": 2, "iterations": 5}),
+            "link": tiny_link_point(),
+            "symbol_cdf": PointSpec(
+                series="cdf", x=12.0, seed=12, kind="symbol_cdf",
+                channel=ChannelSpec("awgn"), n_messages=2,
+                options={"n_bits": 16, "decoder": {"B": 4, "max_passes": 8}}),
+            "papr": PointSpec(
+                series="row", x=0.0, seed=8, kind="papr",
+                options={"constellation": "qam-4", "n_ofdm_symbols": 200}),
+        }
+        assert set(points) == set(RECORD_FIELDS) == set(_RUNNERS)
+        assert set(run_point(points[kind])) == RECORD_FIELDS[kind]
 
     def test_healthy_store_loads_without_warning(self, tmp_path):
         spec = tiny_measure_spec(n_points=1)

@@ -40,6 +40,7 @@ from repro.experiments import (
     z_score,
 )
 from repro.experiments.cli import main as cli_main
+from repro.experiments.store import StoreQuarantineWarning
 from repro.simulation.sweep import RatelessScheme
 from repro.utils.parallel import imap_jobs
 
@@ -152,6 +153,29 @@ class TestStore:
         resumed = run_experiment(spec, store=store, n_workers=1)
         assert resumed.n_cached == 2 and resumed.n_computed == 1
         assert dropped in resumed.results
+
+    def test_incomplete_record_is_dropped_and_recomputed(self, tmp_path):
+        """A record missing a field of its kind is not a cache hit: that
+        point alone is recomputed, and the drop is counted and warned."""
+        spec = tiny_spec(n_points=2)
+        store = ResultStore(str(tmp_path / "store"))
+        with _deadline(60):
+            run_experiment(spec, store=store, n_workers=1)
+            with open(store.path_for(spec), "rb") as f:
+                original = f.read()
+            points = store.load(spec)
+            edited = point_hash(spec.points[1])
+            del points[edited]["total_symbols"]
+            store.save(spec, points)
+
+            with pytest.warns(StoreQuarantineWarning,
+                              match="incomplete record.*total_symbols"):
+                rerun = run_experiment(spec, store=store, n_workers=1)
+        assert rerun.n_cached == 1 and rerun.n_computed == 1
+        assert rerun.computed_hashes == (edited,)
+        assert rerun.n_quarantined == 1
+        with open(store.path_for(spec), "rb") as f:
+            assert f.read() == original
 
     def test_discard(self, tmp_path):
         spec = tiny_spec(n_points=1)

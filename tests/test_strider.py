@@ -342,6 +342,31 @@ class TestStriderCodec:
         with pytest.raises(ValueError):
             StriderCodec(n_bits=100, n_layers=3)
 
+    # The coefficients drawn from coeff_seed=7 for eight passes, as
+    # (real, imag) float.hex literals compared exactly.  Both ends of a
+    # link rebuild them from the seed, so a draw that stops depending on
+    # coeff_seed alone (an unseeded or hash()-salted generator) must fail
+    # here even when decoding still succeeds.  One layer keeps every
+    # ladder power exactly 1: np.power's last bit depends on the CPU
+    # features numpy dispatches to, and the literals pin the draw alone.
+    _GOLDEN_COEFFS = [
+        ("-0x1.69d24a20e7831p-1", "-0x1.6a417a2591104p-1"),
+        ("0x1.98e29463baa10p-1", "-0x1.3426a32c70228p-1"),
+        ("0x1.4916ef5e86c7ep-3", "-0x1.f958bf16979dfp-1"),
+        ("0x1.3dbe8582bad95p-3", "0x1.f9ccde7c1bbd8p-1"),
+        ("-0x1.3d7363b36d395p-2", "0x1.e6c67e623c0dcp-1"),
+        ("0x1.66bbb34c4fda9p-1", "-0x1.6d50717d8bdbdp-1"),
+        ("0x1.ffb84764cd689p-1", "0x1.0ef72e8e5b8dep-5"),
+        ("0x1.bb22e7a64bc93p-2", "-0x1.cd9337bb22696p-1"),
+    ]
+
+    def test_coefficients_match_golden(self):
+        codec = StriderCodec(n_bits=16, n_layers=1, max_passes=8,
+                             coeff_seed=7)
+        assert codec.coeffs.shape == (8, 1)
+        assert [(z.real.hex(), z.imag.hex())
+                for z in codec.coeffs[:, 0].tolist()] == self._GOLDEN_COEFFS
+
 
 class TestStriderScheme:
     def test_high_snr_hits_two_pass_ceiling(self):
