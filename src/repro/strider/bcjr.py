@@ -4,7 +4,7 @@ Max-log (max instead of log-sum-exp) costs ~0.1 dB versus exact log-MAP
 and is what high-throughput turbo implementations use.
 
 The forward (alpha) and backward (beta) recursions are sequential in time
-but independent of each other, so one Python time loop runs both: step
+but independent of each other, so one time loop runs both: step
 ``t`` advances a stacked row ``[alpha[t] | beta[T - t]]`` of ``2 * S``
 state metrics to ``[alpha[t + 1] | beta[T - t - 1]]``.  Every RSC state
 has exactly two incoming and two outgoing branches (:class:`BcjrTrellis`
@@ -25,6 +25,13 @@ the LLRs.  The per-half normalisation subtracts each recursion's own
 maximum, exactly as the separate recursions did.  The final LLR
 extraction is vectorised over time.
 
+The time loop runs as one C function, ``bcjr_recursion`` in
+:mod:`repro.backend.ckernels`, which performs the same operations in the
+same order with numpy's NaN and tie choices, so its state metrics are
+bit-identical.  Where that kernel cannot be built, the numpy loop
+:func:`_numpy_recursion` runs instead; it is also the kernel's test
+oracle.  The gamma build, the slab and the posterior stay in numpy.
+
 LLR convention matches the rest of the library: positive favours bit 0.
 """
 
@@ -32,6 +39,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.backend import ckernels
 from repro.strider.rsc import RscCode
 
 __all__ = ["max_log_bcjr", "BcjrTrellis"]
@@ -47,7 +55,8 @@ def _two_per_state(states: np.ndarray, n_states: int, what: str) -> np.ndarray:
             f"BCJR needs exactly two {what} branches per state, got counts "
             f"{counts.tolist()}"
         )
-    return np.argsort(states, kind="stable").reshape(n_states, 2).T
+    return np.ascontiguousarray(
+        np.argsort(states, kind="stable").reshape(n_states, 2).T)
 
 
 class BcjrTrellis:
@@ -84,6 +93,36 @@ class BcjrTrellis:
         self.gather = np.concatenate(
             [self.from_state[self.in_branches],
              ns + self.to_state[self.out_branches]], axis=1)
+
+
+def _numpy_recursion(slab: np.ndarray, gather: np.ndarray,
+                     rows: np.ndarray) -> None:
+    """The fused recursion in numpy, filling ``rows[1:]`` from ``rows[0]``.
+
+    This is the reference the compiled ``bcjr_recursion`` of
+    :mod:`repro.backend.ckernels` must match bit for bit, and what runs
+    when that kernel cannot be built.
+    """
+    t_len = slab.shape[0]
+    ns = rows.shape[1] // 2
+    # Per-step views and out= buffers built once: the loop body is six
+    # numpy calls on 2S-element rows, so call overhead is the whole cost.
+    row_list = list(rows)
+    halves_list = list(rows.reshape(t_len + 1, 2, ns))
+    cand = np.empty(gather.shape)
+    cand0, cand1 = cand
+    floor = np.full(2 * ns, _NEG)
+    half_max = np.empty((2, 1))
+    take, add, maximum = np.take, np.add, np.maximum
+    for t, slab_t in enumerate(slab):
+        take(row_list[t], gather, out=cand, mode="clip")
+        add(cand, slab_t, out=cand)
+        nxt = row_list[t + 1]
+        maximum(cand0, cand1, out=nxt)
+        maximum(nxt, floor, out=nxt)
+        halves = halves_list[t + 1]  # normalise each recursion against drift
+        maximum.reduce(halves, axis=1, keepdims=True, out=half_max)
+        halves -= half_max
 
 
 def max_log_bcjr(
@@ -124,8 +163,9 @@ def max_log_bcjr(
 
     # slab[t]: the branch metrics added to gather(row t), laid out like it;
     # the beta half runs backwards in time
-    slab = np.concatenate([gamma[:, trellis.in_branches],
-                           gamma[::-1][:, trellis.out_branches]], axis=2)
+    slab = np.ascontiguousarray(np.concatenate(
+        [gamma[:, trellis.in_branches],
+         gamma[::-1][:, trellis.out_branches]], axis=2))
 
     # rows[t] = [alpha[t] | beta[T - t]]
     rows = np.empty((t_len + 1, 2 * ns))
@@ -135,25 +175,11 @@ def max_log_bcjr(
         rows[0, ns] = 0.0  # end in state 0
     else:
         rows[0, ns:] = 0.0
-    # Per-step views and out= buffers built once: the loop body is six
-    # numpy calls on 2S-element rows, so call overhead is the whole cost.
-    row_list = list(rows)
-    halves_list = list(rows.reshape(t_len + 1, 2, ns))
-    gather = trellis.gather
-    cand = np.empty(gather.shape)
-    cand0, cand1 = cand
-    floor = np.full(2 * ns, _NEG)
-    half_max = np.empty((2, 1))
-    take, add, maximum = np.take, np.add, np.maximum
-    for t, slab_t in enumerate(slab):
-        take(row_list[t], gather, out=cand, mode="clip")
-        add(cand, slab_t, out=cand)
-        nxt = row_list[t + 1]
-        maximum(cand0, cand1, out=nxt)
-        maximum(nxt, floor, out=nxt)
-        halves = halves_list[t + 1]  # normalise each recursion against drift
-        maximum.reduce(halves, axis=1, keepdims=True, out=half_max)
-        halves -= half_max
+    kernels = ckernels.load()
+    if kernels is None:
+        _numpy_recursion(slab, trellis.gather, rows)
+    else:
+        ckernels.bcjr_recursion(kernels, slab, trellis.gather, rows, _NEG)
 
     alpha = rows[:, :ns]
     beta = rows[::-1, ns:]

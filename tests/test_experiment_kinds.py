@@ -41,7 +41,11 @@ from repro.experiments import (
     z_score,
 )
 from repro.experiments.orchestrator import _RUNNERS
-from repro.experiments.store import RECORD_FIELDS, StoreQuarantineWarning
+from repro.experiments.store import (
+    RECORD_FIELDS,
+    StoreQuarantineWarning,
+    record_problems,
+)
 from repro.obs import OBS
 from repro.simulation.sweep import RatelessScheme
 
@@ -286,7 +290,26 @@ class TestStoreHardening:
                 options={"constellation": "qam-4", "n_ofdm_symbols": 200}),
         }
         assert set(points) == set(RECORD_FIELDS) == set(_RUNNERS)
-        assert set(run_point(points[kind])) == RECORD_FIELDS[kind]
+        # the JSON round trip is what load() sees
+        record = json.loads(json.dumps(run_point(points[kind])))
+        assert set(record) == set(RECORD_FIELDS[kind])
+        assert record_problems(kind, record) == ([], [])
+
+    @pytest.mark.parametrize("value, problem", [
+        ("oops", "rate is str, not number"),
+        (True, "rate is bool, not number"),
+        (None, "rate is NoneType, not number"),
+        ([1.0], "rate is list, not number"),
+    ])
+    def test_record_types_are_checked(self, value, problem):
+        record = json.loads(json.dumps(
+            run_point(tiny_measure_spec(n_points=1).points[0])))
+        record["rate"] = value
+        assert record_problems("measure", record) == ([], [problem])
+        record["total_symbols"] = 7.0
+        del record["label"]
+        assert record_problems("measure", record) == (
+            ["label"], [problem, "total_symbols is float, not int"])
 
     def test_healthy_store_loads_without_warning(self, tmp_path):
         spec = tiny_measure_spec(n_points=1)

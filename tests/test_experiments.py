@@ -177,6 +177,35 @@ class TestStore:
         with open(store.path_for(spec), "rb") as f:
             assert f.read() == original
 
+    @pytest.mark.parametrize("field, value", [
+        ("rate", "oops"), ("total_symbols", "7"), ("n_success", True),
+        ("rate", None)])
+    def test_mistyped_record_is_dropped_and_recomputed(self, tmp_path, field,
+                                                       value):
+        """A record whose field has the wrong JSON type is not a cache hit
+        either: served, a string rate crashed the report and a string
+        total_symbols passed silently."""
+        spec = tiny_spec(n_points=2)
+        store = ResultStore(str(tmp_path / "store"))
+        with _deadline(60):
+            run_experiment(spec, store=store, n_workers=1)
+            with open(store.path_for(spec), "rb") as f:
+                original = f.read()
+            points = store.load(spec)
+            edited = point_hash(spec.points[0])
+            points[edited][field] = value
+            store.save(spec, points)
+
+            with pytest.warns(StoreQuarantineWarning,
+                              match=f"mistyped record.*{field} is"):
+                rerun = run_experiment(spec, store=store, n_workers=1)
+            rerun.rates()
+        assert rerun.n_cached == 1 and rerun.n_computed == 1
+        assert rerun.computed_hashes == (edited,)
+        assert rerun.n_quarantined == 1
+        with open(store.path_for(spec), "rb") as f:
+            assert f.read() == original
+
     def test_discard(self, tmp_path):
         spec = tiny_spec(n_points=1)
         store = ResultStore(str(tmp_path / "store"))

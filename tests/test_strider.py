@@ -1,16 +1,18 @@
 """Tests for the Strider stack: RSC, BCJR, turbo, layered SIC."""
 
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.backend import ckernels
 from repro.channels.awgn import AWGNChannel
 from repro.modulation import QPSK, soft_demap
 from repro.simulation import measure_scheme
 from repro.strider import RscCode, StriderCodec, StriderScheme, TurboCodec
-from repro.strider.bcjr import _NEG, BcjrTrellis, max_log_bcjr
+from repro.strider.bcjr import _NEG, BcjrTrellis, _numpy_recursion, max_log_bcjr
 from repro.utils.bitops import random_message
 
 
@@ -128,6 +130,21 @@ def _maximum_at_bcjr(trellis, sys_llrs, parity_llrs, a_priori=None,
     return llr, llr - sys_llrs - a_priori
 
 
+def _paths():
+    """The recursions max_log_bcjr can run here: the numpy loop always,
+    the compiled kernel when it builds."""
+    return ("numpy", "compiled") if ckernels.load() is not None else ("numpy",)
+
+
+def _decode_on(path, *args, **kwargs):
+    """max_log_bcjr with its recursion on ``path``."""
+    if path == "numpy":
+        with mock.patch.object(ckernels, "load", lambda: None):
+            return max_log_bcjr(*args, **kwargs)
+    assert ckernels.load() is not None
+    return max_log_bcjr(*args, **kwargs)
+
+
 # A short seeded input and the outputs pinned from the maximum.at
 # recursion, as float.hex literals compared exactly.
 _GOLDEN_SYS = [-2.78, 0.714, -1.791, -1.107, -3.731, 2.51, 0.478, -0.799,
@@ -195,12 +212,13 @@ class TestBcjrGolden:
     def test_literal_vectors(self, terminated, with_apriori):
         trellis = BcjrTrellis(RscCode())
         a_priori = np.array(_GOLDEN_APRI) if with_apriori else None
-        llr, ext = max_log_bcjr(trellis, np.array(_GOLDEN_SYS),
-                                np.array(_GOLDEN_PAR), a_priori,
-                                terminated=terminated)
         want_llr, want_ext = _GOLDEN_OUT[terminated, with_apriori]
-        assert [x.hex() for x in llr.tolist()] == want_llr
-        assert [x.hex() for x in ext.tolist()] == want_ext
+        for path in _paths():
+            llr, ext = _decode_on(path, trellis, np.array(_GOLDEN_SYS),
+                                  np.array(_GOLDEN_PAR), a_priori,
+                                  terminated=terminated)
+            assert [x.hex() for x in llr.tolist()] == want_llr, path
+            assert [x.hex() for x in ext.tolist()] == want_ext, path
 
 
 class TestFusedBcjr:
@@ -219,11 +237,13 @@ class TestFusedBcjr:
         sys_llrs = scale * rng.normal(size=t_len)
         parity = scale * rng.normal(size=(2, t_len))
         a_priori = scale * rng.normal(size=t_len) if with_apriori else None
-        got = max_log_bcjr(trellis, sys_llrs, parity, a_priori, terminated)
         want = _maximum_at_bcjr(trellis, sys_llrs, parity, a_priori,
                                 terminated)
-        for g, w in zip(got, want):
-            assert g.tobytes() == w.tobytes()
+        for path in _paths():
+            got = _decode_on(path, trellis, sys_llrs, parity, a_priori,
+                             terminated)
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes(), path
 
     @pytest.mark.parametrize("scale", [1e30, 1e31])
     def test_floor_keeps_huge_metrics_exact(self, scale):
@@ -236,10 +256,11 @@ class TestFusedBcjr:
             args = (scale * rng.normal(size=40),
                     scale * rng.normal(size=(2, 40)),
                     scale * rng.normal(size=40))
-            got = max_log_bcjr(trellis, *args, terminated=terminated)
             want = _maximum_at_bcjr(trellis, *args, terminated=terminated)
-            for g, w in zip(got, want):
-                assert g.tobytes() == w.tobytes()
+            for path in _paths():
+                got = _decode_on(path, trellis, *args, terminated=terminated)
+                for g, w in zip(got, want):
+                    assert g.tobytes() == w.tobytes(), path
 
     def test_branches_per_state(self):
         trellis = BcjrTrellis(RscCode())
@@ -264,6 +285,153 @@ class TestFusedBcjr:
                                parity_out=np.zeros((2, 2, 2), dtype=np.int64))
         with pytest.raises(ValueError, match="incoming"):
             BcjrTrellis(code)
+
+
+_NAN = np.float64(np.nan)  # 0x7ff8000000000000, numpy's canonical NaN
+
+
+def _numpy_reduces_like_the_kernel():
+    """Whether numpy's ``maximum.reduce`` over an 8-state half picks NaN
+    payloads and signed zeros the way ``kernels.c`` does: a NaN first value
+    made canonical, then a left fold keeping the later of two ties.  That
+    is numpy's AVX-512 loop; its narrower SIMD loops reduce in another
+    order, and then only NaN-free, tie-free inputs compare bit for bit."""
+    probes = [([-_NAN, 1, 2, 3, 4, 5, 6, 7], _NAN),
+              ([1, -_NAN, _NAN, 3, 4, 5, 6, 7], -_NAN),
+              ([1, _NAN, -_NAN, 3, 4, 5, 6, 7], _NAN),
+              ([0.0, -0.0, -0.0, 0.0, -0.0, 0.0, 0.0, -0.0], -0.0),
+              ([-0.0, 0.0, -0.0, -0.0, 0.0, -0.0, -0.0, 0.0], 0.0)]
+    out = np.empty((1, 1))
+    for row, want in probes:
+        np.maximum.reduce(np.array([row]), axis=1, keepdims=True, out=out)
+        if out.tobytes() != np.float64(want).tobytes():
+            return False
+    return True
+
+
+class TestCompiledBcjr:
+    @given(
+        st.integers(0, 300),
+        st.sampled_from([0.1, 1.0, 100.0, 1e30]),
+        st.booleans(),
+        st.booleans(),
+        st.integers(0, 12),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_paths_agree_bit_for_bit_on_special_values(
+            self, t_len, scale, terminated, with_apriori, n_special, seed):
+        """±inf, NaN and ±0 in the LLRs reach every step of the recursion
+        (inf - inf makes NaNs with the other sign); the compiled kernel
+        must pick the same NaN payloads and zero signs as the numpy loop."""
+        if ckernels.load() is None:
+            pytest.skip("compiled kernels unavailable here")
+        if not _numpy_reduces_like_the_kernel():
+            pytest.skip("numpy's maximum.reduce orders NaN and zero ties "
+                        "differently on this CPU")
+        trellis = BcjrTrellis(RscCode())
+        rng = np.random.default_rng(seed)
+        sys_llrs = scale * rng.normal(size=t_len)
+        parity = scale * rng.normal(size=(2, t_len))
+        a_priori = scale * rng.normal(size=t_len) if with_apriori else None
+        inputs = [sys_llrs, parity] + ([a_priori] if with_apriori else [])
+        specials = [np.inf, -np.inf, _NAN, -_NAN, 0.0, -0.0]
+        for _ in range(n_special if t_len else 0):
+            flat = inputs[rng.integers(len(inputs))].reshape(-1)
+            flat[rng.integers(flat.size)] = specials[rng.integers(6)]
+        with np.errstate(invalid="ignore"):
+            got = _decode_on("compiled", trellis, sys_llrs, parity, a_priori,
+                             terminated)
+            want = _decode_on("numpy", trellis, sys_llrs, parity, a_priori,
+                              terminated)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+    @given(st.integers(0, 300), st.booleans(),
+           st.sampled_from([0.0, 0.001, 0.02]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_recursions_agree_bit_for_bit_on_ties_and_nans(
+            self, t_len, coarse, special_rate, seed):
+        """The recursion alone, on branch metrics that are small
+        non-positive integers (coarse: signed-zero ties at every step and
+        half maxima of ±0) or Gaussian, with ±inf and NaNs of both signs
+        sprinkled in at ``special_rate``.  Such ties rarely reach the LLRs,
+        so only the state metrics show the kernel's tie and NaN choices."""
+        if ckernels.load() is None:
+            pytest.skip("compiled kernels unavailable here")
+        if not _numpy_reduces_like_the_kernel():
+            pytest.skip("numpy's maximum.reduce orders NaN and zero ties "
+                        "differently on this CPU")
+        rng = np.random.default_rng(seed)
+        shape = (t_len + 1, 2, 16)
+        if coarse:
+            draws = rng.choice([0.0, -0.0, -1.0, -2.0], size=shape)
+        else:
+            draws = rng.normal(size=shape)
+        mask = rng.random(shape) < special_rate
+        draws[mask] = rng.choice([np.inf, -np.inf, _NAN, -_NAN],
+                                 size=int(mask.sum()))
+        slab = draws[1:].copy()
+        rows_c = np.empty((t_len + 1, 16))
+        rows_c[0] = draws[0, 0]
+        rows_np = rows_c.copy()
+        gather = BcjrTrellis(RscCode()).gather
+        with np.errstate(invalid="ignore"):
+            ckernels.bcjr_recursion(ckernels.load(), slab, gather, rows_c,
+                                    _NEG)
+            _numpy_recursion(slab, gather, rows_np)
+        assert rows_c.tobytes() == rows_np.tobytes()
+
+    @staticmethod
+    def _good_call(t_len=5, ns=8):
+        trellis = BcjrTrellis(RscCode())
+        slab = np.zeros((t_len, 2, 2 * ns))
+        rows = np.zeros((t_len + 1, 2 * ns))
+        return {"slab": slab, "gather": trellis.gather, "rows": rows}
+
+    @pytest.mark.parametrize("name, bad", [
+        ("slab", lambda a: a[:-1]),
+        ("slab", lambda a: a[:, :, :-2]),
+        ("slab", lambda a: a.astype(np.float32)),
+        ("slab", lambda a: np.asfortranarray(a)),
+        ("gather", lambda a: a[:, :-1]),
+        ("gather", lambda a: a.astype(np.int32)),
+        ("gather", lambda a: np.asfortranarray(a)),
+        ("gather", lambda a: a + 16),
+        ("gather", lambda a: a - 1),
+        ("rows", lambda a: a[:, :-1]),
+        ("rows", lambda a: a[::2]),
+        ("rows", lambda a: a[:0]),
+        ("rows", lambda a: np.zeros((6, 0))),
+        ("rows", lambda a: a.astype(np.float32)),
+        ("rows", lambda a: a.reshape(-1)),
+        ("rows", lambda a: np.lib.stride_tricks.as_strided(a, writeable=False)),
+        ("rows", lambda a: a.tolist()),
+    ])
+    def test_bad_calls_raise_before_reaching_c(self, name, bad):
+        def reached_c(*args):
+            raise AssertionError("a bad call reached the C kernel")
+
+        fake = SimpleNamespace(ffi=None, lib=SimpleNamespace(
+            bcjr_recursion=reached_c))
+        call = self._good_call()
+        call[name] = bad(call[name])
+        with pytest.raises(ValueError):
+            ckernels.bcjr_recursion(fake, call["slab"], call["gather"],
+                                    call["rows"], _NEG)
+
+    def test_good_call_matches_numpy_loop(self):
+        if ckernels.load() is None:
+            pytest.skip("compiled kernels unavailable here")
+        rng = np.random.default_rng(5)
+        call = self._good_call(t_len=40)
+        call["slab"][...] = rng.normal(size=call["slab"].shape)
+        rows_c, rows_np = call["rows"], call["rows"].copy()
+        rows_c[0] = rows_np[0] = rng.normal(size=16)
+        ckernels.bcjr_recursion(ckernels.load(), call["slab"], call["gather"],
+                                rows_c, _NEG)
+        _numpy_recursion(call["slab"], call["gather"], rows_np)
+        assert rows_c.tobytes() == rows_np.tobytes()
 
 
 class TestTurbo:
