@@ -46,8 +46,11 @@ _CDEF = """
 void bcjr_recursion(const double *slab, const int64_t *gather, double *rows,
                     int64_t t_len, int64_t n_states, double lowest);
 """
-#: Optimise, but never contract a*b+c into a fused multiply-add.
-_FLAGS = ("-O2", "-ffp-contract=off")
+#: Optimise, but never contract a*b+c into a fused multiply-add.  Extra
+#: arguments come last on the compiler's command line, so
+#: ``-fno-fast-math`` undoes a fast-math inherited from Python's own CFLAGS
+#: or the environment, which would fold the kernel's ``a != a`` NaN tests.
+_FLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math")
 
 _tried = False
 _module: ModuleType | None = None
@@ -137,26 +140,20 @@ def build_or_load(root: str) -> ModuleType:
         return _import(name, path)
 
 
-def _build_errors() -> tuple[type[Exception], ...]:
-    """What a missing cffi, compiler or cache directory raises."""
-    try:
-        from cffi import VerificationError
-    except ImportError:
-        return (ImportError, OSError)
-    return (ImportError, OSError, VerificationError)
-
-
 def load() -> ModuleType | None:
     """The compiled kernels, or ``None`` after one fallback warning.
 
-    The outcome is remembered for the life of the process.
+    The outcome is remembered for the life of the process.  Any failure
+    falls back: a missing cffi, compiler or cache directory raises
+    ``ImportError``, ``OSError`` or ``VerificationError``, but cffi without
+    setuptools or distutils raises a bare ``Exception``.
     """
     global _module, _tried
     if not _tried:
         _tried = True
         try:
             _module = build_or_load(CACHE_ROOT)
-        except _build_errors() as exc:
+        except Exception as exc:
             warnings.warn(
                 f"compiled kernels unavailable ({type(exc).__name__}: "
                 f"{exc}); running the numpy loops instead",

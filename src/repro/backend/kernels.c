@@ -3,8 +3,8 @@
  * Every function here must reproduce the numpy code it replaces bit for
  * bit, so only exact operations are allowed: float64 add, subtract and
  * max, and integer indexing.  No libm, no reassociation, no contraction
- * into fused multiply-adds (the build passes -ffp-contract=off and never
- * -ffast-math or -march=native).  Where numpy's choice among NaN payloads
+ * into fused multiply-adds (the build passes -ffp-contract=off and
+ * -fno-fast-math, never -march=native).  Where numpy's choice among NaN payloads
  * or signed zeros depends on operand order, the order is spelled out
  * below instead of being left to the compiler, which may commute an
  * addition.

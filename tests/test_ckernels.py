@@ -9,11 +9,9 @@ requires byte-identical store files.
 
 import os
 import shutil
-import signal
 import subprocess
 import sys
 import warnings
-from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -23,22 +21,10 @@ from repro.backend import BackendFallbackWarning, ckernels
 from repro.strider.bcjr import _NEG, BcjrTrellis, _numpy_recursion, max_log_bcjr
 from repro.strider.rsc import RscCode
 
+from deadline import deadline
+
 _SRC = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(ckernels.__file__))))
-
-
-@contextmanager
-def _deadline(seconds):
-    def timeout(signum, frame):
-        raise TimeoutError(f"still waiting after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, timeout)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def _bcjr_case(seed=11, t_len=60):
@@ -59,7 +45,7 @@ def test_failing_build_warns_once_and_falls_back(tmp_path, monkeypatch):
     monkeypatch.setattr(ckernels, "_tried", False)
     monkeypatch.setattr(ckernels, "_module", None)
     monkeypatch.setenv("CC", "/bin/false")
-    with _deadline(60), warnings.catch_warnings(record=True) as caught:
+    with deadline(60), warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         first = max_log_bcjr(*case)
         second = max_log_bcjr(*case)
@@ -72,10 +58,33 @@ def test_failing_build_warns_once_and_falls_back(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == [ckernels._module_name() + ".lock"]
 
 
+def test_any_build_error_falls_back(tmp_path, monkeypatch):
+    """cffi without setuptools or distutils raises a bare ``Exception``,
+    which must fall back like a missing compiler, not escape the decoder."""
+    def no_setuptools(*args):
+        raise Exception("This CFFI feature requires setuptools")
+
+    case = _bcjr_case()
+    want = max_log_bcjr(*case)
+    monkeypatch.setattr(ckernels, "CACHE_ROOT", str(tmp_path))
+    monkeypatch.setattr(ckernels, "_tried", False)
+    monkeypatch.setattr(ckernels, "_module", None)
+    monkeypatch.setattr(ckernels, "_build", no_setuptools)
+    with deadline(60), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        first = max_log_bcjr(*case)
+        second = max_log_bcjr(*case)
+    assert [w.category for w in caught] == [BackendFallbackWarning]
+    assert "requires setuptools" in str(caught[0].message)
+    for got in (first, second):
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+
 def test_truncated_cached_module_is_rebuilt(tmp_path):
     _require_compiler()
     good_root, bad_root = str(tmp_path / "good"), str(tmp_path / "bad")
-    with _deadline(120):
+    with deadline(120):
         ckernels.build_or_load(good_root)
         with open(ckernels.module_path(good_root), "rb") as f:
             image = f.read()
@@ -109,7 +118,7 @@ def test_two_processes_share_a_cold_cache(tmp_path):
         "print(ckernels.load().__file__)\n")
     env = {**os.environ, "PYTHONPATH": _SRC}
     root = str(tmp_path / "cache")
-    with _deadline(180):
+    with deadline(180):
         procs = [subprocess.Popen([sys.executable, "-c", script, root],
                                   env=env, stdout=subprocess.PIPE,
                                   stderr=subprocess.PIPE, text=True)
@@ -151,7 +160,7 @@ def test_store_bytes_match_on_both_recursions(tmp_path, monkeypatch):
 
     monkeypatch.setattr(ckernels, "bcjr_recursion", counted)
     files = {}
-    with _deadline(240):
+    with deadline(240):
         for path in ("compiled", "numpy"):
             store = ResultStore(str(tmp_path / path))
             with mock.patch.object(

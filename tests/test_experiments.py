@@ -16,7 +16,7 @@ import os
 import signal
 import time
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import closing, contextmanager
+from contextlib import closing
 
 import pytest
 
@@ -43,6 +43,8 @@ from repro.experiments.cli import main as cli_main
 from repro.experiments.store import StoreQuarantineWarning
 from repro.simulation.sweep import RatelessScheme
 from repro.utils.parallel import imap_jobs
+
+from deadline import deadline
 
 
 def tiny_point(x=10.0, seed=42, series="tiny", n_messages=2, **overrides):
@@ -159,7 +161,7 @@ class TestStore:
         point alone is recomputed, and the drop is counted and warned."""
         spec = tiny_spec(n_points=2)
         store = ResultStore(str(tmp_path / "store"))
-        with _deadline(60):
+        with deadline(60):
             run_experiment(spec, store=store, n_workers=1)
             with open(store.path_for(spec), "rb") as f:
                 original = f.read()
@@ -187,7 +189,7 @@ class TestStore:
         total_symbols passed silently."""
         spec = tiny_spec(n_points=2)
         store = ResultStore(str(tmp_path / "store"))
-        with _deadline(60):
+        with deadline(60):
             run_experiment(spec, store=store, n_workers=1)
             with open(store.path_for(spec), "rb") as f:
                 original = f.read()
@@ -276,21 +278,6 @@ class TestOrchestratorDeterminism:
 _TEST_PID = os.getpid()
 
 
-@contextmanager
-def _deadline(seconds):
-    """Fail instead of hanging: a lost worker used to block forever."""
-    def timeout(signum, frame):
-        raise TimeoutError(f"still waiting after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, timeout)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def _die_in_worker():
     # never in the test process itself, whatever the pool does inline
     if os.getpid() != _TEST_PID:
@@ -329,7 +316,7 @@ class _KillerScheme(DummyScheme):
 
 class TestWorkerLoss:
     def test_imap_jobs_raises_instead_of_hanging(self):
-        with _deadline(60), pytest.raises(BrokenProcessPool):
+        with deadline(60), pytest.raises(BrokenProcessPool):
             list(imap_jobs(_kill_on_three, list(range(6)), n_workers=2))
 
     def test_imap_jobs_keeps_job_order(self):
@@ -339,13 +326,13 @@ class TestWorkerLoss:
     def test_failed_job_stops_the_running_ones(self):
         # a pool that waited for the sleeping job would hit the deadline
         start = time.monotonic()
-        with _deadline(30), pytest.raises(ValueError, match="job -1"):
+        with deadline(30), pytest.raises(ValueError, match="job -1"):
             list(imap_jobs(_fail_or_sleep, [-1, 1], n_workers=2))
         assert time.monotonic() - start < 20
 
     def test_closing_early_stops_the_running_jobs(self):
         start = time.monotonic()
-        with _deadline(30):
+        with deadline(30):
             with closing(imap_jobs(_fail_or_sleep, [0, 1],
                                    n_workers=2)) as outcomes:
                 assert next(outcomes) == 0
@@ -366,7 +353,7 @@ class TestWorkerLoss:
                               profile="quick", points=points)
         store = ResultStore(str(tmp_path / "store"))
         open(marker, "w").close()
-        with _deadline(60), pytest.raises(BrokenProcessPool) as err:
+        with deadline(60), pytest.raises(BrokenProcessPool) as err:
             run_experiment(spec, store=store, n_workers=2)
         # the error names the first point whose result never came back;
         # every point before it was flushed, none after
@@ -381,7 +368,7 @@ class TestWorkerLoss:
         assert f"{lost}/4 points completed" in message
 
         os.remove(marker)
-        with _deadline(60):
+        with deadline(60):
             resumed = run_experiment(spec, store=store, n_workers=2)
         assert resumed.n_cached == lost
         assert resumed.n_computed == 4 - lost

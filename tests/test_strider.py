@@ -383,10 +383,10 @@ class TestCompiledBcjr:
         assert rows_c.tobytes() == rows_np.tobytes()
 
     @staticmethod
-    def _good_call(t_len=5, ns=8):
+    def _good_call():
         trellis = BcjrTrellis(RscCode())
-        slab = np.zeros((t_len, 2, 2 * ns))
-        rows = np.zeros((t_len + 1, 2 * ns))
+        slab = np.zeros((5, 2, 16))
+        rows = np.zeros((6, 16))
         return {"slab": slab, "gather": trellis.gather, "rows": rows}
 
     @pytest.mark.parametrize("name, bad", [
@@ -419,19 +419,6 @@ class TestCompiledBcjr:
         with pytest.raises(ValueError):
             ckernels.bcjr_recursion(fake, call["slab"], call["gather"],
                                     call["rows"], _NEG)
-
-    def test_good_call_matches_numpy_loop(self):
-        if ckernels.load() is None:
-            pytest.skip("compiled kernels unavailable here")
-        rng = np.random.default_rng(5)
-        call = self._good_call(t_len=40)
-        call["slab"][...] = rng.normal(size=call["slab"].shape)
-        rows_c, rows_np = call["rows"], call["rows"].copy()
-        rows_c[0] = rows_np[0] = rng.normal(size=16)
-        ckernels.bcjr_recursion(ckernels.load(), call["slab"], call["gather"],
-                                rows_c, _NEG)
-        _numpy_recursion(call["slab"], call["gather"], rows_np)
-        assert rows_c.tobytes() == rows_np.tobytes()
 
 
 class TestTurbo:
