@@ -64,33 +64,17 @@ def run_catalog(name: str):
     return report
 
 
-#: Append-only bench history shared with ``python -m repro.obs.perf``.
-HISTORY_DIR = os.path.join(RESULTS_DIR, "history")
-
-
 def write_json(name: str, payload) -> str:
     """Persist a machine-readable result file (``bench_results/<name>.json``).
 
     Keys are sorted so reruns of a deterministic experiment are
     byte-identical — the same canonical form the link batch runner uses
     (see :func:`repro.utils.results.write_canonical_json`).
-
-    ``BENCH_*`` payloads are additionally recorded into the append-only,
-    machine-fingerprinted bench history (``bench_results/history/``) that
-    ``python -m repro.obs.perf compare`` gates against — every bench run
-    extends the performance trajectory for free.
     """
     path = write_canonical_json(
         os.path.join(RESULTS_DIR, f"{name}.json"), payload
     )
     print(f"[json] {path}")
-    if name.startswith("BENCH_"):
-        from repro.obs.perf import record_bench, suite_from_filename
-        suite = suite_from_filename(path)
-        record_bench(suite, payload, HISTORY_DIR,
-                     source=os.path.basename(path))
-        print(f"[perf] recorded {suite} into {HISTORY_DIR}",
-              file=sys.stderr)
     return path
 
 

@@ -14,13 +14,10 @@ and the same pair on Rayleigh block fading with full CSI at the receiver
 
 Both runs produce the *same* :class:`RateMeasurement` (asserted), so this
 is a pure speed comparison.  Writes
-``bench_results/BENCH_decoder_throughput.json``
-including the speedups and records it into the bench history
-(``bench_results/history/``); regression gating lives in
-``python -m repro.obs.perf compare`` — noise-aware thresholds against
-the committed baselines replaced the old hand-tuned ``--min-speedup`` /
-``--min-fading-speedup`` flags, so CI runs ``--quick`` here and gates in
-a separate step.
+``bench_results/BENCH_decoder_throughput.json`` including the speedups,
+and exits 1 if a speedup falls below its floor (the constants below).
+The speedups are ratios of two timings on one host, so the floors hold on
+any machine.
 """
 
 import argparse
@@ -33,6 +30,14 @@ from repro.obs import clock
 from repro.simulation import SpinalScheme, measure_scheme
 
 from _common import write_json
+
+#: Speedup floors; a run exits 1 below one.  The batch floors are 40% of
+#: the first recorded speedups (3.386x AWGN, 3.878x fading), headroom for
+#: slower CI runners.
+MIN_SPEEDUP_BATCH_VS_SCALAR = 1.3544
+MIN_FADING_SPEEDUP_BATCH_VS_SCALAR = 1.5512
+#: ``--backend numba``: batched cohorts on numba over the same on numpy.
+MIN_BACKEND_SPEEDUP_BATCH_VS_NUMPY = 3.0
 
 
 def _timed(fn):
@@ -122,8 +127,8 @@ def run_backend_compare(quick: bool, backend: str) -> dict:
     identical seeding and asserts the measurements are equal — the
     cross-backend bit-exactness contract at full-pipeline scale — then
     reports the wall-time ratio as ``backend_speedup_batch_vs_numpy``
-    (machine-free, gated against the ``decoder_throughput_numba``
-    baseline by ``repro.obs.perf compare``).
+    (machine-free; :func:`main` fails below
+    :data:`MIN_BACKEND_SPEEDUP_BATCH_VS_NUMPY`).
     """
     n_messages = 48 if quick else 192
     batch_size = 48
@@ -183,6 +188,15 @@ def run_backend_compare(quick: bool, backend: str) -> dict:
     }
 
 
+def _missed_floors(payload: dict, floors: dict[str, float]) -> bool:
+    """Print every speedup below its floor; True if there was one."""
+    missed = [key for key, floor in floors.items() if payload[key] < floor]
+    for key in missed:
+        print(f"FAIL: {key} {payload[key]}x is below its floor "
+              f"{floors[key]}x", file=sys.stderr)
+    return bool(missed)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--quick", action="store_true",
@@ -201,6 +215,9 @@ def main(argv=None) -> int:
         for key, value in payload.items():
             print(f"{key}: {value}")
         write_json("BENCH_decoder_throughput_numba", payload)
+        if _missed_floors(payload, {"backend_speedup_batch_vs_numpy":
+                                    MIN_BACKEND_SPEEDUP_BATCH_VS_NUMPY}):
+            return 1
         print(f"ok: {resolved} batch path "
               f"{payload['backend_speedup_batch_vs_numpy']}x over numpy "
               f"(fading "
@@ -218,10 +235,11 @@ def main(argv=None) -> int:
     for key, value in payload.items():
         print(f"{key}: {value}")
     write_json("BENCH_decoder_throughput", payload)
-
-    # Regression gating moved to `python -m repro.obs.perf compare`:
-    # write_json recorded this run into the bench history, which the gate
-    # judges against the committed baselines with noise-aware thresholds.
+    if _missed_floors(payload, {
+            "speedup_batch_vs_scalar": MIN_SPEEDUP_BATCH_VS_SCALAR,
+            "fading_speedup_batch_vs_scalar":
+                MIN_FADING_SPEEDUP_BATCH_VS_SCALAR}):
+        return 1
     print(f"ok: batch path {payload['speedup_batch_vs_scalar']}x over "
           f"one message at a time, fading batch "
           f"{payload['fading_speedup_batch_vs_scalar']}x")

@@ -28,10 +28,10 @@ once.
 Run with ``pytest benchmarks/bench_kernels.py``; a session teardown writes
 ``bench_results/BENCH_kernels.json`` (mean/stddev/rounds per kernel) and,
 when both backends ran, ``bench_results/BENCH_kernels_backend.json`` with
-per-kernel numpy/numba timing pairs and their machine-free speedup ratios
-— the numbers ``repro.obs.perf compare`` gates against the committed
-``kernels_backend`` baseline.  Not collected by the tier-1 suite
-(``testpaths = ["tests"]``).
+per-kernel numpy/numba timing pairs and their machine-free speedup ratios.
+The teardown then fails if numba's hash speedup on the flat beam or cohort
+shape is below :data:`MIN_NUMBA_HASH_SPEEDUP`.  Not collected by the
+tier-1 suite (``testpaths = ["tests"]``).
 """
 
 import numpy as np
@@ -58,6 +58,10 @@ CONFIGS = {
     "awgn_k4_c6": (SpinalParams(), 32, 8.0),
     "bsc_k4": (SpinalParams.bsc(), 32, 0.05),
 }
+
+#: numba over numpy on ``hash.<name>/<BEAM or COHORT>``; the session
+#: teardown fails below it.
+MIN_NUMBA_HASH_SPEEDUP = 5.0
 
 BACKENDS = [
     pytest.param("numpy", id="numpy"),
@@ -103,6 +107,13 @@ def kernel_records():
         "suite": "kernels_backend",
         "pairs": sorted(pairs, key=lambda p: (p["group"], p["name"])),
     })
+    # the flat shapes only: "lookup3/4096" is gated, "lookup3/8x4096" not
+    slow = [f"{p['name']} {p['speedup']:.2f}x" for p in pairs
+            if p["group"] == "hash"
+            and p["name"].endswith((f"/{BEAM}", f"/{COHORT}"))
+            and p["speedup"] < MIN_NUMBA_HASH_SPEEDUP]
+    assert not slow, (f"numba hash speedup below "
+                      f"{MIN_NUMBA_HASH_SPEEDUP}x: {slow}")
 
 
 def _record(kernel_records, benchmark, group, name, **meta):

@@ -6,7 +6,8 @@ table lookups, their sum and the reduction as separate traversals.  This
 backend fuses each family into a single ``@njit`` scalar loop — one pass
 over the candidate states, hash and distance computed per element in
 registers — which is where the ≥5x ``kernel.hash`` / ≥3x cohort-decode
-targets gated by ``repro.obs.perf compare`` come from.
+floors checked by ``benchmarks/bench_kernels.py`` and
+``benchmarks/bench_decoder_throughput.py --backend numba`` come from.
 
 Bit-identical output is the contract (see :mod:`repro.backend.base`):
 

@@ -836,12 +836,6 @@ def _report_link_goodput(run: ExperimentRun, results_dir: str) -> dict:
     path = write_canonical_json(
         os.path.join(results_dir, "BENCH_link_goodput.json"), payload)
     print(f"[json] {path}")
-    # record the (deterministic) goodput metrics into the bench history so
-    # the perf CLI tracks the link trajectory alongside the timed suites
-    from repro.obs.perf import record_bench
-    record_bench("link_goodput", payload,
-                 os.path.join(results_dir, "history"),
-                 source="BENCH_link_goodput.json")
     return {"snrs": snrs, "reference": reference,
             "oracle": oracle, "framed": framed, "delayed": delayed}
 

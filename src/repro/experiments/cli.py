@@ -160,7 +160,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             OBS.disable()
             OBS.reset()
     if args.trace_out is not None:
-        from repro.obs.perf.trace import export_trace
+        from repro.obs.trace import export_trace
         info = export_trace(jsonl_path, args.trace_out)
         print(f"[trace] {info['path']} ({info['n_slices']} slices, "
               f"{info['n_lanes']} lane(s)); open at https://ui.perfetto.dev")

@@ -14,8 +14,7 @@ make that checkable without running a single simulation:
   makes of a synthetic run whose records derive deterministically from
   each point's hash: the sha256 of stdout (results directory replaced by
   ``<results>``), of every CSV/JSON artifact, and of a typed dump of the
-  returned dict.  ``history/`` is left out because its records carry
-  timestamps.
+  returned dict.
 
 Digests are truncated to 16 hex characters.  They were captured once and
 must never be re-captured to make a refactor pass.
@@ -128,8 +127,7 @@ def report_digests(name: str, profile: str, results_dir: str,
     out = capsys.readouterr().out.replace(results_dir, "<results>")
     digests = {"stdout": _sha(out),
                "return": _sha(json.dumps(_typed(returned)))}
-    for root, dirs, files in os.walk(results_dir):
-        dirs[:] = [d for d in dirs if d != "history"]
+    for root, _, files in os.walk(results_dir):
         for fname in files:
             path = os.path.join(root, fname)
             rel = os.path.relpath(path, results_dir)

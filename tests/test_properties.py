@@ -3,18 +3,23 @@
 These sweep parameter combinations the fixed-value unit tests don't:
 arbitrary (k, c, puncturing, tail) configurations must keep the
 encoder/decoder pair consistent, the transmission plan collision-free,
-and the noiseless channel invertible.
+and the noiseless channel invertible; arbitrary flow mixes must keep the
+link scheduler's symbol accounting exact and let it terminate.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.channels import AWGNChannel
 from repro.core.decoder import BubbleDecoder
 from repro.core.encoder import SpinalEncoder
 from repro.core.params import DecoderParams, SpinalParams
 from repro.core.puncturing import make_schedule, transmission_plan
 from repro.core.symbols import ReceivedSymbols
+from repro.link import Flow, LinkConfig, LinkScheduler
 from repro.utils.bitops import random_message
+
+from deadline import deadline
 
 configs = st.fixed_dictionaries({
     "k": st.integers(1, 6),
@@ -114,3 +119,36 @@ def test_path_cost_monotone_in_noise(b_exp, seed):
     store_noisy.add_block(block.spine_indices, block.slots, noisy)
     dec = BubbleDecoder(params, DecoderParams(B=2**b_exp), 32)
     assert dec.decode(store_clean).path_cost <= dec.decode(store_noisy).path_cost + 1e-9
+
+
+link_flows = st.lists(
+    st.tuples(st.lists(st.binary(min_size=1, max_size=48),
+                       min_size=1, max_size=3),
+              st.integers(0, 2)),
+    min_size=1, max_size=3)
+
+
+@given(link_flows, st.sampled_from(LinkScheduler.POLICIES),
+       st.integers(0, 32), st.sampled_from([3.0, 10.0, 18.0]),
+       st.integers(0, 2**16))
+@settings(max_examples=8, deadline=None, derandomize=True)
+def test_link_scheduler_conserves_symbols_and_terminates(
+        flows, policy, feedback_delay, snr_db, seed):
+    """Any flow mix, policy and feedback delay drains every backlog: one
+    result per offered payload, per-flow symbols summing to the channel
+    total, and a clock no shorter than the symbols it carried."""
+    cfg = LinkConfig(max_block_bits=256, feedback_delay=feedback_delay)
+    # max_passes=3 gives up at 3 dB, so give-ups are accounted too
+    dec = DecoderParams(B=16, max_passes=3)
+    scheduler = LinkScheduler(
+        AWGNChannel(snr_db, rng=seed),
+        [Flow(f"f{i}", SpinalParams(), dec, payloads, cfg, priority=priority)
+         for i, (payloads, priority) in enumerate(flows)],
+        policy=policy)
+    with deadline(60):
+        report = scheduler.run()
+    assert report.conservation_ok()
+    assert report.channel_time >= report.channel_symbols
+    for (payloads, _), stats in zip(flows, report.flows):
+        assert sorted(r.seq for r in stats.results) == list(
+            range(len(payloads)))
