@@ -18,27 +18,32 @@ kernel, not just "decode got slower":
 - ``select``: :func:`repro.core.decoder.select_beams` (argpartition
   subtree pruning) on one message's row and on a 16-message cohort.
 
-The hash and branch-cost benchmarks run once per available backend
-(:mod:`repro.backend`): numpy always, numba when installed.  numpy records
-keep their historical names (so the committed ``kernels`` baseline stays
-comparable); numba records get an ``@numba`` name suffix plus a
-``backend`` field.  Selection is backend-shared by contract and measured
-once.
+The hash and branch-cost benchmarks run once per available kernel set:
+``numpy``, the default backend (:mod:`repro.backend`) with its compiled
+kernels hidden so it runs its numpy bodies, always; ``compiled``, the
+default backend on the C kernels of :mod:`repro.backend.ckernels`, when
+they build; ``numba`` when installed.  numpy records keep their historical
+names; the others get an ``@compiled`` or ``@numba`` name suffix, and
+every record a ``backend`` field.  Selection is backend-shared by contract
+and measured once.
 
 Run with ``pytest benchmarks/bench_kernels.py``; a session teardown writes
 ``bench_results/BENCH_kernels.json`` (mean/stddev/rounds per kernel) and,
 when both backends ran, ``bench_results/BENCH_kernels_backend.json`` with
 per-kernel numpy/numba timing pairs and their machine-free speedup ratios.
-The teardown then fails if numba's hash speedup on the flat beam or cohort
-shape is below :data:`MIN_NUMBA_HASH_SPEEDUP`.  Not collected by the
-tier-1 suite (``testpaths = ["tests"]``).
+The teardown then fails if numba's hash speedup over the numpy loops on
+the flat beam or cohort shape is below :data:`MIN_NUMBA_HASH_SPEEDUP`.
+Not collected by the tier-1 suite (``testpaths = ["tests"]``).
 """
+
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from _common import write_json
-from repro.backend import use_backend
+from repro.backend import ckernels, use_backend
 from repro.backend.numba_backend import NUMBA_AVAILABLE
 from repro.channels import AWGNChannel, BSCChannel
 from repro.core.decoder import BubbleDecoder, select_beams
@@ -65,9 +70,27 @@ MIN_NUMBA_HASH_SPEEDUP = 5.0
 
 BACKENDS = [
     pytest.param("numpy", id="numpy"),
+    pytest.param("compiled", id="compiled"),
     pytest.param("numba", id="numba", marks=pytest.mark.skipif(
         not NUMBA_AVAILABLE, reason="numba not installed")),
 ]
+
+
+@contextmanager
+def _active(backend):
+    """Activate a kernel set of :data:`BACKENDS`; yields the backend."""
+    if backend == "numba":
+        with use_backend("numba") as active:
+            yield active
+    elif backend == "compiled":
+        if ckernels.load() is None:
+            pytest.skip("compiled kernels unavailable here")
+        with use_backend("numpy") as active:
+            yield active
+    else:
+        with use_backend("numpy") as active, mock.patch.object(
+                ckernels, "load", lambda: None):
+            yield active
 
 
 @pytest.fixture(scope="session")
@@ -144,7 +167,7 @@ def test_hash_kernel(benchmark, kernel_records, hash_name, n_states, backend):
     rng = np.random.default_rng(7)
     states = rng.integers(0, 2**32, size=n_states, dtype=np.uint32)
     data = rng.integers(0, 2**16, size=n_states, dtype=np.uint32)
-    with use_backend(backend):
+    with _active(backend):
         hash_fn = get_hash(hash_name)
         out = benchmark(hash_fn, states, data)
     assert out.shape == states.shape and out.dtype == np.uint32
@@ -169,7 +192,7 @@ def test_hash_kernel_outer(benchmark, kernel_records, hash_name, backend):
     rng = np.random.default_rng(8)
     states = rng.integers(0, 2**32, size=(1, BEAM), dtype=np.uint32)
     slots = np.arange(OUTER_SLOTS, dtype=np.uint32)[:, None]
-    with use_backend(backend):
+    with _active(backend):
         hash_fn = get_hash(hash_name)
         out = benchmark(hash_fn, states, slots)
     assert out.shape == (OUTER_SLOTS, BEAM) and out.dtype == np.uint32
@@ -206,7 +229,7 @@ def test_branch_cost_kernel(benchmark, kernel_records, config, backend):
     states = np.random.default_rng(3).integers(
         0, 2**32, size=(1, BEAM), dtype=np.uint32)
     view = store.prefix(store.checkpoint())
-    with use_backend(backend):
+    with _active(backend):
         # the decoder binds its backend at construction
         decoder = BubbleDecoder(params, DecoderParams(B=256), n_bits)
         costs = benchmark(decoder._branch_costs, states, 1, view)
@@ -233,7 +256,7 @@ def test_branch_cost_kernel_fading_csi(benchmark, kernel_records, backend):
     states = np.random.default_rng(3).integers(
         0, 2**32, size=(1, BEAM), dtype=np.uint32)
     view = csi_store.prefix(csi_store.checkpoint())
-    with use_backend(backend):
+    with _active(backend):
         decoder = BubbleDecoder(params, DecoderParams(B=256), 32)
         costs = benchmark(decoder._branch_costs, states, 1, view)
     assert costs.shape == (1, BEAM) and np.all(costs >= 0.0)
@@ -258,7 +281,7 @@ def test_branch_cost_kernel_cohort(benchmark, kernel_records, backend):
     values = (rng.normal(size=(n_msgs, OUTER_SLOTS))
               + 1j * rng.normal(size=(n_msgs, OUTER_SLOTS)))
     levels = params.make_mapping().levels
-    with use_backend(backend) as active:
+    with _active(backend) as active:
         costs = benchmark(
             active.branch_costs_batch, states, slots, values, None,
             hash_name=params.hash_name, levels=levels, c=params.c,

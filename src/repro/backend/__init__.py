@@ -4,8 +4,12 @@ The decoder's three hot kernel families — spine hashes, branch costs,
 beam selection — live behind an explicit :class:`~repro.backend.base.Backend`
 object.  This module owns *which* backend is active:
 
-- ``numpy`` (default): the reference implementation, the bit-exactness
-  contract every other backend is tested against;
+- ``numpy`` (default): runs the spine hashes and branch costs on the
+  compiled C kernels of :mod:`repro.backend.ckernels` where they build,
+  and on its numpy bodies otherwise.  Those bodies are the fallback and
+  the reference implementation, the bit-exactness contract every other
+  path is tested against.  The name stays ``numpy`` because the results
+  are the reference's bit for bit;
 - ``numba``: JIT-compiled fused loops; optional dependency (the
   ``[numba]`` extra), falling back to numpy with a one-time
   :class:`BackendFallbackWarning` when numba is absent.

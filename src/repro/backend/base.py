@@ -13,10 +13,14 @@ the numpy reference implementation exactly — same uint32 hash words, same
 float64 branch costs (same operation order, so the same IEEE rounding),
 and the same selected beam indices in the same order (``argpartition``
 introselect order is part of the decode contract, which is why backends
-share the reference selection kernel rather than approximating it).
+share the reference selection kernel rather than approximating it).  The
+reference is the numpy bodies of :mod:`repro.backend.numpy_backend` and
+:mod:`repro.core.hashes`; the default backend itself runs compiled C
+kernels where they build and falls back on those bodies.
 ``tests/test_backend.py`` enforces this with golden hash vectors and a
-cross-backend decode equivalence matrix; the experiment store's
-byte-identical files across backends are the end-to-end corollary.
+cross-backend decode equivalence matrix, on both paths of the default
+backend; the experiment store's byte-identical files across backends are
+the end-to-end corollary.
 """
 
 from __future__ import annotations
@@ -49,7 +53,8 @@ class Backend:
     name:
         Registry name (``"numpy"``, ``"numba"``); recorded in ``--metrics``
         artifacts and ``BENCH_*`` payloads so perf numbers are attributable
-        to the backend that produced them.
+        to the backend that produced them.  ``numpy`` runs the compiled
+        kernels where they built, so whether they did is not in the name.
     hash_fns:
         The spine hash kernels by registry name (``one_at_a_time``,
         ``lookup3``, ``salsa20``), each with the broadcasting

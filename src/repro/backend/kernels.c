@@ -1,12 +1,14 @@
 /* Exact-arithmetic kernels, built by repro.backend.ckernels.
  *
  * Every function here must reproduce the numpy code it replaces bit for
- * bit, so only exact operations are allowed: float64 add, subtract and
- * max, and integer indexing.  No libm, no reassociation, no contraction
- * into fused multiply-adds (the build passes -ffp-contract=off and
- * -fno-fast-math, never -march=native).  Where numpy's choice among NaN payloads
- * or signed zeros depends on operand order, the order is spelled out
- * below instead of being left to the compiler, which may commute an
+ * bit, so only exact operations are allowed: uint32 arithmetic, shifts and
+ * bitwise ops (wrapping mod 2^32 as numpy's uint32 does), float64 add,
+ * subtract, multiply, max and fabs, and integer indexing.  No libm, no
+ * reassociation, no contraction into fused multiply-adds (the build passes
+ * -ffp-contract=off and -fno-fast-math, never -march, so the code stays at
+ * the compiler's baseline instruction set).  Where numpy's choice among NaN
+ * payloads or signed zeros depends on operand order, the order is spelled
+ * out below instead of being left to the compiler, which may commute an
  * addition.
  */
 
@@ -19,7 +21,9 @@ static inline double np_maximum(double a, double b)
     return (a != a || a > b) ? a : b;
 }
 
-/* a + b and a - b with numpy's NaN choice: a NaN first operand wins. */
+/* a + b and a - b with numpy's NaN choice: a NaN first operand wins.
+ * (That is the choice of numpy's SIMD loops; the scalar tail of its
+ * float64 add may return the second operand's NaN instead.) */
 static inline double np_add(double a, double b)
 {
     return a != a ? a : a + b;
@@ -71,6 +75,220 @@ void bcjr_recursion(const double *slab, const int64_t *gather, double *rows,
             double top = np_maximum_reduce(half, n_states);
             for (int64_t i = 0; i < n_states; ++i)
                 half[i] = np_subtract(half[i], top);
+        }
+    }
+}
+
+/* ---- spine hashes: repro.core.hashes, on uint32 words ---- */
+
+static inline uint32_t rotl32(uint32_t x, int k)
+{
+    return (x << k) | (x >> (32 - k));
+}
+
+/* One-at-a-time: mix the four little-endian bytes of w into h. */
+static inline uint32_t oaat_absorb(uint32_t h, uint32_t w)
+{
+    for (int shift = 0; shift < 32; shift += 8) {
+        h += (w >> shift) & 0xFFu;
+        h += h << 10;
+        h ^= h >> 6;
+    }
+    return h;
+}
+
+static inline uint32_t oaat_finish(uint32_t h)
+{
+    h += h << 3;
+    h ^= h >> 11;
+    h += h << 15;
+    return h;
+}
+
+/* lookup3's final() over a = init + state, b = init + data, c = init. */
+static inline uint32_t lookup3(uint32_t state, uint32_t data)
+{
+    const uint32_t init = 0xDEADBEEFu + (2u << 2);
+    uint32_t a = init + state, b = init + data, c = init;
+    c ^= b; c -= rotl32(b, 14);
+    a ^= c; a -= rotl32(c, 11);
+    b ^= a; b -= rotl32(a, 25);
+    c ^= b; c -= rotl32(b, 16);
+    a ^= c; a -= rotl32(c, 4);
+    b ^= a; b -= rotl32(a, 14);
+    c ^= b; c -= rotl32(b, 24);
+    return c;
+}
+
+#define SALSA_QUARTER(a, b, c, d)        \
+    do {                                 \
+        x[b] ^= rotl32(x[a] + x[d], 7);  \
+        x[c] ^= rotl32(x[b] + x[a], 9);  \
+        x[d] ^= rotl32(x[c] + x[b], 13); \
+        x[a] ^= rotl32(x[d] + x[c], 18); \
+    } while (0)
+
+/* The Salsa20 core (20 rounds) with the state in word 1 and the data in
+ * word 2; the output is feed-forward word 0 xor feed-forward word 1. */
+static inline uint32_t salsa20(uint32_t state, uint32_t data)
+{
+    uint32_t x[16] = {0x61707865u, state, data, 0, 0, 0x3320646Eu, 0, 0,
+                      0, 0, 0x79622D32u, 0, 0, 0, 0, 0x6B206574u};
+    for (int round = 0; round < 10; ++round) {
+        SALSA_QUARTER(0, 4, 8, 12);
+        SALSA_QUARTER(5, 9, 13, 1);
+        SALSA_QUARTER(10, 14, 2, 6);
+        SALSA_QUARTER(15, 3, 7, 11);
+        SALSA_QUARTER(0, 1, 2, 3);
+        SALSA_QUARTER(5, 6, 7, 4);
+        SALSA_QUARTER(10, 11, 8, 9);
+        SALSA_QUARTER(15, 12, 13, 14);
+    }
+    return (x[0] + 0x61707865u) ^ (x[1] + state);
+}
+
+enum { HASH_ONE_AT_A_TIME = 0, HASH_LOOKUP3 = 1, HASH_SALSA20 = 2 };
+
+/* out[j] = h(s[j * s_step], d[j]) for j < n.  One-at-a-time absorbs a
+ * shared state (s_step == 0) once, as the numpy kernel does at the
+ * state's shape. */
+static void hash_row(int hash_id, const uint32_t *s, int64_t s_step,
+                     const uint32_t *d, uint32_t *restrict out, int64_t n)
+{
+    switch (hash_id) {
+    case HASH_ONE_AT_A_TIME:
+        if (s_step == 0) {
+            const uint32_t prefix = oaat_absorb(0, s[0]);
+            for (int64_t j = 0; j < n; ++j)
+                out[j] = oaat_finish(oaat_absorb(prefix, d[j]));
+        } else {
+            for (int64_t j = 0; j < n; ++j)
+                out[j] = oaat_finish(oaat_absorb(
+                    oaat_absorb(0, s[j * s_step]), d[j]));
+        }
+        break;
+    case HASH_LOOKUP3:
+        for (int64_t j = 0; j < n; ++j)
+            out[j] = lookup3(s[j * s_step], d[j]);
+        break;
+    default:
+        for (int64_t j = 0; j < n; ++j)
+            out[j] = salsa20(s[j * s_step], d[j]);
+        break;
+    }
+}
+
+/* The broadcasting spine hash in one of two layouts:
+ * out[i * cols + j] = h(states[i + j * s_step], datas[j]).  With
+ * s_step == 0 each of the rows hashes one state against every data word
+ * (the decoder's tree expansion); with rows == 1 and s_step == 1 it is
+ * elementwise. */
+void spine_hash(int hash_id, const uint32_t *states, int64_t s_step,
+                const uint32_t *datas, uint32_t *out, int64_t rows,
+                int64_t cols)
+{
+    for (int64_t i = 0; i < rows; ++i)
+        hash_row(hash_id, states + i, s_step, datas, out + i * cols, cols);
+}
+
+/* ---- fused branch costs: numpy_backend.branch_costs_batch ---- */
+
+enum { METRIC_AWGN = 0, METRIC_CSI = 1, METRIC_BSC = 2 };
+
+/* States are hashed and scored in blocks of this many, one slot at a time,
+ * so the hash loop runs over a contiguous block the compiler vectorises. */
+#define STATE_BLOCK 256
+
+/* The hash words of one block of states against one slot.  prefix holds
+ * one-at-a-time's absorbed states and is unused by the other hashes. */
+static void hash_block(int hash_id, const uint32_t *restrict states,
+                       const uint32_t *restrict prefix, uint32_t slot,
+                       uint32_t *restrict words, int64_t n)
+{
+    switch (hash_id) {
+    case HASH_ONE_AT_A_TIME:
+        for (int64_t i = 0; i < n; ++i)
+            words[i] = oaat_finish(oaat_absorb(prefix[i], slot));
+        break;
+    case HASH_LOOKUP3:
+        for (int64_t i = 0; i < n; ++i)
+            words[i] = lookup3(states[i], slot);
+        break;
+    default:
+        for (int64_t i = 0; i < n; ++i)
+            words[i] = salsa20(states[i], slot);
+        break;
+    }
+}
+
+/* acc[i] = term for the first slot, acc[i] + term after it: numpy's
+ * leading-axis sum seeds each state's total with its first slot's term. */
+static inline void accumulate(double *acc, double term, int first)
+{
+    *acc = first ? term : np_add(*acc, term);
+}
+
+/* Branch costs of n_msgs messages: out (n_msgs, n_states) from states
+ * (n_msgs, n_states), slots (n_slots,), values and csi (n_msgs, n_slots).
+ * For METRIC_AWGN and METRIC_CSI, values and csi are complex128 read as
+ * interleaved (re, im) doubles; for METRIC_BSC values are float64 and csi
+ * is unused.  levels has 2^c entries, 1 <= c <= 16, n_slots >= 1.  Each
+ * summand is formed by the same operations, in the same order, as the
+ * numpy kernel's; the sum runs in slot order. */
+void branch_costs(int hash_id, int metric, const uint32_t *states,
+                  int64_t n_msgs, int64_t n_states, const uint32_t *slots,
+                  int64_t n_slots, const double *values, const double *csi,
+                  const double *levels, int c, double *out)
+{
+    const uint32_t mask = (1u << c) - 1u;
+    const int64_t v_width = metric == METRIC_BSC ? 1 : 2;
+    uint32_t prefix[STATE_BLOCK], words[STATE_BLOCK];
+    for (int64_t m = 0; m < n_msgs; ++m) {
+        const double *v = values + m * n_slots * v_width;
+        const double *h = metric == METRIC_CSI ? csi + m * n_slots * 2 : 0;
+        for (int64_t lo = 0; lo < n_states; lo += STATE_BLOCK) {
+            const int64_t n = n_states - lo < STATE_BLOCK
+                ? n_states - lo : STATE_BLOCK;
+            const uint32_t *s = states + m * n_states + lo;
+            double *acc = out + m * n_states + lo;
+            if (hash_id == HASH_ONE_AT_A_TIME)
+                for (int64_t i = 0; i < n; ++i)
+                    prefix[i] = oaat_absorb(0, s[i]);
+            for (int64_t t = 0; t < n_slots; ++t) {
+                const int first = t == 0;
+                hash_block(hash_id, s, prefix, slots[t], words, n);
+                if (metric == METRIC_AWGN) {
+                    const double y_r = v[2 * t], y_q = v[2 * t + 1];
+                    for (int64_t i = 0; i < n; ++i) {
+                        const uint32_t w = words[i];
+                        const double d_r = y_r - levels[w & mask];
+                        const double d_q = y_q - levels[(w >> c) & mask];
+                        accumulate(acc + i, np_add(d_r * d_r, d_q * d_q),
+                                   first);
+                    }
+                } else if (metric == METRIC_CSI) {
+                    /* |y - h x|^2 with h x as separately rounded real ops */
+                    const double y_r = v[2 * t], y_q = v[2 * t + 1];
+                    const double h_r = h[2 * t], h_i = h[2 * t + 1];
+                    for (int64_t i = 0; i < n; ++i) {
+                        const uint32_t w = words[i];
+                        const double x_i = levels[w & mask];
+                        const double x_q = levels[(w >> c) & mask];
+                        const double f_r = np_subtract(h_r * x_i, h_i * x_q);
+                        const double f_q = np_add(h_r * x_q, h_i * x_i);
+                        const double d_r = np_subtract(y_r, f_r);
+                        const double d_q = np_subtract(y_q, f_q);
+                        accumulate(acc + i, np_add(d_r * d_r, d_q * d_q),
+                                   first);
+                    }
+                } else {
+                    const double y = v[t];
+                    for (int64_t i = 0; i < n; ++i)
+                        accumulate(acc + i,
+                                   __builtin_fabs((double)(words[i] & 1u) - y),
+                                   first);
+                }
+            }
         }
     }
 }

@@ -39,7 +39,8 @@ kernels stay importable and unit-testable as pure Python) and
 Observability: the fused kernel cannot split hash time from distance
 time, so a branch-cost call is timed wholly as ``kernel.branch_cost``;
 ``kernel.hash`` then counts only the decoder's tree-expansion hashes.
-The numpy backend keeps the historical split — compare like with like.
+The default backend's compiled kernels do the same; only its numpy
+fallback keeps the historical split — compare like with like.
 """
 
 from __future__ import annotations

@@ -1,27 +1,40 @@
-"""The numpy reference backend — the bit-exactness contract.
+"""The default backend: compiled C kernels, with the numpy reference as
+fallback and oracle.
 
-These kernels reproduce, bit for bit, what the decoder ran before the
-backend seam existed: the vectorised branch-cost body of the bubble
+The numpy bodies here reproduce, bit for bit, what the decoder ran before
+the backend seam existed: the vectorised branch-cost body of the bubble
 search (one kernel, over an ``(M, n_states)`` cohort; a single message is
 ``M = 1``) and the ``argpartition`` beam selection, plus the reference
-hash implementations of :mod:`repro.core.hashes`.  The non-CSI AWGN metric reads per-slot
-distance tables (see :func:`_awgn_table_costs`), which perform the same
-IEEE operations as gathering each word's levels and so give the same
-costs.  Every other backend is judged against this one — same uint32
-words, same float64 reduction order (the slot axis leads, so the sum
-over received symbols accumulates in slot order), same introselect
+hash implementations of :mod:`repro.core.hashes`.  The non-CSI AWGN metric
+reads per-slot distance tables (see :func:`_awgn_table_costs`), which
+perform the same IEEE operations as gathering each word's levels and so
+give the same costs.  Every other path is judged against these bodies —
+same uint32 words, same float64 reduction order (the slot axis leads, so
+the sum over received symbols accumulates in slot order), same introselect
 selection order.
 
-Observability follows the decode hot-loop discipline (see ``repro.obs``):
-the hash inside a branch-cost evaluation is timed as ``kernel.hash`` and
-the distance arithmetic as ``kernel.branch_cost``, exactly as the
-pre-seam decoder reported them.
+Where :func:`repro.backend.ckernels.load` builds the C kernels (on the
+first hash or branch-cost call of a process, never at import or decoder
+construction), the spine hashes and the branch costs run there instead:
+one elementwise C hash behind each broadcasting ``hash_fns`` entry, and one
+fused loop that hashes each (state, slot) pair and scores it.  Both are
+bit-identical to the numpy bodies, which run whenever the kernels are
+unavailable.  Beam selection stays numpy.  The backend keeps the name
+``numpy``: it is the default and its results are the reference's.
+
+Observability follows the decode hot-loop discipline (see ``repro.obs``).
+On the numpy path the hash inside a branch-cost evaluation is timed as
+``kernel.hash`` and the distance arithmetic as ``kernel.branch_cost``.  The
+fused C kernel cannot split the two, so it charges the whole call to
+``kernel.branch_cost``, as the numba backend does; ``kernel.hash`` then
+counts only the decoder's tree-expansion hashes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.backend import ckernels
 from repro.backend.base import Backend, HashFn
 from repro.obs import OBS, clock
 
@@ -43,6 +56,20 @@ def _hash_fn(name: str) -> HashFn:
 
         _HASHES = reference_hashes()
     return _HASHES[name]
+
+
+def _compiled_hash(name: str) -> HashFn:
+    """``h(state, data)`` on the compiled kernel, or the numpy reference
+    when the kernels are unavailable.  The kernels are looked up at call
+    time, so building the backend never builds them."""
+
+    def h(state: np.ndarray, data: np.ndarray) -> np.ndarray:
+        kernels = ckernels.load()
+        if kernels is None:
+            return _hash_fn(name)(state, data)
+        return ckernels.spine_hash(kernels, name, state, data)
+
+    return h
 
 
 def select_beams(group_costs: np.ndarray, n_beam: int) -> np.ndarray:
@@ -111,7 +138,8 @@ def branch_costs_batch(
     each (message, state) sum accumulates in slot order and a row's costs
     do not depend on the other rows.  (numpy sums a lone column pairwise
     instead, so that holds for ``M * n_states > 1``; the decoder always
-    scores at least ``2^k`` states.)
+    scores at least ``2^k`` states.)  The compiled kernel reproduces the
+    slot-ordered sum, so it runs for every input but that lone column.
     """
     states = np.asarray(states, dtype=np.uint32)
     n_msgs, n_states = states.shape
@@ -120,6 +148,21 @@ def branch_costs_batch(
     _on = OBS.enabled
     if _on:
         t0 = clock()
+    kernels = ckernels.load() if n_msgs * n_states > 1 else None
+    if kernels is not None:
+        out = ckernels.branch_costs(
+            kernels, np.ascontiguousarray(states),
+            np.ascontiguousarray(slots, dtype=np.uint32),
+            np.ascontiguousarray(
+                values, dtype=np.float64 if is_bsc else np.complex128),
+            None if csi is None else np.ascontiguousarray(
+                csi, dtype=np.complex128),
+            hash_name=hash_name,
+            levels=np.ascontiguousarray(levels, dtype=np.float64), c=c,
+            is_bsc=is_bsc)
+        if _on:
+            OBS.add_time("kernel.branch_cost", clock() - t0)
+        return out
     hash_fn = _hash_fn(hash_name)
     words = hash_fn(states[None, :, :],
                     np.asarray(slots, np.uint32)[:, None, None])
@@ -156,14 +199,15 @@ _BACKEND: Backend | None = None
 
 
 def make_backend() -> Backend:
-    """The (cached) numpy reference backend."""
+    """The (cached) default backend: compiled kernels, numpy fallback."""
     global _BACKEND
     if _BACKEND is None:
-        from repro.core.hashes import reference_hashes
+        from repro.core.hashes import available_hashes
 
         _BACKEND = Backend(
             name="numpy",
-            hash_fns=reference_hashes(),
+            hash_fns={name: _compiled_hash(name)
+                      for name in available_hashes()},
             branch_costs_batch=branch_costs_batch,
             select_beams=select_beams,
         )

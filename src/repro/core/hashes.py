@@ -23,9 +23,10 @@ numpy ``uint32`` op with natural mod-2^32 wrap-around.
 
 These are the **reference** kernels — the bit-exactness contract of the
 backend seam (:mod:`repro.backend`).  :func:`get_hash` dispatches through
-the active backend, so callers transparently pick up e.g. the numba JIT
-kernels when that backend is selected; :func:`reference_hashes` always
-returns the numpy implementations below.
+the active backend, so callers transparently pick up the default backend's
+compiled C hash where it built, or e.g. the numba JIT kernels when that
+backend is selected; :func:`reference_hashes` always returns the numpy
+implementations below.
 """
 
 from __future__ import annotations
@@ -222,8 +223,9 @@ def reference_hashes() -> dict[str, HashFn]:
 def get_hash(name: str) -> HashFn:
     """The active backend's kernel for a hash (see :func:`available_hashes`).
 
-    Under the default numpy backend this returns the reference function
-    itself; other backends return their own bit-identical kernel.
+    Under the default numpy backend this is a wrapper that runs the
+    compiled C hash where it built and the reference function otherwise;
+    other backends return their own bit-identical kernel.
     """
     if name not in _REGISTRY:
         raise ValueError(

@@ -3,7 +3,11 @@
 The contract under test (see :mod:`repro.backend.base`): every backend
 produces bit-identical output — hash words, float64 branch costs, beam
 selections, and therefore whole ``DecodeResult``s (equal to the reference
-search of ``tests/reference_decoder.py``) and store bytes.  The
+search of ``tests/reference_decoder.py``) and store bytes.  The default
+backend runs its hashes and branch costs on the compiled C kernels of
+:mod:`repro.backend.ckernels` where they build, so its tests run on both
+paths: compiled, and the numpy bodies with ``ckernels.load`` patched to
+``None``, which are the oracle.  The
 numba backend's kernels are additionally covered here *without* numba
 installed: its ``@njit`` decorator degrades to an identity decorator, so
 the same scalar loops run as pure Python against the numpy reference.
@@ -13,6 +17,8 @@ cross-backend decode matrix runs against the real compiled kernels.
 
 import os
 import warnings
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +33,7 @@ from repro.backend import (
     set_backend,
     use_backend,
 )
+from repro.backend import ckernels
 from repro.backend import numba_backend as nbm
 from repro.backend import numpy_backend as npb
 from repro.backend.base import Backend
@@ -54,6 +61,40 @@ def _backend_state():
         os.environ.pop(backend_mod.ENV_VAR, None)
     else:
         os.environ[backend_mod.ENV_VAR] = prev_env
+
+
+def _paths():
+    """Where the default backend's kernels can run here: the numpy bodies
+    always, the compiled kernels when they build."""
+    return ("numpy", "compiled") if ckernels.load() is not None else ("numpy",)
+
+
+@contextmanager
+def _on_path(path):
+    """Run the default backend's kernels on ``path`` inside the block.
+
+    ``numpy`` hides the compiled kernels, as when they fail to build;
+    ``compiled`` requires them.  Yields a list that collects one entry per
+    compiled hash or branch-cost call made inside the block.
+    """
+    calls = []
+    if path == "numpy":
+        with mock.patch.object(ckernels, "load", lambda: None):
+            yield calls
+        return
+    assert ckernels.load() is not None
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    with mock.patch.object(ckernels, "spine_hash",
+                           counted(ckernels.spine_hash)), \
+            mock.patch.object(ckernels, "branch_costs",
+                              counted(ckernels.branch_costs)):
+        yield calls
 
 
 def _pure_python_numba_backend() -> Backend:
@@ -135,6 +176,18 @@ class TestGoldenVectors:
             np.uint32, zip(*GOLDEN_VECTORS[hash_name]))
         assert np.array_equal(fn(states, datas), digests)
 
+    @pytest.mark.parametrize("hash_name", sorted(GOLDEN_VECTORS))
+    def test_default_backend_on_both_paths(self, hash_name):
+        """The default backend's ``hash_fns``, compiled and on the numpy
+        fallback."""
+        fn = npb.make_backend().hash_fns[hash_name]
+        states, datas, digests = map(
+            np.uint32, zip(*GOLDEN_VECTORS[hash_name]))
+        for path in _paths():
+            with _on_path(path) as calls:
+                assert np.array_equal(fn(states, datas), digests), path
+            assert bool(calls) == (path == "compiled")
+
     def test_vectors_cover_every_registered_hash(self):
         assert set(GOLDEN_VECTORS) == set(available_hashes())
 
@@ -151,6 +204,39 @@ class TestGoldenVectors:
         s = np.uint32(7)
         assert alt(s, s).shape == ()
         assert alt(s, s) == ref(s, s)
+
+    @pytest.mark.parametrize("hash_name", sorted(GOLDEN_VECTORS))
+    def test_compiled_broadcasting_matches_reference(self, hash_name):
+        """The compiled hash broadcasts like the reference, for the
+        decoder's two layouts and for the odd ones: scalars, Python ints,
+        empty, strided and unaligned operands."""
+        ref = reference_hashes()[hash_name]
+        fn = npb.make_backend().hash_fns[hash_name]
+        rng = np.random.default_rng(3)
+
+        def words(*shape):
+            return rng.integers(0, 2**32, size=shape, dtype=np.uint32)
+
+        unaligned = np.frombuffer(
+            words(9).tobytes() + b"\0", dtype=np.uint8)[1:].view(np.uint32)
+        cases = [
+            (words(2, 5, 3, 1), np.arange(16, dtype=np.uint32)),  # expansion
+            (words(1, 2, 40), words(7, 1, 1)),                   # branch cost
+            (words(6), words(6)), (words(4, 1), words(3)),
+            (words(3, 1, 2), words(1, 4, 1)), (words(5, 1), words(1)),
+            (np.uint32(7), np.uint32(9)), (123456789, words(4)),
+            (words(0, 1), words(5)), (words(3, 1), words(0)),
+            (words(8, 6)[::2, ::3], words(2, 4).T[:, :1]),
+            (unaligned, unaligned[::-1]),
+        ]
+        for state, data in cases:
+            want = ref(state, data)
+            for path in _paths():
+                with _on_path(path):
+                    got = fn(state, data)
+                assert got.dtype == np.uint32 and got.shape == want.shape
+                assert np.array_equal(got, want), (path, np.shape(state),
+                                                   np.shape(data))
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +275,12 @@ class TestRotl32:
 
 
 # ---------------------------------------------------------------------------
-# branch-cost kernel bit-identity (numba algorithms vs numpy reference)
+# branch-cost kernel bit-identity (compiled and numba vs numpy reference)
 # ---------------------------------------------------------------------------
 
 class TestBranchCostBitIdentity:
-    """The one branch-cost kernel, numba algorithms vs numpy reference.
+    """The one branch-cost kernel, compiled and numba algorithms vs the
+    numpy reference.
 
     Every case runs a one-message (M=1) input and a cohort input.
     """
@@ -201,11 +288,18 @@ class TestBranchCostBitIdentity:
     LEVELS = np.linspace(-1.5, 1.5, 8)
 
     def _check(self, states, slots, values, csi, **kwargs):
-        a = npb.branch_costs_batch(states, slots, values, csi, **kwargs)
-        b = nbm.branch_costs_batch(states, slots, values, csi, **kwargs)
-        assert a.dtype == b.dtype == np.float64
-        assert a.shape == states.shape
-        assert np.array_equal(a, b)  # bitwise, not approx
+        got = {"numba": nbm.branch_costs_batch(states, slots, values, csi,
+                                               **kwargs)}
+        for path in _paths():
+            with _on_path(path) as calls:
+                got[path] = npb.branch_costs_batch(states, slots, values,
+                                                   csi, **kwargs)
+            assert calls == (["branch_costs"] if path == "compiled" else [])
+        want = got["numpy"]
+        assert want.shape == states.shape
+        for name, out in got.items():
+            assert out.dtype == np.float64
+            assert np.array_equal(_bits(out), _bits(want)), name  # bitwise
 
     def _awgn(self, seed, M, n_states, hash_name, with_csi):
         rng = np.random.default_rng(seed)
@@ -311,24 +405,36 @@ def _check_against_oracle(seed, n_slots, n_msgs, n_states, c, n_special):
     ref_hash = reference_hashes()["one_at_a_time"]
     # inf - inf and 1e300 squared are meant to happen here
     with np.errstate(all="ignore"):
-        batch = npb.branch_costs_batch(states, slots, values, None, **kwargs)
         words = ref_hash(states[None, :, :], slots[:, None, None])
         expect = _gather_awgn_oracle(words, values.T, levels, c)
-        assert batch.shape == expect.shape == (n_msgs, n_states)
-        assert np.array_equal(_bits(batch), _bits(expect))
+        for path in _paths():
+            with _on_path(path) as calls:
+                batch = npb.branch_costs_batch(states, slots, values, None,
+                                               **kwargs)
+            assert batch.shape == expect.shape == (n_msgs, n_states)
+            assert np.array_equal(_bits(batch), _bits(expect)), path
+            # the compiled kernel runs unless there is nothing to sum or
+            # the input is a lone column (numpy sums those pairwise)
+            assert bool(calls) == (path == "compiled" and n_slots > 0
+                                   and n_msgs * n_states > 1)
 
-        # Each message alone, as a one-row input.
-        for m in range(n_msgs):
-            one = npb.branch_costs_batch(states[m:m + 1], slots,
-                                         values[m:m + 1], None, **kwargs)
-            words = ref_hash(states[None, m:m + 1, :], slots[:, None, None])
-            expect = _gather_awgn_oracle(words, values[m:m + 1].T, levels, c)
-            assert np.array_equal(_bits(one), _bits(expect))
+            # Each message alone, as a one-row input.
+            for m in range(n_msgs):
+                with _on_path(path):
+                    one = npb.branch_costs_batch(
+                        states[m:m + 1], slots, values[m:m + 1], None,
+                        **kwargs)
+                words = ref_hash(states[None, m:m + 1, :],
+                                 slots[:, None, None])
+                expect_one = _gather_awgn_oracle(
+                    words, values[m:m + 1].T, levels, c)
+                assert np.array_equal(_bits(one), _bits(expect_one)), path
 
 
 class TestAwgnMetricOracle:
-    """The numpy kernel reproduces the gather oracle bit for bit, on a
-    cohort and on each of its messages as a one-row input."""
+    """The default backend reproduces the gather oracle bit for bit, on a
+    cohort and on each of its messages as a one-row input, on the compiled
+    kernel and on the numpy fallback."""
 
     @given(seed=st.integers(0, 2**32 - 1), n_slots=st.integers(0, 40),
            n_msgs=st.integers(1, 4), n_states=st.integers(1, 24),
@@ -344,10 +450,64 @@ class TestAwgnMetricOracle:
         _check_against_oracle(7, n_slots=3, n_msgs=2, n_states=9, c=16,
                               n_special=2)
 
+    def test_several_state_blocks(self):
+        """More states than the compiled kernel scores per block (256)."""
+        _check_against_oracle(13, n_slots=5, n_msgs=2, n_states=600, c=6,
+                              n_special=2)
+
     def test_position_without_symbols(self):
         """A punctured spine position costs exactly zero, as in the oracle."""
         _check_against_oracle(11, n_slots=0, n_msgs=3, n_states=5, c=6,
                               n_special=0)
+
+
+class TestCompiledSpecialValues:
+    """The compiled CSI and BSC metrics match the numpy bodies bit for bit
+    with inf, NaN, signed zeros and 1e300 among the received values and
+    channel gains, for every hash.
+
+    Up to the choice between two different NaNs: ``inf - inf`` makes a
+    negative NaN beside the positive received ones, and numpy's own float64
+    add returns the first operand's NaN in whole SIMD chunks but the second
+    operand's in a loop tail (numpy 2.4.6 on AVX-512: ``np.add`` of 9
+    elements takes the first operand's NaN for 8 and the second's for the
+    last), so its pick depends on the element's position.  Costs agree on
+    which entries are NaN; every other entry is compared bit for bit.
+    """
+
+    @given(seed=st.integers(0, 2**32 - 1), n_slots=st.integers(1, 20),
+           n_msgs=st.integers(1, 3), n_states=st.integers(2, 300),
+           c=st.integers(1, 8), n_special=st.integers(0, 6),
+           hash_name=st.sampled_from(sorted(GOLDEN_VECTORS)),
+           metric=st.sampled_from(["csi", "bsc"]))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_numpy(self, seed, n_slots, n_msgs, n_states, c,
+                           n_special, hash_name, metric):
+        if ckernels.load() is None:
+            pytest.skip("compiled kernels unavailable here")
+        rng = np.random.default_rng(seed)
+        states = rng.integers(0, 2**32, size=(n_msgs, n_states),
+                              dtype=np.uint32)
+        slots = rng.integers(0, 2**32, size=n_slots, dtype=np.uint32)
+        shape = (n_msgs, n_slots)
+        if metric == "bsc":
+            values = _received(rng, shape, n_special).real.copy()
+            csi, c, levels = None, 1, np.array([-1.0, 1.0])
+        else:
+            values = _received(rng, shape, n_special)
+            csi = _received(rng, shape, n_special)
+            levels = np.sort(rng.normal(size=1 << c))
+        kwargs = dict(hash_name=hash_name, levels=levels, c=c,
+                      is_bsc=metric == "bsc")
+        with np.errstate(all="ignore"):
+            outs = {}
+            for path in ("numpy", "compiled"):
+                with _on_path(path):
+                    outs[path] = npb.branch_costs_batch(
+                        states, slots, values, csi, **kwargs)
+        got, want = (np.where(np.isnan(outs[p]), np.nan, outs[p])
+                     for p in ("compiled", "numpy"))
+        assert np.array_equal(_bits(got), _bits(want))
 
 
 class TestNumbaOaatHoist:
@@ -445,10 +605,17 @@ class TestBackendSelection:
             "one_at_a_time"]
 
     def test_get_hash_numpy_identity_preserved(self):
-        """Under the default backend, get_hash returns the references."""
-        set_backend("numpy")
+        """Under the default backend, get_hash returns the backend's own
+        hash functions (compiled, with the references as fallback), which
+        give the references' words."""
+        active = set_backend("numpy")
+        rng = np.random.default_rng(4)
+        states = rng.integers(0, 2**32, size=(3, 1), dtype=np.uint32)
+        data = np.arange(5, dtype=np.uint32)
         for name, fn in reference_hashes().items():
-            assert get_hash(name) is fn
+            assert get_hash(name) is active.hash_fns[name]
+            assert np.array_equal(get_hash(name)(states, data),
+                                  fn(states, data))
 
     def test_get_hash_unknown_name_still_rejected(self):
         set_backend("numpy")
@@ -541,7 +708,10 @@ class TestCrossBackendDecode:
             return dec
 
         set_backend("numpy")
-        check_active_backend()
+        for path in _paths():
+            with _on_path(path) as calls:
+                check_active_backend()
+            assert bool(calls) == (path == "compiled")
         if NUMBA_AVAILABLE:
             set_backend("numba")
             assert get_backend().name == "numba"

@@ -3,8 +3,11 @@
 A build that fails, a cached file that is truncated and two processes
 building into one cold cache must all end in working BCJR output, never
 in a crash or a hang; every test runs under a ``signal.alarm`` deadline.
-The last test runs a tiny Raptor + Strider spec on both recursions and
-requires byte-identical store files.
+Bad arguments to the spinal kernels' wrappers raise before any pointer
+reaches C, and nothing builds the kernels before the first decode.  The
+last test runs tiny Raptor, Strider, spinal AWGN, fading-CSI and link
+points on the compiled kernels and on the numpy loops and requires
+byte-identical store files.
 """
 
 import os
@@ -12,6 +15,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -134,31 +138,144 @@ def test_two_processes_share_a_cold_cache(tmp_path):
         module_file + ".sha256"])
 
 
+def _spinal_call():
+    """A good call of the fused branch-cost wrapper, AWGN metric."""
+    rng = np.random.default_rng(5)
+    return {"states": rng.integers(0, 2**32, size=(2, 8), dtype=np.uint32),
+            "slots": np.arange(3, dtype=np.uint32),
+            "values": np.zeros((2, 3), dtype=np.complex128),
+            "csi": None, "hash_name": "one_at_a_time",
+            "levels": np.linspace(-1.0, 1.0, 16), "c": 2, "is_bsc": False}
+
+
+def _reached_c(*args):
+    raise AssertionError("a bad call reached the C kernel")
+
+
+_FAKE = SimpleNamespace(ffi=None, lib=SimpleNamespace(
+    branch_costs=_reached_c, spine_hash=_reached_c))
+
+
+@pytest.mark.parametrize("name, bad", [
+    # levels must have exactly 2^c entries: C reads levels[w & (2^c - 1)]
+    ("levels", lambda a: a[:-1]),
+    ("levels", lambda a: a[:8]),
+    ("levels", lambda a: np.concatenate([a, a])),
+    ("levels", lambda a: a.reshape(4, 4)),
+    ("levels", lambda a: a.astype(np.float32)),
+    ("levels", lambda a: a[::-1]),
+    ("c", lambda c: 0),
+    ("c", lambda c: 17),
+    ("c", lambda c: 2.0),
+    ("hash_name", lambda h: "md5"),
+    ("states", lambda a: a.astype(np.int64)),
+    ("states", lambda a: a[:, ::2]),
+    ("states", lambda a: a.reshape(-1)),
+    ("states", lambda a: a.tolist()),
+    ("slots", lambda a: a.astype(np.int32)),
+    ("slots", lambda a: a[:0]),
+    ("slots", lambda a: a[None]),
+    ("values", lambda a: a.real.copy()),
+    ("values", lambda a: a[:, :-1]),
+    ("values", lambda a: a[:1]),
+    ("values", lambda a: np.asfortranarray(np.zeros((3, 2), complex)).T),
+    ("csi", lambda _: np.zeros((2, 2), dtype=np.complex128)),
+    ("csi", lambda _: np.zeros((2, 3), dtype=np.complex64)),
+])
+def test_bad_branch_cost_calls_raise_before_reaching_c(name, bad):
+    call = _spinal_call()
+    call[name] = bad(call[name])
+    with pytest.raises(ValueError):
+        ckernels.branch_costs(_FAKE, **call)
+
+
+def test_bsc_branch_costs_reject_csi_but_not_levels():
+    """BSC reads no levels, so their count is free; CSI is not allowed."""
+    call = dict(_spinal_call(), is_bsc=True, c=1,
+                values=np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        ckernels.branch_costs(_FAKE, **dict(
+            call, csi=np.zeros((2, 3), dtype=np.complex128)))
+    with pytest.raises(ValueError):
+        ckernels.branch_costs(_FAKE, **dict(call, values=call["values"]
+                                            .astype(np.complex128)))
+    cffi = pytest.importorskip("cffi")
+    with pytest.raises(AssertionError, match="reached the C kernel"):
+        ckernels.branch_costs(SimpleNamespace(ffi=cffi.FFI(), lib=_FAKE.lib),
+                              **call)
+
+
+def test_unknown_hash_raises_before_reaching_c():
+    with pytest.raises(ValueError, match="unknown hash"):
+        ckernels.spine_hash(_FAKE, "md5", np.uint32(1), np.uint32(2))
+
+
+def test_nothing_builds_the_kernels_before_the_first_decode(tmp_path):
+    """Importing repro, resolving the backend and building encoders and
+    decoders leave the kernels unbuilt, so set-up time never includes a
+    build; the first decode builds them."""
+    script = (
+        "import sys\n"
+        "import repro\n"
+        "from repro.backend import ckernels, get_backend\n"
+        "from repro.core.decoder import BatchBubbleDecoder, BubbleDecoder\n"
+        "from repro.core.params import DecoderParams, SpinalParams\n"
+        "assert not ckernels._tried, 'import'\n"
+        "params, dec = SpinalParams(), DecoderParams(B=4)\n"
+        "get_backend(), params.hash_fn, params.make_rng()\n"
+        "decoder = BatchBubbleDecoder(params, dec, 16)\n"
+        "BubbleDecoder(params, dec, 16)\n"
+        "assert not ckernels._tried, 'construction'\n"
+        "ckernels.CACHE_ROOT = sys.argv[1]\n"
+        "from repro.core.symbols import ReceivedSymbols\n"
+        "store = ReceivedSymbols(decoder.n_spine, complex_valued=True)\n"
+        "store.add_block([0, 1], [0, 0], [1j, -1.0])\n"
+        "decoder.decode(store)\n"
+        "assert ckernels._tried, 'decode'\n")
+    env = {**os.environ, "PYTHONPATH": _SRC}
+    with deadline(120):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "cache")],
+            env=env, capture_output=True, text=True, timeout=100)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_store_bytes_match_on_both_recursions(tmp_path, monkeypatch):
     from repro.experiments import (
         ChannelSpec, ExperimentSpec, PointSpec, ResultStore, SchemeSpec,
         run_experiment)
+    from repro.experiments.catalog import build_spec
 
     _require_compiler()
     schemes = [("raptor tiny", 20.0, SchemeSpec("raptor", {
                     "k": 256, "constellation": "qam-16"})),
                ("strider tiny", 10.0, SchemeSpec("strider", {
                     "n_bits": 96, "n_layers": 2, "max_passes": 10}))]
+    # spinal AWGN, Rayleigh fading with full CSI, and an ARQ link point
+    spinal = [build_spec(name).points[0]
+              for name in ("smoke", "smoke_fading", "smoke_link")]
     spec = ExperimentSpec(
-        experiment_id="ckernels_store", title="compiled vs numpy BCJR",
+        experiment_id="ckernels_store", title="compiled vs numpy kernels",
         profile="quick", points=tuple(
             PointSpec(series=label, x=snr, seed=40 + i, scheme=scheme,
                       channel=ChannelSpec("awgn"), n_messages=2,
                       batch_size=2)
-            for i, (label, snr, scheme) in enumerate(schemes)))
-    calls = []
-    compiled = ckernels.bcjr_recursion
+            for i, (label, snr, scheme) in enumerate(schemes)) + tuple(
+                spinal))
+    assert {p.kind for p in spec.points} == {"measure", "link"}
+    assert any(p.channel.kind == "rayleigh" for p in spinal)
+    calls = {"bcjr_recursion": 0, "branch_costs": 0, "spine_hash": 0}
 
-    def counted(*args):
-        calls.append(1)
-        compiled(*args)
+    def counted(name):
+        compiled = getattr(ckernels, name)
 
-    monkeypatch.setattr(ckernels, "bcjr_recursion", counted)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return compiled(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(ckernels, name, counted(name))
     files = {}
     with deadline(240):
         for path in ("compiled", "numpy"):
@@ -170,6 +287,7 @@ def test_store_bytes_match_on_both_recursions(tmp_path, monkeypatch):
             with open(store.path_for(spec), "rb") as f:
                 files[path] = f.read()
             if path == "compiled":
-                n_compiled = len(calls)
-    assert n_compiled > 0 and len(calls) == n_compiled
+                n_compiled = dict(calls)
+    assert all(n > 0 for n in n_compiled.values()), n_compiled
+    assert calls == n_compiled
     assert files["compiled"] == files["numpy"]

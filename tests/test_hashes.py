@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.backend import get_backend
 from repro.core.hashes import (
     available_hashes,
     get_hash,
@@ -181,7 +182,13 @@ class TestRegistry:
         assert set(available_hashes()) == {"one_at_a_time", "lookup3", "salsa20"}
 
     def test_lookup(self):
-        assert get_hash("one_at_a_time") is one_at_a_time
+        """get_hash returns the active backend's kernel for the name; under
+        the default backend it gives the reference's words."""
+        fn = get_hash("one_at_a_time")
+        assert fn is get_backend().hash_fns["one_at_a_time"]
+        states = np.arange(7, dtype=np.uint32)
+        assert np.array_equal(fn(states, states[::-1]),
+                              one_at_a_time(states, states[::-1]))
 
     def test_unknown_raises(self):
         with pytest.raises(ValueError, match="unknown hash"):
