@@ -16,7 +16,10 @@ kernel, not just "decode got slower":
   rate-1/3 BSC code, and a fading store with per-symbol CSI; plus the
   kernel at the ``spinal_awgn`` cohort shape;
 - ``select``: :func:`repro.core.decoder.select_beams` (argpartition
-  subtree pruning) on one message's row and on a 16-message cohort.
+  subtree pruning) on one message's row and on a 16-message cohort;
+- ``bp``: one 40-iteration sum-product decode of a fixed ~50k-edge Raptor
+  graph (:meth:`repro.ldpc.bp.BeliefPropagation.posteriors`), on the
+  compiled passes and on the numpy loop.
 
 The hash and branch-cost benchmarks run once per available kernel set:
 ``numpy``, the default backend (:mod:`repro.backend`) with its compiled
@@ -32,7 +35,9 @@ Run with ``pytest benchmarks/bench_kernels.py``; a session teardown writes
 when both backends ran, ``bench_results/BENCH_kernels_backend.json`` with
 per-kernel numpy/numba timing pairs and their machine-free speedup ratios.
 The teardown then fails if numba's hash speedup over the numpy loops on
-the flat beam or cohort shape is below :data:`MIN_NUMBA_HASH_SPEEDUP`.
+the flat beam or cohort shape is below :data:`MIN_NUMBA_HASH_SPEEDUP`, or
+if the compiled BP decode's speedup over the numpy loop is below
+:data:`MIN_BP_SPEEDUP`.
 Not collected by the tier-1 suite (``testpaths = ["tests"]``).
 """
 
@@ -51,6 +56,8 @@ from repro.core.encoder import SpinalEncoder
 from repro.core.hashes import available_hashes, get_hash
 from repro.core.params import DecoderParams, SpinalParams
 from repro.core.symbols import ReceivedSymbols
+from repro.fountain.raptor import RaptorCodec
+from repro.modulation import soft_demap
 from repro.utils.bitops import random_message
 
 # Array sizes matching what one tree-expansion step hashes: a full beam of
@@ -67,6 +74,13 @@ CONFIGS = {
 #: numba over numpy on ``hash.<name>/<BEAM or COHORT>``; the session
 #: teardown fails below it.
 MIN_NUMBA_HASH_SPEEDUP = 5.0
+
+#: The compiled BP passes over the numpy loop on ``bp.raptor``; the
+#: session teardown fails below it.  About 40% of the 1.72x measured on a
+#: 2-core KVM guest (AVX-512, numpy 2.4.6): numpy's tanh, log, exp and
+#: arctanh, which both paths run, are most of a compiled decode, so the
+#: ratio is small and a loaded host moves it a lot.
+MIN_BP_SPEEDUP = 0.7
 
 BACKENDS = [
     pytest.param("numpy", id="numpy"),
@@ -102,6 +116,13 @@ def kernel_records():
         "suite": "kernels",
         "records": sorted(records, key=lambda r: (r["group"], r["name"])),
     })
+    bp = {r["backend"]: r["mean_s"] for r in records
+          if r["group"] == "bp" and "mean_s" in r}
+    if {"numpy", "compiled"} <= bp.keys():
+        speedup = bp["numpy"] / bp["compiled"]
+        assert speedup >= MIN_BP_SPEEDUP, (
+            f"compiled BP speedup {speedup:.2f}x is below "
+            f"{MIN_BP_SPEEDUP}x")
     # Cross-backend speedup pairs (numpy mean / numba mean per kernel):
     # only when the numba leg actually ran, so numpy-only hosts never
     # write a partial kernels_backend payload.
@@ -308,3 +329,29 @@ def test_select_kernel(benchmark, kernel_records, shape, n_beam, name):
     assert kept.shape == (shape[0], n_beam)
     _record(kernel_records, benchmark, "select", name,
             shape=list(shape), n_beam=n_beam)
+
+
+# ---------------------------------------------------------------------------
+# BP decode (numpy loop vs compiled passes; numba does not run BP)
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("backend", BACKENDS[:2])
+def test_bp_decode(benchmark, kernel_records, backend):
+    """40 sum-product iterations on a fixed Raptor graph: k=2048, QAM-256,
+    1150 symbols at 10 dB, about 50k edges."""
+    codec = RaptorCodec(2048, "qam-256", lt_seed=5, precode_seed=9)
+    rng = np.random.default_rng(3)
+    intermediate = codec.encode_intermediate(
+        rng.integers(0, 2, size=2048, dtype=np.uint8))
+    channel = AWGNChannel(10.0, rng=rng)
+    received = channel.transmit(codec.symbols(intermediate, 0, 1150))
+    llrs = soft_demap(codec.constellation, received.values,
+                      channel.noise_power)
+    bp = codec._graph(llrs.size)
+    obs = np.concatenate([np.full(codec.precode.n_parity, np.inf), llrs])
+    chan = np.zeros(codec.precode.n_intermediate)
+    with _active(backend):
+        posterior, _ = benchmark(bp.posteriors, chan, 40, obs, False)
+    assert posterior.shape == chan.shape
+    _record(kernel_records, benchmark, "bp", f"raptor{_suffix(backend)}",
+            n_edges=bp.n_edges, iterations=40, backend=backend)

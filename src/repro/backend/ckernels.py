@@ -2,8 +2,11 @@
 
 ``kernels.c`` beside this module holds exact-arithmetic loops that must
 match the numpy code they replace bit for bit (its header comment gives
-the rules): Strider's BCJR recursion, the spine hashes and the fused
-spinal branch costs, each behind a checked wrapper below.  :func:`load`
+the rules): Strider's BCJR recursion, the spine hashes, the fused spinal
+branch costs, BP's exact passes (:class:`BpPasses`) and the LT and
+precode draws, each behind a checked wrapper below.  The draws call
+numpy's own bounded-integer code, linked from numpy's ``libnpyrandom``
+static library, on the caller's generator.  :func:`load`
 compiles it in cffi's API mode on the first call in a process and returns
 the extension module, or ``None`` when no compiler, cffi or writable
 cache is available.  That case is announced once per process with a
@@ -11,8 +14,9 @@ cache is available.  That case is announced once per process with a
 instead.
 
 The build lands in :data:`CACHE_ROOT` under a module name keyed by a hash
-of the C source, the compile flags and the Python ABI, so a changed
-source or interpreter never loads a stale binary.  Builds run in a
+of the C source, the compile flags, the Python ABI and the cffi and numpy
+versions, so a changed source, interpreter or numpy (whose library the
+module links) never loads a stale binary.  Builds run in a
 temporary directory and are moved into place with ``os.replace`` while an
 ``fcntl`` lock on the key is held, so pool workers racing on a cold cache
 build once and never load a half-written file.  A cached file that does
@@ -31,14 +35,16 @@ import sys
 import sysconfig
 import tempfile
 import warnings
+from functools import partial
 from types import ModuleType
 
 import numpy as np
 
 from repro.backend.base import BackendFallbackWarning
 
-__all__ = ["CACHE_ROOT", "bcjr_recursion", "branch_costs", "build_or_load",
-           "load", "module_path", "spine_hash"]
+__all__ = ["CACHE_ROOT", "BpPasses", "bcjr_recursion", "branch_costs",
+           "build_or_load", "choice_draw", "floyd_choice", "load", "lt_draw",
+           "module_path", "spine_hash"]
 
 #: Where built modules are cached (per key: the module, its digest and a
 #: lock file).
@@ -55,6 +61,24 @@ void branch_costs(int hash_id, int metric, const uint32_t *states,
                   int64_t n_msgs, int64_t n_states, const uint32_t *slots,
                   int64_t n_slots, const double *values, const double *csi,
                   const double *levels, int c, double *out);
+void bp_magnitudes(double *edge, uint8_t *neg, int64_t n_edges,
+                   double tanh_clip, double floor);
+void bp_check_messages(const double *edge, const uint8_t *neg,
+                       const int64_t *bounds, int64_t n_checks,
+                       const double *obs_logmag, const uint8_t *obs_neg,
+                       double *msg, uint8_t *msg_neg);
+void bp_signed_clip(double *msg, const uint8_t *msg_neg, int64_t n_edges,
+                    double tanh_clip, const double *signs);
+void bp_variable_update(double *msg, const double *chan,
+                        const int64_t *var_order, const int64_t *var_bounds,
+                        int64_t n_vars, const int64_t *var_index,
+                        int64_t n_edges, double llr_clip, double *scratch,
+                        double *posterior, double *edge);
+void choice_draw(void *bitgen, int64_t n, int64_t d, int64_t count,
+                 int64_t *out);
+void lt_draw(void *bitgen, int64_t n, int64_t count,
+             const int64_t *thresholds, const int64_t *degrees,
+             int64_t n_rows, int64_t *offsets, int64_t *flat);
 """
 #: Optimise (``-O3`` vectorises the hash loops, 2-3x over ``-O2``; its
 #: loop splitting slowed the BCJR recursion by 15-50%, so that is off), but
@@ -67,6 +91,9 @@ _FLAGS = ("-O3", "-fno-split-loops", "-ffp-contract=off", "-fno-fast-math")
 #: The spine hashes of ``kernels.c`` by :mod:`repro.core.hashes` name.
 _HASH_IDS = {"one_at_a_time": 0, "lookup3": 1, "salsa20": 2}
 _METRIC_AWGN, _METRIC_CSI, _METRIC_BSC = 0, 1, 2
+
+#: The factors ``bp_signed_clip`` multiplies by, indexed by a negative flag.
+_SIGNS = np.array([1.0, -1.0])
 
 _tried = False
 _module: ModuleType | None = None
@@ -82,7 +109,8 @@ def _module_name() -> str:
     for part in (source, _CDEF.encode(), " ".join(_FLAGS).encode(),
                  str(sysconfig.get_config_var("EXT_SUFFIX")).encode(),
                  sys.implementation.cache_tag.encode(),
-                 _cffi_backend.__version__.encode()):
+                 _cffi_backend.__version__.encode(),
+                 np.__version__.encode()):
         key.update(part)
         key.update(b"\0")
     return f"_repro_kernels_{key.hexdigest()[:16]}"
@@ -116,7 +144,11 @@ def _build(name: str, path: str, root: str) -> None:
     ffi = cffi.FFI()
     ffi.cdef(_CDEF)
     with open(_SOURCE_PATH) as f:
-        ffi.set_source(name, f.read(), extra_compile_args=list(_FLAGS))
+        ffi.set_source(
+            name, f.read(), include_dirs=[np.get_include()],
+            library_dirs=[os.path.join(os.path.dirname(np.random.__file__),
+                                       "lib")],
+            libraries=["npyrandom", "m"], extra_compile_args=list(_FLAGS))
     tmp = tempfile.mkdtemp(prefix=f"{name}.", dir=root)
     try:
         built = ffi.compile(tmpdir=tmp)
@@ -310,3 +342,197 @@ def branch_costs(module: ModuleType, states: np.ndarray, slots: np.ndarray,
         ffi.from_buffer("double[]", levels), int(c),
         ffi.from_buffer("double[]", out, require_writable=True))
     return out
+
+
+def _check_bounds(name: str, bounds: np.ndarray, n_edges: int) -> None:
+    """``bounds`` must be segment boundaries over ``n_edges`` edges:
+    monotone starts from 0 with the edge count appended."""
+    if bounds.ndim != 1 or bounds.size < 1:
+        raise ValueError(f"{name} must be 1-D and non-empty")
+    if bounds[0] != 0 or bounds[-1] != n_edges or (np.diff(bounds) < 0).any():
+        raise ValueError(f"{name} must rise monotonely from 0 to {n_edges}")
+
+
+class BpPasses:
+    """The exact passes of one sum-product decode on ``kernels.c``.
+
+    ``check_bounds`` (n_checks + 1,) and ``var_bounds`` (n_vars + 1,)
+    are the check-ordered and variable-ordered segment boundaries,
+    ``var_order`` the permutation of the (check-ordered) edges into
+    variable order and ``var_index`` each edge's variable; ``chan`` holds
+    the clipped channel LLRs and ``obs_logmag``/``obs_neg`` (n_checks,)
+    the per-check observation terms, or both ``None`` for pure parity.
+    All are checked here, before any pointer reaches C: dtypes, shapes,
+    contiguity, monotone bounds, ``var_order`` in ``[0, n_edges)`` and
+    ``var_index < n_vars``.  A bad graph raises ``ValueError``.
+
+    The passes own their buffers, and numpy's transcendentals run on them
+    in place between passes.  One iteration is::
+
+        tanh(edge); magnitudes(); log(edge); check_messages()
+        exp(msg); signed_clip(); arctanh(msg); variable_update()
+
+    ``edge`` holds ``v2c / 2`` for ``tanh`` (the caller fills it for the
+    first iteration, ``variable_update`` after that), then the clipped and
+    floored magnitudes for ``log``; ``msg`` holds the capped log-products
+    for ``exp``, then the signed and clipped products for ``arctanh``,
+    whose output is the check messages.  ``posterior`` is the last
+    variable update's result (``chan`` before the first).
+    """
+
+    def __init__(self, module: ModuleType, check_bounds: np.ndarray,
+                 var_bounds: np.ndarray, var_order: np.ndarray,
+                 var_index: np.ndarray, chan: np.ndarray,
+                 obs_logmag: np.ndarray | None, obs_neg: np.ndarray | None,
+                 *, tanh_clip: float, tanh_floor: float, llr_clip: float):
+        arrays = {"check_bounds": check_bounds, "var_bounds": var_bounds,
+                  "var_order": var_order, "var_index": var_index,
+                  "chan": chan}
+        if (obs_logmag is None) != (obs_neg is None):
+            raise ValueError("obs_logmag and obs_neg come together")
+        if obs_logmag is not None:
+            arrays.update(obs_logmag=obs_logmag, obs_neg=obs_neg)
+        for name, a in arrays.items():
+            if not isinstance(a, np.ndarray) or not a.flags.c_contiguous:
+                raise ValueError(f"{name} must be a C-contiguous array")
+            want = (np.float64 if name in ("chan", "obs_logmag")
+                    else np.bool_ if name == "obs_neg" else np.int64)
+            if a.dtype != want:
+                raise ValueError(f"{name} must be {np.dtype(want)}, got "
+                                 f"{a.dtype}")
+        n_edges = var_index.size
+        n_checks, n_vars = check_bounds.size - 1, var_bounds.size - 1
+        _check_bounds("check_bounds", check_bounds, n_edges)
+        _check_bounds("var_bounds", var_bounds, n_edges)
+        if var_index.shape != (n_edges,) or var_order.shape != (n_edges,):
+            raise ValueError("var_index and var_order must be 1-D and "
+                             "equally long")
+        if chan.shape != (n_vars,):
+            raise ValueError(f"chan must have one entry per variable, "
+                             f"{n_vars}")
+        if obs_logmag is not None and not (
+                obs_logmag.shape == obs_neg.shape == (n_checks,)):
+            raise ValueError(f"observation terms must be ({n_checks},)")
+        if n_edges and (var_order.min() < 0 or var_order.max() >= n_edges):
+            raise ValueError(f"var_order must lie in [0, {n_edges})")
+        if n_edges and (var_index.min() < 0 or var_index.max() >= n_vars):
+            raise ValueError(f"var_index must lie in [0, {n_vars})")
+        self.edge = np.empty(n_edges)
+        self.msg = np.empty(n_edges)
+        self.posterior = chan.copy()
+        ffi = module.ffi
+
+        def buf(a, writable=False):
+            kind = {np.float64: "double[]", np.int64: "int64_t[]",
+                    np.uint8: "uint8_t[]"}[a.dtype.type]
+            return ffi.from_buffer(kind, a, require_writable=writable)
+
+        edge, msg = buf(self.edge, True), buf(self.msg, True)
+        neg = buf(np.empty(n_edges, dtype=np.uint8), True)
+        msg_neg = buf(np.empty(n_edges, dtype=np.uint8), True)
+        scratch = buf(np.empty(n_edges), True)
+        obs = ((ffi.NULL, ffi.NULL) if obs_logmag is None else
+               (buf(obs_logmag), buf(obs_neg.view(np.uint8))))
+        lib = module.lib
+        # each pass with its arguments bound; the buffers stay alive
+        # through the cffi pointers
+        self.magnitudes = partial(lib.bp_magnitudes, edge, neg, n_edges,
+                                  tanh_clip, tanh_floor)
+        self.check_messages = partial(
+            lib.bp_check_messages, edge, neg, buf(check_bounds), n_checks,
+            *obs, msg, msg_neg)
+        self.signed_clip = partial(lib.bp_signed_clip, msg, msg_neg,
+                                   n_edges, tanh_clip, buf(_SIGNS))
+        self.variable_update = partial(
+            lib.bp_variable_update, msg, buf(chan), buf(var_order),
+            buf(var_bounds), n_vars, buf(var_index), n_edges, llr_clip,
+            scratch, buf(self.posterior, True), edge)
+
+
+def floyd_choice(n: int, size: int) -> bool:
+    """Whether ``Generator.choice(n, size, replace=False)`` draws by the
+    Floyd loop the C draws mirror; above ``n = 10000`` with ``size > n //
+    50`` numpy permutes instead."""
+    return not (n > 10000 and size > n // 50)
+
+
+def _bit_generator(module: ModuleType, rng: np.random.Generator):
+    """``rng``'s bitgen_t.  numpy's ctypes interface gives its address in
+    microseconds; the cffi one builds an FFI per generator, about 2 ms."""
+    return module.ffi.cast("void *",
+                           rng.bit_generator.ctypes.bit_generator.value)
+
+
+def _check_generator(rng: object) -> None:
+    if not isinstance(rng, np.random.Generator):
+        raise ValueError("the draws need a numpy Generator")
+
+
+def _check_count(name: str, value: object, least: int) -> int:
+    if not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got "
+                         f"{value!r}")
+    return int(value)
+
+
+def choice_draw(module: ModuleType, rng: np.random.Generator, n: int,
+                size: int, count: int) -> np.ndarray:
+    """``count`` rows of ``rng.choice(n, size, replace=False)``, (count,
+    size) int64, drawn by numpy's own bounded-integer code on ``rng``'s
+    bit generator (under its lock), so ``rng`` ends where the calls would
+    leave it.  Bad arguments, or a call numpy would not serve by the Floyd
+    loop (:func:`floyd_choice`), raise ``ValueError`` before any pointer
+    reaches C."""
+    _check_generator(rng)
+    n = _check_count("n", n, 1)
+    size = _check_count("size", size, 0)
+    count = _check_count("count", count, 0)
+    if size > n or not floyd_choice(n, size):
+        raise ValueError(f"choice({n}, {size}) is not a Floyd draw")
+    out = np.empty((count, size), dtype=np.int64)
+    with rng.bit_generator.lock:
+        module.lib.choice_draw(
+            _bit_generator(module, rng), n, size, count,
+            module.ffi.from_buffer("int64_t[]", out, require_writable=True))
+    return out
+
+
+def lt_draw(module: ModuleType, rng: np.random.Generator, n: int,
+            count: int, thresholds: np.ndarray,
+            degrees: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` LT outputs' sorted neighbour sets over ``n`` symbols, drawn
+    from ``rng`` as ``LTStream``'s Python loop draws them.
+
+    The degree table is ``thresholds`` (strictly rising, the last one the
+    draw's range) and ``degrees`` (each >= 1), both int64.  Returns CSR
+    ``(offsets, flat)``: output i's neighbours are
+    ``flat[offsets[i]:offsets[i + 1]]``.  Draws as :func:`choice_draw`
+    does, and raises ``ValueError`` as it does.
+    """
+    _check_generator(rng)
+    n = _check_count("n", n, 1)
+    count = _check_count("count", count, 0)
+    if not all(isinstance(a, np.ndarray) and a.dtype == np.int64
+               and a.ndim == 1 and a.flags.c_contiguous
+               for a in (thresholds, degrees)):
+        raise ValueError("thresholds and degrees must be 1-D C-contiguous "
+                         "int64 arrays")
+    if (thresholds.size < 1 or degrees.shape != thresholds.shape
+            or thresholds[0] < 1 or (np.diff(thresholds) <= 0).any()
+            or degrees.min() < 1):
+        raise ValueError("thresholds must rise strictly from >= 1 and "
+                         "degrees be >= 1, one per threshold")
+    max_degree = min(int(degrees.max()), n)
+    if not floyd_choice(n, max_degree):
+        raise ValueError(f"choice({n}, {max_degree}) is not a Floyd draw")
+    offsets = np.zeros(count + 1, dtype=np.int64)
+    flat = np.empty(count * max_degree, dtype=np.int64)
+    ffi = module.ffi
+    with rng.bit_generator.lock:
+        module.lib.lt_draw(
+            _bit_generator(module, rng), n, count,
+            ffi.from_buffer("int64_t[]", thresholds),
+            ffi.from_buffer("int64_t[]", degrees), thresholds.size,
+            ffi.from_buffer("int64_t[]", offsets, require_writable=True),
+            ffi.from_buffer("int64_t[]", flat, require_writable=True))
+    return offsets, flat[:offsets[-1]].copy()

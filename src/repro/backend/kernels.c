@@ -3,16 +3,28 @@
  * Every function here must reproduce the numpy code it replaces bit for
  * bit, so only exact operations are allowed: uint32 arithmetic, shifts and
  * bitwise ops (wrapping mod 2^32 as numpy's uint32 does), float64 add,
- * subtract, multiply, max and fabs, and integer indexing.  No libm, no
- * reassociation, no contraction into fused multiply-adds (the build passes
- * -ffp-contract=off and -fno-fast-math, never -march, so the code stays at
- * the compiler's baseline instruction set).  Where numpy's choice among NaN
- * payloads or signed zeros depends on operand order, the order is spelled
- * out below instead of being left to the compiler, which may commute an
- * addition.
+ * subtract, multiply, divide by 2, max, min and fabs, and integer
+ * indexing.  No libm, so BP's tanh, log, exp and arctanh stay numpy calls
+ * between the passes; no contraction into fused multiply-adds (the build
+ * passes -ffp-contract=off and -fno-fast-math, never -march, so the code
+ * stays at the compiler's baseline instruction set).  No reassociation:
+ * a sum keeps numpy's order, which for np.add.reduceat is the pairwise
+ * order of pairwise_sum below.  Where numpy's choice among NaN payloads
+ * or signed zeros depends on operand order, the order is spelled out
+ * below instead of being left to the compiler, which may commute an
+ * addition; a sign is applied by multiplying by +-1 read through a
+ * pointer, since the compiler turns a multiply by a known -1.0 into a
+ * negation, which flips a NaN's sign bit.
+ *
+ * Random draws call numpy's own bounded-integer functions, linked from
+ * numpy's libnpyrandom, on the caller's bit generator, so the draws and
+ * the generator's final state are numpy's.
  */
 
+#include <stdbool.h>
 #include <stdint.h>
+
+#include "numpy/random/distributions.h"
 
 /* np.maximum on float64: a NaN first operand wins, otherwise the larger
  * value; a tie or a NaN second operand returns the second operand. */
@@ -290,5 +302,207 @@ void branch_costs(int hash_id, int metric, const uint32_t *states,
                 }
             }
         }
+    }
+}
+
+/* ---- belief propagation: repro.ldpc.bp.BeliefPropagation.decode ---- */
+
+/* Branch-free selects keep the edge loops vectorisable.  Each returns a
+ * NaN x unchanged, as np.clip, np.maximum and np.minimum do. */
+static inline double clip(double x, double lo, double hi)
+{
+    x = x < lo ? lo : x;
+    return x > hi ? hi : x;
+}
+
+/* numpy's pairwise float64 sum of n contiguous values: a plain loop from
+ * -0.0 below 8 values, eight accumulators up to 128, and halves (the first
+ * rounded down to a multiple of 8) above that.  np.add.reduceat over a
+ * segment equals seg[0] + pairwise_sum(seg + 1, len - 1) bit for bit. */
+static double pairwise_sum(const double *a, int64_t n)
+{
+    if (n < 8) {
+        double res = -0.0;
+        for (int64_t i = 0; i < n; ++i)
+            res = np_add(res, a[i]);
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        int64_t i;
+        for (int k = 0; k < 8; ++k)
+            r[k] = a[k];
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int k = 0; k < 8; ++k)
+                r[k] = np_add(r[k], a[i + k]);
+        double res = np_add(np_add(np_add(r[0], r[1]), np_add(r[2], r[3])),
+                            np_add(np_add(r[4], r[5]), np_add(r[6], r[7])));
+        for (; i < n; ++i)
+            res = np_add(res, a[i]);
+        return res;
+    }
+    int64_t n2 = n / 2;
+    n2 -= n2 % 8;
+    return np_add(pairwise_sum(a, n2), pairwise_sum(a + n2, n - n2));
+}
+
+/* np.add.reduceat over the segment [lo, hi), hi > lo. */
+static inline double segment_sum(const double *a, int64_t lo, int64_t hi)
+{
+    return np_add(a[lo], pairwise_sum(a + lo + 1, hi - lo - 1));
+}
+
+/* Pass 1, after tanh: edge[e] = max(|clip(t)|, floor) in place, and
+ * neg[e] = clip(t) < 0. */
+void bp_magnitudes(double *restrict edge, uint8_t *restrict neg,
+                   int64_t n_edges,
+                   double tanh_clip, double floor)
+{
+    for (int64_t e = 0; e < n_edges; ++e) {
+        const double t = clip(edge[e], -tanh_clip, tanh_clip);
+        const double m = __builtin_fabs(t);
+        neg[e] = t < 0;
+        edge[e] = m < floor ? floor : m;
+    }
+}
+
+/* Pass 2, after log: per check c over its edges [bounds[c], bounds[c+1]),
+ * msg[e] = min(total - edge[e] (+ obs_logmag[c]), 0) with total the
+ * reduceat sum of the check's edge values, and msg_neg[e] the parity of
+ * the check's negative flags xor neg[e] (xor obs_neg[c]).  obs_logmag and
+ * obs_neg are NULL for pure parity checks. */
+void bp_check_messages(const double *restrict edge,
+                       const uint8_t *restrict neg,
+                       const int64_t *restrict bounds, int64_t n_checks,
+                       const double *restrict obs_logmag,
+                       const uint8_t *restrict obs_neg,
+                       double *restrict msg, uint8_t *restrict msg_neg)
+{
+    for (int64_t c = 0; c < n_checks; ++c) {
+        const int64_t lo = bounds[c], hi = bounds[c + 1];
+        if (lo == hi)
+            continue;
+        const double total = segment_sum(edge, lo, hi);
+        uint8_t parity = 0;
+        for (int64_t e = lo; e < hi; ++e)
+            parity ^= neg[e];
+        if (obs_neg)
+            parity ^= obs_neg[c];
+        for (int64_t e = lo; e < hi; ++e) {
+            double m = np_subtract(total, edge[e]);
+            if (obs_logmag)
+                m = np_add(m, obs_logmag[c]);
+            msg[e] = m > 0.0 ? 0.0 : m;
+            msg_neg[e] = parity ^ neg[e];
+        }
+    }
+}
+
+/* Pass 3, after exp: msg[e] = clip(msg[e] * signs[msg_neg[e]],
+ * +-tanh_clip) with signs = {1.0, -1.0}.  A multiply keeps a NaN's sign
+ * bit, as numpy's does; the compiler would turn a multiply by a known -1.0
+ * into a negation, which flips it, so the signs arrive by pointer. */
+void bp_signed_clip(double *restrict msg, const uint8_t *restrict msg_neg,
+                    int64_t n_edges, double tanh_clip,
+                    const double *restrict signs)
+{
+    for (int64_t e = 0; e < n_edges; ++e)
+        msg[e] = clip(msg[e] * signs[msg_neg[e]], -tanh_clip, tanh_clip);
+}
+
+/* Pass 4, after arctanh: c2v = clip(msg * 2, +-llr_clip) in place; each
+ * variable's posterior is chan[v] plus the reduceat sum of its c2v in
+ * var_order (+ 0.0 for an edgeless variable, which turns -0.0 into 0.0 as
+ * numpy's fill does); then edge[e] = clip(posterior[var_index[e]] -
+ * c2v[e], +-llr_clip) / 2, the next iteration's tanh argument.  scratch
+ * holds the c2v gathered into variable order. */
+void bp_variable_update(double *restrict msg, const double *restrict chan,
+                        const int64_t *restrict var_order,
+                        const int64_t *restrict var_bounds, int64_t n_vars,
+                        const int64_t *restrict var_index, int64_t n_edges,
+                        double llr_clip, double *restrict scratch,
+                        double *restrict posterior, double *restrict edge)
+{
+    for (int64_t e = 0; e < n_edges; ++e)
+        msg[e] = clip(msg[e] * 2.0, -llr_clip, llr_clip);
+    for (int64_t j = 0; j < n_edges; ++j)
+        scratch[j] = msg[var_order[j]];
+    for (int64_t v = 0; v < n_vars; ++v) {
+        const int64_t lo = var_bounds[v], hi = var_bounds[v + 1];
+        posterior[v] = np_add(chan[v],
+                              lo == hi ? 0.0 : segment_sum(scratch, lo, hi));
+    }
+    for (int64_t e = 0; e < n_edges; ++e)
+        edge[e] = clip(np_subtract(posterior[var_index[e]], msg[e]),
+                       -llr_clip, llr_clip) / 2.0;
+}
+
+/* ---- draws from numpy's bit generator: repro.fountain ---- */
+
+/* Generator.choice(n, size=d, replace=False) on its Floyd branch (n <=
+ * 10000 or d <= n // 50; the caller guarantees it), into out[0 .. d) in
+ * numpy's order.  One draw in [0, j] per j in [n - d, n), taking j when
+ * the draw is already chosen (numpy's hash set only speeds up that
+ * membership test), then _shuffle_int's swaps from i = d - 1 down to 1. */
+static void floyd_choice(bitgen_t *state, int64_t n, int64_t d, int64_t *out)
+{
+    for (int64_t j = n - d; j < n; ++j) {
+        int64_t val = (int64_t)random_bounded_uint64(state, 0, (uint64_t)j, 0,
+                                                     false);
+        for (int64_t k = 0; k < j - (n - d); ++k)
+            if (out[k] == val) {
+                val = j;
+                break;
+            }
+        out[j - (n - d)] = val;
+    }
+    for (int64_t i = d - 1; i > 0; --i) {
+        const int64_t j = (int64_t)random_bounded_uint64(state, 0,
+                                                         (uint64_t)i, 0,
+                                                         false);
+        const int64_t swap = out[j];
+        out[j] = out[i];
+        out[i] = swap;
+    }
+}
+
+/* count rows of Generator.choice(n, size=d, replace=False), row i into
+ * out[i * d ..]: the LDPC precode's check assignments. */
+void choice_draw(void *bitgen, int64_t n, int64_t d, int64_t count,
+                 int64_t *out)
+{
+    for (int64_t i = 0; i < count; ++i)
+        floyd_choice(bitgen, n, d, out + i * d);
+}
+
+/* count LT outputs' degrees and sorted neighbour sets, drawn as
+ * LTStream's Python loop draws them: Generator.integers(0, v_range,
+ * size=1) with v_range = thresholds[n_rows - 1], the degree of the first
+ * threshold above the draw (capped at n), then choice(n, size=degree,
+ * replace=False).  Output i's neighbours go to flat[offsets[i] ..] and
+ * offsets[i + 1] is set; offsets[0] is the caller's. */
+void lt_draw(void *bitgen, int64_t n, int64_t count,
+             const int64_t *thresholds, const int64_t *degrees,
+             int64_t n_rows, int64_t *offsets, int64_t *flat)
+{
+    bitgen_t *state = bitgen;
+    const uint64_t v_range = (uint64_t)thresholds[n_rows - 1] - 1;
+    for (int64_t i = 0; i < count; ++i) {
+        uint64_t v;
+        random_bounded_uint64_fill(state, 0, v_range, 1, false, &v);
+        int64_t row = 0;
+        while ((uint64_t)thresholds[row] <= v)
+            ++row;
+        const int64_t d = degrees[row] < n ? degrees[row] : n;
+        int64_t *nbrs = flat + offsets[i];
+        floyd_choice(state, n, d, nbrs);
+        for (int64_t k = 1; k < d; ++k) {  /* insertion sort */
+            const int64_t x = nbrs[k];
+            int64_t m = k;
+            for (; m > 0 && nbrs[m - 1] > x; --m)
+                nbrs[m] = nbrs[m - 1];
+            nbrs[m] = x;
+        }
+        offsets[i + 1] = offsets[i] + d;
     }
 }

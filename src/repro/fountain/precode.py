@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.backend import ckernels
+
 __all__ = ["LdpcPrecode"]
 
 
@@ -36,11 +38,17 @@ class LdpcPrecode:
             raise ValueError("message too short for this precode rate")
         rng = np.random.default_rng(seed)
         # message bit i participates in checks _assignments[i]
-        self._assignments = np.empty((k, left_degree), dtype=np.int64)
-        for i in range(k):
-            self._assignments[i] = rng.choice(
-                self.n_parity, size=left_degree, replace=False
-            )
+        lib = (ckernels.load()
+               if ckernels.floyd_choice(self.n_parity, left_degree) else None)
+        if lib is not None:
+            self._assignments = ckernels.choice_draw(
+                lib, rng, self.n_parity, left_degree, k)
+        else:
+            self._assignments = np.empty((k, left_degree), dtype=np.int64)
+            for i in range(k):
+                self._assignments[i] = rng.choice(
+                    self.n_parity, size=left_degree, replace=False
+                )
 
     @property
     def rate(self) -> float:

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.channels.base import Channel
+from repro.channels.base import Channel, ChannelOutput
 from repro.fountain.lt import LTStream
 from repro.fountain.precode import LdpcPrecode
 from repro.ldpc.bp import BeliefPropagation
 from repro.modulation.demapper import soft_demap
 from repro.modulation.qam import make_constellation
+from repro.simulation.engine import rateless_search
 from repro.simulation.sweep import RatelessScheme
 
 __all__ = ["RaptorCodec", "RaptorScheme"]
@@ -51,12 +52,15 @@ class RaptorCodec:
         self.precode = LdpcPrecode(k, rate=precode_rate,
                                    left_degree=left_degree, seed=precode_seed)
         self.lt = LTStream(self.precode.n_intermediate, seed=lt_seed)
-        # Precode edges in (check, var) order, sorted once: with the LT
-        # edges (one check per output, sorted neighbours) ahead of them,
-        # every decode graph arrives sorted and BP skips its lexsort.
+        # Precode edges in (check, var) order, sorted once.  Precode checks
+        # come first and LT output i is check n_parity + i, so every decode
+        # graph arrives sorted (BP skips its lexsort) and is an edge prefix
+        # of the largest graph built so far (see _graph).
         pc_checks, pc_vars = self.precode.check_edges()
         order = np.lexsort((pc_vars, pc_checks))
         self._pc_checks, self._pc_vars = pc_checks[order], pc_vars[order]
+        self._largest = -1  # outputs in the largest graph built so far
+        self._checks = self._vars = self._var_order = None
 
     @property
     def bits_per_symbol(self) -> int:
@@ -87,28 +91,48 @@ class RaptorCodec:
         message comparison (or CRC in a deployed stack).
         """
         n_outputs = bit_llrs.size
-        lt_neighbours = self.lt.neighbour_range(0, n_outputs)
-        degrees = np.fromiter(map(len, lt_neighbours), dtype=np.int64,
-                              count=n_outputs)
-        lt_checks = np.repeat(np.arange(n_outputs, dtype=np.int64), degrees)
-        lt_vars = (np.concatenate(lt_neighbours)
-                   if n_outputs else np.empty(0, dtype=np.int64))
-
         n_pc = self.precode.n_parity
-        checks = np.concatenate([lt_checks, self._pc_checks + n_outputs])
-        vars_ = np.concatenate([lt_vars, self._pc_vars])
-        bp = BeliefPropagation(
-            checks, vars_, n_outputs + n_pc, self.precode.n_intermediate
-        )
         obs = np.concatenate([
-            np.asarray(bit_llrs, dtype=np.float64),
             np.full(n_pc, np.inf),
+            np.asarray(bit_llrs, dtype=np.float64),
         ])
         chan = np.zeros(self.precode.n_intermediate)
-        intermediate, _ = bp.decode(
+        intermediate, _ = self._graph(n_outputs).decode(
             chan, iterations=iterations, check_obs_llrs=obs, early_exit=False
         )
         return intermediate[: self.k], self.precode.satisfied(intermediate)
+
+    def _graph(self, n_outputs: int) -> BeliefPropagation:
+        """The joint graph of the precode and the first ``n_outputs`` LT
+        outputs.
+
+        Outputs only append, so the graph is an edge prefix of the largest
+        one built so far: its edges are slices, and its variable order
+        masks the largest graph's.  Each variable sums its LT edges, in
+        output order, before its precode edges; the posteriors' rounding,
+        and so the store's bytes, depend on that order.
+        """
+        offsets, lt_vars = self.lt.neighbour_range(0, n_outputs)
+        n_pc, n_pc_edges = self.precode.n_parity, self._pc_vars.size
+        if n_outputs > self._largest:
+            lt_checks = np.repeat(
+                np.arange(n_pc, n_pc + n_outputs, dtype=np.int64),
+                np.diff(offsets))
+            self._checks = np.concatenate([self._pc_checks, lt_checks])
+            self._vars = np.concatenate([self._pc_vars, lt_vars])
+            lt_first = np.argsort(np.concatenate([lt_vars, self._pc_vars]),
+                                  kind="stable")
+            # positions in the LT-first layout -> in the precode-first one
+            self._var_order = np.where(lt_first < lt_vars.size,
+                                       lt_first + n_pc_edges,
+                                       lt_first - lt_vars.size)
+            self._largest = n_outputs
+        n_edges = n_pc_edges + lt_vars.size
+        var_order = (self._var_order if n_outputs == self._largest
+                     else self._var_order[self._var_order < n_edges])
+        return BeliefPropagation(
+            self._checks[:n_edges], self._vars[:n_edges], n_pc + n_outputs,
+            self.precode.n_intermediate, var_order=var_order)
 
 
 class RaptorScheme(RatelessScheme):
@@ -151,46 +175,33 @@ class RaptorScheme(RatelessScheme):
         intermediate = codec.encode_intermediate(message)
         max_chunks = max(1, self.max_symbols // self.chunk_symbols)
 
-        received: list[np.ndarray] = []
         noise_power = getattr(channel, "noise_power", 1.0)
-        csi_parts: list[np.ndarray] = []
-        has_csi = False
+        received: list[ChannelOutput] = []
+        # The LLRs of the chunks demapped so far.  Each chunk is demapped
+        # once, with the others new to the attempt that first needs it:
+        # demapping is per symbol, so the LLRs match a demap of the prefix.
+        llrs = np.empty(0)
+        chunk_bits = self.chunk_symbols * codec.bits_per_symbol
 
-        def ensure_chunks(count: int) -> None:
-            nonlocal has_csi
+        def attempt(count: int) -> bool:
+            nonlocal llrs
             while len(received) < count:
                 start = len(received) * self.chunk_symbols
                 syms = codec.symbols(intermediate, start, self.chunk_symbols)
-                out = channel.transmit(syms)
-                received.append(out.values)
-                if out.csi is not None:
-                    csi_parts.append(out.csi)
-                    has_csi = True
-
-        def attempt(count: int) -> bool:
-            ensure_chunks(count)
-            values = np.concatenate(received[:count])
-            csi = np.concatenate(csi_parts[:count]) if has_csi else None
-            llrs = soft_demap(codec.constellation, values, noise_power, csi=csi)
-            decoded, _ = codec.decode(llrs, iterations=self.iterations)
+                received.append(channel.transmit(syms))
+            new = received[llrs.size // chunk_bits:count]
+            if new:
+                csi = (None if new[0].csi is None
+                       else np.concatenate([out.csi for out in new]))
+                llrs = np.concatenate([llrs, soft_demap(
+                    codec.constellation,
+                    np.concatenate([out.values for out in new]),
+                    noise_power, csi=csi)])
+            decoded, _ = codec.decode(llrs[:count * chunk_bits],
+                                      iterations=self.iterations)
             return bool(np.array_equal(decoded, message))
 
-        lo, hi, g = 0, None, 1
-        while g <= max_chunks:
-            if attempt(g):
-                hi = g
-                break
-            lo = g
-            nxt = min(max(g + 1, int(np.ceil(g * self.probe_growth))), max_chunks)
-            if nxt == g:
-                break
-            g = nxt
+        hi = rateless_search(attempt, 1, self.probe_growth, max_chunks)
         if hi is None:
             return 0, max_chunks * self.chunk_symbols
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if attempt(mid):
-                hi = mid
-            else:
-                lo = mid
         return self.k, hi * self.chunk_symbols

@@ -12,9 +12,11 @@ The engine is edge-vectorised: messages live on flat edge arrays ordered by
 check, with a cached permutation to variable order, so each iteration is a
 handful of ``np.add.reduceat`` calls regardless of graph shape.  Graph
 bookkeeping (edge order, segment starts, edgeless nodes) is done once per
-graph and the per-edge observation terms once per decode; the iteration
-loop reuses scratch buffers and keeps the order of every rounding
-operation.
+graph and the observation terms once per decode; the iteration loop
+reuses scratch buffers and keeps the order of every rounding operation.
+Sum-product runs everything but its four transcendentals as the C passes
+of :class:`repro.backend.ckernels.BpPasses`, bit for bit the numpy loop,
+which stays as the fallback and the test oracle.
 
 LLR convention: positive favours bit value 0.
 """
@@ -22,6 +24,8 @@ LLR convention: positive favours bit value 0.
 from __future__ import annotations
 
 import numpy as np
+
+from repro.backend import ckernels
 
 __all__ = ["BeliefPropagation"]
 
@@ -77,6 +81,11 @@ class BeliefPropagation:
         ``var_index[e]``.
     n_checks, n_vars:
         Graph dimensions (checks/variables with no edges are allowed).
+    var_order:
+        Optional permutation of the (check, var)-sorted edges into variable
+        order; each variable sums its messages in this order.  Defaults to
+        the stable one, edge order within a variable.  Raptor passes its
+        own, derived from its largest graph.
     """
 
     def __init__(
@@ -85,6 +94,7 @@ class BeliefPropagation:
         var_index: np.ndarray,
         n_checks: int,
         n_vars: int,
+        var_order: np.ndarray | None = None,
     ):
         check_index = np.asarray(check_index, dtype=np.int64)
         var_index = np.asarray(var_index, dtype=np.int64)
@@ -93,6 +103,9 @@ class BeliefPropagation:
         # A stable lexsort of edges already in (check, var) order is the
         # identity, so sorted input (Raptor's graphs) skips it.
         if not _is_sorted(check_index, var_index):
+            if var_order is not None:
+                raise ValueError("var_order needs edges in (check, var) "
+                                 "order")
             order = np.lexsort((var_index, check_index))
             check_index, var_index = check_index[order], var_index[order]
         self.check_index = check_index
@@ -106,12 +119,17 @@ class BeliefPropagation:
         )
         self._checks_with_edges = _with_edges(self._check_starts, self.n_edges)
         # permutation into variable order and its boundaries
-        self._to_var_order = np.argsort(self.var_index, kind="stable")
+        self._to_var_order = (np.argsort(self.var_index, kind="stable")
+                              if var_order is None else
+                              np.asarray(var_order, dtype=np.int64))
         self._var_sorted_vars = self.var_index[self._to_var_order]
         self._var_starts = np.searchsorted(
             self._var_sorted_vars, np.arange(n_vars)
         )
         self._vars_with_edges = _with_edges(self._var_starts, self.n_edges)
+        # the same boundaries with the edge count appended, for the C passes
+        self._check_bounds = np.append(self._check_starts, self.n_edges)
+        self._var_bounds = np.append(self._var_starts, self.n_edges)
 
     # -- helpers -----------------------------------------------------------
 
@@ -145,6 +163,25 @@ class BeliefPropagation:
     ) -> tuple[np.ndarray, bool]:
         """Run BP; returns (hard bits, all-parity-checks-satisfied).
 
+        Takes the arguments of :meth:`posteriors`; the hard bit of a
+        variable is 1 where its posterior LLR is negative.
+        """
+        posterior, ok = self.posteriors(
+            channel_llrs, iterations, check_obs_llrs, early_exit, algorithm,
+            min_sum_scale)
+        return (posterior < 0).astype(np.uint8), ok
+
+    def posteriors(
+        self,
+        channel_llrs: np.ndarray,
+        iterations: int = 40,
+        check_obs_llrs: np.ndarray | None = None,
+        early_exit: bool = True,
+        algorithm: str = "sum-product",
+        min_sum_scale: float = 0.8,
+    ) -> tuple[np.ndarray, bool]:
+        """Run BP; returns (posterior LLRs, all-parity-checks-satisfied).
+
         Parameters
         ----------
         channel_llrs: per-variable intrinsic LLRs (0 for unobserved vars).
@@ -168,15 +205,23 @@ class BeliefPropagation:
             raise ValueError("channel_llrs must have one entry per variable")
         ci = self.check_index
         pure_parity = check_obs_llrs is None
+        obs_logmag = obs_neg = None
         if not pure_parity:
             obs = np.asarray(check_obs_llrs, dtype=np.float64)
             obs_t = np.tanh(np.clip(obs, -_LLR_CLIP, _LLR_CLIP) / 2.0)
             obs_t = np.clip(obs_t, -_TANH_CLIP, _TANH_CLIP)
             obs_logmag = np.log(np.maximum(np.abs(obs_t), _TANH_FLOOR))
             obs_logmag[~np.isfinite(obs) & (obs > 0)] = 0.0  # hard parity
+            obs_neg = obs_t < 0
+        stop_early = early_exit and pure_parity
+        lib = ckernels.load() if algorithm == "sum-product" else None
+        if lib is not None:
+            return self._posteriors_compiled(lib, chan, iterations, obs_logmag,
+                                         obs_neg, stop_early)
+        if not pure_parity:
             # per-edge observation terms, fixed for the whole decode
             obs_logmag_e = obs_logmag[ci]
-            obs_neg_e = (obs_t < 0)[ci]
+            obs_neg_e = obs_neg[ci]
         if algorithm == "sum-product":
             # Per-edge scratch reused by every iteration.  The arithmetic
             # keeps the textbook order; the one reshaped step is exact: the
@@ -189,7 +234,6 @@ class BeliefPropagation:
 
         v2c = chan[self.var_index]
         posterior = chan
-        stop_early = early_exit and pure_parity
         for _ in range(iterations):
             if algorithm == "min-sum":
                 c2v = self._min_sum_check_update(v2c, min_sum_scale)
@@ -225,14 +269,36 @@ class BeliefPropagation:
             v2c -= c2v
             np.clip(v2c, -_LLR_CLIP, _LLR_CLIP, out=v2c)
 
-            if stop_early:
-                hard = (posterior < 0).astype(np.uint8)
-                if self.syndrome_ok(hard):
-                    return hard, True
+            if stop_early and self._hard_ok(posterior):
+                return posterior, True
+        return posterior, pure_parity and self._hard_ok(posterior)
 
-        hard = (posterior < 0).astype(np.uint8)
-        ok = pure_parity and self.syndrome_ok(hard)
-        return hard, ok
+    def _posteriors_compiled(self, lib, chan: np.ndarray, iterations: int,
+                         obs_logmag: np.ndarray | None,
+                         obs_neg: np.ndarray | None,
+                         stop_early: bool) -> tuple[np.ndarray, bool]:
+        """Sum-product on the exact C passes of :class:`ckernels.BpPasses`,
+        bit for bit the numpy loop of :meth:`posteriors`: only ``tanh``,
+        ``log``, ``exp`` and ``arctanh``, whose bits depend on numpy's
+        dispatch level, stay numpy calls between the passes."""
+        passes = ckernels.BpPasses(
+            lib, self._check_bounds, self._var_bounds, self._to_var_order,
+            self.var_index, chan, obs_logmag, obs_neg, tanh_clip=_TANH_CLIP,
+            tanh_floor=_TANH_FLOOR, llr_clip=_LLR_CLIP)
+        edge, msg, posterior = passes.edge, passes.msg, passes.posterior
+        np.divide(chan[self.var_index], 2.0, out=edge)
+        for _ in range(iterations):
+            np.tanh(edge, out=edge)
+            passes.magnitudes()
+            np.log(edge, out=edge)
+            passes.check_messages()
+            np.exp(msg, out=msg)
+            passes.signed_clip()
+            np.arctanh(msg, out=msg)
+            passes.variable_update()
+            if stop_early and self._hard_ok(posterior):
+                return posterior, True
+        return posterior, obs_logmag is None and self._hard_ok(posterior)
 
     def _min_sum_check_update(
         self, v2c: np.ndarray, scale: float
@@ -265,6 +331,10 @@ class BeliefPropagation:
         # a degree-1 check has no "others": its message is vacuous
         c2v[~np.isfinite(c2v)] = 0.0
         return np.clip(c2v, -_LLR_CLIP, _LLR_CLIP)
+
+    def _hard_ok(self, posterior: np.ndarray) -> bool:
+        """Whether the hard decisions on ``posterior`` satisfy every check."""
+        return self.syndrome_ok((posterior < 0).astype(np.uint8))
 
     def syndrome_ok(self, bits: np.ndarray) -> bool:
         """True when every check's variables XOR to zero."""

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -63,6 +64,7 @@ __all__ = [
     "csi_mode",
     "received_view",
     "probe_schedule",
+    "rateless_search",
 ]
 
 
@@ -97,14 +99,15 @@ def received_view(out: ChannelOutput, mode: str) -> tuple[np.ndarray, np.ndarray
     return values, csi
 
 
-def probe_schedule(probe_growth: float, max_subpasses: int) -> list[int]:
+def probe_schedule(probe_growth: float, max_subpasses: int,
+                   start: int = 1) -> list[int]:
     """Subpass counts at which a session attempts a decode.
 
     The schedule is the same for every message at an operating point, which
     is what lets :class:`BatchSession` decode a whole cohort per probe.
     """
     schedule: list[int] = []
-    g = 1
+    g = start
     while g <= max_subpasses:
         schedule.append(g)
         if probe_growth == 1.0:
@@ -115,6 +118,33 @@ def probe_schedule(probe_growth: float, max_subpasses: int) -> list[int]:
                 break
             g = nxt
     return schedule
+
+
+def rateless_search(attempt: Callable[[int], bool], start: int,
+                    growth: float, limit: int) -> int | None:
+    """The least count at which ``attempt`` succeeds, or ``None``.
+
+    The one-message form of the search :class:`BatchSession` runs: probe
+    the :func:`probe_schedule` from ``start`` up to ``limit`` until an
+    attempt succeeds, then bisect between the last failing count (0 before
+    any) and the first success.  Returns ``None`` when every probe fails.
+    Raptor and Strider search their chunk counts with it.
+    """
+    lo = 0
+    for g in probe_schedule(growth, limit, start):
+        if attempt(g):
+            hi = g
+            break
+        lo = g
+    else:
+        return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if attempt(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 @dataclass

@@ -25,6 +25,7 @@ import numpy as np
 from repro.channels.base import Channel
 from repro.modulation.demapper import soft_demap
 from repro.modulation.qam import QPSK
+from repro.simulation.engine import rateless_search
 from repro.simulation.sweep import RatelessScheme
 from repro.strider.turbo import TurboCodec
 
@@ -287,29 +288,15 @@ class StriderScheme(RatelessScheme):
             decoded = codec.decode(pass_values, pass_noise)
             return bool(np.array_equal(decoded, message))
 
-        max_chunks = self.max_passes * sub
-        lo, hi, g = 0, None, max(1, sub)  # first attempt: one full pass
-        while g <= max_chunks:
-            if attempt(g):
-                hi = g
-                break
-            lo = g
-            nxt = min(max(g + 1, int(np.ceil(g * 1.3))), max_chunks)
-            if nxt == g:
-                break
-            g = nxt
         symbols_per_chunk = [cuts[j + 1] - cuts[j] for j in range(sub)]
 
         def symbols_in(count: int) -> int:
             full, part = divmod(count, sub)
             return full * t_total + sum(symbols_per_chunk[:part])
 
+        max_chunks = self.max_passes * sub
+        # first attempt: one full pass
+        hi = rateless_search(attempt, max(1, sub), 1.3, max_chunks)
         if hi is None:
             return 0, symbols_in(max_chunks)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if attempt(mid):
-                hi = mid
-            else:
-                lo = mid
         return self.n_bits, symbols_in(hi)

@@ -3,11 +3,11 @@
 A build that fails, a cached file that is truncated and two processes
 building into one cold cache must all end in working BCJR output, never
 in a crash or a hang; every test runs under a ``signal.alarm`` deadline.
-Bad arguments to the spinal kernels' wrappers raise before any pointer
-reaches C, and nothing builds the kernels before the first decode.  The
-last test runs tiny Raptor, Strider, spinal AWGN, fading-CSI and link
-points on the compiled kernels and on the numpy loops and requires
-byte-identical store files.
+Bad arguments to the spinal, BP and draw wrappers raise before any
+pointer reaches C, and nothing builds the kernels before the first decode.
+The last test runs tiny Raptor, Strider, spinal AWGN, fading-CSI and link
+points on the compiled kernels and on the numpy loops, requires
+byte-identical store files and counts every compiled entry point's calls.
 """
 
 import os
@@ -153,7 +153,8 @@ def _reached_c(*args):
 
 
 _FAKE = SimpleNamespace(ffi=None, lib=SimpleNamespace(
-    branch_costs=_reached_c, spine_hash=_reached_c))
+    branch_costs=_reached_c, spine_hash=_reached_c, lt_draw=_reached_c,
+    choice_draw=_reached_c))
 
 
 @pytest.mark.parametrize("name, bad", [
@@ -203,6 +204,106 @@ def test_bsc_branch_costs_reject_csi_but_not_levels():
     with pytest.raises(AssertionError, match="reached the C kernel"):
         ckernels.branch_costs(SimpleNamespace(ffi=cffi.FFI(), lib=_FAKE.lib),
                               **call)
+
+
+def _bp_call():
+    """A good graph for ``ckernels.BpPasses``: 2 checks, 3 variables, 4
+    edges, with observation terms."""
+    return {"check_bounds": np.array([0, 3, 4]),
+            "var_bounds": np.array([0, 2, 3, 4]),
+            "var_order": np.array([0, 3, 1, 2]),
+            "var_index": np.array([0, 1, 2, 0]),
+            "chan": np.zeros(3), "obs_logmag": np.zeros(2),
+            "obs_neg": np.zeros(2, dtype=bool)}
+
+
+_BP_CLIPS = {"tanh_clip": 0.9, "tanh_floor": 1e-30, "llr_clip": 40.0}
+
+
+@pytest.mark.parametrize("name, bad", [
+    # segment bounds: monotone starts from 0, the edge count appended
+    ("check_bounds", lambda a: a[1:]),
+    ("check_bounds", lambda a: a[:-1]),
+    ("check_bounds", lambda a: np.array([0, 5, 4])),
+    ("check_bounds", lambda a: np.array([0, 3, 2, 4])),
+    ("check_bounds", lambda a: a.astype(np.int32)),
+    ("check_bounds", lambda a: a[None]),
+    ("var_bounds", lambda a: np.array([0, 2, 1, 4])),
+    ("var_bounds", lambda a: np.array([0, 2, 3, 5])),
+    # the permutation's range, and var_index < n_vars
+    ("var_order", lambda a: np.array([0, 3, 1, 4])),
+    ("var_order", lambda a: np.array([0, -1, 1, 2])),
+    ("var_order", lambda a: a[:3]),
+    ("var_order", lambda a: a.astype(np.float64)),
+    ("var_index", lambda a: np.array([0, 1, 3, 0])),
+    ("var_index", lambda a: np.array([0, -1, 2, 0])),
+    ("var_index", lambda a: np.repeat(a, 2)[::2]),
+    ("var_index", lambda a: a.tolist()),
+    ("chan", lambda a: a[:2]),
+    ("chan", lambda a: a.astype(np.float32)),
+    ("obs_logmag", lambda a: None),
+    ("obs_logmag", lambda a: a[:1]),
+    ("obs_neg", lambda a: a.astype(np.uint8)),
+    ("obs_neg", lambda a: None),
+])
+def test_bad_bp_graphs_raise_before_reaching_c(name, bad):
+    call = _bp_call()
+    call[name] = bad(call[name])
+    with pytest.raises(ValueError):
+        ckernels.BpPasses(_FAKE, **call, **_BP_CLIPS)
+
+
+def _draw_call():
+    return {"rng": np.random.default_rng(1), "n": 50, "count": 3,
+            "thresholds": np.array([10, 20, 1 << 20]),
+            "degrees": np.array([1, 2, 40])}
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("rng", lambda r: np.random.RandomState(1)),
+    ("n", lambda n: 0),
+    ("n", lambda n: 2.0),
+    ("count", lambda c: -1),
+    ("thresholds", lambda a: np.array([10, 10, 1 << 20])),
+    ("thresholds", lambda a: np.array([0, 20, 1 << 20])),
+    ("thresholds", lambda a: a[:2]),
+    ("thresholds", lambda a: a.astype(np.uint64)),
+    ("degrees", lambda a: np.array([0, 2, 40])),
+    ("degrees", lambda a: a[::-1]),
+])
+def test_bad_lt_draws_raise_before_reaching_c(name, bad):
+    call = _draw_call()
+    call[name] = bad(call[name])
+    with pytest.raises(ValueError):
+        ckernels.lt_draw(_FAKE, **call)
+
+
+def test_permuting_lt_draws_raise_before_reaching_c():
+    """numpy draws 201 of 10001 by permutation, which C does not mirror."""
+    call = dict(_draw_call(), n=10001, degrees=np.array([1, 2, 201]))
+    with pytest.raises(ValueError, match="not a Floyd draw"):
+        ckernels.lt_draw(_FAKE, **call)
+
+
+@pytest.mark.parametrize("n, size, count", [
+    (0, 0, 1), (5, 6, 1), (5, 2, -1), (20000, 401, 1), (5, 2.0, 1)])
+def test_bad_choice_draws_raise_before_reaching_c(n, size, count):
+    with pytest.raises(ValueError):
+        ckernels.choice_draw(_FAKE, np.random.default_rng(1), n, size, count)
+
+
+def test_good_bp_graph_and_draws_pass_the_checks():
+    """The calls the bad-call cases above start from are valid."""
+    _require_compiler()
+    module = ckernels.load()
+    passes = ckernels.BpPasses(module, **_bp_call(), **_BP_CLIPS)
+    passes.edge[:] = 0.25
+    passes.magnitudes()
+    assert (passes.edge > 0).all()
+    offsets, flat = ckernels.lt_draw(module, **_draw_call())
+    assert offsets.size == 4 and flat.size == offsets[-1]
+    assert ckernels.choice_draw(module, np.random.default_rng(1), 50, 4,
+                                3).shape == (3, 4)
 
 
 def test_unknown_hash_raises_before_reaching_c():
@@ -264,7 +365,8 @@ def test_store_bytes_match_on_both_recursions(tmp_path, monkeypatch):
                 spinal))
     assert {p.kind for p in spec.points} == {"measure", "link"}
     assert any(p.channel.kind == "rayleigh" for p in spinal)
-    calls = {"bcjr_recursion": 0, "branch_costs": 0, "spine_hash": 0}
+    calls = {"bcjr_recursion": 0, "branch_costs": 0, "spine_hash": 0,
+             "BpPasses": 0, "lt_draw": 0, "choice_draw": 0}
 
     def counted(name):
         compiled = getattr(ckernels, name)

@@ -1,5 +1,6 @@
 """Tests for the rateless execution engine (§8.1)."""
 
+import numpy as np
 import pytest
 
 from repro.channels import AWGNChannel, BSCChannel, RayleighBlockFadingChannel
@@ -10,6 +11,7 @@ from repro.simulation import (
     measure_spinal_rate,
     snr_sweep,
 )
+from repro.simulation.engine import rateless_search
 from repro.utils.bitops import random_message
 
 
@@ -160,3 +162,73 @@ class TestMeasurement:
         assert m.success_fraction == 0.0
         assert m.rate == 0.0
         assert m.gap_db == float("-inf")
+
+
+class TestRatelessSearch:
+    """One probe-then-bisect helper serves Raptor and Strider; each
+    scheme's attempt sequence is pinned, as the schemes ran it when each
+    carried its own copy of the loop."""
+
+    def test_probe_then_bisect(self):
+        tried = []
+
+        def attempt(count):
+            tried.append(count)
+            return count >= 6
+
+        assert rateless_search(attempt, 1, 1.25, 40) == 6
+        assert tried == [1, 2, 3, 4, 5, 7, 6]
+
+    def test_start_and_exhaustion(self):
+        tried = []
+        assert rateless_search(lambda g: tried.append(g), 4, 1.3, 9) is None
+        assert tried == [4, 6, 8, 9]
+        assert rateless_search(lambda g: True, 4, 1.3, 9) == 1
+
+    def test_raptor_attempts(self):
+        from unittest import mock
+
+        from repro.fountain.raptor import RaptorCodec, RaptorScheme
+
+        scheme = RaptorScheme(256, "qam-16")
+        bits_per_chunk = scheme.chunk_symbols * 4
+        chunks = []
+        decode = RaptorCodec.decode
+
+        def counted(codec, bit_llrs, iterations=40):
+            chunks.append(bit_llrs.size // bits_per_chunk)
+            return decode(codec, bit_llrs, iterations)
+
+        with mock.patch.object(RaptorCodec, "decode", counted):
+            result = scheme.run_message(
+                AWGNChannel(0.0, rng=np.random.default_rng(4)),
+                np.random.default_rng(3))
+        assert chunks == [1, 2, 3, 4, 5, 7, 9, 12, 15, 19, 24, 30, 38, 48,
+                          43, 40, 41, 42]
+        assert result == (256, 42 * scheme.chunk_symbols)
+
+    @pytest.mark.parametrize("snr, symbols, used", [
+        (-5.0, [129, 193, 258, 355, 290], 290),
+        (0.0, [129, 64, 97], 129),
+    ])
+    def test_strider_attempts(self, snr, symbols, used):
+        """Strider+ (4 subpasses a pass) starts at one full pass."""
+        from unittest import mock
+
+        from repro.strider.strider import StriderCodec, StriderScheme
+
+        scheme = StriderScheme(n_bits=96, n_layers=2, max_passes=10,
+                               subpasses_per_pass=4)
+        seen = []
+        decode = StriderCodec.decode
+
+        def counted(codec, pass_values, pass_noise, *args, **kwargs):
+            seen.append(sum(v.size for v in pass_values))
+            return decode(codec, pass_values, pass_noise, *args, **kwargs)
+
+        with mock.patch.object(StriderCodec, "decode", counted):
+            result = scheme.run_message(
+                AWGNChannel(snr, rng=np.random.default_rng(4)),
+                np.random.default_rng(3))
+        assert seen == symbols
+        assert result == (96, used)

@@ -1,8 +1,11 @@
 """Tests for the Raptor stack: degree distribution, LT, precode, codec."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from repro.backend import ckernels
 from repro.channels.awgn import AWGNChannel
 from repro.fountain import (
     LdpcPrecode,
@@ -15,6 +18,8 @@ from repro.fountain import (
 )
 from repro.modulation import soft_demap
 from repro.simulation import measure_scheme
+
+from deadline import deadline
 
 
 class TestDegreeDistribution:
@@ -84,6 +89,105 @@ class TestLTStream:
         assert np.array_equal(whole, parts)
 
 
+#: The first six LT neighbour sets for (seed, n_intermediate), as numpy's
+#: own integers() and choice(replace=False) calls draw them.
+GOLDEN_NEIGHBOURS = {
+    (1, 2): [[0, 1], [0, 1], [0, 1], [0, 1], [0, 1], [0, 1]],
+    (1, 3): [[0, 1, 2], [1, 2], [1, 2], [0, 1, 2], [0, 2], [0, 1, 2]],
+    (1, 50): [[24, 37, 47], [10, 12, 13, 19, 20, 32, 38, 43, 46, 47],
+              [6, 38], [22, 48], [19, 45], [0, 12, 37]],
+    (1, 2156): [[1102, 1627, 2049],
+                [535, 553, 587, 670, 881, 910, 1388, 1782, 1868, 2036],
+                [267, 1699], [977, 2106], [868, 1948], [42, 565, 1617]],
+    (7, 2): [[0, 1], [0, 1], [0, 1], [0, 1], [0, 1], [0, 1]],
+    (7, 3): [[0, 1, 2], [0, 1, 2], [1, 2], [0, 1, 2], [0, 1], [0, 1]],
+    (7, 50): [[2, 10, 13, 14, 24, 25, 28, 34, 37, 43, 44], [13, 35],
+              [0, 1, 3, 4, 5, 6, 7, 8, 11, 13, 14, 15, 16, 17, 18, 19, 21,
+               22, 24, 25, 26, 27, 28, 30, 31, 32, 33, 34, 35, 36, 38, 39,
+               41, 42, 43, 44, 45, 46, 47, 49],
+              [16, 18, 29], [20, 40], [19, 29, 46]],
+    (7, 2156): [[119, 484, 614, 646, 1242, 1341, 1468, 1667, 1793, 1883,
+                 1927],
+                [600, 1551],
+                [25, 76, 93, 209, 245, 302, 341, 458, 532, 572, 725, 816,
+                 942, 948, 950, 993, 999, 1012, 1068, 1069, 1081, 1102,
+                 1104, 1173, 1234, 1307, 1323, 1350, 1488, 1684, 1715,
+                 1733, 1767, 1801, 1829, 1967, 2078, 2105, 2113, 2139],
+                [696, 834, 1289], [864, 1759], [845, 1272, 2108]],
+    (2**61 + 3, 2): [[0, 1], [0, 1], [0, 1], [0, 1], [0, 1], [0, 1]],
+    (2**61 + 3, 3): [[0, 1, 2], [0, 1], [0, 1, 2], [0, 1], [0, 1, 2],
+                     [0, 2]],
+    (2**61 + 3, 50): [[0, 3, 5, 11, 12, 13, 17, 20, 37, 44], [3, 8, 24],
+                      [16, 32], [1, 2, 4, 8, 23, 25, 30, 33, 35, 45],
+                      [19, 32], [23, 34]],
+    (2**61 + 3, 2156): [[35, 187, 261, 502, 566, 668, 803, 1077, 1637,
+                         2095],
+                        [142, 397, 1077], [731, 1388],
+                        [50, 108, 192, 437, 1165, 1193, 1346, 1698, 1777,
+                         2103],
+                        [832, 1420], [1021, 1509]],
+}
+
+
+def _paths():
+    """The draws' paths here: numpy's own calls always (the compiled
+    kernels hidden), the C kernel when it builds."""
+    return ("numpy", "compiled") if ckernels.load() is not None else (
+        "numpy",)
+
+
+def _on_path(path):
+    return mock.patch.object(
+        ckernels, "load", ckernels.load if path == "compiled" else
+        lambda: None)
+
+
+@pytest.mark.parametrize("seed, n", sorted(GOLDEN_NEIGHBOURS))
+def test_golden_lt_neighbours(seed, n):
+    """Both paths draw the pinned neighbour sets, then 500 more outputs in
+    two ranges, and leave the generator in the same state."""
+    ends = {}
+    with deadline(60):
+        for path in _paths():
+            with _on_path(path):
+                stream = LTStream(n, seed)
+                got = [stream.neighbours(i).tolist() for i in range(6)]
+                assert got == GOLDEN_NEIGHBOURS[seed, n], path
+                offsets, flat = stream.neighbour_range(200, 306)
+                ends[path] = (offsets, flat,
+                              stream._rng.bit_generator.state)
+    if "compiled" in ends:
+        (o1, f1, s1), (o2, f2, s2) = ends["compiled"], ends["numpy"]
+        assert np.array_equal(o1, o2) and np.array_equal(f1, f2)
+        assert s1 == s2
+
+
+@pytest.mark.parametrize("k, seed", [(80, 1), (2048, 7)])
+def test_precode_assignments_on_both_paths(k, seed):
+    """The precode's choice(replace=False) rows, in numpy's shuffled
+    order."""
+    rows = {}
+    with deadline(60):
+        for path in _paths():
+            with _on_path(path):
+                rows[path] = LdpcPrecode(k, seed=seed)._assignments
+    assert all(np.array_equal(r, rows["numpy"]) for r in rows.values())
+
+
+@pytest.mark.parametrize("n, size", [(1, 1), (5, 5), (15000, 4),
+                                     (15000, 300)])
+def test_choice_draws_match_numpy(n, size):
+    """The C draws on both sides of numpy's n > 10000 cut-over, up to the
+    largest size it still serves by the Floyd loop."""
+    lib = ckernels.load()
+    if lib is None:
+        pytest.skip("compiled kernels unavailable here")
+    want_rng, got_rng = np.random.default_rng(5), np.random.default_rng(5)
+    want = [want_rng.choice(n, size=size, replace=False) for _ in range(40)]
+    got = ckernels.choice_draw(lib, got_rng, n, size, 40)
+    assert np.array_equal(got, np.array(want).reshape(40, size))
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
 class TestPrecode:
     def test_rate(self):
         p = LdpcPrecode(k=950, rate=0.95)
@@ -130,6 +234,23 @@ class TestRaptorCodec:
         decoded, converged = codec.decode(llrs, iterations=30)
         assert converged
         assert np.array_equal(decoded, msg)
+
+    def test_prefix_graphs_match_fresh_ones(self):
+        """A graph masked out of a larger one is the graph a fresh codec
+        builds, down to the order each variable sums its edges in."""
+        grown = RaptorCodec(k=256, constellation="qam-16", lt_seed=3)
+        grown._graph(90)
+        for n in (0, 1, 40, 89, 90):
+            fresh = RaptorCodec(k=256, constellation="qam-16", lt_seed=3)
+            a, b = grown._graph(n), fresh._graph(n)
+            for name in ("check_index", "var_index", "_to_var_order"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+            # by variable; within one, its LT edges (stored after the
+            # precode's) come first, each group in edge order
+            edge = np.arange(a.n_edges)
+            is_pc = edge < grown._pc_vars.size
+            assert np.array_equal(a._to_var_order,
+                                  np.lexsort((edge, is_pc, a.var_index)))
 
     def test_noisy_roundtrip(self):
         codec = RaptorCodec(k=256, constellation="qam-16", lt_seed=2)

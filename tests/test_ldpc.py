@@ -1,9 +1,12 @@
 """Tests for GF(2) algebra, BP, QC-LDPC construction, and the envelope."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.backend import ckernels
 from repro.channels.awgn import AWGNChannel
 from repro.ldpc import (
     BeliefPropagation,
@@ -16,6 +19,8 @@ from repro.ldpc import (
 )
 from repro.ldpc.construction import base_matrix_shape
 from repro.modulation import make_constellation, soft_demap
+
+from deadline import deadline
 
 
 class TestGf2:
@@ -157,6 +162,62 @@ class TestEdgelessNodes:
         assert bits.tolist() == [0, 1, 0]
         assert ok
         assert bp.syndrome_ok(np.array([1, 0, 1], dtype=np.uint8))
+
+
+#: Segment lengths around numpy's pairwise-sum cut-overs (8 values, 128).
+_SEGMENTS = (0, 1, 2, 7, 8, 9, 128, 129, 300)
+#: Positive NaN only: where two different NaNs meet, numpy's own add picks
+#: one by the element's position in its SIMD loop.
+_SPECIAL_LLRS = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 40.0,
+                          -1e300, 5e-324])
+
+
+def _llrs(rng, size, n_special):
+    llrs = rng.normal(scale=8.0, size=size)
+    hit = rng.choice(size, size=min(n_special, size), replace=False)
+    llrs[hit] = rng.choice(_SPECIAL_LLRS, size=hit.size)
+    return llrs
+
+
+class TestCompiledPasses:
+    """Sum-product on the C passes of ``ckernels.BpPasses`` reproduces the
+    numpy loop bit for bit, posteriors compared as uint64 words."""
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           check_degrees=st.lists(st.sampled_from(_SEGMENTS), min_size=1,
+                                  max_size=6),
+           n_vars=st.integers(1, 40), n_special=st.integers(0, 8),
+           observed=st.booleans(), codeword=st.booleans(),
+           iterations=st.sampled_from([0, 1, 2, 5]),
+           early_exit=st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_numpy(self, seed, check_degrees, n_vars, n_special,
+                           observed, codeword, iterations, early_exit):
+        if ckernels.load() is None:
+            pytest.skip("compiled kernels unavailable here")
+        rng = np.random.default_rng(seed)
+        check_index = np.repeat(np.arange(len(check_degrees)), check_degrees)
+        # uneven variable degrees: long segments, short ones and none
+        var_index = rng.choice(n_vars, size=check_index.size,
+                               p=rng.dirichlet(np.full(n_vars, 0.3)))
+        bp = BeliefPropagation(check_index, var_index, len(check_degrees),
+                               n_vars)
+        chan = _llrs(rng, n_vars, n_special)
+        if codeword:  # the all-zero word: a pure parity decode exits early
+            chan = np.abs(chan)
+        obs = _llrs(rng, len(check_degrees), n_special) if observed else None
+        got = {}
+        with deadline(30), np.errstate(all="ignore"):
+            for path in ("numpy", "compiled"):
+                with mock.patch.object(
+                        ckernels, "load",
+                        ckernels.load if path == "compiled" else
+                        lambda: None):
+                    got[path] = bp.posteriors(chan, iterations, obs,
+                                              early_exit)
+        (want, want_ok), (have, have_ok) = got["numpy"], got["compiled"]
+        assert have.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        assert have_ok == want_ok
 
 
 class TestQcConstruction:
