@@ -17,16 +17,14 @@ is a pure speed comparison.  Writes
 ``bench_results/BENCH_decoder_throughput.json`` including the speedups,
 and exits 1 if a speedup falls below its floor (the constants below).
 The speedups are ratios of two timings on one host, so the floors hold on
-any machine.  The default backend runs the compiled C kernels where they
-build (see :mod:`repro.backend.ckernels`).
+any machine.  The decoder runs the compiled C kernels where they build
+(see :mod:`repro.backend.ckernels`).
 """
 
 import argparse
 import sys
-from contextlib import contextmanager
-from unittest import mock
 
-from repro.backend import ckernels, get_backend, set_backend, use_backend
+from repro.backend import ckernels, get_backend
 from repro.channels import AWGNChannel, RayleighBlockFadingChannel
 from repro.core.params import DecoderParams, SpinalParams
 from repro.obs import clock
@@ -39,19 +37,6 @@ from _common import write_json
 #: slower CI runners.
 MIN_SPEEDUP_BATCH_VS_SCALAR = 1.3544
 MIN_FADING_SPEEDUP_BATCH_VS_SCALAR = 1.5512
-#: ``--backend numba``: batched cohorts on numba over the same on the
-#: default backend's pure-numpy loops (compiled kernels hidden), the
-#: baseline the floor was set on.
-MIN_BACKEND_SPEEDUP_BATCH_VS_NUMPY = 3.0
-
-
-@contextmanager
-def _numpy_loops():
-    """The default backend with its compiled kernels hidden, so it runs
-    the numpy bodies it falls back on."""
-    with use_backend("numpy"), mock.patch.object(ckernels, "load",
-                                                 lambda: None):
-        yield
 
 
 def _timed(fn):
@@ -135,88 +120,6 @@ def run_fading(quick: bool) -> dict:
     }
 
 
-def run_backend_compare(quick: bool, backend: str) -> dict:
-    """End-to-end cohort decode: ``backend`` vs the numpy reference.
-
-    Runs the *same* batched AWGN and fading sweeps under each backend with
-    identical seeding and asserts the measurements are equal — the
-    cross-backend bit-exactness contract at full-pipeline scale — then
-    reports the wall-time ratio over the pure-numpy loops as
-    ``backend_speedup_batch_vs_numpy`` (machine-free; :func:`main` fails
-    below :data:`MIN_BACKEND_SPEEDUP_BATCH_VS_NUMPY`).  The ratio over the
-    default backend's compiled kernels, ``backend_speedup_batch_vs_compiled``,
-    is reported only: it is the yardstick for retiring ``backend``.
-    """
-    n_messages = 48 if quick else 192
-    batch_size = 48
-    n_bits, snr_db, seed, probe_growth = 128, 8.0, 0, 1.5
-    params = SpinalParams()
-    dec = DecoderParams(B=64, max_passes=16)
-    scheme = SpinalScheme(params, dec, n_bits, probe_growth=probe_growth)
-
-    def batch_awgn():
-        return measure_scheme(
-            scheme, lambda rng: AWGNChannel(snr_db, rng=rng), snr_db,
-            n_messages, seed=seed, batch_size=batch_size)
-
-    with _numpy_loops():
-        ref, t_numpy = _timed(batch_awgn)
-    with use_backend("numpy"):
-        comp, t_compiled = _timed(batch_awgn)
-    with use_backend(backend):
-        cur, t_backend = _timed(batch_awgn)
-    # Backends are bit-identical by contract: same decodes, same symbol
-    # counts, same rate — only the wall time may differ.
-    assert ref == comp == cur
-
-    tau = 10
-    fading_scheme = SpinalScheme(params, dec, n_bits, give_csi="full",
-                                 probe_growth=probe_growth)
-    factory = lambda rng: RayleighBlockFadingChannel(  # noqa: E731
-        13.0, coherence_time=tau, rng=rng)
-
-    def batch_fading():
-        return measure_scheme(
-            fading_scheme, factory, 13.0, n_messages, seed=seed,
-            batch_size=batch_size, capacity_reference="rayleigh")
-
-    with _numpy_loops():
-        fref, tf_numpy = _timed(batch_fading)
-    with use_backend("numpy"):
-        fcomp, tf_compiled = _timed(batch_fading)
-    with use_backend(backend):
-        fcur, tf_backend = _timed(batch_fading)
-    assert fref == fcomp == fcur
-
-    return {
-        "config": {
-            "n_bits": n_bits, "snr_db": snr_db, "B": dec.B,
-            "max_passes": dec.max_passes, "probe_growth": probe_growth,
-            "n_messages": n_messages, "batch_size": batch_size,
-            "profile": "quick" if quick else "full",
-            "backend": backend,
-            "compiled_kernels": ckernels.load() is not None,
-        },
-        "rate_bits_per_symbol": round(ref.rate, 9),
-        "numpy_batch_msgs_per_sec": round(n_messages / t_numpy, 3),
-        "compiled_batch_msgs_per_sec": round(n_messages / t_compiled, 3),
-        "backend_batch_msgs_per_sec": round(n_messages / t_backend, 3),
-        "backend_speedup_batch_vs_numpy": round(t_numpy / t_backend, 3),
-        "backend_speedup_batch_vs_compiled": round(
-            t_compiled / t_backend, 3),
-        "fading_rate_bits_per_symbol": round(fref.rate, 9),
-        "fading_numpy_batch_msgs_per_sec": round(n_messages / tf_numpy, 3),
-        "fading_compiled_batch_msgs_per_sec": round(
-            n_messages / tf_compiled, 3),
-        "fading_backend_batch_msgs_per_sec": round(
-            n_messages / tf_backend, 3),
-        "fading_backend_speedup_batch_vs_numpy": round(
-            tf_numpy / tf_backend, 3),
-        "fading_backend_speedup_batch_vs_compiled": round(
-            tf_compiled / tf_backend, 3),
-    }
-
-
 def _missed_floors(payload: dict, floors: dict[str, float]) -> bool:
     """Print every speedup below its floor; True if there was one."""
     missed = [key for key, floor in floors.items() if payload[key] < floor]
@@ -230,36 +133,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--quick", action="store_true",
                     help="small message count (the CI smoke profile)")
-    ap.add_argument("--backend", default="numpy",
-                    help="array-kernel backend (see repro.backend). With a "
-                         "non-numpy backend the bench switches to a "
-                         "backend-vs-numpy comparison of the batched "
-                         "cohort path and writes "
-                         "BENCH_decoder_throughput_numba.json")
     args = ap.parse_args(argv)
-
-    resolved = set_backend(args.backend).name
-    if resolved != "numpy":
-        payload = run_backend_compare(quick=args.quick, backend=resolved)
-        for key, value in payload.items():
-            print(f"{key}: {value}")
-        write_json("BENCH_decoder_throughput_numba", payload)
-        if _missed_floors(payload, {"backend_speedup_batch_vs_numpy":
-                                    MIN_BACKEND_SPEEDUP_BATCH_VS_NUMPY}):
-            return 1
-        print(f"ok: {resolved} batch path "
-              f"{payload['backend_speedup_batch_vs_numpy']}x over numpy "
-              f"(fading "
-              f"{payload['fading_backend_speedup_batch_vs_numpy']}x) and "
-              f"{payload['backend_speedup_batch_vs_compiled']}x over the "
-              f"compiled kernels, measurements identical")
-        return 0
-    if args.backend != resolved:
-        # requested backend fell back (e.g. numba missing): the comparison
-        # would gate numpy against itself, so fail loudly instead
-        print(f"requested backend {args.backend!r} resolved to "
-              f"{resolved!r}; aborting backend comparison", file=sys.stderr)
-        return 1
 
     payload = run(quick=args.quick)
     for key, value in payload.items():

@@ -1,4 +1,4 @@
-"""Per-kernel microbenchmarks for the decode hot path, per backend.
+"""Per-kernel microbenchmarks for the decode hot path, compiled and numpy.
 
 The bubble decoder spends its time in three kernels — the spine hash, the
 branch-cost evaluation, and beam selection — and ``repro.obs`` now reports
@@ -15,28 +15,23 @@ kernel, not just "decode got slower":
   on a one-message (one-row) view, for the paper's AWGN code, the
   rate-1/3 BSC code, and a fading store with per-symbol CSI; plus the
   kernel at the ``spinal_awgn`` cohort shape;
-- ``select``: :func:`repro.core.decoder.select_beams` (argpartition
+- ``select``: :func:`repro.backend.select_beams` (argpartition
   subtree pruning) on one message's row and on a 16-message cohort;
 - ``bp``: one 40-iteration sum-product decode of a fixed ~50k-edge Raptor
   graph (:meth:`repro.ldpc.bp.BeliefPropagation.posteriors`), on the
   compiled passes and on the numpy loop.
 
-The hash and branch-cost benchmarks run once per available kernel set:
-``numpy``, the default backend (:mod:`repro.backend`) with its compiled
-kernels hidden so it runs its numpy bodies, always; ``compiled``, the
-default backend on the C kernels of :mod:`repro.backend.ckernels`, when
-they build; ``numba`` when installed.  numpy records keep their historical
-names; the others get an ``@compiled`` or ``@numba`` name suffix, and
-every record a ``backend`` field.  Selection is backend-shared by contract
-and measured once.
+The hash, branch-cost and BP benchmarks run on both paths of
+:mod:`repro.backend`: ``numpy``, with the compiled kernels hidden so the
+numpy bodies run, always; ``compiled``, on the C kernels of
+:mod:`repro.backend.ckernels`, when they build.  numpy records keep their
+historical names; compiled ones get an ``@compiled`` name suffix, and
+every record a ``backend`` field.  Selection has one implementation and
+is measured once.
 
 Run with ``pytest benchmarks/bench_kernels.py``; a session teardown writes
-``bench_results/BENCH_kernels.json`` (mean/stddev/rounds per kernel) and,
-when both backends ran, ``bench_results/BENCH_kernels_backend.json`` with
-per-kernel numpy/numba timing pairs and their machine-free speedup ratios.
-The teardown then fails if numba's hash speedup over the numpy loops on
-the flat beam or cohort shape is below :data:`MIN_NUMBA_HASH_SPEEDUP`, or
-if the compiled BP decode's speedup over the numpy loop is below
+``bench_results/BENCH_kernels.json`` (mean/stddev/rounds per kernel), then
+fails if the compiled BP decode's speedup over the numpy loop is below
 :data:`MIN_BP_SPEEDUP`.
 Not collected by the tier-1 suite (``testpaths = ["tests"]``).
 """
@@ -48,10 +43,9 @@ import numpy as np
 import pytest
 
 from _common import write_json
-from repro.backend import ckernels, use_backend
-from repro.backend.numba_backend import NUMBA_AVAILABLE
+from repro.backend import branch_costs_batch, ckernels, select_beams
 from repro.channels import AWGNChannel, BSCChannel
-from repro.core.decoder import BubbleDecoder, select_beams
+from repro.core.decoder import BubbleDecoder
 from repro.core.encoder import SpinalEncoder
 from repro.core.hashes import available_hashes, get_hash
 from repro.core.params import DecoderParams, SpinalParams
@@ -71,10 +65,6 @@ CONFIGS = {
     "bsc_k4": (SpinalParams.bsc(), 32, 0.05),
 }
 
-#: numba over numpy on ``hash.<name>/<BEAM or COHORT>``; the session
-#: teardown fails below it.
-MIN_NUMBA_HASH_SPEEDUP = 5.0
-
 #: The compiled BP passes over the numpy loop on ``bp.raptor``; the
 #: session teardown fails below it.  About 40% of the 1.72x measured on a
 #: 2-core KVM guest (AVX-512, numpy 2.4.6): numpy's tanh, log, exp and
@@ -82,29 +72,19 @@ MIN_NUMBA_HASH_SPEEDUP = 5.0
 #: ratio is small and a loaded host moves it a lot.
 MIN_BP_SPEEDUP = 0.7
 
-BACKENDS = [
-    pytest.param("numpy", id="numpy"),
-    pytest.param("compiled", id="compiled"),
-    pytest.param("numba", id="numba", marks=pytest.mark.skipif(
-        not NUMBA_AVAILABLE, reason="numba not installed")),
-]
+BACKENDS = ("numpy", "compiled")
 
 
 @contextmanager
 def _active(backend):
-    """Activate a kernel set of :data:`BACKENDS`; yields the backend."""
-    if backend == "numba":
-        with use_backend("numba") as active:
-            yield active
-    elif backend == "compiled":
+    """Run the kernels on one path of :data:`BACKENDS` inside the block."""
+    if backend == "compiled":
         if ckernels.load() is None:
             pytest.skip("compiled kernels unavailable here")
-        with use_backend("numpy") as active:
-            yield active
+        yield
     else:
-        with use_backend("numpy") as active, mock.patch.object(
-                ckernels, "load", lambda: None):
-            yield active
+        with mock.patch.object(ckernels, "load", lambda: None):
+            yield
 
 
 @pytest.fixture(scope="session")
@@ -123,41 +103,6 @@ def kernel_records():
         assert speedup >= MIN_BP_SPEEDUP, (
             f"compiled BP speedup {speedup:.2f}x is below "
             f"{MIN_BP_SPEEDUP}x")
-    # Cross-backend speedup pairs (numpy mean / numba mean per kernel):
-    # only when the numba leg actually ran, so numpy-only hosts never
-    # write a partial kernels_backend payload.
-    numba_recs = {
-        (r["group"], r["name"][:-len("@numba")]): r
-        for r in records
-        if r.get("backend") == "numba" and r["name"].endswith("@numba")
-    }
-    if not numba_recs:
-        return
-    pairs = []
-    for r in records:
-        if r.get("backend") != "numpy":
-            continue
-        other = numba_recs.get((r["group"], r["name"]))
-        if other is None or "mean_s" not in r or "mean_s" not in other:
-            continue
-        pairs.append({
-            "group": r["group"],
-            "name": r["name"],
-            "numpy_mean_s": r["mean_s"],
-            "numba_mean_s": other["mean_s"],
-            "speedup": r["mean_s"] / other["mean_s"],
-        })
-    write_json("BENCH_kernels_backend", {
-        "suite": "kernels_backend",
-        "pairs": sorted(pairs, key=lambda p: (p["group"], p["name"])),
-    })
-    # the flat shapes only: "lookup3/4096" is gated, "lookup3/8x4096" not
-    slow = [f"{p['name']} {p['speedup']:.2f}x" for p in pairs
-            if p["group"] == "hash"
-            and p["name"].endswith((f"/{BEAM}", f"/{COHORT}"))
-            and p["speedup"] < MIN_NUMBA_HASH_SPEEDUP]
-    assert not slow, (f"numba hash speedup below "
-                      f"{MIN_NUMBA_HASH_SPEEDUP}x: {slow}")
 
 
 def _record(kernel_records, benchmark, group, name, **meta):
@@ -173,7 +118,7 @@ def _record(kernel_records, benchmark, group, name, **meta):
 
 
 def _suffix(backend):
-    """numpy keeps the historical metric names; others are suffixed."""
+    """numpy keeps the historical metric names; compiled is suffixed."""
     return "" if backend == "numpy" else f"@{backend}"
 
 
@@ -251,7 +196,6 @@ def test_branch_cost_kernel(benchmark, kernel_records, config, backend):
         0, 2**32, size=(1, BEAM), dtype=np.uint32)
     view = store.prefix(store.checkpoint())
     with _active(backend):
-        # the decoder binds its backend at construction
         decoder = BubbleDecoder(params, DecoderParams(B=256), n_bits)
         costs = benchmark(decoder._branch_costs, states, 1, view)
     assert costs.shape == (1, BEAM) and np.all(costs >= 0.0)
@@ -302,9 +246,9 @@ def test_branch_cost_kernel_cohort(benchmark, kernel_records, backend):
     values = (rng.normal(size=(n_msgs, OUTER_SLOTS))
               + 1j * rng.normal(size=(n_msgs, OUTER_SLOTS)))
     levels = params.make_mapping().levels
-    with _active(backend) as active:
+    with _active(backend):
         costs = benchmark(
-            active.branch_costs_batch, states, slots, values, None,
+            branch_costs_batch, states, slots, values, None,
             hash_name=params.hash_name, levels=levels, c=params.c,
             is_bsc=False)
     assert costs.shape == (n_msgs, BEAM) and np.all(costs >= 0.0)
@@ -315,7 +259,7 @@ def test_branch_cost_kernel_cohort(benchmark, kernel_records, backend):
 
 
 # ---------------------------------------------------------------------------
-# selection kernel (backend-shared by contract; measured once)
+# selection kernel (one implementation; measured once)
 # ---------------------------------------------------------------------------
 
 # The one-message row keeps the record name of the 1-D shape it replaced.
@@ -332,10 +276,10 @@ def test_select_kernel(benchmark, kernel_records, shape, n_beam, name):
 
 
 # ---------------------------------------------------------------------------
-# BP decode (numpy loop vs compiled passes; numba does not run BP)
+# BP decode (numpy loop vs compiled passes)
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("backend", BACKENDS[:2])
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_bp_decode(benchmark, kernel_records, backend):
     """40 sum-product iterations on a fixed Raptor graph: k=2048, QAM-256,
     1150 symbols at 10 dB, about 50k edges."""

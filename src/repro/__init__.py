@@ -21,12 +21,7 @@ Quickstart::
     print(result.rate, "bits/symbol")
 """
 
-from repro.backend import (
-    available_backends,
-    get_backend,
-    set_backend,
-    use_backend,
-)
+from repro.backend import get_backend
 from repro.channels import (
     AWGNChannel,
     BSCChannel,
@@ -95,8 +90,5 @@ __all__ = [
     "measure_scheme",
     "measure_spinal_rate",
     "snr_sweep",
-    "available_backends",
     "get_backend",
-    "set_backend",
-    "use_backend",
 ]

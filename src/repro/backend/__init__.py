@@ -1,122 +1,235 @@
-"""Array-kernel backend registry: who executes the decode hot loop.
+"""The decode hot loop's array kernels: compiled C where it builds, numpy
+otherwise.
 
-The decoder's three hot kernel families — spine hashes, branch costs,
-beam selection — live behind an explicit :class:`~repro.backend.base.Backend`
-object.  This module owns *which* backend is active:
+The bubble decoder spends its time in three kernel families: the u32 spine
+hashes, the branch costs, and beam selection.  This module holds the one
+implementation of each.  The spine hashes and the branch costs run on the
+compiled C kernels of :mod:`repro.backend.ckernels` where they build (on
+the first hash or branch-cost call of a process, never at import or decoder
+construction), and on the numpy bodies below otherwise.  Beam selection is
+numpy's ``argpartition``.
 
-- ``numpy`` (default): runs the spine hashes and branch costs on the
-  compiled C kernels of :mod:`repro.backend.ckernels` where they build,
-  and on its numpy bodies otherwise.  Those bodies are the fallback and
-  the reference implementation, the bit-exactness contract every other
-  path is tested against.  The name stays ``numpy`` because the results
-  are the reference's bit for bit;
-- ``numba``: JIT-compiled fused loops; optional dependency (the
-  ``[numba]`` extra), falling back to numpy with a one-time
-  :class:`BackendFallbackWarning` when numba is absent.
+The contract is **bit-identical output**: the compiled kernels reproduce
+the numpy bodies exactly, which are the fallback and the test oracle —
+same uint32 hash words as the reference hashes of :mod:`repro.core.hashes`,
+same float64 branch costs (same operation order, so the same IEEE
+rounding).  The non-CSI AWGN metric reads per-slot distance tables (see
+:func:`_awgn_table_costs`), which perform the same IEEE operations as
+gathering each word's levels and so give the same costs.
+``tests/test_backend.py`` enforces this with golden hash vectors and a
+decode matrix against a reference search, on both paths; the experiment
+store's byte-identical files on both paths are the end-to-end corollary.
 
-Selection precedence: an explicit :func:`set_backend` call (the
-experiments CLI ``--backend`` flag lands here) beats the
-``REPRO_BACKEND`` environment variable, which beats the ``numpy``
-default.  ``set_backend`` also writes ``REPRO_BACKEND`` so worker
-processes spawned afterwards resolve the same backend.
+:func:`get_backend` names the kernel set for ``--metrics`` artifacts and
+``BENCH_*`` payloads.  The name is ``numpy`` because the results are the
+numpy reference's bit for bit, whichever path ran.
 
-Because every backend is bit-identical by contract, the choice never
-changes results — store files are byte-identical across backends (the CI
-numba leg diffs two freshly built stores to prove it) — only wall time
-and the ``backend`` field recorded in ``--metrics`` / ``BENCH_*``
-artifacts.
+Observability follows the decode hot-loop discipline (see ``repro.obs``).
+On the numpy path the hash inside a branch-cost evaluation is timed as
+``kernel.hash`` and the distance arithmetic as ``kernel.branch_cost``.  The
+fused C kernel cannot split the two, so it charges the whole call to
+``kernel.branch_cost``; ``kernel.hash`` then counts only the decoder's
+tree-expansion hashes.
 
-This module stays import-light (no kernel imports at module scope):
-``core/hashes.py`` imports :mod:`repro.backend.u32`, and the concrete
-backends import ``core/hashes.py`` back for the reference kernels, so
-backend construction is deferred into the lazy factories below.
+:mod:`repro.core.hashes` imports this package, so the reference hashes
+it defines are bound lazily, on first use.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Iterator
+from dataclasses import dataclass
+from functools import cache
+from typing import Callable
 
-from repro.backend.base import Backend, BackendFallbackWarning
+import numpy as np
+
+from repro.backend import ckernels
+from repro.obs import OBS, clock
 
 __all__ = [
     "Backend",
     "BackendFallbackWarning",
-    "ENV_VAR",
-    "available_backends",
+    "HashFn",
+    "branch_costs_batch",
     "get_backend",
-    "reset_backend",
-    "set_backend",
-    "use_backend",
+    "hash_kernel",
+    "select_beams",
 ]
 
-ENV_VAR = "REPRO_BACKEND"
+_U32 = np.uint32
 
-_BACKEND_NAMES = ("numpy", "numba")
-
-_active: Backend | None = None
-
-
-def available_backends() -> tuple[str, ...]:
-    """Names accepted by :func:`set_backend` / ``REPRO_BACKEND``."""
-    return _BACKEND_NAMES
+#: ``h(state, data) -> word``: broadcasting uint32 ndarray hash.
+HashFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def _build(name: str) -> Backend:
-    if name == "numpy":
-        from repro.backend import numpy_backend
+class BackendFallbackWarning(RuntimeWarning):
+    """The compiled kernels failed to build and the numpy loops run instead.
 
-        return numpy_backend.make_backend()
-    if name == "numba":
-        from repro.backend import numba_backend
-
-        return numba_backend.make_backend()
-    raise ValueError(
-        f"unknown backend {name!r}; available: {sorted(_BACKEND_NAMES)}"
-    )
-
-
-def set_backend(name: str) -> Backend:
-    """Activate a backend by name and return it.
-
-    Also exports ``REPRO_BACKEND`` so subsequently spawned worker
-    processes resolve the same backend.  Note the returned backend's
-    ``name`` may differ from the request when a fallback fires (numba
-    absent -> numpy); the *resolved* name is what gets exported and
-    recorded in metrics.
+    Emitted once per process by :func:`repro.backend.ckernels.load`, so
+    batch sweeps don't drown in repeats.
     """
-    global _active
-    _active = _build(str(name))
-    os.environ[ENV_VAR] = _active.name
-    return _active
 
 
+@dataclass(frozen=True)
+class Backend:
+    """The kernel set's name, recorded in ``--metrics`` artifacts and
+    ``BENCH_*`` payloads.  Whether the compiled kernels built is not in the
+    name: the results are the same either way."""
+
+    name: str
+
+
+@cache
 def get_backend() -> Backend:
-    """The active backend, resolving ``$REPRO_BACKEND`` (default numpy) lazily."""
-    global _active
-    if _active is None:
-        _active = _build(os.environ.get(ENV_VAR, "numpy"))
-    return _active
+    """The one kernel set (its ``name`` is ``numpy``)."""
+    return Backend(name="numpy")
 
 
-def reset_backend() -> None:
-    """Drop the active backend so the next :func:`get_backend` re-resolves."""
-    global _active
-    _active = None
+@cache
+def _reference_hash(name: str) -> HashFn:
+    from repro.core.hashes import reference_hashes
+
+    return reference_hashes()[name]
 
 
-@contextmanager
-def use_backend(name: str) -> Iterator[Backend]:
-    """Temporarily activate a backend (tests, side-by-side benchmarks)."""
-    global _active
-    prev = _active
-    prev_env = os.environ.get(ENV_VAR)
-    try:
-        yield set_backend(name)
-    finally:
-        _active = prev
-        if prev_env is None:
-            os.environ.pop(ENV_VAR, None)
-        else:
-            os.environ[ENV_VAR] = prev_env
+@cache
+def hash_kernel(name: str) -> HashFn:
+    """``h(state, data)`` for a registered hash on the compiled kernel, or
+    the numpy reference when the kernels are unavailable.
+
+    One function object per name.  The kernels are looked up at call time,
+    so getting the function never builds them.
+    """
+    reference = _reference_hash(name)
+
+    def h(state: np.ndarray, data: np.ndarray) -> np.ndarray:
+        kernels = ckernels.load()
+        if kernels is None:
+            return reference(state, data)
+        return ckernels.spine_hash(kernels, name, state, data)
+
+    return h
+
+
+def select_beams(group_costs: np.ndarray, n_beam: int) -> np.ndarray:
+    """Indices of the ``n_beam`` cheapest candidate subtrees of each row.
+
+    ``group_costs`` is ``(M, n_candidates)``, one row of flattened
+    candidate costs per message; selection runs along axis 1 with
+    ``argpartition``.  The surviving index sets *and their introselect
+    order* are part of the decode contract.
+    """
+    n_keep = min(n_beam, group_costs.shape[1])
+    if n_keep < group_costs.shape[1]:
+        return np.argpartition(group_costs, n_keep - 1, axis=1)[:, :n_keep]
+    return np.broadcast_to(np.arange(group_costs.shape[1]), group_costs.shape)
+
+
+def _awgn_table_costs(
+    words: np.ndarray, y: np.ndarray, levels: np.ndarray, c: int
+) -> np.ndarray:
+    """Non-CSI AWGN branch costs ``sum_slots |y - x(word)|^2``.
+
+    ``words`` is ``(n_slots, [M,] n_states)`` and ``y`` holds one received
+    value per leading ``(slot[, message])`` pair.  Each pair gets two
+    tables of ``2^c`` entries, ``(y_r - level)^2`` and ``(y_q - level)^2``,
+    flattened row after row; a word scores by two ``np.take`` on uint32
+    offsets ``row * 2^c + index`` and one ``+``.  A table entry is the
+    same IEEE subtract-then-square of the same two operands as the direct
+    ``d = y - levels[index]; d * d``, so every summand, the slot-leading
+    sum over them and any NaN or inf come out bit for bit as before, at a
+    fraction of the element work.
+    """
+    n_levels = levels.size
+    d_r = y.real[..., None] - levels
+    d_q = y.imag[..., None] - levels
+    tab_r = (d_r * d_r).ravel()
+    tab_q = (d_q * d_q).ravel()
+    rows = np.arange(y.size, dtype=np.uint32) * _U32(n_levels)
+    rows = rows.reshape(y.shape + (1,))
+    mask = _U32(n_levels - 1)
+    offsets = words & mask
+    offsets += rows
+    cost = np.take(tab_r, offsets)
+    np.right_shift(words, _U32(c), out=offsets)
+    offsets &= mask
+    offsets += rows
+    cost += np.take(tab_q, offsets)
+    return cost.sum(axis=0)
+
+
+def branch_costs_batch(
+    states: np.ndarray,
+    slots: np.ndarray,
+    values: np.ndarray,
+    csi: np.ndarray | None,
+    *,
+    hash_name: str,
+    levels: np.ndarray,
+    c: int,
+    is_bsc: bool,
+) -> np.ndarray:
+    """Branch costs of M messages: ``states (M, n)`` -> ``costs (M, n)``.
+
+    Sums, over the received symbols of one spine position, the squared
+    distance (AWGN; coherent ``|y - h x|^2`` when CSI is present) or
+    Hamming distance (BSC) between each candidate state's symbols and the
+    received values; a single message is ``M = 1``.  All passes plus tail
+    symbols arrive as distinct slots, evaluated in one broadcast hash of
+    shape ``(n_slots, M, n_states)``.  The slot axis leads, so each
+    (message, state) sum accumulates in slot order and a row's costs do
+    not depend on the other rows.  (numpy sums a lone column pairwise
+    instead, so that holds for ``M * n_states > 1``; the decoder always
+    scores at least ``2^k`` states.)  The compiled kernel reproduces the
+    slot-ordered sum, so it runs for every input but that lone column.
+    """
+    states = np.asarray(states, dtype=np.uint32)
+    n_msgs, n_states = states.shape
+    if slots.size == 0:
+        return np.zeros((n_msgs, n_states), dtype=np.float64)
+    _on = OBS.enabled
+    if _on:
+        t0 = clock()
+    kernels = ckernels.load() if n_msgs * n_states > 1 else None
+    if kernels is not None:
+        out = ckernels.branch_costs(
+            kernels, np.ascontiguousarray(states),
+            np.ascontiguousarray(slots, dtype=np.uint32),
+            np.ascontiguousarray(
+                values, dtype=np.float64 if is_bsc else np.complex128),
+            None if csi is None else np.ascontiguousarray(
+                csi, dtype=np.complex128),
+            hash_name=hash_name,
+            levels=np.ascontiguousarray(levels, dtype=np.float64), c=c,
+            is_bsc=is_bsc)
+        if _on:
+            OBS.add_time("kernel.branch_cost", clock() - t0)
+        return out
+    words = _reference_hash(hash_name)(
+        states[None, :, :], np.asarray(slots, np.uint32)[:, None, None])
+    if _on:
+        t1 = clock()
+        OBS.add_time("kernel.hash", t1 - t0)
+    if is_bsc:
+        bits = (words & _U32(1)).astype(np.float64)
+        out = np.abs(bits - values.T[:, :, None]).sum(axis=0)
+    elif csi is None:
+        out = _awgn_table_costs(words, values.T, levels, c)
+    else:
+        # Coherent metric |y - h x|^2 (§8.3) with the complex product h*x
+        # spelled as separately-rounded real ufuncs.  numpy's
+        # complex-multiply loop may contract into FMAs on hosts that have
+        # them, which would make the reference costs machine-dependent in
+        # the last ulp — explicit real ops pin one rounding sequence
+        # everywhere, and it is the sequence the C kernel reproduces.
+        c_mask = _U32((1 << c) - 1)
+        x_i = levels[(words & c_mask).astype(np.intp)]
+        x_q = levels[((words >> _U32(c)) & c_mask).astype(np.intp)]
+        f_r = csi.real.T[:, :, None] * x_i - csi.imag.T[:, :, None] * x_q
+        f_q = csi.real.T[:, :, None] * x_q + csi.imag.T[:, :, None] * x_i
+        d_r = values.real.T[:, :, None] - f_r
+        d_q = values.imag.T[:, :, None] - f_q
+        out = (d_r * d_r + d_q * d_q).sum(axis=0)
+    if _on:
+        OBS.add_time("kernel.branch_cost", clock() - t1)
+    return out

@@ -40,8 +40,6 @@ from types import ModuleType
 
 import numpy as np
 
-from repro.backend.base import BackendFallbackWarning
-
 __all__ = ["CACHE_ROOT", "BpPasses", "bcjr_recursion", "branch_costs",
            "build_or_load", "choice_draw", "floyd_choice", "load", "lt_draw",
            "module_path", "spine_hash"]
@@ -202,6 +200,8 @@ def load() -> ModuleType | None:
         try:
             _module = build_or_load(CACHE_ROOT)
         except Exception as exc:
+            from repro.backend import BackendFallbackWarning
+
             warnings.warn(
                 f"compiled kernels unavailable ({type(exc).__name__}: "
                 f"{exc}); running the numpy loops instead",
@@ -293,7 +293,7 @@ def branch_costs(module: ModuleType, states: np.ndarray, slots: np.ndarray,
     """The fused hash and branch-cost kernel of ``kernels.c``.
 
     Same arguments and result as
-    :func:`repro.backend.numpy_backend.branch_costs_batch`, but strict:
+    :func:`repro.backend.branch_costs_batch`, but strict:
     ``states`` (M, n) uint32, ``slots`` (s,) uint32 with s >= 1,
     ``values`` (M, s) complex128 (float64 for BSC), ``csi`` None or
     (M, s) complex128 (never with BSC), 1 <= c <= 16 and ``levels`` float64

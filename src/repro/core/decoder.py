@@ -39,26 +39,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backend import get_backend
+from repro.backend import branch_costs_batch, select_beams
 from repro.core.hashes import get_hash
 from repro.core.params import DecoderParams, SpinalParams
 from repro.core.symbols import BatchReceivedView, ReceivedSymbols
 from repro.obs import OBS, clock
 from repro.utils.bitops import pack_chunks
 
-__all__ = ["BubbleDecoder", "BatchBubbleDecoder", "DecodeResult", "select_beams"]
-
-
-def select_beams(group_costs: np.ndarray, n_beam: int) -> np.ndarray:
-    """Indices of the ``n_beam`` cheapest candidate subtrees of each row.
-
-    The beam-selection kernel: ``group_costs`` is ``(M, n_candidates)``,
-    one row of flattened candidate costs per message.  Delegates to the
-    active backend (:mod:`repro.backend`); every backend preserves the
-    reference ``argpartition`` introselect order, so the surviving index
-    sets — and therefore decode results — are backend-invariant.
-    """
-    return get_backend().select_beams(group_costs, n_beam)
+__all__ = ["BubbleDecoder", "BatchBubbleDecoder", "DecodeResult"]
 
 
 @dataclass
@@ -96,10 +84,6 @@ class BubbleDecoder:
         self.k = params.k
         self._mapping = params.make_mapping()
         self._levels = self._mapping.levels
-        # The backend is bound once at construction (repro.backend): all
-        # hot kernels — spine hash, branch costs, beam selection — come
-        # from this object for the decoder's lifetime.
-        self._backend = get_backend()
         self._hash_fn = get_hash(params.hash_name)
         # Depth cannot exceed the tree height; clamping keeps tiny-n cases
         # (and the full-ML limit) working through the same code path.
@@ -120,12 +104,12 @@ class BubbleDecoder:
         """Cost of the edge *into* each candidate state at a spine position.
 
         ``states`` is ``(M, n_states)``, one row per message of the view.
-        The arithmetic lives in the bound backend's ``branch_costs_batch``
-        kernel (which owns its ``repro.obs`` kernel timing); this method
-        only slices the received store for the spine position.
+        The arithmetic lives in :func:`repro.backend.branch_costs_batch`
+        (which owns its ``repro.obs`` kernel timing); this method only
+        slices the received store for the spine position.
         """
         slots, values, csi = received.for_spine(spine_idx)
-        return self._backend.branch_costs_batch(
+        return branch_costs_batch(
             states, slots, values, csi,
             hash_name=self.params.hash_name,
             levels=self._levels,
@@ -186,7 +170,7 @@ class BubbleDecoder:
             if _on:
                 t0 = clock()
             group_costs = totals.min(axis=1).reshape(M, n_beam * K)
-            sel = self._backend.select_beams(group_costs, self.dec.B)
+            sel = select_beams(group_costs, self.dec.B)
             kept = sel + np.arange(0, M * n_beam * K, n_beam * K)[:, None]
             leaf_states = children.reshape(M * n_beam * K, W).take(kept, axis=0)
             leaf_costs = totals.take(kept, axis=0)

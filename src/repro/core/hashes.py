@@ -22,19 +22,17 @@ thousands of candidate states per call, so every operation is an elementwise
 numpy ``uint32`` op with natural mod-2^32 wrap-around.
 
 These are the **reference** kernels — the bit-exactness contract of the
-backend seam (:mod:`repro.backend`).  :func:`get_hash` dispatches through
-the active backend, so callers transparently pick up the default backend's
-compiled C hash where it built, or e.g. the numba JIT kernels when that
-backend is selected; :func:`reference_hashes` always returns the numpy
+decode kernels (:mod:`repro.backend`).  :func:`get_hash` returns the
+compiled C hash where it built and the reference otherwise, bit for bit
+the same words; :func:`reference_hashes` always returns the numpy
 implementations below.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
+from repro.backend import HashFn, hash_kernel
 from repro.backend.u32 import rotl32
 
 __all__ = [
@@ -46,8 +44,6 @@ __all__ = [
     "reference_hashes",
     "HashFn",
 ]
-
-HashFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 _U32 = np.uint32
 _MASK8 = _U32(0xFF)
@@ -213,24 +209,21 @@ def available_hashes() -> tuple[str, ...]:
 def reference_hashes() -> dict[str, HashFn]:
     """The numpy reference implementations, by name.
 
-    This is the bit-exactness contract of the backend seam: every backend's
-    ``hash_fns`` must reproduce these words exactly (``tests/test_backend.py``
-    pins golden vectors and cross-backend equality against them).
+    This is the bit-exactness contract of the compiled hashes: they must
+    reproduce these words exactly (``tests/test_backend.py`` pins golden
+    vectors and compiled-vs-reference equality against them).
     """
     return dict(_REGISTRY)
 
 
 def get_hash(name: str) -> HashFn:
-    """The active backend's kernel for a hash (see :func:`available_hashes`).
+    """The kernel for a hash (see :func:`available_hashes`).
 
-    Under the default numpy backend this is a wrapper that runs the
-    compiled C hash where it built and the reference function otherwise;
-    other backends return their own bit-identical kernel.
+    :func:`repro.backend.hash_kernel`: a wrapper that runs the compiled C
+    hash where it built and the reference function otherwise.
     """
     if name not in _REGISTRY:
         raise ValueError(
             f"unknown hash {name!r}; available: {sorted(_REGISTRY)}"
         )
-    from repro.backend import get_backend
-
-    return get_backend().hash_fns[name]
+    return hash_kernel(name)

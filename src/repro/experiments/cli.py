@@ -17,7 +17,7 @@ import sys
 
 import os
 
-from repro.backend import available_backends, get_backend, set_backend
+from repro.backend import get_backend
 from repro.experiments.catalog import (
     PROFILES,
     build_spec,
@@ -83,12 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="write a Chrome/Perfetto trace.json of the "
                             "run's span/event stream (implies --metrics; "
                             "open at ui.perfetto.dev)")
-        p.add_argument("--backend", default=None,
-                       help="array-kernel backend for the decode hot loop "
-                            f"({'/'.join(available_backends())}; default: "
-                            "$REPRO_BACKEND or numpy). Results are "
-                            "bit-identical across backends; only speed "
-                            "changes.")
 
     p = sub.add_parser("show", help="print an experiment's spec and "
                                     "store status")
@@ -115,10 +109,6 @@ def _accounting_line(run: ExperimentRun, n_points: int) -> str:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.backend is not None:
-        # Explicit CLI choice beats $REPRO_BACKEND; set_backend exports
-        # the resolved name so worker processes agree.
-        set_backend(args.backend)
     entry = get_entry(args.name)
     spec = build_spec(args.name, args.profile)
     store = ResultStore(args.store)

@@ -1,22 +1,16 @@
-"""The backend seam: golden vectors, bit-identity, selection plumbing.
+"""The decode kernels: golden vectors, bit-identity, store invariance.
 
-The contract under test (see :mod:`repro.backend.base`): every backend
-produces bit-identical output — hash words, float64 branch costs, beam
-selections, and therefore whole ``DecodeResult``s (equal to the reference
-search of ``tests/reference_decoder.py``) and store bytes.  The default
-backend runs its hashes and branch costs on the compiled C kernels of
-:mod:`repro.backend.ckernels` where they build, so its tests run on both
+The contract under test (see :mod:`repro.backend`): the compiled C kernels
+of :mod:`repro.backend.ckernels` and the numpy bodies they fall back on
+produce bit-identical output — hash words, float64 branch costs, and
+therefore whole ``DecodeResult``s (equal to the reference search of
+``tests/reference_decoder.py``) and store bytes.  Every test runs on both
 paths: compiled, and the numpy bodies with ``ckernels.load`` patched to
-``None``, which are the oracle.  The
-numba backend's kernels are additionally covered here *without* numba
-installed: its ``@njit`` decorator degrades to an identity decorator, so
-the same scalar loops run as pure Python against the numpy reference.
-When numba is installed (the CI ``bench-smoke (numba)`` leg), the full
-cross-backend decode matrix runs against the real compiled kernels.
+``None``, which are the oracle.
 """
 
 import os
-import warnings
+import tempfile
 from contextlib import contextmanager
 from unittest import mock
 
@@ -24,20 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.backend as backend_mod
-from repro.backend import (
-    BackendFallbackWarning,
-    available_backends,
-    get_backend,
-    reset_backend,
-    set_backend,
-    use_backend,
-)
-from repro.backend import ckernels
-from repro.backend import numba_backend as nbm
-from repro.backend import numpy_backend as npb
-from repro.backend.base import Backend
-from repro.backend.numba_backend import NUMBA_AVAILABLE
+from repro.backend import branch_costs_batch, ckernels, get_backend, hash_kernel
 from repro.backend.u32 import MASK32, rotl32
 from repro.channels import AWGNChannel, BSCChannel
 from repro.core.decoder import BatchBubbleDecoder
@@ -45,33 +26,29 @@ from repro.core.encoder import BatchSpinalEncoder
 from repro.core.hashes import available_hashes, get_hash, reference_hashes
 from repro.core.params import DecoderParams, SpinalParams
 from repro.core.symbols import BatchReceivedSymbols, ReceivedSymbols
+from repro.experiments.orchestrator import run_experiment
+from repro.experiments.spec import (
+    ChannelSpec,
+    ExperimentSpec,
+    PointSpec,
+    SchemeSpec,
+)
+from repro.experiments.store import ResultStore
 from repro.utils.bitops import random_message
 
+from deadline import deadline
 from reference_decoder import reference_decode
 
 
-@pytest.fixture(autouse=True)
-def _backend_state():
-    """Isolate every test from the process-global backend selection."""
-    prev = backend_mod._active
-    prev_env = os.environ.get(backend_mod.ENV_VAR)
-    yield
-    backend_mod._active = prev
-    if prev_env is None:
-        os.environ.pop(backend_mod.ENV_VAR, None)
-    else:
-        os.environ[backend_mod.ENV_VAR] = prev_env
-
-
 def _paths():
-    """Where the default backend's kernels can run here: the numpy bodies
-    always, the compiled kernels when they build."""
+    """Where the kernels can run here: the numpy bodies always, the
+    compiled kernels when they build."""
     return ("numpy", "compiled") if ckernels.load() is not None else ("numpy",)
 
 
 @contextmanager
 def _on_path(path):
-    """Run the default backend's kernels on ``path`` inside the block.
+    """Run the kernels on ``path`` inside the block.
 
     ``numpy`` hides the compiled kernels, as when they fail to build;
     ``compiled`` requires them.  Yields a list that collects one entry per
@@ -97,38 +74,8 @@ def _on_path(path):
         yield calls
 
 
-def _pure_python_numba_backend() -> Backend:
-    """The numba backend's kernels as plain Python (no JIT required).
-
-    With numba absent ``@njit`` is an identity decorator, so these are the
-    exact algorithms the compiled backend runs — activating them through
-    ``repro.backend._active`` exercises the whole decode path through the
-    alternate kernels on any host.
-    """
-    return Backend(
-        name="numba",
-        hash_fns={name: nbm._make_hash(hid)
-                  for name, hid in nbm._HASH_IDS.items()},
-        branch_costs_batch=nbm.branch_costs_batch,
-        select_beams=npb.select_beams,
-    )
-
-
-def _alternate_backends():
-    """Backends to test against the numpy reference.
-
-    Always the pure-Python form of the numba kernels; additionally the
-    real (compiled) numba backend when installed.
-    """
-    alts = [pytest.param(_pure_python_numba_backend, id="numba-pure-python")]
-    if NUMBA_AVAILABLE:
-        alts.append(pytest.param(
-            lambda: set_backend("numba"), id="numba-jit"))
-    return alts
-
-
 # ---------------------------------------------------------------------------
-# golden hash vectors (satellite: instant red/green for backend authors)
+# golden hash vectors (instant red/green for kernel authors)
 # ---------------------------------------------------------------------------
 
 #: (state, data) -> digest, computed from the reference implementations.
@@ -169,18 +116,9 @@ class TestGoldenVectors:
         assert np.array_equal(fn(states, datas), digests)
 
     @pytest.mark.parametrize("hash_name", sorted(GOLDEN_VECTORS))
-    @pytest.mark.parametrize("make_backend", _alternate_backends())
-    def test_alternate_backend(self, hash_name, make_backend):
-        fn = make_backend().hash_fns[hash_name]
-        states, datas, digests = map(
-            np.uint32, zip(*GOLDEN_VECTORS[hash_name]))
-        assert np.array_equal(fn(states, datas), digests)
-
-    @pytest.mark.parametrize("hash_name", sorted(GOLDEN_VECTORS))
     def test_default_backend_on_both_paths(self, hash_name):
-        """The default backend's ``hash_fns``, compiled and on the numpy
-        fallback."""
-        fn = npb.make_backend().hash_fns[hash_name]
+        """The hash kernels, compiled and on the numpy fallback."""
+        fn = hash_kernel(hash_name)
         states, datas, digests = map(
             np.uint32, zip(*GOLDEN_VECTORS[hash_name]))
         for path in _paths():
@@ -192,18 +130,20 @@ class TestGoldenVectors:
         assert set(GOLDEN_VECTORS) == set(available_hashes())
 
     def test_broadcasting_preserved(self):
-        """Backend hash wrappers keep the reference broadcast semantics."""
+        """The hash kernels keep the reference broadcast semantics."""
         ref = reference_hashes()["one_at_a_time"]
-        alt = _pure_python_numba_backend().hash_fns["one_at_a_time"]
+        alt = hash_kernel("one_at_a_time")
         states = np.arange(6, dtype=np.uint32).reshape(2, 3, 1)
         datas = np.arange(4, dtype=np.uint32)
-        a, b = ref(states, datas), alt(states, datas)
-        assert a.shape == b.shape == (2, 3, 4)
-        assert np.array_equal(a, b)
-        # 0-d in, 0-d out
         s = np.uint32(7)
-        assert alt(s, s).shape == ()
-        assert alt(s, s) == ref(s, s)
+        for path in _paths():
+            with _on_path(path):
+                a, b = ref(states, datas), alt(states, datas)
+                assert a.shape == b.shape == (2, 3, 4)
+                assert np.array_equal(a, b)
+                # 0-d in, 0-d out
+                assert alt(s, s).shape == ()
+                assert alt(s, s) == ref(s, s)
 
     @pytest.mark.parametrize("hash_name", sorted(GOLDEN_VECTORS))
     def test_compiled_broadcasting_matches_reference(self, hash_name):
@@ -211,7 +151,7 @@ class TestGoldenVectors:
         decoder's two layouts and for the odd ones: scalars, Python ints,
         empty, strided and unaligned operands."""
         ref = reference_hashes()[hash_name]
-        fn = npb.make_backend().hash_fns[hash_name]
+        fn = hash_kernel(hash_name)
         rng = np.random.default_rng(3)
 
         def words(*shape):
@@ -275,12 +215,11 @@ class TestRotl32:
 
 
 # ---------------------------------------------------------------------------
-# branch-cost kernel bit-identity (compiled and numba vs numpy reference)
+# branch-cost kernel bit-identity (compiled vs numpy reference)
 # ---------------------------------------------------------------------------
 
 class TestBranchCostBitIdentity:
-    """The one branch-cost kernel, compiled and numba algorithms vs the
-    numpy reference.
+    """The one branch-cost kernel, compiled vs the numpy reference.
 
     Every case runs a one-message (M=1) input and a cohort input.
     """
@@ -288,12 +227,11 @@ class TestBranchCostBitIdentity:
     LEVELS = np.linspace(-1.5, 1.5, 8)
 
     def _check(self, states, slots, values, csi, **kwargs):
-        got = {"numba": nbm.branch_costs_batch(states, slots, values, csi,
-                                               **kwargs)}
+        got = {}
         for path in _paths():
             with _on_path(path) as calls:
-                got[path] = npb.branch_costs_batch(states, slots, values,
-                                                   csi, **kwargs)
+                got[path] = branch_costs_batch(states, slots, values, csi,
+                                               **kwargs)
             assert calls == (["branch_costs"] if path == "compiled" else [])
         want = got["numpy"]
         assert want.shape == states.shape
@@ -337,16 +275,18 @@ class TestBranchCostBitIdentity:
                         **kwargs)
 
     def test_empty_slots(self):
-        """Punctured spine positions cost zero through every backend."""
+        """Punctured spine positions cost zero on both paths."""
         states = np.arange(5, dtype=np.uint32)
         slots = np.empty(0, dtype=np.uint32)
         kwargs = dict(hash_name="one_at_a_time", levels=self.LEVELS,
                       c=3, is_bsc=False)
-        for mod in (npb, nbm):
+        for path in _paths():
             for M in (1, 2):
-                out = mod.branch_costs_batch(
-                    np.tile(states, (M, 1)), slots,
-                    np.empty((M, 0), dtype=np.complex128), None, **kwargs)
+                with _on_path(path):
+                    out = branch_costs_batch(
+                        np.tile(states, (M, 1)), slots,
+                        np.empty((M, 0), dtype=np.complex128), None,
+                        **kwargs)
                 assert np.array_equal(out, np.zeros((M, 5)))
 
 
@@ -409,8 +349,8 @@ def _check_against_oracle(seed, n_slots, n_msgs, n_states, c, n_special):
         expect = _gather_awgn_oracle(words, values.T, levels, c)
         for path in _paths():
             with _on_path(path) as calls:
-                batch = npb.branch_costs_batch(states, slots, values, None,
-                                               **kwargs)
+                batch = branch_costs_batch(states, slots, values, None,
+                                           **kwargs)
             assert batch.shape == expect.shape == (n_msgs, n_states)
             assert np.array_equal(_bits(batch), _bits(expect)), path
             # the compiled kernel runs unless there is nothing to sum or
@@ -421,7 +361,7 @@ def _check_against_oracle(seed, n_slots, n_msgs, n_states, c, n_special):
             # Each message alone, as a one-row input.
             for m in range(n_msgs):
                 with _on_path(path):
-                    one = npb.branch_costs_batch(
+                    one = branch_costs_batch(
                         states[m:m + 1], slots, values[m:m + 1], None,
                         **kwargs)
                 words = ref_hash(states[None, m:m + 1, :],
@@ -432,7 +372,7 @@ def _check_against_oracle(seed, n_slots, n_msgs, n_states, c, n_special):
 
 
 class TestAwgnMetricOracle:
-    """The default backend reproduces the gather oracle bit for bit, on a
+    """The branch costs reproduce the gather oracle bit for bit, on a
     cohort and on each of its messages as a one-row input, on the compiled
     kernel and on the numpy fallback."""
 
@@ -503,128 +443,43 @@ class TestCompiledSpecialValues:
             outs = {}
             for path in ("numpy", "compiled"):
                 with _on_path(path):
-                    outs[path] = npb.branch_costs_batch(
+                    outs[path] = branch_costs_batch(
                         states, slots, values, csi, **kwargs)
         got, want = (np.where(np.isnan(outs[p]), np.nan, outs[p])
                      for p in ("compiled", "numpy"))
         assert np.array_equal(_bits(got), _bits(want))
 
 
-class TestNumbaOaatHoist:
-    """The numba slot loop absorbs a state's bytes once, bit-identically."""
-
-    @given(s=st.integers(0, 2**32 - 1), d=st.integers(0, 2**32 - 1))
-    @settings(max_examples=50, deadline=None)
-    def test_slot_word_matches_hash_word(self, s, d):
-        s, d = np.uint64(s), np.uint64(d)
-        prefix = nbm._oaat_absorb(np.uint64(0), s)
-        for hid in sorted(nbm._HASH_IDS.values()):
-            assert nbm._slot_word(hid, s, prefix, d) == \
-                nbm._hash_word(hid, s, d)
-
-
 # ---------------------------------------------------------------------------
-# selection plumbing (satellite: env/CLI precedence, errors, fallback)
+# the one backend: its name and get_hash
 # ---------------------------------------------------------------------------
 
 class TestBackendSelection:
-    def test_default_is_numpy(self, monkeypatch):
-        monkeypatch.delenv(backend_mod.ENV_VAR, raising=False)
-        reset_backend()
+    """There is one kernel set; what remains of selecting it is its name
+    in metrics and the hash kernels :func:`get_hash` hands out."""
+
+    def test_default_is_numpy(self):
         assert get_backend().name == "numpy"
-
-    def test_env_var_resolution(self, monkeypatch):
-        monkeypatch.setenv(backend_mod.ENV_VAR, "numpy")
-        reset_backend()
-        assert get_backend().name == "numpy"
-
-    def test_unknown_backend_lists_available(self):
-        with pytest.raises(ValueError) as err:
-            set_backend("fortran")
-        msg = str(err.value)
-        assert "fortran" in msg
-        for name in available_backends():
-            assert name in msg
-
-    def test_unknown_env_var_fails_at_resolution(self, monkeypatch):
-        monkeypatch.setenv(backend_mod.ENV_VAR, "bogus")
-        reset_backend()
-        with pytest.raises(ValueError, match="bogus"):
-            get_backend()
-
-    def test_set_backend_beats_env_var(self, monkeypatch):
-        """Explicit selection (the CLI flag path) wins over the env var,
-        and exports the resolved name for spawned workers."""
-        monkeypatch.setenv(backend_mod.ENV_VAR, "bogus")
-        reset_backend()
-        b = set_backend("numpy")
-        assert b.name == "numpy"
-        assert os.environ[backend_mod.ENV_VAR] == "numpy"
-        assert get_backend() is b
-
-    def test_cli_flag_rejects_unknown_backend(self, tmp_path):
-        from repro.experiments.cli import main
-
-        with pytest.raises(ValueError) as err:
-            main(["run", "smoke", "--backend", "bogus",
-                  "--store", str(tmp_path / "store"),
-                  "--results-dir", str(tmp_path)])
-        assert "bogus" in str(err.value)
-        for name in available_backends():
-            assert name in str(err.value)
-
-    def test_use_backend_restores_state(self, monkeypatch):
-        monkeypatch.delenv(backend_mod.ENV_VAR, raising=False)
-        reset_backend()
-        before = get_backend()
-        with use_backend("numpy") as inner:
-            assert get_backend() is inner
-        assert get_backend() is before
-        assert backend_mod.ENV_VAR not in os.environ
-
-    @pytest.mark.skipif(NUMBA_AVAILABLE, reason="needs numba absent")
-    def test_numba_absent_falls_back_with_one_warning(self, monkeypatch):
-        monkeypatch.setattr(nbm, "_warned_fallback", False)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            first = set_backend("numba")
-            second = set_backend("numba")
-        assert first.name == "numpy"
-        assert second.name == "numpy"
-        # the exported env var records the *resolved* backend
-        assert os.environ[backend_mod.ENV_VAR] == "numpy"
-        fallback = [w for w in caught
-                    if issubclass(w.category, BackendFallbackWarning)]
-        assert len(fallback) == 1  # exactly one, not one per construction
-        assert "numba" in str(fallback[0].message)
-
-    @pytest.mark.skipif(not NUMBA_AVAILABLE, reason="needs numba")
-    def test_numba_backend_selected_when_available(self):
-        assert set_backend("numba").name == "numba"
-        assert get_hash("one_at_a_time") is not reference_hashes()[
-            "one_at_a_time"]
+        assert get_backend() is get_backend()
 
     def test_get_hash_numpy_identity_preserved(self):
-        """Under the default backend, get_hash returns the backend's own
-        hash functions (compiled, with the references as fallback), which
-        give the references' words."""
-        active = set_backend("numpy")
+        """get_hash returns the hash kernels (compiled, with the references
+        as fallback), which give the references' words."""
         rng = np.random.default_rng(4)
         states = rng.integers(0, 2**32, size=(3, 1), dtype=np.uint32)
         data = np.arange(5, dtype=np.uint32)
         for name, fn in reference_hashes().items():
-            assert get_hash(name) is active.hash_fns[name]
+            assert get_hash(name) is hash_kernel(name)
             assert np.array_equal(get_hash(name)(states, data),
                                   fn(states, data))
 
     def test_get_hash_unknown_name_still_rejected(self):
-        set_backend("numpy")
         with pytest.raises(ValueError, match="unknown hash"):
             get_hash("md5")
 
 
 # ---------------------------------------------------------------------------
-# cross-backend decode equivalence matrix
+# decode equivalence matrix on both paths
 # ---------------------------------------------------------------------------
 
 def _cohort_stores(params, n_bits, x, M=3, seed=17, csi_phases=False,
@@ -672,14 +527,9 @@ def _decode_configs(hashes):
 
 
 class TestCrossBackendDecode:
-    """Every backend decodes each message, alone and in a cohort, to the
-    reference search's ``DecodeResult``.
-
-    Locally the alternate backend is the numba algorithms run as pure
-    Python (hash ``one_at_a_time`` only — interpreted salsa20 is far too
-    slow for a decode); with numba installed the full hash matrix runs
-    compiled.
-    """
+    """Each message decodes, alone and in a cohort, to the reference
+    search's ``DecodeResult`` on the compiled kernels and on the numpy
+    fallback, for every hash."""
 
     N_BITS = 32
     DEC = DecoderParams(B=4, d=1)
@@ -689,39 +539,25 @@ class TestCrossBackendDecode:
         assert a.path_cost == b.path_cost  # bitwise
         assert a.n_symbols_used == b.n_symbols_used
 
-    @pytest.mark.parametrize(
-        "params,x,csi",
-        _decode_configs(available_hashes() if NUMBA_AVAILABLE
-                        else ["one_at_a_time"]))
+    @pytest.mark.parametrize("params,x,csi",
+                             _decode_configs(available_hashes()))
     def test_scalar_and_batch_decode_identical(self, params, x, csi):
         view, rows = _cohort_stores(params, self.N_BITS, x, csi_phases=csi)
         refs = [reference_decode(params, self.DEC, self.N_BITS, one)
                 for one in rows]
-
-        def check_active_backend():
-            dec = BatchBubbleDecoder(params, self.DEC, self.N_BITS)
-            cohort = dec.decode_batch(view)
-            assert len(cohort) == len(refs)
-            for ref, one, row in zip(refs, rows, cohort):
-                self._assert_equal_results(ref, row)
-                self._assert_equal_results(ref, dec.decode(one))
-            return dec
-
-        set_backend("numpy")
         for path in _paths():
             with _on_path(path) as calls:
-                check_active_backend()
+                dec = BatchBubbleDecoder(params, self.DEC, self.N_BITS)
+                cohort = dec.decode_batch(view)
+                assert len(cohort) == len(refs)
+                for ref, one, row in zip(refs, rows, cohort):
+                    self._assert_equal_results(ref, row)
+                    self._assert_equal_results(ref, dec.decode(one))
             assert bool(calls) == (path == "compiled")
-        if NUMBA_AVAILABLE:
-            set_backend("numba")
-            assert get_backend().name == "numba"
-        else:
-            backend_mod._active = _pure_python_numba_backend()
-        assert check_active_backend()._backend.name == "numba"
 
 
 # ---------------------------------------------------------------------------
-# end-to-end: store bytes and metrics are backend-attributed
+# end-to-end: store bytes do not depend on the path or the worker count
 # ---------------------------------------------------------------------------
 
 def _store_files(root):
@@ -734,36 +570,68 @@ def _store_files(root):
     return found
 
 
+@st.composite
+def _spinal_specs(draw):
+    """A two-point spinal sweep over a generated code, decoder, channel
+    and seed, small enough to run in well under a second."""
+    k = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["awgn", "bsc", "rayleigh"]))
+    params = {"k": k, "hash_name": draw(st.sampled_from(available_hashes()))}
+    options = {}
+    if kind == "bsc":
+        params.update(c=1, mapping_name="bsc")
+        x = draw(st.sampled_from([0.01, 0.05, 0.1, 0.2]))
+        xs = (x, x / 2)
+    else:
+        params["c"] = draw(st.integers(1, 10))
+        x = float(draw(st.integers(-5, 30)))
+        xs = (x, x + 5.0)
+        if kind == "rayleigh":
+            options["give_csi"] = "full"
+    scheme = SchemeSpec("spinal", {
+        "n_bits": 12, "params": params, **options,
+        "decoder": {"B": draw(st.sampled_from([1, 2, 4, 8])),
+                    "max_passes": 6}})
+    channel = ChannelSpec(kind, {"coherence_time": 5}
+                          if kind == "rayleigh" else {})
+    seed = draw(st.integers(0, 2**16))
+    points = tuple(
+        PointSpec(series="generated", x=x, seed=seed + i, scheme=scheme,
+                  channel=channel, n_messages=2, batch_size=2,
+                  capacity_reference=kind)
+        for i, x in enumerate(xs))
+    return ExperimentSpec("generated", "generated spinal spec", "quick",
+                          points)
+
+
 class TestStoreBackendInvariance:
-    def test_smoke_store_bytes_invariant(self, tmp_path):
-        """The same spec run under each backend writes identical bytes.
-
-        Locally ``--backend numba`` resolves to the numpy fallback (the
-        plumbing is still exercised end to end); on the CI numba leg this
-        compares real numba output against numpy.
-        """
-        from repro.experiments.cli import main
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", BackendFallbackWarning)
-            assert main(["run", "smoke", "--backend", "numpy",
-                         "--store", str(tmp_path / "store_a"),
-                         "--results-dir", str(tmp_path / "res_a"),
-                         "--workers", "2", "--no-report"]) == 0
-            assert main(["run", "smoke", "--backend", "numba",
-                         "--store", str(tmp_path / "store_b"),
-                         "--results-dir", str(tmp_path / "res_b"),
-                         "--workers", "2", "--no-report"]) == 0
-        a = _store_files(tmp_path / "store_a")
-        b = _store_files(tmp_path / "store_b")
-        assert a and set(a) == set(b)
-        for rel in a:
-            assert a[rel] == b[rel], f"store file {rel} differs by backend"
+    @given(spec=_spinal_specs())
+    @settings(max_examples=6, derandomize=True, deadline=None)
+    def test_generated_store_bytes_invariant(self, spec):
+        """A generated spinal spec writes identical store bytes on the
+        compiled kernels and on the numpy fallback, both with one worker,
+        and with one worker and with two on the compiled kernels."""
+        stores = {}
+        with deadline(60), tempfile.TemporaryDirectory() as root:
+            runs = [(path, 1) for path in _paths()]
+            runs.append((runs[-1][0], 2))
+            for path, n_workers in runs:
+                store = os.path.join(root, f"{path}-{n_workers}")
+                with _on_path(path) as calls:
+                    run_experiment(spec, store=ResultStore(store),
+                                   n_workers=n_workers)
+                # one worker runs inline, where the calls are counted
+                assert bool(calls) == (path == "compiled" and n_workers == 1)
+                stores[path, n_workers] = _store_files(store)
+        (first, a), *rest = stores.items()
+        assert a
+        for other, b in rest:
+            assert a == b, f"store bytes differ: {first} vs {other}"
 
     def test_metrics_payload_carries_backend(self, tmp_path):
         from repro.experiments.cli import main
 
-        assert main(["run", "smoke", "--backend", "numpy",
+        assert main(["run", "smoke",
                      "--store", str(tmp_path / "store"),
                      "--results-dir", str(tmp_path),
                      "--workers", "2", "--no-report", "--metrics"]) == 0

@@ -206,6 +206,30 @@ def test_bsc_branch_costs_reject_csi_but_not_levels():
                               **call)
 
 
+def _quiet_nan(payload):
+    return np.array([0x7FF8000000000000 | payload],
+                    dtype=np.uint64).view(np.float64)[0]
+
+
+def test_branch_cost_sum_keeps_the_first_slots_nan():
+    """When two slots' terms are NaNs, the slot sum is the first slot's
+    NaN, as numpy's SIMD add returns its first operand's: each cost's bits
+    follow the slot order, not the last NaN added."""
+    _require_compiler()
+    module = ckernels.load()
+    states = np.arange(6, dtype=np.uint32)[None, :]
+    call = dict(states=states, slots=np.array([3, 9], dtype=np.uint32),
+                csi=None, hash_name="one_at_a_time",
+                levels=np.linspace(-1.0, 1.0, 8), c=3, is_bsc=False)
+    for first, second in ((0x11, 0x22), (0x22, 0x11)):
+        values = np.array([[complex(_quiet_nan(first), 0.5),
+                            complex(_quiet_nan(second), -0.5)]])
+        costs = ckernels.branch_costs(module, values=values, **call)
+        assert costs.shape == (1, 6)
+        assert (costs.view(np.uint64)
+                == np.uint64(0x7FF8000000000000 | first)).all()
+
+
 def _bp_call():
     """A good graph for ``ckernels.BpPasses``: 2 checks, 3 variables, 4
     edges, with observation terms."""
