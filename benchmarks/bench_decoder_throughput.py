@@ -22,6 +22,7 @@ any machine.  The decoder runs the compiled C kernels where they build
 """
 
 import argparse
+import os
 import sys
 
 from repro.backend import ckernels, get_backend
@@ -29,8 +30,10 @@ from repro.channels import AWGNChannel, RayleighBlockFadingChannel
 from repro.core.params import DecoderParams, SpinalParams
 from repro.obs import clock
 from repro.simulation import SpinalScheme, measure_scheme
+from repro.utils.results import write_canonical_json
 
-from _common import write_json
+RESULTS_DIR = os.path.abspath(
+    os.path.join(os.path.dirname(__file__), "..", "bench_results"))
 
 #: Speedup floors; a run exits 1 below one.  The batch floors are 40% of
 #: the first recorded speedups (3.386x AWGN, 3.878x fading), headroom for
@@ -138,7 +141,9 @@ def main(argv=None) -> int:
     payload = run(quick=args.quick)
     for key, value in payload.items():
         print(f"{key}: {value}")
-    write_json("BENCH_decoder_throughput", payload)
+    path = write_canonical_json(
+        os.path.join(RESULTS_DIR, "BENCH_decoder_throughput.json"), payload)
+    print(f"[json] {path}")
     if _missed_floors(payload, {
             "speedup_batch_vs_scalar": MIN_SPEEDUP_BATCH_VS_SCALAR,
             "fading_speedup_batch_vs_scalar":

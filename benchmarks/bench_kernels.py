@@ -36,13 +36,13 @@ fails if the compiled BP decode's speedup over the numpy loop is below
 Not collected by the tier-1 suite (``testpaths = ["tests"]``).
 """
 
+import os
 from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from _common import write_json
 from repro.backend import branch_costs_batch, ckernels, select_beams
 from repro.channels import AWGNChannel, BSCChannel
 from repro.core.decoder import BubbleDecoder
@@ -53,6 +53,7 @@ from repro.core.symbols import ReceivedSymbols
 from repro.fountain.raptor import RaptorCodec
 from repro.modulation import soft_demap
 from repro.utils.bitops import random_message
+from repro.utils.results import write_canonical_json
 
 # Array sizes matching what one tree-expansion step hashes: a full beam of
 # B=256 subtrees x 2^k children, and a 16-message batch cohort of the same.
@@ -74,6 +75,9 @@ MIN_BP_SPEEDUP = 0.7
 
 BACKENDS = ("numpy", "compiled")
 
+RESULTS_DIR = os.path.abspath(
+    os.path.join(os.path.dirname(__file__), "..", "bench_results"))
+
 
 @contextmanager
 def _active(backend):
@@ -92,10 +96,11 @@ def kernel_records():
     """Collects one record per benchmark; written to JSON at teardown."""
     records = []
     yield records
-    write_json("BENCH_kernels", {
-        "suite": "kernels",
-        "records": sorted(records, key=lambda r: (r["group"], r["name"])),
-    })
+    path = write_canonical_json(
+        os.path.join(RESULTS_DIR, "BENCH_kernels.json"),
+        {"suite": "kernels",
+         "records": sorted(records, key=lambda r: (r["group"], r["name"]))})
+    print(f"[json] {path}")
     bp = {r["backend"]: r["mean_s"] for r in records
           if r["group"] == "bp" and "mean_s" in r}
     if {"numpy", "compiled"} <= bp.keys():

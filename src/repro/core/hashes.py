@@ -9,7 +9,7 @@ state plus k message bits to a new ν-bit state.  Its implementation fixes
 - the *Salsa20* core, a cryptographic-strength mixer.
 
 The paper reports no measurable performance difference between them, a claim
-``benchmarks/bench_ablation_hash.py`` re-checks.
+the ``ablation_hash`` experiment re-checks.
 
 All three are implemented here with one unified signature::
 
@@ -33,7 +33,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.backend import HashFn, hash_kernel
-from repro.backend.u32 import rotl32
 
 __all__ = [
     "one_at_a_time",
@@ -52,6 +51,21 @@ _MASK8 = _U32(0xFF)
 def _as_u32(x: np.ndarray | int) -> np.ndarray:
     """Coerce to a uint32 ndarray (scalars become 0-d arrays)."""
     return np.asarray(x, dtype=np.uint32)
+
+
+def _rotl32(x: np.ndarray, k: int, out: np.ndarray,
+            scratch: np.ndarray) -> np.ndarray:
+    """32-bit left rotation ``(x << k) | (x >> (32 - k))`` into ``out``.
+
+    ``scratch`` takes the right shift.  ``x`` is never modified, unless the
+    caller passes ``scratch is x`` because it no longer needs ``x``, which
+    is legal: the left shift reads ``x`` before the right shift overwrites
+    it.
+    """
+    np.left_shift(x, _U32(k), out=out)
+    np.right_shift(x, _U32(32 - k), out=scratch)
+    np.bitwise_or(out, scratch, out=out)
+    return out
 
 
 def _oaat_mix(h: np.ndarray, scratch: np.ndarray) -> None:
@@ -120,7 +134,7 @@ def lookup3(state: np.ndarray, data: np.ndarray) -> np.ndarray:
 
     def mix(x: np.ndarray, y: np.ndarray, k: int) -> None:
         """x = (x ^ y) - rot(y, k), in place (y is never modified)."""
-        rotl32(y, k, out=rot, scratch=scratch)
+        _rotl32(y, k, rot, scratch)
         x ^= y
         x -= rot
 
@@ -176,9 +190,9 @@ def salsa20(state: np.ndarray, data: np.ndarray, rounds: int = 20) -> np.ndarray
     def quarter(xt: np.ndarray, u: np.ndarray, v: np.ndarray, k: int) -> None:
         """xt ^= rot(u + v, k), in place (u and v are never modified)."""
         np.add(u, v, out=scratch)
-        # scratch doubles as rotl32's right-shift buffer — legal because
-        # the left shift reads it first (see repro.backend.u32).
-        rotl32(scratch, k, out=rot, scratch=scratch)
+        # scratch doubles as the rotate's right-shift buffer — legal
+        # because the left shift reads it first (see _rotl32).
+        _rotl32(scratch, k, rot, scratch)
         xt ^= rot
 
     for _ in range(rounds // 2):

@@ -8,6 +8,10 @@ jobs" into an exit code for CI.  ``resume`` is an alias for ``run``: an
 interrupted sweep left its completed points in the store, so resuming is
 just running again.  ``export`` re-renders reports (prints + CSV) from
 the store without simulating anything.
+
+``run``, ``resume`` and ``export`` check the paper's claims on the report
+(see :class:`~repro.experiments.catalog.CatalogEntry`): each failed claim
+is printed to stderr and the command exits 1.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import os
 from repro.backend import get_backend
 from repro.experiments.catalog import (
     PROFILES,
+    CatalogEntry,
     build_spec,
     catalog_names,
     get_entry,
@@ -39,8 +44,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="sweep density (default: quick)")
     parser.add_argument("--store", default="bench_results/store",
                         help="store directory, resolved against the cwd "
-                             "(default: bench_results/store — run from the "
-                             "repo root to share the benches' cache)")
+                             "(default: bench_results/store)")
     parser.add_argument("--results-dir", default="bench_results",
                         help="where reports write CSV artifacts "
                              "(cwd-relative)")
@@ -68,8 +72,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="exit 1 if any simulation job had to run "
                             "(CI store-hit assertion)")
         p.add_argument("--no-report", action="store_true",
-                       help="skip the report (prints + CSV); just fill "
-                            "the store")
+                       help="skip the report (prints + CSV) and the "
+                            "paper claims; just fill the store")
         p.add_argument("--metrics", action="store_true",
                        help="collect out-of-band metrics (kernel time "
                             "breakdown, store hit/miss, worker "
@@ -108,6 +112,14 @@ def _accounting_line(run: ExperimentRun, n_points: int) -> str:
             f"{run.n_computed} computed{quarantined} -> {run.store_path}")
 
 
+def _claims_hold(entry: CatalogEntry, report: dict) -> bool:
+    """Print every failed paper claim to stderr; True when none failed."""
+    failed = entry.claims(report)
+    for message in failed:
+        print(f"[claims] FAIL {entry.name}: {message}", file=sys.stderr)
+    return not failed
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     entry = get_entry(args.name)
     spec = build_spec(args.name, args.profile)
@@ -123,11 +135,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         jsonl_path = os.path.splitext(args.trace_out)[0] + ".events.jsonl"
     if metrics:
         OBS.enable(jsonl_path=jsonl_path)
+    claims_hold = True
     try:
         run = run_experiment(spec, store=store, n_workers=args.workers,
                              progress=lambda msg: print(msg, file=sys.stderr))
         if not args.no_report:
-            entry.report(run, args.results_dir)
+            claims_hold = _claims_hold(
+                entry, entry.report(run, args.results_dir))
         print(_accounting_line(run, len(spec.points)))
         if metrics:
             snapshot = OBS.snapshot()
@@ -165,7 +179,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                       f"x={point.x:g}, kind={point.kind}, "
                       f"seed={point.seed})", file=sys.stderr)
         return 1
-    return 0
+    return 0 if claims_hold else 1
 
 
 def _cmd_show(args: argparse.Namespace) -> int:
@@ -198,8 +212,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
               f"--profile {args.profile}` first", file=sys.stderr)
         return 1
     run = run_experiment(spec, store=store, n_workers=1)
-    entry.report(run, args.results_dir)
-    return 0
+    return 0 if _claims_hold(entry, entry.report(run, args.results_dir)) else 1
 
 
 def main(argv: list[str] | None = None) -> int:

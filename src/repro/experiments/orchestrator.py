@@ -93,9 +93,8 @@ def _run_symbol_cdf(point: PointSpec) -> dict:
 
     Unlike ``measure``, the payload is distributional: the sorted-later
     CDF needs every successful message's symbol count, not the pooled
-    totals.  The seeding discipline mirrors the legacy bench exactly: one
-    master RNG per point, one child RNG per message drawing first the
-    message then the channel noise.
+    totals.  Seeding: one master RNG per point, one child RNG per message
+    drawing first the message then the channel noise.
     """
     from repro.core.params import DecoderParams, SpinalParams
     from repro.simulation.engine import SpinalSession

@@ -13,9 +13,9 @@ messages, which seeds.  Because the description is pure data it can be
   same simulation, which is what lets the store skip completed points.
 
 Seeds are explicit per point, not derived from grid position at run time,
-so a spec can reproduce any legacy benchmark's exact seeding policy (the
-migrated benches carry ``seed = base + stride * i`` and
-``seed = int(snr) + tau`` style formulas into their specs verbatim).
+so a spec can carry any figure's exact seeding policy
+(``seed = base + stride * i`` and ``seed = int(snr) + tau`` style
+formulas).
 """
 
 from __future__ import annotations

@@ -54,9 +54,8 @@ def _segment_reduce(
     starts: np.ndarray,
     with_edges: np.ndarray | None,
     n_segments: int,
-    fill: float,
 ) -> np.ndarray:
-    """``ufunc.reduceat`` over segments, ``fill`` for the edgeless ones.
+    """``ufunc.reduceat`` over segments, zero for the edgeless ones.
 
     ``reduceat`` rejects a start index equal to the array length, which a
     trailing edgeless segment has, so edgeless segments are dropped from
@@ -65,7 +64,7 @@ def _segment_reduce(
     """
     if with_edges is None:
         return ufunc.reduceat(values, starts)
-    out = np.full(n_segments, fill, dtype=values.dtype)
+    out = np.zeros(n_segments, dtype=values.dtype)
     if with_edges.size:
         out[with_edges] = ufunc.reduceat(values, starts[with_edges])
     return out
@@ -133,12 +132,12 @@ class BeliefPropagation:
 
     # -- helpers -----------------------------------------------------------
 
-    def _check_reduce(self, ufunc: np.ufunc, edge_values: np.ndarray,
-                      fill: float = 0.0) -> np.ndarray:
+    def _check_reduce(self, ufunc: np.ufunc,
+                      edge_values: np.ndarray) -> np.ndarray:
         """Per-check ``ufunc`` reduction of an edge array (check order);
-        edgeless checks get ``fill``."""
+        edgeless checks get zero."""
         return _segment_reduce(ufunc, edge_values, self._check_starts,
-                               self._checks_with_edges, self.n_checks, fill)
+                               self._checks_with_edges, self.n_checks)
 
     def _check_sums(self, edge_values: np.ndarray) -> np.ndarray:
         """Per-check sums of an edge array (check order)."""
@@ -148,7 +147,7 @@ class BeliefPropagation:
         """Per-variable sums of an edge array (check order in, var totals out)."""
         return _segment_reduce(np.add, edge_values[self._to_var_order],
                                self._var_starts, self._vars_with_edges,
-                               self.n_vars, 0.0)
+                               self.n_vars)
 
     # -- main loop ---------------------------------------------------------
 
@@ -158,8 +157,6 @@ class BeliefPropagation:
         iterations: int = 40,
         check_obs_llrs: np.ndarray | None = None,
         early_exit: bool = True,
-        algorithm: str = "sum-product",
-        min_sum_scale: float = 0.8,
     ) -> tuple[np.ndarray, bool]:
         """Run BP; returns (hard bits, all-parity-checks-satisfied).
 
@@ -167,8 +164,7 @@ class BeliefPropagation:
         variable is 1 where its posterior LLR is negative.
         """
         posterior, ok = self.posteriors(
-            channel_llrs, iterations, check_obs_llrs, early_exit, algorithm,
-            min_sum_scale)
+            channel_llrs, iterations, check_obs_llrs, early_exit)
         return (posterior < 0).astype(np.uint8), ok
 
     def posteriors(
@@ -177,8 +173,6 @@ class BeliefPropagation:
         iterations: int = 40,
         check_obs_llrs: np.ndarray | None = None,
         early_exit: bool = True,
-        algorithm: str = "sum-product",
-        min_sum_scale: float = 0.8,
     ) -> tuple[np.ndarray, bool]:
         """Run BP; returns (posterior LLRs, all-parity-checks-satisfied).
 
@@ -190,15 +184,7 @@ class BeliefPropagation:
             output nodes); +inf (the default) is a hard parity check.
         early_exit: stop when hard decisions satisfy all pure parity
             checks (only meaningful when every check is pure parity).
-        algorithm: "sum-product" (the paper's floating-point decoder) or
-            "min-sum" (normalised min-sum, the usual hardware
-            approximation; pure parity checks only).
-        min_sum_scale: the min-sum normalisation factor alpha.
         """
-        if algorithm not in ("sum-product", "min-sum"):
-            raise ValueError(f"unknown BP algorithm {algorithm!r}")
-        if algorithm == "min-sum" and check_obs_llrs is not None:
-            raise ValueError("min-sum supports pure parity checks only")
         chan = np.clip(np.asarray(channel_llrs, dtype=np.float64),
                        -_LLR_CLIP, _LLR_CLIP)
         if chan.size != self.n_vars:
@@ -214,7 +200,7 @@ class BeliefPropagation:
             obs_logmag[~np.isfinite(obs) & (obs > 0)] = 0.0  # hard parity
             obs_neg = obs_t < 0
         stop_early = early_exit and pure_parity
-        lib = ckernels.load() if algorithm == "sum-product" else None
+        lib = ckernels.load()
         if lib is not None:
             return self._posteriors_compiled(lib, chan, iterations, obs_logmag,
                                          obs_neg, stop_early)
@@ -222,45 +208,40 @@ class BeliefPropagation:
             # per-edge observation terms, fixed for the whole decode
             obs_logmag_e = obs_logmag[ci]
             obs_neg_e = obs_neg[ci]
-        if algorithm == "sum-product":
-            # Per-edge scratch reused by every iteration.  The arithmetic
-            # keeps the textbook order; the one reshaped step is exact: the
-            # sign of a product of +-1 factors is the parity of its
-            # negative factors.
-            t = np.empty(self.n_edges)
-            logmag = np.empty(self.n_edges)
-            e_mag = np.empty(self.n_edges)
-            c2v = np.empty(self.n_edges)
+        # Per-edge scratch reused by every iteration.  The arithmetic keeps
+        # the textbook order; the one reshaped step is exact: the sign of a
+        # product of +-1 factors is the parity of its negative factors.
+        t = np.empty(self.n_edges)
+        logmag = np.empty(self.n_edges)
+        e_mag = np.empty(self.n_edges)
+        c2v = np.empty(self.n_edges)
 
         v2c = chan[self.var_index]
         posterior = chan
         for _ in range(iterations):
-            if algorithm == "min-sum":
-                c2v = self._min_sum_check_update(v2c, min_sum_scale)
-            else:
-                # ---- check update (sign/log-magnitude split) ----
-                np.divide(v2c, 2.0, out=t)
-                np.tanh(t, out=t)
-                np.clip(t, -_TANH_CLIP, _TANH_CLIP, out=t)
-                neg = t < 0
-                np.abs(t, out=logmag)
-                np.maximum(logmag, _TANH_FLOOR, out=logmag)
-                np.log(logmag, out=logmag)
-                total_logmag = self._check_sums(logmag)
-                # sign of the product of the other factors of each check
-                e_neg = self._check_reduce(np.logical_xor, neg)[ci]
-                e_neg ^= neg
-                np.subtract(total_logmag[ci], logmag, out=e_mag)
-                if not pure_parity:
-                    e_neg ^= obs_neg_e
-                    e_mag += obs_logmag_e
-                np.minimum(e_mag, 0.0, out=e_mag)
-                np.exp(e_mag, out=e_mag)
-                e_mag *= _SIGNS.take(e_neg.view(np.uint8))
-                np.clip(e_mag, -_TANH_CLIP, _TANH_CLIP, out=e_mag)
-                np.arctanh(e_mag, out=c2v)
-                np.multiply(c2v, 2.0, out=c2v)
-                np.clip(c2v, -_LLR_CLIP, _LLR_CLIP, out=c2v)
+            # ---- check update (sign/log-magnitude split) ----
+            np.divide(v2c, 2.0, out=t)
+            np.tanh(t, out=t)
+            np.clip(t, -_TANH_CLIP, _TANH_CLIP, out=t)
+            neg = t < 0
+            np.abs(t, out=logmag)
+            np.maximum(logmag, _TANH_FLOOR, out=logmag)
+            np.log(logmag, out=logmag)
+            total_logmag = self._check_sums(logmag)
+            # sign of the product of the other factors of each check
+            e_neg = self._check_reduce(np.logical_xor, neg)[ci]
+            e_neg ^= neg
+            np.subtract(total_logmag[ci], logmag, out=e_mag)
+            if not pure_parity:
+                e_neg ^= obs_neg_e
+                e_mag += obs_logmag_e
+            np.minimum(e_mag, 0.0, out=e_mag)
+            np.exp(e_mag, out=e_mag)
+            e_mag *= _SIGNS.take(e_neg.view(np.uint8))
+            np.clip(e_mag, -_TANH_CLIP, _TANH_CLIP, out=e_mag)
+            np.arctanh(e_mag, out=c2v)
+            np.multiply(c2v, 2.0, out=c2v)
+            np.clip(c2v, -_LLR_CLIP, _LLR_CLIP, out=c2v)
 
             # ---- variable update ----
             var_total = self._var_sums(c2v)
@@ -299,38 +280,6 @@ class BeliefPropagation:
             if stop_early and self._hard_ok(posterior):
                 return posterior, True
         return posterior, obs_logmag is None and self._hard_ok(posterior)
-
-    def _min_sum_check_update(
-        self, v2c: np.ndarray, scale: float
-    ) -> np.ndarray:
-        """Normalised min-sum: c2v = alpha * prod(signs) * min(|others|).
-
-        The leave-one-out minimum is the segment minimum for every edge
-        except the (first) minimal edge itself, which takes the second
-        minimum; on ties the second minimum equals the first, so ties are
-        handled for free.
-        """
-        vabs = np.abs(v2c)
-        m1 = self._check_reduce(np.minimum, vabs, np.inf)
-        # first occurrence of the minimum within each check segment
-        is_min = vabs == m1[self.check_index]
-        csum = np.cumsum(is_min)
-        edge_start = self._check_starts[self.check_index]
-        seg_base = csum[edge_start] - is_min[edge_start]
-        first_min = is_min & (csum - seg_base == 1)
-        masked = np.where(first_min, np.inf, vabs)
-        m2 = self._check_reduce(np.minimum, masked, np.inf)
-        excl_min = np.where(first_min, m2[self.check_index],
-                            m1[self.check_index])
-
-        neg = (v2c < 0).astype(np.float64)
-        total_neg = self._check_sums(neg)
-        check_sign = np.where(total_neg % 2 == 1, -1.0, 1.0)
-        e_sign = check_sign[self.check_index] * np.where(v2c < 0, -1.0, 1.0)
-        c2v = scale * e_sign * excl_min
-        # a degree-1 check has no "others": its message is vacuous
-        c2v[~np.isfinite(c2v)] = 0.0
-        return np.clip(c2v, -_LLR_CLIP, _LLR_CLIP)
 
     def _hard_ok(self, posterior: np.ndarray) -> bool:
         """Whether the hard decisions on ``posterior`` satisfy every check."""

@@ -17,8 +17,8 @@ Layers (each module's docstring maps its mechanics to the paper):
   round-robin or priority service (:class:`LinkScheduler`, :class:`Flow`).
 - :mod:`~repro.link.stats` — goodput, latency percentiles, waste and
   retransmission counters (:class:`FlowStats`, :class:`LinkReport`).
-- :mod:`~repro.link.runner` — deterministic multiprocessing batch sweeps
-  (:class:`LinkJob`, :func:`run_batch`).
+- :mod:`~repro.link.runner` — self-seeded jobs the experiment
+  orchestrator runs as ``link`` points (:class:`LinkJob`, :func:`run_job`).
 """
 
 from repro.link.protocol import (
@@ -31,8 +31,6 @@ from repro.link.protocol import (
 from repro.link.runner import (
     LinkJob,
     job_from_options,
-    results_json,
-    run_batch,
     run_job,
 )
 from repro.link.scheduler import Flow, LinkScheduler
@@ -51,6 +49,4 @@ __all__ = [
     "LinkJob",
     "job_from_options",
     "run_job",
-    "run_batch",
-    "results_json",
 ]

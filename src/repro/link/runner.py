@@ -1,19 +1,17 @@
-"""Parallel batch execution of link workloads (ROADMAP: traffic scale).
+"""Link workloads as self-contained jobs.
 
 Link-level sweeps multiply fast: SNR grid x feedback delays x packet sizes
 x enough packets per point to average.  Each operating point is an
 independent simulation, so the natural unit of parallelism is a **job**: a
 fully-specified, picklable :class:`LinkJob` that a worker process turns
-into one JSON-safe result dict.
+into one JSON-safe result dict.  The experiment orchestrator runs them as
+``link`` points (see :func:`job_from_options`).
 
 Determinism is the design constraint.  Every job carries its own seed; the
 channel RNG, the payload RNG, and the per-packet sub-seeds are all derived
 from it inside the worker, never from global state, worker identity, or
-scheduling order.  Results are returned in job order.  Consequently
-``run_batch(jobs, n_workers=1)`` and ``run_batch(jobs, n_workers=8)``
-produce byte-identical JSON — the property ``tests/test_link.py`` locks in
-— and a sweep can be sharded across however many cores exist without
-changing its numbers.
+scheduling order, so a sweep can be sharded across however many cores
+exist without changing its numbers.
 """
 
 from __future__ import annotations
@@ -27,11 +25,8 @@ from repro.channels.registry import channel_family, make_channel
 from repro.core.params import DecoderParams, SpinalParams
 from repro.link.protocol import LinkConfig, LinkSession, payload_for
 from repro.link.stats import FlowStats
-from repro.utils.parallel import map_jobs
-from repro.utils.results import canonical_json
 
-__all__ = ["LinkJob", "job_from_options", "run_job", "run_batch",
-           "results_json"]
+__all__ = ["LinkJob", "job_from_options", "run_job"]
 
 
 @dataclass(frozen=True)
@@ -137,21 +132,3 @@ def run_job(job: LinkJob) -> dict:
     out["channel"] = job.channel
     out["feedback_delay"] = job.config.feedback_delay
     return out
-
-
-def run_batch(
-    jobs: list[LinkJob],
-    n_workers: int | None = None,
-) -> list[dict]:
-    """Run jobs across worker processes; results come back in job order.
-
-    ``n_workers=None`` uses one worker per core (capped by the job count);
-    ``n_workers=1`` runs inline, which is also the fallback when only one
-    job exists — handy under debuggers and on single-core boxes.
-    """
-    return map_jobs(run_job, jobs, n_workers)
-
-
-def results_json(results: list[dict]) -> str:
-    """Canonical JSON for a batch (the byte-identical comparison format)."""
-    return canonical_json(results)

@@ -11,7 +11,7 @@ PHY carries the link.
 
 Everything here is a plain fold over :class:`~repro.link.protocol.
 PacketResult` records, and every summary renders to JSON-safe dicts so the
-batch runner and the benchmark harness can persist machine-readable output.
+experiment store and its JSON artifacts can persist machine-readable output.
 """
 
 from __future__ import annotations

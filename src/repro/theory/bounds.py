@@ -9,7 +9,8 @@ The second term, ``(1/2) log2(pi e / 6) ≈ 0.2546`` bits/symbol, is the
 asymptotic shaping gap of the uniform constellation; the first term decays
 exponentially in the RNG output width c, so c = Omega(log(1 + SNR))
 suffices to stay within ~0.25 bits of capacity.  These calculators let the
-examples and ablation benches compare measured rates against the bound.
+examples and the constellation ablation compare measured rates against the
+bound.
 """
 
 from __future__ import annotations

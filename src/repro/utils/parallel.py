@@ -1,7 +1,6 @@
 """Deterministic job-order multiprocessing core.
 
-Extracted from ``repro.link.runner`` so the link batch runner and the
-experiment orchestrator share one worker-pool discipline:
+The experiment orchestrator's worker-pool discipline:
 
 - every job is a self-contained picklable value carrying its own seed, so
   nothing depends on worker identity or scheduling order;
@@ -10,7 +9,8 @@ experiment orchestrator share one worker-pool discipline:
 
 Consequently ``n_workers=1`` and ``n_workers=8`` produce byte-identical
 output for any deterministic job function — the guarantee
-``tests/test_link.py`` and ``tests/test_experiments.py`` lock in.
+``tests/test_experiments.py`` and ``tests/test_experiment_kinds.py`` lock
+in.
 
 The pool is a :class:`concurrent.futures.ProcessPoolExecutor`, not a
 ``multiprocessing.Pool``: when a worker dies without reporting back
@@ -24,7 +24,7 @@ from __future__ import annotations
 import os
 from typing import Callable, Iterator, Sequence, TypeVar
 
-__all__ = ["imap_jobs", "map_jobs", "resolve_workers"]
+__all__ = ["imap_jobs", "resolve_workers"]
 
 J = TypeVar("J")
 R = TypeVar("R")
@@ -74,12 +74,3 @@ def imap_jobs(
         raise
     finally:
         executor.shutdown(wait=True, cancel_futures=True)
-
-
-def map_jobs(
-    fn: Callable[[J], R],
-    jobs: Sequence[J],
-    n_workers: int | None = None,
-) -> list[R]:
-    """Like :func:`imap_jobs` but collects the full result list."""
-    return list(imap_jobs(fn, jobs, n_workers))

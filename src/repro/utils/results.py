@@ -1,8 +1,8 @@
 """Result records and plain-text rendering for experiment outputs.
 
-The benchmark harness reproduces the paper's tables and figures as printed
+The experiment reports reproduce the paper's tables and figures as printed
 rows/series plus CSV files.  These small containers keep that uniform across
-all fourteen experiments.
+all of them.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ __all__ = [
 def canonical_json(payload) -> str:
     """Canonical JSON text: sorted keys, 2-space indent, no trailing newline.
 
-    This is the byte-identical comparison format shared by the link batch
-    runner, the benchmark JSON artifacts, and the experiment result store —
-    rerunning a deterministic experiment must reproduce the file exactly.
+    This is the byte-identical comparison format shared by the benchmark
+    JSON artifacts and the experiment result store — rerunning a
+    deterministic experiment must reproduce the file exactly.
     """
     return json.dumps(payload, sort_keys=True, indent=2)
 

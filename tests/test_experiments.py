@@ -9,9 +9,11 @@ The load-bearing properties:
 - reruns are served from the store with zero new simulation jobs, and a
   partially-filled store resumes by computing only the missing points;
 - adaptive sampling stops at the configured half-width with a
-  deterministic trial count.
+  deterministic trial count;
+- a failed paper claim makes ``run`` and ``export`` exit 1.
 """
 
+import dataclasses
 import os
 import signal
 import time
@@ -20,6 +22,7 @@ from contextlib import closing
 
 import pytest
 
+import repro.experiments.catalog as catalog_module
 import repro.experiments.spec as spec_module
 from repro.experiments import (
     AdaptivePolicy,
@@ -31,6 +34,7 @@ from repro.experiments import (
     adaptive_measure,
     build_spec,
     catalog_names,
+    get_entry,
     grid,
     make_scheme,
     point_hash,
@@ -45,6 +49,7 @@ from repro.simulation.sweep import RatelessScheme
 from repro.utils.parallel import imap_jobs
 
 from deadline import deadline
+from test_catalog_golden import synthetic_run
 
 
 def tiny_point(x=10.0, seed=42, series="tiny", n_messages=2, **overrides):
@@ -472,6 +477,27 @@ class TestCatalog:
             assert spec.points, name
             assert spec_hash(spec) == spec_hash(build_spec(name, "quick"))
 
+    def test_every_figure_entry_has_claims(self):
+        """Every paper entry checks the paper's claims; only the smoke
+        specs have none."""
+        figures = [n for n in catalog_names() if not n.startswith("smoke")]
+        assert len(figures) == 18
+        for name in figures:
+            assert get_entry(name).claims is not catalog_module._no_claims, \
+                name
+
+    @pytest.mark.parametrize("profile", ["quick", "full"])
+    def test_claims_read_their_reports(self, profile, tmp_path, capsys):
+        """Claims run on the report whatever its numbers (synthetic here,
+        so some fail) and return messages, never raise."""
+        for name in catalog_names():
+            entry = get_entry(name)
+            report = entry.report(synthetic_run(name, profile),
+                                  str(tmp_path / name))
+            failed = entry.claims(report)
+            assert isinstance(failed, list), name
+            assert all(isinstance(m, str) and m for m in failed), name
+
     def test_fig8_1_matches_legacy_seeding(self):
         """The migrated spec encodes the legacy bench's exact policy."""
         spec = build_spec("fig8_1", "quick")
@@ -590,6 +616,43 @@ class TestCli:
         capsys.readouterr()
         assert cli_main(argv) == 0
         assert "smoke" in capsys.readouterr().out
+
+    def _smoke_claims(self, monkeypatch, claims):
+        """Give the smoke entry ``claims`` as its paper claims."""
+        entry = dataclasses.replace(catalog_module.CATALOG["smoke"],
+                                    claims=claims)
+        monkeypatch.setitem(catalog_module.CATALOG, "smoke", entry)
+
+    def _dirs(self, tmp_path):
+        return ["--store", str(tmp_path / "store"),
+                "--results-dir", str(tmp_path / "results")]
+
+    def test_failed_claim_fails_run_and_export(self, tmp_path, capsys,
+                                               monkeypatch):
+        self._smoke_claims(monkeypatch, lambda report: ["rates collapsed"])
+        run = ["run", "smoke", "--workers", "1", *self._dirs(tmp_path)]
+        with deadline(60):
+            assert cli_main(run) == 1
+            assert "[claims] FAIL smoke: rates collapsed" in \
+                capsys.readouterr().err
+            assert cli_main(["export", "smoke", *self._dirs(tmp_path)]) == 1
+            assert "[claims] FAIL smoke: rates collapsed" in \
+                capsys.readouterr().err
+            # --no-report skips the claims along with the report
+            assert cli_main(run + ["--no-report"]) == 0
+        assert "[claims]" not in capsys.readouterr().err
+
+    def test_passing_claims_exit_zero(self, tmp_path, capsys, monkeypatch):
+        reports = []
+        self._smoke_claims(monkeypatch,
+                           lambda report: reports.append(report) or [])
+        with deadline(60):
+            assert cli_main(["run", "smoke", "--workers", "1",
+                             *self._dirs(tmp_path)]) == 0
+            assert cli_main(["export", "smoke", *self._dirs(tmp_path)]) == 0
+        # each command checked the report it rendered
+        assert [list(r) for r in reports] == [["curves"], ["curves"]]
+        assert "[claims]" not in capsys.readouterr().err
 
     def test_show(self, tmp_path, capsys):
         assert cli_main(["show", "smoke",

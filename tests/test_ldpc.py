@@ -110,15 +110,12 @@ class TestEdgelessNodes:
 
     CHAN = np.array([3.0, -1.0])
 
-    @pytest.mark.parametrize("algorithm", ["sum-product", "min-sum"])
-    def test_trailing_edgeless_check(self, algorithm):
+    def test_trailing_edgeless_check(self):
         bare = BeliefPropagation([0, 0], [0, 1], 1, 2)
         padded = BeliefPropagation([0, 0], [0, 1], 2, 2)
         for early_exit in (True, False):
-            got = padded.decode(self.CHAN, iterations=4, algorithm=algorithm,
-                                early_exit=early_exit)
-            want = bare.decode(self.CHAN, iterations=4, algorithm=algorithm,
-                               early_exit=early_exit)
+            got = padded.decode(self.CHAN, iterations=4, early_exit=early_exit)
+            want = bare.decode(self.CHAN, iterations=4, early_exit=early_exit)
             assert got[0].tolist() == want[0].tolist()
             assert got[1] == want[1]
 
@@ -136,14 +133,12 @@ class TestEdgelessNodes:
         assert padded.syndrome_ok(np.array([1, 1], dtype=np.uint8))
         assert not padded.syndrome_ok(np.array([1, 0], dtype=np.uint8))
 
-    @pytest.mark.parametrize("algorithm", ["sum-product", "min-sum"])
-    def test_trailing_edgeless_variable(self, algorithm):
+    def test_trailing_edgeless_variable(self):
         bare = BeliefPropagation([0, 0], [0, 1], 1, 2)
         padded = BeliefPropagation([0, 0], [0, 1], 1, 3)
         chan = np.array([3.0, -1.0, -2.0])
-        got, got_ok = padded.decode(chan, iterations=4, algorithm=algorithm)
-        want, want_ok = bare.decode(chan[:2], iterations=4,
-                                    algorithm=algorithm)
+        got, got_ok = padded.decode(chan, iterations=4)
+        want, want_ok = bare.decode(chan[:2], iterations=4)
         assert got.tolist() == want.tolist() + [1]
         assert got_ok == want_ok
 
@@ -154,11 +149,10 @@ class TestEdgelessNodes:
         assert ok
         assert bits.tolist() == [0, 1, 0, 0]
 
-    @pytest.mark.parametrize("algorithm", ["sum-product", "min-sum"])
-    def test_no_edges_at_all(self, algorithm):
+    def test_no_edges_at_all(self):
         bp = BeliefPropagation([], [], 2, 3)
         chan = np.array([1.0, -2.0, 0.0])
-        bits, ok = bp.decode(chan, iterations=3, algorithm=algorithm)
+        bits, ok = bp.decode(chan, iterations=3)
         assert bits.tolist() == [0, 1, 0]
         assert ok
         assert bp.syndrome_ok(np.array([1, 0, 1], dtype=np.uint8))

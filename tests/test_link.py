@@ -14,8 +14,6 @@ from repro.link import (
     LinkScheduler,
     LinkSession,
     payload_for,
-    results_json,
-    run_batch,
     run_job,
 )
 from repro.simulation import SpinalSession
@@ -213,27 +211,6 @@ class TestScheduler:
 
 
 class TestRunner:
-    def _jobs(self, dec, n=4):
-        return [
-            LinkJob(job_id=f"job{i}", seed=100 + i, snr_db=15.0,
-                    n_packets=2, payload_bytes=12, decoder_params=dec,
-                    config=LinkConfig(max_block_bits=256))
-            for i in range(n)
-        ]
-
-    def test_serial_vs_parallel_byte_identical(self, dec):
-        """The acceptance criterion: worker count never changes results."""
-        jobs = self._jobs(dec)
-        serial = results_json(run_batch(jobs, n_workers=1))
-        two = results_json(run_batch(jobs, n_workers=2))
-        assert serial == two
-
-    def test_results_in_job_order_and_json_safe(self, dec):
-        jobs = self._jobs(dec, n=3)
-        results = run_batch(jobs, n_workers=1)
-        assert [r["job_id"] for r in results] == ["job0", "job1", "job2"]
-        assert results_json(results)  # serialisable without custom encoders
-
     def test_oracle_job_mode(self, dec):
         job = LinkJob(job_id="oracle", seed=7, snr_db=15.0, n_packets=2,
                       payload_bytes=12, decoder_params=dec,
