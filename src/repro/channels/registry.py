@@ -1,7 +1,7 @@
 """Channel-family registry: one name per medium, shared across layers.
 
-Both the link batch runner (:class:`repro.link.runner.LinkJob`) and the
-experiment orchestrator (:mod:`repro.experiments`) describe a channel as a
+The experiment orchestrator (:mod:`repro.experiments`) describes a channel,
+for ``measure``, ``symbol_cdf`` and ``link`` points alike, as a
 ``(family, operating_point, options)`` triple that must survive pickling
 and canonical-JSON serialisation.  This registry is the single place that
 maps those descriptions to live :class:`~repro.channels.base.Channel`
@@ -10,9 +10,7 @@ instances, replacing per-caller string dispatch.
 The *operating point* is the one scalar every family is swept over: the
 SNR in dB for AWGN/Rayleigh, the flip probability for a BSC.  ``options``
 carries the family's remaining knobs (e.g. ``coherence_time``); unknown
-option names raise unless the caller opts into ``ignore_unknown`` (the
-link runner does, because :class:`LinkJob` carries a ``coherence_time``
-field even for AWGN jobs).
+option names raise.
 """
 
 from __future__ import annotations
@@ -80,26 +78,20 @@ def make_channel(
     point: float,
     rng: np.random.Generator | int | None = None,
     options: Mapping[str, object] | None = None,
-    *,
-    ignore_unknown: bool = False,
 ) -> Channel:
     """Build a channel of ``kind`` at operating point ``point``.
 
     ``options`` supplies family-specific knobs; names the family does not
-    declare raise a ``ValueError`` (or are dropped with
-    ``ignore_unknown=True``).
+    declare raise a ``ValueError``.
     """
     family = channel_family(kind)
     opts = dict(options or {})
     unknown = set(opts) - set(family.options)
     if unknown:
-        if not ignore_unknown:
-            raise ValueError(
-                f"channel family {kind!r} does not accept options "
-                f"{sorted(unknown)}; accepted: {sorted(family.options)}"
-            )
-        for key in unknown:
-            del opts[key]
+        raise ValueError(
+            f"channel family {kind!r} does not accept options "
+            f"{sorted(unknown)}; accepted: {sorted(family.options)}"
+        )
     return family.factory(point, rng, **opts)
 
 

@@ -1214,7 +1214,7 @@ def _link_goodput_points(profile: str) -> list[PointSpec]:
 
 def _link_records(curve: dict[float, dict]) -> list[dict]:
     """Store records in sweep order, minus the orchestrator's series/x keys
-    (the JSON artifact holds raw ``run_job`` dicts)."""
+    (the JSON artifact holds each flow's own record)."""
     return [
         {k: v for k, v in curve[snr].items() if k not in ("series", "x")}
         for snr in sorted(curve)

@@ -1,10 +1,9 @@
 """Multiprocessing point runner with the byte-identical worker guarantee.
 
-Generalizes the discipline proven in :mod:`repro.link.runner` from link
-jobs to simulation sweeps: each :class:`~repro.experiments.spec.PointSpec`
-is a self-contained, fully-seeded, picklable job; workers rebuild the
-scheme and channel factory from the registries and run the batched decode
-pipeline locally; results stream back in job order through
+Each :class:`~repro.experiments.spec.PointSpec` is a self-contained,
+fully-seeded, picklable job; workers rebuild the scheme or link session
+and the channel from the registries and run them locally, every random
+draw derived from the point's seed; results stream back in job order through
 :func:`repro.utils.parallel.imap_jobs`.  Nothing depends on worker
 identity or scheduling, so the same spec at ``n_workers=1`` and
 ``n_workers=8`` produces identical store contents — the property
@@ -33,7 +32,7 @@ from repro.experiments.spec import (
 )
 from repro.experiments.store import ResultStore
 from repro.obs import OBS, clock
-from repro.simulation.sweep import measure_scheme
+from repro.simulation.sweep import SpinalScheme, measure_scheme, run_messages
 from repro.utils.parallel import imap_jobs, resolve_workers
 
 __all__ = ["ExperimentRun", "run_point", "run_experiment"]
@@ -69,54 +68,78 @@ def _run_ldpc_envelope(point: PointSpec) -> dict:
     return {"rate": float(rate), "best_operating_point": best}
 
 
-def _run_link(point: PointSpec) -> dict:
-    """One packet-level ARQ flow (a :class:`LinkJob`) as a point job.
+#: The ``options`` keys a ``link`` point accepts.
+_LINK_OPTIONS = ("job_id", "n_packets", "payload_bytes", "params", "decoder",
+                 "config")
 
-    The job is rebuilt from the point's JSON-safe fields and executed by
-    the link runner itself, so a ``link`` point equals a direct
-    ``repro.link.runner`` invocation at the same seed — byte for byte.
+
+def _run_link(point: PointSpec) -> dict:
+    """One packet-level ARQ flow: a :class:`~repro.link.LinkSession` run.
+
+    ``options`` names the flow (``job_id``, default the series) and its
+    ``n_packets``, ``payload_bytes``, code ``params``, ``decoder`` and link
+    ``config``.  A misspelled key raises rather than cache a default's
+    result under the typo's content address.  Everything random derives
+    from the point's seed: a master RNG draws the channel's RNG, then the
+    payloads'.
     """
-    from repro.link.runner import job_from_options, run_job
-    job = job_from_options(
-        job_id=str(point.options.get("job_id", point.series)),
-        seed=point.seed,
-        snr_db=point.x,
-        channel=point.channel.kind,
-        channel_options=point.channel.options,
-        options=point.options,
-    )
-    return run_job(job)
+    import numpy as np
+
+    from repro.channels.registry import make_channel
+    from repro.core.params import DecoderParams, SpinalParams
+    from repro.link import FlowStats, LinkConfig, LinkSession, payload_for
+    opts = point.options
+    unknown = set(opts) - set(_LINK_OPTIONS)
+    if unknown:
+        raise ValueError(
+            f"unknown link job options {sorted(unknown)}; "
+            f"accepted: {sorted(_LINK_OPTIONS)}")
+    flow = str(opts.get("job_id", point.series))
+    params = SpinalParams(**dict(opts.get("params") or {}))
+    config = LinkConfig(**dict(opts.get("config") or {}))
+    payload_bytes = int(opts.get("payload_bytes", 32))
+    master = np.random.default_rng(point.seed)
+    channel = make_channel(
+        point.channel.kind, point.x,
+        np.random.default_rng(master.integers(0, 2**63)),
+        point.channel.options)
+    payload_rng = np.random.default_rng(master.integers(0, 2**63))
+    session = LinkSession(
+        params, DecoderParams(**dict(opts.get("decoder") or {})), channel,
+        config, flow=flow)
+    stats = FlowStats(flow)
+    for _ in range(int(opts.get("n_packets", 4))):
+        stats.add(session.send_packet(
+            payload_for(config, payload_rng, payload_bytes, k=params.k)))
+    record = stats.as_dict()
+    record.update(job_id=flow, seed=int(point.seed), snr_db=float(point.x),
+                  channel=point.channel.kind,
+                  feedback_delay=config.feedback_delay)
+    return record
 
 
 def _run_symbol_cdf(point: PointSpec) -> dict:
     """Per-message symbol counts of successful decodes (Figure 8-11).
 
     Unlike ``measure``, the payload is distributional: the sorted-later
-    CDF needs every successful message's symbol count, not the pooled
-    totals.  Seeding: one master RNG per point, one child RNG per message
-    drawing first the message then the channel noise.
+    CDF needs every successful message's symbol count, in message order,
+    not the pooled totals.  The messages run as one cohort through
+    :func:`~repro.simulation.sweep.run_messages`, seeded as a ``measure``
+    point's are.
     """
     from repro.core.params import DecoderParams, SpinalParams
-    from repro.simulation.engine import SpinalSession
-    from repro.utils.bitops import random_message
-    import numpy as np
     opts = point.options
-    params = SpinalParams(**dict(opts.get("params") or {}))
-    dec = DecoderParams(**dict(opts.get("decoder") or {}))
-    n_bits = int(opts["n_bits"])
-    probe_growth = float(opts.get("probe_growth", 1.0))
+    scheme = SpinalScheme(
+        SpinalParams(**dict(opts.get("params") or {})),
+        DecoderParams(**dict(opts.get("decoder") or {})),
+        int(opts["n_bits"]),
+        probe_growth=float(opts.get("probe_growth", 1.0)))
     factory = channel_factory(
         point.channel.kind, point.x, point.channel.options)
-    master = np.random.default_rng(point.seed)
-    counts: list[int] = []
-    for _ in range(point.n_messages):
-        rng = np.random.default_rng(master.integers(0, 2**63))
-        message = random_message(n_bits, rng)
-        session = SpinalSession(params, dec, message, factory(rng),
-                                probe_growth=probe_growth)
-        result = session.run()
-        if result.success:
-            counts.append(int(result.n_symbols))
+    outcomes = run_messages(scheme, factory, point.n_messages,
+                            seed=point.seed,
+                            batch_size=max(1, point.n_messages))
+    counts = [int(symbols) for bits, symbols in outcomes if bits > 0]
     return {
         "counts": counts,
         "n_messages": int(point.n_messages),

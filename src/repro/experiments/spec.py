@@ -232,7 +232,7 @@ class PointSpec:
       ``RateMeasurement`` record);
     - ``"ldpc_envelope"`` evaluates the fixed-rate LDPC best envelope
       (which reports a rate directly rather than per-message outcomes);
-    - ``"link"`` runs one :class:`repro.link.runner.LinkJob` — a
+    - ``"link"`` runs one :class:`repro.link.LinkSession` flow — a
       packet-level ARQ flow with framing/feedback cost — through the same
       deterministic worker pool (``options``: ``job_id``, ``n_packets``,
       ``payload_bytes``, ``params``, ``decoder``, ``config``);

@@ -183,7 +183,7 @@ class RaptorScheme(RatelessScheme):
         llrs = np.empty(0)
         chunk_bits = self.chunk_symbols * codec.bits_per_symbol
 
-        def attempt(count: int) -> bool:
+        def attempt(rows: np.ndarray, count: int) -> np.ndarray:
             nonlocal llrs
             while len(received) < count:
                 start = len(received) * self.chunk_symbols
@@ -199,9 +199,9 @@ class RaptorScheme(RatelessScheme):
                     noise_power, csi=csi)])
             decoded, _ = codec.decode(llrs[:count * chunk_bits],
                                       iterations=self.iterations)
-            return bool(np.array_equal(decoded, message))
+            return np.array([np.array_equal(decoded, message)])
 
-        hi = rateless_search(attempt, 1, self.probe_growth, max_chunks)
+        [hi] = rateless_search(attempt, 1, 1, self.probe_growth, max_chunks)
         if hi is None:
             return 0, max_chunks * self.chunk_symbols
         return self.k, hi * self.chunk_symbols

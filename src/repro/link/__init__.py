@@ -17,8 +17,9 @@ Layers (each module's docstring maps its mechanics to the paper):
   round-robin or priority service (:class:`LinkScheduler`, :class:`Flow`).
 - :mod:`~repro.link.stats` — goodput, latency percentiles, waste and
   retransmission counters (:class:`FlowStats`, :class:`LinkReport`).
-- :mod:`~repro.link.runner` — self-seeded jobs the experiment
-  orchestrator runs as ``link`` points (:class:`LinkJob`, :func:`run_job`).
+
+The experiment orchestrator runs one seeded :class:`LinkSession` flow per
+``link`` point (:mod:`repro.experiments.orchestrator`).
 """
 
 from repro.link.protocol import (
@@ -27,11 +28,6 @@ from repro.link.protocol import (
     PacketResult,
     PacketTransmitter,
     payload_for,
-)
-from repro.link.runner import (
-    LinkJob,
-    job_from_options,
-    run_job,
 )
 from repro.link.scheduler import Flow, LinkScheduler
 from repro.link.stats import FlowStats, LinkReport
@@ -46,7 +42,4 @@ __all__ = [
     "LinkScheduler",
     "FlowStats",
     "LinkReport",
-    "LinkJob",
-    "job_from_options",
-    "run_job",
 ]

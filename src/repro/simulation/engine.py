@@ -11,13 +11,15 @@ exhaustive scan with overwhelming probability while running ~5x fewer
 attempts.  (Set ``probe_growth=1`` to force the exhaustive per-subpass scan
 the paper describes.)
 
-There is one probe/bisect loop, :class:`BatchSession`, and it runs M
-independent messages as one cohort: at every probe point all
-still-undecoded messages are decoded together by one bubble search
+There is one probe/bisect loop, :func:`rateless_search`, and it runs a
+cohort of rows at once.  :class:`BatchSession` searches M independent
+messages with it: at every probe point all still-undecoded messages are
+decoded together by one bubble search
 (:class:`~repro.core.decoder.BatchBubbleDecoder`), and bisection steps are
 grouped by probe point, which amortises the per-step numpy call overhead
 over the whole cohort.  A :class:`SpinalSession` is the one-message
-cohort.  Each cohort owns **one** incremental
+cohort; Raptor and Strider search their chunk counts as one-row cohorts.
+Each spinal cohort owns **one** incremental
 :class:`~repro.core.symbols.BatchReceivedSymbols` store: subpasses are
 appended as they are transmitted and every decode attempt reads an O(1)
 prefix view of the store (a per-subpass checkpoint cursor), so probing
@@ -51,7 +53,7 @@ from typing import Callable
 import numpy as np
 
 from repro.channels.base import Channel, ChannelOutput, transmit_batch
-from repro.core.decoder import BatchBubbleDecoder
+from repro.core.decoder import BatchBubbleDecoder, DecodeResult
 from repro.core.encoder import BatchSpinalEncoder, SpinalEncoder
 from repro.core.params import DecoderParams, SpinalParams
 from repro.core.symbols import BatchReceivedSymbols
@@ -120,31 +122,50 @@ def probe_schedule(probe_growth: float, max_subpasses: int,
     return schedule
 
 
-def rateless_search(attempt: Callable[[int], bool], start: int,
-                    growth: float, limit: int) -> int | None:
-    """The least count at which ``attempt`` succeeds, or ``None``.
+def rateless_search(
+    attempt: Callable[[np.ndarray, int], np.ndarray],
+    n_rows: int, start: int, growth: float, limit: int,
+) -> list[int | None]:
+    """Per row, the least count at which ``attempt`` succeeds, or ``None``.
 
-    The one-message form of the search :class:`BatchSession` runs: probe
-    the :func:`probe_schedule` from ``start`` up to ``limit`` until an
-    attempt succeeds, then bisect between the last failing count (0 before
-    any) and the first success.  Returns ``None`` when every probe fails.
-    Raptor and Strider search their chunk counts with it.
+    ``attempt(rows, count)`` tries the given rows at ``count`` and returns
+    one success flag per row.  Every row that has not yet succeeded is
+    probed at each count of the :func:`probe_schedule` from ``start`` up to
+    ``limit``; then each row that succeeded bisects between its last failing
+    count (0 before any) and its first success.  Bisection runs in rounds,
+    and each round tries the rows that share a midpoint together, in
+    ascending order of midpoint.  A row's own attempt sequence is the one it
+    would see searched alone, so a cohort's answers do not depend on which
+    rows it holds.  Spinal cohorts search their subpass counts with it,
+    Raptor and Strider (one row each) their chunk counts.
     """
-    lo = 0
+    lo = [0] * n_rows
+    hi: list[int | None] = [None] * n_rows
+    active = np.arange(n_rows, dtype=np.intp)
     for g in probe_schedule(growth, limit, start):
-        if attempt(g):
-            hi = g
+        if active.size == 0:
             break
-        lo = g
-    else:
-        return None
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if attempt(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+        ok = np.asarray(attempt(active, g), dtype=bool)
+        for m in active[ok]:
+            hi[m] = g
+        for m in active[~ok]:
+            lo[m] = g
+        active = active[~ok]
+
+    while True:
+        mids: dict[int, list[int]] = {}
+        for m, h in enumerate(hi):
+            if h is not None and h - lo[m] > 1:
+                mids.setdefault((lo[m] + h) // 2, []).append(m)
+        if not mids:
+            return hi
+        for mid, members in sorted(mids.items()):
+            ok = attempt(np.asarray(members, dtype=np.intp), mid)
+            for m, success in zip(members, ok):
+                if success:
+                    hi[m] = mid
+                else:
+                    lo[m] = mid
 
 
 @dataclass
@@ -296,10 +317,21 @@ class BatchSession:
                        else row.run_fixed_rate(fixed_passes))
         return out
 
-    def _make_pipeline(
-        self,
-    ) -> tuple[BatchSpinalEncoder, BatchBubbleDecoder, BatchReceivedSymbols]:
-        """The shared encoder/decoder/store triple of one batched cohort."""
+    def _pipeline(self) -> tuple[
+        Callable[[np.ndarray, int], None],
+        Callable[[np.ndarray, int], list[DecodeResult]],
+        list[int],
+        int,
+    ]:
+        """Transmit and decode closures over one batched cohort.
+
+        The cohort shares one encoder, one decoder and one incremental
+        symbol store.  Returns ``(ensure, decode, cum_symbols,
+        subpasses_per_pass)``: ``ensure(rows, count)`` transmits the rows
+        up to ``count`` subpasses, ``decode(rows, count)`` decodes them at
+        that prefix, and ``cum_symbols[g]`` is the symbol count of ``g``
+        subpasses.
+        """
         encoder = BatchSpinalEncoder(self.params, self.messages)
         decoder = BatchBubbleDecoder(
             self.params, self.dec, self.messages.shape[1]
@@ -308,19 +340,8 @@ class BatchSession:
             encoder.n_spine, self.n_messages,
             complex_valued=not self.params.is_bsc,
         )
-        return encoder, decoder, store
-
-    def run(self) -> list[SessionResult]:
-        """Rateless transmission of the cohort; one result per message."""
-        if not self._can_batch():
-            return self._run_rows_apart()
-
-        M = self.n_messages
-        encoder, decoder, store = self._make_pipeline()
         checkpoints = [store.checkpoint()]
         cum_symbols = [0]
-        w = encoder.subpasses_per_pass
-        max_subpasses = self.dec.max_passes * w
 
         def ensure(rows: np.ndarray, count: int) -> None:
             """Transmit up to ``count`` subpasses for the messages in rows.
@@ -342,18 +363,30 @@ class BatchSession:
                 checkpoints.append(store.checkpoint())
                 cum_symbols.append(cum_symbols[-1] + len(block))
 
-        n_attempts = np.zeros(M, dtype=np.int64)
-        last_cost = np.full(M, float("nan"))
-        lo = np.zeros(M, dtype=np.int64)
-        hi: list[int | None] = [None] * M
-
-        def attempt(rows: np.ndarray, n_subpasses: int) -> np.ndarray:
-            """Batched decode of ``rows`` at a prefix; returns success mask."""
-            view = store.prefix(rows, checkpoints[n_subpasses])
+        def decode(rows: np.ndarray, count: int) -> list[DecodeResult]:
+            """One batched decode of ``rows`` at ``count`` subpasses."""
+            view = store.prefix(rows, checkpoints[count])
             OBS.counter("decode.attempts", rows.size)
             with OBS.span("decode.cohort", rows=int(rows.size),
-                          subpasses=int(n_subpasses)):
-                results = decoder.decode_batch(view)
+                          subpasses=int(count)):
+                return decoder.decode_batch(view)
+
+        return ensure, decode, cum_symbols, encoder.subpasses_per_pass
+
+    def run(self) -> list[SessionResult]:
+        """Rateless transmission of the cohort; one result per message."""
+        if not self._can_batch():
+            return self._run_rows_apart()
+
+        M = self.n_messages
+        ensure, decode, cum_symbols, w = self._pipeline()
+        n_attempts = np.zeros(M, dtype=np.int64)
+        last_cost = np.full(M, float("nan"))
+
+        def attempt(rows: np.ndarray, n_subpasses: int) -> np.ndarray:
+            """Transmit what ``rows`` lack, decode; returns success mask."""
+            ensure(rows, n_subpasses)
+            results = decode(rows, n_subpasses)
             ok = np.zeros(rows.size, dtype=bool)
             for j, m in enumerate(rows):
                 n_attempts[m] += 1
@@ -361,57 +394,22 @@ class BatchSession:
                 ok[j] = results[j].matches(self.messages[m])
             return ok
 
-        # Geometric probing, whole cohort at a time.
-        active = np.arange(M, dtype=np.intp)
-        for g in probe_schedule(self.probe_growth, max_subpasses):
-            if active.size == 0:
-                break
-            ensure(active, g)
-            ok = attempt(active, g)
-            for m in active[ok]:
-                hi[m] = g
-            lo[active[~ok]] = g
-            active = active[~ok]
-
-        # Bisection, grouped by probe point so equal mids share one decode.
-        pending = [m for m in range(M) if hi[m] is not None]
-        while True:
-            mids: dict[int, list[int]] = {}
-            for m in pending:
-                if hi[m] - lo[m] > 1:
-                    mids.setdefault((lo[m] + hi[m]) // 2, []).append(m)
-            if not mids:
-                break
-            for mid, members in sorted(mids.items()):
-                rows = np.asarray(members, dtype=np.intp)
-                ok = attempt(rows, mid)
-                for j, m in enumerate(members):
-                    if ok[j]:
-                        hi[m] = mid
-                    else:
-                        lo[m] = mid
-
+        max_subpasses = self.dec.max_passes * w
+        found = rateless_search(
+            attempt, M, 1, self.probe_growth, max_subpasses)
         n_bits = self.messages.shape[1]
-        results: list[SessionResult] = []
-        for m in range(M):
-            if hi[m] is None:
-                results.append(SessionResult(
-                    success=False,
-                    n_symbols=cum_symbols[max_subpasses],
-                    n_subpasses=max_subpasses,
-                    n_bits=n_bits,
-                    n_attempts=int(n_attempts[m]),
-                ))
-            else:
-                results.append(SessionResult(
-                    success=True,
-                    n_symbols=cum_symbols[hi[m]],
-                    n_subpasses=hi[m],
-                    n_bits=n_bits,
-                    n_attempts=int(n_attempts[m]),
-                    path_cost=float(last_cost[m]),
-                ))
-        return results
+        return [
+            SessionResult(
+                success=hi is not None,
+                n_symbols=cum_symbols[max_subpasses if hi is None else hi],
+                n_subpasses=max_subpasses if hi is None else hi,
+                n_bits=n_bits,
+                n_attempts=int(n_attempts[m]),
+                path_cost=(float("nan") if hi is None
+                           else float(last_cost[m])),
+            )
+            for m, hi in enumerate(found)
+        ]
 
     def run_fixed_rate(self, n_passes: int) -> list[SessionResult]:
         """Fixed-rate cohort (Figure 8-2): L passes each, one batched decode.
@@ -425,27 +423,16 @@ class BatchSession:
             return self._run_rows_apart(fixed_passes=n_passes)
 
         M = self.n_messages
-        encoder, decoder, store = self._make_pipeline()
-        n_subpasses = n_passes * encoder.subpasses_per_pass
+        ensure, decode, cum_symbols, w = self._pipeline()
+        n_subpasses = n_passes * w
         rows = np.arange(M, dtype=np.intp)
-        n_symbols = 0
-        for g in range(n_subpasses):
-            block = encoder.generate_batch(g, rows=rows)
-            received = transmit_batch(self.channels, block.values)
-            values, csi = received_view(received, self.csi_mode)
-            store.add_block(
-                block.spine_indices, block.slots, values, rows=rows, csi=csi
-            )
-            n_symbols += len(block)
-        OBS.counter("decode.attempts", M)
-        with OBS.span("decode.cohort", rows=M, subpasses=n_subpasses):
-            results = decoder.decode_batch(
-                store.prefix(rows, store.checkpoint()))
+        ensure(rows, n_subpasses)
+        results = decode(rows, n_subpasses)
         n_bits = self.messages.shape[1]
         return [
             SessionResult(
                 success=results[m].matches(self.messages[m]),
-                n_symbols=n_symbols,
+                n_symbols=cum_symbols[n_subpasses],
                 n_subpasses=n_subpasses,
                 n_bits=n_bits,
                 n_attempts=1,

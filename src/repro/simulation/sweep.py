@@ -6,10 +6,11 @@ point is total bits delivered / total symbols transmitted, aggregated over
 messages; undecoded messages burn their symbols and deliver zero bits,
 exactly as a give-up does in the paper's framework.
 
-The engine runs messages either one at a time or in batched cohorts
-(``measure_scheme(batch_size=...)``): a cohort shares one vectorised decode
-pipeline (see :class:`~repro.simulation.engine.BatchSession`) while every
-message keeps its own channel and RNG, so the two paths produce identical
+The engine hands every scheme its messages in cohorts
+(``measure_scheme(batch_size=...)``, one message per cohort by default).  A
+spinal cohort shares one vectorised decode pipeline (see
+:class:`~repro.simulation.engine.BatchSession`) while every message keeps
+its own channel and RNG, so any cohort size produces identical
 :class:`RateMeasurement` records from the same seed.
 """
 
@@ -28,7 +29,7 @@ from repro.channels.capacity import (
     rayleigh_capacity,
 )
 from repro.core.params import DecoderParams, SpinalParams
-from repro.simulation.engine import BatchSession, SpinalSession
+from repro.simulation.engine import BatchSession
 from repro.utils.bitops import random_message
 
 __all__ = [
@@ -181,10 +182,11 @@ def merge_measurements(
 class RatelessScheme:
     """One code plugged into the shared measurement engine.
 
-    Subclasses run a single message over a fresh channel and report
-    ``(bits_delivered, symbols_used)``.  Schemes that can decode many
-    messages in one vectorised pipeline additionally override
-    :meth:`run_cohort`.
+    The engine calls :meth:`run_cohort`, which reports
+    ``(bits_delivered, symbols_used)`` per message.  Its default runs
+    :meth:`run_message` on each message over its own fresh channel;
+    schemes that decode many messages in one vectorised pipeline override
+    :meth:`run_cohort` instead.
     """
 
     name = "scheme"
@@ -197,7 +199,7 @@ class RatelessScheme:
     def run_cohort(
         self, channels: Sequence[Channel], rngs: Sequence[np.random.Generator]
     ) -> list[tuple[int, int]]:
-        """Run one message per (channel, rng) pair; default is the scalar loop."""
+        """Run one message per (channel, rng) pair, each by :meth:`run_message`."""
         return [self.run_message(ch, rng) for ch, rng in zip(channels, rngs)]
 
 
@@ -227,30 +229,15 @@ class SpinalScheme(RatelessScheme):
         self.fixed_passes = fixed_passes
         self.name = label or f"spinal n={n_bits} k={params.k} B={decoder_params.B}"
 
-    def run_message(
-        self, channel: Channel, rng: np.random.Generator
-    ) -> tuple[int, int]:
-        message = random_message(self.n_bits, rng)
-        session = SpinalSession(
-            self.params, self.decoder_params, message, channel,
-            give_csi=self.give_csi, probe_growth=self.probe_growth,
-        )
-        if self.fixed_passes is None:
-            result = session.run()
-        else:
-            result = session.run_fixed_rate(self.fixed_passes)
-        return (self.n_bits if result.success else 0), result.n_symbols
-
     def run_cohort(
         self, channels: Sequence[Channel], rngs: Sequence[np.random.Generator]
     ) -> list[tuple[int, int]]:
         """Batched cohort: one vectorised decode pipeline for all messages.
 
-        Messages are drawn per-rng in cohort order — the same draws the
-        one-message loop makes — and :class:`BatchSession` runs each
-        message as its own one-row cohort when a channel's state is not
-        message-private, so this is always result-identical to the
-        base-class loop.
+        Messages are drawn per-rng in cohort order — the same draws
+        cohorts of one make — and :class:`BatchSession` runs each message
+        as its own one-row cohort when a channel's state is not
+        message-private, so the outcomes do not depend on the cohort size.
         """
         messages = np.stack([random_message(self.n_bits, rng) for rng in rngs])
         session = BatchSession(
@@ -282,9 +269,9 @@ def run_messages(
     ``(scheme, factory, n_messages, seed)`` regardless of batching.
     ``batch_size`` groups messages into cohorts handed to the scheme's
     :meth:`~RatelessScheme.run_cohort` (vectorised decoding for schemes
-    that support it); ``None`` keeps the one-message-at-a-time loop.  Both
-    paths consume the master seed identically, so the outcomes are the
-    same either way.
+    that support it); ``None`` means cohorts of one.  Every cohort size
+    consumes the master seed identically, so the outcomes are the same
+    either way.
     """
     if batch_size is not None and batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -298,10 +285,7 @@ def run_messages(
             for _ in range(cohort)
         ]
         channels = [channel_factory(rng) for rng in rngs]
-        if batch_size is None:
-            outcomes.append(scheme.run_message(channels[0], rngs[0]))
-        else:
-            outcomes.extend(scheme.run_cohort(channels, rngs))
+        outcomes.extend(scheme.run_cohort(channels, rngs))
         done += cohort
     return outcomes
 

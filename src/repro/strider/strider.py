@@ -277,7 +277,7 @@ class StriderScheme(RatelessScheme):
                         values = values * np.exp(-1j * np.angle(out.csi))
                 chunks.append((values, nv))
 
-        def attempt(count: int) -> bool:
+        def attempt(rows: np.ndarray, count: int) -> np.ndarray:
             ensure(count)
             n_pass = (count + sub - 1) // sub
             pass_values, pass_noise = [], []
@@ -286,7 +286,7 @@ class StriderScheme(RatelessScheme):
                 pass_values.append(np.concatenate([c[0] for c in parts]))
                 pass_noise.append(np.concatenate([c[1] for c in parts]))
             decoded = codec.decode(pass_values, pass_noise)
-            return bool(np.array_equal(decoded, message))
+            return np.array([np.array_equal(decoded, message)])
 
         symbols_per_chunk = [cuts[j + 1] - cuts[j] for j in range(sub)]
 
@@ -296,7 +296,7 @@ class StriderScheme(RatelessScheme):
 
         max_chunks = self.max_passes * sub
         # first attempt: one full pass
-        hi = rateless_search(attempt, max(1, sub), 1.3, max_chunks)
+        [hi] = rateless_search(attempt, 1, max(1, sub), 1.3, max_chunks)
         if hi is None:
             return 0, symbols_in(max_chunks)
         return self.n_bits, symbols_in(hi)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.channels import AWGNChannel, BSCChannel, RayleighBlockFadingChannel
 from repro.core.params import DecoderParams, SpinalParams
@@ -13,6 +14,8 @@ from repro.simulation import (
 )
 from repro.simulation.engine import rateless_search
 from repro.utils.bitops import random_message
+
+from deadline import deadline
 
 
 @pytest.fixture
@@ -165,25 +168,68 @@ class TestMeasurement:
 
 
 class TestRatelessSearch:
-    """One probe-then-bisect helper serves Raptor and Strider; each
-    scheme's attempt sequence is pinned, as the schemes ran it when each
-    carried its own copy of the loop."""
+    """One probe-then-bisect search serves spinal cohorts, Raptor and
+    Strider; each scheme's attempt sequence is pinned, as the schemes ran
+    it when each carried its own copy of the loop."""
 
     def test_probe_then_bisect(self):
         tried = []
 
-        def attempt(count):
+        def attempt(rows, count):
             tried.append(count)
-            return count >= 6
+            return np.array([count >= 6])
 
-        assert rateless_search(attempt, 1, 1.25, 40) == 6
+        assert rateless_search(attempt, 1, 1, 1.25, 40) == [6]
         assert tried == [1, 2, 3, 4, 5, 7, 6]
 
     def test_start_and_exhaustion(self):
         tried = []
-        assert rateless_search(lambda g: tried.append(g), 4, 1.3, 9) is None
+        assert rateless_search(
+            lambda rows, g: tried.append(g) or [False], 1, 4, 1.3, 9) == [None]
         assert tried == [4, 6, 8, 9]
-        assert rateless_search(lambda g: True, 4, 1.3, 9) == 1
+        assert rateless_search(lambda rows, g: [True], 1, 4, 1.3, 9) == [1]
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(st.integers(1, 45),
+                                st.frozensets(st.integers(1, 45), max_size=6)),
+                      min_size=1, max_size=8),
+        start=st.integers(1, 12),
+        growth=st.sampled_from([1.0, 1.25, 1.3, 1.5]),
+        limit=st.integers(1, 40),
+    )
+    def test_cohort_matches_each_row_alone(self, rows, start, growth, limit):
+        """A row succeeds from its threshold on, except at its (possibly
+        empty) set of failing counts; a cohort gives every row the answer
+        and the attempt sequence of a one-row search of that row."""
+        def succeeds(row, count):
+            threshold, fails = row
+            return count >= threshold and count not in fails
+
+        tried = [[] for _ in rows]
+
+        def attempt(members, count):
+            assert list(members) == sorted(set(members))
+            for m in members:
+                tried[m].append(count)
+            return np.array([succeeds(rows[m], count) for m in members])
+
+        with deadline(30):
+            found = rateless_search(attempt, len(rows), start, growth, limit)
+            for m, row in enumerate(rows):
+                alone = []
+
+                def one(members, count, row=row, alone=alone):
+                    alone.append(count)
+                    return np.array([succeeds(row, count)])
+
+                assert rateless_search(one, 1, start, growth, limit) == \
+                    [found[m]]
+                assert tried[m] == alone
+                if found[m] is not None:
+                    # bisection ends on a success right above a failure
+                    assert succeeds(row, found[m])
+                    assert found[m] == 1 or not succeeds(row, found[m] - 1)
 
     def test_raptor_attempts(self):
         from unittest import mock

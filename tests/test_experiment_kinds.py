@@ -5,9 +5,9 @@ catalog entries' legacy seed policies.
 
 The load-bearing properties:
 
-- a ``link`` point through the orchestrator equals a direct
-  ``repro.link.runner`` invocation at the same seed, and link specs keep
-  the byte-identical-store-for-any-worker-count guarantee;
+- a ``link`` point through the orchestrator equals a hand-built
+  ``LinkSession`` flow at the same seed, and link specs keep the
+  byte-identical-store-for-any-worker-count guarantee;
 - a corrupt or mismatched store file is quarantined (renamed ``.bad``)
   instead of wedging ``run``/``resume`` with ``JSONDecodeError``;
 - the ``"ratio"`` adaptive interval is opt-in: the default policy's
@@ -23,6 +23,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.experiments import (
     AdaptivePolicy,
@@ -48,6 +49,8 @@ from repro.experiments.store import (
 )
 from repro.obs import OBS
 from repro.simulation.sweep import RatelessScheme
+
+from deadline import deadline
 
 
 def tiny_link_point(x=10.0, seed=77, series="link", **option_overrides):
@@ -78,43 +81,95 @@ def tiny_measure_spec(n_points=3):
                           profile="quick", points=points)
 
 
+def _direct_link_flow(point):
+    """The oracle a ``link`` point must equal: one seeded LinkSession flow,
+    its channel built by hand rather than through the registry."""
+    from repro.channels import (
+        AWGNChannel,
+        BSCChannel,
+        RayleighBlockFadingChannel,
+    )
+    from repro.core.params import DecoderParams, SpinalParams
+    from repro.link import FlowStats, LinkConfig, LinkSession, payload_for
+    opts = point.options
+    params = SpinalParams(**opts.get("params", {}))
+    config = LinkConfig(**opts["config"])
+    master = np.random.default_rng(point.seed)
+    channel_rng = np.random.default_rng(master.integers(0, 2**63))
+    payload_rng = np.random.default_rng(master.integers(0, 2**63))
+    kind = point.channel.kind
+    if kind == "awgn":
+        channel = AWGNChannel(point.x, rng=channel_rng)
+    elif kind == "rayleigh":
+        channel = RayleighBlockFadingChannel(
+            point.x, rng=channel_rng,
+            coherence_time=point.channel.options.get("coherence_time", 10))
+    else:
+        channel = BSCChannel(point.x, rng=channel_rng)
+    session = LinkSession(params, DecoderParams(**opts["decoder"]), channel,
+                          config, flow=opts["job_id"])
+    stats = FlowStats(opts["job_id"])
+    for _ in range(opts["n_packets"]):
+        stats.add(session.send_packet(payload_for(
+            config, payload_rng, opts["payload_bytes"], k=params.k)))
+    return {**stats.as_dict(), "job_id": opts["job_id"], "seed": point.seed,
+            "snr_db": point.x, "channel": kind,
+            "feedback_delay": config.feedback_delay}
+
+
+@st.composite
+def link_points(draw):
+    """Small link points over every channel family and both framings."""
+    kind = draw(st.sampled_from(["awgn", "rayleigh", "bsc"]))
+    channel_options = {}
+    config = {"framing": draw(st.booleans()),
+              "feedback_delay": draw(st.sampled_from([0, 5, 16])),
+              "max_block_bits": 64}
+    options = {
+        "job_id": draw(st.sampled_from(["flow", "j7"])),
+        "n_packets": draw(st.integers(1, 2)),
+        "payload_bytes": 4,
+        "decoder": {"B": 8, "max_passes": 12},
+        "config": config,
+    }
+    if kind == "bsc":
+        options["params"] = {"c": 1, "mapping_name": "bsc"}
+        x = draw(st.sampled_from([0.01, 0.05, 0.1]))
+    else:
+        x = float(draw(st.integers(5, 30)))
+    if kind == "rayleigh":
+        config["give_csi"] = draw(st.booleans())
+        coherence_time = draw(st.none() | st.integers(1, 20))
+        if coherence_time is not None:
+            channel_options["coherence_time"] = coherence_time
+    return PointSpec(series="link", x=x, seed=draw(st.integers(0, 2**31)),
+                     kind="link", channel=ChannelSpec(kind, channel_options),
+                     options=options)
+
+
 class TestLinkKind:
-    def test_run_point_matches_direct_runner(self):
-        """A link point is exactly a hand-built LinkJob at the same seed."""
-        from repro.core.params import DecoderParams, SpinalParams
-        from repro.link import LinkConfig, LinkJob, run_job
-        point = tiny_link_point(x=12.0, seed=91)
-        record = run_point(point)
-        direct = run_job(LinkJob(
-            job_id="job_snr12", seed=91, snr_db=12.0,
-            n_packets=1, payload_bytes=4,
-            params=SpinalParams(),
-            decoder_params=DecoderParams(B=4, max_passes=8),
-            config=LinkConfig(max_block_bits=64),
-        ))
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(point=link_points())
+    def test_run_point_matches_direct_runner(self, point):
+        """A link point is exactly a hand-built LinkSession flow at the
+        same seed, over every channel family, framed or not."""
+        with deadline(60):
+            record = run_point(point)
+            direct = _direct_link_flow(point)
         assert {k: v for k, v in record.items()
                 if k not in ("series", "x")} == direct
-        assert record["series"] == "link" and record["x"] == 12.0
+        assert record["series"] == "link" and record["x"] == point.x
 
-    def test_rayleigh_link_point_honours_coherence_time(self):
-        from repro.link import LinkJob, run_job
-        from repro.core.params import DecoderParams
-        point = PointSpec(
-            series="link", x=15.0, seed=5, kind="link",
-            channel=ChannelSpec("rayleigh", {"coherence_time": 4}),
-            options={"job_id": "ray", "n_packets": 1, "payload_bytes": 4,
-                     "decoder": {"B": 4, "max_passes": 8},
-                     "config": {"max_block_bits": 64}})
-        record = run_point(point)
-        direct = run_job(LinkJob(
-            job_id="ray", seed=5, snr_db=15.0, n_packets=1, payload_bytes=4,
-            decoder_params=DecoderParams(B=4, max_passes=8),
-            config=point_config(), channel="rayleigh", coherence_time=4))
-        assert record["goodput"] == direct["goodput"]
-        assert record["symbols"] == direct["symbols"]
+    def test_unknown_link_channel_kind_rejected(self):
+        """An unknown family fails when the point is built, before any
+        flow can run."""
+        with pytest.raises(ValueError, match="unknown channel kind"):
+            run_point(PointSpec(series="link", x=10.0, seed=0, kind="link",
+                                channel=ChannelSpec("laser"),
+                                options={"n_packets": 1}))
 
     def test_worker_count_invariant_store_bytes(self, tmp_path):
-        """The link-runner guarantee survives the orchestrator detour."""
+        """Link stores are byte-identical for any worker count."""
         points = tuple(tiny_link_point(x=5.0 + 5.0 * i, seed=60 + i,
                                        job_id=f"j{i}")
                        for i in range(4))
@@ -152,11 +207,6 @@ class TestLinkKind:
             run_point(point)
 
 
-def point_config():
-    from repro.link import LinkConfig
-    return LinkConfig(max_block_bits=64)
-
-
 class TestSymbolCdfKind:
     def test_matches_legacy_per_message_loop(self):
         """The kind reproduces the legacy fig8_11 RNG stream exactly."""
@@ -184,6 +234,35 @@ class TestSymbolCdfKind:
         assert record["counts"] == expected
         assert record["n_messages"] == 3
         assert record["n_success"] == len(expected)
+
+    def test_cohort_size_does_not_change_counts_on_fading(self):
+        """The point runs its messages as one cohort; over block fading
+        with CSI-free decoding the counts equal one-message cohorts'."""
+        from repro.channels import channel_factory
+        from repro.core.params import DecoderParams, SpinalParams
+        from repro.simulation.sweep import SpinalScheme, run_messages
+        point = PointSpec(
+            series="cdf", x=15.0, seed=3, kind="symbol_cdf",
+            channel=ChannelSpec("rayleigh", {"coherence_time": 50}),
+            n_messages=6,
+            options={"n_bits": 16, "decoder": {"B": 16, "max_passes": 8}})
+        record = run_point(point)
+        outcomes = run_messages(
+            SpinalScheme(SpinalParams(), DecoderParams(B=16, max_passes=8),
+                         16, probe_growth=1.0),
+            channel_factory("rayleigh", 15.0, {"coherence_time": 50}),
+            6, seed=3)
+        assert record["counts"] == [s for b, s in outcomes if b > 0]
+        assert 0 < record["n_success"] < 6  # both outcomes occur
+
+    def test_symbol_cdf_without_messages_is_empty(self):
+        point = PointSpec(
+            series="cdf", x=12.0, seed=1, kind="symbol_cdf",
+            channel=ChannelSpec("awgn"), n_messages=0,
+            options={"n_bits": 16, "decoder": {"B": 4, "max_passes": 8}})
+        assert run_point(point) == {"counts": [], "n_messages": 0,
+                                    "n_success": 0, "series": "cdf",
+                                    "x": 12.0}
 
     def test_symbol_cdf_requires_channel(self):
         with pytest.raises(ValueError, match="need a channel"):

@@ -5,7 +5,7 @@ The load-bearing properties:
 - spec hashing is canonical (field order never matters) and injective
   enough (different points/specs get different addresses);
 - the orchestrator produces identical store contents for any worker
-  count (the link-runner guarantee generalized to simulation jobs);
+  count;
 - reruns are served from the store with zero new simulation jobs, and a
   partially-filled store resumes by computing only the missing points;
 - adaptive sampling stops at the configured half-width with a
@@ -699,6 +699,28 @@ class TestRunMessagesApi:
                             capacity_reference="bsc")
         clone = RateMeasurement.from_dict(m.as_dict())
         assert clone == m
+
+    def test_cohorts_of_one_by_default(self):
+        """Every scheme is driven through ``run_cohort``; without a
+        ``batch_size`` each cohort holds one message."""
+        from repro.simulation.sweep import run_messages
+
+        class Sizes(DummyScheme):
+            def __init__(self):
+                super().__init__()
+                self.sizes = []
+
+            def run_cohort(self, channels, rngs):
+                self.sizes.append(len(channels))
+                return super().run_cohort(channels, rngs)
+
+        scheme = Sizes()
+        one_by_one = run_messages(scheme, dummy_factory, 4, seed=2)
+        assert scheme.sizes == [1, 1, 1, 1]
+        scheme = Sizes()
+        assert run_messages(scheme, dummy_factory, 4, seed=2,
+                            batch_size=3) == one_by_one
+        assert scheme.sizes == [3, 1]
 
     def test_seed_prefix_property(self):
         """Growing a cohort keeps the shared-prefix outcomes identical."""

@@ -10,11 +10,9 @@ from repro.core.params import DecoderParams, SpinalParams
 from repro.link import (
     Flow,
     LinkConfig,
-    LinkJob,
     LinkScheduler,
     LinkSession,
     payload_for,
-    run_job,
 )
 from repro.simulation import SpinalSession
 from repro.utils.bitops import random_message
@@ -208,31 +206,6 @@ class TestScheduler:
         message = str(err.value)
         assert "stuck: subpass 8 of 8" in message
         assert "sender ACKs [False]" in message
-
-
-class TestRunner:
-    def test_oracle_job_mode(self, dec):
-        job = LinkJob(job_id="oracle", seed=7, snr_db=15.0, n_packets=2,
-                      payload_bytes=12, decoder_params=dec,
-                      config=LinkConfig(framing=False))
-        out = run_job(job)
-        assert out["n_delivered"] == 2
-        assert out["framing_overhead"] == 0.0
-
-    def test_rayleigh_job(self, dec):
-        job = LinkJob(job_id="fade", seed=8, snr_db=22.0, n_packets=1,
-                      payload_bytes=12, decoder_params=dec,
-                      config=LinkConfig(max_block_bits=256, give_csi=True),
-                      channel="rayleigh", coherence_time=20)
-        out = run_job(job)
-        assert out["channel"] == "rayleigh"
-        assert out["n_packets"] == 1
-
-    def test_unknown_channel_kind(self, dec):
-        job = LinkJob(job_id="x", seed=0, snr_db=10.0,
-                      decoder_params=dec, channel="laser")
-        with pytest.raises(ValueError):
-            run_job(job)
 
 
 class TestStatsAndHelpers:
