@@ -14,7 +14,6 @@ The Rayleigh ergodic capacity (receiver CSI) has the closed form
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import exp1
 
 __all__ = [
     "awgn_capacity",
@@ -51,6 +50,8 @@ def bsc_capacity(flip_probability: float | np.ndarray) -> float | np.ndarray:
 
 def rayleigh_capacity(snr_db: float | np.ndarray) -> float | np.ndarray:
     """Ergodic capacity of the Rayleigh fading channel with receiver CSI."""
+    from scipy.special import exp1
+
     snr = 10.0 ** (np.asarray(snr_db, dtype=np.float64) / 10.0)
     inv = 1.0 / snr
     out = np.exp(inv) * exp1(inv) / np.log(2.0)

@@ -18,7 +18,6 @@ candidate RNG outputs to symbol coordinates with a single table lookup.
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import norm
 
 __all__ = [
     "ConstellationMapping",
@@ -81,12 +80,16 @@ class TruncatedGaussianMapping(ConstellationMapping):
     name = "gaussian"
 
     def __init__(self, c: int, power: float = 1.0, beta: float = 2.0):
+        # Phi and Phi^{-1} are scipy's ndtr and ndtri, imported here so the
+        # uniform and BSC maps never load scipy.
+        from scipy.special import ndtr, ndtri
+
         self.power = float(power)
         self.beta = float(beta)
-        gamma = norm.cdf(-beta)
+        gamma = ndtr(-beta)
         b = np.arange(1 << c, dtype=np.float64)
         u = (b + 0.5) / (1 << c)
-        levels = norm.ppf(gamma + (1.0 - 2.0 * gamma) * u)
+        levels = ndtri(gamma + (1.0 - 2.0 * gamma) * u)
         levels *= np.sqrt((self.power / 2.0) / np.mean(levels**2))
         super().__init__(c, levels)
 

@@ -17,7 +17,6 @@ any labelled constellation.  With CSI, the metric becomes
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp
 
 from repro.modulation.qam import QAM, Constellation
 
@@ -29,6 +28,8 @@ def _pam_llrs(
     noise_var: np.ndarray | float, m: int,
 ) -> np.ndarray:
     """Exact LLRs for one Gray-PAM dimension; returns (n, m)."""
+    from scipy.special import logsumexp
+
     # metric[n, level] = -(y - level)^2 / noise_var
     metric = -((y[:, None] - levels[None, :]) ** 2)
     metric = metric / (np.asarray(noise_var)[..., None]
@@ -59,6 +60,8 @@ def soft_demap(
     noise_power: total complex noise power sigma^2.
     csi: optional per-symbol channel coefficients ``h`` (fading).
     """
+    from scipy.special import logsumexp
+
     received = np.asarray(received, dtype=np.complex128)
     if csi is not None:
         csi = np.asarray(csi, dtype=np.complex128)

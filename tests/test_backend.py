@@ -11,7 +11,7 @@ paths: compiled, and the numpy bodies with ``ckernels.load`` patched to
 
 import os
 import tempfile
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from unittest import mock
 
 import numpy as np
@@ -44,6 +44,10 @@ from deadline import deadline
 from reference_decoder import reference_decode
 
 
+_COMPILED_ENTRY_POINTS = ("spine_hash", "branch_costs", "bcjr_recursion",
+                          "BpPasses", "lt_draw", "choice_draw")
+
+
 def _paths():
     """Where the kernels can run here: the numpy bodies always, the
     compiled kernels when they build."""
@@ -56,7 +60,8 @@ def _on_path(path):
 
     ``numpy`` hides the compiled kernels, as when they fail to build;
     ``compiled`` requires them.  Yields a list that collects one entry per
-    compiled hash or branch-cost call made inside the block.
+    call of a compiled entry point (hash, branch cost, BCJR, BP, LT or
+    precode draw) made inside the block.
     """
     calls = []
     if path == "numpy":
@@ -71,10 +76,10 @@ def _on_path(path):
             return fn(*args, **kwargs)
         return wrapper
 
-    with mock.patch.object(ckernels, "spine_hash",
-                           counted(ckernels.spine_hash)), \
-            mock.patch.object(ckernels, "branch_costs",
-                              counted(ckernels.branch_costs)):
+    with ExitStack() as patches:
+        for name in _COMPILED_ENTRY_POINTS:
+            patches.enter_context(mock.patch.object(
+                ckernels, name, counted(getattr(ckernels, name))))
         yield calls
 
 
@@ -601,6 +606,31 @@ def _spinal_specs(draw):
                           points)
 
 
+@st.composite
+def _baseline_specs(draw):
+    """A two-point Raptor or Strider sweep over a generated code, AWGN
+    SNR and seed, small enough to run in well under a second."""
+    if draw(st.booleans()):
+        scheme = SchemeSpec("raptor", {
+            "k": draw(st.sampled_from([80, 128, 192, 256])),
+            "constellation": draw(st.sampled_from(["qam-16", "qam-64"]))})
+    else:
+        n_layers = draw(st.integers(1, 3))
+        scheme = SchemeSpec("strider", {
+            "n_bits": n_layers * draw(st.sampled_from([8, 16, 24, 48])),
+            "n_layers": n_layers,
+            "subpasses_per_pass": draw(st.integers(1, 4)),
+            "max_passes": 10})
+    x = float(draw(st.integers(0, 25)))
+    seed = draw(st.integers(0, 2**16))
+    points = tuple(
+        PointSpec(series="generated", x=snr, seed=seed + i, scheme=scheme,
+                  channel=ChannelSpec("awgn"), n_messages=2, batch_size=2)
+        for i, snr in enumerate((x, x + 5.0)))
+    return ExperimentSpec("generated", f"generated {scheme.kind} spec",
+                          "quick", points)
+
+
 class TestStoreBackendInvariance:
     @given(spec=_spinal_specs())
     @settings(max_examples=6, derandomize=True, deadline=None)
@@ -608,6 +638,18 @@ class TestStoreBackendInvariance:
         """A generated spinal spec writes identical store bytes on the
         compiled kernels and on the numpy fallback, both with one worker,
         and with one worker and with two on the compiled kernels."""
+        self._assert_store_invariant(spec)
+
+    @given(spec=_baseline_specs())
+    @settings(max_examples=6, derandomize=True, deadline=None)
+    def test_generated_baseline_store_bytes_invariant(self, spec):
+        """The same for a generated Raptor or Strider spec (BP, the LT
+        and precode draws, BCJR); the two-worker Raptor runs also demap
+        inside pool workers."""
+        self._assert_store_invariant(spec)
+
+    @staticmethod
+    def _assert_store_invariant(spec):
         stores = {}
         with deadline(60), tempfile.TemporaryDirectory() as root:
             runs = [(path, 1) for path in _paths()]

@@ -1,5 +1,7 @@
 """Tests for the spinal RNG and the constellation mappings (§3.2, §3.3)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -120,6 +122,19 @@ class TestTruncatedGaussianMapping:
         raw = norm.ppf(gamma + (1 - 2 * gamma) * u)
         expected = raw * np.sqrt(0.5 / np.mean(raw**2))
         assert np.allclose(m.levels, expected)
+
+    def test_level_bytes_golden(self):
+        """The levels' exact bits over c = 1..16, seven clips and three
+        powers: the Gaussian-mapping points in the result store depend on
+        every one of them."""
+        h = hashlib.sha256()
+        for c in range(1, 17):
+            for beta in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0):
+                for power in (1.0, 2.0, 0.5):
+                    h.update(TruncatedGaussianMapping(c, power, beta)
+                             .levels.tobytes())
+        assert h.hexdigest() == (
+            "dcafd8d47760c936fcadb0f4fb0734087f9dce9ecb5deb5cef25c72bdcd416eb")
 
     def test_denser_near_zero_than_uniform(self):
         """The Gaussian map concentrates points near the origin."""
