@@ -12,6 +12,18 @@ square Gray-coded QAM the computation is separable per dimension, turning
 QAM-256 demapping into two 16-point PAM problems; the generic path handles
 any labelled constellation.  With CSI, the metric becomes
 ``-|y - h s|^2 / sigma^2``.
+
+Every log-sum-exp of one demap runs in a single :func:`_logsumexp` call
+on numpy alone, so Raptor, Strider and LDPC-envelope points load no scipy
+(the package calls scipy for ``ndtr``/``ndtri`` and ``exp1`` only).  It
+replays scipy 1.17's ``logsumexp`` op for op, which keeps the LLRs, and
+the store bytes downstream, equal to the bit to those of the earlier
+demapper that called scipy, and independent of which scipy is installed.
+The layout of the sums matters for that, since the order in which numpy
+adds the terms decides the last bits: scipy summed over the columns of
+``metric[:, mask]``, a column-major copy, so each of its sums ran
+sequentially (one contiguous row, summed pairwise, for a single symbol),
+and :func:`_llrs` lays its sums out to run in the same order.
 """
 
 from __future__ import annotations
@@ -23,26 +35,59 @@ from repro.modulation.qam import QAM, Constellation
 __all__ = ["soft_demap", "hard_demap"]
 
 
-def _pam_llrs(
-    y: np.ndarray, levels: np.ndarray, label_to_index: np.ndarray,
-    noise_var: np.ndarray | float, m: int,
-) -> np.ndarray:
-    """Exact LLRs for one Gray-PAM dimension; returns (n, m)."""
-    from scipy.special import logsumexp
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """``log(sum(exp(a), axis=-1))`` computed as scipy 1.17.1's
+    ``logsumexp(a, axis=-1)`` computes it on the same array, bit for bit.
 
-    # metric[n, level] = -(y - level)^2 / noise_var
-    metric = -((y[:, None] - levels[None, :]) ** 2)
-    metric = metric / (np.asarray(noise_var)[..., None]
-                       if np.ndim(noise_var) else noise_var)
-    # bit b of the label of each level
-    labels = np.empty(levels.size, dtype=np.int64)
-    labels[label_to_index] = np.arange(levels.size)
-    out = np.empty((y.size, m))
-    for b in range(m):
-        bit = (labels >> (m - 1 - b)) & 1
-        out[:, b] = (logsumexp(metric[:, bit == 0], axis=1)
-                     - logsumexp(metric[:, bit == 1], axis=1))
-    return out
+    The maxima are split out of the sum for precision: their count ``m``
+    divides the shifted sum ``s`` of the other terms, and the result is
+    ``log1p(s) + log(m) + a_max``.  Where that is not finite (a row of
+    -inf, +inf or NaN) the direct ``log(sum(exp(a)))`` stands instead.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.max(a, axis=-1, keepdims=True)
+        i_max = a == a_max
+        m = np.sum(i_max.astype(a.dtype), axis=-1, keepdims=True,
+                   dtype=a.dtype)
+        rest = np.array(a, copy=True)
+        rest[i_max] = -np.inf
+        s = np.sum(np.exp(rest - a_max), axis=-1, keepdims=True,
+                   dtype=a.dtype)
+        # scipy's sign handling, there for negative weights; without
+        # weights (s >= 0, m >= 0) these lines change no bit, and are kept
+        # so that the replay reads line for line against scipy's.
+        s = np.where(s == 0, s, s / m)
+        sign = np.sign(s + 1) * np.sign(m)
+        s = np.where(s < -1, -s - 2, s)
+        out = np.log1p(s) + np.log(np.abs(m)) + a_max
+        out[sign < 0] = np.nan
+        finite = np.isfinite(out)
+        if not finite.all():
+            out_inf = np.log(np.sum(np.exp(a), axis=-1, keepdims=True))
+            out = np.where(finite, out, out_inf)
+    return out[..., 0]
+
+
+def _llrs(metric: np.ndarray, bits: np.ndarray, one_symbol: bool) -> np.ndarray:
+    """Exact LLRs from a ``(points, n)`` metric table and the points'
+    ``(points, n_bits)`` labels; returns ``(n_bits, n)``.  ``one_symbol``
+    says the table holds a single received symbol."""
+    n_points, n_bits = bits.shape
+    # Row 2b of ``groups`` lists the points whose bit b is 0 and row 2b + 1
+    # those whose bit b is 1, each ascending: a labelling of 2^k points
+    # splits every bit in halves.
+    groups = np.argsort(bits.T, axis=1, kind="stable").reshape(
+        2 * n_bits, n_points // 2)
+    # The sums run along the last axis of a view whose last axis is the
+    # outermost in memory, so each runs sequentially, as scipy's did over
+    # the columns of the column-major ``metric[:, mask]``.  With a single
+    # symbol that copy was one contiguous row, which numpy sums pairwise;
+    # a contiguous copy repeats that.
+    gathered = np.moveaxis(metric[groups.T], 0, -1)
+    if one_symbol:
+        gathered = np.ascontiguousarray(gathered)
+    lse = _logsumexp(gathered)
+    return lse[0::2] - lse[1::2]
 
 
 def soft_demap(
@@ -57,11 +102,10 @@ def soft_demap(
     ----------
     constellation: a labelled constellation.
     received: complex received symbols.
-    noise_power: total complex noise power sigma^2.
+    noise_power: total complex noise power sigma^2 (a scalar, or one per
+        symbol).
     csi: optional per-symbol channel coefficients ``h`` (fading).
     """
-    from scipy.special import logsumexp
-
     received = np.asarray(received, dtype=np.complex128)
     if csi is not None:
         csi = np.asarray(csi, dtype=np.complex128)
@@ -76,26 +120,25 @@ def soft_demap(
         # Each PAM dimension sees Gaussian variance sigma^2/2, so the
         # exponent is -(d^2) / (2 * sigma^2/2) = -d^2 / sigma^2 — the same
         # denominator as the complex-distance metric in the generic path.
-        llr_i = _pam_llrs(received.real, constellation.pam_levels,
-                          constellation.pam_label_to_index, noise, m)
-        llr_q = _pam_llrs(received.imag, constellation.pam_levels,
-                          constellation.pam_label_to_index, noise, m)
-        return np.concatenate([llr_i, llr_q], axis=1).reshape(-1)
+        # The I and Q dimensions demap side by side as one row of 2n values.
+        y = np.concatenate([received.real, received.imag])
+        if np.ndim(noise):
+            noise = np.concatenate([noise, noise])
+        levels = constellation.pam_levels
+        metric = -((y[None, :] - levels[:, None]) ** 2) / noise
+        labels = np.empty(levels.size, dtype=np.int64)
+        labels[constellation.pam_label_to_index] = np.arange(levels.size)
+        shifts = np.arange(m - 1, -1, -1, dtype=np.int64)
+        llrs = _llrs(metric, (labels[:, None] >> shifts) & 1,
+                     received.size == 1)
+        # (m, [I | Q] x n) -> per symbol: m I bits, then m Q bits
+        return llrs.reshape(m, 2, -1).transpose(2, 1, 0).reshape(-1)
 
     # Generic path: full |y - s|^2 table.
-    points = constellation.points
-    diff = received[:, None] - points[None, :]
-    metric = -(diff.real**2 + diff.imag**2)
-    metric = metric / (np.asarray(noise)[..., None]
-                       if np.ndim(noise) else noise)
-    bits = constellation.bit_table()
-    bps = constellation.bits_per_symbol
-    out = np.empty((received.size, bps))
-    for b in range(bps):
-        mask0 = bits[:, b] == 0
-        out[:, b] = (logsumexp(metric[:, mask0], axis=1)
-                     - logsumexp(metric[:, ~mask0], axis=1))
-    return out.reshape(-1)
+    diff = received[None, :] - constellation.points[:, None]
+    metric = -(diff.real**2 + diff.imag**2) / noise
+    llrs = _llrs(metric, constellation.bit_table(), received.size == 1)
+    return llrs.T.reshape(-1)
 
 
 def hard_demap(constellation: Constellation, received: np.ndarray) -> np.ndarray:

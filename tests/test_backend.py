@@ -608,24 +608,31 @@ def _spinal_specs(draw):
 
 @st.composite
 def _baseline_specs(draw):
-    """A two-point Raptor or Strider sweep over a generated code, AWGN
-    SNR and seed, small enough to run in well under a second."""
+    """A two-point Raptor or Strider sweep over a generated code, AWGN or
+    Rayleigh channel, SNR and seed, small enough to run in well under a
+    second.  On Rayleigh, Raptor demaps with the channel's CSI and Strider
+    equalises with it, so the demapper sees per-symbol noise powers."""
+    rayleigh = draw(st.booleans())
     if draw(st.booleans()):
         scheme = SchemeSpec("raptor", {
             "k": draw(st.sampled_from([80, 128, 192, 256])),
-            "constellation": draw(st.sampled_from(["qam-16", "qam-64"]))})
+            "constellation": draw(st.sampled_from(
+                ["qam-16", "qam-64", "qam-256"]))})
     else:
         n_layers = draw(st.integers(1, 3))
         scheme = SchemeSpec("strider", {
             "n_bits": n_layers * draw(st.sampled_from([8, 16, 24, 48])),
             "n_layers": n_layers,
             "subpasses_per_pass": draw(st.integers(1, 4)),
-            "max_passes": 10})
+            "max_passes": 10,
+            **({"give_csi": "full"} if rayleigh else {})})
+    channel = (ChannelSpec("rayleigh", {"coherence_time": 5}) if rayleigh
+               else ChannelSpec("awgn"))
     x = float(draw(st.integers(0, 25)))
     seed = draw(st.integers(0, 2**16))
     points = tuple(
         PointSpec(series="generated", x=snr, seed=seed + i, scheme=scheme,
-                  channel=ChannelSpec("awgn"), n_messages=2, batch_size=2)
+                  channel=channel, n_messages=2, batch_size=2)
         for i, snr in enumerate((x, x + 5.0)))
     return ExperimentSpec("generated", f"generated {scheme.kind} spec",
                           "quick", points)

@@ -1,11 +1,12 @@
 """Which modules a fresh interpreter loads: scipy only where it computes.
 
-``import repro`` and the spinal (AWGN, fading, BSC) and link point kinds
-run on numpy alone; scipy is imported inside the few functions that call
-it (the truncated-Gaussian map's ``ndtr``/``ndtri``, the demapper's
-``logsumexp`` and the Rayleigh capacity's ``exp1``), so a cold process
-that never calls them never pays for loading it.  Each check runs in its
-own interpreter, because this test session has long since loaded scipy.
+``import repro`` and the spinal (AWGN, fading, BSC), link, Raptor,
+Strider and LDPC-envelope point kinds run on numpy alone: the soft
+demapper computes its own log-sum-exp.  scipy is imported inside the two
+functions that call it (the truncated-Gaussian map's ``ndtr``/``ndtri``
+and the Rayleigh capacity's ``exp1``), so a cold process that never calls
+them never pays for loading it.  Each check runs in its own interpreter,
+because this test session has long since loaded scipy.
 """
 
 import os
@@ -62,20 +63,33 @@ def test_spinal_bsc_and_link_points_load_no_scipy():
         "assert not scipy_modules(), scipy_modules()\n")
 
 
-def test_raptor_and_gaussian_map_load_scipy_special_only():
-    """A Raptor point (the demapper) and the truncated-Gaussian map load
-    ``scipy.special`` and nothing of ``scipy.stats``."""
+def test_raptor_strider_and_ldpc_points_load_no_scipy():
+    """An AWGN Raptor point, an AWGN Strider point and an LDPC-envelope
+    point (the soft demapper, BP, BCJR) load no scipy at all."""
     _run(
-        "from repro.core.constellation import TruncatedGaussianMapping\n"
         "from repro.experiments import (ChannelSpec, ExperimentSpec,\n"
         "                               PointSpec, SchemeSpec, run_experiment)\n"
-        "assert not scipy_modules(), scipy_modules()\n"
         "raptor = SchemeSpec('raptor', {'k': 256, 'constellation': 'qam-16'})\n"
-        "point = PointSpec(series='raptor tiny', x=20.0, seed=3,\n"
-        "                  scheme=raptor, channel=ChannelSpec('awgn'),\n"
-        "                  n_messages=2, batch_size=2)\n"
-        "run_experiment(ExperimentSpec('import_set', 'raptor', 'quick',\n"
-        "                              (point,)), n_workers=1)\n"
+        "strider = SchemeSpec('strider', {'n_bits': 32, 'n_layers': 2,\n"
+        "                                 'max_passes': 10})\n"
+        "points = tuple(\n"
+        "    PointSpec(series=f'{s.kind} tiny', x=20.0, seed=3, scheme=s,\n"
+        "              channel=ChannelSpec('awgn'), n_messages=2, batch_size=2)\n"
+        "    for s in (raptor, strider))\n"
+        "points += (PointSpec(series='ldpc tiny', x=20.0, seed=3,\n"
+        "                     kind='ldpc_envelope',\n"
+        "                     options={'n_blocks': 1, 'iterations': 2}),)\n"
+        "run_experiment(ExperimentSpec('import_set', 'baselines', 'quick',\n"
+        "                              points), n_workers=1)\n"
+        "assert not scipy_modules(), scipy_modules()\n")
+
+
+def test_gaussian_map_loads_scipy_special_only():
+    """The truncated-Gaussian map loads ``scipy.special`` and nothing of
+    ``scipy.stats``."""
+    _run(
+        "from repro.core.constellation import TruncatedGaussianMapping\n"
+        "assert not scipy_modules(), scipy_modules()\n"
         "TruncatedGaussianMapping(6, 1.0, 2.0)\n"
         "loaded = scipy_modules()\n"
         "assert 'scipy.special' in loaded, loaded\n"
