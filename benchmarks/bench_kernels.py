@@ -10,18 +10,22 @@ kernel, not just "decode got slower":
   available_hashes`) over beam-sized and cohort-sized uint32 state arrays,
   the element counts the tree expansion hashes each step, and at the
   branch-cost broadcast ``(n_slots, 1) x (1, n_states)``;
-- ``branch_cost``: :meth:`BubbleDecoder._branch_costs` — broadcast hash +
-  distance arithmetic over all received symbols of one spine position —
-  on a one-message (one-row) view, for the paper's AWGN code, the
-  rate-1/3 BSC code, and a fading store with per-symbol CSI; plus the
+- ``branch_cost``: :func:`repro.backend.branch_costs_batch` — broadcast
+  hash + distance arithmetic over all received symbols of one spine
+  position — on a one-message (one-row) view, for the paper's AWGN code,
+  the rate-1/3 BSC code, and a fading store with per-symbol CSI; plus the
   kernel at the ``spinal_awgn`` cohort shape;
 - ``select``: :func:`repro.backend.select_beams` (argpartition
   subtree pruning) on one message's row and on a 16-message cohort;
+- ``step``: one whole bubble-search step as the decoder runs it — the
+  ``expand`` and ``score`` passes of :func:`repro.backend.spinal_passes`,
+  then selection and the survivors' gathers — at ``B=256``, ``k=4`` and
+  two messages;
 - ``bp``: one 40-iteration sum-product decode of a fixed ~50k-edge Raptor
   graph (:meth:`repro.ldpc.bp.BeliefPropagation.posteriors`), on the
   compiled passes and on the numpy loop.
 
-The hash, branch-cost and BP benchmarks run on both paths of
+The hash, branch-cost, step and BP benchmarks run on both paths of
 :mod:`repro.backend`: ``numpy``, with the compiled kernels hidden so the
 numpy bodies run, always; ``compiled``, on the C kernels of
 :mod:`repro.backend.ckernels`, when they build.  numpy records keep their
@@ -43,12 +47,12 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro.backend import branch_costs_batch, ckernels, select_beams
+from repro.backend import (
+    branch_costs_batch, ckernels, select_beams, spinal_passes)
 from repro.channels import AWGNChannel, BSCChannel
-from repro.core.decoder import BubbleDecoder
 from repro.core.encoder import SpinalEncoder
 from repro.core.hashes import available_hashes, get_hash
-from repro.core.params import DecoderParams, SpinalParams
+from repro.core.params import SpinalParams
 from repro.core.symbols import ReceivedSymbols
 from repro.fountain.raptor import RaptorCodec
 from repro.modulation import soft_demap
@@ -177,6 +181,14 @@ def test_hash_kernel_outer(benchmark, kernel_records, hash_name, backend):
 # branch-cost kernel
 # ---------------------------------------------------------------------------
 
+def _position_costs(params, states, view):
+    """The branch costs of ``states`` at spine position 1 of ``view``."""
+    return branch_costs_batch(
+        states, *view.for_spine(1), hash_name=params.hash_name,
+        levels=params.make_mapping().levels, c=params.c,
+        is_bsc=params.is_bsc)
+
+
 def _filled_store(params, n_bits, x, n_subpasses=4, seed=99):
     """A received-symbol store holding ``n_subpasses`` noisy subpasses."""
     rng = np.random.default_rng(seed)
@@ -201,8 +213,7 @@ def test_branch_cost_kernel(benchmark, kernel_records, config, backend):
         0, 2**32, size=(1, BEAM), dtype=np.uint32)
     view = store.prefix(store.checkpoint())
     with _active(backend):
-        decoder = BubbleDecoder(params, DecoderParams(B=256), n_bits)
-        costs = benchmark(decoder._branch_costs, states, 1, view)
+        costs = benchmark(_position_costs, params, states, view)
     assert costs.shape == (1, BEAM) and np.all(costs >= 0.0)
     _record(kernel_records, benchmark, "branch_cost",
             f"{config}{_suffix(backend)}",
@@ -227,8 +238,7 @@ def test_branch_cost_kernel_fading_csi(benchmark, kernel_records, backend):
         0, 2**32, size=(1, BEAM), dtype=np.uint32)
     view = csi_store.prefix(csi_store.checkpoint())
     with _active(backend):
-        decoder = BubbleDecoder(params, DecoderParams(B=256), 32)
-        costs = benchmark(decoder._branch_costs, states, 1, view)
+        costs = benchmark(_position_costs, params, states, view)
     assert costs.shape == (1, BEAM) and np.all(costs >= 0.0)
     _record(kernel_records, benchmark, "branch_cost",
             f"awgn_k4_c6_csi{_suffix(backend)}",
@@ -278,6 +288,53 @@ def test_select_kernel(benchmark, kernel_records, shape, n_beam, name):
     assert kept.shape == (shape[0], n_beam)
     _record(kernel_records, benchmark, "select", name,
             shape=list(shape), n_beam=n_beam)
+
+
+# ---------------------------------------------------------------------------
+# one whole bubble-search step
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_search_step(benchmark, kernel_records, backend):
+    """One step of the bubble search at the paper's AWGN code: 2 messages
+    of B=256 surviving leaves, 2^4 children each, 8 received passes; the
+    expand and score passes, the cheapest B subtrees of each message and
+    the gathers of their states and costs."""
+    params = SpinalParams()
+    n_msgs, n_beam, k = 2, 256, params.k
+    n_groups = n_beam << k
+    rng = np.random.default_rng(13)
+    leaves = rng.integers(0, 2**32, size=n_msgs * n_beam, dtype=np.uint32)
+    parents = rng.exponential(scale=5.0, size=n_msgs * n_beam)
+    slots = np.arange(OUTER_SLOTS, dtype=np.uint32)
+    values = (rng.normal(size=(n_msgs, OUTER_SLOTS))
+              + 1j * rng.normal(size=(n_msgs, OUTER_SLOTS)))
+    offsets = np.arange(0, n_msgs * n_groups, n_groups)[:, None]
+    with _active(backend):
+        passes = spinal_passes(
+            params.hash_name, levels=params.make_mapping().levels,
+            c=params.c, is_bsc=False, has_csi=False, k=k, n_msgs=n_msgs,
+            max_leaves=n_beam)
+
+        def step():
+            passes.states[:] = leaves
+            passes.costs[:] = parents
+            children = passes.expand(n_beam)
+            totals = passes.score(n_beam, slots, values, None)
+            kept = select_beams(totals.reshape(n_msgs, n_groups),
+                                n_beam) + offsets
+            np.take(children, kept, out=passes.states.reshape(n_msgs, -1),
+                    mode="clip")
+            np.take(totals, kept, out=passes.costs.reshape(n_msgs, -1),
+                    mode="clip")
+            return kept
+
+        kept = benchmark(step)
+    assert kept.shape == (n_msgs, n_beam)
+    _record(kernel_records, benchmark, "step",
+            f"awgn_k4_B{n_beam}_M{n_msgs}{_suffix(backend)}",
+            config="awgn_k4_c6", n_msgs=n_msgs, n_beam=n_beam,
+            n_slots=OUTER_SLOTS, backend=backend)
 
 
 # ---------------------------------------------------------------------------

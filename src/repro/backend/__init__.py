@@ -5,8 +5,11 @@ The bubble decoder spends its time in three kernel families: the u32 spine
 hashes, the branch costs, and beam selection.  This module holds the one
 implementation of each.  The spine hashes and the branch costs run on the
 compiled C kernels of :mod:`repro.backend.ckernels` where they build (on
-the first hash or branch-cost call of a process, never at import or decoder
-construction), and on the numpy bodies below otherwise.  Beam selection is
+the first hash, branch-cost or search call of a process, never at import
+or decoder construction), and on the numpy bodies below otherwise.  Each
+step of the bubble search runs as the two passes of
+:func:`spinal_passes`: ``expand`` (the tree-expansion hash) and ``score``
+(the fused branch costs plus each parent's cost).  Beam selection is
 numpy's ``argpartition``.
 
 The contract is **bit-identical output**: the compiled kernels reproduce
@@ -25,11 +28,12 @@ store's byte-identical files on both paths are the end-to-end corollary.
 numpy reference's bit for bit, whichever path ran.
 
 Observability follows the decode hot-loop discipline (see ``repro.obs``).
-On the numpy path the hash inside a branch-cost evaluation is timed as
-``kernel.hash`` and the distance arithmetic as ``kernel.branch_cost``.  The
-fused C kernel cannot split the two, so it charges the whole call to
-``kernel.branch_cost``; ``kernel.hash`` then counts only the decoder's
-tree-expansion hashes.
+The bubble search times each step's ``expand`` pass as ``kernel.hash``
+and its ``score`` pass, whose fused loop cannot time its hashing apart, as
+``kernel.branch_cost``, on both paths, and flushes once per search.  A
+:func:`branch_costs_batch` call times itself: on the numpy path its hash
+as ``kernel.hash`` and its distance arithmetic as ``kernel.branch_cost``,
+on the compiled path the whole call as ``kernel.branch_cost``.
 
 :mod:`repro.core.hashes` imports this package, so the reference hashes
 it defines are bound lazily, on first use.
@@ -54,6 +58,7 @@ __all__ = [
     "get_backend",
     "hash_kernel",
     "select_beams",
+    "spinal_passes",
 ]
 
 _U32 = np.uint32
@@ -121,8 +126,60 @@ def select_beams(group_costs: np.ndarray, n_beam: int) -> np.ndarray:
     """
     n_keep = min(n_beam, group_costs.shape[1])
     if n_keep < group_costs.shape[1]:
-        return np.argpartition(group_costs, n_keep - 1, axis=1)[:, :n_keep]
+        return group_costs.argpartition(n_keep - 1, axis=1)[:, :n_keep]
     return np.broadcast_to(np.arange(group_costs.shape[1]), group_costs.shape)
+
+
+class _NumpyPasses:
+    """The numpy bubble-search step that :class:`ckernels.SpinalPasses`
+    reproduces bit for bit, with the same interface: the tree-expansion
+    hash, the numpy branch costs of :func:`branch_costs_batch` and
+    ``leaf + bc``.  The fallback when the kernels do not build."""
+
+    def __init__(self, hash_name: str, *, levels: np.ndarray, c: int,
+                 is_bsc: bool, has_csi: bool, k: int, n_msgs: int,
+                 max_leaves: int):
+        self._hash = _reference_hash(hash_name)
+        self._levels, self._c, self._is_bsc = levels, c, is_bsc
+        self._n_msgs, self._K = n_msgs, 1 << k
+        self._edges = np.arange(self._K, dtype=_U32)
+        self.states = np.empty(n_msgs * max_leaves, dtype=_U32)
+        self.costs = np.empty(n_msgs * max_leaves)
+
+    def expand(self, n_leaves: int) -> np.ndarray:
+        leaves = self.states[:self._n_msgs * n_leaves]
+        self._children = self._hash(leaves[:, None], self._edges).ravel()
+        return self._children
+
+    def score(self, n_leaves: int, slots: np.ndarray, values: np.ndarray,
+              csi: np.ndarray | None) -> np.ndarray:
+        n = self._n_msgs * n_leaves
+        if slots.size == 0:
+            bc = np.zeros(n * self._K)
+        else:
+            words = self._hash(self._children.reshape(1, self._n_msgs, -1),
+                               slots[:, None, None])
+            bc = _distances(words, values, csi, self._levels, self._c,
+                            self._is_bsc)
+        return (self.costs[:n, None] + bc.reshape(n, self._K)).ravel()
+
+
+def spinal_passes(hash_name: str, *, levels: np.ndarray, c: int,
+                  is_bsc: bool, has_csi: bool, k: int, n_msgs: int,
+                  max_leaves: int) -> "ckernels.SpinalPasses | _NumpyPasses":
+    """The two passes of a bubble-search step, made for a search:
+    :class:`ckernels.SpinalPasses` where the kernels build, its numpy
+    equivalent otherwise.  Both own ``states`` and ``costs`` buffers for
+    ``n_msgs`` messages of up to ``max_leaves`` leaves, and both return
+    the children from ``expand(n_leaves)`` and their path costs from
+    ``score(n_leaves, slots, values, csi)``, flat and bit for bit alike."""
+    levels = np.ascontiguousarray(levels, dtype=np.float64)
+    kwargs = dict(levels=levels, c=c, is_bsc=is_bsc, has_csi=has_csi, k=k,
+                  n_msgs=n_msgs, max_leaves=max_leaves)
+    kernels = ckernels.load()
+    if kernels is None:
+        return _NumpyPasses(hash_name, **kwargs)
+    return ckernels.SpinalPasses(kernels, hash_name, **kwargs)
 
 
 def _awgn_table_costs(
@@ -210,26 +267,37 @@ def branch_costs_batch(
     if _on:
         t1 = clock()
         OBS.add_time("kernel.hash", t1 - t0)
-    if is_bsc:
-        bits = (words & _U32(1)).astype(np.float64)
-        out = np.abs(bits - values.T[:, :, None]).sum(axis=0)
-    elif csi is None:
-        out = _awgn_table_costs(words, values.T, levels, c)
-    else:
-        # Coherent metric |y - h x|^2 (§8.3) with the complex product h*x
-        # spelled as separately-rounded real ufuncs.  numpy's
-        # complex-multiply loop may contract into FMAs on hosts that have
-        # them, which would make the reference costs machine-dependent in
-        # the last ulp — explicit real ops pin one rounding sequence
-        # everywhere, and it is the sequence the C kernel reproduces.
-        c_mask = _U32((1 << c) - 1)
-        x_i = levels[(words & c_mask).astype(np.intp)]
-        x_q = levels[((words >> _U32(c)) & c_mask).astype(np.intp)]
-        f_r = csi.real.T[:, :, None] * x_i - csi.imag.T[:, :, None] * x_q
-        f_q = csi.real.T[:, :, None] * x_q + csi.imag.T[:, :, None] * x_i
-        d_r = values.real.T[:, :, None] - f_r
-        d_q = values.imag.T[:, :, None] - f_q
-        out = (d_r * d_r + d_q * d_q).sum(axis=0)
+    out = _distances(words, values, csi, levels, c, is_bsc)
     if _on:
         OBS.add_time("kernel.branch_cost", clock() - t1)
     return out
+
+
+def _distances(
+    words: np.ndarray,
+    values: np.ndarray,
+    csi: np.ndarray | None,
+    levels: np.ndarray,
+    c: int,
+    is_bsc: bool,
+) -> np.ndarray:
+    """The numpy branch costs of the hash words ``(n_slots, M, n_states)``."""
+    if is_bsc:
+        bits = (words & _U32(1)).astype(np.float64)
+        return np.abs(bits - values.T[:, :, None]).sum(axis=0)
+    if csi is None:
+        return _awgn_table_costs(words, values.T, levels, c)
+    # Coherent metric |y - h x|^2 (§8.3) with the complex product h*x
+    # spelled as separately-rounded real ufuncs.  numpy's
+    # complex-multiply loop may contract into FMAs on hosts that have
+    # them, which would make the reference costs machine-dependent in
+    # the last ulp — explicit real ops pin one rounding sequence
+    # everywhere, and it is the sequence the C kernel reproduces.
+    c_mask = _U32((1 << c) - 1)
+    x_i = levels[(words & c_mask).astype(np.intp)]
+    x_q = levels[((words >> _U32(c)) & c_mask).astype(np.intp)]
+    f_r = csi.real.T[:, :, None] * x_i - csi.imag.T[:, :, None] * x_q
+    f_q = csi.real.T[:, :, None] * x_q + csi.imag.T[:, :, None] * x_i
+    d_r = values.real.T[:, :, None] - f_r
+    d_q = values.imag.T[:, :, None] - f_q
+    return (d_r * d_r + d_q * d_q).sum(axis=0)

@@ -3,22 +3,25 @@
 ``kernels.c`` beside this module holds exact-arithmetic loops that must
 match the numpy code they replace bit for bit (its header comment gives
 the rules): Strider's BCJR recursion, the spine hashes, the fused spinal
-branch costs, BP's exact passes (:class:`BpPasses`) and the LT and
-precode draws, each behind a checked wrapper below.  The draws call
+branch costs, the two passes of a bubble-search step
+(:class:`SpinalPasses`), BP's exact passes (:class:`BpPasses`) and the
+LT and precode draws, each behind a checked wrapper below.  The draws call
 numpy's own bounded-integer code, linked from numpy's ``libnpyrandom``
 static library, on the caller's generator.  :func:`load`
-compiles it in cffi's API mode on the first call in a process and returns
+compiles it in cffi's API mode, for the host CPU (``-march=native``) where
+the compiler can name it, on the first call in a process and returns
 the extension module, or ``None`` when no compiler, cffi or writable
 cache is available.  That case is announced once per process with a
 :class:`BackendFallbackWarning`, and callers run their numpy loops
 instead.
 
 The build lands in :data:`CACHE_ROOT` under a module name keyed by a hash
-of the C source, the compile flags, the Python ABI and the cffi and numpy
-versions, so a changed source, interpreter or numpy (whose library the
-module links) never loads a stale binary.  Builds run in a
-temporary directory and are moved into place with ``os.replace`` while an
-``fcntl`` lock on the key is held, so pool workers racing on a cold cache
+of the C source, the compile flags, the CPU target they resolve to, the
+Python ABI and the cffi and numpy versions, so a changed source,
+interpreter or numpy (whose library the module links) never loads a stale
+binary, and a cache shared between hosts never loads another CPU's.
+Builds run in a temporary directory and are moved into place with
+``os.replace`` while an ``fcntl`` lock on the key is held, so pool workers racing on a cold cache
 build once and never load a half-written file.  A cached file that does
 not match the SHA-256 digest stored beside it (truncated, say), or that
 fails to load, is rebuilt.
@@ -30,19 +33,21 @@ import fcntl
 import hashlib
 import importlib.util
 import os
+import shlex
 import shutil
+import subprocess
 import sys
 import sysconfig
 import tempfile
 import warnings
-from functools import partial
+from functools import cache, partial
 from types import ModuleType
 
 import numpy as np
 
-__all__ = ["CACHE_ROOT", "BpPasses", "bcjr_recursion", "branch_costs",
-           "build_or_load", "choice_draw", "floyd_choice", "load", "lt_draw",
-           "module_path", "spine_hash"]
+__all__ = ["CACHE_ROOT", "BpPasses", "SpinalPasses", "bcjr_recursion",
+           "branch_costs", "build_or_load", "choice_draw", "floyd_choice",
+           "load", "lt_draw", "module_path", "spine_hash"]
 
 #: Where built modules are cached (per key: the module, its digest and a
 #: lock file).
@@ -59,6 +64,14 @@ void branch_costs(int hash_id, int metric, const uint32_t *states,
                   int64_t n_msgs, int64_t n_states, const uint32_t *slots,
                   int64_t n_slots, const double *values, const double *csi,
                   const double *levels, int c, double *out);
+void spinal_expand(int hash_id, const uint32_t *edges, int64_t n_edges,
+                   const uint32_t *leaves, uint32_t *children,
+                   int64_t n_leaves);
+void spinal_score(int hash_id, int metric, const double *levels, int c,
+                  int k, int64_t n_msgs, const uint32_t *children,
+                  const double *parents, double *totals, int64_t n_leaves,
+                  const uint32_t *slots, int64_t n_slots,
+                  const double *values, const double *csi);
 void bp_magnitudes(double *edge, uint8_t *neg, int64_t n_edges,
                    double tanh_clip, double floor);
 void bp_check_messages(const double *edge, const uint8_t *neg,
@@ -84,6 +97,8 @@ void lt_draw(void *bitgen, int64_t n, int64_t count,
 #: arguments come last on the compiler's command line, so
 #: ``-fno-fast-math`` undoes a fast-math inherited from Python's own CFLAGS
 #: or the environment, which would fold the kernel's ``a != a`` NaN tests.
+#: :func:`_build_flags` adds ``-march=native`` where the compiler resolves
+#: it.
 _FLAGS = ("-O3", "-fno-split-loops", "-ffp-contract=off", "-fno-fast-math")
 
 #: The spine hashes of ``kernels.c`` by :mod:`repro.core.hashes` name.
@@ -97,14 +112,60 @@ _tried = False
 _module: ModuleType | None = None
 
 
+def _compiler() -> tuple[str, ...]:
+    """The command cffi's build compiles with: ``$CC``, else Python's."""
+    return tuple(shlex.split(os.environ.get("CC")
+                             or sysconfig.get_config_var("CC") or "cc"))
+
+
+@cache
+def _native_target(compiler: tuple[str, ...]) -> tuple[str, ...]:
+    """The ``-march``/``-m*`` flags ``compiler`` expands ``-march=native``
+    into on this host, or ``()`` when it cannot say.
+
+    Asks the compiler driver to print, not run, its commands
+    (``-march=native -### -E -``).  gcc names the host's CPU there
+    (``-march=cooperlake``, say) with every ``-m`` feature switch; a failed
+    probe, or one that names no target, leaves the plain flags.
+    """
+    try:
+        proc = subprocess.run(
+            [*compiler, "-march=native", "-###", "-E", "-"],
+            stdin=subprocess.DEVNULL, capture_output=True, text=True,
+            timeout=60)
+    except (OSError, ValueError, subprocess.SubprocessError):
+        return ()
+    if proc.returncode != 0:
+        return ()
+    for line in proc.stderr.splitlines():
+        try:
+            words = shlex.split(line)
+        except ValueError:
+            continue
+        if any(w.startswith("-march=") and w != "-march=native"
+               for w in words):
+            return tuple(w for w in words if w.startswith("-m"))
+    return ()
+
+
+def _build_flags() -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The compile flags and the resolved target they build for: the plain
+    :data:`_FLAGS` plus ``-march=native`` when the compiler resolves it."""
+    target = _native_target(_compiler())
+    return (_FLAGS + ("-march=native",) if target else _FLAGS), target
+
+
 def _module_name() -> str:
-    """Extension module name for the current source, flags and ABI."""
+    """Extension module name for the current source, flags, target CPU and
+    ABI."""
     import _cffi_backend
 
+    flags, target = _build_flags()
     with open(_SOURCE_PATH, "rb") as f:
         source = f.read()
     key = hashlib.sha256()
-    for part in (source, _CDEF.encode(), " ".join(_FLAGS).encode(),
+    for part in (source, _CDEF.encode(), " ".join(flags).encode(),
+                 " ".join(target).encode(),
                  str(sysconfig.get_config_var("EXT_SUFFIX")).encode(),
                  sys.implementation.cache_tag.encode(),
                  _cffi_backend.__version__.encode(),
@@ -134,9 +195,10 @@ def _digest(path: str) -> str:
         return hashlib.sha256(f.read()).hexdigest()
 
 
-def _build(name: str, path: str, root: str) -> None:
-    """Compile into a temporary directory, then move the module and its
-    digest into place."""
+def _build(name: str, path: str, root: str,
+           flags: tuple[str, ...]) -> None:
+    """Compile with ``flags`` into a temporary directory, then move the
+    module and its digest into place."""
     import cffi
 
     ffi = cffi.FFI()
@@ -146,7 +208,7 @@ def _build(name: str, path: str, root: str) -> None:
             name, f.read(), include_dirs=[np.get_include()],
             library_dirs=[os.path.join(os.path.dirname(np.random.__file__),
                                        "lib")],
-            libraries=["npyrandom", "m"], extra_compile_args=list(_FLAGS))
+            libraries=["npyrandom", "m"], extra_compile_args=list(flags))
     tmp = tempfile.mkdtemp(prefix=f"{name}.", dir=root)
     try:
         built = ffi.compile(tmpdir=tmp)
@@ -172,6 +234,7 @@ def _intact(path: str) -> bool:
 def build_or_load(root: str) -> ModuleType:
     """Load the kernels built under ``root``, building them first if the
     cached file is missing, damaged or does not load.  Raises on failure."""
+    flags, _ = _build_flags()
     name = _module_name()
     path = module_path(root)
     os.makedirs(root, exist_ok=True)
@@ -182,7 +245,7 @@ def build_or_load(root: str) -> ModuleType:
                 return _import(name, path)
             except ImportError:
                 pass  # a file this interpreter cannot load: rebuild it
-        _build(name, path, root)
+        _build(name, path, root, flags)
         return _import(name, path)
 
 
@@ -286,6 +349,28 @@ def spine_hash(module: ModuleType, hash_name: str, state: np.ndarray,
     return out
 
 
+def _metric(hash_name: str, levels: np.ndarray, c: object, is_bsc: bool,
+            has_csi: bool) -> tuple[int, int]:
+    """The hash and metric ids of a branch-cost call, after checking what
+    the C loops index by: a known hash, 1 <= c <= 16 and float64 levels,
+    C-contiguous with exactly ``2^c`` entries (BSC reads no levels and takes
+    no csi)."""
+    if hash_name not in _HASH_IDS:
+        raise ValueError(f"unknown hash {hash_name!r}; compiled: "
+                         f"{sorted(_HASH_IDS)}")
+    if not (isinstance(levels, np.ndarray) and levels.flags.c_contiguous
+            and levels.dtype == np.float64):
+        raise ValueError("levels must be a C-contiguous float64 array")
+    if not (isinstance(c, (int, np.integer)) and 1 <= c <= 16) or (
+            not is_bsc and levels.shape != (1 << int(c),)):
+        raise ValueError(f"levels must have 2^c entries, 1 <= c <= 16; got "
+                         f"c={c!r} and levels of shape {levels.shape}")
+    if is_bsc and has_csi:
+        raise ValueError("the BSC metric takes no csi")
+    return _HASH_IDS[hash_name], (_METRIC_BSC if is_bsc else
+                                  _METRIC_CSI if has_csi else _METRIC_AWGN)
+
+
 def branch_costs(module: ModuleType, states: np.ndarray, slots: np.ndarray,
                  values: np.ndarray, csi: np.ndarray | None, *,
                  hash_name: str, levels: np.ndarray, c: int,
@@ -301,40 +386,22 @@ def branch_costs(module: ModuleType, states: np.ndarray, slots: np.ndarray,
     Anything else raises ``ValueError`` before a pointer reaches C, which
     indexes ``levels`` by ``c``-bit fields of the hash words.
     """
-    if hash_name not in _HASH_IDS:
-        raise ValueError(f"unknown hash {hash_name!r}; compiled: "
-                         f"{sorted(_HASH_IDS)}")
-    arrays = (states, slots, values, levels) + (() if csi is None else (csi,))
+    hash_id, metric = _metric(hash_name, levels, c, is_bsc, csi is not None)
+    arrays = (states, slots, values) + (() if csi is None else (csi,))
     if not all(isinstance(a, np.ndarray) for a in arrays):
         raise ValueError("branch_costs takes numpy arrays")
     if not all(a.flags.c_contiguous for a in arrays):
         raise ValueError("branch_costs needs C-contiguous arrays")
-    value_dtype = np.float64 if is_bsc else np.complex128
-    if (states.dtype != np.uint32 or slots.dtype != np.uint32
-            or values.dtype != value_dtype or levels.dtype != np.float64
-            or (csi is not None and csi.dtype != np.complex128)):
-        raise ValueError(
-            "branch_costs needs uint32 states and slots, "
-            f"{value_dtype.__name__} values, complex128 csi and float64 "
-            "levels")
-    if states.ndim != 2 or slots.ndim != 1 or slots.size < 1:
-        raise ValueError(f"states must be (M, n) and slots (s,), s >= 1, got "
-                         f"{states.shape} and {slots.shape}")
-    want = (states.shape[0], slots.size)
-    if values.shape != want or (csi is not None and csi.shape != want):
-        raise ValueError(f"values and csi must be {want}")
-    if is_bsc and csi is not None:
-        raise ValueError("the BSC metric takes no csi")
-    if not (isinstance(c, (int, np.integer)) and 1 <= c <= 16) or (
-            not is_bsc and levels.shape != (1 << int(c),)):
-        raise ValueError(f"levels must have 2^c entries, 1 <= c <= 16; got "
-                         f"c={c!r} and levels of shape {levels.shape}")
-    metric = (_METRIC_BSC if is_bsc
-              else _METRIC_AWGN if csi is None else _METRIC_CSI)
+    if states.dtype != np.uint32 or states.ndim != 2:
+        raise ValueError(f"states must be (M, n) uint32, got {states.dtype} "
+                         f"{states.shape}")
+    if slots.size < 1:
+        raise ValueError("branch_costs needs at least one slot")
+    _check_panel(slots, values, csi, states.shape[0], is_bsc)
     out = np.empty(states.shape, dtype=np.float64)
     ffi = module.ffi
     module.lib.branch_costs(
-        _HASH_IDS[hash_name], metric,
+        hash_id, metric,
         ffi.from_buffer("uint32_t[]", states), states.shape[0],
         states.shape[1], ffi.from_buffer("uint32_t[]", slots), slots.size,
         ffi.from_buffer("double[]", values),
@@ -342,6 +409,117 @@ def branch_costs(module: ModuleType, states: np.ndarray, slots: np.ndarray,
         ffi.from_buffer("double[]", levels), int(c),
         ffi.from_buffer("double[]", out, require_writable=True))
     return out
+
+
+def _check_panel(slots: object, values: object, csi: object, n_msgs: int,
+                 is_bsc: bool) -> None:
+    """One spine position's received panel: ``slots`` (s,) uint32,
+    ``values`` (n_msgs, s) complex128 (float64 for BSC) and ``csi`` None or
+    (n_msgs, s) complex128."""
+    if not all(isinstance(a, np.ndarray)
+               for a in (slots, values) + (() if csi is None else (csi,))):
+        raise ValueError("the received panel must be numpy arrays")
+    value_dtype = np.float64 if is_bsc else np.complex128
+    if (slots.dtype != np.uint32 or values.dtype != value_dtype
+            or (csi is not None and csi.dtype != np.complex128)):
+        raise ValueError(
+            f"the received panel needs uint32 slots, {value_dtype.__name__} "
+            "values and complex128 csi")
+    if slots.ndim != 1 or not slots.flags.c_contiguous:
+        raise ValueError(f"slots must be (s,) and C-contiguous, got "
+                         f"{slots.shape}")
+    want = (n_msgs, slots.size)
+    if values.shape != want or (csi is not None and csi.shape != want):
+        raise ValueError(f"values and csi must be {want}")
+
+
+class SpinalPasses:
+    """The two passes of one bubble-search step on ``kernels.c``.
+
+    Made for a search, and reusable by later searches of the same shape.
+    The hash, the metric (``levels``, ``c``, BSC or not, CSI or not) and the
+    cohort's shape (``n_msgs`` messages of at most ``max_leaves`` leaves,
+    each with ``2^k`` children) are checked here, before any pointer
+    reaches C, and both passes are bound to buffers that every step
+    reuses:
+
+    - ``states`` and ``costs`` (n_msgs * max_leaves,) hold the leaves' spine
+      states and path costs, which the caller fills; a step's ``n_leaves``
+      leaves of message m are entries ``[m * n_leaves, (m + 1) * n_leaves)``;
+    - :meth:`expand` hashes every leaf against every edge,
+      ``h(states[..., None], edges)``, and returns the children;
+    - :meth:`score` returns each child's branch cost over one spine
+      position's received slots plus its leaf's cost, in numpy's operand
+      order ``costs[..., None] + bc`` (``+ 0.0`` with no slots).
+
+    Each step checks only its own ``n_leaves`` and received panel (as
+    :func:`branch_costs` checks them; ``values`` and ``csi`` may be strided
+    views); a bad call raises ``ValueError``.  The returned arrays are
+    views of buffers the next step overwrites.
+    """
+
+    def __init__(self, module: ModuleType, hash_name: str, *,
+                 levels: np.ndarray, c: int, is_bsc: bool, has_csi: bool,
+                 k: int, n_msgs: int, max_leaves: int):
+        hash_id, metric = _metric(hash_name, levels, c, is_bsc, has_csi)
+        k = _check_count("k", k, 1, 16)
+        n_msgs = _check_count("n_msgs", n_msgs, 1, 1 << 31)
+        max_leaves = _check_count("max_leaves", max_leaves, 1, 1 << 31)
+        self._is_bsc, self._has_csi = is_bsc, has_csi
+        self._n_msgs, self._max_leaves, self._k = n_msgs, max_leaves, k
+        size = n_msgs * max_leaves
+        self.states = np.empty(size, dtype=np.uint32)
+        self.costs = np.empty(size)
+        self._children = np.empty(size << k, dtype=np.uint32)
+        self._totals = np.empty(size << k)
+        ffi = module.ffi
+        self._ffi = ffi
+        edges = np.arange(1 << k, dtype=np.uint32)
+        lib = module.lib
+        # each pass with its arguments bound; the buffers stay alive
+        # through the cffi pointers
+        children = ffi.from_buffer("uint32_t[]", self._children,
+                                   require_writable=True)
+        self._expand = partial(
+            lib.spinal_expand, hash_id, ffi.from_buffer("uint32_t[]", edges),
+            1 << k, ffi.from_buffer("uint32_t[]", self.states), children)
+        self._score = partial(
+            lib.spinal_score, hash_id, metric,
+            ffi.from_buffer("double[]", levels), int(c), k, n_msgs, children,
+            ffi.from_buffer("double[]", self.costs),
+            ffi.from_buffer("double[]", self._totals, require_writable=True))
+
+    def expand(self, n_leaves: int) -> np.ndarray:
+        """Pass 1: the ``(n_msgs * n_leaves << k,)`` children of the first
+        ``n_leaves`` leaves of every message."""
+        n = self._n_msgs * _check_count("n_leaves", n_leaves, 1,
+                                        self._max_leaves)
+        self._expand(n)
+        return self._children[:n << self._k]
+
+    def score(self, n_leaves: int, slots: np.ndarray, values: np.ndarray,
+              csi: np.ndarray | None) -> np.ndarray:
+        """Pass 2: the ``(n_msgs * n_leaves << k,)`` path costs of the
+        children :meth:`expand` made from ``n_leaves`` leaves, at the spine
+        position whose received panel is ``slots``, ``values`` and
+        ``csi``."""
+        n_leaves = _check_count("n_leaves", n_leaves, 1, self._max_leaves)
+        if (csi is not None) != self._has_csi:
+            raise ValueError("csi must be given exactly when the search has "
+                             "CSI")
+        _check_panel(slots, values, csi, self._n_msgs, self._is_bsc)
+        ffi = self._ffi
+        if slots.size:
+            values = np.ascontiguousarray(values)
+            csi = None if csi is None else np.ascontiguousarray(csi)
+            panel = (ffi.from_buffer("uint32_t[]", slots), slots.size,
+                     ffi.from_buffer("double[]", values),
+                     ffi.NULL if csi is None
+                     else ffi.from_buffer("double[]", csi))
+        else:
+            panel = (ffi.NULL, 0, ffi.NULL, ffi.NULL)
+        self._score(n_leaves, *panel)
+        return self._totals[:self._n_msgs * n_leaves << self._k]
 
 
 def _check_bounds(name: str, bounds: np.ndarray, n_edges: int) -> None:
@@ -468,10 +646,12 @@ def _check_generator(rng: object) -> None:
         raise ValueError("the draws need a numpy Generator")
 
 
-def _check_count(name: str, value: object, least: int) -> int:
-    if not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got "
-                         f"{value!r}")
+def _check_count(name: str, value: object, least: int,
+                 most: int | None = None) -> int:
+    if not isinstance(value, (int, np.integer)) or value < least or (
+            most is not None and value > most):
+        raise ValueError(f"{name} must be an integer in [{least}, "
+                         f"{'inf' if most is None else most}], got {value!r}")
     return int(value)
 
 

@@ -5,16 +5,20 @@
  * bitwise ops (wrapping mod 2^32 as numpy's uint32 does), float64 add,
  * subtract, multiply, divide by 2, max, min and fabs, and integer
  * indexing.  No libm, so BP's tanh, log, exp and arctanh stay numpy calls
- * between the passes; no contraction into fused multiply-adds (the build
- * passes -ffp-contract=off and -fno-fast-math, never -march, so the code
- * stays at the compiler's baseline instruction set).  No reassociation:
- * a sum keeps numpy's order, which for np.add.reduceat is the pairwise
- * order of pairwise_sum below.  Where numpy's choice among NaN payloads
- * or signed zeros depends on operand order, the order is spelled out
- * below instead of being left to the compiler, which may commute an
- * addition; a sign is applied by multiplying by +-1 read through a
- * pointer, since the compiler turns a multiply by a known -1.0 into a
- * negation, which flips a NaN's sign bit.
+ * between the passes.  The build targets the host CPU (-march=native), so
+ * the compiler may vectorise any loop here with the widest instructions
+ * the host has; that stays exact because vector lanes round each add,
+ * subtract and multiply as the scalar instruction does, and the three
+ * things that would change a result are off: contraction into fused
+ * multiply-adds (-ffp-contract=off), fast-math's value-changing rewrites
+ * (-fno-fast-math), and reassociation, which gcc never does to
+ * floating-point code without fast-math.  So a sum keeps numpy's order,
+ * which for np.add.reduceat is the pairwise order of pairwise_sum below.
+ * Where numpy's choice among NaN payloads or signed zeros depends on
+ * operand order, the order is spelled out below instead of being left to
+ * the compiler, which may commute an addition; a sign is applied by
+ * multiplying by +-1 read through a pointer, since the compiler turns a
+ * multiply by a known -1.0 into a negation, which flips a NaN's sign bit.
  *
  * Random draws call numpy's own bounded-integer functions, linked from
  * numpy's libnpyrandom, on the caller's bit generator, so the draws and
@@ -203,7 +207,7 @@ void spine_hash(int hash_id, const uint32_t *states, int64_t s_step,
         hash_row(hash_id, states + i, s_step, datas, out + i * cols, cols);
 }
 
-/* ---- fused branch costs: numpy_backend.branch_costs_batch ---- */
+/* ---- fused branch costs: repro.backend.branch_costs_batch ---- */
 
 enum { METRIC_AWGN = 0, METRIC_CSI = 1, METRIC_BSC = 2 };
 
@@ -244,13 +248,18 @@ static inline void accumulate(double *acc, double term, int first)
  * (n_msgs, n_states), slots (n_slots,), values and csi (n_msgs, n_slots).
  * For METRIC_AWGN and METRIC_CSI, values and csi are complex128 read as
  * interleaved (re, im) doubles; for METRIC_BSC values are float64 and csi
- * is unused.  levels has 2^c entries, 1 <= c <= 16, n_slots >= 1.  Each
- * summand is formed by the same operations, in the same order, as the
- * numpy kernel's; the sum runs in slot order. */
-void branch_costs(int hash_id, int metric, const uint32_t *states,
-                  int64_t n_msgs, int64_t n_states, const uint32_t *slots,
-                  int64_t n_slots, const double *values, const double *csi,
-                  const double *levels, int c, double *out)
+ * is unused.  levels has 2^c entries, 1 <= c <= 16.  Each summand is
+ * formed by the same operations, in the same order, as the numpy
+ * kernel's; the sum runs in slot order.  With parents, each state then
+ * adds its parent's cost, parents[m * (n_states >> k) + (i >> k)] for
+ * state i of message m, as the bubble search's leaf + bc (the parent is
+ * the first operand; with no slots the cost is parent + 0.0). */
+static void score_states(int hash_id, int metric, const uint32_t *states,
+                         int64_t n_msgs, int64_t n_states,
+                         const uint32_t *slots, int64_t n_slots,
+                         const double *values, const double *csi,
+                         const double *levels, int c,
+                         const double *parents, int k, double *out)
 {
     const uint32_t mask = (1u << c) - 1u;
     const int64_t v_width = metric == METRIC_BSC ? 1 : 2;
@@ -263,7 +272,7 @@ void branch_costs(int hash_id, int metric, const uint32_t *states,
                 ? n_states - lo : STATE_BLOCK;
             const uint32_t *s = states + m * n_states + lo;
             double *acc = out + m * n_states + lo;
-            if (hash_id == HASH_ONE_AT_A_TIME)
+            if (hash_id == HASH_ONE_AT_A_TIME && n_slots > 0)
                 for (int64_t i = 0; i < n; ++i)
                     prefix[i] = oaat_absorb(0, s[i]);
             for (int64_t t = 0; t < n_slots; ++t) {
@@ -301,8 +310,50 @@ void branch_costs(int hash_id, int metric, const uint32_t *states,
                                    first);
                 }
             }
+            if (parents) {
+                const double *p = parents + m * (n_states >> k);
+                for (int64_t i = 0; i < n; ++i)
+                    acc[i] = np_add(p[(lo + i) >> k],
+                                    n_slots > 0 ? acc[i] : 0.0);
+            }
         }
     }
+}
+
+/* The fused branch costs alone: score_states without parents, for
+ * n_slots >= 1. */
+void branch_costs(int hash_id, int metric, const uint32_t *states,
+                  int64_t n_msgs, int64_t n_states, const uint32_t *slots,
+                  int64_t n_slots, const double *values, const double *csi,
+                  const double *levels, int c, double *out)
+{
+    score_states(hash_id, metric, states, n_msgs, n_states, slots, n_slots,
+                 values, csi, levels, c, 0, 0, out);
+}
+
+/* ---- one bubble-search step: repro.core.decoder.BubbleDecoder ---- */
+
+/* Pass 1: children[l * n_edges + e] = h(leaves[l], edges[e]) for the
+ * n_leaves leaves of every message, the tree expansion
+ * h(leaves[..., None], edges). */
+void spinal_expand(int hash_id, const uint32_t *edges, int64_t n_edges,
+                   const uint32_t *leaves, uint32_t *children,
+                   int64_t n_leaves)
+{
+    spine_hash(hash_id, leaves, 0, edges, children, n_leaves, n_edges);
+}
+
+/* Pass 2: totals (n_msgs, n_leaves << k) = parents (n_msgs, n_leaves),
+ * repeated over each leaf's 2^k children, + the branch costs of children
+ * over one spine position's slots (none at a punctured position). */
+void spinal_score(int hash_id, int metric, const double *levels, int c,
+                  int k, int64_t n_msgs, const uint32_t *children,
+                  const double *parents, double *totals, int64_t n_leaves,
+                  const uint32_t *slots, int64_t n_slots,
+                  const double *values, const double *csi)
+{
+    score_states(hash_id, metric, children, n_msgs, n_leaves << k, slots,
+                 n_slots, values, csi, levels, c, parents, k, totals);
 }
 
 /* ---- belief propagation: repro.ldpc.bp.BeliefPropagation.decode ---- */

@@ -20,11 +20,16 @@ beam is an ``(M, n_beam, W)`` array of uint32 leaf states with
 ``W = 2^(k(d-1))`` leaves per surviving subtree.  One step hashes all
 ``M * n_beam * W * 2^k`` children at once, folds in branch costs over every
 received symbol of that spine position (all passes and tail symbols in a
-single broadcast hash), takes subtree minima, and selects each message's
-best ``B`` subtrees with its own ``argpartition`` row.  Backtracking
-records the surviving subtrees per step (one compact ``(M, B)`` index
-array); missing spine positions (puncturing) simply contribute zero branch
-cost, which matches §5 exactly.
+single broadcast hash), takes subtree minima (none at ``d = 1``), and
+selects each message's best ``B`` subtrees with its own ``argpartition``
+row.  Backtracking records the surviving subtrees per step (one compact
+``(M, B)`` index array); missing spine positions (puncturing) simply
+contribute zero branch cost, which matches §5 exactly.  The hashing and
+scoring are the two passes of :func:`repro.backend.spinal_passes`,
+compiled C where it builds: ``expand`` hashes the children and ``score``
+adds each leaf's cost to its children's branch costs.  The leaf, child,
+cost and survivor buffers are allocated once per decoder and cohort size
+and reused by the cohort's later attempts.
 
 Messages never mix: branch costs keep the slot axis leading (the same
 reduction order for every row), and selection and the final argmin work
@@ -39,8 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backend import branch_costs_batch, select_beams
-from repro.core.hashes import get_hash
+from repro.backend import ckernels, select_beams, spinal_passes
 from repro.core.params import DecoderParams, SpinalParams
 from repro.core.symbols import BatchReceivedView, ReceivedSymbols
 from repro.obs import OBS, clock
@@ -84,11 +88,11 @@ class BubbleDecoder:
         self.k = params.k
         self._mapping = params.make_mapping()
         self._levels = self._mapping.levels
-        self._hash_fn = get_hash(params.hash_name)
         # Depth cannot exceed the tree height; clamping keeps tiny-n cases
         # (and the full-ML limit) working through the same code path.
         self.d = min(decoder_params.d, self.n_spine)
         self._W = (1 << self.k) ** (self.d - 1)
+        self._buffers: tuple | None = None
 
     def decode(self, received: ReceivedSymbols | BatchReceivedView) -> DecodeResult:
         """Decode one message: a whole store, or a one-row view of one."""
@@ -98,95 +102,103 @@ class BubbleDecoder:
             raise ValueError("decode takes one message; use decode_batch")
         return self._search(received)[0]
 
-    def _branch_costs(
-        self, states: np.ndarray, spine_idx: int, received: BatchReceivedView
-    ) -> np.ndarray:
-        """Cost of the edge *into* each candidate state at a spine position.
-
-        ``states`` is ``(M, n_states)``, one row per message of the view.
-        The arithmetic lives in :func:`repro.backend.branch_costs_batch`
-        (which owns its ``repro.obs`` kernel timing); this method only
-        slices the received store for the spine position.
-        """
-        slots, values, csi = received.for_spine(spine_idx)
-        return branch_costs_batch(
-            states, slots, values, csi,
-            hash_name=self.params.hash_name,
-            levels=self._levels,
-            c=self.params.c,
-            is_bsc=self.params.is_bsc,
-        )
+    def _search_buffers(self, M: int, has_csi: bool) -> tuple:
+        """The step passes and the survivors' history for a search over M
+        messages.  Searches reuse both while M, the CSI mode and the kernel
+        path repeat, as they do over most of a cohort's attempts, so the
+        hash and metric are checked, and the buffers' pages faulted in, once
+        rather than at every attempt."""
+        key = (M, has_csi, ckernels.load() is not None)
+        if self._buffers is None or self._buffers[0] != key:
+            K, d = 1 << self.k, self.d
+            # The i-th pruning step keeps at most min(B, K^i) subtrees.
+            n_pruning = self.n_spine - d + 1
+            max_beam = min(self.dec.B, K ** min(n_pruning, 32))
+            passes = spinal_passes(
+                self.params.hash_name, levels=self._levels, c=self.params.c,
+                is_bsc=self.params.is_bsc, has_csi=has_csi, k=self.k,
+                n_msgs=M, max_leaves=max_beam * self._W)
+            # survivor rows are below M * max_beam * K: int32 halves the
+            # history's memory wherever that fits
+            rows = M * max_beam * K
+            history = np.empty((n_pruning, M, max_beam), dtype=np.int32
+                               if rows <= np.iinfo(np.int32).max else np.intp)
+            self._buffers = (key, passes, history)
+        return self._buffers[1:]
 
     def _search(self, received: BatchReceivedView) -> list[DecodeResult]:
         """The bubble search over every message of ``received``."""
         if received.n_spine != self.n_spine:
             raise ValueError("received-symbol store has mismatched spine length")
         k, K, d, W = self.k, 1 << self.k, self.d, self._W
-        M = received.n_rows
-        edges = np.arange(K, dtype=np.uint32)
-        hash_fn = self._hash_fn
+        M, B = received.n_rows, self.dec.B
+        passes, history = self._search_buffers(M, received.has_csi)
+        states, costs = passes.states, passes.costs
         # Kernel timing accumulates in locals and flushes once at the end
         # (repro.obs hot-loop discipline: disabled cost is one branch per
         # step, no allocations).
         _on = OBS.enabled
-        t_hash = t_sel = 0.0
-        n_hash = n_sel = 0
+        t_hash = t_bc = t_sel = 0.0
 
-        # Unpruned expansion of the first d-1 levels (builds the initial
-        # partial tree of Figure 4-1(a)).
-        leaf_states = np.full((M, 1, 1), self.params.s0, dtype=np.uint32)
-        leaf_costs = np.zeros((M, 1, 1), dtype=np.float64)
-        for step in range(d - 1):
-            if _on:
-                t0 = clock()
-            children = hash_fn(leaf_states[:, :, :, None], edges)
-            if _on:
-                t_hash += clock() - t0
-                n_hash += 1
-            bc = self._branch_costs(children.reshape(M, -1), step, received)
-            leaf_costs = (leaf_costs[:, :, :, None]
-                          + bc.reshape(children.shape)).reshape(M, 1, -1)
-            leaf_states = children.reshape(M, 1, -1)
-
-        # Main loop: one spine position per iteration; prune to B subtrees.
+        # One spine position per step.  The first d-1 steps expand the
+        # tree unpruned (the initial partial tree of Figure 4-1(a)); every
+        # later step prunes to B subtrees of W leaves each.  n_leaves is
+        # the number of leaves per message entering a step.
+        states[:M] = self.params.s0
+        costs[:M] = 0.0
+        n_leaves = 1
         kept_hist: list[np.ndarray] = []
-        for step in range(d - 1, self.n_spine):
-            n_beam = leaf_states.shape[1]
+        for step in range(self.n_spine):
+            panel = received.for_spine(step)
             if _on:
                 t0 = clock()
-            children = hash_fn(leaf_states[:, :, :, None], edges)
+            children = passes.expand(n_leaves)
             if _on:
-                t_hash += clock() - t0
-                n_hash += 1
-            bc = self._branch_costs(children.reshape(M, -1), step, received)
-            totals = leaf_costs[:, :, :, None] + bc.reshape(M, n_beam, W, K)
+                t1 = clock()
+            totals = passes.score(n_leaves, *panel)
+            if _on:
+                t2 = clock()
+                t_hash += t1 - t0
+                t_bc += t2 - t1
+            if step < d - 1:
+                n_leaves *= K
+                states[:M * n_leaves] = children
+                costs[:M * n_leaves] = totals
+                continue
             # Flat child index w*K+e spells the d base-2^k path digits with
             # the first edge most significant, so a row-major reshape to
             # (K, W) groups children by first edge = candidate subtree.
             # Subtree j = parent*K + edge of message m is row
-            # m*n_beam*K + j of the flattened arrays, so one take gathers
-            # the survivors of every message.
-            totals = totals.reshape(M * n_beam * K, W)
+            # m*n_beam*K + j of the (M*n_beam*K, W) arrays, so one take
+            # gathers the survivors of every message.
+            n_groups = n_leaves // W * K
+            totals = totals.reshape(M * n_groups, W)
+            group_costs = totals if W == 1 else totals.min(axis=1)
+            sel = select_beams(group_costs.reshape(M, n_groups), B)
+            n_beam = sel.shape[1]
+            n_leaves = n_beam * W
+            kept = sel + np.arange(0, M * n_groups, n_groups)[:, None]
+            children.reshape(M * n_groups, W).take(
+                kept, axis=0, out=states[:M * n_leaves].reshape(M, n_beam, W),
+                mode="clip")
+            totals.take(kept, axis=0,
+                        out=costs[:M * n_leaves].reshape(M, n_beam, W),
+                        mode="clip")
+            kept_hist.append(history[step - (d - 1), :, :n_beam])
+            kept_hist[-1][...] = kept
             if _on:
-                t0 = clock()
-            group_costs = totals.min(axis=1).reshape(M, n_beam * K)
-            sel = select_beams(group_costs, self.dec.B)
-            kept = sel + np.arange(0, M * n_beam * K, n_beam * K)[:, None]
-            leaf_states = children.reshape(M * n_beam * K, W).take(kept, axis=0)
-            leaf_costs = totals.take(kept, axis=0)
-            if _on:
-                t_sel += clock() - t0
-                n_sel += 1
-            kept_hist.append(kept)
+                t_sel += clock() - t2
         if _on:
-            OBS.add_time("kernel.hash", t_hash, n_hash)
-            OBS.add_time("kernel.select", t_sel, n_sel)
+            OBS.add_time("kernel.hash", t_hash, self.n_spine)
+            OBS.add_time("kernel.branch_cost", t_bc, self.n_spine)
+            OBS.add_time("kernel.select", t_sel, len(kept_hist))
+        leaf_costs = costs[:M * n_leaves].reshape(M, n_leaves)
 
         # Best leaf and backtrack, per message.  Beams are numbered across
         # the cohort (beam b of message m is m*n_beam + b), so kept row
         # m*n_beam*K + parent*K + edge divides by K into the previous
         # step's flat beam index and the edge taken.
-        flat_best = np.argmin(leaf_costs.reshape(M, -1), axis=1)
+        flat_best = np.argmin(leaf_costs, axis=1)
         results: list[DecodeResult] = []
         for m in range(M):
             leaf = m * leaf_costs[0].size + int(flat_best[m])

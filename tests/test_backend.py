@@ -44,8 +44,21 @@ from deadline import deadline
 from reference_decoder import reference_decode
 
 
-_COMPILED_ENTRY_POINTS = ("spine_hash", "branch_costs", "bcjr_recursion",
-                          "BpPasses", "lt_draw", "choice_draw")
+#: Where the compiled kernels are entered: ``ckernels`` functions and
+#: classes, and the two passes of a bubble-search step by ``Class.method``.
+_COMPILED_ENTRY_POINTS = ("spine_hash", "branch_costs", "SpinalPasses.expand",
+                          "SpinalPasses.score", "bcjr_recursion", "BpPasses",
+                          "lt_draw", "choice_draw")
+
+
+def _owner(name):
+    """The object holding a :data:`_COMPILED_ENTRY_POINTS` entry, and the
+    entry's attribute name there."""
+    *parents, attr = name.split(".")
+    owner = ckernels
+    for part in parents:
+        owner = getattr(owner, part)
+    return owner, attr
 
 
 def _paths():
@@ -78,8 +91,9 @@ def _on_path(path):
 
     with ExitStack() as patches:
         for name in _COMPILED_ENTRY_POINTS:
+            owner, attr = _owner(name)
             patches.enter_context(mock.patch.object(
-                ckernels, name, counted(getattr(ckernels, name))))
+                owner, attr, counted(getattr(owner, attr))))
         yield calls
 
 
@@ -453,6 +467,95 @@ class TestCompiledSpecialValues:
 
 
 # ---------------------------------------------------------------------------
+# the compiled bubble-search step against the numpy step
+# ---------------------------------------------------------------------------
+
+def _special_costs(rng, size, n_special):
+    """Parent path costs, some replaced by inf, NaN, signed zeros or 1e300."""
+    costs = rng.exponential(scale=5.0, size=size)
+    hit = rng.choice(size, size=min(n_special, size), replace=False)
+    costs[hit] = rng.choice(_SPECIAL, size=hit.size)
+    return costs
+
+
+class TestCompiledStep:
+    """The two compiled passes of a bubble-search step
+    (:class:`ckernels.SpinalPasses`) equal the numpy step they replace:
+    ``expand`` the tree-expansion hash ``hash_fn(leaves[..., None],
+    edges)`` and ``score`` the numpy :func:`branch_costs_batch` of those
+    children followed by ``leaf + bc``, byte for byte.
+
+    The cases cover every hash and metric, 1 to 3 messages, depth 1 and 2
+    (``W = 2^k`` leaves per subtree), punctured positions without slots,
+    and inf, NaN, signed zeros and 1e300 among the received values, the
+    channel gains and the parent costs.  With CSI the costs are compared
+    bit for bit except for which NaN a NaN entry holds: there numpy's own
+    choice between two NaNs depends on the element's position (see
+    :class:`TestCompiledSpecialValues`).
+    """
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           hash_name=st.sampled_from(sorted(GOLDEN_VECTORS)),
+           metric=st.sampled_from(["awgn", "csi", "bsc"]),
+           n_msgs=st.integers(1, 3), k=st.integers(1, 4),
+           d=st.integers(1, 2), n_beam=st.integers(1, 6),
+           spare=st.integers(0, 3), n_slots=st.integers(0, 6),
+           c=st.integers(1, 8), n_special=st.integers(0, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_numpy_step(self, seed, hash_name, metric, n_msgs, k, d,
+                                n_beam, spare, n_slots, c, n_special):
+        if ckernels.load() is None:
+            pytest.skip("compiled kernels unavailable here")
+        rng = np.random.default_rng(seed)
+        K = 1 << k
+        n_leaves = n_beam * K ** (d - 1)
+        leaves = rng.integers(0, 2**32, size=(n_msgs, n_leaves),
+                              dtype=np.uint32)
+        parents = _special_costs(rng, n_msgs * n_leaves, n_special)
+        parents = parents.reshape(n_msgs, n_leaves)
+        slots = rng.integers(0, 2**32, size=n_slots, dtype=np.uint32)
+        # the store hands out strided panels: n_slots columns of a wider row
+        wide = (n_msgs, n_slots + 2)
+        csi = None
+        if metric == "bsc":
+            values = _received(rng, wide, n_special).real[:, :n_slots]
+            c, levels = 1, np.array([-1.0, 1.0])
+        else:
+            values = _received(rng, wide, n_special)[:, :n_slots]
+            if metric == "csi":
+                csi = _received(rng, wide, n_special)[:, :n_slots]
+            levels = np.sort(rng.normal(size=1 << c))
+        kwargs = dict(hash_name=hash_name, levels=levels, c=c,
+                      is_bsc=metric == "bsc")
+        edges = np.arange(K, dtype=np.uint32)
+        with np.errstate(all="ignore"):
+            with _on_path("numpy"):
+                want_children = reference_hashes()[hash_name](
+                    leaves[:, :, None], edges)
+                bc = branch_costs_batch(want_children.reshape(n_msgs, -1),
+                                        slots, values, csi, **kwargs)
+                want_totals = parents[:, :, None] + bc.reshape(
+                    n_msgs, n_leaves, K)
+            with _on_path("compiled") as calls:
+                passes = ckernels.SpinalPasses(
+                    ckernels.load(), hash_name, levels=levels, c=c,
+                    is_bsc=metric == "bsc", has_csi=csi is not None, k=k,
+                    n_msgs=n_msgs, max_leaves=n_leaves + spare)
+                passes.states[:leaves.size] = leaves.ravel()
+                passes.costs[:parents.size] = parents.ravel()
+                children = passes.expand(n_leaves)
+                totals = passes.score(n_leaves, slots, values, csi)
+        assert calls == ["expand", "score"]
+        assert children.dtype == np.uint32 and totals.dtype == np.float64
+        assert children.tobytes() == want_children.tobytes()
+        want = want_totals.ravel()
+        if metric == "csi":
+            totals, want = (np.where(np.isnan(x), np.nan, x)
+                            for x in (totals, want))
+        assert np.array_equal(_bits(totals), _bits(want))
+
+
+# ---------------------------------------------------------------------------
 # the one backend: its name and get_hash
 # ---------------------------------------------------------------------------
 
@@ -555,7 +658,11 @@ class TestCrossBackendDecode:
                 for ref, one, row in zip(refs, rows, cohort):
                     self._assert_equal_results(ref, row)
                     self._assert_equal_results(ref, dec.decode(one))
-            assert bool(calls) == (path == "compiled")
+            # both passes of every step ran compiled, and none on numpy
+            if path == "compiled":
+                assert {"expand", "score"} <= set(calls)
+            else:
+                assert calls == []
 
 
 # ---------------------------------------------------------------------------

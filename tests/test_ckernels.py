@@ -154,7 +154,8 @@ def _reached_c(*args):
 
 _FAKE = SimpleNamespace(ffi=None, lib=SimpleNamespace(
     branch_costs=_reached_c, spine_hash=_reached_c, lt_draw=_reached_c,
-    choice_draw=_reached_c))
+    choice_draw=_reached_c, spinal_expand=_reached_c,
+    spinal_score=_reached_c))
 
 
 @pytest.mark.parametrize("name, bad", [
@@ -204,6 +205,120 @@ def test_bsc_branch_costs_reject_csi_but_not_levels():
     with pytest.raises(AssertionError, match="reached the C kernel"):
         ckernels.branch_costs(SimpleNamespace(ffi=cffi.FFI(), lib=_FAKE.lib),
                               **call)
+
+
+def _step_search():
+    """A good search for ``ckernels.SpinalPasses``: AWGN, 2 messages of up
+    to 3 leaves with 4 children each."""
+    return {"hash_name": "lookup3", "levels": np.linspace(-1.0, 1.0, 8),
+            "c": 3, "is_bsc": False, "has_csi": False, "k": 2, "n_msgs": 2,
+            "max_leaves": 3}
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("hash_name", lambda h: "md5"),
+    ("levels", lambda a: a[:-1]),
+    ("levels", lambda a: a[::-1]),
+    ("levels", lambda a: a.astype(np.float32)),
+    ("c", lambda c: 0),
+    ("c", lambda c: 17),
+    ("k", lambda k: 0),
+    ("k", lambda k: 17),
+    ("k", lambda k: 2.0),
+    ("n_msgs", lambda n: 0),
+    ("max_leaves", lambda n: 0),
+    ("max_leaves", lambda n: None),
+])
+def test_bad_step_searches_raise_before_reaching_c(name, bad):
+    call = _step_search()
+    call[name] = bad(call[name])
+    with pytest.raises(ValueError):
+        ckernels.SpinalPasses(_FAKE, **call)
+
+
+def test_bsc_step_search_rejects_csi():
+    with pytest.raises(ValueError):
+        ckernels.SpinalPasses(_FAKE, **dict(
+            _step_search(), is_bsc=True, c=1, has_csi=True))
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("n_leaves", lambda n: 0),
+    ("n_leaves", lambda n: 4),
+    ("n_leaves", lambda n: 2.0),
+    ("slots", lambda a: a.astype(np.int32)),
+    ("slots", lambda a: a[None]),
+    ("slots", lambda a: np.repeat(a, 2)[::2]),
+    ("values", lambda a: a.real.copy()),
+    ("values", lambda a: a[:, :-1]),
+    ("values", lambda a: a[:1]),
+    ("values", lambda a: a.tolist()),
+    ("csi", lambda _: np.zeros((2, 3), dtype=np.complex128)),
+])
+def test_bad_steps_raise_before_reaching_c(name, bad):
+    """Each step checks its own leaf count and received panel; the good
+    step they start from reaches C."""
+    cffi = pytest.importorskip("cffi")
+    passes = ckernels.SpinalPasses(
+        SimpleNamespace(ffi=cffi.FFI(), lib=_FAKE.lib), **_step_search())
+    step = {"n_leaves": 3, "slots": np.arange(3, dtype=np.uint32),
+            "values": np.zeros((2, 3), dtype=np.complex128), "csi": None}
+    with pytest.raises(AssertionError, match="reached the C kernel"):
+        passes.score(**step)
+    with pytest.raises(AssertionError, match="reached the C kernel"):
+        passes.expand(3)
+    step[name] = bad(step[name])
+    with pytest.raises(ValueError):
+        passes.score(**step)
+    if name == "n_leaves":
+        with pytest.raises(ValueError):
+            passes.expand(step["n_leaves"])
+
+
+def test_target_cpu_keys_the_cache(monkeypatch):
+    """Builds for different CPUs never share a cache entry: the target the
+    compiler resolves ``-march=native`` to is part of the module name, so
+    a cache directory shared between hosts never loads a foreign build."""
+    pytest.importorskip("_cffi_backend")
+    names = set()
+    with deadline(30):
+        for target in (("-march=skylake-avx512", "-mavx512f"),
+                       ("-march=znver3", "-mno-avx512f"), ()):
+            monkeypatch.setattr(ckernels, "_native_target",
+                                lambda compiler, target=target: target)
+            names.add(ckernels._module_name())
+    assert len(names) == 3
+
+
+def test_compiler_without_a_native_target_builds_plain(tmp_path,
+                                                       monkeypatch):
+    """A compiler that cannot resolve ``-march=native`` builds once with
+    the plain flags, and no fallback warning is raised."""
+    _require_compiler()
+    log = tmp_path / "cc.log"
+    real = " ".join(ckernels._compiler())
+    wrapper = tmp_path / "cc"
+    wrapper.write_text(
+        "#!/bin/sh\n"
+        'for arg in "$@"; do [ "$arg" = "-###" ] && exit 1; done\n'
+        f'echo "$@" >> {log}\n'
+        f'exec {real} "$@"\n')
+    wrapper.chmod(0o755)
+    root = tmp_path / "cache"
+    monkeypatch.setattr(ckernels, "CACHE_ROOT", str(root))
+    monkeypatch.setattr(ckernels, "_tried", False)
+    monkeypatch.setattr(ckernels, "_module", None)
+    monkeypatch.setenv("CC", str(wrapper))
+    with deadline(120), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        module = ckernels.load()
+    assert caught == []
+    assert module is not None and module.__file__ == ckernels.module_path(
+        str(root))
+    assert ckernels._build_flags() == (ckernels._FLAGS, ())
+    commands = log.read_text().splitlines()
+    assert commands and not any("-march" in c for c in commands)
+    assert any(" ".join(ckernels._FLAGS) in c for c in commands)
 
 
 def _quiet_nan(payload):
@@ -389,19 +504,24 @@ def test_store_bytes_match_on_both_recursions(tmp_path, monkeypatch):
                 spinal))
     assert {p.kind for p in spec.points} == {"measure", "link"}
     assert any(p.channel.kind == "rayleigh" for p in spinal)
-    calls = {"bcjr_recursion": 0, "branch_costs": 0, "spine_hash": 0,
-             "BpPasses": 0, "lt_draw": 0, "choice_draw": 0}
+    # the bubble search enters the kernels through its two step passes,
+    # the encoders through the spine hash
+    calls = {"bcjr_recursion": 0, "SpinalPasses.expand": 0,
+             "SpinalPasses.score": 0, "spine_hash": 0, "BpPasses": 0,
+             "lt_draw": 0, "choice_draw": 0}
 
-    def counted(name):
-        compiled = getattr(ckernels, name)
-
+    def counted(name, compiled):
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return compiled(*args, **kwargs)
         return wrapper
 
     for name in calls:
-        monkeypatch.setattr(ckernels, name, counted(name))
+        *parents, attr = name.split(".")
+        owner = ckernels
+        for part in parents:
+            owner = getattr(owner, part)
+        monkeypatch.setattr(owner, attr, counted(name, getattr(owner, attr)))
     files = {}
     with deadline(240):
         for path in ("compiled", "numpy"):
