@@ -18,9 +18,9 @@ kernel, not just "decode got slower":
 - ``select``: :func:`repro.backend.select_beams` (argpartition
   subtree pruning) on one message's row and on a 16-message cohort;
 - ``step``: one whole bubble-search step as the decoder runs it — the
-  ``expand`` and ``score`` passes of :func:`repro.backend.spinal_passes`,
-  then selection and the survivors' gathers — at ``B=256``, ``k=4`` and
-  two messages;
+  ``expand`` pass of :func:`repro.backend.spinal_passes` (the gather of
+  the previous step's survivors, then the hash), the ``score`` pass and
+  selection — at ``B=256``, ``k=4`` and two messages;
 - ``bp``: one 40-iteration sum-product decode of a fixed ~50k-edge Raptor
   graph (:meth:`repro.ldpc.bp.BeliefPropagation.posteriors`), on the
   compiled passes and on the numpy loop.
@@ -297,40 +297,38 @@ def test_select_kernel(benchmark, kernel_records, shape, n_beam, name):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_search_step(benchmark, kernel_records, backend):
     """One step of the bubble search at the paper's AWGN code: 2 messages
-    of B=256 surviving leaves, 2^4 children each, 8 received passes; the
-    expand and score passes, the cheapest B subtrees of each message and
-    the gathers of their states and costs."""
+    of B=256 surviving leaves, 2^4 children each, 8 received passes.  The
+    expand pass gathers the survivors the previous step selected and hashes
+    their children, the score pass costs them, and ``select_beams`` picks
+    the cheapest B subtrees of each message for the next step, so each
+    round continues the search from the last."""
     params = SpinalParams()
     n_msgs, n_beam, k = 2, 256, params.k
     n_groups = n_beam << k
     rng = np.random.default_rng(13)
-    leaves = rng.integers(0, 2**32, size=n_msgs * n_beam, dtype=np.uint32)
-    parents = rng.exponential(scale=5.0, size=n_msgs * n_beam)
     slots = np.arange(OUTER_SLOTS, dtype=np.uint32)
     values = (rng.normal(size=(n_msgs, OUTER_SLOTS))
               + 1j * rng.normal(size=(n_msgs, OUTER_SLOTS)))
-    offsets = np.arange(0, n_msgs * n_groups, n_groups)[:, None]
     with _active(backend):
         passes = spinal_passes(
             params.hash_name, levels=params.make_mapping().levels,
             c=params.c, is_bsc=False, has_csi=False, k=k, n_msgs=n_msgs,
-            max_leaves=n_beam)
+            beam=n_beam, group=1, n_steps=1)
+        passes.states[:] = rng.integers(0, 2**32, size=n_msgs * n_beam,
+                                        dtype=np.uint32)
+        passes.costs[:] = rng.exponential(scale=5.0, size=n_msgs * n_beam)
+        passes.expand(n_beam)
+        kept = [select_beams(passes.score(n_beam, slots, values, None)
+                             .reshape(n_msgs, n_groups), n_beam)]
 
         def step():
-            passes.states[:] = leaves
-            passes.costs[:] = parents
-            children = passes.expand(n_beam)
+            passes.expand(n_beam, kept[0], 0)
             totals = passes.score(n_beam, slots, values, None)
-            kept = select_beams(totals.reshape(n_msgs, n_groups),
-                                n_beam) + offsets
-            np.take(children, kept, out=passes.states.reshape(n_msgs, -1),
-                    mode="clip")
-            np.take(totals, kept, out=passes.costs.reshape(n_msgs, -1),
-                    mode="clip")
-            return kept
+            kept[0] = select_beams(totals.reshape(n_msgs, n_groups), n_beam)
+            return kept[0]
 
-        kept = benchmark(step)
-    assert kept.shape == (n_msgs, n_beam)
+        last = benchmark(step)
+    assert last.shape == (n_msgs, n_beam)
     _record(kernel_records, benchmark, "step",
             f"awgn_k4_B{n_beam}_M{n_msgs}{_suffix(backend)}",
             config="awgn_k4_c6", n_msgs=n_msgs, n_beam=n_beam,

@@ -8,9 +8,10 @@ compiled C kernels of :mod:`repro.backend.ckernels` where they build (on
 the first hash, branch-cost or search call of a process, never at import
 or decoder construction), and on the numpy bodies below otherwise.  Each
 step of the bubble search runs as the two passes of
-:func:`spinal_passes`: ``expand`` (the tree-expansion hash) and ``score``
-(the fused branch costs plus each parent's cost).  Beam selection is
-numpy's ``argpartition``.
+:func:`spinal_passes`: ``expand`` (the gather of the subtrees the
+previous step kept, then the tree-expansion hash) and ``score`` (the
+fused branch costs plus each parent's cost).  Beam selection is numpy's
+``argpartition``, between the passes.
 
 The contract is **bit-identical output**: the compiled kernels reproduce
 the numpy bodies exactly, which are the fallback and the test oracle —
@@ -28,9 +29,11 @@ store's byte-identical files on both paths are the end-to-end corollary.
 numpy reference's bit for bit, whichever path ran.
 
 Observability follows the decode hot-loop discipline (see ``repro.obs``).
-The bubble search times each step's ``expand`` pass as ``kernel.hash``
-and its ``score`` pass, whose fused loop cannot time its hashing apart, as
-``kernel.branch_cost``, on both paths, and flushes once per search.  A
+The bubble search times each step's ``expand`` pass, survivor gather
+included, and the last step's ``gather`` as ``kernel.hash``, its ``score``
+pass, whose fused loop cannot time its hashing apart, as
+``kernel.branch_cost``, and the subtree minima and ``argpartition`` as
+``kernel.select``, on both paths, and flushes once per search.  A
 :func:`branch_costs_batch` call times itself: on the numpy path its hash
 as ``kernel.hash`` and its distance arithmetic as ``kernel.branch_cost``,
 on the compiled path the whole call as ``kernel.branch_cost``.
@@ -121,8 +124,13 @@ def select_beams(group_costs: np.ndarray, n_beam: int) -> np.ndarray:
 
     ``group_costs`` is ``(M, n_candidates)``, one row of flattened
     candidate costs per message; selection runs along axis 1 with
-    ``argpartition``.  The surviving index sets *and their introselect
-    order* are part of the decode contract.
+    ``argpartition``.  Its output depends on numpy's CPU dispatch level:
+    under numpy 2.4.6 the X86_V4, X86_V3 and baseline loops return the
+    same index set in different orders, and different sets among tied
+    costs.  Survivor order decides which tied candidate later steps keep
+    and which leaf the final ``argmin`` picks, so where costs tie a decode
+    can differ between hosts (a (cost, index) tie-break would make it
+    host-independent, at the price of some stored records).
     """
     n_keep = min(n_beam, group_costs.shape[1])
     if n_keep < group_costs.shape[1]:
@@ -132,24 +140,48 @@ def select_beams(group_costs: np.ndarray, n_beam: int) -> np.ndarray:
 
 class _NumpyPasses:
     """The numpy bubble-search step that :class:`ckernels.SpinalPasses`
-    reproduces bit for bit, with the same interface: the tree-expansion
-    hash, the numpy branch costs of :func:`branch_costs_batch` and
-    ``leaf + bc``.  The fallback when the kernels do not build."""
+    reproduces bit for bit, with the same interface: the survivors'
+    gathers by ``take``, the tree-expansion hash, the numpy branch costs
+    of :func:`branch_costs_batch` and ``leaf + bc``.  The fallback when
+    the kernels do not build."""
 
     def __init__(self, hash_name: str, *, levels: np.ndarray, c: int,
                  is_bsc: bool, has_csi: bool, k: int, n_msgs: int,
-                 max_leaves: int):
+                 beam: int, group: int, n_steps: int):
+        ckernels._check_search(k, n_msgs, beam, group, n_steps)
         self._hash = _reference_hash(hash_name)
         self._levels, self._c, self._is_bsc = levels, c, is_bsc
-        self._n_msgs, self._K = n_msgs, 1 << k
+        self._n_msgs, self._K, self._group = n_msgs, 1 << k, group
         self._edges = np.arange(self._K, dtype=_U32)
-        self.states = np.empty(n_msgs * max_leaves, dtype=_U32)
-        self.costs = np.empty(n_msgs * max_leaves)
+        self.states = np.empty(n_msgs * beam * group, dtype=_U32)
+        self.costs = np.empty(n_msgs * beam * group)
+        self.history = np.empty((n_steps, n_msgs, beam), dtype=np.int32)
 
-    def expand(self, n_leaves: int) -> np.ndarray:
+    def expand(self, n_leaves: int, sel: np.ndarray | None = None,
+               row: int = 0) -> np.ndarray:
+        if sel is not None:
+            self.gather(sel, row)
         leaves = self.states[:self._n_msgs * n_leaves]
         self._children = self._hash(leaves[:, None], self._edges).ravel()
         return self._children
+
+    def gather(self, sel: np.ndarray, row: int) -> np.ndarray:
+        # Subtree g of message m is row m * n_groups + g of the
+        # (M * n_groups, group) children and totals, so one take gathers
+        # the survivors of every message.
+        M, group = self._n_msgs, self._group
+        n_groups = self._totals.size // M // group
+        n_keep = sel.shape[1]
+        kept = sel + np.arange(0, M * n_groups, n_groups)[:, None]
+        n = M * n_keep * group
+        self._children.reshape(M * n_groups, group).take(
+            kept, axis=0, out=self.states[:n].reshape(M, n_keep, group),
+            mode="clip")
+        self._totals.reshape(M * n_groups, group).take(
+            kept, axis=0, out=self.costs[:n].reshape(M, n_keep, group),
+            mode="clip")
+        self.history[row, :, :n_keep] = kept
+        return self.costs[:n].reshape(M, -1)
 
     def score(self, n_leaves: int, slots: np.ndarray, values: np.ndarray,
               csi: np.ndarray | None) -> np.ndarray:
@@ -161,21 +193,26 @@ class _NumpyPasses:
                                slots[:, None, None])
             bc = _distances(words, values, csi, self._levels, self._c,
                             self._is_bsc)
-        return (self.costs[:n, None] + bc.reshape(n, self._K)).ravel()
+        self._totals = (self.costs[:n, None] + bc.reshape(n, self._K)).ravel()
+        return self._totals
 
 
 def spinal_passes(hash_name: str, *, levels: np.ndarray, c: int,
                   is_bsc: bool, has_csi: bool, k: int, n_msgs: int,
-                  max_leaves: int) -> "ckernels.SpinalPasses | _NumpyPasses":
-    """The two passes of a bubble-search step, made for a search:
+                  beam: int, group: int,
+                  n_steps: int) -> "ckernels.SpinalPasses | _NumpyPasses":
+    """The passes of a bubble-search step, made for a search:
     :class:`ckernels.SpinalPasses` where the kernels build, its numpy
-    equivalent otherwise.  Both own ``states`` and ``costs`` buffers for
-    ``n_msgs`` messages of up to ``max_leaves`` leaves, and both return
-    the children from ``expand(n_leaves)`` and their path costs from
-    ``score(n_leaves, slots, values, csi)``, flat and bit for bit alike."""
+    equivalent otherwise.  Both own ``states``, ``costs`` and ``history``
+    buffers for ``n_msgs`` messages of up to ``beam`` subtrees of
+    ``group`` leaves over ``n_steps`` pruning steps.  Both return the
+    children from ``expand(n_leaves, sel=None, row=0)``, which first
+    gathers the survivors ``sel`` when given, their path costs from
+    ``score(n_leaves, slots, values, csi)`` and the last step's survivors'
+    costs from ``gather(sel, row)``, flat and bit for bit alike."""
     levels = np.ascontiguousarray(levels, dtype=np.float64)
     kwargs = dict(levels=levels, c=c, is_bsc=is_bsc, has_csi=has_csi, k=k,
-                  n_msgs=n_msgs, max_leaves=max_leaves)
+                  n_msgs=n_msgs, beam=beam, group=group, n_steps=n_steps)
     kernels = ckernels.load()
     if kernels is None:
         return _NumpyPasses(hash_name, **kwargs)

@@ -64,9 +64,12 @@ void branch_costs(int hash_id, int metric, const uint32_t *states,
                   int64_t n_msgs, int64_t n_states, const uint32_t *slots,
                   int64_t n_slots, const double *values, const double *csi,
                   const double *levels, int c, double *out);
-void spinal_expand(int hash_id, const uint32_t *edges, int64_t n_edges,
-                   const uint32_t *leaves, uint32_t *children,
-                   int64_t n_leaves);
+int spinal_expand(int hash_id, const uint32_t *edges, int64_t n_edges,
+                  int64_t n_msgs, int64_t group, int64_t beam,
+                  uint32_t *leaves, double *costs, uint32_t *children,
+                  const double *totals, int32_t *history, int64_t n_leaves,
+                  const int64_t *sel, int64_t n_keep, int64_t n_groups,
+                  int64_t row, int expand);
 void spinal_score(int hash_id, int metric, const double *levels, int c,
                   int k, int64_t n_msgs, const uint32_t *children,
                   const double *parents, double *totals, int64_t n_leaves,
@@ -104,6 +107,13 @@ _FLAGS = ("-O3", "-fno-split-loops", "-ffp-contract=off", "-fno-fast-math")
 #: The spine hashes of ``kernels.c`` by :mod:`repro.core.hashes` name.
 _HASH_IDS = {"one_at_a_time": 0, "lookup3": 1, "salsa20": 2}
 _METRIC_AWGN, _METRIC_CSI, _METRIC_BSC = 0, 1, 2
+
+#: The dtypes the per-step checks compare against (a dtype compares with
+#: a dtype faster than with a scalar type): the survivor indices
+#: ``spinal_expand`` reads, which are ``select_beams``'s, and the received
+#: panel's.
+_INTP, _UINT32 = np.dtype(np.intp), np.dtype(np.uint32)
+_FLOAT64, _COMPLEX128 = np.dtype(np.float64), np.dtype(np.complex128)
 
 #: The factors ``bp_signed_clip`` multiplies by, indexed by a negative flag.
 _SIGNS = np.array([1.0, -1.0])
@@ -384,7 +394,9 @@ def branch_costs(module: ModuleType, states: np.ndarray, slots: np.ndarray,
     (M, s) complex128 (never with BSC), 1 <= c <= 16 and ``levels`` float64
     with exactly ``2^c`` entries (BSC reads no levels), all C-contiguous.
     Anything else raises ``ValueError`` before a pointer reaches C, which
-    indexes ``levels`` by ``c``-bit fields of the hash words.
+    indexes ``levels`` by ``c``-bit fields of the hash words.  The result
+    is allocated here, so it overlaps no input, as the kernel's
+    ``restrict`` pointers require.
     """
     hash_id, metric = _metric(hash_name, levels, c, is_bsc, csi is not None)
     arrays = (states, slots, values) + (() if csi is None else (csi,))
@@ -416,15 +428,15 @@ def _check_panel(slots: object, values: object, csi: object, n_msgs: int,
     """One spine position's received panel: ``slots`` (s,) uint32,
     ``values`` (n_msgs, s) complex128 (float64 for BSC) and ``csi`` None or
     (n_msgs, s) complex128."""
-    if not all(isinstance(a, np.ndarray)
-               for a in (slots, values) + (() if csi is None else (csi,))):
+    if not (isinstance(slots, np.ndarray) and isinstance(values, np.ndarray)
+            and (csi is None or isinstance(csi, np.ndarray))):
         raise ValueError("the received panel must be numpy arrays")
-    value_dtype = np.float64 if is_bsc else np.complex128
-    if (slots.dtype != np.uint32 or values.dtype != value_dtype
-            or (csi is not None and csi.dtype != np.complex128)):
+    value_dtype = _FLOAT64 if is_bsc else _COMPLEX128
+    if (slots.dtype != _UINT32 or values.dtype != value_dtype
+            or (csi is not None and csi.dtype != _COMPLEX128)):
         raise ValueError(
-            f"the received panel needs uint32 slots, {value_dtype.__name__} "
-            "values and complex128 csi")
+            f"the received panel needs uint32 slots, {value_dtype} values "
+            "and complex128 csi")
     if slots.ndim != 1 or not slots.flags.c_contiguous:
         raise ValueError(f"slots must be (s,) and C-contiguous, got "
                          f"{slots.shape}")
@@ -438,38 +450,53 @@ class SpinalPasses:
 
     Made for a search, and reusable by later searches of the same shape.
     The hash, the metric (``levels``, ``c``, BSC or not, CSI or not) and the
-    cohort's shape (``n_msgs`` messages of at most ``max_leaves`` leaves,
-    each with ``2^k`` children) are checked here, before any pointer
-    reaches C, and both passes are bound to buffers that every step
-    reuses:
+    cohort's shape are checked here, before any pointer reaches C: each of
+    ``n_msgs`` messages keeps at most ``beam`` subtrees of ``group`` leaves
+    at each of ``n_steps`` pruning steps, and each leaf has ``2^k``
+    children.  Both passes are bound to buffers that every step reuses:
 
-    - ``states`` and ``costs`` (n_msgs * max_leaves,) hold the leaves' spine
-      states and path costs, which the caller fills; a step's ``n_leaves``
-      leaves of message m are entries ``[m * n_leaves, (m + 1) * n_leaves)``;
+    - ``states`` and ``costs`` (n_msgs * beam * group,) hold the leaves'
+      spine states and path costs; a step's ``n_leaves`` leaves of message
+      m are entries ``[m * n_leaves, (m + 1) * n_leaves)``.  The caller
+      fills them for the first step, and before each unpruned step;
+    - ``history`` (n_steps, n_msgs, beam) int32 records the survivors of
+      each pruning step for backtracking: ``history[row, m, j]`` is the
+      flat group row ``m * n_groups + g`` of message m's j-th survivor,
+      group g of its ``n_groups`` candidate subtrees;
     - :meth:`expand` hashes every leaf against every edge,
-      ``h(states[..., None], edges)``, and returns the children;
+      ``h(states[..., None], edges)``, and returns the children.  Given
+      ``select_beams``'s choice among the subtrees of the children
+      :meth:`score` last costed, it first gathers those subtrees' states
+      and path costs into ``states`` and ``costs`` as the new leaves, and
+      their rows into ``history``; :meth:`gather` does that alone, for
+      the search's last step;
     - :meth:`score` returns each child's branch cost over one spine
       position's received slots plus its leaf's cost, in numpy's operand
       order ``costs[..., None] + bc`` (``+ 0.0`` with no slots).
 
-    Each step checks only its own ``n_leaves`` and received panel (as
-    :func:`branch_costs` checks them; ``values`` and ``csi`` may be strided
-    views); a bad call raises ``ValueError``.  The returned arrays are
-    views of buffers the next step overwrites.
+    Each step checks its own arguments: the leaf count, the received
+    panel (as :func:`branch_costs` checks it; ``values`` and ``csi`` may be
+    strided views), and the selection's dtype, shape and history row; C
+    checks each selected subtree's index before it writes anything.  A bad
+    call raises ``ValueError``.  The returned arrays are views of buffers
+    the next step overwrites.
     """
 
     def __init__(self, module: ModuleType, hash_name: str, *,
                  levels: np.ndarray, c: int, is_bsc: bool, has_csi: bool,
-                 k: int, n_msgs: int, max_leaves: int):
+                 k: int, n_msgs: int, beam: int, group: int, n_steps: int):
         hash_id, metric = _metric(hash_name, levels, c, is_bsc, has_csi)
-        k = _check_count("k", k, 1, 16)
-        n_msgs = _check_count("n_msgs", n_msgs, 1, 1 << 31)
-        max_leaves = _check_count("max_leaves", max_leaves, 1, 1 << 31)
+        k, n_msgs, beam, group, n_steps = _check_search(
+            k, n_msgs, beam, group, n_steps)
         self._is_bsc, self._has_csi = is_bsc, has_csi
-        self._n_msgs, self._max_leaves, self._k = n_msgs, max_leaves, k
-        size = n_msgs * max_leaves
+        self._n_msgs, self._k = n_msgs, k
+        self._beam, self._group, self._n_steps = beam, group, n_steps
+        self._max_leaves = beam * group
+        self._scored = 0
+        size = n_msgs * self._max_leaves
         self.states = np.empty(size, dtype=np.uint32)
         self.costs = np.empty(size)
+        self.history = np.empty((n_steps, n_msgs, beam), dtype=np.int32)
         self._children = np.empty(size << k, dtype=np.uint32)
         self._totals = np.empty(size << k)
         ffi = module.ffi
@@ -480,22 +507,75 @@ class SpinalPasses:
         # through the cffi pointers
         children = ffi.from_buffer("uint32_t[]", self._children,
                                    require_writable=True)
+        totals = ffi.from_buffer("double[]", self._totals,
+                                 require_writable=True)
+        costs = ffi.from_buffer("double[]", self.costs, require_writable=True)
         self._expand = partial(
             lib.spinal_expand, hash_id, ffi.from_buffer("uint32_t[]", edges),
-            1 << k, ffi.from_buffer("uint32_t[]", self.states), children)
+            1 << k, n_msgs, group, beam,
+            ffi.from_buffer("uint32_t[]", self.states, require_writable=True),
+            costs, children, totals,
+            ffi.from_buffer("int32_t[]", self.history, require_writable=True))
         self._score = partial(
             lib.spinal_score, hash_id, metric,
             ffi.from_buffer("double[]", levels), int(c), k, n_msgs, children,
-            ffi.from_buffer("double[]", self.costs),
-            ffi.from_buffer("double[]", self._totals, require_writable=True))
+            costs, totals)
 
-    def expand(self, n_leaves: int) -> np.ndarray:
+    def _run(self, n_leaves: int | None, sel: object, row: object,
+             expand: int) -> int:
+        """Gather ``sel`` (if given) and expand (if ``expand``) in one C
+        call, after the checks; returns the leaves per message."""
+        ffi = self._ffi
+        if sel is None:
+            survivors = (ffi.NULL, 0, 0, 0)
+        else:
+            n_groups = (self._scored << self._k) // self._group
+            if not (isinstance(sel, np.ndarray) and sel.dtype == _INTP
+                    and sel.ndim == 2 and sel.shape[0] == self._n_msgs):
+                raise ValueError(f"sel must be an ({self._n_msgs}, n_keep) "
+                                 "intp array")
+            n_keep = sel.shape[1]
+            if not 1 <= n_keep <= min(self._beam, n_groups):
+                raise ValueError(f"sel keeps {n_keep} of {n_groups} "
+                                 f"subtrees; at most {self._beam} fit")
+            if n_leaves is None:
+                n_leaves = n_keep * self._group
+            elif n_leaves != n_keep * self._group:
+                raise ValueError(f"{n_keep} subtrees of {self._group} "
+                                 f"leaves are not {n_leaves} leaves")
+            row = _check_count("row", row, 0, self._n_steps - 1)
+            survivors = (ffi.from_buffer("int64_t[]",
+                                         np.ascontiguousarray(sel)),
+                         n_keep, n_groups, row)
+        if self._expand(n_leaves, *survivors, expand):
+            raise ValueError(f"sel names a subtree outside [0, "
+                             f"{survivors[2]})")
+        # the children are rehashed or their survivors taken: gather
+        # nothing more from them until score costs new ones
+        self._scored = 0
+        return n_leaves
+
+    def expand(self, n_leaves: int, sel: np.ndarray | None = None,
+               row: int = 0) -> np.ndarray:
         """Pass 1: the ``(n_msgs * n_leaves << k,)`` children of the first
-        ``n_leaves`` leaves of every message."""
-        n = self._n_msgs * _check_count("n_leaves", n_leaves, 1,
-                                        self._max_leaves)
-        self._expand(n)
-        return self._children[:n << self._k]
+        ``n_leaves`` leaves of every message.  With ``sel``, the leaves
+        are first gathered as :meth:`gather` gathers them, and
+        ``n_leaves`` must be ``sel.shape[1] * group``."""
+        n_leaves = _check_count("n_leaves", n_leaves, 1, self._max_leaves)
+        self._run(n_leaves, sel, row, 1)
+        return self._children[:self._n_msgs * n_leaves << self._k]
+
+    def gather(self, sel: np.ndarray, row: int) -> np.ndarray:
+        """The survivors ``sel`` of the children :meth:`score` last
+        costed, whose ``n_groups`` subtrees per message are runs of
+        ``group`` consecutive children: ``sel`` (n_msgs, n_keep) intp holds
+        ``select_beams``'s choice for each message, and subtree ``sel[m,
+        j]`` becomes leaves ``[j * group, (j + 1) * group)`` of message m
+        in ``states`` and ``costs`` and its flat group row ``m * n_groups +
+        sel[m, j]`` becomes ``history[row, m, j]``.  Returns the new
+        leaves' path costs, ``(n_msgs, n_keep * group)``."""
+        n_leaves = self._run(None, sel, row, 0)
+        return self.costs[:self._n_msgs * n_leaves].reshape(self._n_msgs, -1)
 
     def score(self, n_leaves: int, slots: np.ndarray, values: np.ndarray,
               csi: np.ndarray | None) -> np.ndarray:
@@ -519,6 +599,7 @@ class SpinalPasses:
         else:
             panel = (ffi.NULL, 0, ffi.NULL, ffi.NULL)
         self._score(n_leaves, *panel)
+        self._scored = n_leaves
         return self._totals[:self._n_msgs * n_leaves << self._k]
 
 
@@ -653,6 +734,24 @@ def _check_count(name: str, value: object, least: int,
         raise ValueError(f"{name} must be an integer in [{least}, "
                          f"{'inf' if most is None else most}], got {value!r}")
     return int(value)
+
+
+def _check_search(k: object, n_msgs: object, beam: object, group: object,
+                  n_steps: object) -> tuple[int, ...]:
+    """A bubble search's shape: ``2^k`` children per leaf, ``n_msgs``
+    messages of at most ``beam`` subtrees of ``group`` leaves (``2^31``
+    leaves at most), and ``n_steps`` pruning steps, whose flat group rows
+    (below ``n_msgs * beam << k``) must fit the int32 history."""
+    k = _check_count("k", k, 1, 16)
+    n_msgs = _check_count("n_msgs", n_msgs, 1, 1 << 31)
+    beam = _check_count("beam", beam, 1, 1 << 31)
+    group = _check_count("group", group, 1, (1 << 31) // beam)
+    n_steps = _check_count("n_steps", n_steps, 1, 1 << 31)
+    if n_msgs * beam << k > 1 << 31:
+        raise ValueError(f"{n_msgs} messages of {beam} subtrees with "
+                         f"{1 << k} children each overflow the int32 "
+                         "history")
+    return k, n_msgs, beam, group, n_steps
 
 
 def choice_draw(module: ModuleType, rng: np.random.Generator, n: int,

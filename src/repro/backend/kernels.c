@@ -20,6 +20,13 @@
  * multiplying by +-1 read through a pointer, since the compiler turns a
  * multiply by a known -1.0 into a negation, which flips a NaN's sign bit.
  *
+ * Array pointers are restrict-qualified wherever a loop reads one array
+ * and writes another: the wrappers in ckernels.py hand every call buffers
+ * they own or allocate, so an output never overlaps an input.  Without
+ * that promise the compiler must assume a store into the output may
+ * change the levels or costs the next iteration reads, and it leaves the
+ * branch-cost loops scalar.
+ *
  * Random draws call numpy's own bounded-integer functions, linked from
  * numpy's libnpyrandom, on the caller's bit generator, so the draws and
  * the generator's final state are numpy's.
@@ -254,12 +261,14 @@ static inline void accumulate(double *acc, double term, int first)
  * adds its parent's cost, parents[m * (n_states >> k) + (i >> k)] for
  * state i of message m, as the bubble search's leaf + bc (the parent is
  * the first operand; with no slots the cost is parent + 0.0). */
-static void score_states(int hash_id, int metric, const uint32_t *states,
-                         int64_t n_msgs, int64_t n_states,
-                         const uint32_t *slots, int64_t n_slots,
-                         const double *values, const double *csi,
-                         const double *levels, int c,
-                         const double *parents, int k, double *out)
+static void score_states(int hash_id, int metric,
+                         const uint32_t *restrict states, int64_t n_msgs,
+                         int64_t n_states, const uint32_t *restrict slots,
+                         int64_t n_slots, const double *restrict values,
+                         const double *restrict csi,
+                         const double *restrict levels, int c,
+                         const double *restrict parents, int k,
+                         double *restrict out)
 {
     const uint32_t mask = (1u << c) - 1u;
     const int64_t v_width = metric == METRIC_BSC ? 1 : 2;
@@ -322,10 +331,11 @@ static void score_states(int hash_id, int metric, const uint32_t *states,
 
 /* The fused branch costs alone: score_states without parents, for
  * n_slots >= 1. */
-void branch_costs(int hash_id, int metric, const uint32_t *states,
-                  int64_t n_msgs, int64_t n_states, const uint32_t *slots,
-                  int64_t n_slots, const double *values, const double *csi,
-                  const double *levels, int c, double *out)
+void branch_costs(int hash_id, int metric, const uint32_t *restrict states,
+                  int64_t n_msgs, int64_t n_states,
+                  const uint32_t *restrict slots, int64_t n_slots,
+                  const double *restrict values, const double *restrict csi,
+                  const double *restrict levels, int c, double *restrict out)
 {
     score_states(hash_id, metric, states, n_msgs, n_states, slots, n_slots,
                  values, csi, levels, c, 0, 0, out);
@@ -333,24 +343,66 @@ void branch_costs(int hash_id, int metric, const uint32_t *states,
 
 /* ---- one bubble-search step: repro.core.decoder.BubbleDecoder ---- */
 
-/* Pass 1: children[l * n_edges + e] = h(leaves[l], edges[e]) for the
- * n_leaves leaves of every message, the tree expansion
- * h(leaves[..., None], edges). */
-void spinal_expand(int hash_id, const uint32_t *edges, int64_t n_edges,
-                   const uint32_t *leaves, uint32_t *children,
-                   int64_t n_leaves)
+/* Pass 1: gather the survivors, then expand them.
+ *
+ * With sel, each message's leaves first become the survivors that
+ * select_beams chose among the children spinal_score last costed, where
+ * n_groups groups of `group` consecutive children belong to each message:
+ * survivor j of message m, group g = sel[m * n_keep + j] at flat group
+ * row r = m * n_groups + g, copies children and totals [r * group, +group)
+ * to leaves and costs [(m * n_keep + j) * group, +group), and
+ * history[(row * n_msgs + m) * beam + j] = r records it for backtracking.
+ * n_leaves is then n_keep * group.  A survivor outside [0, n_groups)
+ * returns -1 before anything is written.
+ *
+ * Then, when expand is set, children[l * n_edges + e] = h(leaves[l],
+ * edges[e]) for the n_leaves leaves of every message, the tree expansion
+ * h(leaves[..., None], edges).  The last step's survivors are gathered
+ * with expand unset. */
+int spinal_expand(int hash_id, const uint32_t *restrict edges,
+                  int64_t n_edges, int64_t n_msgs, int64_t group,
+                  int64_t beam, uint32_t *restrict leaves,
+                  double *restrict costs, uint32_t *restrict children,
+                  const double *restrict totals, int32_t *restrict history,
+                  int64_t n_leaves, const int64_t *restrict sel,
+                  int64_t n_keep, int64_t n_groups, int64_t row, int expand)
 {
-    spine_hash(hash_id, leaves, 0, edges, children, n_leaves, n_edges);
+    if (sel) {
+        for (int64_t i = 0; i < n_msgs * n_keep; ++i)
+            if ((uint64_t)sel[i] >= (uint64_t)n_groups)
+                return -1;
+        for (int64_t m = 0; m < n_msgs; ++m) {
+            int32_t *hist = history + (row * n_msgs + m) * beam;
+            for (int64_t j = 0; j < n_keep; ++j) {
+                const int64_t r = m * n_groups + sel[m * n_keep + j];
+                const uint32_t *from_state = children + r * group;
+                const double *from_cost = totals + r * group;
+                uint32_t *to_state = leaves + (m * n_keep + j) * group;
+                double *to_cost = costs + (m * n_keep + j) * group;
+                hist[j] = (int32_t)r;
+                for (int64_t w = 0; w < group; ++w) {
+                    to_state[w] = from_state[w];
+                    to_cost[w] = from_cost[w];
+                }
+            }
+        }
+    }
+    if (expand)
+        spine_hash(hash_id, leaves, 0, edges, children, n_msgs * n_leaves,
+                   n_edges);
+    return 0;
 }
 
 /* Pass 2: totals (n_msgs, n_leaves << k) = parents (n_msgs, n_leaves),
  * repeated over each leaf's 2^k children, + the branch costs of children
  * over one spine position's slots (none at a punctured position). */
-void spinal_score(int hash_id, int metric, const double *levels, int c,
-                  int k, int64_t n_msgs, const uint32_t *children,
-                  const double *parents, double *totals, int64_t n_leaves,
-                  const uint32_t *slots, int64_t n_slots,
-                  const double *values, const double *csi)
+void spinal_score(int hash_id, int metric, const double *restrict levels,
+                  int c, int k, int64_t n_msgs,
+                  const uint32_t *restrict children,
+                  const double *restrict parents, double *restrict totals,
+                  int64_t n_leaves, const uint32_t *restrict slots,
+                  int64_t n_slots, const double *restrict values,
+                  const double *restrict csi)
 {
     score_states(hash_id, metric, children, n_msgs, n_leaves << k, slots,
                  n_slots, values, csi, levels, c, parents, k, totals);

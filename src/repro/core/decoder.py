@@ -25,11 +25,14 @@ selects each message's best ``B`` subtrees with its own ``argpartition``
 row.  Backtracking records the surviving subtrees per step (one compact
 ``(M, B)`` index array); missing spine positions (puncturing) simply
 contribute zero branch cost, which matches §5 exactly.  The hashing and
-scoring are the two passes of :func:`repro.backend.spinal_passes`,
-compiled C where it builds: ``expand`` hashes the children and ``score``
-adds each leaf's cost to its children's branch costs.  The leaf, child,
-cost and survivor buffers are allocated once per decoder and cohort size
-and reused by the cohort's later attempts.
+scoring are the passes of :func:`repro.backend.spinal_passes`, compiled C
+where it builds: ``expand`` gathers the subtrees the previous step
+selected (their states, path costs and history row) and hashes their
+children, ``score`` adds each leaf's cost to its children's branch costs,
+and ``gather`` takes the last step's survivors.  Only the selection (and
+the subtree minima at ``d > 1``) runs in numpy between the passes.  The
+passes' leaf, child, cost and survivor buffers are allocated once per
+decoder and cohort size and reused by the cohort's later attempts.
 
 Messages never mix: branch costs keep the slot axis leading (the same
 reduction order for every row), and selection and the final argmin work
@@ -92,7 +95,7 @@ class BubbleDecoder:
         # (and the full-ML limit) working through the same code path.
         self.d = min(decoder_params.d, self.n_spine)
         self._W = (1 << self.k) ** (self.d - 1)
-        self._buffers: tuple | None = None
+        self._passes: tuple | None = None
 
     def decode(self, received: ReceivedSymbols | BatchReceivedView) -> DecodeResult:
         """Decode one message: a whole store, or a one-row view of one."""
@@ -102,29 +105,24 @@ class BubbleDecoder:
             raise ValueError("decode takes one message; use decode_batch")
         return self._search(received)[0]
 
-    def _search_buffers(self, M: int, has_csi: bool) -> tuple:
-        """The step passes and the survivors' history for a search over M
-        messages.  Searches reuse both while M, the CSI mode and the kernel
-        path repeat, as they do over most of a cohort's attempts, so the
-        hash and metric are checked, and the buffers' pages faulted in, once
-        rather than at every attempt."""
+    def _search_passes(self, M: int, has_csi: bool):
+        """The step passes, with their leaf, child, cost and survivor
+        buffers, for a search over M messages.  Searches reuse them while
+        M, the CSI mode and the kernel path repeat, as they do over most of
+        a cohort's attempts, so the hash and metric are checked, and the
+        buffers' pages faulted in, once rather than at every attempt."""
         key = (M, has_csi, ckernels.load() is not None)
-        if self._buffers is None or self._buffers[0] != key:
+        if self._passes is None or self._passes[0] != key:
             K, d = 1 << self.k, self.d
             # The i-th pruning step keeps at most min(B, K^i) subtrees.
             n_pruning = self.n_spine - d + 1
-            max_beam = min(self.dec.B, K ** min(n_pruning, 32))
             passes = spinal_passes(
                 self.params.hash_name, levels=self._levels, c=self.params.c,
                 is_bsc=self.params.is_bsc, has_csi=has_csi, k=self.k,
-                n_msgs=M, max_leaves=max_beam * self._W)
-            # survivor rows are below M * max_beam * K: int32 halves the
-            # history's memory wherever that fits
-            rows = M * max_beam * K
-            history = np.empty((n_pruning, M, max_beam), dtype=np.int32
-                               if rows <= np.iinfo(np.int32).max else np.intp)
-            self._buffers = (key, passes, history)
-        return self._buffers[1:]
+                n_msgs=M, beam=min(self.dec.B, K ** min(n_pruning, 32)),
+                group=self._W, n_steps=n_pruning)
+            self._passes = (key, passes)
+        return self._passes[1]
 
     def _search(self, received: BatchReceivedView) -> list[DecodeResult]:
         """The bubble search over every message of ``received``."""
@@ -132,7 +130,7 @@ class BubbleDecoder:
             raise ValueError("received-symbol store has mismatched spine length")
         k, K, d, W = self.k, 1 << self.k, self.d, self._W
         M, B = received.n_rows, self.dec.B
-        passes, history = self._search_buffers(M, received.has_csi)
+        passes = self._search_passes(M, received.has_csi)
         states, costs = passes.states, passes.costs
         # Kernel timing accumulates in locals and flushes once at the end
         # (repro.obs hot-loop discipline: disabled cost is one branch per
@@ -142,17 +140,18 @@ class BubbleDecoder:
 
         # One spine position per step.  The first d-1 steps expand the
         # tree unpruned (the initial partial tree of Figure 4-1(a)); every
-        # later step prunes to B subtrees of W leaves each.  n_leaves is
-        # the number of leaves per message entering a step.
+        # later step prunes to B subtrees of W leaves each, which the next
+        # step's expand gathers from the children before hashing them.
+        # n_leaves is the number of leaves per message entering a step.
         states[:M] = self.params.s0
         costs[:M] = 0.0
         n_leaves = 1
-        kept_hist: list[np.ndarray] = []
+        sel, row, n_kept = None, 0, []
         for step in range(self.n_spine):
             panel = received.for_spine(step)
             if _on:
                 t0 = clock()
-            children = passes.expand(n_leaves)
+            children = passes.expand(n_leaves, sel, row)
             if _on:
                 t1 = clock()
             totals = passes.score(n_leaves, *panel)
@@ -168,31 +167,24 @@ class BubbleDecoder:
             # Flat child index w*K+e spells the d base-2^k path digits with
             # the first edge most significant, so a row-major reshape to
             # (K, W) groups children by first edge = candidate subtree.
-            # Subtree j = parent*K + edge of message m is row
-            # m*n_beam*K + j of the (M*n_beam*K, W) arrays, so one take
-            # gathers the survivors of every message.
             n_groups = n_leaves // W * K
-            totals = totals.reshape(M * n_groups, W)
-            group_costs = totals if W == 1 else totals.min(axis=1)
+            group_costs = (totals if W == 1 else
+                           totals.reshape(M * n_groups, W).min(axis=1))
             sel = select_beams(group_costs.reshape(M, n_groups), B)
-            n_beam = sel.shape[1]
-            n_leaves = n_beam * W
-            kept = sel + np.arange(0, M * n_groups, n_groups)[:, None]
-            children.reshape(M * n_groups, W).take(
-                kept, axis=0, out=states[:M * n_leaves].reshape(M, n_beam, W),
-                mode="clip")
-            totals.take(kept, axis=0,
-                        out=costs[:M * n_leaves].reshape(M, n_beam, W),
-                        mode="clip")
-            kept_hist.append(history[step - (d - 1), :, :n_beam])
-            kept_hist[-1][...] = kept
+            row = step - (d - 1)
+            n_kept.append(sel.shape[1])
+            n_leaves = sel.shape[1] * W
             if _on:
                 t_sel += clock() - t2
         if _on:
-            OBS.add_time("kernel.hash", t_hash, self.n_spine)
+            t0 = clock()
+        leaf_costs = passes.gather(sel, row)
+        if _on:
+            OBS.add_time("kernel.hash", t_hash + clock() - t0, self.n_spine)
             OBS.add_time("kernel.branch_cost", t_bc, self.n_spine)
-            OBS.add_time("kernel.select", t_sel, len(kept_hist))
-        leaf_costs = costs[:M * n_leaves].reshape(M, n_leaves)
+            OBS.add_time("kernel.select", t_sel, len(n_kept))
+        kept_hist = [passes.history[i, :, :n_beam]
+                     for i, n_beam in enumerate(n_kept)]
 
         # Best leaf and backtrack, per message.  Beams are numbered across
         # the cohort (beam b of message m is m*n_beam + b), so kept row

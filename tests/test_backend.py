@@ -18,7 +18,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.backend import branch_costs_batch, ckernels, get_backend, hash_kernel
+from repro.backend import (
+    _NumpyPasses,
+    branch_costs_batch,
+    ckernels,
+    get_backend,
+    hash_kernel,
+    select_beams,
+)
 from repro.channels import AWGNChannel, BSCChannel
 from repro.core.decoder import BatchBubbleDecoder
 from repro.core.encoder import BatchSpinalEncoder
@@ -47,8 +54,9 @@ from reference_decoder import reference_decode
 #: Where the compiled kernels are entered: ``ckernels`` functions and
 #: classes, and the two passes of a bubble-search step by ``Class.method``.
 _COMPILED_ENTRY_POINTS = ("spine_hash", "branch_costs", "SpinalPasses.expand",
-                          "SpinalPasses.score", "bcjr_recursion", "BpPasses",
-                          "lt_draw", "choice_draw")
+                          "SpinalPasses.score", "SpinalPasses.gather",
+                          "bcjr_recursion", "BpPasses", "lt_draw",
+                          "choice_draw")
 
 
 def _owner(name):
@@ -540,7 +548,8 @@ class TestCompiledStep:
                 passes = ckernels.SpinalPasses(
                     ckernels.load(), hash_name, levels=levels, c=c,
                     is_bsc=metric == "bsc", has_csi=csi is not None, k=k,
-                    n_msgs=n_msgs, max_leaves=n_leaves + spare)
+                    n_msgs=n_msgs, beam=n_beam + spare, group=K ** (d - 1),
+                    n_steps=1)
                 passes.states[:leaves.size] = leaves.ravel()
                 passes.costs[:parents.size] = parents.ravel()
                 children = passes.expand(n_leaves)
@@ -553,6 +562,110 @@ class TestCompiledStep:
             totals, want = (np.where(np.isnan(x), np.nan, x)
                             for x in (totals, want))
         assert np.array_equal(_bits(totals), _bits(want))
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           hash_name=st.sampled_from(sorted(GOLDEN_VECTORS)),
+           metric=st.sampled_from(["awgn", "csi", "bsc"]),
+           n_msgs=st.integers(1, 3), k=st.integers(1, 3),
+           d=st.integers(1, 2), beam=st.integers(1, 6),
+           n_steps=st.integers(1, 4),
+           selection=st.lists(st.sampled_from(
+               ["argpartition", "identity", "random"]), min_size=4,
+               max_size=4),
+           n_slots=st.integers(0, 4), c=st.integers(1, 6),
+           n_special=st.integers(0, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_gather_and_expand_match_numpy_passes(
+            self, seed, hash_name, metric, n_msgs, k, d, beam, n_steps,
+            selection, n_slots, c, n_special):
+        """``n_steps`` pruning steps and the final gather on the compiled
+        passes and on ``_NumpyPasses``, fed the same leaves, panels and
+        selections.  Children, gathered states and the survivors' history
+        agree byte for byte over the whole buffers, so nothing is written
+        outside a message's rows; each path's gathered costs are its own
+        step's totals byte for byte; and the two paths' costs agree bit for
+        bit except for which NaN a NaN entry holds (from the second step
+        on, a NaN parent cost meets NaN branch costs, where numpy's own
+        ``leaf + bc`` picks a NaN by position).  Each step keeps between
+        one subtree and all of them, so the cohort's history rows are
+        strided whenever it keeps fewer than ``beam``; selections are
+        ``select_beams``'s, its identity of the early steps (all subtrees in
+        order, as a broadcast view) or a random permutation prefix."""
+        if ckernels.load() is None:
+            pytest.skip("compiled kernels unavailable here")
+        rng = np.random.default_rng(seed)
+        K, W = 1 << k, (1 << k) ** (d - 1)
+        if metric == "bsc":
+            c, levels = 1, np.array([-1.0, 1.0])
+        else:
+            levels = np.sort(rng.normal(size=1 << c))
+        search = dict(levels=levels, c=c, is_bsc=metric == "bsc",
+                      has_csi=metric == "csi", k=k, n_msgs=n_msgs, beam=beam,
+                      group=W, n_steps=n_steps)
+        both = (ckernels.SpinalPasses(ckernels.load(), hash_name, **search),
+                _NumpyPasses(hash_name, **search))
+        # the buffers start equal, so a stray write shows as a difference
+        for p in both:
+            p.states[:] = 7
+            p.costs[:] = -3.0
+            p.history[:] = -5
+        n_leaves = int(rng.integers(1, beam + 1)) * W
+        leaves = rng.integers(0, 2**32, size=n_msgs * n_leaves,
+                              dtype=np.uint32)
+        parents = _special_costs(rng, n_msgs * n_leaves, n_special)
+        for p in both:
+            p.states[:leaves.size] = leaves
+            p.costs[:parents.size] = parents
+
+        def same(a, b, nan_free=False):
+            if nan_free:
+                a, b = (np.where(np.isnan(x), np.nan, x) for x in (a, b))
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+        def gathered(sel, totals):
+            """The compiled path's leaves and costs are its own step's."""
+            n = sel.size * W
+            groups = np.arange(n_msgs)[:, None] * n_groups + sel
+            same(both[0].costs[:n], totals.reshape(-1, W)[groups].ravel())
+            same(*(p.states for p in both))
+            same(*(p.costs for p in both), nan_free=True)
+            same(*(p.history for p in both))
+
+        sel = None
+        with np.errstate(all="ignore"):
+            for row in range(n_steps):
+                children = [p.expand(n_leaves, sel, row - 1) for p in both]
+                if sel is not None:
+                    gathered(sel, totals[0])
+                same(*children)
+                slots = rng.integers(0, 2**32, size=n_slots, dtype=np.uint32)
+                wide = (n_msgs, n_slots + 2)
+                values = _received(rng, wide, n_special)[:, :n_slots]
+                if metric == "bsc":
+                    values = values.real
+                csi = (_received(rng, wide, n_special)[:, :n_slots]
+                       if metric == "csi" else None)
+                totals = [p.score(n_leaves, slots, values, csi).copy()
+                          for p in both]
+                same(*totals, nan_free=True)
+                n_groups = n_leaves // W * K
+                n_keep = int(rng.integers(1, min(beam, n_groups) + 1))
+                how = selection[row]
+                if how == "identity" and n_groups <= beam:
+                    sel = select_beams(np.zeros((n_msgs, n_groups)), beam)
+                elif how == "random":
+                    sel = np.stack([rng.permutation(n_groups)[:n_keep]
+                                    for _ in range(n_msgs)])
+                else:
+                    group_costs = totals[1].reshape(-1, W).min(axis=1)
+                    sel = select_beams(group_costs.reshape(n_msgs, n_groups),
+                                       n_keep)
+                n_leaves = sel.shape[1] * W
+            final = [p.gather(sel, n_steps - 1) for p in both]
+        gathered(sel, totals[0])
+        same(*final, nan_free=True)
+        assert final[0].shape == (n_msgs, n_leaves)
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +773,7 @@ class TestCrossBackendDecode:
                     self._assert_equal_results(ref, dec.decode(one))
             # both passes of every step ran compiled, and none on numpy
             if path == "compiled":
-                assert {"expand", "score"} <= set(calls)
+                assert {"expand", "score", "gather"} <= set(calls)
             else:
                 assert calls == []
 

@@ -209,10 +209,15 @@ def test_bsc_branch_costs_reject_csi_but_not_levels():
 
 def _step_search():
     """A good search for ``ckernels.SpinalPasses``: AWGN, 2 messages of up
-    to 3 leaves with 4 children each."""
+    to 3 one-leaf subtrees with 4 children each, over 2 pruning steps."""
     return {"hash_name": "lookup3", "levels": np.linspace(-1.0, 1.0, 8),
             "c": 3, "is_bsc": False, "has_csi": False, "k": 2, "n_msgs": 2,
-            "max_leaves": 3}
+            "beam": 3, "group": 1, "n_steps": 2}
+
+
+#: A good step of that search: 3 leaves per message, AWGN panel of 3 slots.
+_STEP = {"n_leaves": 3, "slots": np.arange(3, dtype=np.uint32),
+         "values": np.zeros((2, 3), dtype=np.complex128), "csi": None}
 
 
 @pytest.mark.parametrize("name, bad", [
@@ -226,8 +231,13 @@ def _step_search():
     ("k", lambda k: 17),
     ("k", lambda k: 2.0),
     ("n_msgs", lambda n: 0),
-    ("max_leaves", lambda n: 0),
-    ("max_leaves", lambda n: None),
+    ("beam", lambda n: 0),
+    ("beam", lambda n: None),
+    # flat group rows past int32: 2 messages of 2^30 subtrees, 4 children
+    ("beam", lambda n: 1 << 30),
+    ("group", lambda n: 0),
+    ("group", lambda n: 1 << 30),
+    ("n_steps", lambda n: 0),
 ])
 def test_bad_step_searches_raise_before_reaching_c(name, bad):
     call = _step_search()
@@ -261,8 +271,7 @@ def test_bad_steps_raise_before_reaching_c(name, bad):
     cffi = pytest.importorskip("cffi")
     passes = ckernels.SpinalPasses(
         SimpleNamespace(ffi=cffi.FFI(), lib=_FAKE.lib), **_step_search())
-    step = {"n_leaves": 3, "slots": np.arange(3, dtype=np.uint32),
-            "values": np.zeros((2, 3), dtype=np.complex128), "csi": None}
+    step = dict(_STEP)
     with pytest.raises(AssertionError, match="reached the C kernel"):
         passes.score(**step)
     with pytest.raises(AssertionError, match="reached the C kernel"):
@@ -273,6 +282,85 @@ def test_bad_steps_raise_before_reaching_c(name, bad):
     if name == "n_leaves":
         with pytest.raises(ValueError):
             passes.expand(step["n_leaves"])
+
+
+def _scored_passes():
+    """Passes on a fake kernel whose score pass returns at once, after one
+    good score of 3 leaves per message: 12 subtrees of one leaf each."""
+    cffi = pytest.importorskip("cffi")
+    lib = SimpleNamespace(spinal_score=lambda *args: None,
+                          spinal_expand=_reached_c)
+    passes = ckernels.SpinalPasses(SimpleNamespace(ffi=cffi.FFI(), lib=lib),
+                                   **_step_search())
+    passes.score(**_STEP)
+    return passes
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("sel", lambda a: a.astype(np.int32)),
+    ("sel", lambda a: a.astype(np.uint64)),
+    ("sel", lambda a: a.astype(np.float64)),
+    ("sel", lambda a: a.ravel()),
+    ("sel", lambda a: a[:1]),
+    ("sel", lambda a: a[None]),
+    ("sel", lambda a: a[:, :0]),
+    ("sel", lambda a: np.arange(8).reshape(2, 4)),
+    ("sel", lambda a: a.tolist()),
+    ("row", lambda r: -1),
+    ("row", lambda r: 2),
+    ("row", lambda r: 0.0),
+])
+def test_bad_selections_raise_before_reaching_c(name, bad):
+    """The survivors' gather checks the selection's dtype, shape and kept
+    count (1 to ``beam`` subtrees per message, no more than the scored step
+    has) and the history row, in :meth:`expand` and :meth:`gather` alike;
+    the good gather they start from reaches C."""
+    good = {"sel": np.array([[0, 5], [11, 3]]), "row": 1}
+    for method, args in (("gather", ()), ("expand", (2,))):
+        with pytest.raises(AssertionError, match="reached the C kernel"):
+            getattr(_scored_passes(), method)(*args, **good)
+        with pytest.raises(ValueError):
+            getattr(_scored_passes(), method)(
+                *args, **dict(good, **{name: bad(good[name])}))
+
+
+def test_gathers_need_a_scored_step_and_matching_leaves():
+    """Nothing is gathered before a step is scored, and ``expand``'s leaf
+    count must be the kept subtrees' leaves."""
+    cffi = pytest.importorskip("cffi")
+    passes = ckernels.SpinalPasses(
+        SimpleNamespace(ffi=cffi.FFI(), lib=_FAKE.lib), **_step_search())
+    sel = np.array([[0], [1]])
+    with pytest.raises(ValueError):
+        passes.gather(sel, 0)
+    with pytest.raises(ValueError):
+        passes.expand(1, sel, 0)
+    with pytest.raises(ValueError):
+        _scored_passes().expand(3, sel, 0)
+
+
+def test_out_of_range_subtrees_are_refused_before_any_write():
+    """C checks every selected subtree against the scored step's count and
+    writes nothing when one is out of range; a good gather writes its
+    history row, and a second gather from the same step is refused."""
+    _require_compiler()
+    passes = ckernels.SpinalPasses(ckernels.load(), **_step_search())
+    passes.states[:] = np.arange(6, dtype=np.uint32)
+    passes.costs[:] = 0.5
+    passes.history[:] = -1
+    passes.expand(3)
+    passes.score(**_STEP)
+    before = [a.copy() for a in (passes.states, passes.costs, passes.history)]
+    for bad in ([[0, 12], [1, 2]], [[0, 1], [-1, 2]]):
+        with pytest.raises(ValueError, match="outside"):
+            passes.gather(np.array(bad), 0)
+        for a, b in zip((passes.states, passes.costs, passes.history),
+                        before):
+            assert a.tobytes() == b.tobytes()
+    passes.gather(np.array([[0, 11], [4, 2]]), 1)
+    assert passes.history[1].tolist() == [[0, 11, -1], [16, 14, -1]]
+    with pytest.raises(ValueError):
+        passes.gather(np.array([[0, 11], [4, 2]]), 1)
 
 
 def test_target_cpu_keys_the_cache(monkeypatch):
@@ -504,11 +592,11 @@ def test_store_bytes_match_on_both_recursions(tmp_path, monkeypatch):
                 spinal))
     assert {p.kind for p in spec.points} == {"measure", "link"}
     assert any(p.channel.kind == "rayleigh" for p in spinal)
-    # the bubble search enters the kernels through its two step passes,
+    # the bubble search enters the kernels through its step passes,
     # the encoders through the spine hash
     calls = {"bcjr_recursion": 0, "SpinalPasses.expand": 0,
-             "SpinalPasses.score": 0, "spine_hash": 0, "BpPasses": 0,
-             "lt_draw": 0, "choice_draw": 0}
+             "SpinalPasses.score": 0, "SpinalPasses.gather": 0,
+             "spine_hash": 0, "BpPasses": 0, "lt_draw": 0, "choice_draw": 0}
 
     def counted(name, compiled):
         def wrapper(*args, **kwargs):
