@@ -43,12 +43,7 @@ from repro.core import (
     SpinalEncoder,
     SpinalParams,
 )
-from repro.link import (
-    Flow,
-    LinkConfig,
-    LinkScheduler,
-    LinkSession,
-)
+from repro.link import LinkConfig, LinkSession
 from repro.simulation import (
     BatchSession,
     RateMeasurement,
@@ -84,8 +79,6 @@ __all__ = [
     "SpinalScheme",
     "LinkConfig",
     "LinkSession",
-    "LinkScheduler",
-    "Flow",
     "RateMeasurement",
     "measure_scheme",
     "measure_spinal_rate",

@@ -1,21 +1,20 @@
 """Shared-medium time model for link-level simulation (paper §5, §8.4).
 
 The paper's protocol reasoning is in *symbol times*: every constellation
-symbol occupies one channel use, feedback comes back after a configurable
-number of symbol times, and when several flows share a medium their
-symbols interleave on a single clock.  :class:`SharedChannel` wraps any
-:class:`~repro.channels.base.Channel` with exactly that bookkeeping:
+symbol occupies one channel use, and feedback comes back after a
+configurable number of symbol times.  :class:`SharedChannel` wraps any
+:class:`~repro.channels.base.Channel` with exactly that bookkeeping for a
+:class:`~repro.link.LinkSession`:
 
 - a monotone **symbol clock** (``time``) that advances by one per symbol
   transmitted, and can be advanced explicitly while the medium idles
-  (e.g. a sender with nothing to send waiting out its feedback delay);
-- a **conservation counter** (``symbols_sent``) so multi-flow schedulers
-  can assert that per-flow accounting sums to the channel total.
+  (a sender with nothing to send waiting out its feedback delay);
+- a **conservation counter** (``symbols_sent``), so a flow's per-packet
+  symbol counts can be checked to sum to the channel total.
 
 Because the wrapped channel is driven in strict transmission order, stateful
-models (Rayleigh block fading) evolve correctly across interleaved flows:
-a flow transmitting during another flow's deep fade sees that same fade,
-which is what makes shared-medium scheduling experiments meaningful.
+models (Rayleigh block fading) evolve across a session's packets exactly as
+they do across one packet's subpasses.
 """
 
 from __future__ import annotations
@@ -36,14 +35,14 @@ class SharedChannel(Channel):
     """
 
     memoryless = False
-    private_state = False  # the symbol clock is shared *across* flows: never batch
+    private_state = False  # the link layer reads its symbol clock: never batch
 
     def __init__(self, inner: Channel):
         self.inner = inner
         self.complex_valued = inner.complex_valued
         self.reports_csi = inner.reports_csi
         self.time = 0           # symbol clock (symbol times since start)
-        self.symbols_sent = 0   # total symbols transmitted by all flows
+        self.symbols_sent = 0   # total symbols transmitted
 
     def transmit(self, symbols: np.ndarray) -> ChannelOutput:
         """Transmit a block; the clock advances one unit per symbol."""

@@ -12,11 +12,11 @@ footnote.
 Layers (each module's docstring maps its mechanics to the paper):
 
 - :mod:`~repro.link.protocol` — per-packet ARQ state machine
-  (:class:`LinkSession`, :class:`PacketTransmitter`), framed or oracle.
-- :mod:`~repro.link.scheduler` — N flows sharing one fading medium under
-  round-robin or priority service (:class:`LinkScheduler`, :class:`Flow`).
+  (:class:`PacketTransmitter`, whose ``run`` is the one stepping loop) and
+  a flow of packets sent back to back on one channel
+  (:class:`LinkSession`), framed or oracle.
 - :mod:`~repro.link.stats` — goodput, latency percentiles, waste and
-  retransmission counters (:class:`FlowStats`, :class:`LinkReport`).
+  retransmission counters over a flow's packets (:class:`FlowStats`).
 
 The experiment orchestrator runs one seeded :class:`LinkSession` flow per
 ``link`` point (:mod:`repro.experiments.orchestrator`).
@@ -29,8 +29,7 @@ from repro.link.protocol import (
     PacketTransmitter,
     payload_for,
 )
-from repro.link.scheduler import Flow, LinkScheduler
-from repro.link.stats import FlowStats, LinkReport
+from repro.link.stats import FlowStats
 
 __all__ = [
     "LinkConfig",
@@ -38,8 +37,5 @@ __all__ = [
     "PacketResult",
     "PacketTransmitter",
     "payload_for",
-    "Flow",
-    "LinkScheduler",
     "FlowStats",
-    "LinkReport",
 ]

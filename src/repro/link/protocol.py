@@ -21,9 +21,10 @@ real costs on top:
 
 Both modes run the same per-subpass loop the paper's receiver runs
 (``probe_growth=1`` semantics): transmit one subpass, attempt a decode,
-feed the verdict back.  Time is measured on the shared symbol clock of
-:class:`~repro.channels.shared.SharedChannel`, so several transmitters can
-interleave on one medium under :mod:`repro.link.scheduler`.
+feed the verdict back.  Time is measured on the symbol clock of
+:class:`~repro.channels.shared.SharedChannel`: it times the feedback in
+flight, and a session's packets follow one another on it, so a stateful
+medium (fading) evolves across packets as it does across subpasses.
 """
 
 from __future__ import annotations
@@ -59,8 +60,6 @@ class LinkConfig:
     max_block_bits: framing block-size cap (1024 in the paper, §6).
     feedback_delay: symbol times between the receiver detecting a decode
         and the sender learning of it (§8.4's overhead knob; 0 = ideal).
-    decode_interval: attempt a decode every j-th subpass; 1 matches the
-        paper's "attempt after each subpass" receiver.
     give_csi: CSI policy forwarded to the decoder (see
         :func:`repro.simulation.engine.received_view`).
     """
@@ -68,14 +67,11 @@ class LinkConfig:
     framing: bool = True
     max_block_bits: int = 1024
     feedback_delay: int = 0
-    decode_interval: int = 1
     give_csi: bool | str = False
 
     def __post_init__(self):
         if self.feedback_delay < 0:
             raise ValueError("feedback_delay must be >= 0 symbol times")
-        if self.decode_interval < 1:
-            raise ValueError("decode_interval must be >= 1")
 
 
 @dataclass
@@ -188,9 +184,9 @@ class _FramedReceiver:
 
 
 class PacketTransmitter:
-    """One packet's sender+receiver pair on a shared symbol clock.
+    """One packet's sender+receiver pair on the link's symbol clock.
 
-    The scheduler drives this stepwise: :meth:`poll` applies any feedback
+    :meth:`run` drives this stepwise: :meth:`poll` applies any feedback
     whose flight time has elapsed, :meth:`step` transmits one subpass for
     every block the *sender still believes* is pending (the receiver may
     already have them — that gap is the §8.4 feedback-delay waste), then
@@ -241,23 +237,14 @@ class PacketTransmitter:
     # -- state queries ----------------------------------------------------
 
     @property
-    def done(self) -> bool:
-        return self.result is not None
-
-    @property
     def can_send(self) -> bool:
         """True while the sender has subpasses left and no full ACK."""
         return (self.result is None
                 and self.subpass < self.max_subpasses
                 and not all(self._sender_acks))
 
-    @property
-    def sender_acks(self) -> list[bool]:
-        """The sender's (possibly stale) copy of the receiver's ACK bitmap."""
-        return list(self._sender_acks)
-
     def next_event_time(self) -> int | None:
-        """Earliest queued feedback arrival (for idle-clock scheduling)."""
+        """Earliest queued feedback arrival (when an idle sender wakes)."""
         if self.result is not None or not self._feedback:
             return None
         return min(t for t, _ in self._feedback)
@@ -309,11 +296,7 @@ class PacketTransmitter:
         self.symbols += sent
         self.retransmissions += retrans
         self.subpass += 1
-        if self.subpass % self.config.decode_interval == 0 or \
-                self.subpass == self.max_subpasses:
-            bitmap = self.rx.try_decode()
-        else:
-            bitmap = self.rx.ack_bitmap()
+        bitmap = self.rx.try_decode()
         self._feedback.append(
             (self.link.time + self.config.feedback_delay, list(bitmap)))
         if OBS.enabled:
@@ -357,29 +340,37 @@ class PacketTransmitter:
             finish_time=finish_time,
         )
 
-    def abort(self) -> PacketResult:
-        """Close the packet as undelivered (e.g. simulation cutoff)."""
-        if self.result is None:
-            self._finish(success=False, finish_time=self.link.time)
-        return self.result
-
     def run(self) -> PacketResult:
-        """Drive this packet to completion alone on the medium."""
+        """Drive this packet to completion alone on the medium.
+
+        Raises ``RuntimeError`` if the packet stalls: the sender cannot
+        send, no feedback is in flight, and :meth:`poll` did not close it.
+        """
         while self.result is None:
             if self.can_send:
                 self.step()
-            else:
-                nxt = self.next_event_time()
-                if nxt is not None and nxt > self.link.time:
-                    # Nothing to send; idle until the ACK lands (§5: the
-                    # sender may also pause between passes awaiting feedback).
-                    self.link.advance(nxt - self.link.time)
-                self.poll()
+                continue
+            nxt = self.next_event_time()
+            if nxt is not None and nxt > self.link.time:
+                # Nothing to send; idle until the ACK lands (§5: the
+                # sender may also pause between passes awaiting feedback).
+                self.link.advance(nxt - self.link.time)
+            self.poll()
+            if self.result is None and nxt is None:
+                # poll() resolves "out of subpasses, nothing in flight" as a
+                # give-up, so this state means the transmitter is stuck;
+                # nothing here can change it, and looping again would spin
+                # forever.
+                raise RuntimeError(
+                    f"link stalled: {self.flow} seq {self.seq} cannot send "
+                    f"and has no feedback in flight (subpass {self.subpass} "
+                    f"of {self.max_subpasses}, sender ACKs "
+                    f"{self._sender_acks})")
         return self.result
 
 
 class LinkSession:
-    """A single flow of packets over one (possibly shared) channel.
+    """A single flow of packets over one channel.
 
     The multi-packet analogue of :class:`~repro.simulation.engine.
     SpinalSession`: each payload runs the full ARQ exchange of

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.link.protocol import PacketResult
 
-__all__ = ["FlowStats", "LinkReport"]
+__all__ = ["FlowStats"]
 
 _PCTS = (50.0, 90.0, 99.0)
 
@@ -31,13 +31,8 @@ _PCTS = (50.0, 90.0, 99.0)
 class FlowStats:
     """Aggregated outcomes of one flow's packets.
 
-    Counters are folded over ``results`` in a **single pass** and cached —
-    rendering a summary used to walk the result list once per property
-    (~8 full passes), which made large batch-runner reports quadratic-ish.
-    The cache is invalidated by :meth:`add` (or by appending to ``results``
-    directly, which the length check catches).  Records are treated as
-    immutable once added: replacing or mutating an existing element of
-    ``results`` in place is not supported and would serve stale totals.
+    Every counter comes from one single-pass fold over ``results``
+    (:meth:`_totals`); :meth:`as_dict` folds once for all of them.
     """
 
     flow: str
@@ -45,12 +40,8 @@ class FlowStats:
 
     def add(self, result: PacketResult) -> None:
         self.results.append(result)
-        self._fold_cache = None
 
     def _totals(self) -> dict:
-        cache = getattr(self, "_fold_cache", None)
-        if cache is not None and cache["n_packets"] == len(self.results):
-            return cache
         n_delivered = offered = delivered = 0
         symbols = wasted = retrans = coded = 0
         for r in self.results:
@@ -62,7 +53,7 @@ class FlowStats:
             if r.success:
                 n_delivered += 1
                 delivered += r.payload_bits
-        cache = {
+        return {
             "n_packets": len(self.results),
             "n_delivered": n_delivered,
             "payload_bits_offered": offered,
@@ -72,8 +63,6 @@ class FlowStats:
             "retransmissions": retrans,
             "coded_bits": coded,
         }
-        self._fold_cache = cache
-        return cache
 
     # -- counters ---------------------------------------------------------
 
@@ -159,42 +148,3 @@ class FlowStats:
             val = float(val)
             out[f"latency_p{int(q)}"] = None if np.isnan(val) else round(val, 3)
         return out
-
-
-@dataclass
-class LinkReport:
-    """Per-flow plus whole-medium view of one link simulation."""
-
-    flows: list[FlowStats]
-    channel_symbols: int    # total symbols the shared channel carried
-    channel_time: int       # final value of the symbol clock
-
-    def flow(self, name: str) -> FlowStats:
-        for f in self.flows:
-            if f.flow == name:
-                return f
-        raise KeyError(name)
-
-    @property
-    def delivered_bits(self) -> int:
-        return sum(f.payload_bits_delivered for f in self.flows)
-
-    @property
-    def aggregate_goodput(self) -> float:
-        """All flows' delivered payload bits per channel symbol."""
-        if self.channel_symbols == 0:
-            return 0.0
-        return self.delivered_bits / self.channel_symbols
-
-    def conservation_ok(self) -> bool:
-        """Per-flow symbol accounting must sum to the channel total."""
-        return sum(f.symbols for f in self.flows) == self.channel_symbols
-
-    def as_dict(self) -> dict:
-        return {
-            "aggregate_goodput": round(self.aggregate_goodput, 9),
-            "channel_symbols": self.channel_symbols,
-            "channel_time": self.channel_time,
-            "delivered_bits": self.delivered_bits,
-            "flows": [f.as_dict() for f in self.flows],
-        }

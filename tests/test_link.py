@@ -1,21 +1,15 @@
 """Tests for the packet-level link layer (§5, §6, §8.4)."""
 
-import signal
-
 import numpy as np
 import pytest
 
 from repro.channels import AWGNChannel, RayleighBlockFadingChannel, SharedChannel
 from repro.core.params import DecoderParams, SpinalParams
-from repro.link import (
-    Flow,
-    LinkConfig,
-    LinkScheduler,
-    LinkSession,
-    payload_for,
-)
+from repro.link import LinkConfig, LinkSession, payload_for
 from repro.simulation import SpinalSession
 from repro.utils.bitops import random_message
+
+from deadline import deadline
 
 
 @pytest.fixture
@@ -82,6 +76,27 @@ class TestLinkSessionOracle:
         assert packet.success
         assert packet.latency >= 10_000
 
+    def test_stuck_transmitter_raises_instead_of_spinning(self, params,
+                                                         monkeypatch):
+        """A transmitter that neither sends, waits for feedback, nor gives
+        up must stop the session with a diagnosis, not hang it."""
+        from repro.link.protocol import PacketTransmitter
+
+        def lossy_poll(tx):
+            # Feedback is lost and the give-up check never runs.
+            tx._feedback.clear()
+
+        monkeypatch.setattr(PacketTransmitter, "poll", lossy_poll)
+        dec = DecoderParams(B=4, max_passes=1)
+        link = LinkSession(params, dec, AWGNChannel(-10, rng=1),
+                           LinkConfig(framing=False), flow="stuck")
+        with deadline(20), pytest.raises(RuntimeError) as err:
+            link.send_packet(random_message(32, 0))
+        message = str(err.value)
+        assert "stuck seq 0" in message
+        assert "subpass 8 of 8" in message
+        assert "sender ACKs [False]" in message
+
 
 class TestLinkSessionFramed:
     def test_roundtrip_and_overhead(self, params, dec):
@@ -113,101 +128,6 @@ class TestLinkSessionFramed:
         assert results[1].start_time >= results[0].finish_time
 
 
-class TestScheduler:
-    def _flows(self, params, dec):
-        cfg = LinkConfig(max_block_bits=256)
-        return [
-            Flow("voip", params, dec, [bytes(range(12))] * 3, cfg, priority=1),
-            Flow("bulk", params, dec, [bytes(range(64))], cfg, priority=0),
-        ]
-
-    def test_multiflow_conservation(self, params, dec):
-        """Sum of per-flow symbols == symbols the channel carried."""
-        for policy in ("round_robin", "priority"):
-            sched = LinkScheduler(AWGNChannel(18, rng=5),
-                                  self._flows(params, dec), policy=policy)
-            report = sched.run()
-            assert report.conservation_ok()
-            assert sum(f.symbols for f in report.flows) == report.channel_symbols
-            for f in report.flows:
-                assert f.n_delivered == f.n_packets
-            assert report.aggregate_goodput > 0
-
-    def test_priority_preempts_bulk(self, params, dec):
-        """Strict priority finishes all VoIP packets before bulk's first."""
-        sched = LinkScheduler(AWGNChannel(18, rng=6),
-                              self._flows(params, dec), policy="priority")
-        report = sched.run()
-        voip_done = max(r.finish_time for r in report.flow("voip").results)
-        bulk_done = min(r.finish_time for r in report.flow("bulk").results)
-        assert voip_done < bulk_done
-
-    def test_priority_latency_no_worse_than_round_robin(self, params, dec):
-        rr = LinkScheduler(AWGNChannel(18, rng=7),
-                           self._flows(params, dec), "round_robin").run()
-        pr = LinkScheduler(AWGNChannel(18, rng=7),
-                           self._flows(params, dec), "priority").run()
-        assert (pr.flow("voip").latency_percentile(90)
-                <= rr.flow("voip").latency_percentile(90))
-
-    def test_shared_fading_medium(self, params, dec):
-        """Flows interleave on one fading process; accounting still exact."""
-        channel = RayleighBlockFadingChannel(22, coherence_time=50, rng=8)
-        cfg = LinkConfig(max_block_bits=256, give_csi=True, feedback_delay=16)
-        flows = [
-            Flow("a", params, dec, [bytes(range(16))] * 2, cfg),
-            Flow("b", params, dec, [bytes(range(16))] * 2, cfg),
-        ]
-        report = LinkScheduler(channel, flows).run()
-        assert report.conservation_ok()
-        assert report.channel_time >= report.channel_symbols
-
-    def test_rejects_bad_inputs(self, params, dec):
-        with pytest.raises(ValueError):
-            LinkScheduler(AWGNChannel(10, rng=0),
-                          self._flows(params, dec), policy="edf")
-        with pytest.raises(ValueError):
-            LinkScheduler(AWGNChannel(10, rng=0), [])
-
-    def test_max_time_cutoff_keeps_accounting(self, params, dec):
-        sched = LinkScheduler(AWGNChannel(6, rng=9),
-                              self._flows(params, dec))
-        report = sched.run(max_time=64)
-        assert report.conservation_ok()
-        assert sum(f.n_packets for f in report.flows) >= 1
-
-    def test_stuck_transmitter_raises_instead_of_spinning(self, params,
-                                                         monkeypatch):
-        """A transmitter that neither sends, waits for feedback, nor gives
-        up must stop the scheduler with a diagnosis, not hang it."""
-        from repro.link.protocol import PacketTransmitter
-
-        def lossy_poll(tx):
-            # Feedback is lost and the give-up check never runs.
-            tx._feedback.clear()
-
-        monkeypatch.setattr(PacketTransmitter, "poll", lossy_poll)
-        dec = DecoderParams(B=4, max_passes=1)
-        flows = [Flow("stuck", params, dec,
-                      [random_message(32, 0)], LinkConfig(framing=False))]
-        sched = LinkScheduler(AWGNChannel(-10, rng=1), flows)
-
-        def timeout(signum, frame):
-            raise TimeoutError("LinkScheduler.run did not return")
-
-        previous = signal.signal(signal.SIGALRM, timeout)
-        signal.alarm(20)
-        try:
-            with pytest.raises(RuntimeError) as err:
-                sched.run()
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
-        message = str(err.value)
-        assert "stuck: subpass 8 of 8" in message
-        assert "sender ACKs [False]" in message
-
-
 class TestStatsAndHelpers:
     def test_payload_for_types(self):
         rng = np.random.default_rng(0)
@@ -233,5 +153,3 @@ class TestStatsAndHelpers:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             LinkConfig(feedback_delay=-1)
-        with pytest.raises(ValueError):
-            LinkConfig(decode_interval=0)
