@@ -18,9 +18,10 @@ kernel, not just "decode got slower":
 - ``select``: :func:`repro.backend.select_beams` (argpartition
   subtree pruning) on one message's row and on a 16-message cohort;
 - ``step``: one whole bubble-search step as the decoder runs it — the
-  ``expand`` pass of :func:`repro.backend.spinal_passes` (the gather of
-  the previous step's survivors, then the hash), the ``score`` pass and
-  selection — at ``B=256``, ``k=4`` and two messages;
+  ``expand``, ``score`` and ``select`` of :func:`repro.backend.
+  spinal_passes` (the gather of the previous step's survivors and the
+  hash, the branch costs read in place from a store, the subtree
+  ``argpartition``) — at ``B=256``, ``k=4`` and two messages;
 - ``bp``: one 40-iteration sum-product decode of a fixed ~50k-edge Raptor
   graph (:meth:`repro.ldpc.bp.BeliefPropagation.posteriors`), on the
   compiled passes and on the numpy loop.
@@ -53,7 +54,7 @@ from repro.channels import AWGNChannel, BSCChannel
 from repro.core.encoder import SpinalEncoder
 from repro.core.hashes import available_hashes, get_hash
 from repro.core.params import SpinalParams
-from repro.core.symbols import ReceivedSymbols
+from repro.core.symbols import BatchReceivedSymbols, ReceivedSymbols
 from repro.fountain.raptor import RaptorCodec
 from repro.modulation import soft_demap
 from repro.utils.bitops import random_message
@@ -294,41 +295,49 @@ def test_select_kernel(benchmark, kernel_records, shape, n_beam, name):
 # one whole bubble-search step
 # ---------------------------------------------------------------------------
 
+#: Timed rounds of the search-step benchmark; the passes keep one history
+#: row per round.
+STEP_ROUNDS = 1000
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_search_step(benchmark, kernel_records, backend):
     """One step of the bubble search at the paper's AWGN code: 2 messages
-    of B=256 surviving leaves, 2^4 children each, 8 received passes.  The
-    expand pass gathers the survivors the previous step selected and hashes
-    their children, the score pass costs them, and ``select_beams`` picks
-    the cheapest B subtrees of each message for the next step, so each
+    of B=256 surviving leaves, 2^4 children each, 8 received passes read
+    in place from a store.  A round is a step as the decoder runs it:
+    ``expand`` gathers the survivors the last round's ``select`` chose and
+    hashes their children, ``score`` costs them at spine position 1, and
+    ``select`` keeps the cheapest B subtrees of each message, so each
     round continues the search from the last."""
     params = SpinalParams()
     n_msgs, n_beam, k = 2, 256, params.k
-    n_groups = n_beam << k
     rng = np.random.default_rng(13)
-    slots = np.arange(OUTER_SLOTS, dtype=np.uint32)
-    values = (rng.normal(size=(n_msgs, OUTER_SLOTS))
-              + 1j * rng.normal(size=(n_msgs, OUTER_SLOTS)))
+    store = BatchReceivedSymbols(2, n_msgs)
+    store.add_block(np.ones(OUTER_SLOTS, dtype=np.intp),
+                    np.arange(OUTER_SLOTS, dtype=np.uint32),
+                    rng.normal(size=(n_msgs, OUTER_SLOTS))
+                    + 1j * rng.normal(size=(n_msgs, OUTER_SLOTS)))
+    view = store.prefix(np.arange(n_msgs), store.checkpoint())
     with _active(backend):
         passes = spinal_passes(
             params.hash_name, levels=params.make_mapping().levels,
             c=params.c, is_bsc=False, has_csi=False, k=k, n_msgs=n_msgs,
-            beam=n_beam, group=1, n_steps=1)
-        passes.states[:] = rng.integers(0, 2**32, size=n_msgs * n_beam,
-                                        dtype=np.uint32)
-        passes.costs[:] = rng.exponential(scale=5.0, size=n_msgs * n_beam)
-        passes.expand(n_beam)
-        kept = [select_beams(passes.score(n_beam, slots, values, None)
-                             .reshape(n_msgs, n_groups), n_beam)]
+            beam=n_beam, group=1, n_steps=STEP_ROUNDS + 3, s0=params.s0)
+        passes.start(view)
+        # 1 leaf a message, then 16, then 256 and a pending selection
+        for step in (0, 1):
+            passes.expand(step)
+            passes.score(1)
+            passes.select(n_beam)
 
-        def step():
-            passes.expand(n_beam, kept[0], 0)
-            totals = passes.score(n_beam, slots, values, None)
-            kept[0] = select_beams(totals.reshape(n_msgs, n_groups), n_beam)
-            return kept[0]
+        def one_step():
+            passes.expand(1)
+            passes.score(1)
+            passes.select(n_beam)
 
-        last = benchmark(step)
-    assert last.shape == (n_msgs, n_beam)
+        benchmark.pedantic(one_step, rounds=STEP_ROUNDS, warmup_rounds=1)
+        leaf_costs, _ = passes.finish()
+    assert leaf_costs.shape == (n_msgs, n_beam)
     _record(kernel_records, benchmark, "step",
             f"awgn_k4_B{n_beam}_M{n_msgs}{_suffix(backend)}",
             config="awgn_k4_c6", n_msgs=n_msgs, n_beam=n_beam,

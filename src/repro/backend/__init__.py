@@ -6,12 +6,13 @@ hashes, the branch costs, and beam selection.  This module holds the one
 implementation of each.  The spine hashes and the branch costs run on the
 compiled C kernels of :mod:`repro.backend.ckernels` where they build (on
 the first hash, branch-cost or search call of a process, never at import
-or decoder construction), and on the numpy bodies below otherwise.  Each
-step of the bubble search runs as the two passes of
-:func:`spinal_passes`: ``expand`` (the gather of the subtrees the
-previous step kept, then the tree-expansion hash) and ``score`` (the
-fused branch costs plus each parent's cost).  Beam selection is numpy's
-``argpartition``, between the passes.
+or decoder construction), and on the numpy bodies below otherwise.  The
+bubble search runs on the passes of :func:`spinal_passes`, which check and
+bind the received view once per search (``start``); each step is then
+``expand`` (the gather of the subtrees the previous step kept, then the
+tree-expansion hash) and ``score`` (the fused branch costs plus each
+parent's cost), taking only the spine position.  Beam selection is
+numpy's ``argpartition`` (``select``, between the passes).
 
 The contract is **bit-identical output**: the compiled kernels reproduce
 the numpy bodies exactly, which are the fallback and the test oracle —
@@ -30,10 +31,11 @@ numpy reference's bit for bit, whichever path ran.
 
 Observability follows the decode hot-loop discipline (see ``repro.obs``).
 The bubble search times each step's ``expand`` pass, survivor gather
-included, and the last step's ``gather`` as ``kernel.hash``, its ``score``
-pass, whose fused loop cannot time its hashing apart, as
-``kernel.branch_cost``, and the subtree minima and ``argpartition`` as
-``kernel.select``, on both paths, and flushes once per search.  A
+included, and the last survivors' gather in ``finish`` as ``kernel.hash``,
+its ``score`` pass, whose fused loop cannot time its hashing apart, as
+``kernel.branch_cost``, and ``select`` (the subtree minima and
+``argpartition``) as ``kernel.select``, on both paths, and flushes once
+per search.  A
 :func:`branch_costs_batch` call times itself: on the numpy path its hash
 as ``kernel.hash`` and its distance arithmetic as ``kernel.branch_cost``,
 on the compiled path the whole call as ``kernel.branch_cost``.
@@ -46,6 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -124,7 +127,9 @@ def select_beams(group_costs: np.ndarray, n_beam: int) -> np.ndarray:
 
     ``group_costs`` is ``(M, n_candidates)``, one row of flattened
     candidate costs per message; selection runs along axis 1 with
-    ``argpartition``.  Its output depends on numpy's CPU dispatch level:
+    ``argpartition``.  This is the selection the passes' ``select`` makes
+    on their own costs, and the reference the tests hold it to.  Its
+    output depends on numpy's CPU dispatch level:
     under numpy 2.4.6 the X86_V4, X86_V3 and baseline loops return the
     same index set in different orders, and different sets among tied
     costs.  Survivor order decides which tied candidate later steps keep
@@ -138,81 +143,121 @@ def select_beams(group_costs: np.ndarray, n_beam: int) -> np.ndarray:
     return np.broadcast_to(np.arange(group_costs.shape[1]), group_costs.shape)
 
 
-class _NumpyPasses:
-    """The numpy bubble-search step that :class:`ckernels.SpinalPasses`
-    reproduces bit for bit, with the same interface: the survivors'
-    gathers by ``take``, the tree-expansion hash, the numpy branch costs
-    of :func:`branch_costs_batch` and ``leaf + bc``.  The fallback when
-    the kernels do not build."""
+class _NumpyPasses(ckernels._Passes):
+    """The numpy bubble search that :class:`ckernels.SpinalPasses`
+    reproduces bit for bit, with the same interface and checks: the
+    survivors' gathers by ``take``, the tree-expansion hash, the numpy
+    branch costs of :func:`branch_costs_batch` and ``leaf + bc``, each
+    step reading its panel from the planes :meth:`start` bound.  The
+    fallback when the kernels do not build."""
 
     def __init__(self, hash_name: str, *, levels: np.ndarray, c: int,
                  is_bsc: bool, has_csi: bool, k: int, n_msgs: int,
-                 beam: int, group: int, n_steps: int):
-        ckernels._check_search(k, n_msgs, beam, group, n_steps)
+                 beam: int, group: int, n_steps: int, s0: int):
+        super().__init__(is_bsc=is_bsc, has_csi=has_csi, k=k, n_msgs=n_msgs,
+                         beam=beam, group=group, n_steps=n_steps, s0=s0)
         self._hash = _reference_hash(hash_name)
-        self._levels, self._c, self._is_bsc = levels, c, is_bsc
-        self._n_msgs, self._K, self._group = n_msgs, 1 << k, group
-        self._edges = np.arange(self._K, dtype=_U32)
-        self.states = np.empty(n_msgs * beam * group, dtype=_U32)
-        self.costs = np.empty(n_msgs * beam * group)
-        self.history = np.empty((n_steps, n_msgs, beam), dtype=np.int32)
+        self._levels, self._c = levels, c
+        self._edges = np.arange(1 << self._k, dtype=_U32)
+        self._ctx = SimpleNamespace(n_leaves=1, row=0, sel=None, n_keep=0,
+                                    sel_step=0)
 
-    def expand(self, n_leaves: int, sel: np.ndarray | None = None,
-               row: int = 0) -> np.ndarray:
-        if sel is not None:
-            self.gather(sel, row)
-        leaves = self.states[:self._n_msgs * n_leaves]
-        self._children = self._hash(leaves[:, None], self._edges).ravel()
-        return self._children
+    @staticmethod
+    def _pointer(sel: np.ndarray) -> np.ndarray:
+        return sel
 
-    def gather(self, sel: np.ndarray, row: int) -> np.ndarray:
+    def _bind(self, slots: np.ndarray, values: np.ndarray,
+              csi: np.ndarray | None, counts: np.ndarray) -> None:
+        self._view = (slots, values, csi, counts)
+        self._ctx.n_leaves, self._ctx.row, self._ctx.sel = 1, 0, None
+
+    def _unbind(self) -> None:
+        self._view = self._sel = self._ctx.sel = None
+
+    def _check_step(self, step: int) -> None:
+        if self._view is None or not 0 <= step < self._view[3].size:
+            raise ValueError(f"spine position {step} lies outside the bound "
+                             "view")
+
+    def expand(self, step: int) -> None:
+        self._check_step(step)
+        ctx = self._ctx
+        if ctx.sel is not None:
+            self._gather()
+        elif step > 0:
+            if ctx.n_leaves << self._k > self._group:
+                raise ValueError("unpruned children past one subtree")
+            n = self._n_msgs * ctx.n_leaves << self._k
+            self.states[:n] = self.children[:n]
+            self.costs[:n] = self.totals[:n]
+            ctx.n_leaves <<= self._k
+        leaves = self.states[:self._n_msgs * ctx.n_leaves]
+        self.children[:leaves.size << self._k] = self._hash(
+            leaves[:, None], self._edges).ravel()
+
+    def _gather(self) -> None:
         # Subtree g of message m is row m * n_groups + g of the
         # (M * n_groups, group) children and totals, so one take gathers
         # the survivors of every message.
+        ctx = self._ctx
         M, group = self._n_msgs, self._group
-        n_groups = self._totals.size // M // group
-        n_keep = sel.shape[1]
+        n_groups = (ctx.n_leaves << self._k) // group
+        n_keep = ctx.n_keep
+        if (ctx.sel is None or not 0 < n_keep <= min(self._beam, n_groups)
+                or ctx.row >= len(self.history)):
+            raise ValueError("no selection to gather")
+        sel = (ctx.sel[:, :n_keep] if ctx.sel_step else
+               np.broadcast_to(ctx.sel[:n_keep], (M, n_keep)))
+        if sel.min() < 0 or sel.max() >= n_groups:
+            raise ValueError("a selection names a subtree outside the "
+                             "scored step")
         kept = sel + np.arange(0, M * n_groups, n_groups)[:, None]
-        n = M * n_keep * group
-        self._children.reshape(M * n_groups, group).take(
+        n, size = M * n_keep * group, M * n_groups * group
+        self.children[:size].reshape(M * n_groups, group).take(
             kept, axis=0, out=self.states[:n].reshape(M, n_keep, group),
             mode="clip")
-        self._totals.reshape(M * n_groups, group).take(
+        self.totals[:size].reshape(M * n_groups, group).take(
             kept, axis=0, out=self.costs[:n].reshape(M, n_keep, group),
             mode="clip")
-        self.history[row, :, :n_keep] = kept
-        return self.costs[:n].reshape(M, -1)
+        self.history[ctx.row, :, :n_keep] = kept
+        ctx.n_leaves, ctx.row, ctx.sel = n_keep * group, ctx.row + 1, None
 
-    def score(self, n_leaves: int, slots: np.ndarray, values: np.ndarray,
-              csi: np.ndarray | None) -> np.ndarray:
-        n = self._n_msgs * n_leaves
-        if slots.size == 0:
-            bc = np.zeros(n * self._K)
+    def score(self, step: int) -> None:
+        self._check_step(step)
+        slots, values, csi, counts = self._view
+        n_slots = counts[step]
+        n = self._n_msgs * self._ctx.n_leaves
+        K = 1 << self._k
+        if n_slots == 0:
+            bc = np.zeros(n * K)
         else:
-            words = self._hash(self._children.reshape(1, self._n_msgs, -1),
-                               slots[:, None, None])
-            bc = _distances(words, values, csi, self._levels, self._c,
-                            self._is_bsc)
-        self._totals = (self.costs[:n, None] + bc.reshape(n, self._K)).ravel()
-        return self._totals
+            words = self._hash(
+                self.children[:n * K].reshape(1, self._n_msgs, -1),
+                slots[step, :n_slots, None, None])
+            bc = _distances(
+                words, values[step, :, :n_slots],
+                None if csi is None else csi[step, :, :n_slots],
+                self._levels, self._c, self._is_bsc)
+        self.totals[:n * K] = (self.costs[:n, None]
+                               + bc.reshape(n, K)).ravel()
 
 
 def spinal_passes(hash_name: str, *, levels: np.ndarray, c: int,
                   is_bsc: bool, has_csi: bool, k: int, n_msgs: int,
-                  beam: int, group: int,
-                  n_steps: int) -> "ckernels.SpinalPasses | _NumpyPasses":
-    """The passes of a bubble-search step, made for a search:
+                  beam: int, group: int, n_steps: int,
+                  s0: int) -> "ckernels.SpinalPasses | _NumpyPasses":
+    """The passes of a bubble search, made for a search shape:
     :class:`ckernels.SpinalPasses` where the kernels build, its numpy
-    equivalent otherwise.  Both own ``states``, ``costs`` and ``history``
-    buffers for ``n_msgs`` messages of up to ``beam`` subtrees of
-    ``group`` leaves over ``n_steps`` pruning steps.  Both return the
-    children from ``expand(n_leaves, sel=None, row=0)``, which first
-    gathers the survivors ``sel`` when given, their path costs from
-    ``score(n_leaves, slots, values, csi)`` and the last step's survivors'
-    costs from ``gather(sel, row)``, flat and bit for bit alike."""
+    equivalent otherwise.  Both own ``states``, ``costs``, ``children``,
+    ``totals`` and ``history`` buffers for ``n_msgs`` messages of up to
+    ``beam`` subtrees of ``group`` leaves over ``n_steps`` pruning steps,
+    and both run a search as ``start(received)``, then per spine position
+    ``expand(step)``, ``score(step)`` and, at every pruning step,
+    ``select(B)``, then ``finish()``, bit for bit alike."""
     levels = np.ascontiguousarray(levels, dtype=np.float64)
     kwargs = dict(levels=levels, c=c, is_bsc=is_bsc, has_csi=has_csi, k=k,
-                  n_msgs=n_msgs, beam=beam, group=group, n_steps=n_steps)
+                  n_msgs=n_msgs, beam=beam, group=group, n_steps=n_steps,
+                  s0=s0)
     kernels = ckernels.load()
     if kernels is None:
         return _NumpyPasses(hash_name, **kwargs)

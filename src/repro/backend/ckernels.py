@@ -3,8 +3,7 @@
 ``kernels.c`` beside this module holds exact-arithmetic loops that must
 match the numpy code they replace bit for bit (its header comment gives
 the rules): Strider's BCJR recursion, the spine hashes, the fused spinal
-branch costs, the two passes of a bubble-search step
-(:class:`SpinalPasses`), BP's exact passes (:class:`BpPasses`) and the
+branch costs, the passes of a bubble search (:class:`SpinalPasses`), BP's exact passes (:class:`BpPasses`) and the
 LT and precode draws, each behind a checked wrapper below.  The draws call
 numpy's own bounded-integer code, linked from numpy's ``libnpyrandom``
 static library, on the caller's generator.  :func:`load`
@@ -64,17 +63,30 @@ void branch_costs(int hash_id, int metric, const uint32_t *states,
                   int64_t n_msgs, int64_t n_states, const uint32_t *slots,
                   int64_t n_slots, const double *values, const double *csi,
                   const double *levels, int c, double *out);
-int spinal_expand(int hash_id, const uint32_t *edges, int64_t n_edges,
-                  int64_t n_msgs, int64_t group, int64_t beam,
-                  uint32_t *leaves, double *costs, uint32_t *children,
-                  const double *totals, int32_t *history, int64_t n_leaves,
-                  const int64_t *sel, int64_t n_keep, int64_t n_groups,
-                  int64_t row, int expand);
-void spinal_score(int hash_id, int metric, const double *levels, int c,
-                  int k, int64_t n_msgs, const uint32_t *children,
-                  const double *parents, double *totals, int64_t n_leaves,
-                  const uint32_t *slots, int64_t n_slots,
-                  const double *values, const double *csi);
+struct spinal_search {
+    int hash_id, metric, c, k;
+    int64_t n_msgs, beam, group, n_steps;
+    const uint32_t *edges;
+    const double *levels;
+    uint32_t *leaves;
+    double *costs;
+    uint32_t *children;
+    double *totals;
+    int32_t *history;
+    int64_t n_spine;
+    const int64_t *counts;
+    const uint32_t *slots;
+    int64_t slot_step;
+    const double *values;
+    const double *csi;
+    int64_t value_step, row_step;
+    int64_t n_leaves, row;
+    const int64_t *sel;
+    int64_t n_keep, sel_step;
+};
+int spinal_gather(struct spinal_search *s);
+int spinal_expand(struct spinal_search *s, int64_t step);
+int spinal_score(struct spinal_search *s, int64_t step);
 void bp_magnitudes(double *edge, uint8_t *neg, int64_t n_edges,
                    double tanh_clip, double floor);
 void bp_check_messages(const double *edge, const uint8_t *neg,
@@ -108,11 +120,9 @@ _FLAGS = ("-O3", "-fno-split-loops", "-ffp-contract=off", "-fno-fast-math")
 _HASH_IDS = {"one_at_a_time": 0, "lookup3": 1, "salsa20": 2}
 _METRIC_AWGN, _METRIC_CSI, _METRIC_BSC = 0, 1, 2
 
-#: The dtypes the per-step checks compare against (a dtype compares with
-#: a dtype faster than with a scalar type): the survivor indices
-#: ``spinal_expand`` reads, which are ``select_beams``'s, and the received
-#: panel's.
-_INTP, _UINT32 = np.dtype(np.intp), np.dtype(np.uint32)
+#: The dtypes the received panel's and planes' checks compare against (a
+#: dtype compares with a dtype faster than with a scalar type).
+_INT64, _UINT32 = np.dtype(np.int64), np.dtype(np.uint32)
 _FLOAT64, _COMPLEX128 = np.dtype(np.float64), np.dtype(np.complex128)
 
 #: The factors ``bp_signed_clip`` multiplies by, indexed by a negative flag.
@@ -445,162 +455,260 @@ def _check_panel(slots: object, values: object, csi: object, n_msgs: int,
         raise ValueError(f"values and csi must be {want}")
 
 
-class SpinalPasses:
-    """The two passes of one bubble-search step on ``kernels.c``.
+def _check_planes(received, n_msgs: int, is_bsc: bool, has_csi: bool
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None,
+                             np.ndarray]:
+    """The planes of a received view (see
+    :meth:`repro.core.symbols.BatchReceivedView.planes`) for a search over
+    ``n_msgs`` messages, after checking everything the passes read through
+    them: ``slots`` (n_spine, s) uint32, ``values`` (n_spine, n_msgs, v)
+    complex128 (float64 for BSC) and ``csi`` None or complex128 of the
+    values' shape and strides, exactly when the search has CSI, each with
+    a unit inner stride and non-negative outer ones; and ``counts``
+    (n_spine,) int64 with every count in ``[0, min(s, v)]``.  Returns the
+    counts as a private copy."""
+    slots, values, csi, counts = received.planes()
+    if not all(isinstance(a, np.ndarray) for a in (slots, values, counts)) \
+            or not (csi is None or isinstance(csi, np.ndarray)):
+        raise ValueError("the received planes must be numpy arrays")
+    if (csi is not None) != has_csi:
+        raise ValueError("csi must be given exactly when the search has CSI")
+    value_dtype = _FLOAT64 if is_bsc else _COMPLEX128
+    if (slots.dtype != _UINT32 or values.dtype != value_dtype
+            or counts.dtype != _INT64
+            or (csi is not None and csi.dtype != _COMPLEX128)):
+        raise ValueError(
+            f"the received planes need uint32 slots, {value_dtype} values, "
+            "complex128 csi and int64 counts")
+    if (slots.ndim != 2 or values.ndim != 3
+            or values.shape[:2] != (slots.shape[0], n_msgs)
+            or counts.shape != slots.shape[:1]):
+        raise ValueError(
+            f"slots {slots.shape}, values {values.shape} and counts "
+            f"{counts.shape} do not form (n_spine, s), (n_spine, {n_msgs}, "
+            "v) and (n_spine,)")
+    if csi is not None and (csi.shape != values.shape
+                            or csi.strides != values.strides):
+        raise ValueError("csi must have the values' shape and strides")
+    for a in (slots, values):
+        if a.strides[-1] != a.itemsize or any(
+                st < 0 or st % a.itemsize for st in a.strides):
+            raise ValueError("the received planes need unit inner strides "
+                             "and non-negative outer ones")
+    if counts.size and (counts.min() < 0 or counts.max() > min(
+            slots.shape[1], values.shape[2])):
+        raise ValueError(f"a position's slot count lies outside [0, "
+                         f"{min(slots.shape[1], values.shape[2])}], the "
+                         "store's capacity")
+    return slots, values, csi, counts.copy()
 
-    Made for a search, and reusable by later searches of the same shape.
-    The hash, the metric (``levels``, ``c``, BSC or not, CSI or not) and the
-    cohort's shape are checked here, before any pointer reaches C: each of
-    ``n_msgs`` messages keeps at most ``beam`` subtrees of ``group`` leaves
-    at each of ``n_steps`` pruning steps, and each leaf has ``2^k``
-    children.  Both passes are bound to buffers that every step reuses:
 
-    - ``states`` and ``costs`` (n_msgs * beam * group,) hold the leaves'
-      spine states and path costs; a step's ``n_leaves`` leaves of message
-      m are entries ``[m * n_leaves, (m + 1) * n_leaves)``.  The caller
-      fills them for the first step, and before each unpruned step;
-    - ``history`` (n_steps, n_msgs, beam) int32 records the survivors of
-      each pruning step for backtracking: ``history[row, m, j]`` is the
-      flat group row ``m * n_groups + g`` of message m's j-th survivor,
-      group g of its ``n_groups`` candidate subtrees;
-    - :meth:`expand` hashes every leaf against every edge,
-      ``h(states[..., None], edges)``, and returns the children.  Given
-      ``select_beams``'s choice among the subtrees of the children
-      :meth:`score` last costed, it first gathers those subtrees' states
-      and path costs into ``states`` and ``costs`` as the new leaves, and
-      their rows into ``history``; :meth:`gather` does that alone, for
-      the search's last step;
-    - :meth:`score` returns each child's branch cost over one spine
-      position's received slots plus its leaf's cost, in numpy's operand
-      order ``costs[..., None] + bc`` (``+ 0.0`` with no slots).
+class _Passes:
+    """What the two implementations of a bubble search's passes share:
+    :class:`SpinalPasses` on ``kernels.c``, and the numpy fallback
+    ``repro.backend._NumpyPasses``.  That is the search's shape and
+    buffers, :meth:`start`'s checks of the received view, :meth:`select`
+    and :meth:`finish`.  The step's state sits in ``_ctx`` under the field
+    names of ``kernels.c``'s ``struct spinal_search``: the leaves per
+    message (``n_leaves``), the next history row (``row``) and the pending
+    selection (``sel``, ``n_keep``, ``sel_step``).  A subclass binds the
+    view (``_bind``, ``_unbind``) and a selection (``_pointer``), and runs
+    ``expand``, ``score`` and the last gather (``_gather``)."""
 
-    Each step checks its own arguments: the leaf count, the received
-    panel (as :func:`branch_costs` checks it; ``values`` and ``csi`` may be
-    strided views), and the selection's dtype, shape and history row; C
-    checks each selected subtree's index before it writes anything.  A bad
-    call raises ``ValueError``.  The returned arrays are views of buffers
-    the next step overwrites.
+    def __init__(self, *, is_bsc: bool, has_csi: bool, k: int, n_msgs: int,
+                 beam: int, group: int, n_steps: int, s0: int):
+        k, n_msgs, beam, group, n_steps = _check_search(
+            k, n_msgs, beam, group, n_steps)
+        self._s0 = _check_count("s0", s0, 0, 0xFFFFFFFF)
+        self._is_bsc, self._has_csi = is_bsc, has_csi
+        self._k, self._n_msgs, self._beam, self._group = k, n_msgs, beam, group
+        size = n_msgs * beam * group
+        self.states = np.empty(size, dtype=np.uint32)
+        self.costs = np.empty(size)
+        self.children = np.empty(size << k, dtype=np.uint32)
+        self.totals = np.empty(size << k)
+        self.history = np.empty((n_steps, n_msgs, beam), dtype=np.int32)
+        # every subtree in order, as each message's survivors while it
+        # has no more subtrees than the beam keeps
+        self._all = np.arange(beam)
+        # the bound view's planes and the pending selection, kept alive
+        # while C may read them
+        self._view = self._sel = None
+        self._kept: list[int] = []
+
+    def start(self, received) -> None:
+        """Check the received view ``received`` (a
+        :class:`repro.core.symbols.BatchReceivedView` of ``n_msgs`` rows)
+        and bind it for one search, which starts from one leaf per message,
+        the root state ``s0`` at cost 0.  A bad view raises
+        ``ValueError``."""
+        planes = _check_planes(received, self._n_msgs, self._is_bsc,
+                               self._has_csi)
+        self.states[:self._n_msgs] = self._s0
+        self.costs[:self._n_msgs] = 0.0
+        self._kept = []
+        self._bind(*planes)
+
+    def select(self, n_beam: int) -> None:
+        """Choose the survivors of the step just scored: of each message's
+        subtrees of ``group`` consecutive children, scored by their
+        cheapest child, the ``min(n_beam, n_subtrees)`` cheapest by
+        :func:`repro.backend.select_beams`'s ``argpartition`` (all of them,
+        in order, when they fit), for the next :meth:`expand` or
+        :meth:`finish` to gather."""
+        ctx = self._ctx
+        n_children = ctx.n_leaves << self._k
+        n_groups = n_children // self._group
+        costs = self.totals[:self._n_msgs * n_children]
+        if self._group > 1:
+            costs = costs.reshape(-1, self._group).min(axis=1)
+        n_keep = min(n_beam, n_groups)
+        if not 0 < n_keep <= self._beam:
+            raise ValueError(f"cannot keep {n_keep} of {n_groups} subtrees "
+                             f"in a beam of {self._beam}")
+        if n_keep < n_groups:
+            sel = costs.reshape(self._n_msgs, n_groups).argpartition(
+                n_keep - 1, axis=1)
+            ctx.sel_step = n_groups
+        else:
+            sel = self._all
+            ctx.sel_step = 0
+        # the pointer keeps the selection alive until it is gathered
+        self._sel = ctx.sel = self._pointer(sel)
+        ctx.n_keep = n_keep
+        self._kept.append(n_keep)
+
+    def finish(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Gather the last step's survivors and unbind the received view.
+        Returns their path costs, ``(n_msgs, n_leaves)``, and each pruning
+        step's survivors, ``history[row, :, :n_keep]``, for
+        backtracking."""
+        self._gather()
+        n_leaves = self._ctx.n_leaves
+        leaf_costs = self.costs[:self._n_msgs * n_leaves].reshape(
+            self._n_msgs, n_leaves)
+        kept = [self.history[row, :, :n_keep]
+                for row, n_keep in enumerate(self._kept)]
+        self._unbind()
+        return leaf_costs, kept
+
+
+class SpinalPasses(_Passes):
+    """The passes of a bubble search on ``kernels.c``.
+
+    Made for a search shape, and reused by every later search of that
+    shape.  Each check runs where its inputs become fixed:
+
+    - when the passes are made: the hash, the metric (``levels``, ``c``,
+      BSC or not, CSI or not) and the cohort's shape, before any pointer
+      reaches C.  Each of ``n_msgs`` messages keeps at most ``beam``
+      subtrees of ``group`` leaves at each of ``n_steps`` pruning steps,
+      and each leaf has ``2^k`` children.  The passes own their buffers:
+      ``states`` and ``costs`` (n_msgs * beam * group,) hold the leaves'
+      spine states and path costs, a step's ``n_leaves`` leaves of message
+      m at ``[m * n_leaves, (m + 1) * n_leaves)``; ``children`` and
+      ``totals`` hold their ``2^k`` children each and those children's
+      path costs; ``history`` (n_steps, n_msgs, beam) int32 records each
+      pruning step's survivors, ``history[row, m, j]`` being the flat group
+      row ``m * n_groups + g`` of message m's j-th survivor, group g of
+      its ``n_groups`` candidate subtrees;
+    - once per search, in :meth:`start`: the received view's dtypes,
+      shapes, strides, CSI mode, row count and every position's slot
+      count against the store's capacity.  ``start`` then binds the view
+      into the C search state: rows that form one run (a whole cohort,
+      one message) are read in place at the store's row stride, other
+      row sets are copied once (see ``BatchReceivedView.planes``);
+    - at each step, in C: :meth:`expand` and :meth:`score` take only the
+      spine position, which C checks against the bound view.
+      :meth:`expand` gathers the survivors :meth:`select` chose (C checks
+      every survivor's index, the kept count and the history row before
+      it writes anything) into ``states`` and ``costs`` and their rows
+      into ``history``, or, while the tree is shallower than a subtree,
+      takes every child as a leaf, then hashes every leaf against every
+      edge, ``h(states[..., None], edges)``.  :meth:`score` adds each
+      child's branch cost over the position's received slots to its
+      leaf's cost, in numpy's operand order ``costs[..., None] + bc``
+      (``+ 0.0`` with no slots).
+
+    So a step is two C calls with one argument each and one
+    ``argpartition``.  :meth:`finish` gathers the last survivors and
+    unbinds the view, so the passes hold no pointer into a store past its
+    search.  A refused call raises ``ValueError``.
     """
 
     def __init__(self, module: ModuleType, hash_name: str, *,
                  levels: np.ndarray, c: int, is_bsc: bool, has_csi: bool,
-                 k: int, n_msgs: int, beam: int, group: int, n_steps: int):
+                 k: int, n_msgs: int, beam: int, group: int, n_steps: int,
+                 s0: int):
         hash_id, metric = _metric(hash_name, levels, c, is_bsc, has_csi)
-        k, n_msgs, beam, group, n_steps = _check_search(
-            k, n_msgs, beam, group, n_steps)
-        self._is_bsc, self._has_csi = is_bsc, has_csi
-        self._n_msgs, self._k = n_msgs, k
-        self._beam, self._group, self._n_steps = beam, group, n_steps
-        self._max_leaves = beam * group
-        self._scored = 0
-        size = n_msgs * self._max_leaves
-        self.states = np.empty(size, dtype=np.uint32)
-        self.costs = np.empty(size)
-        self.history = np.empty((n_steps, n_msgs, beam), dtype=np.int32)
-        self._children = np.empty(size << k, dtype=np.uint32)
-        self._totals = np.empty(size << k)
-        ffi = module.ffi
+        super().__init__(is_bsc=is_bsc, has_csi=has_csi, k=k, n_msgs=n_msgs,
+                         beam=beam, group=group, n_steps=n_steps, s0=s0)
+        ffi, lib = module.ffi, module.lib
         self._ffi = ffi
-        edges = np.arange(1 << k, dtype=np.uint32)
-        lib = module.lib
-        # each pass with its arguments bound; the buffers stay alive
-        # through the cffi pointers
-        children = ffi.from_buffer("uint32_t[]", self._children,
-                                   require_writable=True)
-        totals = ffi.from_buffer("double[]", self._totals,
-                                 require_writable=True)
-        costs = ffi.from_buffer("double[]", self.costs, require_writable=True)
-        self._expand = partial(
-            lib.spinal_expand, hash_id, ffi.from_buffer("uint32_t[]", edges),
-            1 << k, n_msgs, group, beam,
+        edges = np.arange(1 << self._k, dtype=np.uint32)
+        # the struct holds bare pointers: these keep the buffers alive
+        self._buffers = (
+            ffi.from_buffer("uint32_t[]", edges),
+            ffi.from_buffer("double[]", levels),
             ffi.from_buffer("uint32_t[]", self.states, require_writable=True),
-            costs, children, totals,
+            ffi.from_buffer("double[]", self.costs, require_writable=True),
+            ffi.from_buffer("uint32_t[]", self.children,
+                            require_writable=True),
+            ffi.from_buffer("double[]", self.totals, require_writable=True),
             ffi.from_buffer("int32_t[]", self.history, require_writable=True))
-        self._score = partial(
-            lib.spinal_score, hash_id, metric,
-            ffi.from_buffer("double[]", levels), int(c), k, n_msgs, children,
-            costs, totals)
+        ctx = ffi.new("struct spinal_search *")
+        ctx.hash_id, ctx.metric, ctx.c, ctx.k = hash_id, metric, int(c), \
+            self._k
+        ctx.n_msgs, ctx.beam, ctx.group = n_msgs, beam, group
+        ctx.n_steps = n_steps
+        (ctx.edges, ctx.levels, ctx.leaves, ctx.costs, ctx.children,
+         ctx.totals, ctx.history) = self._buffers
+        self._ctx = ctx
+        self._expand = partial(lib.spinal_expand, ctx)
+        self._score = partial(lib.spinal_score, ctx)
+        self._gather_survivors = partial(lib.spinal_gather, ctx)
+        self._pointer = partial(ffi.from_buffer, "int64_t[]")
 
-    def _run(self, n_leaves: int | None, sel: object, row: object,
-             expand: int) -> int:
-        """Gather ``sel`` (if given) and expand (if ``expand``) in one C
-        call, after the checks; returns the leaves per message."""
-        ffi = self._ffi
-        if sel is None:
-            survivors = (ffi.NULL, 0, 0, 0)
-        else:
-            n_groups = (self._scored << self._k) // self._group
-            if not (isinstance(sel, np.ndarray) and sel.dtype == _INTP
-                    and sel.ndim == 2 and sel.shape[0] == self._n_msgs):
-                raise ValueError(f"sel must be an ({self._n_msgs}, n_keep) "
-                                 "intp array")
-            n_keep = sel.shape[1]
-            if not 1 <= n_keep <= min(self._beam, n_groups):
-                raise ValueError(f"sel keeps {n_keep} of {n_groups} "
-                                 f"subtrees; at most {self._beam} fit")
-            if n_leaves is None:
-                n_leaves = n_keep * self._group
-            elif n_leaves != n_keep * self._group:
-                raise ValueError(f"{n_keep} subtrees of {self._group} "
-                                 f"leaves are not {n_leaves} leaves")
-            row = _check_count("row", row, 0, self._n_steps - 1)
-            survivors = (ffi.from_buffer("int64_t[]",
-                                         np.ascontiguousarray(sel)),
-                         n_keep, n_groups, row)
-        if self._expand(n_leaves, *survivors, expand):
-            raise ValueError(f"sel names a subtree outside [0, "
-                             f"{survivors[2]})")
-        # the children are rehashed or their survivors taken: gather
-        # nothing more from them until score costs new ones
-        self._scored = 0
-        return n_leaves
+    def _bind(self, slots: np.ndarray, values: np.ndarray,
+              csi: np.ndarray | None, counts: np.ndarray) -> None:
+        ffi, ctx = self._ffi, self._ctx
+        self._view = (slots, values, csi, counts)
+        ctx.counts = ffi.cast("int64_t *", counts.ctypes.data)
+        ctx.slots = ffi.cast("uint32_t *", slots.ctypes.data)
+        ctx.slot_step = slots.strides[0] // slots.itemsize
+        ctx.values = ffi.cast("double *", values.ctypes.data)
+        ctx.csi = ffi.NULL if csi is None else ffi.cast("double *",
+                                                        csi.ctypes.data)
+        ctx.value_step = values.strides[0] // values.itemsize
+        ctx.row_step = values.strides[1] // values.itemsize
+        ctx.n_leaves, ctx.row, ctx.sel = 1, 0, ffi.NULL
+        ctx.n_spine = counts.size
 
-    def expand(self, n_leaves: int, sel: np.ndarray | None = None,
-               row: int = 0) -> np.ndarray:
-        """Pass 1: the ``(n_msgs * n_leaves << k,)`` children of the first
-        ``n_leaves`` leaves of every message.  With ``sel``, the leaves
-        are first gathered as :meth:`gather` gathers them, and
-        ``n_leaves`` must be ``sel.shape[1] * group``."""
-        n_leaves = _check_count("n_leaves", n_leaves, 1, self._max_leaves)
-        self._run(n_leaves, sel, row, 1)
-        return self._children[:self._n_msgs * n_leaves << self._k]
+    def _unbind(self) -> None:
+        ffi, ctx = self._ffi, self._ctx
+        ctx.n_spine = 0
+        ctx.counts = ctx.slots = ctx.values = ctx.csi = ctx.sel = ffi.NULL
+        self._view = self._sel = None
 
-    def gather(self, sel: np.ndarray, row: int) -> np.ndarray:
-        """The survivors ``sel`` of the children :meth:`score` last
-        costed, whose ``n_groups`` subtrees per message are runs of
-        ``group`` consecutive children: ``sel`` (n_msgs, n_keep) intp holds
-        ``select_beams``'s choice for each message, and subtree ``sel[m,
-        j]`` becomes leaves ``[j * group, (j + 1) * group)`` of message m
-        in ``states`` and ``costs`` and its flat group row ``m * n_groups +
-        sel[m, j]`` becomes ``history[row, m, j]``.  Returns the new
-        leaves' path costs, ``(n_msgs, n_keep * group)``."""
-        n_leaves = self._run(None, sel, row, 0)
-        return self.costs[:self._n_msgs * n_leaves].reshape(self._n_msgs, -1)
+    def expand(self, step: int) -> None:
+        """Pass 1 at spine position ``step``: gather the new leaves, then
+        hash their children into ``children``."""
+        if self._expand(step):
+            raise ValueError(f"expand refused spine position {step}: outside "
+                             "the bound view, a bad selection or unpruned "
+                             "children past one subtree")
 
-    def score(self, n_leaves: int, slots: np.ndarray, values: np.ndarray,
-              csi: np.ndarray | None) -> np.ndarray:
-        """Pass 2: the ``(n_msgs * n_leaves << k,)`` path costs of the
-        children :meth:`expand` made from ``n_leaves`` leaves, at the spine
-        position whose received panel is ``slots``, ``values`` and
-        ``csi``."""
-        n_leaves = _check_count("n_leaves", n_leaves, 1, self._max_leaves)
-        if (csi is not None) != self._has_csi:
-            raise ValueError("csi must be given exactly when the search has "
-                             "CSI")
-        _check_panel(slots, values, csi, self._n_msgs, self._is_bsc)
-        ffi = self._ffi
-        if slots.size:
-            values = np.ascontiguousarray(values)
-            csi = None if csi is None else np.ascontiguousarray(csi)
-            panel = (ffi.from_buffer("uint32_t[]", slots), slots.size,
-                     ffi.from_buffer("double[]", values),
-                     ffi.NULL if csi is None
-                     else ffi.from_buffer("double[]", csi))
-        else:
-            panel = (ffi.NULL, 0, ffi.NULL, ffi.NULL)
-        self._score(n_leaves, *panel)
-        self._scored = n_leaves
-        return self._totals[:self._n_msgs * n_leaves << self._k]
+    def score(self, step: int) -> None:
+        """Pass 2 at spine position ``step``: the children's path costs
+        into ``totals``."""
+        if self._score(step):
+            raise ValueError(f"spine position {step} lies outside the bound "
+                             "view")
+
+    def _gather(self) -> None:
+        if self._gather_survivors():
+            raise ValueError("no selection to gather, or one naming a "
+                             "subtree outside the scored step")
 
 
 def _check_bounds(name: str, bounds: np.ndarray, n_edges: int) -> None:

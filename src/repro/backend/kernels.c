@@ -21,11 +21,18 @@
  * multiply by a known -1.0 into a negation, which flips a NaN's sign bit.
  *
  * Array pointers are restrict-qualified wherever a loop reads one array
- * and writes another: the wrappers in ckernels.py hand every call buffers
- * they own or allocate, so an output never overlaps an input.  Without
- * that promise the compiler must assume a store into the output may
- * change the levels or costs the next iteration reads, and it leaves the
- * branch-cost loops scalar.
+ * and writes another: the wrappers in ckernels.py hand every call output
+ * buffers they own or allocate, and the bubble search reads the store's
+ * received planes, which it never writes, so an output never overlaps an
+ * input.  Without that promise the compiler must assume a store into the
+ * output may change the levels or costs the next iteration reads, and it
+ * leaves the branch-cost loops scalar.
+ *
+ * Every pointer and size reaching C is checked in ckernels.py first,
+ * where its inputs become fixed: a search's shape and buffers when its
+ * passes are made, its received view once per search in start.  What only
+ * C sees at a step, the spine position and the selected survivors, C
+ * checks before it reads or writes.
  *
  * Random draws call numpy's own bounded-integer functions, linked from
  * numpy's libnpyrandom, on the caller's bit generator, so the draws and
@@ -252,7 +259,9 @@ static inline void accumulate(double *acc, double term, int first)
 }
 
 /* Branch costs of n_msgs messages: out (n_msgs, n_states) from states
- * (n_msgs, n_states), slots (n_slots,), values and csi (n_msgs, n_slots).
+ * (n_msgs, n_states), slots (n_slots,), and values and csi whose message m
+ * starts row_step values into the row of message m - 1, so (n_msgs,
+ * n_slots) arrays with row_step = n_slots, or n_msgs rows of a wider plane.
  * For METRIC_AWGN and METRIC_CSI, values and csi are complex128 read as
  * interleaved (re, im) doubles; for METRIC_BSC values are float64 and csi
  * is unused.  levels has 2^c entries, 1 <= c <= 16.  Each summand is
@@ -265,7 +274,7 @@ static void score_states(int hash_id, int metric,
                          const uint32_t *restrict states, int64_t n_msgs,
                          int64_t n_states, const uint32_t *restrict slots,
                          int64_t n_slots, const double *restrict values,
-                         const double *restrict csi,
+                         const double *restrict csi, int64_t row_step,
                          const double *restrict levels, int c,
                          const double *restrict parents, int k,
                          double *restrict out)
@@ -274,8 +283,8 @@ static void score_states(int hash_id, int metric,
     const int64_t v_width = metric == METRIC_BSC ? 1 : 2;
     uint32_t prefix[STATE_BLOCK], words[STATE_BLOCK];
     for (int64_t m = 0; m < n_msgs; ++m) {
-        const double *v = values + m * n_slots * v_width;
-        const double *h = metric == METRIC_CSI ? csi + m * n_slots * 2 : 0;
+        const double *v = values + m * row_step * v_width;
+        const double *h = metric == METRIC_CSI ? csi + m * row_step * 2 : 0;
         for (int64_t lo = 0; lo < n_states; lo += STATE_BLOCK) {
             const int64_t n = n_states - lo < STATE_BLOCK
                 ? n_states - lo : STATE_BLOCK;
@@ -338,74 +347,137 @@ void branch_costs(int hash_id, int metric, const uint32_t *restrict states,
                   const double *restrict levels, int c, double *restrict out)
 {
     score_states(hash_id, metric, states, n_msgs, n_states, slots, n_slots,
-                 values, csi, levels, c, 0, 0, out);
+                 values, csi, n_slots, levels, c, 0, 0, out);
 }
 
-/* ---- one bubble-search step: repro.core.decoder.BubbleDecoder ---- */
+/* ---- the bubble search: repro.core.decoder.BubbleDecoder ---- */
 
-/* Pass 1: gather the survivors, then expand them.
- *
- * With sel, each message's leaves first become the survivors that
- * select_beams chose among the children spinal_score last costed, where
- * n_groups groups of `group` consecutive children belong to each message:
- * survivor j of message m, group g = sel[m * n_keep + j] at flat group
- * row r = m * n_groups + g, copies children and totals [r * group, +group)
- * to leaves and costs [(m * n_keep + j) * group, +group), and
- * history[(row * n_msgs + m) * beam + j] = r records it for backtracking.
- * n_leaves is then n_keep * group.  A survivor outside [0, n_groups)
- * returns -1 before anything is written.
- *
- * Then, when expand is set, children[l * n_edges + e] = h(leaves[l],
- * edges[e]) for the n_leaves leaves of every message, the tree expansion
- * h(leaves[..., None], edges).  The last step's survivors are gathered
- * with expand unset. */
-int spinal_expand(int hash_id, const uint32_t *restrict edges,
-                  int64_t n_edges, int64_t n_msgs, int64_t group,
-                  int64_t beam, uint32_t *restrict leaves,
-                  double *restrict costs, uint32_t *restrict children,
-                  const double *restrict totals, int32_t *restrict history,
-                  int64_t n_leaves, const int64_t *restrict sel,
-                  int64_t n_keep, int64_t n_groups, int64_t row, int expand)
+/* One bubble search's state, owned by ckernels.SpinalPasses, which fills
+ * it in three parts.  The first is bound when the passes are made, after
+ * their checks: the hash, the metric, the cohort's shape (n_msgs messages
+ * of at most beam subtrees of `group` leaves, 2^k children a leaf, n_steps
+ * pruning steps) and the buffers the passes own.  The second is the
+ * received view, bound by start after its checks and unbound (n_spine = 0,
+ * every pointer NULL) by finish: spine position i has counts[i] slots at
+ * slots + i * slot_step, and message m's values at values + (i *
+ * value_step + m * row_step) * w doubles, w = 1 for BSC and 2 for complex
+ * values; csi has the values' shape and strides.  The third is the step's
+ * state: n_leaves leaves per message, the next history row, and the
+ * selection select left for the next gather, which names survivor j of
+ * message m sel[m * sel_step + j], j < n_keep (sel_step 0 when every
+ * message keeps the same subtrees), or NULL. */
+struct spinal_search {
+    int hash_id, metric, c, k;
+    int64_t n_msgs, beam, group, n_steps;
+    const uint32_t *edges;
+    const double *levels;
+    uint32_t *leaves;
+    double *costs;
+    uint32_t *children;
+    double *totals;
+    int32_t *history;
+    int64_t n_spine;
+    const int64_t *counts;
+    const uint32_t *slots;
+    int64_t slot_step;
+    const double *values;
+    const double *csi;
+    int64_t value_step, row_step;
+    int64_t n_leaves, row;
+    const int64_t *sel;
+    int64_t n_keep, sel_step;
+};
+
+/* The survivors of the scored children: the n_leaves << k children of each
+ * message form n_groups subtrees of `group` consecutive children, and
+ * survivor j of message m, flat group row r = m * n_groups + sel[m *
+ * sel_step + j], copies children and totals [r * group, +group) to leaves
+ * and costs [(m * n_keep + j) * group, +group) and records r as
+ * history[row][m][j].  n_leaves becomes n_keep * group, row moves on and
+ * the selection is used up.  Returns -1 before anything is written when
+ * no selection is pending, when n_keep is not in [1, min(beam, n_groups)],
+ * when the history is full or when a survivor lies outside [0, n_groups).
+ * The caller guarantees that sel holds n_msgs rows of sel_step >= n_keep
+ * entries (one row of n_keep when sel_step is 0). */
+int spinal_gather(struct spinal_search *s)
 {
-    if (sel) {
-        for (int64_t i = 0; i < n_msgs * n_keep; ++i)
-            if ((uint64_t)sel[i] >= (uint64_t)n_groups)
+    const int64_t n_msgs = s->n_msgs, group = s->group, n_keep = s->n_keep;
+    const int64_t n_groups = (s->n_leaves << s->k) / group;
+    const int64_t *sel = s->sel;
+    if (!sel || n_keep < 1 || n_keep > s->beam || n_keep > n_groups
+            || s->row < 0 || s->row >= s->n_steps)
+        return -1;
+    for (int64_t m = 0; m < n_msgs; ++m)
+        for (int64_t j = 0; j < n_keep; ++j)
+            if ((uint64_t)sel[m * s->sel_step + j] >= (uint64_t)n_groups)
                 return -1;
-        for (int64_t m = 0; m < n_msgs; ++m) {
-            int32_t *hist = history + (row * n_msgs + m) * beam;
-            for (int64_t j = 0; j < n_keep; ++j) {
-                const int64_t r = m * n_groups + sel[m * n_keep + j];
-                const uint32_t *from_state = children + r * group;
-                const double *from_cost = totals + r * group;
-                uint32_t *to_state = leaves + (m * n_keep + j) * group;
-                double *to_cost = costs + (m * n_keep + j) * group;
-                hist[j] = (int32_t)r;
-                for (int64_t w = 0; w < group; ++w) {
-                    to_state[w] = from_state[w];
-                    to_cost[w] = from_cost[w];
-                }
+    int32_t *hist = s->history + s->row * n_msgs * s->beam;
+    for (int64_t m = 0; m < n_msgs; ++m) {
+        for (int64_t j = 0; j < n_keep; ++j) {
+            const int64_t r = m * n_groups + sel[m * s->sel_step + j];
+            const uint32_t *restrict from_state = s->children + r * group;
+            const double *restrict from_cost = s->totals + r * group;
+            uint32_t *restrict to_state = s->leaves + (m * n_keep + j) * group;
+            double *restrict to_cost = s->costs + (m * n_keep + j) * group;
+            hist[m * s->beam + j] = (int32_t)r;
+            for (int64_t w = 0; w < group; ++w) {
+                to_state[w] = from_state[w];
+                to_cost[w] = from_cost[w];
             }
         }
     }
-    if (expand)
-        spine_hash(hash_id, leaves, 0, edges, children, n_msgs * n_leaves,
-                   n_edges);
+    s->n_leaves = n_keep * group;
+    s->row += 1;
+    s->sel = 0;
     return 0;
 }
 
-/* Pass 2: totals (n_msgs, n_leaves << k) = parents (n_msgs, n_leaves),
- * repeated over each leaf's 2^k children, + the branch costs of children
- * over one spine position's slots (none at a punctured position). */
-void spinal_score(int hash_id, int metric, const double *restrict levels,
-                  int c, int k, int64_t n_msgs,
-                  const uint32_t *restrict children,
-                  const double *restrict parents, double *restrict totals,
-                  int64_t n_leaves, const uint32_t *restrict slots,
-                  int64_t n_slots, const double *restrict values,
-                  const double *restrict csi)
+/* Pass 1 at spine position `step`: the new leaves, then children[l * 2^k
+ * + e] = h(leaves[l], e) for the n_leaves leaves of every message, the
+ * tree expansion h(leaves[..., None], edges).  The new leaves are the
+ * survivors of the pending selection (spinal_gather); without one, every
+ * child of the last step, while those fit in one subtree (the unpruned
+ * first d - 1 steps); at step 0 the leaves start binds.  Returns -1 before
+ * anything is written for a position outside the bound view, a refused
+ * gather, or unpruned children that would not fit. */
+int spinal_expand(struct spinal_search *s, int64_t step)
 {
-    score_states(hash_id, metric, children, n_msgs, n_leaves << k, slots,
-                 n_slots, values, csi, levels, c, parents, k, totals);
+    if (step < 0 || step >= s->n_spine)
+        return -1;
+    if (s->sel) {
+        if (spinal_gather(s))
+            return -1;
+    } else if (step > 0) {
+        const int64_t n_children = s->n_leaves << s->k;
+        if (n_children > s->group)
+            return -1;
+        for (int64_t i = 0; i < s->n_msgs * n_children; ++i) {
+            s->leaves[i] = s->children[i];
+            s->costs[i] = s->totals[i];
+        }
+        s->n_leaves = n_children;
+    }
+    spine_hash(s->hash_id, s->leaves, 0, s->edges, s->children,
+               s->n_msgs * s->n_leaves, (int64_t)1 << s->k);
+    return 0;
+}
+
+/* Pass 2 at spine position `step`: totals (n_msgs, n_leaves << k) =
+ * costs (n_msgs, n_leaves), repeated over each leaf's 2^k children, + the
+ * branch costs of the children over the position's slots (none at a
+ * punctured position), read in place from the bound view.  Returns -1 for
+ * a position outside it. */
+int spinal_score(struct spinal_search *s, int64_t step)
+{
+    if (step < 0 || step >= s->n_spine)
+        return -1;
+    const int64_t at = step * s->value_step
+        * (s->metric == METRIC_BSC ? 1 : 2);
+    score_states(s->hash_id, s->metric, s->children, s->n_msgs,
+                 s->n_leaves << s->k, s->slots + step * s->slot_step,
+                 s->counts[step], s->values + at, s->csi ? s->csi + at : 0,
+                 s->row_step, s->levels, s->c, s->costs, s->k, s->totals);
+    return 0;
 }
 
 /* ---- belief propagation: repro.ldpc.bp.BeliefPropagation.decode ---- */

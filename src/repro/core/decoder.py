@@ -24,15 +24,21 @@ single broadcast hash), takes subtree minima (none at ``d = 1``), and
 selects each message's best ``B`` subtrees with its own ``argpartition``
 row.  Backtracking records the surviving subtrees per step (one compact
 ``(M, B)`` index array); missing spine positions (puncturing) simply
-contribute zero branch cost, which matches §5 exactly.  The hashing and
-scoring are the passes of :func:`repro.backend.spinal_passes`, compiled C
-where it builds: ``expand`` gathers the subtrees the previous step
-selected (their states, path costs and history row) and hashes their
-children, ``score`` adds each leaf's cost to its children's branch costs,
-and ``gather`` takes the last step's survivors.  Only the selection (and
-the subtree minima at ``d > 1``) runs in numpy between the passes.  The
-passes' leaf, child, cost and survivor buffers are allocated once per
-decoder and cohort size and reused by the cohort's later attempts.
+contribute zero branch cost, which matches §5 exactly.  The search runs on
+the passes of :func:`repro.backend.spinal_passes`, compiled C where it
+builds.  ``start`` checks the received view once per search and binds it
+(rows forming one run are read in place from the store, other row sets
+are copied once); each step is then ``expand(step)``, which gathers the
+subtrees the previous step selected (their states, path costs and history
+row) and hashes their children, ``score(step)``, which adds each leaf's
+cost to its children's branch costs over that position's slots, and, at
+every pruning step, ``select(B)``, the subtree minima and
+``argpartition`` on the passes' own costs; ``finish`` gathers the last
+survivors and unbinds the view.  Each step's state (leaf count, history
+row, survivors) stays inside the passes, so a compiled step is two C calls
+and one ``argpartition``.  The passes' leaf, child, cost and survivor
+buffers are allocated once per decoder and cohort size and reused by the
+cohort's later attempts.
 
 Messages never mix: branch costs keep the slot axis leading (the same
 reduction order for every row), and selection and the final argmin work
@@ -47,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backend import ckernels, select_beams, spinal_passes
+from repro.backend import ckernels, spinal_passes
 from repro.core.params import DecoderParams, SpinalParams
 from repro.core.symbols import BatchReceivedView, ReceivedSymbols
 from repro.obs import OBS, clock
@@ -106,11 +112,12 @@ class BubbleDecoder:
         return self._search(received)[0]
 
     def _search_passes(self, M: int, has_csi: bool):
-        """The step passes, with their leaf, child, cost and survivor
-        buffers, for a search over M messages.  Searches reuse them while
-        M, the CSI mode and the kernel path repeat, as they do over most of
-        a cohort's attempts, so the hash and metric are checked, and the
-        buffers' pages faulted in, once rather than at every attempt."""
+        """The passes, with their leaf, child, cost and survivor buffers,
+        for a search over M messages.  Searches reuse them while M, the
+        CSI mode and the kernel path repeat, as they do over most of a
+        cohort's attempts, so the hash, metric and shape are checked, and
+        the buffers' pages faulted in, once rather than at every
+        attempt."""
         key = (M, has_csi, ckernels.load() is not None)
         if self._passes is None or self._passes[0] != key:
             K, d = 1 << self.k, self.d
@@ -120,7 +127,7 @@ class BubbleDecoder:
                 self.params.hash_name, levels=self._levels, c=self.params.c,
                 is_bsc=self.params.is_bsc, has_csi=has_csi, k=self.k,
                 n_msgs=M, beam=min(self.dec.B, K ** min(n_pruning, 32)),
-                group=self._W, n_steps=n_pruning)
+                group=self._W, n_steps=n_pruning, s0=self.params.s0)
             self._passes = (key, passes)
         return self._passes[1]
 
@@ -131,7 +138,10 @@ class BubbleDecoder:
         k, K, d, W = self.k, 1 << self.k, self.d, self._W
         M, B = received.n_rows, self.dec.B
         passes = self._search_passes(M, received.has_csi)
-        states, costs = passes.states, passes.costs
+        # The view is checked and bound once; each step then passes only
+        # its spine position.
+        passes.start(received)
+        expand, score, select = passes.expand, passes.score, passes.select
         # Kernel timing accumulates in locals and flushes once at the end
         # (repro.obs hot-loop discipline: disabled cost is one branch per
         # step, no allocations).
@@ -142,49 +152,28 @@ class BubbleDecoder:
         # tree unpruned (the initial partial tree of Figure 4-1(a)); every
         # later step prunes to B subtrees of W leaves each, which the next
         # step's expand gathers from the children before hashing them.
-        # n_leaves is the number of leaves per message entering a step.
-        states[:M] = self.params.s0
-        costs[:M] = 0.0
-        n_leaves = 1
-        sel, row, n_kept = None, 0, []
         for step in range(self.n_spine):
-            panel = received.for_spine(step)
             if _on:
                 t0 = clock()
-            children = passes.expand(n_leaves, sel, row)
+            expand(step)
             if _on:
                 t1 = clock()
-            totals = passes.score(n_leaves, *panel)
+            score(step)
             if _on:
                 t2 = clock()
                 t_hash += t1 - t0
                 t_bc += t2 - t1
-            if step < d - 1:
-                n_leaves *= K
-                states[:M * n_leaves] = children
-                costs[:M * n_leaves] = totals
-                continue
-            # Flat child index w*K+e spells the d base-2^k path digits with
-            # the first edge most significant, so a row-major reshape to
-            # (K, W) groups children by first edge = candidate subtree.
-            n_groups = n_leaves // W * K
-            group_costs = (totals if W == 1 else
-                           totals.reshape(M * n_groups, W).min(axis=1))
-            sel = select_beams(group_costs.reshape(M, n_groups), B)
-            row = step - (d - 1)
-            n_kept.append(sel.shape[1])
-            n_leaves = sel.shape[1] * W
-            if _on:
-                t_sel += clock() - t2
+            if step >= d - 1:
+                select(B)
+                if _on:
+                    t_sel += clock() - t2
         if _on:
             t0 = clock()
-        leaf_costs = passes.gather(sel, row)
+        leaf_costs, kept_hist = passes.finish()
         if _on:
             OBS.add_time("kernel.hash", t_hash + clock() - t0, self.n_spine)
             OBS.add_time("kernel.branch_cost", t_bc, self.n_spine)
-            OBS.add_time("kernel.select", t_sel, len(n_kept))
-        kept_hist = [passes.history[i, :, :n_beam]
-                     for i, n_beam in enumerate(n_kept)]
+            OBS.add_time("kernel.select", t_sel, len(kept_hist))
 
         # Best leaf and backtrack, per message.  Beams are numbered across
         # the cohort (beam b of message m is m*n_beam + b), so kept row

@@ -15,7 +15,8 @@ vectorised group-by-spine scatter (one ``argsort`` + one fancy assignment
 per block, no Python loop over symbols), and ``prefix`` hands out O(1)
 views of any row subset at any earlier fill state.  That is what lets a
 rateless session keep one incremental store across all of its decode
-attempts, and what the bubble decoder reads ``(rows, slots)`` panels from.
+attempts, and what the bubble decoder reads: :meth:`BatchReceivedView.planes`
+hands a search every position's ``(rows, slots)`` panel at once.
 CSI is all-or-nothing: it must arrive with the first block and keep
 arriving.
 
@@ -245,21 +246,48 @@ class BatchReceivedView:
         self.n_rows = rows.size
         self.complex_valued = store.complex_valued
         self.n_symbols = int(counts.sum())  # per message
-        # Rows forming one ascending run (a whole cohort, a single message)
-        # read as a basic slice: a view instead of a per-position gather.
-        lo = int(rows[0]) if rows.size else 0
-        contiguous = rows.size < 2 or bool((np.diff(rows) == 1).all())
-        self._panel = slice(lo, lo + rows.size) if contiguous else rows
 
     @property
     def has_csi(self) -> bool:
         return self._store.has_csi
+
+    def _row_index(self) -> slice | np.ndarray:
+        """The view's rows as an index into the store's message axis.
+        Rows forming one ascending run (a whole cohort, a single message)
+        are a basic slice, so indexing gives a view instead of a copy."""
+        rows = self.rows
+        lo = int(rows[0]) if rows.size else 0
+        if rows.size < 2 or bool((np.diff(rows) == 1).all()):
+            return slice(lo, lo + rows.size)
+        return rows
+
+    def planes(
+        self,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
+        """Everything a search reads, for all spine positions at once:
+        ``(slots, values, csi-or-None, counts)``, with the store's slot
+        plane ``(n_spine, capacity)``, this view's rows of its value and
+        CSI planes ``(n_spine, n_rows, capacity)`` and the view's
+        per-position symbol counts.  Values and CSI are views of the store
+        when the rows form one run and copies otherwise.  Raises
+        ``ValueError`` unless ``rows`` is a 1-D intp array of the store's
+        rows."""
+        rows, store = self.rows, self._store
+        if not (isinstance(rows, np.ndarray) and rows.dtype == np.intp
+                and rows.ndim == 1):
+            raise ValueError("a view's rows must be a 1-D intp array")
+        if rows.size and (rows.min() < 0 or rows.max() >= store.n_messages):
+            raise ValueError(
+                f"a view's rows must lie in [0, {store.n_messages})")
+        index = self._row_index()
+        csi = None if store._csi is None else store._csi[:, index]
+        return store._slots, store._values[:, index], csi, self._counts
 
     def for_spine(
         self, i: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """(slots, values, csi-or-None); values/csi shaped ``(n_rows, n_slots)``."""
         c = self._counts[i]
-        store = self._store
-        csi = None if store._csi is None else store._csi[i, self._panel, :c]
-        return store._slots[i, :c], store._values[i, self._panel, :c], csi
+        store, index = self._store, self._row_index()
+        csi = None if store._csi is None else store._csi[i, index, :c]
+        return store._slots[i, :c], store._values[i, index, :c], csi

@@ -78,6 +78,11 @@ class RscCode:
                 if self.next_state[s, u] == s >> 1:
                     self.term_bit[s] = u
                     break
+        # list copies for the encoder, which walks them one bit at a time:
+        # indexing a list costs a fraction of indexing an ndarray
+        self._next_list = self.next_state.tolist()
+        self._parity_list = self.parity_out.tolist()
+        self._term_list = self.term_bit.tolist()
 
     def encode(self, bits: np.ndarray, terminate: bool = True
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -87,24 +92,22 @@ class RscCode:
         When ``terminate`` is set, ``memory`` tail bits drive the encoder
         back to state 0 and are appended to the systematic stream.
         """
-        bits = np.asarray(bits, dtype=np.int64)
+        sys_out = np.asarray(bits, dtype=np.int64).tolist()
+        next_state, parity_out = self._next_list, self._parity_list
         state = 0
-        sys_out = []
         par_out = []
-        for b in bits:
-            par_out.append(self.parity_out[state, b])
-            sys_out.append(b)
-            state = self.next_state[state, b]
+        for b in sys_out:
+            par_out.append(parity_out[state][b])
+            state = next_state[state][b]
         tail = []
         if terminate:
             for _ in range(self.memory):
-                u = int(self.term_bit[state])
-                par_out.append(self.parity_out[state, u])
-                sys_out.append(u)
+                u = self._term_list[state]
+                par_out.append(parity_out[state][u])
                 tail.append(u)
-                state = self.next_state[state, u]
+                state = next_state[state][u]
             if state != 0:
                 raise AssertionError("termination failed to reach state 0")
         parities = np.array(par_out, dtype=np.uint8).T
-        return (np.array(sys_out, dtype=np.uint8), parities,
+        return (np.array(sys_out + tail, dtype=np.uint8), parities,
                 np.array(tail, dtype=np.uint8))

@@ -9,8 +9,10 @@ paths: compiled, and the numpy bodies with ``ckernels.load`` patched to
 ``None``, which are the oracle.
 """
 
+import gc
 import os
 import tempfile
+import weakref
 from contextlib import ExitStack, contextmanager
 from unittest import mock
 
@@ -27,7 +29,7 @@ from repro.backend import (
     select_beams,
 )
 from repro.channels import AWGNChannel, BSCChannel
-from repro.core.decoder import BatchBubbleDecoder
+from repro.core.decoder import BatchBubbleDecoder, BubbleDecoder
 from repro.core.encoder import BatchSpinalEncoder
 from repro.core.hashes import (
     _rotl32,
@@ -54,7 +56,7 @@ from reference_decoder import reference_decode
 #: Where the compiled kernels are entered: ``ckernels`` functions and
 #: classes, and the two passes of a bubble-search step by ``Class.method``.
 _COMPILED_ENTRY_POINTS = ("spine_hash", "branch_costs", "SpinalPasses.expand",
-                          "SpinalPasses.score", "SpinalPasses.gather",
+                          "SpinalPasses.score", "SpinalPasses.finish",
                           "bcjr_recursion", "BpPasses", "lt_draw",
                           "choice_draw")
 
@@ -486,19 +488,47 @@ def _special_costs(rng, size, n_special):
     return costs
 
 
+def _search_store(rng, metric, n_spine, n_rows, n_blocks, n_special,
+                  punctured=()):
+    """A store of ``n_rows`` messages over ``n_spine`` positions, filled by
+    ``n_blocks`` blocks of random slots and received values (with inf,
+    NaN, signed zeros and 1e300 among them, and the channel gains with
+    CSI); the ``punctured`` positions get no symbol.  Returns the store and
+    its checkpoint after each block."""
+    store = BatchReceivedSymbols(n_spine, n_rows,
+                                 complex_valued=metric != "bsc")
+    checkpoints = [store.checkpoint()]
+    open_positions = np.setdiff1d(np.arange(n_spine), punctured)
+    for _ in range(n_blocks):
+        n = int(rng.integers(0, 2 * n_spine + 1)) if open_positions.size else 0
+        spine = np.sort(rng.choice(open_positions, size=n))
+        slots = rng.integers(0, 2**32, size=n, dtype=np.uint32)
+        values = _received(rng, (n_rows, n), n_special)
+        if metric == "bsc":
+            values = values.real.copy()
+        csi = (_received(rng, (n_rows, n), n_special) if metric == "csi"
+               else None)
+        store.add_block(spine, slots, values, csi=csi)
+        checkpoints.append(store.checkpoint())
+    return store, checkpoints
+
+
 class TestCompiledStep:
-    """The two compiled passes of a bubble-search step
-    (:class:`ckernels.SpinalPasses`) equal the numpy step they replace:
-    ``expand`` the tree-expansion hash ``hash_fn(leaves[..., None],
-    edges)`` and ``score`` the numpy :func:`branch_costs_batch` of those
-    children followed by ``leaf + bc``, byte for byte.
+    """The compiled passes of a bubble search (:class:`ckernels.
+    SpinalPasses`) equal the numpy search they replace: ``expand`` the
+    tree-expansion hash ``hash_fn(leaves[..., None], edges)``, ``score``
+    the numpy :func:`branch_costs_batch` of those children followed by
+    ``leaf + bc``, and the gathers of ``select``'s survivors, byte for
+    byte.
 
     The cases cover every hash and metric, 1 to 3 messages, depth 1 and 2
     (``W = 2^k`` leaves per subtree), punctured positions without slots,
-    and inf, NaN, signed zeros and 1e300 among the received values, the
-    channel gains and the parent costs.  With CSI the costs are compared
-    bit for bit except for which NaN a NaN entry holds: there numpy's own
-    choice between two NaNs depends on the element's position (see
+    received views read in place (rows forming one run, at the store's
+    capacity stride) and copied (any other row set), and inf, NaN, signed
+    zeros and 1e300 among the received values, the channel gains and the
+    parent costs.  With CSI the costs are compared bit for bit except for
+    which NaN a NaN entry holds: there numpy's own choice between two NaNs
+    depends on the element's position (see
     :class:`TestCompiledSpecialValues`).
     """
 
@@ -506,56 +536,71 @@ class TestCompiledStep:
            hash_name=st.sampled_from(sorted(GOLDEN_VECTORS)),
            metric=st.sampled_from(["awgn", "csi", "bsc"]),
            n_msgs=st.integers(1, 3), k=st.integers(1, 4),
-           d=st.integers(1, 2), n_beam=st.integers(1, 6),
-           spare=st.integers(0, 3), n_slots=st.integers(0, 6),
-           c=st.integers(1, 8), n_special=st.integers(0, 6))
+           d=st.integers(1, 2), n_slots=st.integers(0, 6),
+           spare=st.integers(0, 3), c=st.integers(1, 8),
+           n_special=st.integers(0, 6))
     @settings(max_examples=150, deadline=None)
     def test_matches_numpy_step(self, seed, hash_name, metric, n_msgs, k, d,
-                                n_beam, spare, n_slots, c, n_special):
+                                n_slots, spare, c, n_special):
+        """One step at spine position 1, whose ``n_slots`` symbols sit in
+        a store of ``n_slots + spare`` columns, ahead of further rows, so
+        the view is read at the store's strides.  The leaves are set
+        after ``start`` (one per message) or are the children of an
+        unpruned step (``2^k`` per message at d = 2), and the parent costs
+        are set before ``score``."""
         if ckernels.load() is None:
             pytest.skip("compiled kernels unavailable here")
         rng = np.random.default_rng(seed)
         K = 1 << k
-        n_leaves = n_beam * K ** (d - 1)
-        leaves = rng.integers(0, 2**32, size=(n_msgs, n_leaves),
-                              dtype=np.uint32)
-        parents = _special_costs(rng, n_msgs * n_leaves, n_special)
-        parents = parents.reshape(n_msgs, n_leaves)
-        slots = rng.integers(0, 2**32, size=n_slots, dtype=np.uint32)
-        # the store hands out strided panels: n_slots columns of a wider row
-        wide = (n_msgs, n_slots + 2)
-        csi = None
+        store = BatchReceivedSymbols(2, n_msgs + 1,
+                                     complex_valued=metric != "bsc")
+        n_stored = n_slots + spare
+        values = _received(rng, (n_msgs + 1, n_stored), n_special)
         if metric == "bsc":
-            values = _received(rng, wide, n_special).real[:, :n_slots]
+            values = values.real.copy()
+        csi = (_received(rng, (n_msgs + 1, n_stored), n_special)
+               if metric == "csi" else None)
+        store.add_block(np.ones(n_stored, dtype=np.intp),
+                        rng.integers(0, 2**32, size=n_stored,
+                                     dtype=np.uint32), values, csi=csi)
+        view = store.prefix(np.arange(n_msgs), np.array([0, n_slots]))
+        slots, values, csi = view.for_spine(1)
+        if metric == "bsc":
             c, levels = 1, np.array([-1.0, 1.0])
         else:
-            values = _received(rng, wide, n_special)[:, :n_slots]
-            if metric == "csi":
-                csi = _received(rng, wide, n_special)[:, :n_slots]
             levels = np.sort(rng.normal(size=1 << c))
-        kwargs = dict(hash_name=hash_name, levels=levels, c=c,
-                      is_bsc=metric == "bsc")
-        edges = np.arange(K, dtype=np.uint32)
+        n_leaves = K ** (d - 1)
         with np.errstate(all="ignore"):
-            with _on_path("numpy"):
-                want_children = reference_hashes()[hash_name](
-                    leaves[:, :, None], edges)
-                bc = branch_costs_batch(want_children.reshape(n_msgs, -1),
-                                        slots, values, csi, **kwargs)
-                want_totals = parents[:, :, None] + bc.reshape(
-                    n_msgs, n_leaves, K)
             with _on_path("compiled") as calls:
                 passes = ckernels.SpinalPasses(
                     ckernels.load(), hash_name, levels=levels, c=c,
                     is_bsc=metric == "bsc", has_csi=csi is not None, k=k,
-                    n_msgs=n_msgs, beam=n_beam + spare, group=K ** (d - 1),
-                    n_steps=1)
-                passes.states[:leaves.size] = leaves.ravel()
-                passes.costs[:parents.size] = parents.ravel()
-                children = passes.expand(n_leaves)
-                totals = passes.score(n_leaves, slots, values, csi)
-        assert calls == ["expand", "score"]
-        assert children.dtype == np.uint32 and totals.dtype == np.float64
+                    n_msgs=n_msgs, beam=1, group=n_leaves, n_steps=1,
+                    s0=int(rng.integers(0, 2**32)))
+                passes.start(view)
+                passes.states[:n_msgs] = rng.integers(
+                    0, 2**32, size=n_msgs, dtype=np.uint32)
+                passes.expand(0)
+                if d == 2:
+                    passes.score(0)
+                    passes.expand(1)
+                leaves = passes.states[:n_msgs * n_leaves].copy()
+                parents = _special_costs(rng, n_msgs * n_leaves, n_special)
+                passes.costs[:parents.size] = parents
+                passes.score(1)
+            with _on_path("numpy"):
+                want_children = reference_hashes()[hash_name](
+                    leaves.reshape(n_msgs, n_leaves, 1),
+                    np.arange(K, dtype=np.uint32))
+                bc = branch_costs_batch(
+                    want_children.reshape(n_msgs, -1), slots, values, csi,
+                    hash_name=hash_name, levels=levels, c=c,
+                    is_bsc=metric == "bsc")
+                want_totals = parents.reshape(n_msgs, n_leaves, 1) + bc.reshape(
+                    n_msgs, n_leaves, K)
+        assert set(calls) == {"expand", "score"}
+        n = n_msgs * n_leaves * K
+        children, totals = passes.children[:n], passes.totals[:n]
         assert children.tobytes() == want_children.tobytes()
         want = want_totals.ravel()
         if metric == "csi":
@@ -567,55 +612,60 @@ class TestCompiledStep:
            hash_name=st.sampled_from(sorted(GOLDEN_VECTORS)),
            metric=st.sampled_from(["awgn", "csi", "bsc"]),
            n_msgs=st.integers(1, 3), k=st.integers(1, 3),
-           d=st.integers(1, 2), beam=st.integers(1, 6),
-           n_steps=st.integers(1, 4),
-           selection=st.lists(st.sampled_from(
-               ["argpartition", "identity", "random"]), min_size=4,
-               max_size=4),
-           n_slots=st.integers(0, 4), c=st.integers(1, 6),
-           n_special=st.integers(0, 4))
+           d=st.integers(1, 2), n_beam=st.integers(1, 6),
+           n_spine=st.integers(2, 5), n_blocks=st.integers(1, 4),
+           punctured=st.sets(st.integers(0, 4), max_size=2),
+           rows=st.sampled_from(["run", "gathered"]),
+           c=st.integers(1, 6), n_special=st.integers(0, 4))
     @settings(max_examples=150, deadline=None)
     def test_gather_and_expand_match_numpy_passes(
-            self, seed, hash_name, metric, n_msgs, k, d, beam, n_steps,
-            selection, n_slots, c, n_special):
-        """``n_steps`` pruning steps and the final gather on the compiled
-        passes and on ``_NumpyPasses``, fed the same leaves, panels and
-        selections.  Children, gathered states and the survivors' history
-        agree byte for byte over the whole buffers, so nothing is written
-        outside a message's rows; each path's gathered costs are its own
-        step's totals byte for byte; and the two paths' costs agree bit for
-        bit except for which NaN a NaN entry holds (from the second step
-        on, a NaN parent cost meets NaN branch costs, where numpy's own
-        ``leaf + bc`` picks a NaN by position).  Each step keeps between
-        one subtree and all of them, so the cohort's history rows are
-        strided whenever it keeps fewer than ``beam``; selections are
-        ``select_beams``'s, its identity of the early steps (all subtrees in
-        order, as a broadcast view) or a random permutation prefix."""
+            self, seed, hash_name, metric, n_msgs, k, d, n_beam, n_spine,
+            n_blocks, punctured, rows, c, n_special):
+        """A whole search, ``start``, then ``expand``, ``score`` and at
+        each pruning step ``select(n_beam)`` per spine position, then
+        ``finish``, on the compiled passes and on ``_NumpyPasses``, over a
+        view of ``n_msgs`` rows of a store of ``n_msgs + 2``: one run of
+        rows, read in place, or a scattered set, copied once.  After every
+        call the states, children and history agree byte for byte over the
+        whole buffers, so nothing is written outside a message's rows, and
+        the costs and totals bit for bit except for which NaN a NaN entry
+        holds (a NaN parent cost meets NaN branch costs, where numpy's own
+        ``leaf + bc`` picks a NaN by position).  Every pruning step keeps
+        exactly :func:`select_beams`'s choice, and ``finish`` returns the
+        same survivors' costs and history on both."""
         if ckernels.load() is None:
             pytest.skip("compiled kernels unavailable here")
         rng = np.random.default_rng(seed)
         K, W = 1 << k, (1 << k) ** (d - 1)
+        store, checkpoints = _search_store(
+            rng, metric, n_spine, n_msgs + 2, n_blocks, n_special,
+            punctured=sorted(p for p in punctured if p < n_spine))
+        if rows == "run":
+            picked = np.arange(n_msgs) + int(rng.integers(0, 3))
+        else:
+            picked = rng.choice(n_msgs + 2, size=n_msgs, replace=False)
+            if n_msgs > 1 and (np.diff(picked) == 1).all():
+                picked = picked[::-1].copy()
+        view = store.prefix(
+            picked, checkpoints[int(rng.integers(0, len(checkpoints)))])
         if metric == "bsc":
             c, levels = 1, np.array([-1.0, 1.0])
         else:
             levels = np.sort(rng.normal(size=1 << c))
+        n_steps = n_spine - d + 1
         search = dict(levels=levels, c=c, is_bsc=metric == "bsc",
-                      has_csi=metric == "csi", k=k, n_msgs=n_msgs, beam=beam,
-                      group=W, n_steps=n_steps)
+                      has_csi=metric == "csi", k=k, n_msgs=n_msgs,
+                      beam=min(n_beam, K ** n_steps), group=W,
+                      n_steps=n_steps, s0=int(rng.integers(0, 2**32)))
         both = (ckernels.SpinalPasses(ckernels.load(), hash_name, **search),
                 _NumpyPasses(hash_name, **search))
         # the buffers start equal, so a stray write shows as a difference
         for p in both:
             p.states[:] = 7
             p.costs[:] = -3.0
+            p.children[:] = 9
+            p.totals[:] = -4.0
             p.history[:] = -5
-        n_leaves = int(rng.integers(1, beam + 1)) * W
-        leaves = rng.integers(0, 2**32, size=n_msgs * n_leaves,
-                              dtype=np.uint32)
-        parents = _special_costs(rng, n_msgs * n_leaves, n_special)
-        for p in both:
-            p.states[:leaves.size] = leaves
-            p.costs[:parents.size] = parents
 
         def same(a, b, nan_free=False):
             if nan_free:
@@ -623,49 +673,43 @@ class TestCompiledStep:
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()
 
-        def gathered(sel, totals):
-            """The compiled path's leaves and costs are its own step's."""
-            n = sel.size * W
-            groups = np.arange(n_msgs)[:, None] * n_groups + sel
-            same(both[0].costs[:n], totals.reshape(-1, W)[groups].ravel())
-            same(*(p.states for p in both))
-            same(*(p.costs for p in both), nan_free=True)
-            same(*(p.history for p in both))
+        def agree():
+            for name in ("states", "children", "history"):
+                same(*(getattr(p, name) for p in both))
+            for name in ("costs", "totals"):
+                same(*(getattr(p, name) for p in both), nan_free=True)
 
-        sel = None
+        chosen = []
         with np.errstate(all="ignore"):
-            for row in range(n_steps):
-                children = [p.expand(n_leaves, sel, row - 1) for p in both]
-                if sel is not None:
-                    gathered(sel, totals[0])
-                same(*children)
-                slots = rng.integers(0, 2**32, size=n_slots, dtype=np.uint32)
-                wide = (n_msgs, n_slots + 2)
-                values = _received(rng, wide, n_special)[:, :n_slots]
-                if metric == "bsc":
-                    values = values.real
-                csi = (_received(rng, wide, n_special)[:, :n_slots]
-                       if metric == "csi" else None)
-                totals = [p.score(n_leaves, slots, values, csi).copy()
-                          for p in both]
-                same(*totals, nan_free=True)
-                n_groups = n_leaves // W * K
-                n_keep = int(rng.integers(1, min(beam, n_groups) + 1))
-                how = selection[row]
-                if how == "identity" and n_groups <= beam:
-                    sel = select_beams(np.zeros((n_msgs, n_groups)), beam)
-                elif how == "random":
-                    sel = np.stack([rng.permutation(n_groups)[:n_keep]
-                                    for _ in range(n_msgs)])
-                else:
-                    group_costs = totals[1].reshape(-1, W).min(axis=1)
-                    sel = select_beams(group_costs.reshape(n_msgs, n_groups),
-                                       n_keep)
+            for p in both:
+                p.start(view)
+            agree()
+            n_leaves = 1
+            for step in range(n_spine):
+                for p in both:
+                    p.expand(step)
+                agree()
+                for p in both:
+                    p.score(step)
+                agree()
+                if step < d - 1:
+                    n_leaves *= K
+                    continue
+                n_groups = n_leaves * K // W
+                group_costs = both[1].totals[:n_msgs * n_leaves * K]
+                group_costs = group_costs.reshape(-1, W).min(axis=1)
+                sel = select_beams(group_costs.reshape(n_msgs, n_groups),
+                                   n_beam)
+                chosen.append(sel + np.arange(n_msgs)[:, None] * n_groups)
+                for p in both:
+                    p.select(n_beam)
                 n_leaves = sel.shape[1] * W
-            final = [p.gather(sel, n_steps - 1) for p in both]
-        gathered(sel, totals[0])
-        same(*final, nan_free=True)
-        assert final[0].shape == (n_msgs, n_leaves)
+            final = [p.finish() for p in both]
+        agree()
+        same(final[0][0], final[1][0], nan_free=True)
+        assert final[0][0].shape == (n_msgs, n_leaves)
+        for kept in (final[0][1], final[1][1]):
+            assert [a.tolist() for a in kept] == [a.tolist() for a in chosen]
 
 
 # ---------------------------------------------------------------------------
@@ -773,9 +817,54 @@ class TestCrossBackendDecode:
                     self._assert_equal_results(ref, dec.decode(one))
             # both passes of every step ran compiled, and none on numpy
             if path == "compiled":
-                assert {"expand", "score", "gather"} <= set(calls)
+                assert {"expand", "score", "finish"} <= set(calls)
             else:
                 assert calls == []
+
+    def test_store_grown_between_searches(self):
+        """The passes bind a store's planes for one search only.  Decode
+        with one decoder, grow the same store past its capacity (which
+        makes ``add_block`` reallocate its planes), decode again with that
+        decoder: the result equals a fresh decoder's, the old planes are
+        freed as soon as the store drops them, and after each search the
+        passes hold no pointer into the store."""
+        params = SpinalParams()
+        rng = np.random.default_rng(23)
+        encoder = BatchSpinalEncoder(
+            params, random_message(self.N_BITS, rng)[None])
+        channel = AWGNChannel(4.0, rng=rng)
+
+        def send():
+            """Transmit the next subpass into the store."""
+            block = encoder.generate_batch(len(sent))
+            sent.append(block)
+            store.add_block(block.spine_indices, block.slots,
+                            channel.transmit(block.values[0]).values)
+
+        def unbound(passes):
+            assert passes._view is None and passes._sel is None
+            if isinstance(passes, ckernels.SpinalPasses):
+                ctx, null = passes._ctx, passes._ffi.NULL
+                assert ctx.n_spine == 0
+                assert all(getattr(ctx, f) == null for f in (
+                    "counts", "slots", "values", "csi", "sel"))
+
+        for path in _paths():
+            sent, store = [], ReceivedSymbols(encoder.n_spine)
+            send()
+            with _on_path(path):
+                dec = BubbleDecoder(params, self.DEC, self.N_BITS)
+                dec.decode(store)
+                unbound(dec._passes[1])
+                capacity, planes = store._capacity, weakref.ref(store._values)
+                while store._capacity == capacity:
+                    send()
+                gc.collect()
+                assert planes() is None
+                again = dec.decode(store)
+                unbound(dec._passes[1])
+                fresh = BubbleDecoder(params, self.DEC, self.N_BITS)
+                self._assert_equal_results(fresh.decode(store), again)
 
 
 # ---------------------------------------------------------------------------

@@ -155,7 +155,7 @@ def test_every_entry_is_pinned():
 
 
 # --------------------------------------------------------------------------
-# the returned-dict shapes the benchmarks/ wrappers read
+# the shapes of the dicts each entry's report returns
 # --------------------------------------------------------------------------
 
 def _floats(curve: dict) -> bool:

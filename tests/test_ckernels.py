@@ -21,7 +21,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro.backend import BackendFallbackWarning, ckernels
+from repro.backend import BackendFallbackWarning, _NumpyPasses, ckernels
+from repro.core.symbols import BatchReceivedSymbols
 from repro.strider.bcjr import _NEG, BcjrTrellis, _numpy_recursion, max_log_bcjr
 from repro.strider.rsc import RscCode
 
@@ -155,7 +156,7 @@ def _reached_c(*args):
 _FAKE = SimpleNamespace(ffi=None, lib=SimpleNamespace(
     branch_costs=_reached_c, spine_hash=_reached_c, lt_draw=_reached_c,
     choice_draw=_reached_c, spinal_expand=_reached_c,
-    spinal_score=_reached_c))
+    spinal_score=_reached_c, spinal_gather=_reached_c))
 
 
 @pytest.mark.parametrize("name, bad", [
@@ -212,12 +213,26 @@ def _step_search():
     to 3 one-leaf subtrees with 4 children each, over 2 pruning steps."""
     return {"hash_name": "lookup3", "levels": np.linspace(-1.0, 1.0, 8),
             "c": 3, "is_bsc": False, "has_csi": False, "k": 2, "n_msgs": 2,
-            "beam": 3, "group": 1, "n_steps": 2}
+            "beam": 3, "group": 1, "n_steps": 2, "s0": 0}
 
 
-#: A good step of that search: 3 leaves per message, AWGN panel of 3 slots.
-_STEP = {"n_leaves": 3, "slots": np.arange(3, dtype=np.uint32),
-         "values": np.zeros((2, 3), dtype=np.complex128), "csi": None}
+def _good_view():
+    """A good received view for that search: rows 0 and 1 of a 3-message
+    AWGN store, 3 slots at each of 2 spine positions, in a capacity of 4."""
+    store = BatchReceivedSymbols(2, 3)
+    store.add_block(np.repeat(np.arange(2), 3), np.arange(6, dtype=np.uint32),
+                    np.zeros((3, 6), dtype=np.complex128))
+    return store.prefix(np.arange(2), store.checkpoint())
+
+
+def _fake_passes():
+    """``_step_search``'s passes on a fake kernel whose every call fails
+    the test: the struct and pointers are real, the C functions are not."""
+    cffi = pytest.importorskip("cffi")
+    ffi = cffi.FFI()
+    ffi.cdef(ckernels._CDEF)
+    return ckernels.SpinalPasses(SimpleNamespace(ffi=ffi, lib=_FAKE.lib),
+                                 **_step_search())
 
 
 @pytest.mark.parametrize("name, bad", [
@@ -253,114 +268,144 @@ def test_bsc_step_search_rejects_csi():
 
 
 @pytest.mark.parametrize("name, bad", [
-    ("n_leaves", lambda n: 0),
-    ("n_leaves", lambda n: 4),
-    ("n_leaves", lambda n: 2.0),
+    ("counts", lambda a: a - 4),
+    ("counts", lambda a: a + 2),
+    ("counts", lambda a: a[:1]),
     ("slots", lambda a: a.astype(np.int32)),
     ("slots", lambda a: a[None]),
-    ("slots", lambda a: np.repeat(a, 2)[::2]),
+    ("slots", lambda a: np.repeat(a, 2, axis=1)[:, ::2]),
     ("values", lambda a: a.real.copy()),
-    ("values", lambda a: a[:, :-1]),
-    ("values", lambda a: a[:1]),
+    ("values", lambda a: a[:, :, :2]),
+    ("values", lambda a: a[:, :1]),
     ("values", lambda a: a.tolist()),
-    ("csi", lambda _: np.zeros((2, 3), dtype=np.complex128)),
+    ("csi", lambda _: np.zeros((2, 2, 4), dtype=np.complex128)),
 ])
 def test_bad_steps_raise_before_reaching_c(name, bad):
-    """Each step checks its own leaf count and received panel; the good
-    step they start from reaches C."""
-    cffi = pytest.importorskip("cffi")
-    passes = ckernels.SpinalPasses(
-        SimpleNamespace(ffi=cffi.FFI(), lib=_FAKE.lib), **_step_search())
-    step = dict(_STEP)
-    with pytest.raises(AssertionError, match="reached the C kernel"):
-        passes.score(**step)
-    with pytest.raises(AssertionError, match="reached the C kernel"):
-        passes.expand(3)
-    step[name] = bad(step[name])
+    """A step reads only what ``start`` bound, so ``start`` checks the
+    received view's planes once per search: their dtypes, shapes, unit
+    inner strides, the CSI mode, the row count and every position's slot
+    count against the store's capacity (here 4).  The good view they
+    start from reaches C at the first step."""
+    passes = _fake_passes()
+    good = _good_view()
+    passes.start(good)
+    for run in (passes.expand, passes.score):
+        with pytest.raises(AssertionError, match="reached the C kernel"):
+            run(0)
+    planes = dict(zip(("slots", "values", "csi", "counts"), good.planes()))
+    planes[name] = bad(planes[name])
     with pytest.raises(ValueError):
-        passes.score(**step)
-    if name == "n_leaves":
-        with pytest.raises(ValueError):
-            passes.expand(step["n_leaves"])
-
-
-def _scored_passes():
-    """Passes on a fake kernel whose score pass returns at once, after one
-    good score of 3 leaves per message: 12 subtrees of one leaf each."""
-    cffi = pytest.importorskip("cffi")
-    lib = SimpleNamespace(spinal_score=lambda *args: None,
-                          spinal_expand=_reached_c)
-    passes = ckernels.SpinalPasses(SimpleNamespace(ffi=cffi.FFI(), lib=lib),
-                                   **_step_search())
-    passes.score(**_STEP)
-    return passes
+        passes.start(SimpleNamespace(planes=lambda: tuple(planes.values())))
 
 
 @pytest.mark.parametrize("name, bad", [
     ("sel", lambda a: a.astype(np.int32)),
     ("sel", lambda a: a.astype(np.uint64)),
     ("sel", lambda a: a.astype(np.float64)),
-    ("sel", lambda a: a.ravel()),
+    ("sel", lambda a: a + 2),
     ("sel", lambda a: a[:1]),
     ("sel", lambda a: a[None]),
-    ("sel", lambda a: a[:, :0]),
-    ("sel", lambda a: np.arange(8).reshape(2, 4)),
+    ("sel", lambda a: a[:0]),
+    ("sel", lambda a: np.arange(3)),
     ("sel", lambda a: a.tolist()),
     ("row", lambda r: -1),
-    ("row", lambda r: 2),
+    ("row", lambda r: 3),
     ("row", lambda r: 0.0),
 ])
 def test_bad_selections_raise_before_reaching_c(name, bad):
-    """The survivors' gather checks the selection's dtype, shape and kept
-    count (1 to ``beam`` subtrees per message, no more than the scored step
-    has) and the history row, in :meth:`expand` and :meth:`gather` alike;
-    the good gather they start from reaches C."""
-    good = {"sel": np.array([[0, 5], [11, 3]]), "row": 1}
-    for method, args in (("gather", ()), ("expand", (2,))):
-        with pytest.raises(AssertionError, match="reached the C kernel"):
-            getattr(_scored_passes(), method)(*args, **good)
-        with pytest.raises(ValueError):
-            getattr(_scored_passes(), method)(
-                *args, **dict(good, **{name: bad(good[name])}))
+    """A view's row selection ``sel`` (its ``rows``) must be a 1-D intp
+    array naming one row of the store per message of the search, and each
+    ``row`` must lie in the store's 3; ``start`` refuses any other view,
+    and the good selection reaches C at the first step."""
+    passes = _fake_passes()
+    view = _good_view()
+    passes.start(view)
+    with pytest.raises(AssertionError, match="reached the C kernel"):
+        passes.expand(0)
+    rows = view.rows
+    view.rows = (bad(rows) if name == "sel" else
+                 np.array([bad(int(rows[0])), *rows[1:].tolist()]))
+    with pytest.raises(ValueError):
+        passes.start(view)
 
 
 def test_gathers_need_a_scored_step_and_matching_leaves():
-    """Nothing is gathered before a step is scored, and ``expand``'s leaf
-    count must be the kept subtrees' leaves."""
-    cffi = pytest.importorskip("cffi")
-    passes = ckernels.SpinalPasses(
-        SimpleNamespace(ffi=cffi.FFI(), lib=_FAKE.lib), **_step_search())
-    sel = np.array([[0], [1]])
-    with pytest.raises(ValueError):
-        passes.gather(sel, 0)
-    with pytest.raises(ValueError):
-        passes.expand(1, sel, 0)
-    with pytest.raises(ValueError):
-        _scored_passes().expand(3, sel, 0)
+    """Nothing is gathered without a selection of a scored step, no more
+    subtrees are kept than the beam holds, children become leaves unpruned
+    only while they fit in one subtree, and no step runs outside the bound
+    view, before ``start`` or after ``finish``; on the compiled passes
+    (where they build) and the numpy ones alike."""
+    both = [_NumpyPasses(**_step_search())]
+    if ckernels.load() is not None:
+        both.append(ckernels.SpinalPasses(ckernels.load(), **_step_search()))
+    view = _good_view()
+    for passes in both:
+        for step in (0, -1):
+            with pytest.raises(ValueError):
+                passes.expand(step)
+            with pytest.raises(ValueError):
+                passes.score(step)
+        passes.start(view)
+        with pytest.raises(ValueError):
+            passes.finish()
+        passes.start(view)
+        passes.expand(0)
+        passes.score(0)
+        for step in (2, -1):
+            with pytest.raises(ValueError):
+                passes.expand(step)
+            with pytest.raises(ValueError):
+                passes.score(step)
+        # 4 subtrees a message were scored, and the beam holds 3
+        with pytest.raises(ValueError):
+            passes.select(5)
+        # without a selection, the 4 children of a leaf are no one-leaf
+        # subtree
+        with pytest.raises(ValueError):
+            passes.expand(1)
+        passes.select(2)
+        passes.expand(1)
+        passes.score(1)
+        passes.select(2)
+        leaf_costs, kept = passes.finish()
+        assert leaf_costs.shape == (2, 2)
+        assert [a.shape for a in kept] == [(2, 2)] * 2
+        for run in (passes.expand, passes.score):
+            with pytest.raises(ValueError):
+                run(0)
 
 
 def test_out_of_range_subtrees_are_refused_before_any_write():
     """C checks every selected subtree against the scored step's count and
     writes nothing when one is out of range; a good gather writes its
-    history row, and a second gather from the same step is refused."""
+    history row, and a second gather of the same selection is refused."""
     _require_compiler()
     passes = ckernels.SpinalPasses(ckernels.load(), **_step_search())
-    passes.states[:] = np.arange(6, dtype=np.uint32)
-    passes.costs[:] = 0.5
     passes.history[:] = -1
-    passes.expand(3)
-    passes.score(**_STEP)
+    passes.start(_good_view())
+    passes.expand(0)
+    passes.score(0)
+
+    def bind(sel):
+        """Leave ``sel`` (one row of 2 survivors a message) for the next
+        gather, as ``select`` leaves its choice."""
+        sel = np.array(sel, dtype=np.int64)
+        passes._sel = passes._ctx.sel = passes._pointer(sel)
+        passes._ctx.n_keep, passes._ctx.sel_step = 2, 2
+
     before = [a.copy() for a in (passes.states, passes.costs, passes.history)]
-    for bad in ([[0, 12], [1, 2]], [[0, 1], [-1, 2]]):
-        with pytest.raises(ValueError, match="outside"):
-            passes.gather(np.array(bad), 0)
+    for bad in ([[0, 4], [1, 2]], [[0, 1], [-1, 2]]):
+        bind(bad)
+        with pytest.raises(ValueError, match="refused"):
+            passes.expand(1)
         for a, b in zip((passes.states, passes.costs, passes.history),
                         before):
             assert a.tobytes() == b.tobytes()
-    passes.gather(np.array([[0, 11], [4, 2]]), 1)
-    assert passes.history[1].tolist() == [[0, 11, -1], [16, 14, -1]]
+    bind([[0, 3], [2, 1]])
+    passes.expand(1)
+    assert passes.history[0].tolist() == [[0, 3, -1], [6, 5, -1]]
     with pytest.raises(ValueError):
-        passes.gather(np.array([[0, 11], [4, 2]]), 1)
+        passes.finish()
 
 
 def test_target_cpu_keys_the_cache(monkeypatch):
@@ -595,7 +640,7 @@ def test_store_bytes_match_on_both_recursions(tmp_path, monkeypatch):
     # the bubble search enters the kernels through its step passes,
     # the encoders through the spine hash
     calls = {"bcjr_recursion": 0, "SpinalPasses.expand": 0,
-             "SpinalPasses.score": 0, "SpinalPasses.gather": 0,
+             "SpinalPasses.score": 0, "SpinalPasses.finish": 0,
              "spine_hash": 0, "BpPasses": 0, "lt_draw": 0, "choice_draw": 0}
 
     def counted(name, compiled):

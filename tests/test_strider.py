@@ -1,5 +1,6 @@
 """Tests for the Strider stack: RSC, BCJR, turbo, layered SIC."""
 
+import hashlib
 from types import SimpleNamespace
 from unittest import mock
 
@@ -52,6 +53,26 @@ class TestRsc:
         rsc = RscCode()
         for u in (0, 1):
             assert sorted(rsc.next_state[:, u].tolist()) == list(range(8))
+
+    @pytest.mark.parametrize("feedback, feedforward, digest", [
+        (13, (15, 17), "8fd8cb0ec6cbf3db"),
+        (7, (5,), "6573f03d0dd3de54"),
+        (13, (15, 17, 11), "dd0bbbdd4a72ffda"),
+    ])
+    def test_encode_output_is_pinned(self, feedback, feedforward, digest):
+        """``encode``'s three arrays, bytes, dtypes and shapes, over random
+        bits of 0 to 164, with ``terminate`` off and on, hash to the digest
+        of the per-bit numpy loop the list walk replaced."""
+        rsc = RscCode(feedback, feedforward)
+        h = hashlib.sha256()
+        rng = np.random.default_rng(2024)
+        for n in (0, 1, 5, 40, 164):
+            bits = rng.integers(0, 2, size=n)
+            for terminate in (False, True):
+                for a in rsc.encode(bits, terminate=terminate):
+                    h.update(f"{a.dtype.str}{a.shape}".encode())
+                    h.update(a.tobytes())
+        assert h.hexdigest()[:16] == digest
 
 
 class TestBcjr:
