@@ -2,37 +2,37 @@
 
 The bubble decoder spends its time in three kernels — the spine hash, the
 branch-cost evaluation, and beam selection — and ``repro.obs`` now reports
-their live shares per run (``--metrics``).  This suite tracks each kernel
-in isolation with pytest-benchmark so a regression is attributable to one
-kernel, not just "decode got slower":
+their live shares per run (``--metrics``).  This suite tracks the hash and
+the branch costs in isolation, and the whole search step, with
+pytest-benchmark so a regression is attributable to one kernel, not just
+"decode got slower":
 
 - ``hash``: every registered spine hash (:func:`repro.core.hashes.
   available_hashes`) over beam-sized and cohort-sized uint32 state arrays,
   the element counts the tree expansion hashes each step, and at the
   branch-cost broadcast ``(n_slots, 1) x (1, n_states)``;
-- ``branch_cost``: :func:`repro.backend.branch_costs_batch` — broadcast
-  hash + distance arithmetic over all received symbols of one spine
-  position — on a one-message (one-row) view, for the paper's AWGN code,
-  the rate-1/3 BSC code, and a fading store with per-symbol CSI; plus the
-  kernel at the ``spinal_awgn`` cohort shape;
-- ``select``: :func:`repro.backend.select_beams` (argpartition
-  subtree pruning) on one message's row and on a 16-message cohort;
+- ``branch_cost``: the ``score`` pass of :func:`repro.backend.
+  spinal_passes` — the fused hash and distance arithmetic over all
+  received symbols of one spine position, plus each parent's cost — over
+  ``B=256`` leaves of ``2^4`` children a message, on a one-message view
+  of a store for the paper's AWGN code, the rate-1/3 BSC code and a
+  fading store with per-symbol CSI, and on the ``spinal_awgn`` cohort
+  shape of three messages;
 - ``step``: one whole bubble-search step as the decoder runs it — the
   ``expand``, ``score`` and ``select`` of :func:`repro.backend.
   spinal_passes` (the gather of the previous step's survivors and the
   hash, the branch costs read in place from a store, the subtree
-  ``argpartition``) — at ``B=256``, ``k=4`` and two messages;
+  ``argpartition``) — at ``B=256``, ``k=4`` and two messages; selection
+  is timed here, as the decoder runs it;
 - ``bp``: one 40-iteration sum-product decode of a fixed ~50k-edge Raptor
   graph (:meth:`repro.ldpc.bp.BeliefPropagation.posteriors`), on the
   compiled passes and on the numpy loop.
 
-The hash, branch-cost, step and BP benchmarks run on both paths of
-:mod:`repro.backend`: ``numpy``, with the compiled kernels hidden so the
-numpy bodies run, always; ``compiled``, on the C kernels of
-:mod:`repro.backend.ckernels`, when they build.  numpy records keep their
-historical names; compiled ones get an ``@compiled`` name suffix, and
-every record a ``backend`` field.  Selection has one implementation and
-is measured once.
+Every benchmark runs on both paths of :mod:`repro.backend`: ``numpy``,
+with the compiled kernels hidden so the numpy bodies run, always;
+``compiled``, on the C kernels of :mod:`repro.backend.ckernels`, when they
+build.  numpy records keep their historical names; compiled ones get an
+``@compiled`` name suffix, and every record a ``backend`` field.
 
 Run with ``pytest benchmarks/bench_kernels.py``; a session teardown writes
 ``bench_results/BENCH_kernels.json`` (mean/stddev/rounds per kernel), then
@@ -48,8 +48,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro.backend import (
-    branch_costs_batch, ckernels, select_beams, spinal_passes)
+from repro.backend import ckernels, spinal_passes
 from repro.channels import AWGNChannel, BSCChannel
 from repro.core.encoder import SpinalEncoder
 from repro.core.hashes import available_hashes, get_hash
@@ -179,15 +178,38 @@ def test_hash_kernel_outer(benchmark, kernel_records, hash_name, backend):
 
 
 # ---------------------------------------------------------------------------
-# branch-cost kernel
+# branch-cost kernel: the passes' score
 # ---------------------------------------------------------------------------
 
-def _position_costs(params, states, view):
-    """The branch costs of ``states`` at spine position 1 of ``view``."""
-    return branch_costs_batch(
-        states, *view.for_spine(1), hash_name=params.hash_name,
-        levels=params.make_mapping().levels, c=params.c,
-        is_bsc=params.is_bsc)
+#: Subtrees a message keeps, as the paper's AWGN decoder does: with k=4 a
+#: message scores ``BEAM`` children a step.
+N_BEAM = 256
+
+
+def _scoring_passes(params, view):
+    """The passes of a search over ``view`` at ``B=256``, holding 256
+    leaves a message with their ``2^k`` children hashed, ready to
+    ``score`` at spine position 1."""
+    passes = spinal_passes(
+        params.hash_name, levels=params.make_mapping().levels, c=params.c,
+        is_bsc=params.is_bsc, has_csi=view.has_csi, k=params.k,
+        n_msgs=view.n_rows, beam=N_BEAM, group=1, n_steps=2, s0=params.s0)
+    passes.start(view)
+    # 1 leaf a message, then 16, then 256
+    for step in (0, 1):
+        passes.expand(step)
+        passes.score(1)
+        passes.select(N_BEAM)
+    passes.expand(1)
+    return passes
+
+
+def _bench_score(benchmark, params, view):
+    """Time ``score`` at spine position 1 of ``view``; return the scored
+    path costs, ``(n_rows, BEAM)``."""
+    passes = _scoring_passes(params, view)
+    benchmark(passes.score, 1)
+    return passes.totals[:view.n_rows * BEAM].reshape(view.n_rows, BEAM)
 
 
 def _filled_store(params, n_bits, x, n_subpasses=4, seed=99):
@@ -210,11 +232,9 @@ def _filled_store(params, n_bits, x, n_subpasses=4, seed=99):
 def test_branch_cost_kernel(benchmark, kernel_records, config, backend):
     params, n_bits, x = CONFIGS[config]
     store = _filled_store(params, n_bits, x)
-    states = np.random.default_rng(3).integers(
-        0, 2**32, size=(1, BEAM), dtype=np.uint32)
-    view = store.prefix(store.checkpoint())
     with _active(backend):
-        costs = benchmark(_position_costs, params, states, view)
+        costs = _bench_score(benchmark, params,
+                             store.prefix(store.checkpoint()))
     assert costs.shape == (1, BEAM) and np.all(costs >= 0.0)
     _record(kernel_records, benchmark, "branch_cost",
             f"{config}{_suffix(backend)}",
@@ -235,11 +255,9 @@ def test_branch_cost_kernel_fading_csi(benchmark, kernel_records, backend):
             continue
         phases = np.exp(2j * np.pi * rng.random(slots.size))
         csi_store.add_block(np.full(slots.size, i), slots, values, csi=phases)
-    states = np.random.default_rng(3).integers(
-        0, 2**32, size=(1, BEAM), dtype=np.uint32)
-    view = csi_store.prefix(csi_store.checkpoint())
     with _active(backend):
-        costs = benchmark(_position_costs, params, states, view)
+        costs = _bench_score(benchmark, params,
+                             csi_store.prefix(csi_store.checkpoint()))
     assert costs.shape == (1, BEAM) and np.all(costs >= 0.0)
     _record(kernel_records, benchmark, "branch_cost",
             f"awgn_k4_c6_csi{_suffix(backend)}",
@@ -257,38 +275,19 @@ def test_branch_cost_kernel_cohort(benchmark, kernel_records, backend):
     params = SpinalParams()
     n_msgs = 3
     rng = np.random.default_rng(12)
-    states = rng.integers(0, 2**32, size=(n_msgs, BEAM), dtype=np.uint32)
-    slots = np.arange(OUTER_SLOTS, dtype=np.uint32)
-    values = (rng.normal(size=(n_msgs, OUTER_SLOTS))
-              + 1j * rng.normal(size=(n_msgs, OUTER_SLOTS)))
-    levels = params.make_mapping().levels
+    store = BatchReceivedSymbols(2, n_msgs)
+    store.add_block(np.ones(OUTER_SLOTS, dtype=np.intp),
+                    np.arange(OUTER_SLOTS, dtype=np.uint32),
+                    rng.normal(size=(n_msgs, OUTER_SLOTS))
+                    + 1j * rng.normal(size=(n_msgs, OUTER_SLOTS)))
     with _active(backend):
-        costs = benchmark(
-            branch_costs_batch, states, slots, values, None,
-            hash_name=params.hash_name, levels=levels, c=params.c,
-            is_bsc=False)
+        costs = _bench_score(benchmark, params, store.prefix(
+            np.arange(n_msgs), store.checkpoint()))
     assert costs.shape == (n_msgs, BEAM) and np.all(costs >= 0.0)
     _record(kernel_records, benchmark, "branch_cost",
             f"awgn_k4_c6_cohort{n_msgs}{_suffix(backend)}",
             config="awgn_k4_c6", n_states=BEAM, n_msgs=n_msgs,
             n_slots=OUTER_SLOTS, backend=backend)
-
-
-# ---------------------------------------------------------------------------
-# selection kernel (one implementation; measured once)
-# ---------------------------------------------------------------------------
-
-# The one-message row keeps the record name of the 1-D shape it replaced.
-@pytest.mark.parametrize("shape,n_beam,name", [
-    ((1, BEAM), 256, f"{BEAM}/B256"),
-    ((16, BEAM), 256, f"16x{BEAM}/B256"),
-], ids=["scalar", "batch16"])
-def test_select_kernel(benchmark, kernel_records, shape, n_beam, name):
-    costs = np.random.default_rng(5).random(shape)
-    kept = benchmark(select_beams, costs, n_beam)
-    assert kept.shape == (shape[0], n_beam)
-    _record(kernel_records, benchmark, "select", name,
-            shape=list(shape), n_beam=n_beam)
 
 
 # ---------------------------------------------------------------------------

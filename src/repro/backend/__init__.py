@@ -3,27 +3,30 @@ otherwise.
 
 The bubble decoder spends its time in three kernel families: the u32 spine
 hashes, the branch costs, and beam selection.  This module holds the one
-implementation of each.  The spine hashes and the branch costs run on the
-compiled C kernels of :mod:`repro.backend.ckernels` where they build (on
-the first hash, branch-cost or search call of a process, never at import
-or decoder construction), and on the numpy bodies below otherwise.  The
-bubble search runs on the passes of :func:`spinal_passes`, which check and
-bind the received view once per search (``start``); each step is then
-``expand`` (the gather of the subtrees the previous step kept, then the
-tree-expansion hash) and ``score`` (the fused branch costs plus each
-parent's cost), taking only the spine position.  Beam selection is
-numpy's ``argpartition`` (``select``, between the passes).
+implementation of each.  The spine hashes run on the compiled C kernels of
+:mod:`repro.backend.ckernels` where they build (on the first hash or
+search call of a process, never at import or decoder construction), and
+on the numpy reference hashes otherwise.  The bubble search runs on the
+passes of :func:`spinal_passes`, which check and bind the received view
+once per search (``start``); each step is then ``expand`` (the gather of
+the subtrees the previous step kept, then the tree-expansion hash) and
+``score`` (the fused branch costs plus each parent's cost), taking only
+the spine position.  Beam selection is numpy's ``argpartition``
+(``select``, between the passes).  The passes are the one way to score
+and select spinal candidates: compiled as :class:`ckernels.SpinalPasses`,
+in numpy as :class:`_NumpyPasses`.
 
-The contract is **bit-identical output**: the compiled kernels reproduce
-the numpy bodies exactly, which are the fallback and the test oracle —
+The contract is **bit-identical output**: the compiled passes reproduce
+the numpy ones exactly, which are the fallback and the test oracle —
 same uint32 hash words as the reference hashes of :mod:`repro.core.hashes`,
 same float64 branch costs (same operation order, so the same IEEE
 rounding).  The non-CSI AWGN metric reads per-slot distance tables (see
 :func:`_awgn_table_costs`), which perform the same IEEE operations as
 gathering each word's levels and so give the same costs.
-``tests/test_backend.py`` enforces this with golden hash vectors and a
-decode matrix against a reference search, on both paths; the experiment
-store's byte-identical files on both paths are the end-to-end corollary.
+``tests/test_backend.py`` enforces this with golden hash vectors, the
+passes' scores against a gather oracle and a decode matrix against a
+reference search, on both paths; the experiment store's byte-identical
+files on both paths are the end-to-end corollary.
 
 :func:`get_backend` names the kernel set for ``--metrics`` artifacts and
 ``BENCH_*`` payloads.  The name is ``numpy`` because the results are the
@@ -35,10 +38,7 @@ included, and the last survivors' gather in ``finish`` as ``kernel.hash``,
 its ``score`` pass, whose fused loop cannot time its hashing apart, as
 ``kernel.branch_cost``, and ``select`` (the subtree minima and
 ``argpartition``) as ``kernel.select``, on both paths, and flushes once
-per search.  A
-:func:`branch_costs_batch` call times itself: on the numpy path its hash
-as ``kernel.hash`` and its distance arithmetic as ``kernel.branch_cost``,
-on the compiled path the whole call as ``kernel.branch_cost``.
+per search.
 
 :mod:`repro.core.hashes` imports this package, so the reference hashes
 it defines are bound lazily, on first use.
@@ -54,16 +54,13 @@ from typing import Callable
 import numpy as np
 
 from repro.backend import ckernels
-from repro.obs import OBS, clock
 
 __all__ = [
     "Backend",
     "BackendFallbackWarning",
     "HashFn",
-    "branch_costs_batch",
     "get_backend",
     "hash_kernel",
-    "select_beams",
     "spinal_passes",
 ]
 
@@ -122,33 +119,12 @@ def hash_kernel(name: str) -> HashFn:
     return h
 
 
-def select_beams(group_costs: np.ndarray, n_beam: int) -> np.ndarray:
-    """Indices of the ``n_beam`` cheapest candidate subtrees of each row.
-
-    ``group_costs`` is ``(M, n_candidates)``, one row of flattened
-    candidate costs per message; selection runs along axis 1 with
-    ``argpartition``.  This is the selection the passes' ``select`` makes
-    on their own costs, and the reference the tests hold it to.  Its
-    output depends on numpy's CPU dispatch level:
-    under numpy 2.4.6 the X86_V4, X86_V3 and baseline loops return the
-    same index set in different orders, and different sets among tied
-    costs.  Survivor order decides which tied candidate later steps keep
-    and which leaf the final ``argmin`` picks, so where costs tie a decode
-    can differ between hosts (a (cost, index) tie-break would make it
-    host-independent, at the price of some stored records).
-    """
-    n_keep = min(n_beam, group_costs.shape[1])
-    if n_keep < group_costs.shape[1]:
-        return group_costs.argpartition(n_keep - 1, axis=1)[:, :n_keep]
-    return np.broadcast_to(np.arange(group_costs.shape[1]), group_costs.shape)
-
-
 class _NumpyPasses(ckernels._Passes):
     """The numpy bubble search that :class:`ckernels.SpinalPasses`
     reproduces bit for bit, with the same interface and checks: the
     survivors' gathers by ``take``, the tree-expansion hash, the numpy
-    branch costs of :func:`branch_costs_batch` and ``leaf + bc``, each
-    step reading its panel from the planes :meth:`start` bound.  The
+    branch costs of :func:`_distances` and ``leaf + bc``, each step
+    reading its panel from the planes :meth:`start` bound.  The
     fallback when the kernels do not build."""
 
     def __init__(self, hash_name: str, *, levels: np.ndarray, c: int,
@@ -297,64 +273,6 @@ def _awgn_table_costs(
     return cost.sum(axis=0)
 
 
-def branch_costs_batch(
-    states: np.ndarray,
-    slots: np.ndarray,
-    values: np.ndarray,
-    csi: np.ndarray | None,
-    *,
-    hash_name: str,
-    levels: np.ndarray,
-    c: int,
-    is_bsc: bool,
-) -> np.ndarray:
-    """Branch costs of M messages: ``states (M, n)`` -> ``costs (M, n)``.
-
-    Sums, over the received symbols of one spine position, the squared
-    distance (AWGN; coherent ``|y - h x|^2`` when CSI is present) or
-    Hamming distance (BSC) between each candidate state's symbols and the
-    received values; a single message is ``M = 1``.  All passes plus tail
-    symbols arrive as distinct slots, evaluated in one broadcast hash of
-    shape ``(n_slots, M, n_states)``.  The slot axis leads, so each
-    (message, state) sum accumulates in slot order and a row's costs do
-    not depend on the other rows.  (numpy sums a lone column pairwise
-    instead, so that holds for ``M * n_states > 1``; the decoder always
-    scores at least ``2^k`` states.)  The compiled kernel reproduces the
-    slot-ordered sum, so it runs for every input but that lone column.
-    """
-    states = np.asarray(states, dtype=np.uint32)
-    n_msgs, n_states = states.shape
-    if slots.size == 0:
-        return np.zeros((n_msgs, n_states), dtype=np.float64)
-    _on = OBS.enabled
-    if _on:
-        t0 = clock()
-    kernels = ckernels.load() if n_msgs * n_states > 1 else None
-    if kernels is not None:
-        out = ckernels.branch_costs(
-            kernels, np.ascontiguousarray(states),
-            np.ascontiguousarray(slots, dtype=np.uint32),
-            np.ascontiguousarray(
-                values, dtype=np.float64 if is_bsc else np.complex128),
-            None if csi is None else np.ascontiguousarray(
-                csi, dtype=np.complex128),
-            hash_name=hash_name,
-            levels=np.ascontiguousarray(levels, dtype=np.float64), c=c,
-            is_bsc=is_bsc)
-        if _on:
-            OBS.add_time("kernel.branch_cost", clock() - t0)
-        return out
-    words = _reference_hash(hash_name)(
-        states[None, :, :], np.asarray(slots, np.uint32)[:, None, None])
-    if _on:
-        t1 = clock()
-        OBS.add_time("kernel.hash", t1 - t0)
-    out = _distances(words, values, csi, levels, c, is_bsc)
-    if _on:
-        OBS.add_time("kernel.branch_cost", clock() - t1)
-    return out
-
-
 def _distances(
     words: np.ndarray,
     values: np.ndarray,
@@ -363,7 +281,14 @@ def _distances(
     c: int,
     is_bsc: bool,
 ) -> np.ndarray:
-    """The numpy branch costs of the hash words ``(n_slots, M, n_states)``."""
+    """The numpy branch costs of the hash words ``(n_slots, M, n_states)``.
+
+    The slot axis leads, so each (message, state) sum accumulates in slot
+    order, as the compiled loop's does, and a row's costs do not depend on
+    the other rows.  numpy would sum a lone column (``M * n_states == 1``)
+    pairwise instead; the passes never score one, since every leaf has
+    ``2^k >= 2`` children.
+    """
     if is_bsc:
         bits = (words & _U32(1)).astype(np.float64)
         return np.abs(bits - values.T[:, :, None]).sum(axis=0)

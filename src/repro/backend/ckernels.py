@@ -2,9 +2,10 @@
 
 ``kernels.c`` beside this module holds exact-arithmetic loops that must
 match the numpy code they replace bit for bit (its header comment gives
-the rules): Strider's BCJR recursion, the spine hashes, the fused spinal
-branch costs, the passes of a bubble search (:class:`SpinalPasses`), BP's exact passes (:class:`BpPasses`) and the
-LT and precode draws, each behind a checked wrapper below.  The draws call
+the rules): Strider's BCJR recursion, the spine hashes, the passes of a
+bubble search (:class:`SpinalPasses`, whose ``score`` runs the fused spinal
+branch costs), BP's exact passes (:class:`BpPasses`) and the LT and
+precode draws, each behind a checked wrapper below.  The draws call
 numpy's own bounded-integer code, linked from numpy's ``libnpyrandom``
 static library, on the caller's generator.  :func:`load`
 compiles it in cffi's API mode, for the host CPU (``-march=native``) where
@@ -45,8 +46,8 @@ from types import ModuleType
 import numpy as np
 
 __all__ = ["CACHE_ROOT", "BpPasses", "SpinalPasses", "bcjr_recursion",
-           "branch_costs", "build_or_load", "choice_draw", "floyd_choice",
-           "load", "lt_draw", "module_path", "spine_hash"]
+           "build_or_load", "choice_draw", "floyd_choice", "load", "lt_draw",
+           "module_path", "spine_hash"]
 
 #: Where built modules are cached (per key: the module, its digest and a
 #: lock file).
@@ -59,10 +60,6 @@ void bcjr_recursion(const double *slab, const int64_t *gather, double *rows,
 void spine_hash(int hash_id, const uint32_t *states, int64_t s_step,
                 const uint32_t *datas, uint32_t *out, int64_t rows,
                 int64_t cols);
-void branch_costs(int hash_id, int metric, const uint32_t *states,
-                  int64_t n_msgs, int64_t n_states, const uint32_t *slots,
-                  int64_t n_slots, const double *values, const double *csi,
-                  const double *levels, int c, double *out);
 struct spinal_search {
     int hash_id, metric, c, k;
     int64_t n_msgs, beam, group, n_steps;
@@ -120,8 +117,8 @@ _FLAGS = ("-O3", "-fno-split-loops", "-ffp-contract=off", "-fno-fast-math")
 _HASH_IDS = {"one_at_a_time": 0, "lookup3": 1, "salsa20": 2}
 _METRIC_AWGN, _METRIC_CSI, _METRIC_BSC = 0, 1, 2
 
-#: The dtypes the received panel's and planes' checks compare against (a
-#: dtype compares with a dtype faster than with a scalar type).
+#: The dtypes the received planes' checks compare against (a dtype
+#: compares with a dtype faster than with a scalar type).
 _INT64, _UINT32 = np.dtype(np.int64), np.dtype(np.uint32)
 _FLOAT64, _COMPLEX128 = np.dtype(np.float64), np.dtype(np.complex128)
 
@@ -371,8 +368,8 @@ def spine_hash(module: ModuleType, hash_name: str, state: np.ndarray,
 
 def _metric(hash_name: str, levels: np.ndarray, c: object, is_bsc: bool,
             has_csi: bool) -> tuple[int, int]:
-    """The hash and metric ids of a branch-cost call, after checking what
-    the C loops index by: a known hash, 1 <= c <= 16 and float64 levels,
+    """The hash and metric ids of a search's branch costs, after checking
+    what the C loops index by: a known hash, 1 <= c <= 16 and float64 levels,
     C-contiguous with exactly ``2^c`` entries (BSC reads no levels and takes
     no csi)."""
     if hash_name not in _HASH_IDS:
@@ -389,70 +386,6 @@ def _metric(hash_name: str, levels: np.ndarray, c: object, is_bsc: bool,
         raise ValueError("the BSC metric takes no csi")
     return _HASH_IDS[hash_name], (_METRIC_BSC if is_bsc else
                                   _METRIC_CSI if has_csi else _METRIC_AWGN)
-
-
-def branch_costs(module: ModuleType, states: np.ndarray, slots: np.ndarray,
-                 values: np.ndarray, csi: np.ndarray | None, *,
-                 hash_name: str, levels: np.ndarray, c: int,
-                 is_bsc: bool) -> np.ndarray:
-    """The fused hash and branch-cost kernel of ``kernels.c``.
-
-    Same arguments and result as
-    :func:`repro.backend.branch_costs_batch`, but strict:
-    ``states`` (M, n) uint32, ``slots`` (s,) uint32 with s >= 1,
-    ``values`` (M, s) complex128 (float64 for BSC), ``csi`` None or
-    (M, s) complex128 (never with BSC), 1 <= c <= 16 and ``levels`` float64
-    with exactly ``2^c`` entries (BSC reads no levels), all C-contiguous.
-    Anything else raises ``ValueError`` before a pointer reaches C, which
-    indexes ``levels`` by ``c``-bit fields of the hash words.  The result
-    is allocated here, so it overlaps no input, as the kernel's
-    ``restrict`` pointers require.
-    """
-    hash_id, metric = _metric(hash_name, levels, c, is_bsc, csi is not None)
-    arrays = (states, slots, values) + (() if csi is None else (csi,))
-    if not all(isinstance(a, np.ndarray) for a in arrays):
-        raise ValueError("branch_costs takes numpy arrays")
-    if not all(a.flags.c_contiguous for a in arrays):
-        raise ValueError("branch_costs needs C-contiguous arrays")
-    if states.dtype != np.uint32 or states.ndim != 2:
-        raise ValueError(f"states must be (M, n) uint32, got {states.dtype} "
-                         f"{states.shape}")
-    if slots.size < 1:
-        raise ValueError("branch_costs needs at least one slot")
-    _check_panel(slots, values, csi, states.shape[0], is_bsc)
-    out = np.empty(states.shape, dtype=np.float64)
-    ffi = module.ffi
-    module.lib.branch_costs(
-        hash_id, metric,
-        ffi.from_buffer("uint32_t[]", states), states.shape[0],
-        states.shape[1], ffi.from_buffer("uint32_t[]", slots), slots.size,
-        ffi.from_buffer("double[]", values),
-        ffi.NULL if csi is None else ffi.from_buffer("double[]", csi),
-        ffi.from_buffer("double[]", levels), int(c),
-        ffi.from_buffer("double[]", out, require_writable=True))
-    return out
-
-
-def _check_panel(slots: object, values: object, csi: object, n_msgs: int,
-                 is_bsc: bool) -> None:
-    """One spine position's received panel: ``slots`` (s,) uint32,
-    ``values`` (n_msgs, s) complex128 (float64 for BSC) and ``csi`` None or
-    (n_msgs, s) complex128."""
-    if not (isinstance(slots, np.ndarray) and isinstance(values, np.ndarray)
-            and (csi is None or isinstance(csi, np.ndarray))):
-        raise ValueError("the received panel must be numpy arrays")
-    value_dtype = _FLOAT64 if is_bsc else _COMPLEX128
-    if (slots.dtype != _UINT32 or values.dtype != value_dtype
-            or (csi is not None and csi.dtype != _COMPLEX128)):
-        raise ValueError(
-            f"the received panel needs uint32 slots, {value_dtype} values "
-            "and complex128 csi")
-    if slots.ndim != 1 or not slots.flags.c_contiguous:
-        raise ValueError(f"slots must be (s,) and C-contiguous, got "
-                         f"{slots.shape}")
-    want = (n_msgs, slots.size)
-    if values.shape != want or (csi is not None and csi.shape != want):
-        raise ValueError(f"values and csi must be {want}")
 
 
 def _check_planes(received, n_msgs: int, is_bsc: bool, has_csi: bool
@@ -553,9 +486,18 @@ class _Passes:
         """Choose the survivors of the step just scored: of each message's
         subtrees of ``group`` consecutive children, scored by their
         cheapest child, the ``min(n_beam, n_subtrees)`` cheapest by
-        :func:`repro.backend.select_beams`'s ``argpartition`` (all of them,
-        in order, when they fit), for the next :meth:`expand` or
-        :meth:`finish` to gather."""
+        ``argpartition`` along each message's row (all of them, in order,
+        when they fit), for the next :meth:`expand` or :meth:`finish` to
+        gather.
+
+        The choice depends on numpy's CPU dispatch level: under numpy
+        2.4.6 the X86_V4, X86_V3 and baseline ``argpartition`` loops
+        return the same index set in different orders, and different sets
+        among tied costs.  Survivor order decides which tied candidate
+        later steps keep and which leaf the final ``argmin`` picks, so
+        where costs tie a decode can differ between hosts (a (cost, index)
+        tie-break would make it host-independent, at the price of some
+        stored records)."""
         ctx = self._ctx
         n_children = ctx.n_leaves << self._k
         n_groups = n_children // self._group

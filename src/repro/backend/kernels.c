@@ -221,7 +221,7 @@ void spine_hash(int hash_id, const uint32_t *states, int64_t s_step,
         hash_row(hash_id, states + i, s_step, datas, out + i * cols, cols);
 }
 
-/* ---- fused branch costs: repro.backend.branch_costs_batch ---- */
+/* ---- fused branch costs: the score pass of the bubble search ---- */
 
 enum { METRIC_AWGN = 0, METRIC_CSI = 1, METRIC_BSC = 2 };
 
@@ -258,18 +258,17 @@ static inline void accumulate(double *acc, double term, int first)
     *acc = first ? term : np_add(*acc, term);
 }
 
-/* Branch costs of n_msgs messages: out (n_msgs, n_states) from states
+/* Path costs of n_msgs messages: out (n_msgs, n_states) from states
  * (n_msgs, n_states), slots (n_slots,), and values and csi whose message m
- * starts row_step values into the row of message m - 1, so (n_msgs,
- * n_slots) arrays with row_step = n_slots, or n_msgs rows of a wider plane.
- * For METRIC_AWGN and METRIC_CSI, values and csi are complex128 read as
- * interleaved (re, im) doubles; for METRIC_BSC values are float64 and csi
- * is unused.  levels has 2^c entries, 1 <= c <= 16.  Each summand is
- * formed by the same operations, in the same order, as the numpy
- * kernel's; the sum runs in slot order.  With parents, each state then
- * adds its parent's cost, parents[m * (n_states >> k) + (i >> k)] for
- * state i of message m, as the bubble search's leaf + bc (the parent is
- * the first operand; with no slots the cost is parent + 0.0). */
+ * starts row_step values into the row of message m - 1, so n_msgs rows of
+ * a received plane.  For METRIC_AWGN and METRIC_CSI, values and csi are
+ * complex128 read as interleaved (re, im) doubles; for METRIC_BSC values
+ * are float64 and csi is unused.  levels has 2^c entries, 1 <= c <= 16.
+ * Each summand is formed by the same operations, in the same order, as the
+ * numpy kernel's; the sum runs in slot order.  Each state then adds its
+ * parent's cost, parents[m * (n_states >> k) + (i >> k)] for state i of
+ * message m, as the bubble search's leaf + bc (the parent is the first
+ * operand; with no slots the cost is parent + 0.0). */
 static void score_states(int hash_id, int metric,
                          const uint32_t *restrict states, int64_t n_msgs,
                          int64_t n_states, const uint32_t *restrict slots,
@@ -328,26 +327,11 @@ static void score_states(int hash_id, int metric,
                                    first);
                 }
             }
-            if (parents) {
-                const double *p = parents + m * (n_states >> k);
-                for (int64_t i = 0; i < n; ++i)
-                    acc[i] = np_add(p[(lo + i) >> k],
-                                    n_slots > 0 ? acc[i] : 0.0);
-            }
+            const double *p = parents + m * (n_states >> k);
+            for (int64_t i = 0; i < n; ++i)
+                acc[i] = np_add(p[(lo + i) >> k], n_slots > 0 ? acc[i] : 0.0);
         }
     }
-}
-
-/* The fused branch costs alone: score_states without parents, for
- * n_slots >= 1. */
-void branch_costs(int hash_id, int metric, const uint32_t *restrict states,
-                  int64_t n_msgs, int64_t n_states,
-                  const uint32_t *restrict slots, int64_t n_slots,
-                  const double *restrict values, const double *restrict csi,
-                  const double *restrict levels, int c, double *restrict out)
-{
-    score_states(hash_id, metric, states, n_msgs, n_states, slots, n_slots,
-                 values, csi, n_slots, levels, c, 0, 0, out);
 }
 
 /* ---- the bubble search: repro.core.decoder.BubbleDecoder ---- */

@@ -25,6 +25,13 @@ class BSCChannel(Channel):
         self._rng = rng
 
     def transmit(self, symbols: np.ndarray) -> ChannelOutput:
+        """Flip the bits ``symbols``.  Complex constellation symbols (a
+        Raptor, Strider or non-BSC spinal code) raise ``ValueError``: the
+        channel carries bits, and casting them would drop the imaginary
+        part."""
+        if np.iscomplexobj(symbols):
+            raise ValueError("the BSC carries bits, not complex "
+                             "constellation symbols")
         bits = np.asarray(symbols, dtype=np.uint8)
         flips = self._rng.random(bits.shape) < self.flip_probability
         return ChannelOutput((bits ^ flips.astype(np.uint8)).astype(np.float64))

@@ -187,11 +187,20 @@ class BatchReceivedSymbols:
 
         The view shares the underlying arrays; it stays valid as more blocks
         are appended (appends only touch columns past the checkpoint).
+        ``rows`` must be a 1-D integer array of the store's rows, each in
+        ``[0, n_messages)``; a negative row would otherwise index from the
+        end, and a float or boolean one would be truncated to an index.
         """
         counts = np.asarray(counts, dtype=np.int64)
         if counts.shape != (self.n_spine,) or (counts > self._counts).any():
             raise ValueError("checkpoint does not match this store")
-        return BatchReceivedView(self, np.asarray(rows, dtype=np.intp), counts)
+        rows = np.asarray(rows)
+        if rows.dtype.kind not in "iu" or rows.ndim != 1 or (rows.size and (
+                rows.min() < 0 or rows.max() >= self.n_messages)):
+            raise ValueError(f"rows must be a 1-D integer set in [0, "
+                             f"{self.n_messages})")
+        return BatchReceivedView(self, rows.astype(np.intp, copy=False),
+                                 counts)
 
 
 _ONE_ROW = np.zeros(1, dtype=np.intp)

@@ -39,7 +39,7 @@ def _branch_costs(params, levels, states, slots, values, csi):
     return (d_r * d_r + d_q * d_q).sum(axis=0)
 
 
-def _select_beams(group_costs, n_beam):
+def _select_subtrees(group_costs, n_beam):
     n_keep = min(n_beam, group_costs.size)
     if n_keep < group_costs.size:
         return np.argpartition(group_costs, n_keep - 1)[:n_keep]
@@ -86,7 +86,7 @@ def reference_decode(params, decoder_params, n_bits, received):
         totals = totals.reshape(n_beam, K, W)
         states3 = children.reshape(n_beam, K, W)
         group_costs = totals.min(axis=2).ravel()
-        sel = _select_beams(group_costs, decoder_params.B)
+        sel = _select_subtrees(group_costs, decoder_params.B)
         parents = sel // K
         sel_edges = sel % K
         leaf_states = states3[parents, sel_edges, :]

@@ -22,11 +22,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.backend import (
     _NumpyPasses,
-    branch_costs_batch,
+    _distances,
     ckernels,
     get_backend,
     hash_kernel,
-    select_beams,
 )
 from repro.channels import AWGNChannel, BSCChannel
 from repro.core.decoder import BatchBubbleDecoder, BubbleDecoder
@@ -55,7 +54,7 @@ from reference_decoder import reference_decode
 
 #: Where the compiled kernels are entered: ``ckernels`` functions and
 #: classes, and the two passes of a bubble-search step by ``Class.method``.
-_COMPILED_ENTRY_POINTS = ("spine_hash", "branch_costs", "SpinalPasses.expand",
+_COMPILED_ENTRY_POINTS = ("spine_hash", "SpinalPasses.expand",
                           "SpinalPasses.score", "SpinalPasses.finish",
                           "bcjr_recursion", "BpPasses", "lt_draw",
                           "choice_draw")
@@ -241,83 +240,7 @@ class TestRotl32:
 
 
 # ---------------------------------------------------------------------------
-# branch-cost kernel bit-identity (compiled vs numpy reference)
-# ---------------------------------------------------------------------------
-
-class TestBranchCostBitIdentity:
-    """The one branch-cost kernel, compiled vs the numpy reference.
-
-    Every case runs a one-message (M=1) input and a cohort input.
-    """
-
-    LEVELS = np.linspace(-1.5, 1.5, 8)
-
-    def _check(self, states, slots, values, csi, **kwargs):
-        got = {}
-        for path in _paths():
-            with _on_path(path) as calls:
-                got[path] = branch_costs_batch(states, slots, values, csi,
-                                               **kwargs)
-            assert calls == (["branch_costs"] if path == "compiled" else [])
-        want = got["numpy"]
-        assert want.shape == states.shape
-        for name, out in got.items():
-            assert out.dtype == np.float64
-            assert np.array_equal(_bits(out), _bits(want)), name  # bitwise
-
-    def _awgn(self, seed, M, n_states, hash_name, with_csi):
-        rng = np.random.default_rng(seed)
-        states = rng.integers(0, 2**32, size=(M, n_states), dtype=np.uint32)
-        slots = rng.integers(0, 100, size=5, dtype=np.uint32)
-        values = rng.normal(size=(M, 5)) + 1j * rng.normal(size=(M, 5))
-        csi = (rng.normal(size=(M, 5)) + 1j * rng.normal(size=(M, 5))
-               if with_csi else None)
-        self._check(states, slots, values, csi, hash_name=hash_name,
-                    levels=self.LEVELS, c=3, is_bsc=False)
-
-    @pytest.mark.parametrize("hash_name", sorted(GOLDEN_VECTORS))
-    @pytest.mark.parametrize("with_csi", [False, True],
-                             ids=["awgn", "fading-csi"])
-    def test_scalar(self, hash_name, with_csi):
-        """One message: a one-row cohort."""
-        self._awgn(3, 1, 37, hash_name, with_csi)
-
-    @pytest.mark.parametrize("hash_name", sorted(GOLDEN_VECTORS))
-    @pytest.mark.parametrize("with_csi", [False, True],
-                             ids=["awgn", "fading-csi"])
-    def test_batch(self, hash_name, with_csi):
-        self._awgn(4, 4, 21, hash_name, with_csi)
-
-    @pytest.mark.parametrize("hash_name", sorted(GOLDEN_VECTORS))
-    def test_bsc(self, hash_name):
-        rng = np.random.default_rng(5)
-        states = rng.integers(0, 2**32, size=37, dtype=np.uint32)
-        slots = rng.integers(0, 100, size=6, dtype=np.uint32)
-        kwargs = dict(hash_name=hash_name, levels=self.LEVELS,
-                      c=1, is_bsc=True)
-        for M in (1, 3):
-            values = rng.integers(0, 2, size=(M, 6)).astype(np.float64)
-            self._check(np.tile(states, (M, 1)), slots, values, None,
-                        **kwargs)
-
-    def test_empty_slots(self):
-        """Punctured spine positions cost zero on both paths."""
-        states = np.arange(5, dtype=np.uint32)
-        slots = np.empty(0, dtype=np.uint32)
-        kwargs = dict(hash_name="one_at_a_time", levels=self.LEVELS,
-                      c=3, is_bsc=False)
-        for path in _paths():
-            for M in (1, 2):
-                with _on_path(path):
-                    out = branch_costs_batch(
-                        np.tile(states, (M, 1)), slots,
-                        np.empty((M, 0), dtype=np.complex128), None,
-                        **kwargs)
-                assert np.array_equal(out, np.zeros((M, 5)))
-
-
-# ---------------------------------------------------------------------------
-# the non-CSI AWGN metric against the gather formulation it replaced
+# the passes' branch costs against the gather oracle, compiled and numpy
 # ---------------------------------------------------------------------------
 
 def _gather_awgn_oracle(words, y, levels, c):
@@ -340,6 +263,12 @@ def _bits(x):
     return np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
 
 
+def _nan_free(x):
+    """``x`` with every NaN made the same NaN, where only the NaN's
+    position is specified."""
+    return np.where(np.isnan(x), np.nan, x)
+
+
 _SPECIAL = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 1e300])
 
 
@@ -359,121 +288,200 @@ def _received(rng, shape, n_special):
     return values
 
 
-def _check_against_oracle(seed, n_slots, n_msgs, n_states, c, n_special):
-    rng = np.random.default_rng(seed)
-    levels = np.sort(rng.normal(size=1 << c))
-    states = rng.integers(0, 2**32, size=(n_msgs, n_states), dtype=np.uint32)
-    # Slots span the full word so every data byte of the hash is exercised.
-    slots = rng.integers(0, 2**32, size=n_slots, dtype=np.uint32)
+def _oracle_totals(hash_name, metric, leaves, parents, slots, values, csi,
+                   levels, c, k):
+    """The children and path costs one scored step must produce: each of
+    the ``(M, n)`` ``leaves`` hashed against every edge, and ``parents +
+    bc``, the branch costs ``bc`` of those children over the position's
+    ``slots`` by the gather oracle (AWGN) or the numpy reference
+    :func:`repro.backend._distances` (CSI, BSC), zero without slots."""
+    ref = reference_hashes()[hash_name]
+    n_msgs, n_leaves = leaves.shape
+    K = 1 << k
+    children = ref(leaves[..., None], np.arange(K, dtype=np.uint32))
+    children = children.reshape(n_msgs, -1)
+    if slots.size == 0:
+        bc = np.zeros(children.shape)
+    else:
+        words = ref(children[None], slots[:, None, None])
+        bc = (_gather_awgn_oracle(words, values.T, levels, c)
+              if metric == "awgn" else
+              _distances(words, values, csi, levels, c, metric == "bsc"))
+    totals = parents[..., None] + bc.reshape(n_msgs, n_leaves, K)
+    return children, totals.reshape(n_msgs, -1)
+
+
+def _score(path, view, leaves, parents, *, hash_name, metric, levels, c, k):
+    """Children and path costs ``(M, n << k)`` of one step on ``path``'s
+    passes: after ``start(view)`` the ``(M, n)`` ``leaves`` and their
+    ``parents`` costs are set as the step's leaves, then ``expand(0)``
+    and ``score(0)`` run over spine position 0 of ``view``."""
+    n_msgs, n_leaves = leaves.shape
+    search = dict(levels=levels, c=c, is_bsc=metric == "bsc",
+                  has_csi=metric == "csi", k=k, n_msgs=n_msgs,
+                  beam=n_leaves, group=1, n_steps=1, s0=0)
+    passes = (ckernels.SpinalPasses(ckernels.load(), hash_name, **search)
+              if path == "compiled" else _NumpyPasses(hash_name, **search))
+    passes.start(view)
+    passes._ctx.n_leaves = n_leaves
+    passes.states[:leaves.size] = leaves.ravel()
+    passes.costs[:leaves.size] = parents.ravel()
+    passes.expand(0)
+    passes.score(0)
+    n = leaves.size << k
+    return (passes.children[:n].reshape(n_msgs, -1),
+            passes.totals[:n].reshape(n_msgs, -1))
+
+
+def _panel(rng, metric, n_msgs, n_slots, n_special):
+    """A store of ``n_msgs`` messages with ``n_slots`` random slots at spine
+    position 0 (inf, NaN, signed zeros and 1e300 among the received
+    values, and among the channel gains with CSI), and its view of every
+    row."""
+    store = BatchReceivedSymbols(1, n_msgs, complex_valued=metric != "bsc")
     values = _received(rng, (n_msgs, n_slots), n_special)
-    kwargs = dict(hash_name="one_at_a_time", levels=levels, c=c,
-                  is_bsc=False)
-    ref_hash = reference_hashes()["one_at_a_time"]
+    if metric == "bsc":
+        values = values.real.copy()
+    csi = (_received(rng, (n_msgs, n_slots), n_special) if metric == "csi"
+           else None)
+    store.add_block(np.zeros(n_slots, dtype=np.intp),
+                    rng.integers(0, 2**32, size=n_slots, dtype=np.uint32),
+                    values, csi=csi)
+    return store, store.prefix(np.arange(n_msgs), store.checkpoint())
+
+
+def _check_score(seed, metric, hash_name, *, n_msgs, n_leaves, n_slots, c,
+                 k=1, n_special=0, alone=False):
+    """One scored step over a generated panel, on every path, against
+    :func:`_oracle_totals`: the children byte for byte, the path costs bit
+    for bit (with CSI up to which NaN a NaN entry holds, where numpy's own
+    choice between two NaNs depends on the element's position).  With
+    ``alone``, each message also scores alone, as a one-row view of the
+    store, exactly as it does in the cohort."""
+    rng = np.random.default_rng(seed)
+    store, view = _panel(rng, metric, n_msgs, n_slots, n_special)
+    if metric == "bsc":
+        c, levels = 1, np.array([-1.0, 1.0])
+    else:
+        levels = np.sort(rng.normal(size=1 << c))
+    leaves = rng.integers(0, 2**32, size=(n_msgs, n_leaves), dtype=np.uint32)
+    parents = _special_costs(rng, leaves.size, n_special).reshape(
+        leaves.shape)
+    metric_args = dict(hash_name=hash_name, metric=metric, levels=levels,
+                       c=c, k=k)
+    same = ((lambda a, b: _bits(_nan_free(a)) == _bits(_nan_free(b)))
+            if metric == "csi" else lambda a, b: _bits(a) == _bits(b))
     # inf - inf and 1e300 squared are meant to happen here
     with np.errstate(all="ignore"):
-        words = ref_hash(states[None, :, :], slots[:, None, None])
-        expect = _gather_awgn_oracle(words, values.T, levels, c)
+        want = _oracle_totals(hash_name, metric, leaves, parents,
+                              *view.for_spine(0), levels, c, k)
         for path in _paths():
-            with _on_path(path) as calls:
-                batch = branch_costs_batch(states, slots, values, None,
-                                           **kwargs)
-            assert batch.shape == expect.shape == (n_msgs, n_states)
-            assert np.array_equal(_bits(batch), _bits(expect)), path
-            # the compiled kernel runs unless there is nothing to sum or
-            # the input is a lone column (numpy sums those pairwise)
-            assert bool(calls) == (path == "compiled" and n_slots > 0
-                                   and n_msgs * n_states > 1)
+            children, totals = _score(path, view, leaves, parents,
+                                      **metric_args)
+            assert children.tobytes() == want[0].tobytes(), path
+            assert same(totals, want[1]).all(), path
+            for m in range(n_msgs if alone else 0):
+                one = store.prefix(np.array([m]), store.checkpoint())
+                _, alone_totals = _score(path, one, leaves[m:m + 1],
+                                         parents[m:m + 1], **metric_args)
+                assert same(alone_totals, totals[m:m + 1]).all(), path
 
-            # Each message alone, as a one-row input.
-            for m in range(n_msgs):
-                with _on_path(path):
-                    one = branch_costs_batch(
-                        states[m:m + 1], slots, values[m:m + 1], None,
-                        **kwargs)
-                words = ref_hash(states[None, m:m + 1, :],
-                                 slots[:, None, None])
-                expect_one = _gather_awgn_oracle(
-                    words, values[m:m + 1].T, levels, c)
-                assert np.array_equal(_bits(one), _bits(expect_one)), path
+
+class TestBranchCostBitIdentity:
+    """The passes' ``score``, compiled and numpy, equals ``parents +
+    oracle(children)`` bit for bit for every hash and metric, on one
+    message (M=1) and on a cohort; the leaves' children counts are not
+    multiples of the vector width, so the loops' tails run too."""
+
+    @pytest.mark.parametrize("hash_name", sorted(GOLDEN_VECTORS))
+    @pytest.mark.parametrize("with_csi", [False, True],
+                             ids=["awgn", "fading-csi"])
+    def test_scalar(self, hash_name, with_csi):
+        """One message: a one-row cohort."""
+        _check_score(3, "csi" if with_csi else "awgn", hash_name, n_msgs=1,
+                     n_leaves=37, n_slots=5, c=3)
+
+    @pytest.mark.parametrize("hash_name", sorted(GOLDEN_VECTORS))
+    @pytest.mark.parametrize("with_csi", [False, True],
+                             ids=["awgn", "fading-csi"])
+    def test_batch(self, hash_name, with_csi):
+        _check_score(4, "csi" if with_csi else "awgn", hash_name, n_msgs=4,
+                     n_leaves=21, n_slots=5, c=3, k=2, alone=True)
+
+    @pytest.mark.parametrize("hash_name", sorted(GOLDEN_VECTORS))
+    def test_bsc(self, hash_name):
+        for n_msgs in (1, 3):
+            _check_score(5, "bsc", hash_name, n_msgs=n_msgs, n_leaves=37,
+                         n_slots=6, c=1, alone=True)
+
+    def test_empty_slots(self):
+        """A punctured spine position adds ``+ 0.0`` to each parent's cost
+        (which turns a ``-0.0`` parent into ``0.0``) on both paths."""
+        for metric in ("awgn", "csi", "bsc"):
+            for n_msgs in (1, 2):
+                _check_score(6, metric, "one_at_a_time", n_msgs=n_msgs,
+                             n_leaves=5, n_slots=0, c=3, n_special=4)
 
 
 class TestAwgnMetricOracle:
-    """The branch costs reproduce the gather oracle bit for bit, on a
-    cohort and on each of its messages as a one-row input, on the compiled
-    kernel and on the numpy fallback."""
+    """The passes' AWGN scores reproduce the gather oracle bit for bit,
+    with inf, NaN, signed zeros and 1e300 among the received values, on a
+    cohort and on each of its messages as a one-row view, on the compiled
+    passes and on the numpy ones."""
 
     @given(seed=st.integers(0, 2**32 - 1), n_slots=st.integers(0, 40),
-           n_msgs=st.integers(1, 4), n_states=st.integers(1, 24),
+           n_msgs=st.integers(1, 4), n_leaves=st.integers(1, 12),
            c=st.integers(2, 8), n_special=st.integers(0, 6))
     @settings(max_examples=150, deadline=None)
-    def test_matches_gather_oracle(self, seed, n_slots, n_msgs, n_states,
+    def test_matches_gather_oracle(self, seed, n_slots, n_msgs, n_leaves,
                                    c, n_special):
-        _check_against_oracle(seed, n_slots, n_msgs, n_states, c,
-                              n_special)
+        _check_score(seed, "awgn", "one_at_a_time", n_msgs=n_msgs,
+                     n_leaves=n_leaves, n_slots=n_slots, c=c,
+                     n_special=n_special, alone=True)
 
     def test_c16(self):
         """The widest constellation: 2^16-entry tables per slot."""
-        _check_against_oracle(7, n_slots=3, n_msgs=2, n_states=9, c=16,
-                              n_special=2)
+        _check_score(7, "awgn", "one_at_a_time", n_msgs=2, n_leaves=9,
+                     n_slots=3, c=16, n_special=2, alone=True)
 
     def test_several_state_blocks(self):
-        """More states than the compiled kernel scores per block (256)."""
-        _check_against_oracle(13, n_slots=5, n_msgs=2, n_states=600, c=6,
-                              n_special=2)
+        """More children per message than the compiled loop scores per
+        block (256)."""
+        _check_score(13, "awgn", "one_at_a_time", n_msgs=2, n_leaves=75,
+                     n_slots=5, c=6, k=3, alone=True)
 
     def test_position_without_symbols(self):
-        """A punctured spine position costs exactly zero, as in the oracle."""
-        _check_against_oracle(11, n_slots=0, n_msgs=3, n_states=5, c=6,
-                              n_special=0)
+        """A punctured spine position adds exactly zero branch cost, as in
+        the oracle."""
+        _check_score(11, "awgn", "one_at_a_time", n_msgs=3, n_leaves=5,
+                     n_slots=0, c=6, alone=True)
 
 
 class TestCompiledSpecialValues:
-    """The compiled CSI and BSC metrics match the numpy bodies bit for bit
-    with inf, NaN, signed zeros and 1e300 among the received values and
-    channel gains, for every hash.
+    """The CSI and BSC scores of the compiled and the numpy passes match
+    the oracle's bit for bit with inf, NaN, signed zeros and 1e300 among
+    the received values, channel gains and parent costs, for every hash.
 
-    Up to the choice between two different NaNs: ``inf - inf`` makes a
-    negative NaN beside the positive received ones, and numpy's own float64
-    add returns the first operand's NaN in whole SIMD chunks but the second
-    operand's in a loop tail (numpy 2.4.6 on AVX-512: ``np.add`` of 9
-    elements takes the first operand's NaN for 8 and the second's for the
-    last), so its pick depends on the element's position.  Costs agree on
-    which entries are NaN; every other entry is compared bit for bit.
+    With CSI, up to the choice between two different NaNs: ``inf - inf``
+    makes a negative NaN beside the positive received ones, and numpy's own
+    float64 add returns the first operand's NaN in whole SIMD chunks but
+    the second operand's in a loop tail (numpy 2.4.6 on AVX-512: ``np.add``
+    of 9 elements takes the first operand's NaN for 8 and the second's for
+    the last), so its pick depends on the element's position.  Costs agree
+    on which entries are NaN; every other entry is compared bit for bit.
     """
 
     @given(seed=st.integers(0, 2**32 - 1), n_slots=st.integers(1, 20),
-           n_msgs=st.integers(1, 3), n_states=st.integers(2, 300),
+           n_msgs=st.integers(1, 3), n_leaves=st.integers(1, 150),
            c=st.integers(1, 8), n_special=st.integers(0, 6),
            hash_name=st.sampled_from(sorted(GOLDEN_VECTORS)),
            metric=st.sampled_from(["csi", "bsc"]))
     @settings(max_examples=80, deadline=None)
-    def test_matches_numpy(self, seed, n_slots, n_msgs, n_states, c,
+    def test_matches_numpy(self, seed, n_slots, n_msgs, n_leaves, c,
                            n_special, hash_name, metric):
-        if ckernels.load() is None:
-            pytest.skip("compiled kernels unavailable here")
-        rng = np.random.default_rng(seed)
-        states = rng.integers(0, 2**32, size=(n_msgs, n_states),
-                              dtype=np.uint32)
-        slots = rng.integers(0, 2**32, size=n_slots, dtype=np.uint32)
-        shape = (n_msgs, n_slots)
-        if metric == "bsc":
-            values = _received(rng, shape, n_special).real.copy()
-            csi, c, levels = None, 1, np.array([-1.0, 1.0])
-        else:
-            values = _received(rng, shape, n_special)
-            csi = _received(rng, shape, n_special)
-            levels = np.sort(rng.normal(size=1 << c))
-        kwargs = dict(hash_name=hash_name, levels=levels, c=c,
-                      is_bsc=metric == "bsc")
-        with np.errstate(all="ignore"):
-            outs = {}
-            for path in ("numpy", "compiled"):
-                with _on_path(path):
-                    outs[path] = branch_costs_batch(
-                        states, slots, values, csi, **kwargs)
-        got, want = (np.where(np.isnan(outs[p]), np.nan, outs[p])
-                     for p in ("compiled", "numpy"))
-        assert np.array_equal(_bits(got), _bits(want))
+        _check_score(seed, metric, hash_name, n_msgs=n_msgs,
+                     n_leaves=n_leaves, n_slots=n_slots, c=c,
+                     n_special=n_special)
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +525,8 @@ class TestCompiledStep:
     """The compiled passes of a bubble search (:class:`ckernels.
     SpinalPasses`) equal the numpy search they replace: ``expand`` the
     tree-expansion hash ``hash_fn(leaves[..., None], edges)``, ``score``
-    the numpy :func:`branch_costs_batch` of those children followed by
-    ``leaf + bc``, and the gathers of ``select``'s survivors, byte for
+    the oracle branch costs of those children (:func:`_oracle_totals`)
+    added to ``leaf``, and the gathers of ``select``'s survivors, byte for
     byte.
 
     The cases cover every hash and metric, 1 to 3 messages, depth 1 and 2
@@ -588,24 +596,17 @@ class TestCompiledStep:
                 parents = _special_costs(rng, n_msgs * n_leaves, n_special)
                 passes.costs[:parents.size] = parents
                 passes.score(1)
-            with _on_path("numpy"):
-                want_children = reference_hashes()[hash_name](
-                    leaves.reshape(n_msgs, n_leaves, 1),
-                    np.arange(K, dtype=np.uint32))
-                bc = branch_costs_batch(
-                    want_children.reshape(n_msgs, -1), slots, values, csi,
-                    hash_name=hash_name, levels=levels, c=c,
-                    is_bsc=metric == "bsc")
-                want_totals = parents.reshape(n_msgs, n_leaves, 1) + bc.reshape(
-                    n_msgs, n_leaves, K)
+            want_children, want_totals = _oracle_totals(
+                hash_name, metric, leaves.reshape(n_msgs, n_leaves),
+                parents.reshape(n_msgs, n_leaves), slots, values, csi,
+                levels, c, k)
         assert set(calls) == {"expand", "score"}
         n = n_msgs * n_leaves * K
         children, totals = passes.children[:n], passes.totals[:n]
         assert children.tobytes() == want_children.tobytes()
         want = want_totals.ravel()
         if metric == "csi":
-            totals, want = (np.where(np.isnan(x), np.nan, x)
-                            for x in (totals, want))
+            totals, want = _nan_free(totals), _nan_free(want)
         assert np.array_equal(_bits(totals), _bits(want))
 
     @given(seed=st.integers(0, 2**32 - 1),
@@ -631,8 +632,10 @@ class TestCompiledStep:
         the costs and totals bit for bit except for which NaN a NaN entry
         holds (a NaN parent cost meets NaN branch costs, where numpy's own
         ``leaf + bc`` picks a NaN by position).  Every pruning step keeps
-        exactly :func:`select_beams`'s choice, and ``finish`` returns the
-        same survivors' costs and history on both."""
+        exactly ``argpartition``'s choice along each message's row of
+        subtree minima (every subtree, in order, when they fit), and
+        ``finish`` returns the same survivors' costs and history on
+        both."""
         if ckernels.load() is None:
             pytest.skip("compiled kernels unavailable here")
         rng = np.random.default_rng(seed)
@@ -669,7 +672,7 @@ class TestCompiledStep:
 
         def same(a, b, nan_free=False):
             if nan_free:
-                a, b = (np.where(np.isnan(x), np.nan, x) for x in (a, b))
+                a, b = _nan_free(a), _nan_free(b)
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()
 
@@ -698,8 +701,11 @@ class TestCompiledStep:
                 n_groups = n_leaves * K // W
                 group_costs = both[1].totals[:n_msgs * n_leaves * K]
                 group_costs = group_costs.reshape(-1, W).min(axis=1)
-                sel = select_beams(group_costs.reshape(n_msgs, n_groups),
-                                   n_beam)
+                n_keep = min(n_beam, n_groups)
+                sel = (group_costs.reshape(n_msgs, n_groups).argpartition(
+                    n_keep - 1, axis=1)[:, :n_keep] if n_keep < n_groups
+                    else np.broadcast_to(np.arange(n_groups),
+                                         (n_msgs, n_groups)))
                 chosen.append(sel + np.arange(n_msgs)[:, None] * n_groups)
                 for p in both:
                     p.select(n_beam)
@@ -916,12 +922,13 @@ def _spinal_specs(draw):
 
 
 @st.composite
-def _baseline_specs(draw):
+def _baseline_specs(draw, bsc=False):
     """A two-point Raptor or Strider sweep over a generated code, AWGN or
-    Rayleigh channel, SNR and seed, small enough to run in well under a
-    second.  On Rayleigh, Raptor demaps with the channel's CSI and Strider
-    equalises with it, so the demapper sees per-symbol noise powers."""
-    rayleigh = draw(st.booleans())
+    Rayleigh channel (or, with ``bsc``, a BSC), SNR (flip probability) and
+    seed, small enough to run in well under a second.  On Rayleigh, Raptor
+    demaps with the channel's CSI and Strider equalises with it, so the
+    demapper sees per-symbol noise powers."""
+    rayleigh = not bsc and draw(st.booleans())
     if draw(st.booleans()):
         scheme = SchemeSpec("raptor", {
             "k": draw(st.sampled_from([80, 128, 192, 256])),
@@ -935,16 +942,69 @@ def _baseline_specs(draw):
             "subpasses_per_pass": draw(st.integers(1, 4)),
             "max_passes": 10,
             **({"give_csi": "full"} if rayleigh else {})})
-    channel = (ChannelSpec("rayleigh", {"coherence_time": 5}) if rayleigh
-               else ChannelSpec("awgn"))
-    x = float(draw(st.integers(0, 25)))
+    if bsc:
+        channel = ChannelSpec("bsc")
+        x = draw(st.sampled_from([0.01, 0.05, 0.1]))
+        xs = (x, x / 2)
+    else:
+        channel = (ChannelSpec("rayleigh", {"coherence_time": 5})
+                   if rayleigh else ChannelSpec("awgn"))
+        x = float(draw(st.integers(0, 25)))
+        xs = (x, x + 5.0)
     seed = draw(st.integers(0, 2**16))
     points = tuple(
         PointSpec(series="generated", x=snr, seed=seed + i, scheme=scheme,
                   channel=channel, n_messages=2, batch_size=2)
-        for i, snr in enumerate((x, x + 5.0)))
+        for i, snr in enumerate(xs))
     return ExperimentSpec("generated", f"generated {scheme.kind} spec",
                           "quick", points)
+
+
+@st.composite
+def _symbol_cdf_specs(draw):
+    """A two-point ``symbol_cdf`` sweep (Figure 8-11's per-message symbol
+    counts, one rateless cohort a point) over a generated spinal code,
+    decoder, channel, probe growth and seed."""
+    k = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["awgn", "bsc", "rayleigh"]))
+    params = {"k": k, "hash_name": draw(st.sampled_from(available_hashes()))}
+    if kind == "bsc":
+        params.update(c=1, mapping_name="bsc")
+        x = draw(st.sampled_from([0.01, 0.05, 0.1]))
+        xs = (x, x / 2)
+    else:
+        params["c"] = draw(st.integers(1, 10))
+        x = float(draw(st.integers(0, 30)))
+        xs = (x, x + 5.0)
+    channel = ChannelSpec(kind, {"coherence_time": 5}
+                          if kind == "rayleigh" else {})
+    options = {"n_bits": 12, "params": params,
+               "decoder": {"B": draw(st.sampled_from([1, 2, 4, 8])),
+                           "max_passes": 6},
+               "probe_growth": draw(st.sampled_from([1.0, 1.5]))}
+    seed = draw(st.integers(0, 2**16))
+    points = tuple(
+        PointSpec(series="generated", x=x, seed=seed + i, kind="symbol_cdf",
+                  channel=channel, n_messages=draw(st.integers(1, 3)),
+                  options=options)
+        for i, x in enumerate(xs))
+    return ExperimentSpec("generated", "generated symbol_cdf spec", "quick",
+                          points)
+
+
+@st.composite
+def _papr_specs(draw):
+    """Two ``papr`` points (Table 8.1's rows) over generated
+    constellations, OFDM symbol counts and seeds."""
+    names = st.sampled_from(["qam-4", "qam-64", "qam-2^20", "gaussian"])
+    seed = draw(st.integers(0, 2**16))
+    points = tuple(
+        PointSpec(series="generated", x=float(i), seed=seed + i, kind="papr",
+                  options={"constellation": draw(names),
+                           "n_ofdm_symbols": draw(st.integers(1, 300))})
+        for i in range(2))
+    return ExperimentSpec("generated", "generated papr spec", "quick",
+                          points)
 
 
 class TestStoreBackendInvariance:
@@ -964,19 +1024,54 @@ class TestStoreBackendInvariance:
         inside pool workers."""
         self._assert_store_invariant(spec)
 
+    @given(spec=_baseline_specs(bsc=True))
+    @settings(max_examples=6, derandomize=True, deadline=None)
+    def test_generated_bsc_baseline_specs_are_refused(self, spec):
+        """Raptor and Strider send complex constellation symbols, which a
+        BSC cannot carry: a generated Raptor or Strider spec on BSC raises
+        ``ValueError`` on the compiled kernels and on the numpy fallback,
+        with one worker and with two, and stores nothing."""
+        with deadline(60), tempfile.TemporaryDirectory() as root:
+            for path, n_workers in self._runs():
+                store = os.path.join(root, f"{path}-{n_workers}")
+                with _on_path(path), pytest.raises(ValueError, match="BSC"):
+                    run_experiment(spec, store=ResultStore(store),
+                                   n_workers=n_workers)
+                assert _store_files(store) == {}
+
+    @given(spec=_symbol_cdf_specs())
+    @settings(max_examples=6, derandomize=True, deadline=None)
+    def test_generated_symbol_cdf_store_bytes_invariant(self, spec):
+        """The same for a generated ``symbol_cdf`` spec."""
+        self._assert_store_invariant(spec)
+
+    @given(spec=_papr_specs())
+    @settings(max_examples=6, derandomize=True, deadline=None)
+    def test_generated_papr_store_bytes_invariant(self, spec):
+        """The same for a generated ``papr`` spec, which enters no
+        compiled kernel."""
+        self._assert_store_invariant(spec, compiled=False)
+
     @staticmethod
-    def _assert_store_invariant(spec):
+    def _runs():
+        """Every path with one worker, and the last path with two."""
+        runs = [(path, 1) for path in _paths()]
+        return runs + [(runs[-1][0], 2)]
+
+    def _assert_store_invariant(self, spec, compiled=True):
+        """Run ``spec`` on every run of :meth:`_runs` and compare the
+        store files; ``compiled`` says whether the inline runs enter the
+        compiled kernels."""
         stores = {}
         with deadline(60), tempfile.TemporaryDirectory() as root:
-            runs = [(path, 1) for path in _paths()]
-            runs.append((runs[-1][0], 2))
-            for path, n_workers in runs:
+            for path, n_workers in self._runs():
                 store = os.path.join(root, f"{path}-{n_workers}")
                 with _on_path(path) as calls:
                     run_experiment(spec, store=ResultStore(store),
                                    n_workers=n_workers)
                 # one worker runs inline, where the calls are counted
-                assert bool(calls) == (path == "compiled" and n_workers == 1)
+                assert bool(calls) == (compiled and path == "compiled"
+                                       and n_workers == 1)
                 stores[path, n_workers] = _store_files(store)
         (first, a), *rest = stores.items()
         assert a

@@ -568,6 +568,22 @@ class TestColumnarStore:
         with pytest.raises(ValueError):
             store.prefix(foreign)
 
+    def test_prefix_rejects_rows_outside_the_store(self):
+        """A view's rows are a 1-D integer set inside ``[0, n_messages)``:
+        row -1 would read as zero rows of a run and, in a scattered set, as
+        the last message, and row 1.9 or ``True`` as row 1, so ``prefix``
+        refuses them, and the store's row count, before any view exists."""
+        store = BatchReceivedSymbols(2, 3)
+        store.add_block(np.array([0, 1]), np.array([0, 0]),
+                        np.ones((3, 2), dtype=np.complex128))
+        ckpt = store.checkpoint()
+        for rows in ([-1], [3], [2, 0, -1], [[0, 1]], 1, [1.9], [True]):
+            with pytest.raises(ValueError, match="rows"):
+                store.prefix(np.array(rows), ckpt)
+        view = store.prefix(np.array([2, 0]), ckpt)
+        assert view.for_spine(0)[1].shape == (2, 1)
+        assert store.prefix(np.array([], dtype=np.intp), ckpt).n_rows == 0
+
     def test_batch_store_rows_subset(self):
         """Rows absent from an add never pollute another row's view."""
         store = BatchReceivedSymbols(2, 3, complex_valued=False)

@@ -21,7 +21,9 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro.backend import BackendFallbackWarning, _NumpyPasses, ckernels
+from repro.backend import (
+    BackendFallbackWarning, _distances, _NumpyPasses, ckernels)
+from repro.core.hashes import reference_hashes
 from repro.core.symbols import BatchReceivedSymbols
 from repro.strider.bcjr import _NEG, BcjrTrellis, _numpy_recursion, max_log_bcjr
 from repro.strider.rsc import RscCode
@@ -140,13 +142,12 @@ def test_two_processes_share_a_cold_cache(tmp_path):
 
 
 def _spinal_call():
-    """A good call of the fused branch-cost wrapper, AWGN metric."""
-    rng = np.random.default_rng(5)
-    return {"states": rng.integers(0, 2**32, size=(2, 8), dtype=np.uint32),
-            "slots": np.arange(3, dtype=np.uint32),
+    """A good scoring call of the passes: the AWGN metric, and one spine
+    position's received panel for 2 messages of 3 slots each."""
+    return {"slots": np.arange(3, dtype=np.uint32),
             "values": np.zeros((2, 3), dtype=np.complex128),
             "csi": None, "hash_name": "one_at_a_time",
-            "levels": np.linspace(-1.0, 1.0, 16), "c": 2, "is_bsc": False}
+            "levels": np.linspace(-1.0, 1.0, 16), "c": 4, "is_bsc": False}
 
 
 def _reached_c(*args):
@@ -154,9 +155,32 @@ def _reached_c(*args):
 
 
 _FAKE = SimpleNamespace(ffi=None, lib=SimpleNamespace(
-    branch_costs=_reached_c, spine_hash=_reached_c, lt_draw=_reached_c,
-    choice_draw=_reached_c, spinal_expand=_reached_c,
-    spinal_score=_reached_c, spinal_gather=_reached_c))
+    spine_hash=_reached_c, lt_draw=_reached_c, choice_draw=_reached_c,
+    spinal_expand=_reached_c, spinal_score=_reached_c,
+    spinal_gather=_reached_c))
+
+
+def _fake_module():
+    """A kernel module whose every C call fails the test: the struct and
+    pointers are real, the C functions are not."""
+    cffi = pytest.importorskip("cffi")
+    ffi = cffi.FFI()
+    ffi.cdef(ckernels._CDEF)
+    return SimpleNamespace(ffi=ffi, lib=_FAKE.lib)
+
+
+def _score_call(call):
+    """Run ``call`` as the passes take it, on :func:`_fake_module`: its
+    metric when they are made, its panel, as spine position 0 of a view
+    holding 3 slots a message, in ``start``, then the first step."""
+    call = dict(call)
+    panel = [call.pop(name) for name in ("slots", "values", "csi")]
+    passes = ckernels.SpinalPasses(
+        _fake_module(), **call, has_csi=panel[2] is not None, k=1,
+        n_msgs=2, beam=1, group=1, n_steps=1, s0=0)
+    planes = tuple(None if a is None else a[None] for a in panel)
+    passes.start(SimpleNamespace(planes=lambda: (*planes, np.array([3]))))
+    passes.score(0)
 
 
 @pytest.mark.parametrize("name, bad", [
@@ -169,43 +193,42 @@ _FAKE = SimpleNamespace(ffi=None, lib=SimpleNamespace(
     ("levels", lambda a: a[::-1]),
     ("c", lambda c: 0),
     ("c", lambda c: 17),
-    ("c", lambda c: 2.0),
+    ("c", lambda c: 4.0),
     ("hash_name", lambda h: "md5"),
-    ("states", lambda a: a.astype(np.int64)),
-    ("states", lambda a: a[:, ::2]),
-    ("states", lambda a: a.reshape(-1)),
-    ("states", lambda a: a.tolist()),
     ("slots", lambda a: a.astype(np.int32)),
     ("slots", lambda a: a[:0]),
     ("slots", lambda a: a[None]),
     ("values", lambda a: a.real.copy()),
     ("values", lambda a: a[:, :-1]),
     ("values", lambda a: a[:1]),
-    ("values", lambda a: np.asfortranarray(np.zeros((3, 2), complex)).T),
+    ("values", lambda a: np.asfortranarray(a)),
     ("csi", lambda _: np.zeros((2, 2), dtype=np.complex128)),
     ("csi", lambda _: np.zeros((2, 3), dtype=np.complex64)),
 ])
 def test_bad_branch_cost_calls_raise_before_reaching_c(name, bad):
+    """Each input of a branch cost is refused where the passes take it:
+    the hash, ``levels`` and ``c`` when they are made, one position's
+    slots, values and CSI when ``start`` binds the view.  The good call
+    they start from reaches C."""
+    with pytest.raises(AssertionError, match="reached the C kernel"):
+        _score_call(_spinal_call())
     call = _spinal_call()
     call[name] = bad(call[name])
     with pytest.raises(ValueError):
-        ckernels.branch_costs(_FAKE, **call)
+        _score_call(call)
 
 
 def test_bsc_branch_costs_reject_csi_but_not_levels():
-    """BSC reads no levels, so their count is free; CSI is not allowed."""
-    call = dict(_spinal_call(), is_bsc=True, c=1,
-                values=np.zeros((2, 3)))
+    """BSC reads no levels, so their count is free; CSI and complex values
+    are not allowed."""
+    call = dict(_spinal_call(), is_bsc=True, c=1, values=np.zeros((2, 3)))
     with pytest.raises(ValueError):
-        ckernels.branch_costs(_FAKE, **dict(
-            call, csi=np.zeros((2, 3), dtype=np.complex128)))
+        _score_call(dict(call, csi=np.zeros((2, 3), dtype=np.complex128)))
     with pytest.raises(ValueError):
-        ckernels.branch_costs(_FAKE, **dict(call, values=call["values"]
-                                            .astype(np.complex128)))
-    cffi = pytest.importorskip("cffi")
-    with pytest.raises(AssertionError, match="reached the C kernel"):
-        ckernels.branch_costs(SimpleNamespace(ffi=cffi.FFI(), lib=_FAKE.lib),
-                              **call)
+        _score_call(dict(call, values=call["values"].astype(np.complex128)))
+    for levels in (call["levels"], np.zeros(3), np.zeros(0)):
+        with pytest.raises(AssertionError, match="reached the C kernel"):
+            _score_call(dict(call, levels=levels))
 
 
 def _step_search():
@@ -226,13 +249,8 @@ def _good_view():
 
 
 def _fake_passes():
-    """``_step_search``'s passes on a fake kernel whose every call fails
-    the test: the struct and pointers are real, the C functions are not."""
-    cffi = pytest.importorskip("cffi")
-    ffi = cffi.FFI()
-    ffi.cdef(ckernels._CDEF)
-    return ckernels.SpinalPasses(SimpleNamespace(ffi=ffi, lib=_FAKE.lib),
-                                 **_step_search())
+    """``_step_search``'s passes on :func:`_fake_module`."""
+    return ckernels.SpinalPasses(_fake_module(), **_step_search())
 
 
 @pytest.mark.parametrize("name, bad", [
@@ -462,20 +480,37 @@ def _quiet_nan(payload):
 def test_branch_cost_sum_keeps_the_first_slots_nan():
     """When two slots' terms are NaNs, the slot sum is the first slot's
     NaN, as numpy's SIMD add returns its first operand's: each cost's bits
-    follow the slot order, not the last NaN added."""
-    _require_compiler()
-    module = ckernels.load()
-    states = np.arange(6, dtype=np.uint32)[None, :]
-    call = dict(states=states, slots=np.array([3, 9], dtype=np.uint32),
-                csi=None, hash_name="one_at_a_time",
-                levels=np.linspace(-1.0, 1.0, 8), c=3, is_bsc=False)
+    follow the slot order, not the last NaN added.  That holds on the
+    compiled passes and the numpy ones, over 8 children (whole SIMD chunks
+    of numpy's add); a second message with finite values scores as
+    ``parent + _distances``."""
+    search = dict(levels=np.linspace(-1.0, 1.0, 8), c=3, is_bsc=False,
+                  has_csi=False, k=3, n_msgs=2, beam=1, group=1, n_steps=1,
+                  s0=5)
+    both = [_NumpyPasses("one_at_a_time", **search)]
+    if ckernels.load() is not None:
+        both.append(ckernels.SpinalPasses(ckernels.load(), "one_at_a_time",
+                                          **search))
+    slots = np.array([3, 9], dtype=np.uint32)
+    finite = np.array([0.25 - 1.5j, -0.75 + 0.5j])
     for first, second in ((0x11, 0x22), (0x22, 0x11)):
-        values = np.array([[complex(_quiet_nan(first), 0.5),
-                            complex(_quiet_nan(second), -0.5)]])
-        costs = ckernels.branch_costs(module, values=values, **call)
-        assert costs.shape == (1, 6)
-        assert (costs.view(np.uint64)
-                == np.uint64(0x7FF8000000000000 | first)).all()
+        store = BatchReceivedSymbols(1, 2)
+        store.add_block(np.zeros(2, dtype=np.intp), slots, np.array(
+            [[complex(_quiet_nan(first), 0.5),
+              complex(_quiet_nan(second), -0.5)], finite]))
+        for passes in both:
+            passes.start(store.prefix(np.arange(2), store.checkpoint()))
+            passes.costs[1] = 1.375
+            passes.expand(0)
+            passes.score(0)
+            totals = passes.totals[:16].reshape(2, 8)
+            assert (totals[0].view(np.uint64)
+                    == np.uint64(0x7FF8000000000000 | first)).all()
+            words = reference_hashes()["one_at_a_time"](
+                passes.children[None, 8:16], slots[:, None, None])
+            want = 1.375 + _distances(words, finite[None], None,
+                                      search["levels"], 3, False)
+            assert totals[1].tobytes() == want.tobytes()
 
 
 def _bp_call():

@@ -268,7 +268,9 @@ class TestLogSumExp:
         """_logsumexp equals scipy's logsumexp over the last axis of the
         same array: to the bit on scipy 1.17, to rounding otherwise."""
         ours = _logsumexp(a)
-        theirs = logsumexp(a, axis=-1)
+        # scipy's own ``a - a_max`` overflows on some of these rows
+        with np.errstate(over="ignore"):
+            theirs = logsumexp(a, axis=-1)
         if _SCIPY_REPLAYED:
             assert ours.tobytes() == theirs.tobytes()
         else:
