@@ -26,7 +26,11 @@ pytest-benchmark so a regression is attributable to one kernel, not just
   is timed here, as the decoder runs it;
 - ``bp``: one 40-iteration sum-product decode of a fixed ~50k-edge Raptor
   graph (:meth:`repro.ldpc.bp.BeliefPropagation.posteriors`), on the
-  compiled passes and on the numpy loop.
+  compiled passes and on the numpy loop;
+- ``bcjr``: one :func:`repro.strider.bcjr.max_log_bcjr` decode at
+  Strider's layer shape (k = 160 bits, T = 163 trellis steps, with a
+  priori LLRs), one C call on the compiled path and the numpy body on the
+  other.
 
 Every benchmark runs on both paths of :mod:`repro.backend`: ``numpy``,
 with the compiled kernels hidden so the numpy bodies run, always;
@@ -56,6 +60,8 @@ from repro.core.params import SpinalParams
 from repro.core.symbols import BatchReceivedSymbols, ReceivedSymbols
 from repro.fountain.raptor import RaptorCodec
 from repro.modulation import soft_demap
+from repro.strider.bcjr import BcjrTrellis, max_log_bcjr
+from repro.strider.rsc import RscCode
 from repro.utils.bitops import random_message
 from repro.utils.results import write_canonical_json
 
@@ -367,3 +373,29 @@ def test_bp_decode(benchmark, kernel_records, backend):
     assert posterior.shape == chan.shape
     _record(kernel_records, benchmark, "bp", f"raptor{_suffix(backend)}",
             n_edges=bp.n_edges, iterations=40, backend=backend)
+
+
+# ---------------------------------------------------------------------------
+# max-log BCJR decode (numpy body vs one compiled call)
+# ---------------------------------------------------------------------------
+
+#: Strider's layer shape: k = 160 information bits plus the 3-bit tail.
+BCJR_STEPS = 163
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_bcjr_decode(benchmark, kernel_records, backend):
+    """One max-log BCJR decode of the 8-state RSC over ``BCJR_STEPS``
+    steps with a priori LLRs, as each turbo iteration runs it twice."""
+    trellis = BcjrTrellis(RscCode())
+    rng = np.random.default_rng(14)
+    sys_llrs = rng.normal(size=BCJR_STEPS)
+    parity = rng.normal(size=(2, BCJR_STEPS))
+    a_priori = rng.normal(size=BCJR_STEPS)
+    with _active(backend):
+        llr, ext = benchmark(max_log_bcjr, trellis, sys_llrs, parity,
+                             a_priori)
+    assert llr.shape == ext.shape == (BCJR_STEPS,)
+    _record(kernel_records, benchmark, "bcjr",
+            f"strider_T{BCJR_STEPS}{_suffix(backend)}", t_len=BCJR_STEPS,
+            n_states=trellis.n_states, backend=backend)

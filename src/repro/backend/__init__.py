@@ -214,8 +214,12 @@ class _NumpyPasses(ckernels._Passes):
                 words, values[step, :, :n_slots],
                 None if csi is None else csi[step, :, :n_slots],
                 self._levels, self._c, self._is_bsc)
-        self.totals[:n * K] = (self.costs[:n, None]
-                               + bc.reshape(n, K)).ravel()
+        parents = self.costs[:n, None]
+        totals = self.totals[:n * K].reshape(n, K)
+        np.add(parents, bc.reshape(n, K), out=totals)
+        # numpy picks between a NaN parent and a NaN branch cost by
+        # position; the compiled score always keeps the parent's
+        np.copyto(totals, parents, where=np.isnan(parents))
 
 
 def spinal_passes(hash_name: str, *, levels: np.ndarray, c: int,

@@ -2,10 +2,11 @@
 
 ``kernels.c`` beside this module holds exact-arithmetic loops that must
 match the numpy code they replace bit for bit (its header comment gives
-the rules): Strider's BCJR recursion, the spine hashes, the passes of a
-bubble search (:class:`SpinalPasses`, whose ``score`` runs the fused spinal
-branch costs), BP's exact passes (:class:`BpPasses`) and the LT and
-precode draws, each behind a checked wrapper below.  The draws call
+the rules): Strider's max-log BCJR decode (:class:`BcjrDecoder`), the
+spine hashes, the passes of a bubble search (:class:`SpinalPasses`, whose
+``score`` runs the fused spinal branch costs), BP's exact passes
+(:class:`BpPasses`) and the LT and precode draws, each behind a checked
+wrapper below.  The draws call
 numpy's own bounded-integer code, linked from numpy's ``libnpyrandom``
 static library, on the caller's generator.  :func:`load`
 compiles it in cffi's API mode, for the host CPU (``-march=native``) where
@@ -45,7 +46,7 @@ from types import ModuleType
 
 import numpy as np
 
-__all__ = ["CACHE_ROOT", "BpPasses", "SpinalPasses", "bcjr_recursion",
+__all__ = ["CACHE_ROOT", "BcjrDecoder", "BpPasses", "SpinalPasses",
            "build_or_load", "choice_draw", "floyd_choice", "load", "lt_draw",
            "module_path", "spine_hash"]
 
@@ -55,8 +56,15 @@ CACHE_ROOT = os.path.join(os.path.expanduser("~"), ".cache", "repro-spinal")
 
 _SOURCE_PATH = os.path.join(os.path.dirname(__file__), "kernels.c")
 _CDEF = """
-void bcjr_recursion(const double *slab, const int64_t *gather, double *rows,
-                    int64_t t_len, int64_t n_states, double lowest);
+struct bcjr_trellis {
+    int64_t n_states, n_branches, n_parity;
+    const int64_t *gather, *slab, *from_state, *to_state, *by_input;
+    const double *sys_sign, *par_sign;
+    double lowest;
+};
+void bcjr_decode(const struct bcjr_trellis *tr, const double *sys,
+                 const double *par, const double *apri, int64_t t_len,
+                 int terminated, double *scratch, double *llr, double *ext);
 void spine_hash(int hash_id, const uint32_t *states, int64_t s_step,
                 const uint32_t *datas, uint32_t *out, int64_t rows,
                 int64_t cols);
@@ -289,42 +297,114 @@ def load() -> ModuleType | None:
     return _module
 
 
-def bcjr_recursion(module: ModuleType, slab: np.ndarray, gather: np.ndarray,
-                   rows: np.ndarray, lowest: float) -> None:
-    """Run the fused BCJR recursion of ``kernels.c`` over ``rows`` in place.
+class BcjrDecoder:
+    """Max-log BCJR over one trellis on ``kernels.c``: the branch metrics,
+    the fused recursion and the posterior of
+    :func:`repro.strider.bcjr.max_log_bcjr`, in one C call a decode.
 
-    Shapes, dtypes, contiguity and gather bounds are checked here, before
-    any pointer reaches C; a bad call raises ``ValueError``.
+    The trellis is checked once, here, before any pointer reaches C:
+    ``from_state``, ``to_state`` and ``input_bit`` (n_branches,) and
+    ``in_branches``/``out_branches`` (2, S), each state's incoming and
+    outgoing branches, are int64, with states in ``[0, S)``, branches in
+    ``[0, n_branches)``, ``n_branches = 2 * S`` and input bits 0 and 1 on
+    ``S`` branches each; ``sys_sign`` (n_branches,) and ``par_sign``
+    (n_branches, n_parity) are float64.  The decoder binds private copies
+    of them, and of the gather and branch tables of the fused step it
+    derives from them, so a later change to the caller's arrays never
+    reaches C.  A decoder owns one scratch buffer, grown to the longest
+    block it has decoded, so it must not be shared between threads.  A
+    bad trellis or call raises ``ValueError``.
     """
-    if not (isinstance(slab, np.ndarray) and isinstance(gather, np.ndarray)
-            and isinstance(rows, np.ndarray)):
-        raise ValueError("bcjr_recursion takes numpy arrays")
-    if (slab.dtype != np.float64 or rows.dtype != np.float64
-            or gather.dtype != np.int64):
-        raise ValueError(
-            "bcjr_recursion needs float64 slab and rows and int64 gather, "
-            f"got {slab.dtype}, {rows.dtype} and {gather.dtype}")
-    if not (slab.flags.c_contiguous and gather.flags.c_contiguous
-            and rows.flags.c_contiguous and rows.flags.writeable):
-        raise ValueError("bcjr_recursion needs C-contiguous arrays and "
-                         "writeable rows")
-    if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] < 2 \
-            or rows.shape[1] % 2:
-        raise ValueError(f"rows must be (T + 1, 2 * S), S >= 1, got "
-                         f"{rows.shape}")
-    t_len, width = rows.shape[0] - 1, rows.shape[1]
-    if slab.shape != (t_len, 2, width) or gather.shape != (2, width):
-        raise ValueError(
-            f"slab {slab.shape} and gather {gather.shape} do not fit rows "
-            f"{rows.shape}: need ({t_len}, 2, {width}) and (2, {width})")
-    if gather.min() < 0 or gather.max() >= width:
-        raise ValueError(f"gather indices must lie in [0, {width})")
-    ffi = module.ffi
-    module.lib.bcjr_recursion(
-        ffi.from_buffer("double[]", slab),
-        ffi.from_buffer("int64_t[]", gather),
-        ffi.from_buffer("double[]", rows, require_writable=True),
-        t_len, width // 2, lowest)
+
+    def __init__(self, module: ModuleType, *, from_state: np.ndarray,
+                 to_state: np.ndarray, input_bit: np.ndarray,
+                 in_branches: np.ndarray, out_branches: np.ndarray,
+                 sys_sign: np.ndarray, par_sign: np.ndarray, lowest: float):
+        tables = {"from_state": from_state, "to_state": to_state,
+                  "input_bit": input_bit, "in_branches": in_branches,
+                  "out_branches": out_branches, "sys_sign": sys_sign,
+                  "par_sign": par_sign}
+        for name, a in tables.items():
+            want = _FLOAT64 if name.endswith("sign") else _INT64
+            if not isinstance(a, np.ndarray) or a.dtype != want:
+                raise ValueError(f"{name} must be a {want} array")
+        n_branches = from_state.size
+        ns = n_branches // 2
+        if (ns < 1 or from_state.shape != (2 * ns,)
+                or any(a.shape != (2 * ns,)
+                       for a in (to_state, input_bit, sys_sign))
+                or in_branches.shape != (2, ns)
+                or out_branches.shape != (2, ns)
+                or par_sign.ndim != 2 or par_sign.shape[0] != 2 * ns):
+            raise ValueError(
+                "the trellis needs (2S,) from_state, to_state, input_bit "
+                "and sys_sign, (2, S) in_branches and out_branches and "
+                "(2S, n_parity) par_sign, S >= 1")
+        for name, a, bound in (("from_state", from_state, ns),
+                               ("to_state", to_state, ns),
+                               ("in_branches", in_branches, n_branches),
+                               ("out_branches", out_branches, n_branches),
+                               ("input_bit", input_bit, 2)):
+            if a.min() < 0 or a.max() >= bound:
+                raise ValueError(f"{name} must lie in [0, {bound})")
+        if np.count_nonzero(input_bit) != ns:
+            raise ValueError("input bits 0 and 1 must label half the "
+                             "branches each")
+        ffi = module.ffi
+        by_input = np.argsort(input_bit, kind="stable")
+        self._tables = (
+            np.concatenate([from_state[in_branches],
+                            ns + to_state[out_branches]], axis=1),
+            np.concatenate([in_branches, out_branches], axis=1),
+            from_state[by_input], to_state[by_input], by_input,
+            sys_sign.copy(), np.ascontiguousarray(par_sign.T))
+        ctx = ffi.new("struct bcjr_trellis *")
+        ctx.n_states, ctx.n_branches = ns, n_branches
+        ctx.n_parity, ctx.lowest = par_sign.shape[1], lowest
+        # the struct holds bare pointers: these keep the tables alive
+        self._buffers = tuple(
+            ffi.from_buffer("double[]" if a.dtype == _FLOAT64 else
+                            "int64_t[]", a) for a in self._tables)
+        (ctx.gather, ctx.slab, ctx.from_state, ctx.to_state, ctx.by_input,
+         ctx.sys_sign, ctx.par_sign) = self._buffers
+        self._ctx, self._lib, self._null = ctx, module.lib, ffi.NULL
+        self._n_parity, self._n_branches = par_sign.shape[1], n_branches
+        self._pointer = partial(ffi.from_buffer, "double[]")
+        self._scratch, self._capacity = None, -1
+
+    def decode(self, sys_llrs: np.ndarray, parity_llrs: np.ndarray,
+               a_priori: np.ndarray | None, terminated: bool
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """``(llr, extrinsic)`` of one block, each (T,), for C-contiguous
+        float64 ``sys_llrs`` (T,), ``parity_llrs`` (n_parity, T) and
+        ``a_priori`` (T,) or ``None``; anything else raises ``ValueError``
+        before C runs."""
+        if not (isinstance(sys_llrs, np.ndarray) and sys_llrs.ndim == 1):
+            raise ValueError("sys_llrs must be a 1-D array")
+        t_len = sys_llrs.shape[0]
+        for name, a, shape in (
+                ("sys_llrs", sys_llrs, (t_len,)),
+                ("parity_llrs", parity_llrs, (self._n_parity, t_len)),
+                ("a_priori", sys_llrs if a_priori is None else a_priori,
+                 (t_len,))):
+            if not (isinstance(a, np.ndarray) and a.dtype == _FLOAT64
+                    and a.shape == shape and a.flags.c_contiguous):
+                raise ValueError(f"{name} must be a C-contiguous float64 "
+                                 f"array of shape {shape}")
+        if t_len > self._capacity:
+            # gamma (T, n_branches), rows (T + 1, 2S), one posterior row
+            self._scratch = self._pointer(
+                np.empty((2 * t_len + 2) * self._n_branches),
+                require_writable=True)
+            self._capacity = t_len
+        llr, ext = np.empty(t_len), np.empty(t_len)
+        pointer = self._pointer
+        # llr and ext are fresh, so writable: no require_writable check
+        self._lib.bcjr_decode(
+            self._ctx, pointer(sys_llrs), pointer(parity_llrs),
+            self._null if a_priori is None else pointer(a_priori), t_len,
+            bool(terminated), self._scratch, pointer(llr), pointer(ext))
+        return llr, ext
 
 
 def spine_hash(module: ModuleType, hash_name: str, state: np.ndarray,

@@ -29,9 +29,10 @@
  * leaves the branch-cost loops scalar.
  *
  * Every pointer and size reaching C is checked in ckernels.py first,
- * where its inputs become fixed: a search's shape and buffers when its
- * passes are made, its received view once per search in start.  What only
- * C sees at a step, the spine position and the selected survivors, C
+ * where its inputs become fixed: a BCJR trellis's tables when its decoder
+ * is made and the LLRs at each decode, a search's shape and buffers when
+ * its passes are made, its received view once per search in start.  What
+ * only C sees at a step, the spine position and the selected survivors, C
  * checks before it reads or writes.
  *
  * Random draws call numpy's own bounded-integer functions, linked from
@@ -78,35 +79,141 @@ static inline double np_maximum_reduce(const double *x, int64_t n)
     return r;
 }
 
-/* The fused max-log BCJR recursion of repro.strider.bcjr.max_log_bcjr.
- *
- * rows is (t_len + 1, 2 * n_states) with row 0 filled in; row t holds
- * [alpha[t] | beta[t_len - t]].  slab is (t_len, 2, 2 * n_states) and
- * gather (2, 2 * n_states), every gather index in [0, 2 * n_states).
- * Step t takes row t through gather, adds slab[t], keeps the larger of
- * the two candidates, floors at `lowest` and subtracts each half's
- * maximum, in that order, as the numpy loop does. */
-void bcjr_recursion(const double *slab, const int64_t *gather, double *rows,
-                    int64_t t_len, int64_t n_states, double lowest)
+/* ---- Strider: repro.strider.bcjr.max_log_bcjr, one call a decode ---- */
+
+/* np.maximum folded left over n >= 1 values, the first kept as it is (no
+ * canonical NaN): what numpy's maximum.reduce runs along the short axis of
+ * a column-major (T, n) array, T >= 2, and what the numpy body's fold in
+ * branch order computes. */
+static inline double np_maximum_fold(const double *x, int64_t n)
 {
-    const int64_t width = 2 * n_states;
+    double r = x[0];
+    for (int64_t i = 1; i < n; ++i)
+        r = np_maximum(r, x[i]);
+    return r;
+}
+
+/* A trellis of n_states states S and n_branches = 2S branches, every
+ * state with exactly two incoming and two outgoing branches, as
+ * BcjrTrellis builds and ckernels.BcjrDecoder checks it.  gather and slab
+ * are (2, 2S): candidate k of stacked-row entry j reads row[gather[k][j]]
+ * plus the metric of branch slab[k][j].  by_input (n_branches,) lists the
+ * branches of input bit 0, then those of input bit 1, each in branch
+ * order, and from_state and to_state give those branches' states in the
+ * same order.  sys_sign (n_branches,) and par_sign (n_parity, n_branches)
+ * are the +-1 signs of the systematic and parity bits. */
+struct bcjr_trellis {
+    int64_t n_states, n_branches, n_parity;
+    const int64_t *gather, *slab, *from_state, *to_state, *by_input;
+    const double *sys_sign, *par_sign;
+    double lowest;
+};
+
+/* gamma[t][b] = (0.5 * (sys + apri)) * sys_sign[b] + 0.5 * parity sum,
+ * the parity sum starting from +0.0 and adding each row's term in front of
+ * it, so a later row's NaN wins, as np.einsum's sum does.  par_sign is read
+ * transposed, (n_parity, n_branches), so the loops over branches are
+ * contiguous. */
+static void bcjr_gamma(const struct bcjr_trellis *tr, const double *sys,
+                       const double *par, const double *apri, int64_t t_len,
+                       double *restrict gamma)
+{
+    const int64_t nb = tr->n_branches;
+    for (int64_t t = 0; t < t_len; ++t) {
+        const double half_sys =
+            0.5 * (apri ? np_add(sys[t], apri[t]) : sys[t] + 0.0);
+        double *restrict g = gamma + t * nb;
+        for (int64_t b = 0; b < nb; ++b)
+            g[b] = 0.0;
+        for (int64_t p = 0; p < tr->n_parity; ++p) {
+            const double x = par[p * t_len + t];
+            const double *sign = tr->par_sign + p * nb;
+            for (int64_t b = 0; b < nb; ++b)
+                g[b] = np_add(x * sign[b], g[b]);
+        }
+        for (int64_t b = 0; b < nb; ++b)
+            g[b] = np_add(half_sys * tr->sys_sign[b], 0.5 * g[b]);
+    }
+}
+
+/* The fused recursion over rows (t_len + 1, 2S): rows[t] = [alpha[t] |
+ * beta[t_len - t]].  Step t adds gamma rows t (alpha half) and t_len - 1 -
+ * t (beta half) to the gathered row, keeps the larger of the two
+ * candidates, floors at `lowest` and subtracts each half's maximum, in
+ * that order, as the numpy loop does. */
+static void bcjr_alpha_beta(const struct bcjr_trellis *tr,
+                            const double *gamma, int64_t t_len,
+                            int terminated, double *restrict rows)
+{
+    const int64_t ns = tr->n_states, nb = tr->n_branches, width = 2 * ns;
+    const int64_t *gather0 = tr->gather, *gather1 = tr->gather + width;
+    const int64_t *slab0 = tr->slab, *slab1 = tr->slab + width;
+    const double lowest = tr->lowest;
+    for (int64_t j = 0; j < width; ++j)
+        rows[j] = lowest;
+    rows[0] = 0.0;  /* start in state 0 */
+    for (int64_t j = ns; j < (terminated ? ns + 1 : width); ++j)
+        rows[j] = 0.0;  /* end in state 0, or anywhere */
     for (int64_t t = 0; t < t_len; ++t) {
         const double *row = rows + t * width;
-        const double *slab0 = slab + t * 2 * width;
-        const double *slab1 = slab0 + width;
         double *next = rows + (t + 1) * width;
-        for (int64_t j = 0; j < width; ++j) {
-            double cand0 = np_add(row[gather[j]], slab0[j]);
-            double cand1 = np_add(row[gather[width + j]], slab1[j]);
-            next[j] = np_maximum(np_maximum(cand0, cand1), lowest);
+        for (int64_t h = 0; h < 2; ++h) {
+            const double *g = gamma + (h ? t_len - 1 - t : t) * nb;
+            for (int64_t j = h * ns; j < (h + 1) * ns; ++j) {
+                double cand0 = np_add(row[gather0[j]], g[slab0[j]]);
+                double cand1 = np_add(row[gather1[j]], g[slab1[j]]);
+                next[j] = np_maximum(np_maximum(cand0, cand1), lowest);
+            }
         }
         for (int64_t h = 0; h < 2; ++h) {
-            double *half = next + h * n_states;
-            double top = np_maximum_reduce(half, n_states);
-            for (int64_t i = 0; i < n_states; ++i)
+            double *half = next + h * ns;
+            double top = np_maximum_reduce(half, ns);
+            for (int64_t i = 0; i < ns; ++i)
                 half[i] = np_subtract(half[i], top);
         }
     }
+}
+
+/* The posterior: (alpha[t][from] + gamma[t]) + beta[t + 1][to] over the
+ * branches of each input bit, folded by np.maximum in branch order; llr =
+ * max0 - max1 and ext = (llr - sys) - apri. */
+static void bcjr_posterior(const struct bcjr_trellis *tr, const double *sys,
+                           const double *apri, const double *gamma,
+                           const double *rows, int64_t t_len,
+                           double *restrict metric, double *restrict llr,
+                           double *restrict ext)
+{
+    const int64_t ns = tr->n_states, nb = tr->n_branches, width = 2 * ns;
+    for (int64_t t = 0; t < t_len; ++t) {
+        const double *alpha = rows + t * width;
+        const double *beta = rows + (t_len - 1 - t) * width + ns;
+        const double *g = gamma + t * nb;
+        for (int64_t i = 0; i < nb; ++i)
+            metric[i] = np_add(np_add(alpha[tr->from_state[i]],
+                                      g[tr->by_input[i]]),
+                               beta[tr->to_state[i]]);
+        llr[t] = np_subtract(np_maximum_fold(metric, ns),
+                             np_maximum_fold(metric + ns, ns));
+        ext[t] = np_subtract(np_subtract(llr[t], sys[t]),
+                             apri ? apri[t] : 0.0);
+    }
+}
+
+/* Decode t_len steps: sys and apri (t_len,), apri NULL for no a priori
+ * (numpy's zeros, so +0.0 is added), par (n_parity, t_len).  Writes the
+ * posterior and extrinsic LLRs, (t_len,) each, using scratch of (2 t_len
+ * + 2) * n_branches doubles: gamma (t_len, n_branches), the rows (t_len +
+ * 1, 2S) and one posterior row. */
+void bcjr_decode(const struct bcjr_trellis *tr, const double *sys,
+                 const double *par, const double *apri, int64_t t_len,
+                 int terminated, double *scratch, double *llr, double *ext)
+{
+    const int64_t nb = tr->n_branches;
+    double *gamma = scratch, *rows = gamma + t_len * nb;
+    bcjr_gamma(tr, sys, par, apri, t_len, gamma);
+    bcjr_alpha_beta(tr, gamma, t_len, terminated, rows);
+    bcjr_posterior(tr, sys, apri, gamma, rows, t_len,
+                   rows + (t_len + 1) * nb, llr, ext);
 }
 
 /* ---- spine hashes: repro.core.hashes, on uint32 words ---- */

@@ -25,17 +25,31 @@ the LLRs.  The per-half normalisation subtracts each recursion's own
 maximum, exactly as the separate recursions did.  The final LLR
 extraction is vectorised over time.
 
-The time loop runs as one C function, ``bcjr_recursion`` in
-:mod:`repro.backend.ckernels`, which performs the same operations in the
-same order with numpy's NaN and tie choices, so its state metrics are
-bit-identical.  Where that kernel cannot be built, the numpy loop
-:func:`_numpy_recursion` runs instead; it is also the kernel's test
-oracle.  The gamma build, the slab and the posterior stay in numpy.
+On the compiled kernels a whole decode is one C call,
+:meth:`repro.backend.ckernels.BcjrDecoder.decode`: the branch metrics, the
+fused recursion (reading each step's branch metrics straight from
+``gamma``, with no slab) and the posterior, with the numpy body's
+operations in its order and its NaN and tie choices, so the outputs are
+bit-identical.  A trellis's tables are checked and bound once, on its
+first compiled decode; each call checks only the LLR arrays.  Where the
+kernels cannot be built the numpy body below runs; it is also the
+kernel's test oracle.  Where numpy's own choice between two NaNs or two
+tied zeros depends on an array's length or layout, the body spells one
+out: ``sys + a_priori`` keeps the systematic LLR's NaN (a 1-D add takes
+the second operand's NaN in its scalar tail), the parity sum adds each
+row's term in front of the running sum (the later row's NaN wins, as in
+``np.einsum("pt,bp->tb")`` for T >= 2), and each input bit's best branch
+folds ``np.maximum`` in branch order (numpy's reduce over the
+column-major ``metric[:, mask]`` does this for T >= 2 and makes a leading
+NaN canonical for T = 1).
 
 LLR convention matches the rest of the library: positive favours bit 0.
 """
 
 from __future__ import annotations
+
+from functools import reduce
+from types import ModuleType
 
 import numpy as np
 
@@ -93,13 +107,25 @@ class BcjrTrellis:
         self.gather = np.concatenate(
             [self.from_state[self.in_branches],
              ns + self.to_state[self.out_branches]], axis=1)
+        self._bound: tuple[ModuleType, ckernels.BcjrDecoder] | None = None
+
+    def decoder(self, module: ModuleType) -> ckernels.BcjrDecoder:
+        """This trellis checked and bound for the compiled ``module``, once
+        per module."""
+        if self._bound is None or self._bound[0] is not module:
+            self._bound = module, ckernels.BcjrDecoder(
+                module, from_state=self.from_state, to_state=self.to_state,
+                input_bit=self.input_bit, in_branches=self.in_branches,
+                out_branches=self.out_branches, sys_sign=self.sys_sign,
+                par_sign=self.par_sign, lowest=_NEG)
+        return self._bound[1]
 
 
 def _numpy_recursion(slab: np.ndarray, gather: np.ndarray,
                      rows: np.ndarray) -> None:
     """The fused recursion in numpy, filling ``rows[1:]`` from ``rows[0]``.
 
-    This is the reference the compiled ``bcjr_recursion`` of
+    This is the reference the recursion of the compiled ``bcjr_decode`` of
     :mod:`repro.backend.ckernels` must match bit for bit, and what runs
     when that kernel cannot be built.
     """
@@ -147,19 +173,27 @@ def max_log_bcjr(
     (posterior_llrs, extrinsic_llrs), both (T,).  The extrinsic output is
     posterior − systematic − a-priori, ready to feed the peer decoder.
     """
-    sys_llrs = np.asarray(sys_llrs, dtype=np.float64)
-    parity_llrs = np.asarray(parity_llrs, dtype=np.float64)
+    sys_llrs = np.ascontiguousarray(sys_llrs, dtype=np.float64)
+    parity_llrs = np.ascontiguousarray(parity_llrs, dtype=np.float64)
+    if a_priori is not None:
+        a_priori = np.ascontiguousarray(a_priori, dtype=np.float64)
+    kernels = ckernels.load()
+    if kernels is not None:
+        return trellis.decoder(kernels).decode(sys_llrs, parity_llrs,
+                                               a_priori, terminated)
     t_len = sys_llrs.size
     if a_priori is None:
         a_priori = np.zeros(t_len)
     ns = trellis.n_states
 
     # gamma[t, branch]: all branch metrics, vectorised over time upfront
-    sys_term = 0.5 * (sys_llrs + a_priori)[:, None] * trellis.sys_sign[None, :]
-    par_term = 0.5 * np.einsum(
-        "pt,bp->tb", parity_llrs, trellis.par_sign
-    )
-    gamma = sys_term + par_term  # (T, n_branches)
+    sys_apri = sys_llrs + a_priori
+    np.copyto(sys_apri, sys_llrs, where=np.isnan(sys_llrs))
+    sys_term = 0.5 * sys_apri[:, None] * trellis.sys_sign[None, :]
+    par_sum = np.zeros((t_len, trellis.n_branches))
+    for row, sign in zip(parity_llrs, trellis.par_sign.T):
+        par_sum = row[:, None] * sign + par_sum
+    gamma = sys_term + 0.5 * par_sum  # (T, n_branches)
 
     # slab[t]: the branch metrics added to gather(row t), laid out like it;
     # the beta half runs backwards in time
@@ -175,11 +209,7 @@ def max_log_bcjr(
         rows[0, ns] = 0.0  # end in state 0
     else:
         rows[0, ns:] = 0.0
-    kernels = ckernels.load()
-    if kernels is None:
-        _numpy_recursion(slab, trellis.gather, rows)
-    else:
-        ckernels.bcjr_recursion(kernels, slab, trellis.gather, rows, _NEG)
+    _numpy_recursion(slab, trellis.gather, rows)
 
     alpha = rows[:, :ns]
     beta = rows[::-1, ns:]
@@ -187,7 +217,9 @@ def max_log_bcjr(
     # posterior LLRs, vectorised over time
     frm, to = trellis.from_state, trellis.to_state
     metric = alpha[:-1][:, frm] + gamma + beta[1:][:, to]  # (T, n_branches)
-    zero_mask = trellis.input_bit == 0
-    llr = metric[:, zero_mask].max(axis=1) - metric[:, ~zero_mask].max(axis=1)
+    # each input bit's best branch: np.maximum folded in branch order
+    best0, best1 = (reduce(np.maximum, metric.T[trellis.input_bit == bit])
+                    for bit in (0, 1))
+    llr = best0 - best1
     extrinsic = llr - sys_llrs - a_priori
     return llr, extrinsic

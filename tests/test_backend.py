@@ -56,7 +56,7 @@ from reference_decoder import reference_decode
 #: classes, and the two passes of a bubble-search step by ``Class.method``.
 _COMPILED_ENTRY_POINTS = ("spine_hash", "SpinalPasses.expand",
                           "SpinalPasses.score", "SpinalPasses.finish",
-                          "bcjr_recursion", "BpPasses", "lt_draw",
+                          "BcjrDecoder.decode", "BpPasses", "lt_draw",
                           "choice_draw")
 
 
@@ -1007,6 +1007,22 @@ def _papr_specs(draw):
                           points)
 
 
+@st.composite
+def _ldpc_envelope_specs(draw):
+    """Two ``ldpc_envelope`` points (Figure 8-1's fixed-rate LDPC envelope,
+    BP over every operating point) over generated SNRs, block counts,
+    iteration caps and seeds."""
+    seed = draw(st.integers(0, 2**16))
+    points = tuple(
+        PointSpec(series="generated", x=float(draw(st.integers(-5, 30))),
+                  seed=seed + i, kind="ldpc_envelope",
+                  options={"n_blocks": draw(st.integers(1, 3)),
+                           "iterations": draw(st.integers(1, 25))})
+        for i in range(2))
+    return ExperimentSpec("generated", "generated ldpc_envelope spec",
+                          "quick", points)
+
+
 class TestStoreBackendInvariance:
     @given(spec=_spinal_specs())
     @settings(max_examples=6, derandomize=True, deadline=None)
@@ -1043,6 +1059,12 @@ class TestStoreBackendInvariance:
     @settings(max_examples=6, derandomize=True, deadline=None)
     def test_generated_symbol_cdf_store_bytes_invariant(self, spec):
         """The same for a generated ``symbol_cdf`` spec."""
+        self._assert_store_invariant(spec)
+
+    @given(spec=_ldpc_envelope_specs())
+    @settings(max_examples=6, derandomize=True, deadline=None)
+    def test_generated_ldpc_envelope_store_bytes_invariant(self, spec):
+        """The same for a generated ``ldpc_envelope`` spec (BP's passes)."""
         self._assert_store_invariant(spec)
 
     @given(spec=_papr_specs())

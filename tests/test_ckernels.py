@@ -25,7 +25,7 @@ from repro.backend import (
     BackendFallbackWarning, _distances, _NumpyPasses, ckernels)
 from repro.core.hashes import reference_hashes
 from repro.core.symbols import BatchReceivedSymbols
-from repro.strider.bcjr import _NEG, BcjrTrellis, _numpy_recursion, max_log_bcjr
+from repro.strider.bcjr import BcjrTrellis, max_log_bcjr
 from repro.strider.rsc import RscCode
 
 from deadline import deadline
@@ -104,15 +104,13 @@ def test_truncated_cached_module_is_rebuilt(tmp_path):
         module = ckernels.build_or_load(bad_root)
     assert os.path.getsize(bad_path) > len(image) // 2
     assert module.__file__ == bad_path
-    rng = np.random.default_rng(2)
     trellis = BcjrTrellis(RscCode())
-    slab = rng.normal(size=(30, 2, 16))
-    rows = np.zeros((31, 16))
-    rows[0] = rng.normal(size=16)
-    want = rows.copy()
-    ckernels.bcjr_recursion(module, slab, trellis.gather, rows, _NEG)
-    _numpy_recursion(slab, trellis.gather, want)
-    assert rows.tobytes() == want.tobytes()
+    case = _bcjr_case(seed=2, t_len=30)
+    got = trellis.decoder(module).decode(*case[1:], terminated=True)
+    with mock.patch.object(ckernels, "load", lambda: None):
+        want = max_log_bcjr(trellis, *case[1:])
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
 
 
 def test_two_processes_share_a_cold_cache(tmp_path):
@@ -513,6 +511,39 @@ def test_branch_cost_sum_keeps_the_first_slots_nan():
             assert totals[1].tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("k", [1, 4])
+@pytest.mark.parametrize("n_msgs", [5, 13])
+def test_nan_parents_keep_their_nan_over_nan_branch_costs(k, n_msgs):
+    """Where a parent's cost and its children's branch costs are NaNs with
+    different payloads, every child's path cost is the parent's NaN on both
+    passes, at 2 and 16 children a leaf and over parent counts that are not
+    a multiple of 8 (numpy's own add takes the second operand's NaN in a
+    scalar tail)."""
+    search = dict(levels=np.linspace(-1.0, 1.0, 8), c=3, is_bsc=False,
+                  has_csi=False, k=k, n_msgs=n_msgs, beam=1, group=1,
+                  n_steps=1, s0=5)
+    both = [_NumpyPasses("one_at_a_time", **search)]
+    if ckernels.load() is not None:
+        both.append(ckernels.SpinalPasses(ckernels.load(), "one_at_a_time",
+                                          **search))
+    store = BatchReceivedSymbols(1, n_msgs)
+    store.add_block(np.zeros(1, dtype=np.intp), np.array([3], dtype=np.uint32),
+                    np.full((n_msgs, 1), complex(-_quiet_nan(0x22), 0.5)))
+    parents = np.array([_quiet_nan(0x100 + m) for m in range(n_msgs)])
+    parents[::2] *= -1.0  # NaNs of both signs
+    got = []
+    for passes in both:
+        passes.start(store.prefix(np.arange(n_msgs), store.checkpoint()))
+        passes.costs[:n_msgs] = parents
+        passes.expand(0)
+        passes.score(0)
+        totals = passes.totals[:n_msgs << k].reshape(n_msgs, 1 << k)
+        assert (totals.view(np.uint64)
+                == parents.view(np.uint64)[:, None]).all()
+        got.append(totals.tobytes())
+    assert len(set(got)) == 1
+
+
 def _bp_call():
     """A good graph for ``ckernels.BpPasses``: 2 checks, 3 variables, 4
     edges, with observation terms."""
@@ -674,7 +705,7 @@ def test_store_bytes_match_on_both_recursions(tmp_path, monkeypatch):
     assert any(p.channel.kind == "rayleigh" for p in spinal)
     # the bubble search enters the kernels through its step passes,
     # the encoders through the spine hash
-    calls = {"bcjr_recursion": 0, "SpinalPasses.expand": 0,
+    calls = {"BcjrDecoder.decode": 0, "SpinalPasses.expand": 0,
              "SpinalPasses.score": 0, "SpinalPasses.finish": 0,
              "spine_hash": 0, "BpPasses": 0, "lt_draw": 0, "choice_draw": 0}
 

@@ -13,7 +13,7 @@ from repro.channels.awgn import AWGNChannel
 from repro.modulation import QPSK, soft_demap
 from repro.simulation import measure_scheme
 from repro.strider import RscCode, StriderCodec, StriderScheme, TurboCodec
-from repro.strider.bcjr import _NEG, BcjrTrellis, _numpy_recursion, max_log_bcjr
+from repro.strider.bcjr import _NEG, BcjrTrellis, max_log_bcjr
 from repro.utils.bitops import random_message
 
 
@@ -368,78 +368,115 @@ class TestCompiledBcjr:
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
 
-    @given(st.integers(0, 300), st.booleans(),
-           st.sampled_from([0.0, 0.001, 0.02]), st.integers(0, 2**32 - 1))
+    @given(st.integers(0, 300), st.booleans(), st.booleans(),
+           st.sampled_from([0.0, 0.001, 0.02, 0.2]),
+           st.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_recursions_agree_bit_for_bit_on_ties_and_nans(
-            self, t_len, coarse, special_rate, seed):
-        """The recursion alone, on branch metrics that are small
-        non-positive integers (coarse: signed-zero ties at every step and
-        half maxima of ±0) or Gaussian, with ±inf and NaNs of both signs
-        sprinkled in at ``special_rate``.  Such ties rarely reach the LLRs,
-        so only the state metrics show the kernel's tie and NaN choices."""
+            self, t_len, terminated, with_apriori, special_rate, seed):
+        """Whole decodes on coarse LLRs from {0, -0, +-1, +-2}, whose
+        branch and state metrics tie at every step (signed-zero ties, half
+        maxima of +-0), with +-inf and NaNs of both signs sprinkled in at
+        ``special_rate``: the compiled decode must pick the numpy body's
+        ties, NaN payloads and zero signs in every stage."""
         if ckernels.load() is None:
             pytest.skip("compiled kernels unavailable here")
         if not _numpy_reduces_like_the_kernel():
             pytest.skip("numpy's maximum.reduce orders NaN and zero ties "
                         "differently on this CPU")
         rng = np.random.default_rng(seed)
-        shape = (t_len + 1, 2, 16)
-        if coarse:
-            draws = rng.choice([0.0, -0.0, -1.0, -2.0], size=shape)
-        else:
-            draws = rng.normal(size=shape)
-        mask = rng.random(shape) < special_rate
+        draws = rng.choice([0.0, -0.0, 1.0, -1.0, 2.0, -2.0],
+                           size=(4, t_len))
+        mask = rng.random(draws.shape) < special_rate
         draws[mask] = rng.choice([np.inf, -np.inf, _NAN, -_NAN],
                                  size=int(mask.sum()))
-        slab = draws[1:].copy()
-        rows_c = np.empty((t_len + 1, 16))
-        rows_c[0] = draws[0, 0]
-        rows_np = rows_c.copy()
-        gather = BcjrTrellis(RscCode()).gather
+        sys_llrs, parity = draws[0], draws[1:3]
+        a_priori = draws[3] if with_apriori else None
         with np.errstate(invalid="ignore"):
-            ckernels.bcjr_recursion(ckernels.load(), slab, gather, rows_c,
-                                    _NEG)
-            _numpy_recursion(slab, gather, rows_np)
-        assert rows_c.tobytes() == rows_np.tobytes()
+            got = _decode_on("compiled", BcjrTrellis(RscCode()), sys_llrs,
+                             parity, a_priori, terminated)
+            want = _decode_on("numpy", BcjrTrellis(RscCode()), sys_llrs,
+                              parity, a_priori, terminated)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
 
     @staticmethod
-    def _good_call():
+    def _tables():
         trellis = BcjrTrellis(RscCode())
-        slab = np.zeros((5, 2, 16))
-        rows = np.zeros((6, 16))
-        return {"slab": slab, "gather": trellis.gather, "rows": rows}
+        return {name: getattr(trellis, name) for name in (
+            "from_state", "to_state", "input_bit", "in_branches",
+            "out_branches", "sys_sign", "par_sign")}
 
-    @pytest.mark.parametrize("name, bad", [
-        ("slab", lambda a: a[:-1]),
-        ("slab", lambda a: a[:, :, :-2]),
-        ("slab", lambda a: a.astype(np.float32)),
-        ("slab", lambda a: np.asfortranarray(a)),
-        ("gather", lambda a: a[:, :-1]),
-        ("gather", lambda a: a.astype(np.int32)),
-        ("gather", lambda a: np.asfortranarray(a)),
-        ("gather", lambda a: a + 16),
-        ("gather", lambda a: a - 1),
-        ("rows", lambda a: a[:, :-1]),
-        ("rows", lambda a: a[::2]),
-        ("rows", lambda a: a[:0]),
-        ("rows", lambda a: np.zeros((6, 0))),
-        ("rows", lambda a: a.astype(np.float32)),
-        ("rows", lambda a: a.reshape(-1)),
-        ("rows", lambda a: np.lib.stride_tricks.as_strided(a, writeable=False)),
-        ("rows", lambda a: a.tolist()),
-    ])
-    def test_bad_calls_raise_before_reaching_c(self, name, bad):
+    @staticmethod
+    def _fake():
         def reached_c(*args):
             raise AssertionError("a bad call reached the C kernel")
 
-        fake = SimpleNamespace(ffi=None, lib=SimpleNamespace(
-            bcjr_recursion=reached_c))
-        call = self._good_call()
+        def from_buffer(kind, a, require_writable=False):
+            return a
+
+        ffi = SimpleNamespace(from_buffer=from_buffer, NULL=None,
+                              new=lambda kind: SimpleNamespace())
+        return SimpleNamespace(ffi=ffi, lib=SimpleNamespace(
+            bcjr_decode=reached_c))
+
+    @pytest.mark.parametrize("name, bad", [
+        ("from_state", lambda a: a + 8),
+        ("from_state", lambda a: a - 1),
+        ("from_state", lambda a: a.astype(np.int32)),
+        ("from_state", lambda a: a[:-1]),
+        ("to_state", lambda a: a + 8),
+        ("to_state", lambda a: a.astype(np.float64)),
+        ("input_bit", lambda a: a + 1),
+        ("input_bit", lambda a: np.zeros_like(a)),
+        ("in_branches", lambda a: a + 16),
+        ("in_branches", lambda a: a - 1),
+        ("in_branches", lambda a: a[:, :-1]),
+        ("out_branches", lambda a: a + 16),
+        ("out_branches", lambda a: a.astype(np.uint64)),
+        ("sys_sign", lambda a: a.astype(np.float32)),
+        ("sys_sign", lambda a: a[:-2]),
+        ("par_sign", lambda a: a.reshape(-1)),
+        ("par_sign", lambda a: a[:-2]),
+        ("par_sign", lambda a: a.astype(np.int64)),
+        ("par_sign", lambda a: a.tolist()),
+    ])
+    def test_bad_trellis_tables_raise_before_reaching_c(self, name, bad):
+        tables = self._tables()
+        tables[name] = bad(tables[name])
+        with pytest.raises(ValueError):
+            ckernels.BcjrDecoder(self._fake(), lowest=_NEG, **tables)
+
+    @pytest.mark.parametrize("name, bad", [
+        ("sys", lambda a: a[:-1]),
+        ("sys", lambda a: a.reshape(1, -1)),
+        ("sys", lambda a: a.astype(np.float32)),
+        ("sys", lambda a: a[::2]),
+        ("sys", lambda a: np.zeros(2 * a.size)[::2]),
+        ("sys", lambda a: a.tolist()),
+        ("parity", lambda a: a[:, :-1]),
+        ("parity", lambda a: a[:1]),
+        ("parity", lambda a: np.concatenate([a, a])),
+        ("parity", lambda a: a.T.copy()),
+        ("parity", lambda a: a.reshape(-1)),
+        ("parity", lambda a: a.astype(np.float32)),
+        ("parity", lambda a: np.asfortranarray(a)),
+        ("parity", lambda a: a.tolist()),
+        ("apri", lambda a: a[:-1]),
+        ("apri", lambda a: np.concatenate([a, a])),
+        ("apri", lambda a: a.astype(np.float32)),
+        ("apri", lambda a: a[::2]),
+        ("apri", lambda a: np.zeros(2 * a.size)[::2]),
+        ("apri", lambda a: a.tolist()),
+    ])
+    def test_bad_calls_raise_before_reaching_c(self, name, bad):
+        decoder = ckernels.BcjrDecoder(self._fake(), lowest=_NEG,
+                                       **self._tables())
+        call = {"sys": np.zeros(6), "parity": np.zeros((2, 6)),
+                "apri": np.zeros(6)}
         call[name] = bad(call[name])
         with pytest.raises(ValueError):
-            ckernels.bcjr_recursion(fake, call["slab"], call["gather"],
-                                    call["rows"], _NEG)
+            decoder.decode(call["sys"], call["parity"], call["apri"], True)
 
 
 class TestTurbo:
