@@ -50,8 +50,6 @@ from repro.simulation import (
     SpinalScheme,
     SpinalSession,
     measure_scheme,
-    measure_spinal_rate,
-    snr_sweep,
 )
 
 __version__ = "1.0.0"
@@ -81,7 +79,5 @@ __all__ = [
     "LinkSession",
     "RateMeasurement",
     "measure_scheme",
-    "measure_spinal_rate",
-    "snr_sweep",
     "get_backend",
 ]

@@ -41,10 +41,6 @@ class AWGNChannel(Channel):
             rng = np.random.default_rng(rng)
         self._rng = rng
 
-    @property
-    def snr_linear(self) -> float:
-        return 10.0 ** (self.snr_db / 10.0)
-
     def transmit(self, symbols: np.ndarray) -> ChannelOutput:
         symbols = np.asarray(symbols, dtype=np.complex128)
         scale = np.sqrt(self.noise_power / 2.0)

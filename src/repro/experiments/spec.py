@@ -328,13 +328,6 @@ class ExperimentSpec:
             points=tuple(PointSpec.from_dict(p) for p in record["points"]),
         )
 
-    def series_labels(self) -> list[str]:
-        seen: list[str] = []
-        for p in self.points:
-            if p.series not in seen:
-                seen.append(p.series)
-        return seen
-
 
 def _digest(payload: object) -> str:
     return hashlib.sha256(

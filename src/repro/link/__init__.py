@@ -12,11 +12,15 @@ footnote.
 Layers (each module's docstring maps its mechanics to the paper):
 
 - :mod:`~repro.link.protocol` — per-packet ARQ state machine
-  (:class:`PacketTransmitter`, whose ``run`` is the one stepping loop) and
-  a flow of packets sent back to back on one channel
-  (:class:`LinkSession`), framed or oracle.
+  (:class:`PacketTransmitter`, whose ``run`` is two bounded loops: send
+  subpasses up to ``max_passes``, then wait out the feedback in flight; a
+  packet still open gives up, so there is no stall path) and a flow of
+  packets sent back to back on one channel (:class:`LinkSession`), framed
+  (through :class:`~repro.core.framing.FrameEncoder` and
+  :class:`~repro.core.framing.FrameDecoder` directly) or oracle.
 - :mod:`~repro.link.stats` — goodput, latency percentiles, waste and
-  retransmission counters over a flow's packets (:class:`FlowStats`).
+  retransmission counters over a flow's packets, folded once by
+  :meth:`FlowStats.as_dict`.
 
 The experiment orchestrator runs one seeded :class:`LinkSession` flow per
 ``link`` point (:mod:`repro.experiments.orchestrator`).

@@ -21,7 +21,12 @@ real costs on top:
 
 Both modes run the same per-subpass loop the paper's receiver runs
 (``probe_growth=1`` semantics): transmit one subpass, attempt a decode,
-feed the verdict back.  Time is measured on the symbol clock of
+feed the verdict back.  The framed receiver is
+:class:`~repro.core.framing.FrameDecoder` itself; the oracle receiver has
+its shape.  :meth:`PacketTransmitter.run` is two bounded loops: at most
+``max_passes`` passes of subpasses, then one idle per feedback message still
+in flight; a packet still open after both gives up, so no state can spin.
+Time is measured on the symbol clock of
 :class:`~repro.channels.shared.SharedChannel`: it times the feedback in
 flight, and a session's packets follow one another on it, so a stateful
 medium (fading) evolves across packets as it does across subpasses.
@@ -105,93 +110,47 @@ class PacketResult:
 
 
 class _OracleReceiver:
-    """Single-block receiver judged against the true message (§8.1 mode)."""
+    """Single-block receiver judged against the true message (§8.1 mode).
+
+    Shaped like :class:`~repro.core.framing.FrameDecoder`, so the
+    transmitter drives both receivers through the same four names.
+    """
+
+    n_blocks = 1
 
     def __init__(self, params: SpinalParams, dec: DecoderParams,
                  message_bits: np.ndarray):
-        self.message_bits = np.asarray(message_bits, dtype=np.uint8)
-        self.encoder = SpinalEncoder(params, self.message_bits)
-        self._decoder = BubbleDecoder(params, dec, self.message_bits.size)
-        self._store = ReceivedSymbols(
-            self.encoder.n_spine, complex_valued=not params.is_bsc)
+        self.message_bits = message_bits
+        self._store = ReceivedSymbols(params.n_spine(message_bits.size),
+                                      complex_valued=not params.is_bsc)
+        self._decoder = BubbleDecoder(params, dec, message_bits.size)
         self._decoded = False
 
     @property
-    def n_blocks(self) -> int:
-        return 1
-
-    @property
-    def payload_bits(self) -> int:
-        return self.message_bits.size
-
-    @property
-    def coded_bits(self) -> int:
-        return self.message_bits.size
-
-    def encoders(self) -> list[SpinalEncoder]:
-        return [self.encoder]
-
     def ack_bitmap(self) -> list[bool]:
         return [self._decoded]
 
-    def receive(self, block_index: int, block, values, csi) -> None:
-        self._store.add_block(block.spine_indices, block.slots, values, csi=csi)
+    def receive_block_symbols(self, block_index: int, symbols, noisy_values,
+                              csi=None) -> None:
+        self._store.add_block(symbols.spine_indices, symbols.slots,
+                              noisy_values, csi=csi)
 
-    def try_decode(self) -> list[bool]:
+    def try_decode_all(self) -> list[bool]:
         if not self._decoded:
             result = self._decoder.decode(self._store)
             self._decoded = result.matches(self.message_bits)
-        return self.ack_bitmap()
-
-
-class _FramedReceiver:
-    """CRC-framed multi-block receiver (§6 mode)."""
-
-    def __init__(self, params: SpinalParams, dec: DecoderParams,
-                 datagram: bytes, seq: int, max_block_bits: int):
-        self.datagram = bytes(datagram)
-        sender = FrameEncoder(params, max_block_bits=max_block_bits,
-                              first_sequence=seq)
-        self.frame = sender.frame(self.datagram)
-        self._encoders = sender.encoders(self.frame)
-        self._decoder = FrameDecoder(params, dec, self.frame.sequence,
-                                     len(self.datagram),
-                                     max_block_bits=max_block_bits)
-
-    @property
-    def n_blocks(self) -> int:
-        return self.frame.n_blocks
-
-    @property
-    def payload_bits(self) -> int:
-        return len(self.datagram) * 8
-
-    @property
-    def coded_bits(self) -> int:
-        return sum(b.size for b in self.frame.block_bits)
-
-    def encoders(self) -> list[SpinalEncoder]:
-        return self._encoders
-
-    def ack_bitmap(self) -> list[bool]:
-        return self._decoder.ack_bitmap
-
-    def receive(self, block_index: int, block, values, csi) -> None:
-        self._decoder.receive_block_symbols(block_index, block, values, csi=csi)
-
-    def try_decode(self) -> list[bool]:
-        return self._decoder.try_decode_all()
+        return self.ack_bitmap
 
 
 class PacketTransmitter:
     """One packet's sender+receiver pair on the link's symbol clock.
 
-    :meth:`run` drives this stepwise: :meth:`poll` applies any feedback
-    whose flight time has elapsed, :meth:`step` transmits one subpass for
-    every block the *sender still believes* is pending (the receiver may
-    already have them — that gap is the §8.4 feedback-delay waste), then
-    lets the receiver attempt decodes and queues the resulting ACK bitmap
-    ``feedback_delay`` symbol times into the future.
+    :meth:`step` transmits one subpass for every block the *sender still
+    believes* is pending (the receiver may already have them — that gap is
+    the §8.4 feedback-delay waste), lets the receiver attempt decodes and
+    queues the resulting ACK bitmap ``feedback_delay`` symbol times into
+    the future; :meth:`poll` applies the feedback that has arrived.
+    :meth:`run` drives both in two bounded loops.
     """
 
     def __init__(
@@ -204,22 +163,29 @@ class PacketTransmitter:
         seq: int = 0,
         flow: str = "flow0",
     ):
-        self.params = params
-        self.dec = decoder_params
         self.link = link
         self.config = config
         self.seq = seq
         self.flow = flow
         self._csi_mode = csi_mode(config.give_csi)
         if config.framing:
-            self.rx = _FramedReceiver(params, decoder_params, payload, seq,
-                                      config.max_block_bits)
+            datagram = bytes(payload)
+            sender = FrameEncoder(params, max_block_bits=config.max_block_bits,
+                                  first_sequence=seq)
+            frame = sender.frame(datagram)
+            self._encoders = sender.encoders(frame)
+            self.rx = FrameDecoder(params, decoder_params, frame.sequence,
+                                   len(datagram),
+                                   max_block_bits=config.max_block_bits)
+            self.payload_bits = len(datagram) * 8
+            self.coded_bits = sum(b.size for b in frame.block_bits)
         else:
-            self.rx = _OracleReceiver(params, decoder_params, payload)
-        self._encoders = self.rx.encoders()
-        w = (self._encoders[0].subpasses_per_pass if self._encoders
-             else params.make_schedule().subpasses_per_pass)
-        self.max_subpasses = decoder_params.max_passes * w
+            message = np.asarray(payload, dtype=np.uint8)
+            self._encoders = [SpinalEncoder(params, message)]
+            self.rx = _OracleReceiver(params, decoder_params, message)
+            self.payload_bits = self.coded_bits = message.size
+        self.max_subpasses = (decoder_params.max_passes
+                              * params.make_schedule().subpasses_per_pass)
         self.subpass = 0
         self.start_time = link.time
         self.symbols = 0
@@ -227,57 +193,33 @@ class PacketTransmitter:
         self.retransmissions = 0
         # Sender's (possibly stale) belief of the receiver's ACK bitmap.
         self._sender_acks = [False] * self.rx.n_blocks
-        # Queued feedback: (arrival_time, bitmap snapshot).
+        # Queued feedback in arrival order: (arrival_time, bitmap snapshot).
         self._feedback: list[tuple[int, list[bool]]] = []
         self.result: PacketResult | None = None
         if self.rx.n_blocks == 0:
             # An empty datagram has nothing to transmit: trivially delivered.
             self._finish(success=True, finish_time=link.time)
 
-    # -- state queries ----------------------------------------------------
-
-    @property
-    def can_send(self) -> bool:
-        """True while the sender has subpasses left and no full ACK."""
-        return (self.result is None
-                and self.subpass < self.max_subpasses
-                and not all(self._sender_acks))
-
-    def next_event_time(self) -> int | None:
-        """Earliest queued feedback arrival (when an idle sender wakes)."""
-        if self.result is not None or not self._feedback:
-            return None
-        return min(t for t, _ in self._feedback)
-
-    # -- protocol steps ---------------------------------------------------
-
     def poll(self) -> None:
         """Apply every feedback message that has reached the sender."""
-        if self.result is not None:
-            return
         now = self.link.time
-        ready = [(t, bm) for t, bm in self._feedback if t <= now]
+        ready = [entry for entry in self._feedback if entry[0] <= now]
         if ready:
-            self._feedback = [(t, bm) for t, bm in self._feedback if t > now]
+            del self._feedback[:len(ready)]
             # Bitmaps are monotone (blocks never un-decode); the latest
             # snapshot subsumes earlier ones.
-            t_last, bitmap = max(ready, key=lambda e: e[0])
-            self._sender_acks = list(bitmap)
-            if all(bitmap):
+            t_last, self._sender_acks = ready[-1]
+            if all(self._sender_acks):
                 self._finish(success=True, finish_time=t_last)
-                return
-        if (self.subpass >= self.max_subpasses and not self._feedback
-                and not all(self._sender_acks)):
-            # Out of subpasses and nothing left in flight: give up.
-            self._finish(success=False, finish_time=now)
 
     def step(self) -> int:
-        """Transmit one subpass round; returns channel symbols consumed."""
-        self.poll()
-        if not self.can_send:
-            return 0
+        """Transmit one subpass round; returns channel symbols consumed.
+
+        :meth:`run` calls this only while the packet is open and has
+        subpasses left.
+        """
         g = self.subpass
-        rx_acks = self.rx.ack_bitmap()
+        rx_acks = self.rx.ack_bitmap
         sent = 0
         retrans = 0
         for b, enc in enumerate(self._encoders):
@@ -286,7 +228,7 @@ class PacketTransmitter:
             block = enc.generate(g)
             out = self.link.transmit(block.values)
             values, csi = received_view(out, self._csi_mode)
-            self.rx.receive(b, block, values, csi)
+            self.rx.receive_block_symbols(b, block, values, csi=csi)
             sent += len(block)
             if rx_acks[b]:
                 # The receiver already had this block; the sender just
@@ -296,7 +238,7 @@ class PacketTransmitter:
         self.symbols += sent
         self.retransmissions += retrans
         self.subpass += 1
-        bitmap = self.rx.try_decode()
+        bitmap = self.rx.try_decode_all()
         self._feedback.append(
             (self.link.time + self.config.feedback_delay, list(bitmap)))
         if OBS.enabled:
@@ -329,8 +271,8 @@ class PacketTransmitter:
             flow=self.flow,
             seq=self.seq,
             success=success,
-            payload_bits=self.rx.payload_bits,
-            coded_bits=self.rx.coded_bits,
+            payload_bits=self.payload_bits,
+            coded_bits=self.coded_bits,
             n_blocks=self.rx.n_blocks,
             n_subpasses=self.subpass,
             symbols=self.symbols,
@@ -343,29 +285,19 @@ class PacketTransmitter:
     def run(self) -> PacketResult:
         """Drive this packet to completion alone on the medium.
 
-        Raises ``RuntimeError`` if the packet stalls: the sender cannot
-        send, no feedback is in flight, and :meth:`poll` did not close it.
+        Two bounded loops: send subpasses until the packet closes or
+        ``max_subpasses`` are spent, then idle to each feedback message
+        still in flight, in arrival order (§5: the sender may pause
+        awaiting feedback).  A packet still open after that gives up.
         """
-        while self.result is None:
-            if self.can_send:
-                self.step()
-                continue
-            nxt = self.next_event_time()
-            if nxt is not None and nxt > self.link.time:
-                # Nothing to send; idle until the ACK lands (§5: the
-                # sender may also pause between passes awaiting feedback).
-                self.link.advance(nxt - self.link.time)
-            self.poll()
-            if self.result is None and nxt is None:
-                # poll() resolves "out of subpasses, nothing in flight" as a
-                # give-up, so this state means the transmitter is stuck;
-                # nothing here can change it, and looping again would spin
-                # forever.
-                raise RuntimeError(
-                    f"link stalled: {self.flow} seq {self.seq} cannot send "
-                    f"and has no feedback in flight (subpass {self.subpass} "
-                    f"of {self.max_subpasses}, sender ACKs "
-                    f"{self._sender_acks})")
+        while self.result is None and self.subpass < self.max_subpasses:
+            self.step()
+        for arrival, _ in list(self._feedback):
+            if self.result is None and arrival > self.link.time:
+                self.link.advance(arrival - self.link.time)
+                self.poll()
+        if self.result is None:
+            self._finish(success=False, finish_time=self.link.time)
         return self.result
 
 

@@ -12,10 +12,7 @@ from repro.simulation.sweep import (
     RatelessScheme,
     SpinalScheme,
     measure_scheme,
-    measure_spinal_rate,
-    merge_measurements,
     run_messages,
-    snr_sweep,
 )
 
 __all__ = [
@@ -26,8 +23,5 @@ __all__ = [
     "RatelessScheme",
     "SpinalScheme",
     "measure_scheme",
-    "measure_spinal_rate",
-    "merge_measurements",
     "run_messages",
-    "snr_sweep",
 ]

@@ -37,10 +37,7 @@ __all__ = [
     "RatelessScheme",
     "SpinalScheme",
     "measure_scheme",
-    "measure_spinal_rate",
-    "merge_measurements",
     "run_messages",
-    "snr_sweep",
 ]
 
 ChannelFactory = Callable[[np.random.Generator], Channel]
@@ -87,10 +84,6 @@ class RateMeasurement:
         if self.total_symbols == 0:
             return 0.0
         return self.total_bits / self.total_symbols
-
-    @property
-    def success_fraction(self) -> float:
-        return self.n_success / self.n_messages if self.n_messages else 0.0
 
     @property
     def capacity(self) -> float:
@@ -145,38 +138,6 @@ class RateMeasurement:
             total_symbols=int(record["total_symbols"]),
             capacity_reference=record.get("capacity_reference", "awgn"),
         )
-
-
-def merge_measurements(
-    measurements: Sequence["RateMeasurement"],
-) -> "RateMeasurement":
-    """Pool several cohorts of the *same* operating point into one record.
-
-    This is the growth half of the adaptive-sampling API: run extra
-    message cohorts (each with its own seed), then merge the counts.  All
-    inputs must agree on label, operating point, and capacity reference —
-    merging different points would silently average apples and oranges.
-    """
-    if not measurements:
-        raise ValueError("need at least one measurement to merge")
-    head = measurements[0]
-    for m in measurements[1:]:
-        if (m.label, m.snr_db, m.capacity_reference) != (
-                head.label, head.snr_db, head.capacity_reference):
-            raise ValueError(
-                "refusing to merge measurements of different points: "
-                f"{(head.label, head.snr_db, head.capacity_reference)} vs "
-                f"{(m.label, m.snr_db, m.capacity_reference)}"
-            )
-    return RateMeasurement(
-        label=head.label,
-        snr_db=head.snr_db,
-        n_messages=sum(m.n_messages for m in measurements),
-        n_success=sum(m.n_success for m in measurements),
-        total_bits=sum(m.total_bits for m in measurements),
-        total_symbols=sum(m.total_symbols for m in measurements),
-        capacity_reference=head.capacity_reference,
-    )
 
 
 class RatelessScheme:
@@ -318,49 +279,3 @@ def measure_scheme(
         total_symbols=total_symbols,
         capacity_reference=capacity_reference,
     )
-
-
-def measure_spinal_rate(
-    params: SpinalParams,
-    decoder_params: DecoderParams,
-    n_bits: int,
-    channel_factory: ChannelFactory,
-    snr_db: float,
-    n_messages: int,
-    seed: int = 0,
-    give_csi: bool = False,
-    probe_growth: float = 1.5,
-    batch_size: int | None = None,
-    capacity_reference: str = "awgn",
-) -> RateMeasurement:
-    """Convenience wrapper for spinal-only experiments."""
-    scheme = SpinalScheme(
-        params, decoder_params, n_bits,
-        give_csi=give_csi, probe_growth=probe_growth,
-    )
-    return measure_scheme(
-        scheme, channel_factory, snr_db, n_messages, seed,
-        batch_size=batch_size, capacity_reference=capacity_reference,
-    )
-
-
-def snr_sweep(
-    scheme: RatelessScheme,
-    make_channel: Callable[[float, np.random.Generator], Channel],
-    snrs_db: Sequence[float],
-    n_messages: int,
-    seed: int = 0,
-    batch_size: int | None = None,
-    capacity_reference: str = "awgn",
-) -> list[RateMeasurement]:
-    """Measure a scheme across an SNR range (1 dB steps in the paper)."""
-    out = []
-    for i, snr in enumerate(snrs_db):
-        factory = lambda rng, s=snr: make_channel(s, rng)  # noqa: E731
-        out.append(
-            measure_scheme(
-                scheme, factory, snr, n_messages, seed=seed + 7919 * i,
-                batch_size=batch_size, capacity_reference=capacity_reference,
-            )
-        )
-    return out

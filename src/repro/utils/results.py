@@ -18,7 +18,6 @@ __all__ = [
     "canonical_json",
     "write_canonical_json",
     "render_table",
-    "render_ascii_plot",
 ]
 
 
@@ -83,12 +82,6 @@ class ExperimentResult:
         self.series.append(s)
         return s
 
-    def get_series(self, label: str) -> SeriesResult:
-        for s in self.series:
-            if s.label == label:
-                return s
-        raise KeyError(label)
-
     def write_csv(self, directory: str) -> str:
         """Write all series as long-format CSV; returns the file path."""
         os.makedirs(directory, exist_ok=True)
@@ -124,28 +117,3 @@ def render_table(headers: list[str], rows: list[list[object]]) -> str:
     lines = [fmt(headers), sep]
     lines.extend(fmt(row) for row in str_rows)
     return "\n".join(lines)
-
-
-def render_ascii_plot(result: ExperimentResult, width: int = 72, height: int = 20) -> str:
-    """Very small ASCII scatter of an :class:`ExperimentResult` (debug aid)."""
-    pts = [(x, y, i) for i, s in enumerate(result.series) for x, y in zip(s.x, s.y)]
-    if not pts:
-        return "(empty)"
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
-    if x1 == x0:
-        x1 = x0 + 1.0
-    if y1 == y0:
-        y1 = y0 + 1.0
-    grid = [[" "] * width for _ in range(height)]
-    marks = "ox+*#@%&"
-    for x, y, i in pts:
-        col = int((x - x0) / (x1 - x0) * (width - 1))
-        row = height - 1 - int((y - y0) / (y1 - y0) * (height - 1))
-        grid[row][col] = marks[i % len(marks)]
-    legend = "  ".join(f"{marks[i % len(marks)]}={s.label}"
-                       for i, s in enumerate(result.series))
-    body = "\n".join("".join(row) for row in grid)
-    return f"{result.title}\n{body}\n{legend}"

@@ -705,17 +705,22 @@ class TestFlowStatsFold:
                 start_time=0, finish_time=int(rng.integers(1, 1000)),
             ))
         rs = stats.results
-        assert stats.n_delivered == sum(r.success for r in rs)
-        assert stats.payload_bits_offered == sum(r.payload_bits for r in rs)
-        assert stats.payload_bits_delivered == sum(
-            r.payload_bits for r in rs if r.success)
-        assert stats.symbols == sum(r.symbols for r in rs)
-        assert stats.wasted_symbols == sum(r.wasted_symbols for r in rs)
-        assert stats.retransmissions == sum(r.retransmissions for r in rs)
-        # cache invalidates on add
-        before = stats.symbols
+        d = stats.as_dict()
+        delivered = sum(r.payload_bits for r in rs if r.success)
+        symbols = sum(r.symbols for r in rs)
+        assert d["n_packets"] == 50
+        assert d["n_delivered"] == sum(r.success for r in rs)
+        assert d["payload_bits_delivered"] == delivered
+        assert d["symbols"] == symbols
+        assert d["wasted_symbols"] == sum(r.wasted_symbols for r in rs)
+        assert d["retransmissions"] == sum(r.retransmissions for r in rs)
+        assert d["goodput"] == round(delivered / symbols, 9)
+        assert d["framing_overhead"] == round(
+            1.0 - sum(r.payload_bits for r in rs)
+            / sum(r.coded_bits for r in rs), 9)
+        # every call folds the results as they are now
         stats.add(PacketResult(
             flow="f", seq=50, success=True, payload_bits=8, coded_bits=16,
             n_blocks=1, n_subpasses=1, symbols=100, wasted_symbols=0,
             retransmissions=0, start_time=0, finish_time=5))
-        assert stats.symbols == before + 100
+        assert stats.as_dict()["symbols"] == symbols + 100

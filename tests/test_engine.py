@@ -6,12 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.channels import AWGNChannel, BSCChannel, RayleighBlockFadingChannel
 from repro.core.params import DecoderParams, SpinalParams
-from repro.simulation import (
-    SpinalScheme,
-    SpinalSession,
-    measure_spinal_rate,
-    snr_sweep,
-)
+from repro.simulation import SpinalScheme, SpinalSession, measure_scheme
 from repro.simulation.engine import rateless_search
 from repro.utils.bitops import random_message
 
@@ -125,10 +120,9 @@ class TestSpinalSession:
 class TestMeasurement:
     def test_measure_aggregates(self, params):
         dec = DecoderParams(B=32, max_passes=16)
-        m = measure_spinal_rate(
-            params, dec, 128,
-            channel_factory=lambda rng: AWGNChannel(20, rng=rng),
-            snr_db=20, n_messages=4, seed=0,
+        m = measure_scheme(
+            SpinalScheme(params, dec, 128),
+            lambda rng: AWGNChannel(20, rng=rng), 20, n_messages=4, seed=0,
         )
         assert m.n_messages == 4
         assert m.n_success == 4
@@ -137,32 +131,33 @@ class TestMeasurement:
 
     def test_measure_deterministic(self, params):
         dec = DecoderParams(B=16, max_passes=12)
-        kw = dict(
-            channel_factory=lambda rng: AWGNChannel(15, rng=rng),
-            snr_db=15, n_messages=3, seed=11,
-        )
-        a = measure_spinal_rate(params, dec, 64, **kw)
-        b = measure_spinal_rate(params, dec, 64, **kw)
-        assert a.rate == b.rate
+
+        def measure():
+            return measure_scheme(
+                SpinalScheme(params, dec, 64),
+                lambda rng: AWGNChannel(15, rng=rng), 15, n_messages=3,
+                seed=11,
+            )
+
+        assert measure().rate == measure().rate
 
     def test_snr_sweep_monotone_tendency(self, params):
         """Rate at 25 dB must exceed rate at 5 dB."""
         dec = DecoderParams(B=32, max_passes=16)
         scheme = SpinalScheme(params, dec, 128)
-        points = snr_sweep(
-            scheme, lambda snr, rng: AWGNChannel(snr, rng=rng),
-            snrs_db=[5, 25], n_messages=3, seed=1,
-        )
-        assert points[1].rate > points[0].rate
+        low, high = (
+            measure_scheme(scheme, lambda rng, s=snr: AWGNChannel(s, rng=rng),
+                           snr, n_messages=3, seed=1)
+            for snr in (5, 25))
+        assert high.rate > low.rate
 
     def test_success_fraction(self, params):
         dec = DecoderParams(B=4, max_passes=1)
-        m = measure_spinal_rate(
-            params, dec, 256,
-            channel_factory=lambda rng: AWGNChannel(-10, rng=rng),
-            snr_db=-10, n_messages=3, seed=2,
+        m = measure_scheme(
+            SpinalScheme(params, dec, 256),
+            lambda rng: AWGNChannel(-10, rng=rng), -10, n_messages=3, seed=2,
         )
-        assert m.success_fraction == 0.0
+        assert m.n_success == 0
         assert m.rate == 0.0
         assert m.gap_db == float("-inf")
 

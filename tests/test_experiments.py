@@ -671,28 +671,6 @@ class TestRunMessagesApi:
         assert m.total_symbols == sum(s for _, s in outcomes)
         assert m.n_messages == 5
 
-    def test_merge_measurements_pools_counts(self):
-        from repro.simulation.sweep import (
-            RateMeasurement, merge_measurements)
-        a = RateMeasurement("x", 10.0, 4, 3, 48, 100)
-        b = RateMeasurement("x", 10.0, 2, 2, 32, 40)
-        merged = merge_measurements([a, b])
-        assert merged.n_messages == 6
-        assert merged.n_success == 5
-        assert merged.total_bits == 80
-        assert merged.total_symbols == 140
-        assert merged.rate == pytest.approx(80 / 140)
-
-    def test_merge_rejects_mismatched_points(self):
-        from repro.simulation.sweep import (
-            RateMeasurement, merge_measurements)
-        a = RateMeasurement("x", 10.0, 1, 1, 16, 8)
-        b = RateMeasurement("x", 12.0, 1, 1, 16, 8)
-        with pytest.raises(ValueError, match="different points"):
-            merge_measurements([a, b])
-        with pytest.raises(ValueError, match="at least one"):
-            merge_measurements([])
-
     def test_measurement_dict_round_trip(self):
         from repro.simulation.sweep import RateMeasurement
         m = RateMeasurement("x", 10.0, 4, 3, 48, 100,

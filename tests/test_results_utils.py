@@ -3,12 +3,9 @@
 import csv
 import os
 
-import pytest
-
 from repro.utils.results import (
     ExperimentResult,
     SeriesResult,
-    render_ascii_plot,
     render_table,
 )
 
@@ -24,10 +21,10 @@ class TestSeriesResult:
 class TestExperimentResult:
     def test_new_and_get_series(self):
         r = ExperimentResult("e1", "title")
-        s = r.new_series("a")
-        assert r.get_series("a") is s
-        with pytest.raises(KeyError):
-            r.get_series("b")
+        a = r.new_series("a")
+        b = r.new_series("b")
+        assert r.series == [a, b]
+        assert (a.label, a.x, a.y) == ("a", [], [])
 
     def test_csv_roundtrip(self, tmp_path):
         r = ExperimentResult("exp", "t", "x", "y")
@@ -64,24 +61,3 @@ class TestRenderTable:
         out = render_table(["code", "rate"], [["spinal", 3.5]])
         assert "spinal" in out and "3.5" in out
 
-
-class TestAsciiPlot:
-    def test_empty(self):
-        r = ExperimentResult("e", "t")
-        assert render_ascii_plot(r) == "(empty)"
-
-    def test_marks_present(self):
-        r = ExperimentResult("e", "t")
-        s = r.new_series("up")
-        for i in range(5):
-            s.add(i, i * 2)
-        out = render_ascii_plot(r, width=20, height=8)
-        assert "o" in out
-        assert "up" in out
-
-    def test_flat_series_no_crash(self):
-        r = ExperimentResult("e", "t")
-        s = r.new_series("flat")
-        s.add(1, 5)
-        s.add(2, 5)
-        assert "flat" in render_ascii_plot(r)
