@@ -24,9 +24,10 @@ pytest-benchmark so a regression is attributable to one kernel, not just
   hash, the branch costs read in place from a store, the subtree
   ``argpartition``) — at ``B=256``, ``k=4`` and two messages; selection
   is timed here, as the decoder runs it;
-- ``bp``: one 40-iteration sum-product decode of a fixed ~50k-edge Raptor
-  graph (:meth:`repro.ldpc.bp.BeliefPropagation.posteriors`), on the
-  compiled passes and on the numpy loop;
+- ``bp``: one 40-iteration sum-product decode of a fixed Raptor graph
+  (:meth:`repro.ldpc.bp.BeliefPropagation.posteriors`), on the compiled
+  passes and on the numpy loop, at about 50k edges and at the mean (about
+  115k) and largest (about 313k) graphs of fig8_1's -5 dB Raptor point;
 - ``bcjr``: one :func:`repro.strider.bcjr.max_log_bcjr` decode at
   Strider's layer shape (k = 160 bits, T = 163 trellis steps, with a
   priori LLRs), one C call on the compiled path and the numpy body on the
@@ -76,6 +77,14 @@ CONFIGS = {
     "bsc_k4": (SpinalParams.bsc(), 32, 0.05),
 }
 
+#: ``bp`` graphs of the k=2048, QAM-256 Raptor code by record name:
+#: (channel symbols received, SNR in dB).
+BP_GRAPHS = {
+    "raptor": (1150, 10.0),        # about 50k edges
+    "raptor_115k": (2910, -5.0),   # fig8_1's -5 dB point: its mean graph
+    "raptor_313k": (8240, -5.0),   # and its largest
+}
+
 #: The compiled BP passes over the numpy loop on ``bp.raptor``; the
 #: session teardown fails below it.  About 40% of the 1.72x measured on a
 #: 2-core KVM guest (AVX-512, numpy 2.4.6): numpy's tanh, log, exp and
@@ -112,7 +121,7 @@ def kernel_records():
          "records": sorted(records, key=lambda r: (r["group"], r["name"]))})
     print(f"[json] {path}")
     bp = {r["backend"]: r["mean_s"] for r in records
-          if r["group"] == "bp" and "mean_s" in r}
+          if r["group"] == "bp" and r["graph"] == "raptor" and "mean_s" in r}
     if {"numpy", "compiled"} <= bp.keys():
         speedup = bp["numpy"] / bp["compiled"]
         assert speedup >= MIN_BP_SPEEDUP, (
@@ -353,16 +362,18 @@ def test_search_step(benchmark, kernel_records, backend):
 # BP decode (numpy loop vs compiled passes)
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("graph", sorted(BP_GRAPHS))
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_bp_decode(benchmark, kernel_records, backend):
-    """40 sum-product iterations on a fixed Raptor graph: k=2048, QAM-256,
-    1150 symbols at 10 dB, about 50k edges."""
+def test_bp_decode(benchmark, kernel_records, backend, graph):
+    """40 sum-product iterations on one Raptor graph of
+    :data:`BP_GRAPHS`."""
+    n_symbols, snr_db = BP_GRAPHS[graph]
     codec = RaptorCodec(2048, "qam-256", lt_seed=5, precode_seed=9)
     rng = np.random.default_rng(3)
     intermediate = codec.encode_intermediate(
         rng.integers(0, 2, size=2048, dtype=np.uint8))
-    channel = AWGNChannel(10.0, rng=rng)
-    received = channel.transmit(codec.symbols(intermediate, 0, 1150))
+    channel = AWGNChannel(snr_db, rng=rng)
+    received = channel.transmit(codec.symbols(intermediate, 0, n_symbols))
     llrs = soft_demap(codec.constellation, received.values,
                       channel.noise_power)
     bp = codec._graph(llrs.size)
@@ -371,8 +382,9 @@ def test_bp_decode(benchmark, kernel_records, backend):
     with _active(backend):
         posterior, _ = benchmark(bp.posteriors, chan, 40, obs, False)
     assert posterior.shape == chan.shape
-    _record(kernel_records, benchmark, "bp", f"raptor{_suffix(backend)}",
-            n_edges=bp.n_edges, iterations=40, backend=backend)
+    _record(kernel_records, benchmark, "bp", f"{graph}{_suffix(backend)}",
+            graph=graph, n_edges=bp.n_edges, n_symbols=n_symbols,
+            snr_db=snr_db, iterations=40, backend=backend)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,10 @@
  * (-fno-fast-math), and reassociation, which gcc never does to
  * floating-point code without fast-math.  So a sum keeps numpy's order,
  * which for np.add.reduceat is the pairwise order of pairwise_sum below.
+ * Where the target rule in ckernels.py finds gathers fast, the build also
+ * lets gcc turn a table lookup such as levels[w & mask] into one hardware
+ * gather (-mtune-ctrl=use_gather,...).  A gather is a set of plain loads
+ * of the same doubles, with no arithmetic, so it changes no result.
  * Where numpy's choice among NaN payloads or signed zeros depends on
  * operand order, the order is spelled out below instead of being left to
  * the compiler, which may commute an addition; a sign is applied by

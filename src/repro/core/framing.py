@@ -119,6 +119,8 @@ class FrameDecoder:
             for _, padded in self._layout
         ]
         self._decoded: list[np.ndarray | None] = [None] * len(self._layout)
+        # Each block's store size at its last failed attempt.
+        self._failed_at = [-1] * len(self._layout)
 
     @property
     def n_blocks(self) -> int:
@@ -146,10 +148,19 @@ class FrameDecoder:
         )
 
     def try_decode(self, block_index: int) -> bool:
-        """Attempt to decode one block; ACK (and cache payload) on CRC pass."""
+        """Attempt to decode one block; ACK (and cache payload) on CRC pass.
+
+        A block whose store holds no more symbols than at its last failed
+        attempt is not searched again: the decode is a function of the
+        store, so it would fail the same way.
+        """
         if self._decoded[block_index] is not None:
             return True
-        result = self._decoders[block_index].decode(self._stores[block_index])
+        store = self._stores[block_index]
+        if store.n_symbols <= self._failed_at[block_index]:
+            return False
+        self._failed_at[block_index] = store.n_symbols
+        result = self._decoders[block_index].decode(store)
         payload_bits, _ = self._layout[block_index]
         candidate = result.message_bits[: payload_bits + 16]
         if check_crc(candidate):

@@ -113,7 +113,9 @@ class _OracleReceiver:
     """Single-block receiver judged against the true message (§8.1 mode).
 
     Shaped like :class:`~repro.core.framing.FrameDecoder`, so the
-    transmitter drives both receivers through the same four names.
+    transmitter drives both receivers through the same four names, and
+    like it skips a decode when the store gained no symbols since the last
+    failed attempt (the search would fail the same way again).
     """
 
     n_blocks = 1
@@ -125,6 +127,7 @@ class _OracleReceiver:
                                       complex_valued=not params.is_bsc)
         self._decoder = BubbleDecoder(params, dec, message_bits.size)
         self._decoded = False
+        self._failed_at = -1  # store symbols at the last failed attempt
 
     @property
     def ack_bitmap(self) -> list[bool]:
@@ -136,7 +139,9 @@ class _OracleReceiver:
                               noisy_values, csi=csi)
 
     def try_decode_all(self) -> list[bool]:
-        if not self._decoded:
+        n_symbols = self._store.n_symbols
+        if not self._decoded and n_symbols > self._failed_at:
+            self._failed_at = n_symbols
             result = self._decoder.decode(self._store)
             self._decoded = result.matches(self.message_bits)
         return self.ack_bitmap

@@ -3,6 +3,9 @@
 A build that fails, a cached file that is truncated and two processes
 building into one cold cache must all end in working BCJR output, never
 in a crash or a hang; every test runs under a ``signal.alarm`` deadline.
+The hardware-gather flag goes in only where the target rule and the
+compiler agree, and otherwise leaves the flags and module name as they
+were.
 Bad arguments to the spinal, BP and draw wrappers raise before any
 pointer reaches C, and nothing builds the kernels before the first decode.
 The last test runs tiny Raptor, Strider, spinal AWGN, fading-CSI and link
@@ -437,6 +440,85 @@ def test_target_cpu_keys_the_cache(monkeypatch):
                                 lambda compiler, target=target: target)
             names.add(ckernels._module_name())
     assert len(names) == 3
+
+
+_COOPERLAKE = ("-march=cooperlake", "-mavx512f", "-mtune=generic")
+
+
+@pytest.mark.parametrize("target, gathers", [
+    ((), False),
+    (_COOPERLAKE, True),
+    (("-march=cooperlake", "-mtune=cooperlake"), False),
+    (("-march=skylake-avx512", "-mtune=generic"), True),
+    (("-march=icelake-server", "-mtune=generic"), True),
+    (("-march=alderlake", "-mtune=generic"), False),
+    (("-march=tremont", "-mtune=generic"), False),
+    (("-march=znver2", "-mtune=generic"), False),
+    (("-march=znver4", "-mtune=znver4"), False),
+])
+def test_gather_rule_keys_the_cache(monkeypatch, target, gathers):
+    """The gather flag goes in only for a target on the allow-list tuned
+    ``generic`` (no target, gcc's own tuning, the hybrid and Atom cores and
+    AMD get none), the compiler is probed only then, and the module name
+    changes exactly when the flag does: a compiler that rejects the flag
+    gives the plain flags and name."""
+    pytest.importorskip("_cffi_backend")
+    monkeypatch.setattr(ckernels, "_native_target", lambda compiler: target)
+    plain = ckernels._FLAGS + (("-march=native",) if target else ())
+    names = []
+    for accepts in (True, False):
+        probes = []
+        monkeypatch.setattr(
+            ckernels, "_accepts",
+            lambda compiler, flag, a=accepts: probes.append(flag) or a)
+        flags, resolved = ckernels._build_flags()
+        assert resolved == target
+        assert probes == ([ckernels._GATHER_FLAG] if gathers else [])
+        assert flags == (plain + (ckernels._GATHER_FLAG,)
+                         if gathers and accepts else plain)
+        names.append(ckernels._module_name())
+    assert ckernels._gathers_fast(target) == gathers
+    assert (names[0] != names[1]) == gathers
+
+
+def test_compiler_rejecting_gathers_builds_without_them(tmp_path,
+                                                        monkeypatch):
+    """A compiler that refuses the gather flag is probed once and builds
+    with the flags it would have without the rule, and no fallback
+    warning is raised."""
+    _require_compiler()
+    log = tmp_path / "cc.log"
+    real = " ".join(ckernels._compiler())
+    wrapper = tmp_path / "cc"
+    wrapper.write_text(
+        "#!/bin/sh\n"
+        f'echo "$@" >> {log}\n'
+        'for arg in "$@"; do\n'
+        '  case "$arg" in -mtune-ctrl*) exit 1;; esac\n'
+        "done\n"
+        f'exec {real} "$@"\n')
+    wrapper.chmod(0o755)
+    root = tmp_path / "cache"
+    monkeypatch.setattr(ckernels, "CACHE_ROOT", str(root))
+    monkeypatch.setattr(ckernels, "_tried", False)
+    monkeypatch.setattr(ckernels, "_module", None)
+    monkeypatch.setattr(ckernels, "_native_target",
+                        lambda compiler: _COOPERLAKE)
+    monkeypatch.setenv("CC", str(wrapper))
+    with deadline(120), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        module = ckernels.load()
+    assert caught == []
+    assert module is not None and module.__file__ == ckernels.module_path(
+        str(root))
+    assert ckernels._build_flags() == (
+        ckernels._FLAGS + ("-march=native",), _COOPERLAKE)
+    commands = log.read_text().splitlines()
+    probes = [c for c in commands if "-mtune-ctrl" in c]
+    assert len(probes) == 1 and "-fsyntax-only" in probes[0]
+    builds = [c for c in commands if "-march=native" in c]
+    assert builds and all(
+        " ".join(ckernels._FLAGS + ("-march=native",)) in c for c in builds)
 
 
 def test_compiler_without_a_native_target_builds_plain(tmp_path,

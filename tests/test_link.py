@@ -108,6 +108,36 @@ class TestLinkSessionFramed:
         assert packet.coded_bits > packet.payload_bits
         assert packet.payload_bits == 320
 
+    @pytest.mark.parametrize("framing", [True, False])
+    def test_unchanged_stores_are_not_decoded_again(self, params,
+                                                    monkeypatch, framing):
+        """A 1-byte datagram's 24-bit block gets no symbols in subpasses 3
+        and 7; the receiver does not search its unchanged store again.
+        Every search sees a larger store than the one before it."""
+        from repro.core.decoder import BubbleDecoder
+
+        seen = []
+        decode = BubbleDecoder.decode
+
+        def counting(decoder, store):
+            seen.append(store.n_symbols)
+            return decode(decoder, store)
+
+        monkeypatch.setattr(BubbleDecoder, "decode", counting)
+        config = LinkConfig(framing=framing)
+        payload = (b"\x01" if framing
+                   else np.array([0, 0, 0, 0, 0, 0, 0, 1] + [0] * 16,
+                                 dtype=np.uint8))
+        link = LinkSession(params, DecoderParams(B=16, max_passes=6),
+                           AWGNChannel(0, rng=3), config)
+        with deadline(30):
+            packet = link.send_packet(payload)
+        assert packet.success
+        assert seen == sorted(set(seen))
+        if framing:
+            assert packet.n_subpasses == 25
+            assert len(seen) == 19  # 25 before unchanged stores were skipped
+
     def test_empty_datagram_is_trivially_delivered(self, params, dec):
         link = LinkSession(params, dec, AWGNChannel(10, rng=0))
         packet = link.send_packet(b"")
