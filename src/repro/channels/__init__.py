@@ -6,12 +6,9 @@ from repro.channels.bsc import BSCChannel
 from repro.channels.fading import RayleighBlockFadingChannel
 from repro.channels.shared import SharedChannel
 from repro.channels.registry import (
-    ChannelFamily,
     channel_factory,
     channel_family,
-    channel_family_names,
     make_channel,
-    register_channel_family,
 )
 from repro.channels.capacity import (
     awgn_capacity,
@@ -29,10 +26,7 @@ __all__ = [
     "BSCChannel",
     "RayleighBlockFadingChannel",
     "SharedChannel",
-    "ChannelFamily",
-    "register_channel_family",
     "channel_family",
-    "channel_family_names",
     "make_channel",
     "channel_factory",
     "awgn_capacity",

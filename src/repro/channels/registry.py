@@ -1,9 +1,9 @@
-"""Channel-family registry: one name per medium, shared across layers.
+"""Channel families: one name per medium, shared across layers.
 
 The experiment orchestrator (:mod:`repro.experiments`) describes a channel,
 for ``measure``, ``symbol_cdf`` and ``link`` points alike, as a
 ``(family, operating_point, options)`` triple that must survive pickling
-and canonical-JSON serialisation.  This registry is the single place that
+and canonical-JSON serialisation.  This table is the single place that
 maps those descriptions to live :class:`~repro.channels.base.Channel`
 instances, replacing per-caller string dispatch.
 
@@ -15,7 +15,6 @@ option names raise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
@@ -25,41 +24,25 @@ from repro.channels.base import Channel
 from repro.channels.bsc import BSCChannel
 from repro.channels.fading import RayleighBlockFadingChannel
 
-__all__ = [
-    "ChannelFamily",
-    "register_channel_family",
-    "channel_family",
-    "channel_family_names",
-    "make_channel",
-    "channel_factory",
-]
+__all__ = ["channel_factory", "channel_family", "make_channel"]
+
+#: Family name -> ``(factory, options)``: ``factory(point, rng, **options)``
+#: builds a channel at an operating point, and ``options`` names the
+#: keyword knobs it accepts.
+_FAMILIES: dict[str, tuple[Callable[..., Channel], tuple[str, ...]]] = {
+    "awgn": (lambda point, rng: AWGNChannel(point, rng=rng), ()),
+    "rayleigh": (
+        lambda point, rng, coherence_time=10: RayleighBlockFadingChannel(
+            point, coherence_time=coherence_time, rng=rng),
+        ("coherence_time",)),
+    # a BSC's operating point is its flip probability
+    "bsc": (lambda point, rng: BSCChannel(point, rng=rng), ()),
+}
 
 
-@dataclass(frozen=True)
-class ChannelFamily:
-    """One registered medium.
-
-    ``factory(point, rng, **options)`` builds a channel at an operating
-    point; ``options`` names the keyword knobs the factory accepts, and
-    ``point_label`` documents what the operating-point scalar means.
-    """
-
-    name: str
-    factory: Callable[..., Channel]
-    options: tuple[str, ...] = ()
-    point_label: str = "snr_db"
-
-
-_FAMILIES: dict[str, ChannelFamily] = {}
-
-
-def register_channel_family(family: ChannelFamily) -> ChannelFamily:
-    """Register (or replace) a family under ``family.name``."""
-    _FAMILIES[family.name] = family
-    return family
-
-
-def channel_family(name: str) -> ChannelFamily:
+def channel_family(
+        name: str) -> tuple[Callable[..., Channel], tuple[str, ...]]:
+    """The ``(factory, options)`` of family ``name``."""
     try:
         return _FAMILIES[name]
     except KeyError:
@@ -67,10 +50,6 @@ def channel_family(name: str) -> ChannelFamily:
             f"unknown channel kind {name!r}; "
             f"expected one of {sorted(_FAMILIES)}"
         ) from None
-
-
-def channel_family_names() -> list[str]:
-    return sorted(_FAMILIES)
 
 
 def make_channel(
@@ -84,15 +63,15 @@ def make_channel(
     ``options`` supplies family-specific knobs; names the family does not
     declare raise a ``ValueError``.
     """
-    family = channel_family(kind)
+    factory, accepted = channel_family(kind)
     opts = dict(options or {})
-    unknown = set(opts) - set(family.options)
+    unknown = set(opts) - set(accepted)
     if unknown:
         raise ValueError(
             f"channel family {kind!r} does not accept options "
-            f"{sorted(unknown)}; accepted: {sorted(family.options)}"
+            f"{sorted(unknown)}; accepted: {sorted(accepted)}"
         )
-    return family.factory(point, rng, **opts)
+    return factory(point, rng, **opts)
 
 
 def channel_factory(
@@ -105,22 +84,3 @@ def channel_factory(
     if frozen:
         make_channel(kind, point, np.random.default_rng(0), frozen)
     return lambda rng: make_channel(kind, point, rng, frozen)
-
-
-register_channel_family(ChannelFamily(
-    name="awgn",
-    factory=lambda point, rng: AWGNChannel(point, rng=rng),
-))
-
-register_channel_family(ChannelFamily(
-    name="rayleigh",
-    factory=lambda point, rng, coherence_time=10: RayleighBlockFadingChannel(
-        point, coherence_time=coherence_time, rng=rng),
-    options=("coherence_time",),
-))
-
-register_channel_family(ChannelFamily(
-    name="bsc",
-    factory=lambda point, rng: BSCChannel(point, rng=rng),
-    point_label="flip_probability",
-))

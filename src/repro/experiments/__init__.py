@@ -4,7 +4,8 @@ The paper's evaluation is dozens of Monte-Carlo sweeps; this subsystem
 treats each operating point as a cached, seeded, parallel job:
 
 - :mod:`~repro.experiments.spec` — sweeps as data (canonical-JSON-hashable
-  :class:`ExperimentSpec`/:class:`PointSpec`, scheme registry);
+  :class:`ExperimentSpec`/:class:`PointSpec`, the scheme and point-kind
+  tables);
 - :mod:`~repro.experiments.store` — content-addressed result store, so
   reruns skip completed points and interrupted sweeps resume;
 - :mod:`~repro.experiments.orchestrator` — multiprocessing point runner
@@ -35,8 +36,6 @@ from repro.experiments.spec import (
     grid,
     make_scheme,
     point_hash,
-    register_scheme,
-    scheme_kinds,
     spec_hash,
 )
 from repro.experiments.store import ResultStore
@@ -57,10 +56,8 @@ __all__ = [
     "make_scheme",
     "point_hash",
     "ratio_half_width",
-    "register_scheme",
     "run_experiment",
     "run_point",
-    "scheme_kinds",
     "spec_hash",
     "z_score",
 ]

@@ -122,15 +122,8 @@ def adaptive_measure(
             break
         target_n = min(policy.max_messages,
                        math.ceil(len(outcomes) * policy.growth))
-    measurement = RateMeasurement(
-        label=scheme.name,
-        snr_db=x,
-        n_messages=len(outcomes),
-        n_success=sum(bits > 0 for bits, _ in outcomes),
-        total_bits=sum(bits for bits, _ in outcomes),
-        total_symbols=sum(symbols for _, symbols in outcomes),
-        capacity_reference=capacity_reference,
-    )
+    measurement = RateMeasurement.from_outcomes(
+        scheme.name, x, outcomes, capacity_reference)
     trace = {
         "policy": policy.as_dict(),
         "cohorts": cohorts,

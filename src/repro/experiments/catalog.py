@@ -56,9 +56,9 @@ from repro.experiments.spec import (
 )
 from repro.theory import achievable_rate_bound
 from repro.utils.results import (
-    ExperimentResult,
     render_table,
     write_canonical_json,
+    write_chart,
 )
 
 __all__ = [
@@ -148,15 +148,6 @@ def _link_points(series: str, tag: str, snrs: Sequence[float],
 # report building blocks
 # --------------------------------------------------------------------------
 
-def _finish(result: ExperimentResult, results_dir: str) -> None:
-    """Print and persist one series set."""
-    os.makedirs(results_dir, exist_ok=True)
-    print()
-    print(result.render())
-    path = result.write_csv(results_dir)
-    print(f"[csv] {path}")
-
-
 def _series_report(
     run: ExperimentRun,
     results_dir: str,
@@ -177,21 +168,15 @@ def _series_report(
     """
     curves = run.rates()
     xs = sorted(next(iter(curves.values()))) if curves else []
-    result = ExperimentResult(name, title, x_label, y_label)
 
-    def derived(series: dict[str, Callable[[float], float]] | None) -> None:
-        for label, fn in (series or {}).items():
-            s = result.new_series(label)
-            for x in xs:
-                s.add(x, fn(x))
+    def derived(series: dict[str, Callable[[float], float]] | None) -> dict:
+        return {label: [(x, fn(x)) for x in xs]
+                for label, fn in (series or {}).items()}
 
-    derived(head_series)
-    for label, curve in curves.items():
-        s = result.new_series(label)
-        for x in sorted(curve):
-            s.add(x, curve[x])
-    derived(tail_series)
-    _finish(result, results_dir)
+    write_chart(results_dir, name, title, x_label, y_label, {
+        **derived(head_series),
+        **{label: sorted(curve.items()) for label, curve in curves.items()},
+        **derived(tail_series)})
     return xs, curves
 
 
@@ -216,13 +201,10 @@ def _gap_report(
     """Gap-to-capacity chart: one series per ``(label, rate curve)`` pair,
     with points only where the measured rate is positive (a zero rate has
     no finite gap)."""
-    result = ExperimentResult(name, title, "snr_db", y_label)
-    for label, curve in labelled_curves:
-        s = result.new_series(label)
-        for snr in snrs:
-            if curve[snr] > 0:
-                s.add(snr, gap_to_capacity_db(curve[snr], snr))
-    _finish(result, results_dir)
+    write_chart(results_dir, name, title, "snr_db", y_label, {
+        label: [(snr, gap_to_capacity_db(curve[snr], snr))
+                for snr in snrs if curve[snr] > 0]
+        for label, curve in labelled_curves})
 
 
 def _mean_capacity_fraction(rates: dict[str, dict[float, float]],
@@ -659,14 +641,10 @@ def _bsc_points(profile: str) -> list[PointSpec]:
 
 def _report_bsc(run: ExperimentRun, results_dir: str) -> dict:
     rates = run.rates()["spinal k=4 B=256"]
-    result = ExperimentResult("bsc_rate", run.spec.title,
-                              "flip_probability", "rate_bits_per_use")
-    cap = result.new_series("bsc capacity")
-    meas = result.new_series("spinal k=4 B=256")
-    for p in _BSC_FLIPS:
-        cap.add(p, bsc_capacity(p))
-        meas.add(p, rates[p])
-    _finish(result, results_dir)
+    write_chart(results_dir, "bsc_rate", run.spec.title, "flip_probability",
+                "rate_bits_per_use", {
+                    "bsc capacity": [(p, bsc_capacity(p)) for p in _BSC_FLIPS],
+                    "spinal k=4 B=256": [(p, rates[p]) for p in _BSC_FLIPS]})
     return {"rates": rates}
 
 
@@ -878,13 +856,10 @@ def _report_fig8_3(run: ExperimentRun, results_dir: str) -> dict:
             for code in _FIG8_3_CODES}
         for n in _FIG8_3_SIZES
     }
-    result = ExperimentResult("fig8_3_short_messages", run.spec.title,
-                              "message_bits", "fraction_of_capacity")
-    for code in _FIG8_3_CODES:
-        s = result.new_series(code)
-        for n in _FIG8_3_SIZES:
-            s.add(n, table[n][code])
-    _finish(result, results_dir)
+    write_chart(results_dir, "fig8_3_short_messages", run.spec.title,
+                "message_bits", "fraction_of_capacity",
+                {code: [(n, table[n][code]) for n in _FIG8_3_SIZES]
+                 for code in _FIG8_3_CODES})
     rows = [[n] + [f"{table[n][c]:.2f}" for c in _FIG8_3_CODES]
             for n in _FIG8_3_SIZES]
     print(render_table(["bits", *_FIG8_3_CODES], rows))
@@ -941,14 +916,10 @@ def _report_fig8_6(run: ExperimentRun, results_dir: str) -> dict:
             for budget in _FIG8_6_BUDGETS}
         for k in _FIG8_6_KS
     }
-    result = ExperimentResult("fig8_6_compute_budget", run.spec.title,
-                              "branch_evaluations_per_bit",
-                              "fraction_of_capacity")
-    for k in _FIG8_6_KS:
-        s = result.new_series(f"k={k}")
-        for budget in _FIG8_6_BUDGETS:
-            s.add(budget, curves[k][budget])
-    _finish(result, results_dir)
+    write_chart(results_dir, "fig8_6_compute_budget", run.spec.title,
+                "branch_evaluations_per_bit", "fraction_of_capacity",
+                {f"k={k}": [(b, curves[k][b]) for b in _FIG8_6_BUDGETS]
+                 for k in _FIG8_6_KS})
     return {"curves": curves}
 
 
@@ -1007,14 +978,11 @@ def _report_fig8_11(run: ExperimentRun, results_dir: str) -> dict:
         snr: np.array(curves[f"SNR={snr}dB"][float(snr)]["counts"])
         for snr in _FIG8_11_SNRS
     }
-    result = ExperimentResult("fig8_11_symbol_cdf", run.spec.title,
-                              "n_symbols", "cdf")
-    for snr in _FIG8_11_SNRS:
-        s = result.new_series(f"SNR={snr}dB")
-        data = np.sort(counts[snr])
-        for i, x in enumerate(data):
-            s.add(float(x), (i + 1) / data.size)
-    _finish(result, results_dir)
+    cdfs = {f"SNR={snr}dB": [(x, (i + 1) / counts[snr].size)
+                             for i, x in enumerate(np.sort(counts[snr]))]
+            for snr in _FIG8_11_SNRS}
+    write_chart(results_dir, "fig8_11_symbol_cdf", run.spec.title,
+                "n_symbols", "cdf", cdfs)
     medians = {snr: float(np.median(counts[snr])) for snr in _FIG8_11_SNRS}
     print("medians:", medians)
     return {"counts": counts, "medians": medians}
@@ -1137,17 +1105,12 @@ def _report_table8_1(run: ExperimentRun, results_dir: str) -> dict:
                 curves[label][float(i)]["p9999_papr_db"])
         for i, (label, _) in enumerate(_TABLE8_1_ROWS)
     }
-    result = ExperimentResult("table8_1_papr", run.spec.title,
-                              "row", "papr_db")
-    mean_series = result.new_series("mean")
-    tail_series = result.new_series("p99.99")
-    rows = []
-    for i, (label, _) in enumerate(_TABLE8_1_ROWS):
-        mean, tail = table[label]
-        mean_series.add(i, mean)
-        tail_series.add(i, tail)
-        rows.append([label, f"{mean:.2f} dB", f"{tail:.2f} dB"])
-    _finish(result, results_dir)
+    pairs = list(enumerate(table.values()))
+    write_chart(results_dir, "table8_1_papr", run.spec.title, "row", "papr_db",
+                {"mean": [(i, mean) for i, (mean, _) in pairs],
+                 "p99.99": [(i, tail) for i, (_, tail) in pairs]})
+    rows = [[label, f"{mean:.2f} dB", f"{tail:.2f} dB"]
+            for label, (mean, tail) in table.items()]
     print(render_table(["Constellation", "Mean PAPR", "99.99% below"], rows))
     return {"table": table}
 
@@ -1228,15 +1191,13 @@ def _report_link_goodput(run: ExperimentRun, results_dir: str) -> dict:
     snrs = sorted(reference)
     oracle, framed, delayed = (
         _link_records(curves[series]) for series, _, _ in _LINK_SERIES)
-    result = ExperimentResult("link_goodput", run.spec.title,
-                              "snr_db", "bits_per_symbol")
-    s_ref = result.new_series(_LINK_REF_SERIES)
-    series = [result.new_series(label) for label, _, _ in _LINK_SERIES]
-    for i, snr in enumerate(snrs):
-        s_ref.add(snr, reference[snr])
-        for s, batch in zip(series, (oracle, framed, delayed)):
-            s.add(snr, batch[i]["goodput"])
-    _finish(result, results_dir)
+    goodputs = {label: [(snr, rec["goodput"]) for snr, rec in zip(snrs, batch)]
+                for (label, _, _), batch in zip(_LINK_SERIES,
+                                                (oracle, framed, delayed))}
+    write_chart(results_dir, "link_goodput", run.spec.title, "snr_db",
+                "bits_per_symbol", {
+                    _LINK_REF_SERIES: [(snr, reference[snr]) for snr in snrs],
+                    **goodputs})
     payload = {
         "experiment": "link_goodput",
         "feedback_delay": _LINK_FEEDBACK_DELAY,
@@ -1345,14 +1306,10 @@ def _report_generic(run: ExperimentRun, results_dir: str) -> dict:
 def _report_link_generic(run: ExperimentRun, results_dir: str) -> dict:
     """Goodput-vs-x dump for link specs (their records have no ``rate``)."""
     curves = run.curves()
-    result = ExperimentResult(
-        run.spec.experiment_id, run.spec.title,
-        "snr_db", "goodput_bits_per_symbol")
-    for label, curve in curves.items():
-        s = result.new_series(label)
-        for x in sorted(curve):
-            s.add(x, curve[x]["goodput"])
-    _finish(result, results_dir)
+    write_chart(results_dir, run.spec.experiment_id, run.spec.title,
+                "snr_db", "goodput_bits_per_symbol",
+                {label: [(x, curve[x]["goodput"]) for x in sorted(curve)]
+                 for label, curve in curves.items()})
     return {"curves": curves}
 
 

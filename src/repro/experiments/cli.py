@@ -167,7 +167,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         from repro.obs.trace import export_trace
         info = export_trace(jsonl_path, args.trace_out)
         print(f"[trace] {info['path']} ({info['n_slices']} slices, "
-              f"{info['n_lanes']} lane(s)); open at https://ui.perfetto.dev")
+              f"{info['n_lanes']} lane(s), {info['n_dropped']} dropped "
+              "line(s)); open at https://ui.perfetto.dev")
     if args.expect_cached and run.n_computed > 0:
         print(f"[store] FAIL: expected a full store hit but "
               f"{run.n_computed} points were simulated:", file=sys.stderr)

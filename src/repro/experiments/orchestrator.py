@@ -2,7 +2,7 @@
 
 Each :class:`~repro.experiments.spec.PointSpec` is a self-contained,
 fully-seeded, picklable job; workers rebuild the scheme or link session
-and the channel from the registries and run them locally, every random
+and the channel from their kind tables and run them locally, every random
 draw derived from the point's seed; results stream back in job order through
 :func:`repro.utils.parallel.imap_jobs`.  Nothing depends on worker
 identity or scheduling, so the same spec at ``n_workers=1`` and
@@ -20,6 +20,7 @@ from __future__ import annotations
 import os
 from contextlib import closing
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from repro.channels.registry import channel_factory
@@ -27,12 +28,13 @@ from repro.experiments.adaptive import adaptive_measure
 from repro.experiments.spec import (
     ExperimentSpec,
     PointSpec,
+    _make_spinal,
     make_scheme,
     point_hash,
 )
 from repro.experiments.store import ResultStore
 from repro.obs import OBS, clock
-from repro.simulation.sweep import SpinalScheme, measure_scheme, run_messages
+from repro.simulation.sweep import measure_scheme, run_messages
 from repro.utils.parallel import imap_jobs, resolve_workers
 
 __all__ = ["ExperimentRun", "run_point", "run_experiment"]
@@ -68,20 +70,13 @@ def _run_ldpc_envelope(point: PointSpec) -> dict:
     return {"rate": float(rate), "best_operating_point": best}
 
 
-#: The ``options`` keys a ``link`` point accepts.
-_LINK_OPTIONS = ("job_id", "n_packets", "payload_bytes", "params", "decoder",
-                 "config")
-
-
 def _run_link(point: PointSpec) -> dict:
     """One packet-level ARQ flow: a :class:`~repro.link.LinkSession` run.
 
     ``options`` names the flow (``job_id``, default the series) and its
     ``n_packets``, ``payload_bytes``, code ``params``, ``decoder`` and link
-    ``config``.  A misspelled key raises rather than cache a default's
-    result under the typo's content address.  Everything random derives
-    from the point's seed: a master RNG draws the channel's RNG, then the
-    payloads'.
+    ``config``.  Everything random derives from the point's seed: a master
+    RNG draws the channel's RNG, then the payloads'.
     """
     import numpy as np
 
@@ -89,11 +84,6 @@ def _run_link(point: PointSpec) -> dict:
     from repro.core.params import DecoderParams, SpinalParams
     from repro.link import FlowStats, LinkConfig, LinkSession, payload_for
     opts = point.options
-    unknown = set(opts) - set(_LINK_OPTIONS)
-    if unknown:
-        raise ValueError(
-            f"unknown link job options {sorted(unknown)}; "
-            f"accepted: {sorted(_LINK_OPTIONS)}")
     flow = str(opts.get("job_id", point.series))
     params = SpinalParams(**dict(opts.get("params") or {}))
     config = LinkConfig(**dict(opts.get("config") or {}))
@@ -127,13 +117,7 @@ def _run_symbol_cdf(point: PointSpec) -> dict:
     :func:`~repro.simulation.sweep.run_messages`, seeded as a ``measure``
     point's are.
     """
-    from repro.core.params import DecoderParams, SpinalParams
-    opts = point.options
-    scheme = SpinalScheme(
-        SpinalParams(**dict(opts.get("params") or {})),
-        DecoderParams(**dict(opts.get("decoder") or {})),
-        int(opts["n_bits"]),
-        probe_growth=float(opts.get("probe_growth", 1.0)))
+    scheme = _make_spinal(**{"probe_growth": 1.0, **point.options})
     factory = channel_factory(
         point.channel.kind, point.x, point.channel.options)
     outcomes = run_messages(scheme, factory, point.n_messages,
@@ -168,56 +152,40 @@ _RUNNERS: dict[str, Callable[[PointSpec], dict]] = {
 
 
 def run_point(point: PointSpec) -> dict:
-    """Execute one point job (in a worker); returns a JSON-safe record.
+    """Execute one point job; returns a JSON-safe record.
 
     Every record carries ``series`` and ``x`` so a store file can be read
     back into curves without the defining spec in hand.
     """
-    try:
-        runner = _RUNNERS[point.kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown point kind {point.kind!r}; "
-            f"expected one of {sorted(_RUNNERS)}"
-        ) from None
-    record = runner(point)
+    record = _RUNNERS[point.kind](point)
     record["series"] = point.series
     record["x"] = float(point.x)
     return record
 
 
-def _run_point_inline(point: PointSpec) -> tuple[dict, dict | None, float, int]:
-    """Metrics-enabled point job executed in the orchestrating process.
+def _run_job(point: PointSpec, metrics_pid: int | None
+             ) -> tuple[dict, dict | None, float, int]:
+    """One point job, inline or in a pool worker: its record, the
+    worker's metrics snapshot (``None`` inline), its wall time and the pid
+    that ran it.
 
-    Kernel timers land directly in the live registry; only the per-point
-    wall time needs recording here.  Returned alongside a ``None``
-    snapshot so the caller's unpacking matches the worker path.
+    ``metrics_pid`` is the orchestrating process's pid when metrics are
+    on, else ``None``.  Inline, kernel timers land directly in the live
+    registry.  A pool worker inherits the parent's registry and event sink
+    when forked and starts disabled when spawned; either way it adopts a
+    clean, sink-less registry of its own and drains it after the job, so
+    every result carries exactly that point's metrics back to the parent,
+    which merges them.  The record is untouched: metrics never reach the
+    store.
     """
-    t0 = clock()
-    record = run_point(point)
-    dt = clock() - t0
-    OBS.add_time("point.wall", dt)
-    return record, None, dt, os.getpid()
-
-
-def _run_point_measured(point: PointSpec) -> tuple[dict, dict | None, float, int]:
-    """Metrics-enabled point job executed in a pool worker process.
-
-    A forked worker inherits the parent's enabled registry (and its event
-    sink); a spawned worker starts disabled.  Either way the worker adopts
-    a clean, sink-less registry of its own, then drains it after the job
-    so every result carries exactly that point's metrics back to the
-    parent, which merges them.  The result *record* is untouched — worker
-    metrics never reach the store, so store bytes stay identical to a
-    metrics-off run.
-    """
-    if OBS.in_foreign_process() or not OBS.enabled:
+    in_worker = metrics_pid is not None and os.getpid() != metrics_pid
+    if in_worker:
         OBS.adopt()
     t0 = clock()
     record = run_point(point)
     dt = clock() - t0
     OBS.add_time("point.wall", dt)
-    return record, OBS.drain(), dt, os.getpid()
+    return record, OBS.drain() if in_worker else None, dt, os.getpid()
 
 
 @dataclass
@@ -250,14 +218,6 @@ class ExperimentRun:
         }
 
 
-@dataclass
-class _NullProgress:
-    """Default progress sink: silent."""
-
-    def __call__(self, message: str) -> None:  # pragma: no cover
-        pass
-
-
 def run_experiment(
     spec: ExperimentSpec,
     store: ResultStore | None = None,
@@ -270,7 +230,7 @@ def run_experiment(
     tests).  With a store, every completed point is flushed immediately so
     interruptions lose at most the points in flight.
     """
-    progress = progress or _NullProgress()
+    progress = progress or (lambda message: None)
     hashes = [point_hash(p) for p in spec.points]
     if len(set(hashes)) != len(hashes):
         raise ValueError(
@@ -291,25 +251,19 @@ def run_experiment(
              f"computing {len(missing)}")
     store_path = store.path_for(spec) if store is not None else None
 
-    # Metrics are strictly out-of-band: when the registry is enabled the
-    # jobs are wrapped to report kernel timers and per-point wall time
-    # (merged from workers), but the stored records are byte-identical
-    # either way.
+    # Metrics are strictly out-of-band: the stored records are
+    # byte-identical with the registry on or off.
     OBS.counter("store.hit", n_cached)
     OBS.counter("store.miss", len(missing))
-    measured = OBS.enabled
-    if measured and missing:
-        resolved = resolve_workers(len(missing), n_workers)
-        OBS.counter("orchestrator.workers", resolved)
-        job_fn = (_run_point_inline
-                  if resolved <= 1 or len(missing) <= 1
-                  else _run_point_measured)
-    else:
-        job_fn = run_point
+    if missing:
+        OBS.counter("orchestrator.workers",
+                    resolve_workers(len(missing), n_workers))
+    job = partial(_run_job,
+                  metrics_pid=os.getpid() if OBS.enabled else None)
 
     with OBS.span("orchestrator.run", experiment=spec.experiment_id,
                   points=len(hashes), missing=len(missing)), \
-            closing(imap_jobs(job_fn, [p for _, p in missing],
+            closing(imap_jobs(job, [p for _, p in missing],
                               n_workers)) as outcomes:
         for h, point in missing:
             try:
@@ -327,18 +281,14 @@ def run_experiment(
                     f"{len(hashes)} points completed"
                     + (", and `resume` computes the rest from the store"
                        if store is not None else "")) from exc
-            if measured:
-                record, worker_snapshot, wall_s, worker_pid = outcome
-                if worker_snapshot is not None:
-                    OBS.merge(worker_snapshot)
-                # one event per completed point, emitted by the (sink-
-                # owning) parent on receipt: the worker's pid and wall
-                # time give the trace exporter a lane per worker process
-                OBS.event("point.done", series=point.series,
-                          x=float(point.x), kind=point.kind,
-                          dt_s=wall_s, worker_pid=worker_pid)
-            else:
-                record = outcome
+            record, worker_snapshot, wall_s, worker_pid = outcome
+            if worker_snapshot is not None:
+                OBS.merge(worker_snapshot)
+            # one event per completed point, emitted by the (sink-owning)
+            # parent on receipt: the worker's pid and wall time give the
+            # trace exporter a lane per worker process
+            OBS.event("point.done", series=point.series, x=float(point.x),
+                      kind=point.kind, dt_s=wall_s, worker_pid=worker_pid)
             results[h] = record
             if store is not None:
                 # flush incrementally: an interrupted sweep resumes from here

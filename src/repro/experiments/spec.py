@@ -1,7 +1,7 @@
 """Declarative experiment specs (the orchestration subsystem's vocabulary).
 
 A Monte-Carlo sweep is described entirely by data: which scheme (by
-registry name plus JSON-safe constructor options), which channel family
+kind name plus JSON-safe constructor options), which channel family
 (by :mod:`repro.channels.registry` name), which operating points, how many
 messages, which seeds.  Because the description is pure data it can be
 
@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.channels.registry import channel_family
 from repro.core.params import DecoderParams, SpinalParams
-from repro.simulation.sweep import RatelessScheme, SpinalScheme
+from repro.simulation.sweep import CAPACITY_FNS, RatelessScheme, SpinalScheme
 from repro.utils.results import canonical_json
 
 __all__ = [
@@ -36,13 +36,12 @@ __all__ = [
     "AdaptivePolicy",
     "ChannelSpec",
     "ExperimentSpec",
+    "POINT_KINDS",
     "PointSpec",
     "SchemeSpec",
     "grid",
     "make_scheme",
     "point_hash",
-    "register_scheme",
-    "scheme_kinds",
     "spec_hash",
 ]
 
@@ -55,22 +54,8 @@ def grid(lo: float, hi: float, step: float) -> list[float]:
 
 
 # --------------------------------------------------------------------------
-# scheme registry: name -> factory over JSON-safe options
+# scheme kinds: name -> factory over JSON-safe options
 # --------------------------------------------------------------------------
-
-SchemeFactory = Callable[..., RatelessScheme]
-
-_SCHEMES: dict[str, SchemeFactory] = {}
-
-
-def register_scheme(kind: str, factory: SchemeFactory) -> None:
-    """Register a scheme constructor reachable by name from a spec."""
-    _SCHEMES[kind] = factory
-
-
-def scheme_kinds() -> list[str]:
-    return sorted(_SCHEMES)
-
 
 def _make_spinal(
     n_bits: int,
@@ -102,9 +87,26 @@ def _make_strider(**options: object) -> RatelessScheme:
     return StriderScheme(**options)
 
 
-register_scheme("spinal", _make_spinal)
-register_scheme("raptor", _make_raptor)
-register_scheme("strider", _make_strider)
+_SCHEMES: dict[str, Callable[..., RatelessScheme]] = {
+    "spinal": _make_spinal,
+    "raptor": _make_raptor,
+    "strider": _make_strider,
+}
+
+#: Point kind -> the spec fields it needs and the ``options`` keys it
+#: accepts.  :class:`PointSpec` refuses any other kind, a missing field
+#: and any other key when it is built, so a misspelled knob fails at once
+#: instead of caching the default's result under the typo's content
+#: address.
+POINT_KINDS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
+    "measure": (("scheme", "channel"), ()),
+    "ldpc_envelope": ((), ("n_blocks", "iterations")),
+    "link": (("channel",), ("job_id", "n_packets", "payload_bytes", "params",
+                            "decoder", "config")),
+    "symbol_cdf": (("channel",), ("n_bits", "params", "decoder",
+                                  "probe_growth")),
+    "papr": ((), ("constellation", "n_ofdm_symbols")),
+}
 
 
 # --------------------------------------------------------------------------
@@ -113,17 +115,13 @@ register_scheme("strider", _make_strider)
 
 @dataclass(frozen=True)
 class SchemeSpec:
-    """A scheme by registry name plus JSON-safe constructor options."""
+    """A scheme by kind name plus JSON-safe constructor options."""
 
     kind: str
     options: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         return {"kind": self.kind, "options": dict(self.options)}
-
-    @classmethod
-    def from_dict(cls, record: Mapping) -> "SchemeSpec":
-        return cls(kind=record["kind"], options=dict(record.get("options", {})))
 
 
 def make_scheme(spec: SchemeSpec) -> RatelessScheme:
@@ -133,14 +131,14 @@ def make_scheme(spec: SchemeSpec) -> RatelessScheme:
     except KeyError:
         raise ValueError(
             f"unknown scheme kind {spec.kind!r}; "
-            f"expected one of {scheme_kinds()}"
+            f"expected one of {sorted(_SCHEMES)}"
         ) from None
     return factory(**spec.options)
 
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    """A channel family by registry name plus family options."""
+    """A channel family by name plus family options."""
 
     kind: str
     options: dict = field(default_factory=dict)
@@ -150,10 +148,6 @@ class ChannelSpec:
 
     def as_dict(self) -> dict:
         return {"kind": self.kind, "options": dict(self.options)}
-
-    @classmethod
-    def from_dict(cls, record: Mapping) -> "ChannelSpec":
-        return cls(kind=record["kind"], options=dict(record.get("options", {})))
 
 
 #: Interval estimators the adaptive sampler supports.  ``"mean"`` targets
@@ -216,10 +210,6 @@ class AdaptivePolicy:
             record["interval"] = self.interval
         return record
 
-    @classmethod
-    def from_dict(cls, record: Mapping) -> "AdaptivePolicy":
-        return cls(**dict(record))
-
 
 @dataclass(frozen=True)
 class PointSpec:
@@ -234,18 +224,17 @@ class PointSpec:
       (which reports a rate directly rather than per-message outcomes);
     - ``"link"`` runs one :class:`repro.link.LinkSession` flow — a
       packet-level ARQ flow with framing/feedback cost — through the same
-      deterministic worker pool (``options``: ``job_id``, ``n_packets``,
-      ``payload_bytes``, ``params``, ``decoder``, ``config``);
+      deterministic worker pool;
     - ``"symbol_cdf"`` records the distributional payload behind Figure
-      8-11: per-message symbol counts of successful decodes (``options``:
-      ``n_bits``, ``params``, ``decoder``, ``probe_growth``);
-    - ``"papr"`` measures an OFDM PAPR table row (``options``:
-      ``constellation``, ``n_ofdm_symbols``).
+      8-11: per-message symbol counts of successful decodes;
+    - ``"papr"`` measures an OFDM PAPR table row.
 
     ``x`` is the channel family's operating-point scalar — SNR in dB, or
     flip probability for a BSC (for ``"papr"`` it is just the table row
-    index).  ``options`` carries the kind-specific extras listed above
-    (for the envelope: ``n_blocks``, ``iterations``).
+    index).  ``options`` carries the kind's extras.  Building a point
+    checks its fields and option keys against :data:`POINT_KINDS`, and
+    ``capacity_reference`` against the known capacities, and raises
+    ``ValueError`` on a mismatch.
     """
 
     series: str
@@ -261,11 +250,25 @@ class PointSpec:
     options: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind == "measure" and (
-                self.scheme is None or self.channel is None):
-            raise ValueError("measure points need a scheme and a channel")
-        if self.kind in ("link", "symbol_cdf") and self.channel is None:
-            raise ValueError(f"{self.kind} points need a channel")
+        try:
+            needs, accepted = POINT_KINDS[self.kind]
+        except KeyError:
+            raise ValueError(
+                f"unknown point kind {self.kind!r}; "
+                f"expected one of {sorted(POINT_KINDS)}") from None
+        missing = [name for name in needs if getattr(self, name) is None]
+        if missing:
+            raise ValueError(
+                f"{self.kind} points need a {' and a '.join(missing)}")
+        unknown = set(self.options) - set(accepted)
+        if unknown:
+            raise ValueError(
+                f"unknown {self.kind} point options {sorted(unknown)}; "
+                f"accepted: {sorted(accepted)}")
+        if self.capacity_reference not in CAPACITY_FNS:
+            raise ValueError(
+                f"unknown capacity reference {self.capacity_reference!r}; "
+                f"expected one of {sorted(CAPACITY_FNS)}")
 
     def as_dict(self) -> dict:
         return {
@@ -281,25 +284,6 @@ class PointSpec:
             "adaptive": self.adaptive.as_dict() if self.adaptive else None,
             "options": dict(self.options),
         }
-
-    @classmethod
-    def from_dict(cls, record: Mapping) -> "PointSpec":
-        return cls(
-            series=record["series"],
-            x=float(record["x"]),
-            seed=int(record["seed"]),
-            kind=record.get("kind", "measure"),
-            scheme=(SchemeSpec.from_dict(record["scheme"])
-                    if record.get("scheme") else None),
-            channel=(ChannelSpec.from_dict(record["channel"])
-                     if record.get("channel") else None),
-            n_messages=int(record.get("n_messages", 1)),
-            batch_size=record.get("batch_size"),
-            capacity_reference=record.get("capacity_reference", "awgn"),
-            adaptive=(AdaptivePolicy.from_dict(record["adaptive"])
-                      if record.get("adaptive") else None),
-            options=dict(record.get("options", {})),
-        )
 
 
 @dataclass(frozen=True)
@@ -318,15 +302,6 @@ class ExperimentSpec:
             "profile": self.profile,
             "points": [p.as_dict() for p in self.points],
         }
-
-    @classmethod
-    def from_dict(cls, record: Mapping) -> "ExperimentSpec":
-        return cls(
-            experiment_id=record["experiment_id"],
-            title=record["title"],
-            profile=record.get("profile", "quick"),
-            points=tuple(PointSpec.from_dict(p) for p in record["points"]),
-        )
 
 
 def _digest(payload: object) -> str:

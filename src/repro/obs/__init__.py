@@ -1,7 +1,7 @@
 """``repro.obs`` — zero-overhead observability: metrics, traces, profiles.
 
 The reproduction's instrumentation layer: counters, wall-time statistics,
-span-style phase timers, a JSONL event sink, and an end-of-run summary.
+span phase timers, a JSONL event sink, and an end-of-run summary.
 Disabled by default and free when disabled; when enabled it is strictly
 out-of-band — it never changes RNG streams, decode results, spec hashes,
 or store bytes (``tests/test_obs.py`` proves both properties).
@@ -17,11 +17,10 @@ Typical use::
 
 or from the CLI: ``python -m repro.experiments run <name> --metrics``.
 
-Instrumentation sites use three patterns, from coldest to hottest:
+Instrumentation sites use two patterns, from coldest to hottest:
 
-- ``with OBS.span("orchestrator.run", experiment=...)`` — phases worth a
-  JSONL event;
-- ``with OBS.timer("decode.attempt")`` — cheap block timing;
+- ``with OBS.span("orchestrator.run", experiment=...)`` — a timed phase
+  that also emits a JSONL event;
 - flag-guarded accumulators flushed via ``OBS.add_time(name, t, calls)``
   — the decode kernel hot loops, where the disabled path must cost one
   branch and zero allocations.

@@ -12,13 +12,12 @@ that hold:
   and off.
 - **Zero overhead when disabled.**  ``OBS`` is a singleton whose mutating
   methods return immediately when ``OBS.enabled`` is False, and whose
-  context-manager factories (:meth:`Observability.timer`,
-  :meth:`Observability.span`) hand back one cached no-op instance — no
-  allocation per call.  Hot loops (the decode kernels) go one step
-  further: they snapshot ``OBS.enabled`` into a local, accumulate elapsed
-  time in plain floats, and flush once per decode via :meth:`Observability.
-  add_time`, so the disabled path costs a single branch per kernel call
-  and allocates nothing per symbol.
+  context-manager factory (:meth:`Observability.span`) hands back one
+  cached no-op instance — no allocation per call.  Hot loops (the decode
+  kernels) go one step further: they snapshot ``OBS.enabled`` into a
+  local, accumulate elapsed time in plain floats, and flush once per
+  decode via :meth:`Observability.add_time`, so the disabled path costs a
+  single branch per kernel call and allocates nothing per symbol.
 
 All wall-clock reads in the repository go through this module's
 :data:`clock` (re-exported by :mod:`repro.obs`): the ``no-wallclock``
@@ -42,7 +41,7 @@ __all__ = ["Observability", "TimeStat", "OBS", "clock"]
 class TimeStat:
     """Streaming wall-time statistics for one named timer.
 
-    ``add`` records a single observation (context-manager timers);
+    ``add`` records a single observation (a span);
     ``add_bulk`` folds a pre-accumulated total over ``calls`` observations
     (the hot-loop flush pattern), which keeps totals exact but leaves
     min/max unknown for those observations.
@@ -108,33 +107,21 @@ class _NullContext:
 _NULL_CONTEXT = _NullContext()
 
 
-class _Timer:
-    """Context manager recording one wall-time observation."""
+class _Span:
+    """Context manager recording one wall-time observation and emitting a
+    JSONL span event on exit."""
 
-    __slots__ = ("_obs", "_name", "_t0")
-
-    def __init__(self, obs: "Observability", name: str) -> None:
-        self._obs = obs
-        self._name = name
-        self._t0 = 0.0
-
-    def __enter__(self) -> "_Timer":
-        self._t0 = clock()
-        return self
-
-    def __exit__(self, *exc: object) -> bool:
-        self._obs._observe(self._name, clock() - self._t0)
-        return False
-
-
-class _Span(_Timer):
-    """A timer that additionally emits a JSONL event on exit."""
-
-    __slots__ = ("_attrs",)
+    __slots__ = ("_obs", "_name", "_attrs", "_t0")
 
     def __init__(self, obs: "Observability", name: str, attrs: dict) -> None:
-        super().__init__(obs, name)
+        self._obs = obs
+        self._name = name
         self._attrs = attrs
+        self._t0 = 0.0
+
+    def __enter__(self) -> "_Span":
+        self._t0 = clock()
+        return self
 
     def __exit__(self, *exc: object) -> bool:
         dt = clock() - self._t0
@@ -148,7 +135,7 @@ class Observability:
     """The process-wide metrics singleton (use the module-level ``OBS``).
 
     Disabled (the default), every method is a no-op; counters stay empty
-    and timers hand back a cached null context.  :meth:`enable` switches
+    and spans hand back a cached null context.  :meth:`enable` switches
     on recording and optionally attaches a JSONL event sink.
 
     The registry is fork-aware: :attr:`owner_pid` records which process
@@ -233,14 +220,9 @@ class Observability:
             stat = self._times[name] = TimeStat()
         stat.add_bulk(seconds, calls)
 
-    def timer(self, name: str) -> "_NullContext | _Timer":
-        """Context manager timing a block (cached no-op while disabled)."""
-        if not self.enabled:
-            return _NULL_CONTEXT
-        return _Timer(self, name)
-
-    def span(self, name: str, **attrs: object) -> "_NullContext | _Timer":
-        """Like :meth:`timer`, but also emits a JSONL span event."""
+    def span(self, name: str, **attrs: object) -> "_NullContext | _Span":
+        """Context manager timing a block and emitting a JSONL span event
+        (cached no-op while disabled)."""
         if not self.enabled:
             return _NULL_CONTEXT
         return _Span(self, name, attrs)

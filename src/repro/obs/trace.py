@@ -144,9 +144,11 @@ def trace_from_events(events: list[dict]) -> dict:
     }
 
 
-def load_events(jsonl_path: str) -> list[dict]:
-    """Parse a JSONL trace file, skipping unreadable lines."""
+def load_events(jsonl_path: str) -> tuple[list[dict], int]:
+    """Parse a JSONL trace file: the events, and how many non-blank lines
+    were dropped because they are not JSON or not a JSON object."""
     events: list[dict] = []
+    n_dropped = 0
     with open(jsonl_path, encoding="utf-8") as f:
         for line in f:
             line = line.strip()
@@ -155,10 +157,12 @@ def load_events(jsonl_path: str) -> list[dict]:
             try:
                 event = json.loads(line)
             except json.JSONDecodeError:
-                continue
+                event = None
             if isinstance(event, dict):
                 events.append(event)
-    return events
+            else:
+                n_dropped += 1
+    return events, n_dropped
 
 
 def export_trace(jsonl_path: str, out_path: str) -> dict:
@@ -166,9 +170,10 @@ def export_trace(jsonl_path: str, out_path: str) -> dict:
 
     Creates missing parent directories and writes canonically (sorted
     keys), so exporting the same stream twice is byte-identical.
-    Returns a small summary: event counts and the lane count.
+    Returns a small summary: event counts, the lane count and the number
+    of unreadable lines dropped.
     """
-    events = load_events(jsonl_path)
+    events, n_dropped = load_events(jsonl_path)
     trace = trace_from_events(events)
     write_canonical_json(out_path, trace)
     trace_events = trace["traceEvents"]
@@ -176,6 +181,7 @@ def export_trace(jsonl_path: str, out_path: str) -> dict:
     return {
         "path": os.path.abspath(out_path),
         "n_events": len(events),
+        "n_dropped": n_dropped,
         "n_trace_events": len(trace_events),
         "n_slices": sum(1 for e in trace_events if e["ph"] == "X"),
         "n_lanes": len(pids),

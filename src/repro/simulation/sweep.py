@@ -33,6 +33,7 @@ from repro.simulation.engine import BatchSession
 from repro.utils.bitops import random_message
 
 __all__ = [
+    "CAPACITY_FNS",
     "RateMeasurement",
     "RatelessScheme",
     "SpinalScheme",
@@ -45,7 +46,7 @@ ChannelFactory = Callable[[np.random.Generator], Channel]
 #: capacity_reference -> capacity in bits/symbol from the operating point.
 #: "awgn"/"rayleigh" interpret ``snr_db`` as an SNR; "bsc" interprets it as
 #: the flip probability (the only operating-point knob a BSC has).
-_CAPACITY_FNS = {
+CAPACITY_FNS = {
     "awgn": awgn_capacity,
     "bsc": bsc_capacity,
     "rayleigh": rayleigh_capacity,
@@ -72,10 +73,10 @@ class RateMeasurement:
     capacity_reference: str = "awgn"
 
     def __post_init__(self):
-        if self.capacity_reference not in _CAPACITY_FNS:
+        if self.capacity_reference not in CAPACITY_FNS:
             raise ValueError(
                 f"unknown capacity reference {self.capacity_reference!r}; "
-                f"expected one of {sorted(_CAPACITY_FNS)}"
+                f"expected one of {sorted(CAPACITY_FNS)}"
             )
 
     @property
@@ -88,7 +89,7 @@ class RateMeasurement:
     @property
     def capacity(self) -> float:
         """Shannon limit (bits/symbol) of the reference channel here."""
-        return float(_CAPACITY_FNS[self.capacity_reference](self.snr_db))
+        return float(CAPACITY_FNS[self.capacity_reference](self.snr_db))
 
     @property
     def gap_db(self) -> float:
@@ -128,15 +129,22 @@ class RateMeasurement:
         }
 
     @classmethod
-    def from_dict(cls, record: dict) -> "RateMeasurement":
+    def from_outcomes(
+        cls,
+        label: str,
+        snr_db: float,
+        outcomes: Sequence[tuple[int, int]],
+        capacity_reference: str = "awgn",
+    ) -> "RateMeasurement":
+        """Pool per-message ``(bits_delivered, symbols_used)`` outcomes."""
         return cls(
-            label=record["label"],
-            snr_db=float(record["snr_db"]),
-            n_messages=int(record["n_messages"]),
-            n_success=int(record["n_success"]),
-            total_bits=int(record["total_bits"]),
-            total_symbols=int(record["total_symbols"]),
-            capacity_reference=record.get("capacity_reference", "awgn"),
+            label=label,
+            snr_db=snr_db,
+            n_messages=len(outcomes),
+            n_success=sum(bits > 0 for bits, _ in outcomes),
+            total_bits=sum(bits for bits, _ in outcomes),
+            total_symbols=sum(symbols for _, symbols in outcomes),
+            capacity_reference=capacity_reference,
         )
 
 
@@ -267,15 +275,5 @@ def measure_scheme(
     """
     outcomes = run_messages(
         scheme, channel_factory, n_messages, seed, batch_size)
-    total_bits = sum(bits for bits, _ in outcomes)
-    total_symbols = sum(symbols for _, symbols in outcomes)
-    n_success = sum(bits > 0 for bits, _ in outcomes)
-    return RateMeasurement(
-        label=scheme.name,
-        snr_db=snr_db,
-        n_messages=n_messages,
-        n_success=n_success,
-        total_bits=total_bits,
-        total_symbols=total_symbols,
-        capacity_reference=capacity_reference,
-    )
+    return RateMeasurement.from_outcomes(
+        scheme.name, snr_db, outcomes, capacity_reference)

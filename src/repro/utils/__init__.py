@@ -1,4 +1,4 @@
-"""Shared utilities: bit packing, result records, and ASCII rendering."""
+"""Shared utilities: bit packing, chart output, and ASCII rendering."""
 
 from repro.utils.bitops import (
     bits_from_bytes,
@@ -10,7 +10,7 @@ from repro.utils.bitops import (
     pack_chunks,
     random_message,
 )
-from repro.utils.results import ExperimentResult, SeriesResult, render_table
+from repro.utils.results import render_table, write_chart
 
 __all__ = [
     "bits_from_bytes",
@@ -21,7 +21,6 @@ __all__ = [
     "hamming_distance",
     "pack_chunks",
     "random_message",
-    "ExperimentResult",
-    "SeriesResult",
     "render_table",
+    "write_chart",
 ]

@@ -1,8 +1,8 @@
 """Result records and plain-text rendering for experiment outputs.
 
 The experiment reports reproduce the paper's tables and figures as printed
-rows/series plus CSV files.  These small containers keep that uniform across
-all of them.
+rows/series plus CSV files.  :func:`write_chart` and :func:`render_table`
+keep that uniform across all of them.
 """
 
 from __future__ import annotations
@@ -10,14 +10,12 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field
 
 __all__ = [
-    "SeriesResult",
-    "ExperimentResult",
     "canonical_json",
-    "write_canonical_json",
     "render_table",
+    "write_canonical_json",
+    "write_chart",
 ]
 
 
@@ -51,57 +49,37 @@ def write_canonical_json(path: str, payload) -> str:
     return path
 
 
-@dataclass
-class SeriesResult:
-    """One plotted line: a label plus aligned x/y samples."""
+def write_chart(
+    results_dir: str,
+    name: str,
+    title: str,
+    x_label: str,
+    y_label: str,
+    series: dict[str, list[tuple[float, float]]],
+) -> str:
+    """Print one chart and write it as ``<results_dir>/<name>.csv``.
 
-    label: str
-    x: list[float] = field(default_factory=list)
-    y: list[float] = field(default_factory=list)
-
-    def add(self, x: float, y: float) -> None:
-        self.x.append(float(x))
-        self.y.append(float(y))
-
-    def as_rows(self) -> list[tuple[str, float, float]]:
-        return [(self.label, xi, yi) for xi, yi in zip(self.x, self.y)]
-
-
-@dataclass
-class ExperimentResult:
-    """A named experiment (one paper figure or table) and its series."""
-
-    experiment_id: str
-    title: str
-    x_label: str = "x"
-    y_label: str = "y"
-    series: list[SeriesResult] = field(default_factory=list)
-
-    def new_series(self, label: str) -> SeriesResult:
-        s = SeriesResult(label)
-        self.series.append(s)
-        return s
-
-    def write_csv(self, directory: str) -> str:
-        """Write all series as long-format CSV; returns the file path."""
-        os.makedirs(directory, exist_ok=True)
-        path = os.path.join(directory, f"{self.experiment_id}.csv")
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["series", self.x_label, self.y_label])
-            for s in self.series:
-                writer.writerows(s.as_rows())
-        return path
-
-    def render(self) -> str:
-        """Human-readable dump of all series, matching the paper's axes."""
-        lines = [f"== {self.experiment_id}: {self.title} ==",
-                 f"   ({self.x_label} vs {self.y_label})"]
-        for s in self.series:
-            lines.append(f"-- {s.label}")
-            for xi, yi in zip(s.x, s.y):
-                lines.append(f"   {xi:>10.3f}  {yi:>10.4f}")
-        return "\n".join(lines)
+    ``series`` maps each line's label to its ``(x, y)`` points.  The text
+    lists every line under a title header; the CSV holds one long-format
+    ``series, x, y`` row per point.  Returns the CSV path.
+    """
+    lines = [f"== {name}: {title} ==", f"   ({x_label} vs {y_label})"]
+    rows = []
+    for label, points in series.items():
+        lines.append(f"-- {label}")
+        for x, y in points:
+            lines.append(f"   {float(x):>10.3f}  {float(y):>10.4f}")
+            rows.append((label, float(x), float(y)))
+    os.makedirs(results_dir, exist_ok=True)
+    print()
+    print("\n".join(lines))
+    path = os.path.join(results_dir, f"{name}.csv")
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["series", x_label, y_label])
+        writer.writerows(rows)
+    print(f"[csv] {path}")
+    return path
 
 
 def render_table(headers: list[str], rows: list[list[object]]) -> str:

@@ -40,6 +40,7 @@ from repro.core.params import DecoderParams, SpinalParams
 from repro.core.symbols import BatchReceivedSymbols, ReceivedSymbols
 from repro.experiments.orchestrator import run_experiment
 from repro.experiments.spec import (
+    AdaptivePolicy,
     ChannelSpec,
     ExperimentSpec,
     PointSpec,
@@ -888,9 +889,11 @@ def _store_files(root):
 
 
 @st.composite
-def _spinal_specs(draw):
+def _spinal_specs(draw, adaptive=False):
     """A two-point spinal sweep over a generated code, decoder, channel
-    and seed, small enough to run in well under a second."""
+    and seed, small enough to run in well under a second.  With
+    ``adaptive``, both points sample sequentially under one generated
+    policy: either interval, a small message budget."""
     k = draw(st.integers(1, 4))
     kind = draw(st.sampled_from(["awgn", "bsc", "rayleigh"]))
     params = {"k": k, "hash_name": draw(st.sampled_from(available_hashes()))}
@@ -912,10 +915,19 @@ def _spinal_specs(draw):
     channel = ChannelSpec(kind, {"coherence_time": 5}
                           if kind == "rayleigh" else {})
     seed = draw(st.integers(0, 2**16))
+    policy = None
+    if adaptive:
+        initial = draw(st.integers(2, 4))
+        policy = AdaptivePolicy(
+            target_half_width=draw(st.sampled_from([0.05, 0.5])),
+            initial_messages=initial,
+            growth=draw(st.sampled_from([1.5, 2.0])),
+            max_messages=draw(st.integers(initial, 8)),
+            interval=draw(st.sampled_from(["mean", "ratio"])))
     points = tuple(
         PointSpec(series="generated", x=x, seed=seed + i, scheme=scheme,
                   channel=channel, n_messages=2, batch_size=2,
-                  capacity_reference=kind)
+                  capacity_reference=kind, adaptive=policy)
         for i, x in enumerate(xs))
     return ExperimentSpec("generated", "generated spinal spec", "quick",
                           points)
@@ -1030,6 +1042,14 @@ class TestStoreBackendInvariance:
         """A generated spinal spec writes identical store bytes on the
         compiled kernels and on the numpy fallback, both with one worker,
         and with one worker and with two on the compiled kernels."""
+        self._assert_store_invariant(spec)
+
+    @given(spec=_spinal_specs(adaptive=True))
+    @settings(max_examples=6, derandomize=True, deadline=None)
+    def test_generated_adaptive_store_bytes_invariant(self, spec):
+        """The same for a generated adaptive spinal spec over AWGN, BSC
+        or Rayleigh fading: the cohorts, the stopping point and the
+        pooled record do not depend on the path or the worker count."""
         self._assert_store_invariant(spec)
 
     @given(spec=_baseline_specs())

@@ -42,6 +42,7 @@ from repro.experiments import (
     z_score,
 )
 from repro.experiments.orchestrator import _RUNNERS
+from repro.experiments.spec import POINT_KINDS
 from repro.experiments.store import (
     RECORD_FIELDS,
     StoreQuarantineWarning,
@@ -147,6 +148,58 @@ def link_points(draw):
                      options=options)
 
 
+#: Per kind: the fields a valid point needs, and a misspelling of one of
+#: its option keys (for ``measure``, which accepts none, of ``n_messages``).
+_KIND_TYPOS = {
+    "measure": ("n_message", {"scheme": {"n_bits": 16}, "channel": "awgn"}),
+    "ldpc_envelope": ("iteration", {}),
+    "link": ("npackets", {"channel": "awgn"}),
+    "symbol_cdf": ("n_bit", {"channel": "awgn"}),
+    "papr": ("n_ofdm_symbol", {}),
+}
+
+
+def _kind_point(kind, options):
+    from repro.experiments import SchemeSpec
+    _, fields = _KIND_TYPOS[kind]
+    return PointSpec(
+        series="s", x=1.0, seed=0, kind=kind, options=options,
+        scheme=(SchemeSpec("spinal", fields["scheme"])
+                if "scheme" in fields else None),
+        channel=ChannelSpec(fields["channel"]) if "channel" in fields
+        else None)
+
+
+class TestPointKindTable:
+    """``PointSpec`` checks its kind, its option keys and its capacity
+    reference when it is built (``spec.POINT_KINDS``)."""
+
+    def test_every_kind_is_listed(self):
+        assert set(_KIND_TYPOS) == set(POINT_KINDS)
+
+    @pytest.mark.parametrize("kind", sorted(_KIND_TYPOS))
+    def test_misspelled_option_refused_at_construction(self, kind):
+        typo, _ = _KIND_TYPOS[kind]
+        accepted = sorted(POINT_KINDS[kind][1])
+        assert _kind_point(kind, {key: 1 for key in accepted[:1]})
+        with pytest.raises(ValueError) as info:
+            _kind_point(kind, {typo: 2})
+        message = str(info.value)
+        assert f"unknown {kind} point options ['{typo}']" in message
+        assert f"accepted: {accepted}" in message
+
+    def test_unknown_kind_refused_at_construction(self):
+        with pytest.raises(ValueError, match="unknown point kind 'warp'; "
+                           "expected one of .*'symbol_cdf'"):
+            PointSpec(series="s", x=1.0, seed=0, kind="warp")
+
+    def test_unknown_capacity_reference_refused_at_construction(self):
+        with pytest.raises(ValueError,
+                           match="unknown capacity reference 'laplace'"):
+            PointSpec(series="s", x=1.0, seed=0, kind="papr",
+                      capacity_reference="laplace")
+
+
 class TestLinkKind:
     @settings(max_examples=30, derandomize=True, deadline=None)
     @given(point=link_points())
@@ -190,10 +243,10 @@ class TestLinkKind:
             PointSpec(series="s", x=1.0, seed=0, kind="link")
 
     def test_unknown_link_option_rejected(self):
-        """A misspelled knob must fail loudly, not cache a default."""
-        point = tiny_link_point(npackets=8)  # typo for n_packets
-        with pytest.raises(ValueError, match="unknown link job options"):
-            run_point(point)
+        """A misspelled knob fails when the point is built, not later in
+        a worker, and never caches a default."""
+        with pytest.raises(ValueError, match="unknown link point options"):
+            tiny_link_point(npackets=8)  # typo for n_packets
 
     def test_unknown_link_channel_option_rejected(self):
         """Same rule for channel knobs (measure points raise via the
@@ -368,7 +421,8 @@ class TestStoreHardening:
                 series="row", x=0.0, seed=8, kind="papr",
                 options={"constellation": "qam-4", "n_ofdm_symbols": 200}),
         }
-        assert set(points) == set(RECORD_FIELDS) == set(_RUNNERS)
+        assert set(points) == set(RECORD_FIELDS) == set(_RUNNERS) == \
+            set(POINT_KINDS)
         # the JSON round trip is what load() sees
         record = json.loads(json.dumps(run_point(points[kind])))
         assert set(record) == set(RECORD_FIELDS[kind])
@@ -444,8 +498,6 @@ class TestRatioInterval:
         # every spec written before the knob existed are unchanged
         assert "interval" not in default.as_dict()
         assert ratio.as_dict()["interval"] == "ratio"
-        assert AdaptivePolicy.from_dict(ratio.as_dict()) == ratio
-        assert AdaptivePolicy.from_dict(default.as_dict()) == default
 
     def test_ratio_mode_changes_point_hash_but_default_does_not(self):
         from repro.experiments import SchemeSpec

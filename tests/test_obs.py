@@ -91,23 +91,22 @@ class TestDisabledPath:
         OBS.counter("x")
         OBS.add_time("y", 1.0)
         OBS.event("z", field=1)
-        with OBS.timer("t"):
+        with OBS.span("t", attr=1):
             pass
         snap = OBS.snapshot()
         assert snap == {"counters": {}, "timers": {}}
 
-    def test_timer_and_span_share_one_cached_null_context(self):
+    def test_span_returns_one_cached_null_context(self):
         # the whole disabled-path allocation story: one module singleton
-        assert OBS.timer("a") is OBS.timer("b")
-        assert OBS.span("a", attr=1) is OBS.timer("c")
-        assert OBS.timer("a") is _NULL_CONTEXT
+        assert OBS.span("a") is OBS.span("b", attr=1)
+        assert OBS.span("a") is _NULL_CONTEXT
 
     def test_enabled_flag_snapshot_pattern(self):
         # hot loops read OBS.enabled once; the flag is a plain attribute
         assert OBS.enabled is False
         OBS.enable()
         assert OBS.enabled is True
-        assert OBS.timer("a") is not _NULL_CONTEXT
+        assert OBS.span("a") is not _NULL_CONTEXT
 
 
 class TestRegistry:
@@ -123,8 +122,9 @@ class TestRegistry:
         assert snap["timers"]["kernel.hash"]["total_s"] == pytest.approx(0.5)
 
     def test_timer_records_an_observation(self):
+        """A span records one observation under its name's timer."""
         OBS.enable()
-        with OBS.timer("phase"):
+        with OBS.span("phase"):
             pass
         rec = OBS.snapshot()["timers"]["phase"]
         assert rec["n"] == 1 and rec["total_s"] >= 0.0

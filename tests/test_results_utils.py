@@ -1,52 +1,30 @@
-"""Tests for the experiment result records and rendering helpers."""
+"""Tests for the chart writer and the table renderer."""
 
 import csv
 import os
 
-from repro.utils.results import (
-    ExperimentResult,
-    SeriesResult,
-    render_table,
-)
+from repro.utils.results import render_table, write_chart
 
 
-class TestSeriesResult:
-    def test_add_and_rows(self):
-        s = SeriesResult("curve")
-        s.add(1, 2.0)
-        s.add(3, 4.0)
-        assert s.as_rows() == [("curve", 1.0, 2.0), ("curve", 3.0, 4.0)]
-
-
-class TestExperimentResult:
-    def test_new_and_get_series(self):
-        r = ExperimentResult("e1", "title")
-        a = r.new_series("a")
-        b = r.new_series("b")
-        assert r.series == [a, b]
-        assert (a.label, a.x, a.y) == ("a", [], [])
-
-    def test_csv_roundtrip(self, tmp_path):
-        r = ExperimentResult("exp", "t", "x", "y")
-        s = r.new_series("line")
-        s.add(0, 1.5)
-        s.add(1, 2.5)
-        path = r.write_csv(str(tmp_path))
-        assert os.path.basename(path) == "exp.csv"
+class TestWriteChart:
+    def test_csv_roundtrip(self, tmp_path, capsys):
+        path = write_chart(str(tmp_path / "out"), "exp", "t", "x", "y",
+                           {"line": [(0, 1.5), (1, 2.5)], "empty": []})
+        assert path == str(tmp_path / "out" / "exp.csv")
         with open(path) as f:
             rows = list(csv.reader(f))
-        assert rows[0] == ["series", "x", "y"]
-        assert rows[1] == ["line", "0.0", "1.5"]
-        assert len(rows) == 3
+        assert rows == [["series", "x", "y"], ["line", "0.0", "1.5"],
+                        ["line", "1.0", "2.5"]]
+        assert capsys.readouterr().out.endswith(f"[csv] {path}\n")
 
-    def test_render_contains_data(self):
-        r = ExperimentResult("exp", "My Title", "snr", "rate")
-        s = r.new_series("spinal")
-        s.add(10, 3.25)
-        text = r.render()
-        assert "My Title" in text
-        assert "spinal" in text
-        assert "3.2500" in text
+    def test_render_contains_data(self, tmp_path, capsys):
+        write_chart(str(tmp_path), "exp", "My Title", "snr", "rate",
+                    {"spinal": [(10, 3.25)], "bound": [(10, 3.5)]})
+        out = capsys.readouterr().out
+        assert out.startswith("\n== exp: My Title ==\n   (snr vs rate)\n"
+                              "-- spinal\n       10.000      3.2500\n"
+                              "-- bound\n")
+        assert os.path.exists(tmp_path / "exp.csv")
 
 
 class TestRenderTable:

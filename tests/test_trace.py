@@ -86,6 +86,7 @@ class TestTraceExport:
         jsonl.write_text('{"ev": "x", "t_s": 1.0}\nnot json{\n[1,2]\n')
         info = export_trace(str(jsonl), str(tmp_path / "t.json"))
         assert info["n_events"] == 1
+        assert info["n_dropped"] == 2
 
     def _run_smoke(self, tmp_path, tag, *extra):
         trace_path = tmp_path / tag / "trace.json"
