@@ -821,6 +821,14 @@ class BpPasses:
     for ``exp``, then the signed and clipped products for ``arctanh``,
     whose output is the check messages.  ``posterior`` is the last
     variable update's result (``chan`` before the first).
+
+    ``check_messages`` writes one flag byte per edge for ``signed_clip``:
+    bit 0 is the sign of the product of the edge's other factors, and bit
+    1 marks a log-product below -746, whose ``exp`` numpy rounds to +0.0
+    at every dispatch level.  A marked edge reaches ``exp`` as 0.0, which
+    is cheap where an underflowing input is not, and ``signed_clip`` signs
+    +0.0 in place of the ``exp``'s 1.0, so the products are the numpy
+    loop's.
     """
 
     def __init__(self, module: ModuleType, check_bounds: np.ndarray,

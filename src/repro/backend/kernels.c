@@ -5,11 +5,15 @@
  * bitwise ops (wrapping mod 2^32 as numpy's uint32 does), float64 add,
  * subtract, multiply, divide by 2, max, min and fabs, and integer
  * indexing.  No libm, so BP's tanh, log, exp and arctanh stay numpy calls
- * between the passes.  The build targets the host CPU (-march=native), so
- * the compiler may vectorise any loop here with the widest instructions
- * the host has; that stays exact because vector lanes round each add,
- * subtract and multiply as the scalar instruction does, and the three
- * things that would change a result are off: contraction into fused
+ * between the passes.  The one exp C settles, it settles by a compare:
+ * numpy's exp returns +0.0 below -746, which tests/test_ldpc.py checks at
+ * native and at baseline dispatch, so BP's check pass marks those edges
+ * and its sign pass writes their +-0.0 itself (see BP_UNDERFLOW).  The
+ * build targets the host CPU (-march=native), so the compiler may
+ * vectorise any loop here with the widest instructions the host has;
+ * that stays exact because vector lanes round each add, subtract and
+ * multiply as the scalar instruction does, and the three things that
+ * would change a result are off: contraction into fused
  * multiply-adds (-ffp-contract=off), fast-math's value-changing rewrites
  * (-fno-fast-math), and reassociation, which gcc never does to
  * floating-point code without fast-math.  So a sum keeps numpy's order,
@@ -636,11 +640,21 @@ void bp_magnitudes(double *restrict edge, uint8_t *restrict neg,
     }
 }
 
+/* Below this log-product numpy's exp returns +0.0 at every dispatch level
+ * (tests/test_ldpc.py pins it).  Pass 2 hands exp a 0.0 there instead,
+ * whose exp is cheap where an underflowing one is not, and sets
+ * BP_UNDERFLOW in the edge's sign byte; pass 3 then writes the +0.0. */
+#define BP_UNDERFLOW_BELOW (-746.0)
+#define BP_UNDERFLOW 2
+
 /* Pass 2, after log: per check c over its edges [bounds[c], bounds[c+1]),
  * msg[e] = min(total - edge[e] (+ obs_logmag[c]), 0) with total the
  * reduceat sum of the check's edge values, and msg_neg[e] the parity of
  * the check's negative flags xor neg[e] (xor obs_neg[c]).  obs_logmag and
- * obs_neg are NULL for pure parity checks. */
+ * obs_neg are NULL for pure parity checks.  Then one flat loop, which
+ * vectorises whole where the short per-check loops run mostly scalar,
+ * writes 0.0 over each msg[e] below BP_UNDERFLOW_BELOW (never a NaN) and
+ * sets BP_UNDERFLOW in its msg_neg[e]. */
 void bp_check_messages(const double *restrict edge,
                        const uint8_t *restrict neg,
                        const int64_t *restrict bounds, int64_t n_checks,
@@ -666,18 +680,28 @@ void bp_check_messages(const double *restrict edge,
             msg_neg[e] = parity ^ neg[e];
         }
     }
+    for (int64_t e = bounds[0]; e < bounds[n_checks]; ++e) {
+        const bool underflow = msg[e] < BP_UNDERFLOW_BELOW;
+        msg[e] = underflow ? 0.0 : msg[e];
+        msg_neg[e] |= underflow ? BP_UNDERFLOW : 0;
+    }
 }
 
-/* Pass 3, after exp: msg[e] = clip(msg[e] * signs[msg_neg[e]],
- * +-tanh_clip) with signs = {1.0, -1.0}.  A multiply keeps a NaN's sign
- * bit, as numpy's does; the compiler would turn a multiply by a known -1.0
- * into a negation, which flips it, so the signs arrive by pointer. */
+/* Pass 3, after exp: msg[e] = clip(x * signs[msg_neg[e] & 1],
+ * +-tanh_clip) with signs = {1.0, -1.0}, where x is msg[e], or the +0.0
+ * numpy's exp would have returned for an edge marked BP_UNDERFLOW.  A
+ * multiply keeps a NaN's sign bit, as numpy's does; the compiler would
+ * turn a multiply by a known -1.0 into a negation, which flips it, so the
+ * signs arrive by pointer. */
 void bp_signed_clip(double *restrict msg, const uint8_t *restrict msg_neg,
                     int64_t n_edges, double tanh_clip,
                     const double *restrict signs)
 {
-    for (int64_t e = 0; e < n_edges; ++e)
-        msg[e] = clip(msg[e] * signs[msg_neg[e]], -tanh_clip, tanh_clip);
+    for (int64_t e = 0; e < n_edges; ++e) {
+        const uint8_t flags = msg_neg[e];
+        const double x = flags & BP_UNDERFLOW ? 0.0 : msg[e];
+        msg[e] = clip(x * signs[flags & 1], -tanh_clip, tanh_clip);
+    }
 }
 
 /* Pass 4, after arctanh: c2v = clip(msg * 2, +-llr_clip) in place; each

@@ -120,8 +120,11 @@ class RaptorCodec:
                 np.diff(offsets))
             self._checks = np.concatenate([self._pc_checks, lt_checks])
             self._vars = np.concatenate([self._pc_vars, lt_vars])
-            lt_first = np.argsort(np.concatenate([lt_vars, self._pc_vars]),
-                                  kind="stable")
+            # The narrowest unsigned key: numpy's stable sort is a radix
+            # sort on 8- and 16-bit keys, and a stable order is unique.
+            keys = np.concatenate([lt_vars, self._pc_vars]).astype(
+                np.min_scalar_type(self.precode.n_intermediate - 1))
+            lt_first = np.argsort(keys, kind="stable")
             # positions in the LT-first layout -> in the precode-first one
             self._var_order = np.where(lt_first < lt_vars.size,
                                        lt_first + n_pc_edges,

@@ -16,7 +16,9 @@ graph and the observation terms once per decode; the iteration loop
 reuses scratch buffers and keeps the order of every rounding operation.
 Sum-product runs everything but its four transcendentals as the C passes
 of :class:`repro.backend.ckernels.BpPasses`, bit for bit the numpy loop,
-which stays as the fallback and the test oracle.
+which stays as the fallback and the test oracle.  The passes also settle
+the ``exp`` of every log-magnitude below -746, where numpy returns +0.0,
+by a compare, so those edges cost the ``exp`` nothing.
 
 LLR convention: positive favours bit value 0.
 """
@@ -261,7 +263,9 @@ class BeliefPropagation:
         """Sum-product on the exact C passes of :class:`ckernels.BpPasses`,
         bit for bit the numpy loop of :meth:`posteriors`: only ``tanh``,
         ``log``, ``exp`` and ``arctanh``, whose bits depend on numpy's
-        dispatch level, stay numpy calls between the passes."""
+        dispatch level, stay numpy calls between the passes.  ``exp`` sees
+        0.0 on the edges whose result is known to be +0.0 (below -746), and
+        ``signed_clip`` signs that +0.0 in its place."""
         passes = ckernels.BpPasses(
             lib, self._check_bounds, self._var_bounds, self._to_var_order,
             self.var_index, chan, obs_logmag, obs_neg, tanh_clip=_TANH_CLIP,

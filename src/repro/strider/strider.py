@@ -194,7 +194,15 @@ class StriderCodec:
         self, resid, noise, layer, interferers, cover, lo, hi,
         z_over_s, inv_sinr,
     ) -> None:
-        """Batched per-time MMSE combining for times [lo, hi)."""
+        """Batched per-time MMSE combining for times [lo, hi).
+
+        The system at time t is ``cc + diag(v[:, t])``, so times whose
+        noise columns hold the same bits share one system.  One system is
+        solved per run of such columns and its combiner repeated over the
+        run: AWGN's scalar noise makes the whole segment one run, CSI one
+        run per coherence block.  LAPACK solves each matrix of a batch on
+        its own, so the combiners are bit for bit the per-time solve's.
+        """
         c_all = self.coeffs[cover]                      # (P, G)
         c_l = c_all[:, layer]                           # (P,)
         interf = c_all[:, interferers]                  # (P, |pending|)
@@ -202,11 +210,15 @@ class StriderCodec:
         seg = hi - lo
         p = cover.size
         v = np.stack([noise[q][lo:hi] for q in cover])  # (P, seg)
-        b = np.broadcast_to(cc, (seg, p, p)).copy()
+        bits = v.view(np.uint64)
+        starts = np.flatnonzero(np.concatenate(
+            ([True], (bits[:, 1:] != bits[:, :-1]).any(axis=0))))
+        b = np.broadcast_to(cc, (starts.size, p, p)).copy()
         idx = np.arange(p)
-        b[:, idx, idx] += v.T
-        rhs = np.broadcast_to(c_l[:, None], (seg, p, 1))
-        w = np.linalg.solve(b, rhs)[..., 0]                     # (seg, P)
+        b[:, idx, idx] += v[:, starts].T
+        rhs = np.broadcast_to(c_l[:, None], (starts.size, p, 1))
+        w = np.repeat(np.linalg.solve(b, rhs)[..., 0],          # (seg, P)
+                      np.diff(starts, append=seg), axis=0)
         y = np.stack([resid[q][lo:hi] for q in cover])          # (P, seg)
         z = np.einsum("tp,pt->t", w.conj(), y)
         sinr = np.maximum(np.einsum("tp,p->t", w.conj(), c_l).real, 1e-12)

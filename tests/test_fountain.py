@@ -252,6 +252,23 @@ class TestRaptorCodec:
             assert np.array_equal(a._to_var_order,
                                   np.lexsort((edge, is_pc, a.var_index)))
 
+    @pytest.mark.parametrize("k, key", [
+        (243, np.uint8), (244, np.uint16),          # n_intermediate - 1:
+        (62259, np.uint16), (62260, np.uint32)])    # 255, 256, 65535, 65536
+    def test_graph_order_on_narrow_keys(self, k, key):
+        """The variable order sorted on the narrowest unsigned keys is the
+        int64 stable sort's: by variable, LT edges (stored after the
+        precode's) first, each group in edge order."""
+        codec = RaptorCodec(k=k, constellation="qam-16", lt_seed=5)
+        assert np.min_scalar_type(codec.precode.n_intermediate - 1) == key
+        for n in (6, 2):
+            graph = codec._graph(n)
+            edge = np.arange(graph.n_edges)
+            is_pc = edge < codec._pc_vars.size
+            assert np.array_equal(
+                graph._to_var_order,
+                np.lexsort((edge, is_pc, graph.var_index.astype(np.int64))))
+
     def test_noisy_roundtrip(self):
         codec = RaptorCodec(k=256, constellation="qam-16", lt_seed=2)
         rng = np.random.default_rng(1)

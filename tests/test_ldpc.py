@@ -1,5 +1,8 @@
 """Tests for GF(2) algebra, BP, QC-LDPC construction, and the envelope."""
 
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -17,6 +20,7 @@ from repro.ldpc import (
     make_qc_ldpc,
     wifi_ldpc_family,
 )
+from repro.ldpc.bp import _LLR_CLIP, _SIGNS, _TANH_CLIP, _TANH_FLOOR
 from repro.ldpc.construction import base_matrix_shape
 from repro.modulation import make_constellation, soft_demap
 
@@ -212,6 +216,138 @@ class TestCompiledPasses:
         (want, want_ok), (have, have_ok) = got["numpy"], got["compiled"]
         assert have.view(np.uint64).tolist() == want.view(np.uint64).tolist()
         assert have_ok == want_ok
+
+
+# The premise of the passes' exp shortcut, run in fresh interpreters
+# because numpy picks its SIMD loops at import: exp is +0.0 (bit pattern 0)
+# below -746, down to -inf, at every array length up to 19 (so the masked
+# SIMD tails run) and at every alignment of a slice; and arctanh keeps the
+# sign of the +-0.0 the sign pass writes.
+_EXP_PREMISE = """
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+import sys
+if sys.argv[1] == "baseline":
+    on = [k for k in __cpu_dispatch__ if __cpu_features__.get(k)]
+    assert not on, on
+xs = np.concatenate([[-np.inf, -746.0, np.nextafter(-746.0, -np.inf)],
+                     -np.geomspace(746.0, 1.7e308, 3000)])
+for n in range(1, 20):
+    for lo in range(xs.size - n + 1):
+        x = xs[lo:lo + n]
+        assert not np.exp(x).view(np.uint64).any(), (n, x)
+        x = x.copy()
+        np.exp(x, out=x)
+        assert not x.view(np.uint64).any(), (n, x)
+    zeros = np.zeros(n)
+    zeros[1::2] = -0.0
+    got = np.arctanh(zeros)
+    assert got.view(np.uint64).tolist() == zeros.view(np.uint64).tolist()
+"""
+
+
+@pytest.mark.parametrize("dispatch", ["native", "baseline"])
+def test_numpy_exp_underflows_to_plus_zero_below_the_cutoff(dispatch):
+    """The baseline interpreter disables every dispatch target this CPU
+    supports, the list CI's dispatch step derives the same way."""
+    from numpy._core._multiarray_umath import (
+        __cpu_dispatch__, __cpu_features__)
+    env = {k: v for k, v in os.environ.items()
+           if k != "NPY_DISABLE_CPU_FEATURES"}
+    if dispatch == "baseline":
+        env["NPY_DISABLE_CPU_FEATURES"] = " ".join(
+            k for k in __cpu_dispatch__ if __cpu_features__.get(k))
+    with deadline(150):
+        proc = subprocess.run(
+            [sys.executable, "-c", _EXP_PREMISE, dispatch], env=env,
+            capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+#: Log-products on both sides of -746, below which the passes settle exp
+#: themselves: numpy's exp is +0.0 there, subnormal from about -745.13 and
+#: normal from about -708.4.
+_CUTOFF_MS = np.array([
+    -np.inf, -1e308, -800.0, np.nextafter(-746.0, -np.inf), -746.0,
+    np.nextafter(-746.0, 0.0), -745.2, -745.13, -720.0, -708.4, -1.0,
+    np.nan])
+
+
+class TestUnderflowCutoff:
+    """``check_messages``, numpy's ``exp``, ``signed_clip`` and numpy's
+    ``arctanh`` on crafted log-magnitudes give the numpy loop's products
+    and messages, compared as uint64 words."""
+
+    @staticmethod
+    def _graph(observed, rng):
+        """Per-edge log-magnitudes, negative flags and check starts, and
+        per-check observation terms, so that the log-products m hit every
+        value of _CUTOFF_MS: an observed check of one edge has m = 0.0 +
+        obs, and a check [0.0, x, ...] has m = x on its first edge."""
+        logmag, starts, obs = [], [], []
+        for x in _CUTOFF_MS:
+            for degree in ((1, 2, 3) if observed else (2, 3)):
+                starts.append(len(logmag))
+                if degree == 1:
+                    logmag.append(rng.uniform(-5.0, 0.0))
+                    obs.append(x)
+                else:
+                    logmag += [0.0, x] + [rng.uniform(-5.0, 0.0)] * (
+                        degree - 2)
+                    obs.append(0.0)
+        logmag = np.array(logmag)
+        neg = rng.random(logmag.size) < 0.5
+        obs_neg = rng.random(len(obs)) < 0.5
+        return (logmag, neg, np.array(starts),
+                (np.array(obs), obs_neg) if observed else (None, None))
+
+    @staticmethod
+    def _numpy_loop(logmag, neg, starts, obs_logmag, obs_neg):
+        """The numpy loop's check update, from the logs to the arctanh:
+        (log-products, signed products, messages)."""
+        ci = np.repeat(np.arange(starts.size),
+                       np.diff(starts, append=logmag.size))
+        e_neg = np.logical_xor.reduceat(neg, starts)[ci] ^ neg
+        m = np.add.reduceat(logmag, starts)[ci] - logmag
+        if obs_logmag is not None:
+            e_neg ^= obs_neg[ci]
+            m += obs_logmag[ci]
+        signed = np.exp(np.minimum(m, 0.0))
+        signed *= _SIGNS.take(e_neg.view(np.uint8))
+        np.clip(signed, -_TANH_CLIP, _TANH_CLIP, out=signed)
+        return m, signed, np.arctanh(signed)
+
+    @pytest.mark.parametrize("observed", [True, False])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_products_match_numpy_at_the_cutoff(self, observed, seed):
+        lib = ckernels.load()
+        if lib is None:
+            pytest.skip("compiled kernels unavailable here")
+        logmag, neg, starts, (obs, obs_neg) = self._graph(
+            observed, np.random.default_rng(seed))
+        n = logmag.size
+        with np.errstate(all="ignore"):
+            m, want_signed, want = self._numpy_loop(logmag, neg, starts,
+                                                    obs, obs_neg)
+            assert set(m[~np.isnan(m)]) >= set(_CUTOFF_MS[:-1])
+            assert np.isnan(m).any()
+            passes = ckernels.BpPasses(
+                lib, np.append(starts, n), np.arange(n + 1), np.arange(n),
+                np.arange(n), np.zeros(n), obs, obs_neg,
+                tanh_clip=_TANH_CLIP, tanh_floor=_TANH_FLOOR,
+                llr_clip=_LLR_CLIP)
+            passes.edge[:] = np.where(neg, -0.5, 0.5)
+            passes.magnitudes()  # sets the negative flags
+            passes.edge[:] = logmag
+            passes.check_messages()
+            np.exp(passes.msg, out=passes.msg)
+            passes.signed_clip()
+            signed = passes.msg.copy()
+            np.arctanh(passes.msg, out=passes.msg)
+        assert (signed.view(np.uint64).tolist()
+                == want_signed.view(np.uint64).tolist())
+        assert (passes.msg.view(np.uint64).tolist()
+                == want.view(np.uint64).tolist())
 
 
 class TestQcConstruction:

@@ -581,6 +581,101 @@ class TestStriderCodec:
                 for z in codec.coeffs[:, 0].tolist()] == self._GOLDEN_COEFFS
 
 
+def _mmse_segment_per_time(codec, resid, noise, layer, interferers, cover,
+                           lo, hi, z_over_s, inv_sinr):
+    """The per-time MMSE combiner: one solve per symbol time, the oracle
+    of ``StriderCodec._mmse_segment``'s one solve per run."""
+    c_all = codec.coeffs[cover]
+    c_l = c_all[:, layer]
+    interf = c_all[:, interferers]
+    cc = interf @ interf.conj().T
+    seg = hi - lo
+    p = cover.size
+    v = np.stack([noise[q][lo:hi] for q in cover])
+    b = np.broadcast_to(cc, (seg, p, p)).copy()
+    idx = np.arange(p)
+    b[:, idx, idx] += v.T
+    rhs = np.broadcast_to(c_l[:, None], (seg, p, 1))
+    w = np.linalg.solve(b, rhs)[..., 0]
+    y = np.stack([resid[q][lo:hi] for q in cover])
+    z = np.einsum("tp,pt->t", w.conj(), y)
+    sinr = np.maximum(np.einsum("tp,p->t", w.conj(), c_l).real, 1e-12)
+    z_over_s[lo:hi] = z / sinr
+    inv_sinr[lo:hi] = 1.0 / sinr
+
+
+def _noise_layout(kind, rng, n_rows, n):
+    """Per-pass noise variances, (n_rows, n), in one of the layouts a
+    decode meets: AWGN's scalar, CSI's runs of one coherence block (here
+    1, 10 or 100 symbols, each pass's runs starting elsewhere), a fresh
+    value per symbol, and runs with NaN and signed-zero entries."""
+    if kind == "scalar":
+        return np.full((n_rows, n), 0.3)
+    if kind == "per_symbol":
+        return rng.exponential(size=(n_rows, n))
+    run = {"runs_1": 1, "runs_10": 10, "runs_100": 100, "special": 10}[kind]
+    rows = []
+    for _ in range(n_rows):
+        shift = int(rng.integers(run))
+        blocks = rng.exponential(size=(n + shift) // run + 1)
+        rows.append(np.repeat(blocks, run)[shift:shift + n])
+    v = np.stack(rows)
+    if kind == "special":
+        hit = rng.random(v.shape) < 0.05
+        v[hit] = rng.choice([np.nan, 0.0, -0.0], size=hit.sum())
+        v[:, 40:60] = -0.0
+        v[0, 50:55] = 0.0
+    return v
+
+
+class TestGroupedMmse:
+    """One MMSE solve per run of equal noise columns gives the per-time
+    solve's combiner outputs bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["scalar", "runs_1", "runs_10",
+                                      "runs_100", "per_symbol", "special"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_one_solve_per_time(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        codec = StriderCodec(n_bits=480, n_layers=8, max_passes=8,
+                             coeff_seed=seed)
+        n_passes, t = 5, codec.symbols_per_layer
+        resid = [rng.normal(size=t) + 1j * rng.normal(size=t)
+                 for _ in range(n_passes)]
+        noise = list(_noise_layout(kind, rng, n_passes, t))
+        layer, interferers = 2, np.array([0, 4, 5, 6, 7])
+        for cover, lo, hi in ((np.arange(n_passes), 0, t),
+                              (np.array([1, 3, 4]), 7, t - 5),
+                              (np.array([2]), 0, 1)):
+            got, want = ([np.zeros(t, dtype=np.complex128),
+                          np.full(t, 1e12)] for _ in range(2))
+            with np.errstate(all="ignore"):
+                codec._mmse_segment(resid, noise, layer, interferers, cover,
+                                    lo, hi, *got)
+                _mmse_segment_per_time(codec, resid, noise, layer,
+                                       interferers, cover, lo, hi, *want)
+            for have, ref in zip(got, want):
+                assert (have.view(np.uint64).tolist()
+                        == ref.view(np.uint64).tolist())
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 5, 8])
+    def test_lapack_solves_each_matrix_of_a_batch_on_its_own(self, p):
+        """The premise of the grouped solve: a matrix solved alone gives
+        the bits of its slot in a batch.  A BLAS that breaks it fails
+        here rather than moving stores."""
+        rng = np.random.default_rng(p)
+        b = (rng.normal(size=(9, p, p))
+             + 1j * rng.normal(size=(9, p, p))) + 2.0 * np.eye(p)
+        rhs = rng.normal(size=(p, 1)) + 1j * rng.normal(size=(p, 1))
+        batch = np.linalg.solve(b, np.broadcast_to(rhs, (9, p, 1)))
+        for i in range(9):
+            alone = np.linalg.solve(b[i], rhs)
+            single = np.linalg.solve(b[i:i + 1], rhs[None])[0]
+            for got in (alone, single):
+                assert (got.view(np.uint64).tolist()
+                        == batch[i].view(np.uint64).tolist())
+
+
 class TestStriderScheme:
     def test_high_snr_hits_two_pass_ceiling(self):
         scheme = StriderScheme(n_bits=960, n_layers=6, max_passes=16)
