@@ -24,6 +24,12 @@ pytest-benchmark so a regression is attributable to one kernel, not just
   hash, the branch costs read in place from a store, the subtree
   ``argpartition``) — at ``B=256``, ``k=4`` and two messages; selection
   is timed here, as the decoder runs it;
+- ``search``: one whole bubble search at ``link_arq``'s shape (one
+  512-bit message, ``B=64``, ``k=4``) through ``BubbleDecoder.decode``:
+  every step, ``finish``, the ``argmin`` and the backtrack;
+- ``spine``: the encoder's spine chain,
+  :func:`repro.core.spine.spine_states_batch`, at ``n=512`` with one
+  message and ``n=1024`` with three (one C call on the compiled path);
 - ``bp``: one 40-iteration sum-product decode of a fixed Raptor graph
   (:meth:`repro.ldpc.bp.BeliefPropagation.posteriors`), on the compiled
   passes and on the numpy loop, at about 50k edges and at the mean (about
@@ -55,9 +61,11 @@ import pytest
 
 from repro.backend import ckernels, spinal_passes
 from repro.channels import AWGNChannel, BSCChannel
+from repro.core.decoder import BubbleDecoder
 from repro.core.encoder import SpinalEncoder
 from repro.core.hashes import available_hashes, get_hash
-from repro.core.params import SpinalParams
+from repro.core.params import DecoderParams, SpinalParams
+from repro.core.spine import spine_states_batch
 from repro.core.symbols import BatchReceivedSymbols, ReceivedSymbols
 from repro.fountain.raptor import RaptorCodec
 from repro.modulation import soft_demap
@@ -350,12 +358,65 @@ def test_search_step(benchmark, kernel_records, backend):
             passes.select(n_beam)
 
         benchmark.pedantic(one_step, rounds=STEP_ROUNDS, warmup_rounds=1)
-        leaf_costs, _ = passes.finish()
+        leaf_costs = passes.finish()
     assert leaf_costs.shape == (n_msgs, n_beam)
     _record(kernel_records, benchmark, "step",
             f"awgn_k4_B{n_beam}_M{n_msgs}{_suffix(backend)}",
             config="awgn_k4_c6", n_msgs=n_msgs, n_beam=n_beam,
             n_slots=OUTER_SLOTS, backend=backend)
+
+
+# ---------------------------------------------------------------------------
+# one whole bubble search, at link_arq's shape
+# ---------------------------------------------------------------------------
+
+#: perfbench ``link_arq``'s decoder: one message of 512 bits, B=64, d=1.
+SEARCH_BITS, SEARCH_BEAM = 512, 64
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_whole_search(benchmark, kernel_records, backend):
+    """One ``BubbleDecoder.decode`` of a 512-bit message from 4 noisy
+    subpasses at 8 dB, as ``link_arq`` runs one decode attempt: ``start``,
+    128 steps of ``expand``, ``score`` and ``select``, ``finish``, the
+    ``argmin`` and the backtrack."""
+    params = SpinalParams()
+    store = _filled_store(params, SEARCH_BITS, 8.0)
+    view = store.prefix(store.checkpoint())
+    with _active(backend):
+        decoder = BubbleDecoder(params, DecoderParams(B=SEARCH_BEAM),
+                                SEARCH_BITS)
+        result = benchmark(decoder.decode, view)
+    assert result.message_bits.shape == (SEARCH_BITS,)
+    _record(kernel_records, benchmark, "search",
+            f"awgn_k4_B{SEARCH_BEAM}_n{SEARCH_BITS}_M1{_suffix(backend)}",
+            config="awgn_k4_c6", n_bits=SEARCH_BITS, n_beam=SEARCH_BEAM,
+            n_msgs=1, backend=backend)
+
+
+# ---------------------------------------------------------------------------
+# the spine chain (encoder side)
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("n_bits, n_msgs", [(512, 1), (1024, 3)],
+                         ids=["n512_M1", "n1024_M3"])
+def test_spine(benchmark, kernel_records, n_bits, n_msgs, backend):
+    """The spines of ``n_msgs`` messages of ``n_bits`` at the paper's code
+    (one-at-a-time, k=4): one C call on the compiled path, one hash call
+    a spine position on the numpy one.  ``link_arq`` builds one 512-bit
+    spine an encoder, fig8_1's ``spinal n=1024`` series three a cohort."""
+    params = SpinalParams()
+    messages = np.random.default_rng(14).integers(
+        0, 2, size=(n_msgs, n_bits), dtype=np.uint8)
+    with _active(backend):
+        spines = benchmark(spine_states_batch, params.hash_fn, params.k,
+                           messages, params.s0)
+    assert spines.shape == (n_msgs, n_bits // params.k)
+    _record(kernel_records, benchmark, "spine",
+            f"n{n_bits}_M{n_msgs}{_suffix(backend)}",
+            hash=params.hash_name, n_bits=n_bits, n_msgs=n_msgs,
+            backend=backend)
 
 
 # ---------------------------------------------------------------------------

@@ -4,17 +4,22 @@ otherwise.
 The bubble decoder spends its time in three kernel families: the u32 spine
 hashes, the branch costs, and beam selection.  This module holds the one
 implementation of each.  The spine hashes run on the compiled C kernels of
-:mod:`repro.backend.ckernels` where they build (on the first hash or
-search call of a process, never at import or decoder construction), and
-on the numpy reference hashes otherwise.  The bubble search runs on the
-passes of :func:`spinal_passes`, which check and bind the received view
-once per search (``start``); each step is then ``expand`` (the gather of
-the subtrees the previous step kept, then the tree-expansion hash) and
-``score`` (the fused branch costs plus each parent's cost), taking only
-the spine position.  Beam selection is numpy's ``argpartition``
-(``select``, between the passes).  The passes are the one way to score
-and select spinal candidates: compiled as :class:`ckernels.SpinalPasses`,
-in numpy as :class:`_NumpyPasses`.
+:mod:`repro.backend.ckernels` where they build (on the first hash, spine
+or search call of a process, never at import or decoder construction),
+and on the numpy reference hashes otherwise; a whole spine is one C call
+(``ckernels.spine_chain``, which :func:`repro.core.spine.
+spine_states_batch` takes for the hashes :func:`hash_kernel` returns).
+The bubble search runs on the passes of :func:`spinal_passes`, which
+check and bind the received view once per search (``start``); each step
+is then ``expand`` (the gather of the subtrees the previous step kept,
+then the tree-expansion hash) and ``score`` (the fused branch costs plus
+each parent's cost), taking only the spine position.  Beam selection is
+numpy's ``argpartition`` (``select``, between the passes).  ``finish``
+gathers the last survivors, and ``backtrack`` turns each message's best
+leaf (numpy's ``argmin``, on both paths) into its message bits.  The
+passes are the one way to score, select and backtrack spinal candidates:
+compiled as :class:`ckernels.SpinalPasses`, in numpy as
+:class:`_NumpyPasses`.
 
 The contract is **bit-identical output**: the compiled passes reproduce
 the numpy ones exactly, which are the fallback and the test oracle —
@@ -38,7 +43,10 @@ included, and the last survivors' gather in ``finish`` as ``kernel.hash``,
 its ``score`` pass, whose fused loop cannot time its hashing apart, as
 ``kernel.branch_cost``, and ``select`` (the subtree minima and
 ``argpartition``) as ``kernel.select``, on both paths, and flushes once
-per search.
+per search.  The ``argmin`` and the backtrack after it are not kernel
+time: they stay in the decoder's own (``BubbleDecoder.decode``'s or
+``decode_batch``'s) time, as does the encoder's spine chain in the
+encoder's.
 
 :mod:`repro.core.hashes` imports this package, so the reference hashes
 it defines are bound lazily, on first use.
@@ -54,6 +62,7 @@ from typing import Callable
 import numpy as np
 
 from repro.backend import ckernels
+from repro.utils.bitops import pack_chunks
 
 __all__ = [
     "Backend",
@@ -105,8 +114,10 @@ def hash_kernel(name: str) -> HashFn:
     """``h(state, data)`` for a registered hash on the compiled kernel, or
     the numpy reference when the kernels are unavailable.
 
-    One function object per name.  The kernels are looked up at call time,
-    so getting the function never builds them.
+    One function object per name, carrying the name as ``hash_name``, by
+    which :func:`repro.core.spine.spine_states_batch` builds a whole spine
+    in one C call.  The kernels are looked up at call time, so getting the
+    function never builds them.
     """
     reference = _reference_hash(name)
 
@@ -116,6 +127,7 @@ def hash_kernel(name: str) -> HashFn:
             return reference(state, data)
         return ckernels.spine_hash(kernels, name, state, data)
 
+    h.hash_name = name
     return h
 
 
@@ -124,8 +136,9 @@ class _NumpyPasses(ckernels._Passes):
     reproduces bit for bit, with the same interface and checks: the
     survivors' gathers by ``take``, the tree-expansion hash, the numpy
     branch costs of :func:`_distances` and ``leaf + bc``, each step
-    reading its panel from the planes :meth:`start` bound.  The
-    fallback when the kernels do not build."""
+    reading its panel from the planes :meth:`start` bound, and the
+    backtrack as a Python loop over the history rows.  The fallback when
+    the kernels do not build."""
 
     def __init__(self, hash_name: str, *, levels: np.ndarray, c: int,
                  is_bsc: bool, has_csi: bool, k: int, n_msgs: int,
@@ -196,7 +209,37 @@ class _NumpyPasses(ckernels._Passes):
             kept, axis=0, out=self.costs[:n].reshape(M, n_keep, group),
             mode="clip")
         self.history[ctx.row, :, :n_keep] = kept
+        self.kept[ctx.row] = n_keep
         ctx.n_leaves, ctx.row, ctx.sel = n_keep * group, ctx.row + 1, None
+
+    def _backtrack(self, best: np.ndarray, bits: np.ndarray) -> None:
+        # Beams are numbered across the cohort (beam b of message m is
+        # m * n_keep + b), so history entry m * n_groups + parent * K +
+        # edge divides by K into the previous row's flat beam index and
+        # the edge taken.
+        k, K, group = self._k, 1 << self._k, self._group
+        n_leaves = self._ctx.n_leaves
+        rows = [self.history[row, :, :n_keep] for row, n_keep in
+                enumerate(self.kept[:self._ctx.row].tolist())]
+        for m in range(self._n_msgs):
+            b, w = divmod(m * n_leaves + int(best[m]), group)
+            rev_chunks: list[int] = []
+            for row in range(len(rows) - 1, -1, -1):
+                n_prev = rows[row - 1].shape[1] if row else 1
+                entry = int(rows[row].flat[b])
+                if not 0 <= entry < self._n_msgs * n_prev * K:
+                    raise ValueError("a history entry names no survivor of "
+                                     "the row before it")
+                b, edge = divmod(entry, K)
+                rev_chunks.append(edge)
+            chunks = list(reversed(rev_chunks))
+            # Within-subtree path: the d-1 base-2^k digits of w, MSB first.
+            digits = []
+            for _ in range(self._digits):
+                digits.append(w % K)
+                w //= K
+            chunks.extend(reversed(digits))
+            bits[m] = pack_chunks(np.asarray(chunks, dtype=np.uint32), k)
 
     def score(self, step: int) -> None:
         self._check_step(step)
@@ -233,7 +276,8 @@ def spinal_passes(hash_name: str, *, levels: np.ndarray, c: int,
     ``beam`` subtrees of ``group`` leaves over ``n_steps`` pruning steps,
     and both run a search as ``start(received)``, then per spine position
     ``expand(step)``, ``score(step)`` and, at every pruning step,
-    ``select(B)``, then ``finish()``, bit for bit alike."""
+    ``select(B)``, then ``finish()`` and ``backtrack(best)``, bit for bit
+    alike."""
     levels = np.ascontiguousarray(levels, dtype=np.float64)
     kwargs = dict(levels=levels, c=c, is_bsc=is_bsc, has_csi=has_csi, k=k,
                   n_msgs=n_msgs, beam=beam, group=group, n_steps=n_steps,

@@ -3,8 +3,11 @@
 ``kernels.c`` beside this module holds exact-arithmetic loops that must
 match the numpy code they replace bit for bit (its header comment gives
 the rules): Strider's max-log BCJR decode (:class:`BcjrDecoder`), the
-spine hashes, the passes of a bubble search (:class:`SpinalPasses`, whose
-``score`` runs the fused spinal branch costs), BP's exact passes
+spine hashes (:func:`spine_hash`) and the whole spine chain
+(:func:`spine_chain`), the passes of a bubble search
+(:class:`SpinalPasses`, whose ``score`` runs the fused spinal branch costs
+and whose ``backtrack`` chases every message's survivors back to its
+bits in one call), BP's exact passes
 (:class:`BpPasses`) and the LT and precode draws, each behind a checked
 wrapper below.  The draws call
 numpy's own bounded-integer code, linked from numpy's ``libnpyrandom``
@@ -71,6 +74,8 @@ void bcjr_decode(const struct bcjr_trellis *tr, const double *sys,
 void spine_hash(int hash_id, const uint32_t *states, int64_t s_step,
                 const uint32_t *datas, uint32_t *out, int64_t rows,
                 int64_t cols);
+void spine_chain(int hash_id, const uint8_t *bits, int64_t n_msgs,
+                 int64_t n_spine, int k, uint32_t s0, uint32_t *out);
 struct spinal_search {
     int hash_id, metric, c, k;
     int64_t n_msgs, beam, group, n_steps;
@@ -81,6 +86,7 @@ struct spinal_search {
     uint32_t *children;
     double *totals;
     int32_t *history;
+    int64_t *kept;
     int64_t n_spine;
     const int64_t *counts;
     const uint32_t *slots;
@@ -89,12 +95,14 @@ struct spinal_search {
     const double *csi;
     int64_t value_step, row_step;
     int64_t n_leaves, row;
-    const int64_t *sel;
+    const void *sel;
     int64_t n_keep, sel_step;
 };
 int spinal_gather(struct spinal_search *s);
 int spinal_expand(struct spinal_search *s, int64_t step);
 int spinal_score(struct spinal_search *s, int64_t step);
+int spinal_backtrack(const struct spinal_search *s, const int64_t *best,
+                     uint8_t *bits, int64_t n_bits);
 void bp_magnitudes(double *edge, uint8_t *neg, int64_t n_edges,
                    double tanh_clip, double floor);
 void bp_check_messages(const double *edge, const uint8_t *neg,
@@ -150,6 +158,7 @@ _METRIC_AWGN, _METRIC_CSI, _METRIC_BSC = 0, 1, 2
 #: The dtypes the received planes' checks compare against (a dtype
 #: compares with a dtype faster than with a scalar type).
 _INT64, _UINT32 = np.dtype(np.int64), np.dtype(np.uint32)
+_UINT8 = np.dtype(np.uint8)
 _FLOAT64, _COMPLEX128 = np.dtype(np.float64), np.dtype(np.complex128)
 
 #: The factors ``bp_signed_clip`` multiplies by, indexed by a negative flag.
@@ -500,6 +509,38 @@ def spine_hash(module: ModuleType, hash_name: str, state: np.ndarray,
     return out
 
 
+def spine_chain(module: ModuleType, hash_name: str, k: int,
+                messages: np.ndarray, s0: int) -> np.ndarray:
+    """The spines of M messages in one C call: a new ``(M, n/k)`` uint32
+    array whose row m is ``s_i = h(s_{i-1}, m_i)`` from ``s0`` over the
+    k-bit chunks of message m, MSB first, as
+    :func:`repro.core.spine.spine_states_batch`'s numpy loop builds it.
+
+    ``messages`` is ``(M, n)`` uint8, C-contiguous, one bit a byte, with n
+    divisible by k, 1 <= k <= 32, and ``s0`` a uint32 value; anything else
+    raises ``ValueError`` before any pointer reaches C.
+    """
+    if hash_name not in _HASH_IDS:
+        raise ValueError(f"unknown hash {hash_name!r}; compiled: "
+                         f"{sorted(_HASH_IDS)}")
+    k = _check_count("k", k, 1, 32)
+    s0 = _check_count("s0", s0, 0, 0xFFFFFFFF)
+    if not (isinstance(messages, np.ndarray) and messages.dtype == _UINT8
+            and messages.ndim == 2 and messages.flags.c_contiguous):
+        raise ValueError("messages must be a 2-D C-contiguous uint8 array")
+    n_msgs, n_bits = messages.shape
+    if n_bits % k:
+        raise ValueError(f"bit count {n_bits} not divisible by k={k}")
+    out = np.empty((n_msgs, n_bits // k), dtype=np.uint32)
+    if out.size:
+        ffi = module.ffi
+        module.lib.spine_chain(
+            _HASH_IDS[hash_name], ffi.from_buffer("uint8_t[]", messages),
+            n_msgs, n_bits // k, k, s0,
+            ffi.from_buffer("uint32_t[]", out, require_writable=True))
+    return out
+
+
 def _metric(hash_name: str, levels: np.ndarray, c: object, is_bsc: bool,
             has_csi: bool) -> tuple[int, int]:
     """The hash and metric ids of a search's branch costs, after checking
@@ -574,13 +615,14 @@ class _Passes:
     """What the two implementations of a bubble search's passes share:
     :class:`SpinalPasses` on ``kernels.c``, and the numpy fallback
     ``repro.backend._NumpyPasses``.  That is the search's shape and
-    buffers, :meth:`start`'s checks of the received view, :meth:`select`
-    and :meth:`finish`.  The step's state sits in ``_ctx`` under the field
-    names of ``kernels.c``'s ``struct spinal_search``: the leaves per
-    message (``n_leaves``), the next history row (``row``) and the pending
-    selection (``sel``, ``n_keep``, ``sel_step``).  A subclass binds the
-    view (``_bind``, ``_unbind``) and a selection (``_pointer``), and runs
-    ``expand``, ``score`` and the last gather (``_gather``)."""
+    buffers, :meth:`start`'s checks of the received view, :meth:`select`,
+    :meth:`finish` and :meth:`backtrack`'s checks.  The step's state sits
+    in ``_ctx`` under the field names of ``kernels.c``'s ``struct
+    spinal_search``: the leaves per message (``n_leaves``), the next
+    history row (``row``) and the pending selection (``sel``, ``n_keep``,
+    ``sel_step``).  A subclass binds the view (``_bind``, ``_unbind``) and
+    a selection (``_pointer``), and runs ``expand``, ``score``, the last
+    gather (``_gather``) and the backtrack (``_backtrack``)."""
 
     def __init__(self, *, is_bsc: bool, has_csi: bool, k: int, n_msgs: int,
                  beam: int, group: int, n_steps: int, s0: int):
@@ -595,13 +637,23 @@ class _Passes:
         self.children = np.empty(size << k, dtype=np.uint32)
         self.totals = np.empty(size << k)
         self.history = np.empty((n_steps, n_msgs, beam), dtype=np.int32)
+        self.kept = np.zeros(n_steps, dtype=np.int64)
+        # a subtree's leaves are the last d - 1 edges of its path, so a
+        # backtrack needs group = 2^(k (d - 1))
+        digits, span = 0, 1
+        while span < group:
+            span, digits = span << k, digits + 1
+        self._digits = digits if span == group else None
+        # the subtree minima select ranks, and its plans by leaf count
+        self._minima = np.empty(n_msgs * beam << k) if group > 1 else None
+        self._plans: dict[tuple[int, int], tuple] = {}
         # every subtree in order, as each message's survivors while it
         # has no more subtrees than the beam keeps
         self._all = np.arange(beam)
         # the bound view's planes and the pending selection, kept alive
         # while C may read them
         self._view = self._sel = None
-        self._kept: list[int] = []
+        self._finished = False
 
     def start(self, received) -> None:
         """Check the received view ``received`` (a
@@ -609,12 +661,38 @@ class _Passes:
         and bind it for one search, which starts from one leaf per message,
         the root state ``s0`` at cost 0.  A bad view raises
         ``ValueError``."""
+        self._finished = False
         planes = _check_planes(received, self._n_msgs, self._is_bsc,
                                self._has_csi)
         self.states[:self._n_msgs] = self._s0
         self.costs[:self._n_msgs] = 0.0
-        self._kept = []
         self._bind(*planes)
+
+    def _plan(self, n_leaves: int, n_beam: int) -> tuple:
+        """What :meth:`select` needs at ``n_leaves`` leaves a message, made
+        and checked once per passes: the kept count, the ``(n_msgs,
+        n_groups)`` subtree costs ``argpartition`` ranks (a view of
+        ``totals``, or of the minima with their reduction's operands when
+        subtrees have several leaves), and the selection of every subtree
+        when all of them fit."""
+        n_children = n_leaves << self._k
+        n_groups = n_children // self._group
+        n_keep = min(n_beam, n_groups)
+        if not 0 < n_keep <= self._beam:
+            raise ValueError(f"cannot keep {n_keep} of {n_groups} subtrees "
+                             f"in a beam of {self._beam}")
+        size = self._n_msgs * n_groups
+        totals = self.totals[:self._n_msgs * n_children]
+        if self._minima is None:
+            costs, minimum = totals.reshape(self._n_msgs, n_groups), None
+        else:
+            minima = self._minima[:size]
+            costs = minima.reshape(self._n_msgs, n_groups)
+            minimum = (totals.reshape(size, self._group), minima)
+        every = None if n_keep < n_groups else self._pointer(self._all)
+        plan = self._plans[n_leaves, n_beam] = (n_keep, n_groups, costs,
+                                                minimum, every)
+        return plan
 
     def select(self, n_beam: int) -> None:
         """Choose the survivors of the step just scored: of each message's
@@ -633,40 +711,58 @@ class _Passes:
         tie-break would make it host-independent, at the price of some
         stored records)."""
         ctx = self._ctx
-        n_children = ctx.n_leaves << self._k
-        n_groups = n_children // self._group
-        costs = self.totals[:self._n_msgs * n_children]
-        if self._group > 1:
-            costs = costs.reshape(-1, self._group).min(axis=1)
-        n_keep = min(n_beam, n_groups)
-        if not 0 < n_keep <= self._beam:
-            raise ValueError(f"cannot keep {n_keep} of {n_groups} subtrees "
-                             f"in a beam of {self._beam}")
-        if n_keep < n_groups:
-            sel = costs.reshape(self._n_msgs, n_groups).argpartition(
-                n_keep - 1, axis=1)
+        plan = self._plans.get((ctx.n_leaves, n_beam))
+        if plan is None:
+            plan = self._plan(ctx.n_leaves, n_beam)
+        n_keep, n_groups, costs, minimum, every = plan
+        if minimum is not None:
+            np.minimum.reduce(minimum[0], axis=1, out=minimum[1])
+        if every is None:
+            # the pointer keeps the selection alive until it is gathered
+            self._sel = ctx.sel = self._pointer(
+                costs.argpartition(n_keep - 1, axis=1))
             ctx.sel_step = n_groups
         else:
-            sel = self._all
+            self._sel = ctx.sel = every
             ctx.sel_step = 0
-        # the pointer keeps the selection alive until it is gathered
-        self._sel = ctx.sel = self._pointer(sel)
         ctx.n_keep = n_keep
-        self._kept.append(n_keep)
 
-    def finish(self) -> tuple[np.ndarray, list[np.ndarray]]:
+    def finish(self) -> np.ndarray:
         """Gather the last step's survivors and unbind the received view.
-        Returns their path costs, ``(n_msgs, n_leaves)``, and each pruning
-        step's survivors, ``history[row, :, :n_keep]``, for
-        backtracking."""
+        Returns their path costs, ``(n_msgs, n_leaves)``, a view of
+        ``costs`` that the next search overwrites; :meth:`backtrack` reads
+        the paths to them from ``history`` and ``kept``."""
         self._gather()
         n_leaves = self._ctx.n_leaves
         leaf_costs = self.costs[:self._n_msgs * n_leaves].reshape(
             self._n_msgs, n_leaves)
-        kept = [self.history[row, :, :n_keep]
-                for row, n_keep in enumerate(self._kept)]
         self._unbind()
-        return leaf_costs, kept
+        self._finished = True
+        return leaf_costs
+
+    def backtrack(self, best: np.ndarray) -> np.ndarray:
+        """The message bits of each message's leaf ``best[m]`` among the
+        leaves :meth:`finish` returned, ``(n_msgs, (n_rows + d - 1) k)``
+        uint8 for ``n_rows`` pruning steps and subtrees of
+        ``2^(k (d - 1))`` leaves: the edges the survivors' history records,
+        then the leaf's place in its subtree.  ``best`` must be a 1-D
+        int64 array of one leaf a message (``np.argmin``'s); a bad one, or
+        a backtrack without a finished search, raises ``ValueError``."""
+        ctx = self._ctx
+        if not self._finished or self._digits is None:
+            raise ValueError("no finished search of subtrees of 2^(k (d - "
+                             "1)) leaves to backtrack")
+        if not (isinstance(best, np.ndarray) and best.dtype == _INT64
+                and best.shape == (self._n_msgs,)):
+            raise ValueError(f"best must be ({self._n_msgs},) int64 leaf "
+                             "indices")
+        # a negative index reads as a uint64 above any leaf count
+        if best.view(np.uint64).max() >= ctx.n_leaves:
+            raise ValueError(f"a best leaf lies outside [0, {ctx.n_leaves})")
+        bits = np.empty((self._n_msgs, (ctx.row + self._digits) * self._k),
+                        dtype=np.uint8)
+        self._backtrack(np.ascontiguousarray(best), bits)
+        return bits
 
 
 class SpinalPasses(_Passes):
@@ -687,7 +783,8 @@ class SpinalPasses(_Passes):
       path costs; ``history`` (n_steps, n_msgs, beam) int32 records each
       pruning step's survivors, ``history[row, m, j]`` being the flat group
       row ``m * n_groups + g`` of message m's j-th survivor, group g of
-      its ``n_groups`` candidate subtrees;
+      its ``n_groups`` candidate subtrees, and ``kept[row]`` how many
+      survivors each message kept there;
     - once per search, in :meth:`start`: the received view's dtypes,
       shapes, strides, CSI mode, row count and every position's slot
       count against the store's capacity.  ``start`` then binds the view
@@ -707,9 +804,16 @@ class SpinalPasses(_Passes):
       (``+ 0.0`` with no slots).
 
     So a step is two C calls with one argument each and one
-    ``argpartition``.  :meth:`finish` gathers the last survivors and
-    unbinds the view, so the passes hold no pointer into a store past its
-    search.  A refused call raises ``ValueError``.
+    ``argpartition``, which :meth:`select` runs on subtree-cost views made
+    once per leaf count and hands to C as an untyped pointer.
+    :meth:`finish` gathers the last survivors and unbinds the view, so the
+    passes hold no pointer into a store past its search.  Each gather
+    records its kept count in ``kept`` (n_steps,) int64, and
+    :meth:`backtrack` then turns every message's best leaf into its
+    message bits in one C call, which checks the finished search, the
+    leaves and the output's length before it reads anything and every
+    history entry it chases before it writes.  A refused call raises
+    ``ValueError``.
     """
 
     def __init__(self, module: ModuleType, hash_name: str, *,
@@ -731,19 +835,24 @@ class SpinalPasses(_Passes):
             ffi.from_buffer("uint32_t[]", self.children,
                             require_writable=True),
             ffi.from_buffer("double[]", self.totals, require_writable=True),
-            ffi.from_buffer("int32_t[]", self.history, require_writable=True))
+            ffi.from_buffer("int32_t[]", self.history, require_writable=True),
+            ffi.from_buffer("int64_t[]", self.kept, require_writable=True))
         ctx = ffi.new("struct spinal_search *")
         ctx.hash_id, ctx.metric, ctx.c, ctx.k = hash_id, metric, int(c), \
             self._k
         ctx.n_msgs, ctx.beam, ctx.group = n_msgs, beam, group
         ctx.n_steps = n_steps
         (ctx.edges, ctx.levels, ctx.leaves, ctx.costs, ctx.children,
-         ctx.totals, ctx.history) = self._buffers
+         ctx.totals, ctx.history, ctx.kept) = self._buffers
         self._ctx = ctx
         self._expand = partial(lib.spinal_expand, ctx)
         self._score = partial(lib.spinal_score, ctx)
         self._gather_survivors = partial(lib.spinal_gather, ctx)
-        self._pointer = partial(ffi.from_buffer, "int64_t[]")
+        self._backtrack_paths = partial(lib.spinal_backtrack, ctx)
+        # A selection reaches C untyped (the struct's sel is a void
+        # pointer): an untyped from_buffer costs about half of an
+        # int64_t[] one.  argpartition's indices are intp, int64 here.
+        self._pointer = ffi.from_buffer
 
     def _bind(self, slots: np.ndarray, values: np.ndarray,
               csi: np.ndarray | None, counts: np.ndarray) -> None:
@@ -785,6 +894,15 @@ class SpinalPasses(_Passes):
         if self._gather_survivors():
             raise ValueError("no selection to gather, or one naming a "
                              "subtree outside the scored step")
+
+    def _backtrack(self, best: np.ndarray, bits: np.ndarray) -> None:
+        ffi = self._ffi
+        if self._backtrack_paths(
+                ffi.from_buffer("int64_t[]", best),
+                ffi.from_buffer("uint8_t[]", bits, require_writable=True),
+                bits.shape[1]):
+            raise ValueError("backtrack refused: a best leaf, kept count or "
+                             "history entry outside the finished search")
 
 
 def _check_bounds(name: str, bounds: np.ndarray, n_edges: int) -> None:

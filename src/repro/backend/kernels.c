@@ -41,7 +41,9 @@
  * is made and the LLRs at each decode, a search's shape and buffers when
  * its passes are made, its received view once per search in start.  What
  * only C sees at a step, the spine position and the selected survivors, C
- * checks before it reads or writes.
+ * checks before it reads or writes, and at a backtrack it checks the
+ * finished search and the best leaves before it reads and the history
+ * entries it chases before it writes.
  *
  * Random draws call numpy's own bounded-integer functions, linked from
  * numpy's libnpyrandom, on the caller's bit generator, so the draws and
@@ -336,6 +338,31 @@ void spine_hash(int hash_id, const uint32_t *states, int64_t s_step,
         hash_row(hash_id, states + i, s_step, datas, out + i * cols, cols);
 }
 
+/* ---- the spine: repro.core.spine.spine_states_batch ---- */
+
+/* The spines of n_msgs messages of n_spine * k bits each (uint8, one bit a
+ * byte): out[m * n_spine + i] = h(s, chunk i of message m), s being
+ * out[m * n_spine + i - 1], or s0 at i = 0.  Chunk i packs bits [i * k, (i
+ * + 1) * k) MSB first as the uint32 sum of bit << (k - 1 - j), 1 <= k <=
+ * 32, which is numpy's sum of bit * 2^(k - 1 - j) mod 2^32 for any byte.
+ * Each state hashes as hash_row's one-state row of one data word. */
+void spine_chain(int hash_id, const uint8_t *bits, int64_t n_msgs,
+                 int64_t n_spine, int k, uint32_t s0, uint32_t *out)
+{
+    for (int64_t m = 0; m < n_msgs; ++m) {
+        const uint8_t *b = bits + m * n_spine * k;
+        uint32_t *row = out + m * n_spine;
+        const uint32_t *prev = &s0;
+        for (int64_t i = 0; i < n_spine; ++i) {
+            uint32_t chunk = 0;
+            for (int j = 0; j < k; ++j)
+                chunk += (uint32_t)b[i * k + j] << (k - 1 - j);
+            hash_row(hash_id, prev, 0, &chunk, row + i, 1);
+            prev = row + i;
+        }
+    }
+}
+
 /* ---- fused branch costs: the score pass of the bubble search ---- */
 
 enum { METRIC_AWGN = 0, METRIC_CSI = 1, METRIC_BSC = 2 };
@@ -449,7 +476,7 @@ static void score_states(int hash_id, int metric,
     }
 }
 
-/* ---- the bubble search: repro.core.decoder.BubbleDecoder ---- */
+/* ---- the bubble search, steps to backtrack: repro.core.decoder ---- */
 
 /* One bubble search's state, owned by ckernels.SpinalPasses, which fills
  * it in three parts.  The first is bound when the passes are made, after
@@ -464,7 +491,11 @@ static void score_states(int hash_id, int metric,
  * state: n_leaves leaves per message, the next history row, and the
  * selection select left for the next gather, which names survivor j of
  * message m sel[m * sel_step + j], j < n_keep (sel_step 0 when every
- * message keeps the same subtrees), or NULL. */
+ * message keeps the same subtrees), or NULL; sel holds numpy's int64
+ * indices but is untyped, since cffi points at a numpy array fastest by
+ * an untyped buffer.  Each gather records its
+ * kept count in kept[row] (n_steps entries, owned by the passes), which
+ * spinal_backtrack reads once finish has gathered the last row. */
 struct spinal_search {
     int hash_id, metric, c, k;
     int64_t n_msgs, beam, group, n_steps;
@@ -475,6 +506,7 @@ struct spinal_search {
     uint32_t *children;
     double *totals;
     int32_t *history;
+    int64_t *kept;
     int64_t n_spine;
     const int64_t *counts;
     const uint32_t *slots;
@@ -483,7 +515,7 @@ struct spinal_search {
     const double *csi;
     int64_t value_step, row_step;
     int64_t n_leaves, row;
-    const int64_t *sel;
+    const void *sel;
     int64_t n_keep, sel_step;
 };
 
@@ -492,10 +524,11 @@ struct spinal_search {
  * survivor j of message m, flat group row r = m * n_groups + sel[m *
  * sel_step + j], copies children and totals [r * group, +group) to leaves
  * and costs [(m * n_keep + j) * group, +group) and records r as
- * history[row][m][j].  n_leaves becomes n_keep * group, row moves on and
- * the selection is used up.  Returns -1 before anything is written when
- * no selection is pending, when n_keep is not in [1, min(beam, n_groups)],
- * when the history is full or when a survivor lies outside [0, n_groups).
+ * history[row][m][j] and n_keep as kept[row].  n_leaves becomes n_keep *
+ * group, row moves on and the selection is used up.  Returns -1 before
+ * anything is written when no selection is pending, when n_keep is not in
+ * [1, min(beam, n_groups)], when the history is full or when a survivor
+ * lies outside [0, n_groups).
  * The caller guarantees that sel holds n_msgs rows of sel_step >= n_keep
  * entries (one row of n_keep when sel_step is 0). */
 int spinal_gather(struct spinal_search *s)
@@ -525,6 +558,7 @@ int spinal_gather(struct spinal_search *s)
             }
         }
     }
+    s->kept[s->row] = n_keep;
     s->n_leaves = n_keep * group;
     s->row += 1;
     s->sel = 0;
@@ -576,6 +610,78 @@ int spinal_score(struct spinal_search *s, int64_t step)
                  s->n_leaves << s->k, s->slots + step * s->slot_step,
                  s->counts[step], s->values + at, s->csi ? s->csi + at : 0,
                  s->row_step, s->levels, s->c, s->costs, s->k, s->totals);
+    return 0;
+}
+
+/* The survivor of history row r at flat index b, read as the flat
+ * (n_msgs, kept[r]) array: the group row whose quotient by 2^k is the
+ * parent's survivor in row r - 1 and whose remainder is the edge taken at
+ * spine position r.  -1 when it names no survivor of row r - 1 (a single
+ * subtree a message before the first row). */
+static int64_t history_entry(const struct spinal_search *s, int64_t r,
+                             int64_t b)
+{
+    const int64_t n_keep = s->kept[r], n_prev = r ? s->kept[r - 1] : 1;
+    const int64_t g = s->history[(r * s->n_msgs + b / n_keep) * s->beam
+                                 + b % n_keep];
+    return g >= 0 && g < (s->n_msgs * n_prev) << s->k ? g : -1;
+}
+
+/* The decoded bits of a finished search (finish has gathered its last
+ * row and unbound the view), n_bits = (row + d - 1) * k a message, from
+ * best[m], the index among message m's n_leaves final leaves of the one
+ * np.argmin chose.  Leaf best[m] is survivor b = m * kept[row - 1] +
+ * best[m] / group of the last row, at w = best[m] % group in its subtree;
+ * each history row gives the edge at its spine position and the parent's
+ * survivor (history_entry), and the last d - 1 edges are w's base-2^k
+ * digits, most significant first, group being 2^(k (d - 1)).  The chunk
+ * at position i is the low k bits of its history entry or of w, written
+ * MSB first as bits[i * k + j].  Returns -1 before anything is read when
+ * no search has finished, when group is no power of 2^k, when n_bits or a
+ * kept count does not fit the search, or when a best leaf lies outside
+ * [0, n_leaves), and -1 before anything is written when a history entry
+ * names no survivor. */
+int spinal_backtrack(const struct spinal_search *s, const int64_t *best,
+                     uint8_t *bits, int64_t n_bits)
+{
+    const int k = s->k;
+    const int64_t n_msgs = s->n_msgs, n_rows = s->row, group = s->group;
+    int64_t digits = 0, size = 1;
+    while (size < group) {
+        size <<= k;
+        ++digits;
+    }
+    if (s->n_spine != 0 || s->sel || n_rows < 1 || n_rows > s->n_steps
+            || size != group || n_bits != (n_rows + digits) * k)
+        return -1;
+    for (int64_t r = 0; r < n_rows; ++r)
+        if (s->kept[r] < 1 || s->kept[r] > s->beam)
+            return -1;
+    const int64_t last = s->kept[n_rows - 1];
+    if (s->n_leaves != last * group)
+        return -1;
+    for (int64_t m = 0; m < n_msgs; ++m)
+        if (best[m] < 0 || best[m] >= s->n_leaves)
+            return -1;
+    for (int pass = 0; pass < 2; ++pass) {  /* check every path, then write */
+        for (int64_t m = 0; m < n_msgs; ++m) {
+            uint8_t *out = bits + m * n_bits;
+            int64_t b = m * last + best[m] / group, w = best[m] % group;
+            for (int64_t r = n_rows - 1; r >= 0; --r) {
+                const int64_t g = history_entry(s, r, b);
+                if (g < 0)
+                    return -1;
+                for (int j = 0; pass && j < k; ++j)
+                    out[r * k + j] = (g >> (k - 1 - j)) & 1;
+                b = g >> k;
+            }
+            for (int64_t i = n_rows + digits - 1; pass && i >= n_rows; --i) {
+                for (int j = 0; j < k; ++j)
+                    out[i * k + j] = (w >> (k - 1 - j)) & 1;
+                w >>= k;
+            }
+        }
+    }
     return 0;
 }
 

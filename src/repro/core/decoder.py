@@ -22,23 +22,28 @@ beam is an ``(M, n_beam, W)`` array of uint32 leaf states with
 received symbol of that spine position (all passes and tail symbols in a
 single broadcast hash), takes subtree minima (none at ``d = 1``), and
 selects each message's best ``B`` subtrees with its own ``argpartition``
-row.  Backtracking records the surviving subtrees per step (one compact
-``(M, B)`` index array); missing spine positions (puncturing) simply
-contribute zero branch cost, which matches §5 exactly.  The search runs on
-the passes of :func:`repro.backend.spinal_passes`, compiled C where it
-builds.  ``start`` checks the received view once per search and binds it
-(rows forming one run are read in place from the store, other row sets
-are copied once); each step is then ``expand(step)``, which gathers the
-subtrees the previous step selected (their states, path costs and history
-row) and hashes their children, ``score(step)``, which adds each leaf's
-cost to its children's branch costs over that position's slots, and, at
-every pruning step, ``select(B)``, the subtree minima and
-``argpartition`` on the passes' own costs; ``finish`` gathers the last
-survivors and unbinds the view.  Each step's state (leaf count, history
-row, survivors) stays inside the passes, so a compiled step is two C calls
-and one ``argpartition``.  The passes' leaf, child, cost and survivor
-buffers are allocated once per decoder and cohort size and reused by the
-cohort's later attempts.
+row.  Each pruning step records its survivors for backtracking (one
+compact ``(M, B)`` history row and its kept count); missing spine
+positions (puncturing) simply contribute zero branch cost, which matches
+§5 exactly.  The search runs on the passes of
+:func:`repro.backend.spinal_passes`, compiled C where it builds.
+``start`` checks the received view once per search and binds it (rows
+forming one run are read in place from the store, other row sets are
+copied once).  A step is then ``expand(step)``, which gathers the
+subtrees the previous step selected (their states, path costs, history
+row and kept count) and hashes their children, ``score(step)``, which
+adds each leaf's cost to its children's branch costs over that position's
+slots, and, at every pruning step, ``select(B)``, the subtree minima and
+``argpartition`` on views of the passes' own costs made once per leaf
+count.  Each step's state (leaf count, history row, survivors) stays
+inside the passes, so a compiled step is two C calls and one
+``argpartition``.  A finish is ``finish()``, which gathers the last
+survivors, unbinds the view and returns their path costs, numpy's
+``argmin`` over each message's row (its first minimum, or its first NaN),
+and ``backtrack(best)``, which chases the history from every message's
+best leaf to its message bits: one C call for the whole cohort.  The
+passes' leaf, child, cost and survivor buffers are allocated once per
+decoder and cohort size and reused by the cohort's later attempts.
 
 Messages never mix: branch costs keep the slot axis leading (the same
 reduction order for every row), and selection and the final argmin work
@@ -57,7 +62,6 @@ from repro.backend import ckernels, spinal_passes
 from repro.core.params import DecoderParams, SpinalParams
 from repro.core.symbols import BatchReceivedView, ReceivedSymbols
 from repro.obs import OBS, clock
-from repro.utils.bitops import pack_chunks
 
 __all__ = ["BubbleDecoder", "BatchBubbleDecoder", "DecodeResult"]
 
@@ -135,8 +139,7 @@ class BubbleDecoder:
         """The bubble search over every message of ``received``."""
         if received.n_spine != self.n_spine:
             raise ValueError("received-symbol store has mismatched spine length")
-        k, K, d, W = self.k, 1 << self.k, self.d, self._W
-        M, B = received.n_rows, self.dec.B
+        d, M, B = self.d, received.n_rows, self.dec.B
         passes = self._search_passes(M, received.has_csi)
         # The view is checked and bound once; each step then passes only
         # its spine position.
@@ -169,36 +172,19 @@ class BubbleDecoder:
                     t_sel += clock() - t2
         if _on:
             t0 = clock()
-        leaf_costs, kept_hist = passes.finish()
+        leaf_costs = passes.finish()
         if _on:
             OBS.add_time("kernel.hash", t_hash + clock() - t0, self.n_spine)
             OBS.add_time("kernel.branch_cost", t_bc, self.n_spine)
-            OBS.add_time("kernel.select", t_sel, len(kept_hist))
+            OBS.add_time("kernel.select", t_sel, self.n_spine - d + 1)
 
-        # Best leaf and backtrack, per message.  Beams are numbered across
-        # the cohort (beam b of message m is m*n_beam + b), so kept row
-        # m*n_beam*K + parent*K + edge divides by K into the previous
-        # step's flat beam index and the edge taken.
-        flat_best = np.argmin(leaf_costs, axis=1)
-        results: list[DecodeResult] = []
-        for m in range(M):
-            leaf = m * leaf_costs[0].size + int(flat_best[m])
-            best_cost = float(leaf_costs.flat[leaf])
-            b, w = divmod(leaf, W)
-            rev_chunks: list[int] = []
-            for kept in reversed(kept_hist):
-                b, edge = divmod(int(kept.flat[b]), K)
-                rev_chunks.append(edge)
-            chunks = list(reversed(rev_chunks))
-            # Within-subtree path: the d-1 base-2^k digits of w, MSB first.
-            digits = []
-            for _ in range(d - 1):
-                digits.append(w % K)
-                w //= K
-            chunks.extend(reversed(digits))
-            message = pack_chunks(np.asarray(chunks, dtype=np.uint32), k)
-            results.append(DecodeResult(message, best_cost, received.n_symbols))
-        return results
+        # Each message's best leaf (numpy's argmin: the first minimum, or
+        # the first NaN), then the path to it, for every message at once.
+        best = np.argmin(leaf_costs, axis=1)
+        bits = passes.backtrack(best)
+        costs = leaf_costs[np.arange(M), best].tolist()
+        return [DecodeResult(bits[m], costs[m], received.n_symbols)
+                for m in range(M)]
 
 
 class BatchBubbleDecoder(BubbleDecoder):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.backend import ckernels
 from repro.core.hashes import HashFn
 
 __all__ = ["spine_states", "spine_states_batch", "expand_states"]
@@ -37,14 +38,24 @@ def spine_states_batch(
 ) -> np.ndarray:
     """Spines of M equal-length messages in one pass: ``(M, n/k)`` uint32.
 
-    One hash call per spine step covers the whole batch, so building M
-    spines costs the same number of numpy calls as building one; each row
-    depends only on its own message.
+    For a hash of :func:`repro.core.hashes.get_hash` (it carries its
+    ``hash_name``) the whole chain is one C call,
+    :func:`repro.backend.ckernels.spine_chain`, wherever the kernels
+    build.  Otherwise (any other hash function, such as a reference hash,
+    or no kernels) one hash call per spine step covers the whole batch,
+    so building M spines costs the same number of numpy calls as
+    building one.  Both give the same words, and each row depends only on
+    its own message.
     """
     messages = np.atleast_2d(np.asarray(messages, dtype=np.uint8))
     n_msgs, n_bits = messages.shape
     if n_bits % k:
         raise ValueError(f"bit count {n_bits} not divisible by k={k}")
+    name = getattr(hash_fn, "hash_name", None)
+    kernels = ckernels.load() if name is not None else None
+    if kernels is not None:
+        return ckernels.spine_chain(kernels, name, k,
+                                    np.ascontiguousarray(messages), s0)
     weights = (1 << np.arange(k - 1, -1, -1)).astype(np.uint32)
     chunks = (
         messages.reshape(n_msgs, -1, k).astype(np.uint32) * weights

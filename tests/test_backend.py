@@ -47,18 +47,18 @@ from repro.experiments.spec import (
     SchemeSpec,
 )
 from repro.experiments.store import ResultStore
-from repro.utils.bitops import random_message
+from repro.utils.bitops import pack_chunks, random_message
 
 from deadline import deadline
 from reference_decoder import reference_decode
 
 
 #: Where the compiled kernels are entered: ``ckernels`` functions and
-#: classes, and the two passes of a bubble-search step by ``Class.method``.
-_COMPILED_ENTRY_POINTS = ("spine_hash", "SpinalPasses.expand",
+#: classes, and the passes of a bubble search by ``Class.method``.
+_COMPILED_ENTRY_POINTS = ("spine_hash", "spine_chain", "SpinalPasses.expand",
                           "SpinalPasses.score", "SpinalPasses.finish",
-                          "BcjrDecoder.decode", "BpPasses", "lt_draw",
-                          "choice_draw")
+                          "SpinalPasses.backtrack", "BcjrDecoder.decode",
+                          "BpPasses", "lt_draw", "choice_draw")
 
 
 def _owner(name):
@@ -83,8 +83,8 @@ def _on_path(path):
 
     ``numpy`` hides the compiled kernels, as when they fail to build;
     ``compiled`` requires them.  Yields a list that collects one entry per
-    call of a compiled entry point (hash, branch cost, BCJR, BP, LT or
-    precode draw) made inside the block.
+    call of a compiled entry point (hash, spine, search pass, BCJR, BP,
+    LT or precode draw) made inside the block.
     """
     calls = []
     if path == "numpy":
@@ -635,8 +635,8 @@ class TestCompiledStep:
         ``leaf + bc`` picks a NaN by position).  Every pruning step keeps
         exactly ``argpartition``'s choice along each message's row of
         subtree minima (every subtree, in order, when they fit), and
-        ``finish`` returns the same survivors' costs and history on
-        both."""
+        ``finish`` returns the same survivors' costs, and leaves the same
+        history and kept counts, on both."""
         if ckernels.load() is None:
             pytest.skip("compiled kernels unavailable here")
         rng = np.random.default_rng(seed)
@@ -670,6 +670,7 @@ class TestCompiledStep:
             p.children[:] = 9
             p.totals[:] = -4.0
             p.history[:] = -5
+            p.kept[:] = -6
 
         def same(a, b, nan_free=False):
             if nan_free:
@@ -678,7 +679,7 @@ class TestCompiledStep:
             assert a.tobytes() == b.tobytes()
 
         def agree():
-            for name in ("states", "children", "history"):
+            for name in ("states", "children", "history", "kept"):
                 same(*(getattr(p, name) for p in both))
             for name in ("costs", "totals"):
                 same(*(getattr(p, name) for p in both), nan_free=True)
@@ -713,10 +714,129 @@ class TestCompiledStep:
                 n_leaves = sel.shape[1] * W
             final = [p.finish() for p in both]
         agree()
-        same(final[0][0], final[1][0], nan_free=True)
-        assert final[0][0].shape == (n_msgs, n_leaves)
-        for kept in (final[0][1], final[1][1]):
+        same(final[0], final[1], nan_free=True)
+        assert final[0].shape == (n_msgs, n_leaves)
+        for p in both:
+            kept = [p.history[row, :, :n_keep] for row, n_keep in
+                    enumerate(p.kept[:len(chosen)].tolist())]
             assert [a.tolist() for a in kept] == [a.tolist() for a in chosen]
+
+
+def _loop_backtrack(leaf_costs, kept_hist, k, d):
+    """The decoder's backtrack as a Python loop over the history rows,
+    before it became one pass of the search (``backtrack``), kept as an
+    oracle: each message's best leaf by ``np.argmin``, then one
+    ``divmod`` per history row, then the leaf's ``d - 1`` digits in its
+    subtree, packed by ``pack_chunks``.  Returns (bits, cost) a message."""
+    K, W = 1 << k, (1 << k) ** (d - 1)
+    flat_best = np.argmin(leaf_costs, axis=1)
+    out = []
+    for m in range(leaf_costs.shape[0]):
+        leaf = m * leaf_costs[0].size + int(flat_best[m])
+        best_cost = float(leaf_costs.flat[leaf])
+        b, w = divmod(leaf, W)
+        rev_chunks = []
+        for kept in reversed(kept_hist):
+            b, edge = divmod(int(kept.flat[b]), K)
+            rev_chunks.append(edge)
+        chunks = list(reversed(rev_chunks))
+        digits = []
+        for _ in range(d - 1):
+            digits.append(w % K)
+            w //= K
+        chunks.extend(reversed(digits))
+        out.append((pack_chunks(np.asarray(chunks, dtype=np.uint32), k),
+                    best_cost))
+    return out
+
+
+def _same_cost(a, b):
+    return a == b or (np.isnan(a) and np.isnan(b))
+
+
+class TestBacktrack:
+    """The backtrack, one C call on the compiled passes, equals
+    ``_NumpyPasses``' loop and the decoder's former Python loop
+    (:func:`_loop_backtrack`) over whole searches, and the decoder
+    returns those bits and costs on both paths."""
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           hash_name=st.sampled_from(sorted(GOLDEN_VECTORS)),
+           bsc=st.booleans(), n_msgs=st.integers(1, 4),
+           k=st.sampled_from([1, 2, 4]), d=st.integers(1, 3),
+           n_beam=st.integers(1, 6), n_spine=st.integers(1, 5),
+           costs=st.sampled_from(["tied", "random", "nan"]))
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_matches_loop_on_both_paths(self, seed, hash_name, bsc, n_msgs,
+                                        k, d, n_beam, n_spine, costs):
+        """Searches of 1 to 5 spine positions, including fewer than
+        ``d`` (the decoder clamps ``d`` to the tree height), over received
+        values that make many leaf costs tie (every value on a
+        constellation level or bit), ordinary ones, or ones with NaN and
+        inf among them, so ``argmin`` picks a first minimum or a first
+        NaN."""
+        rng = np.random.default_rng(seed)
+        params = (SpinalParams.bsc(k=k, hash_name=hash_name) if bsc else
+                  SpinalParams(k=k, c=1 if costs == "tied" else 3,
+                               hash_name=hash_name))
+        levels = params.make_mapping().levels
+        store = BatchReceivedSymbols(n_spine, n_msgs, complex_valued=not bsc)
+        n = int(rng.integers(0, 2 * n_spine + 1))
+        spine = np.sort(rng.integers(0, n_spine, size=n))
+        slots = rng.integers(0, 2**32, size=n, dtype=np.uint32)
+        if costs == "tied":
+            values = (rng.integers(0, 2, size=(n_msgs, n)).astype(float)
+                      if bsc else rng.choice(levels, (n_msgs, n))
+                      + 1j * rng.choice(levels, (n_msgs, n)))
+        else:
+            values = _received(rng, (n_msgs, n),
+                               2 * n_msgs if costs == "nan" else 0)
+            values = values.real.copy() if bsc else values
+        store.add_block(spine, slots, values)
+        view = store.prefix(np.arange(n_msgs), store.checkpoint())
+
+        d_eff = min(d, n_spine)
+        n_steps = n_spine - d_eff + 1
+        search = dict(levels=np.ascontiguousarray(levels), c=params.c,
+                      is_bsc=bsc, has_csi=False, k=k, n_msgs=n_msgs,
+                      beam=min(n_beam, (1 << k) ** min(n_steps, 32)),
+                      group=(1 << k) ** (d_eff - 1), n_steps=n_steps,
+                      s0=params.s0)
+        both = [_NumpyPasses(hash_name, **search)]
+        if ckernels.load() is not None:
+            both.append(ckernels.SpinalPasses(ckernels.load(), hash_name,
+                                              **search))
+        decoded = []
+        with deadline(60), np.errstate(all="ignore"):
+            for passes in both:
+                passes.start(view)
+                for step in range(n_spine):
+                    passes.expand(step)
+                    passes.score(step)
+                    if step >= d_eff - 1:
+                        passes.select(n_beam)
+                leaf_costs = passes.finish()
+                kept_hist = [passes.history[row, :, :n_keep]
+                             for row, n_keep in enumerate(
+                                 passes.kept[:n_steps].tolist())]
+                want = _loop_backtrack(leaf_costs, kept_hist, k, d_eff)
+                bits = passes.backtrack(np.argmin(leaf_costs, axis=1))
+                assert bits.shape == (n_msgs, n_spine * k)
+                for row, (want_bits, _) in zip(bits, want):
+                    assert row.tobytes() == want_bits.tobytes()
+                decoded.append(want)
+            for path in _paths():
+                with _on_path(path) as calls:
+                    results = BatchBubbleDecoder(
+                        params, DecoderParams(B=n_beam, d=d),
+                        n_spine * k).decode_batch(view)
+                assert ("backtrack" in calls) == (path == "compiled")
+                for got, (want_bits, want_cost) in zip(results, decoded[0]):
+                    assert got.message_bits.tobytes() == want_bits.tobytes()
+                    assert _same_cost(got.path_cost, want_cost)
+        for (a_bits, a_cost), (b_bits, b_cost) in zip(*decoded):
+            assert a_bits.tobytes() == b_bits.tobytes()
+            assert _same_cost(a_cost, b_cost)
 
 
 # ---------------------------------------------------------------------------
@@ -822,9 +942,10 @@ class TestCrossBackendDecode:
                 for ref, one, row in zip(refs, rows, cohort):
                     self._assert_equal_results(ref, row)
                     self._assert_equal_results(ref, dec.decode(one))
-            # both passes of every step ran compiled, and none on numpy
+            # both passes of every step and the backtrack ran compiled,
+            # and none on numpy
             if path == "compiled":
-                assert {"expand", "score", "finish"} <= set(calls)
+                assert {"expand", "score", "finish", "backtrack"} <= set(calls)
             else:
                 assert calls == []
 

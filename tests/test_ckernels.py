@@ -26,7 +26,8 @@ import pytest
 
 from repro.backend import (
     BackendFallbackWarning, _distances, _NumpyPasses, ckernels)
-from repro.core.hashes import reference_hashes
+from repro.core.hashes import get_hash, reference_hashes
+from repro.core.spine import spine_states_batch
 from repro.core.symbols import BatchReceivedSymbols
 from repro.strider.bcjr import BcjrTrellis, max_log_bcjr
 from repro.strider.rsc import RscCode
@@ -158,7 +159,8 @@ def _reached_c(*args):
 _FAKE = SimpleNamespace(ffi=None, lib=SimpleNamespace(
     spine_hash=_reached_c, lt_draw=_reached_c, choice_draw=_reached_c,
     spinal_expand=_reached_c, spinal_score=_reached_c,
-    spinal_gather=_reached_c))
+    spinal_gather=_reached_c, spinal_backtrack=_reached_c,
+    spine_chain=_reached_c))
 
 
 def _fake_module():
@@ -386,9 +388,9 @@ def test_gathers_need_a_scored_step_and_matching_leaves():
         passes.expand(1)
         passes.score(1)
         passes.select(2)
-        leaf_costs, kept = passes.finish()
+        leaf_costs = passes.finish()
         assert leaf_costs.shape == (2, 2)
-        assert [a.shape for a in kept] == [(2, 2)] * 2
+        assert passes.kept.tolist() == [2, 2]
         for run in (passes.expand, passes.score):
             with pytest.raises(ValueError):
                 run(0)
@@ -425,6 +427,135 @@ def test_out_of_range_subtrees_are_refused_before_any_write():
     assert passes.history[0].tolist() == [[0, 3, -1], [6, 5, -1]]
     with pytest.raises(ValueError):
         passes.finish()
+
+
+def _finished_search(passes):
+    """Run ``_step_search``'s two pruning steps on ``_good_view`` with a
+    beam of 2 and return the leaf costs ``finish`` gives."""
+    passes.start(_good_view())
+    for step in range(2):
+        passes.expand(step)
+        passes.score(step)
+        passes.select(2)
+    return passes.finish()
+
+
+def test_bad_backtracks_raise_before_reaching_c():
+    """``backtrack`` takes one int64 leaf index a message, each inside the
+    leaves ``finish`` returned, and only after a finished search: never
+    before the first, nor between ``start`` and ``finish``; on the
+    compiled passes and the numpy ones alike, whose good call reaches
+    their ``_backtrack``."""
+    both = [_NumpyPasses(**_step_search())]
+    if ckernels.load() is not None:
+        both.append(ckernels.SpinalPasses(ckernels.load(), **_step_search()))
+    good = np.array([1, 0])
+    for passes in both:
+        with pytest.raises(ValueError, match="no finished search"):
+            passes.backtrack(good)
+        assert _finished_search(passes).shape == (2, 2)
+        assert passes.backtrack(good).shape == (2, 4)
+        passes._backtrack = _reached_c
+        with pytest.raises(AssertionError, match="reached the C kernel"):
+            passes.backtrack(good)
+        for bad in (np.array([2, 0]), np.array([0, -1]),
+                    good.astype(np.int32), good.astype(np.float64),
+                    good[:1], good[:, None], good.tolist()):
+            with pytest.raises(ValueError):
+                passes.backtrack(bad)
+        passes.start(_good_view())
+        with pytest.raises(ValueError, match="no finished search"):
+            passes.backtrack(good)
+
+
+def test_c_refuses_bad_backtracks():
+    """C checks a backtrack's search, best leaves and output length before
+    it reads anything, and every history entry it chases: each bad call
+    raises and leaves the output as it was."""
+    _require_compiler()
+    passes = ckernels.SpinalPasses(ckernels.load(), **_step_search())
+    _finished_search(passes)
+    good = np.array([1, 0])
+    want = passes.backtrack(good)
+
+    def refused(best=good, width=4):
+        bits = np.full((2, width), 7, dtype=np.uint8)
+        with pytest.raises(ValueError, match="refused"):
+            passes._backtrack(best, bits)
+        assert (bits == 7).all()
+
+    refused(best=np.array([2, 0]))
+    refused(best=np.array([0, -1]))
+    refused(width=6)
+    history = passes.history.copy()
+    passes.history[0] = 2 * 4
+    refused()
+    passes.history[:] = history
+    passes.kept[0] = 0
+    refused()
+    passes.kept[0] = 2
+    bits = np.empty((2, 4), dtype=np.uint8)
+    passes._backtrack(good, bits)
+    assert bits.tobytes() == want.tobytes()
+    passes.start(_good_view())
+    refused()
+
+
+@pytest.mark.parametrize("hash_name", sorted(ckernels._HASH_IDS))
+@pytest.mark.parametrize("s0", [0, 0xFFFFFFFF])
+def test_spine_chain_matches_numpy_loop(hash_name, s0):
+    """One C call builds the spines the numpy loop of
+    ``spine_states_batch`` builds with the reference hash, for k 1 to 8,
+    1 to 5 messages and 0 to 300 spine positions, and
+    ``spine_states_batch`` gives them on both paths.  Bytes other than 0
+    and 1 pack as numpy's uint32 sum does."""
+    _require_compiler()
+    module = ckernels.load()
+    rng = np.random.default_rng(s0 & 0xFF)
+    reference = reference_hashes()[hash_name]
+    lengths = (0, 1, 2, 3, 17, 64, 255, 300)
+    for k in range(1, 9):
+        for n_msgs in range(1, 6):
+            n_spine = lengths[(5 * k + n_msgs) % len(lengths)]
+            bits = rng.integers(0, 256 if n_msgs == 5 else 2,
+                                size=(n_msgs, n_spine * k), dtype=np.uint8)
+            want = spine_states_batch(reference, k, bits, s0)
+            assert want.shape == (n_msgs, n_spine)
+            got = ckernels.spine_chain(module, hash_name, k, bits, s0)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            kernel = get_hash(hash_name)
+            assert spine_states_batch(
+                kernel, k, bits, s0).tobytes() == want.tobytes()
+            with mock.patch.object(ckernels, "load", lambda: None):
+                assert spine_states_batch(
+                    kernel, k, bits, s0).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("hash_name", lambda h: "md5"),
+    ("k", lambda k: 0),
+    ("k", lambda k: 33),
+    ("k", lambda k: 4.0),
+    ("s0", lambda s: -1),
+    ("s0", lambda s: 1 << 32),
+    ("messages", lambda m: m.astype(np.int64)),
+    ("messages", lambda m: m[0]),
+    ("messages", lambda m: m[:, ::2]),
+    ("messages", lambda m: np.ascontiguousarray(m[:, :-1])),
+    ("messages", lambda m: m.tolist()),
+])
+def test_bad_spine_chains_raise_before_reaching_c(name, bad):
+    """The spine chain takes a registered hash, 1 <= k <= 32, a uint32
+    ``s0`` and a 2-D C-contiguous uint8 message array of whole chunks;
+    the good call reaches C."""
+    call = {"hash_name": "one_at_a_time", "k": 4, "s0": 0,
+            "messages": np.zeros((2, 8), dtype=np.uint8)}
+    with pytest.raises(AssertionError, match="reached the C kernel"):
+        ckernels.spine_chain(_fake_module(), **call)
+    call[name] = bad(call[name])
+    with pytest.raises(ValueError):
+        ckernels.spine_chain(_fake_module(), **call)
 
 
 def test_target_cpu_keys_the_cache(monkeypatch):
@@ -785,11 +916,12 @@ def test_store_bytes_match_on_both_recursions(tmp_path, monkeypatch):
                 spinal))
     assert {p.kind for p in spec.points} == {"measure", "link"}
     assert any(p.channel.kind == "rayleigh" for p in spinal)
-    # the bubble search enters the kernels through its step passes,
-    # the encoders through the spine hash
+    # the bubble search enters the kernels through its step passes and
+    # its backtrack, the encoders through the spine chain and the hash
     calls = {"BcjrDecoder.decode": 0, "SpinalPasses.expand": 0,
              "SpinalPasses.score": 0, "SpinalPasses.finish": 0,
-             "spine_hash": 0, "BpPasses": 0, "lt_draw": 0, "choice_draw": 0}
+             "SpinalPasses.backtrack": 0, "spine_hash": 0, "spine_chain": 0,
+             "BpPasses": 0, "lt_draw": 0, "choice_draw": 0}
 
     def counted(name, compiled):
         def wrapper(*args, **kwargs):
