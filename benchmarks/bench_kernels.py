@@ -24,9 +24,12 @@ pytest-benchmark so a regression is attributable to one kernel, not just
   hash, the branch costs read in place from a store, the subtree
   ``argpartition``) — at ``B=256``, ``k=4`` and two messages; selection
   is timed here, as the decoder runs it;
-- ``search``: one whole bubble search at ``link_arq``'s shape (one
-  512-bit message, ``B=64``, ``k=4``) through ``BubbleDecoder.decode``:
-  every step, ``finish``, the ``argmin`` and the backtrack;
+- ``search``: one whole bubble search through ``BatchBubbleDecoder.
+  decode_batch`` at ``link_arq``'s shape (one 512-bit message, ``B=64``)
+  and at ``spinal_awgn``'s cohort shape (two 1024-bit messages,
+  ``B=256``), ``k=4``: ``start``, ``run`` (every step and the last
+  gather, one C call on the compiled path), the ``argmin`` and the
+  backtrack;
 - ``spine``: the encoder's spine chain,
   :func:`repro.core.spine.spine_states_batch`, at ``n=512`` with one
   message and ``n=1024`` with three (one C call on the compiled path);
@@ -61,8 +64,8 @@ import pytest
 
 from repro.backend import ckernels, spinal_passes
 from repro.channels import AWGNChannel, BSCChannel
-from repro.core.decoder import BubbleDecoder
-from repro.core.encoder import SpinalEncoder
+from repro.core.decoder import BatchBubbleDecoder
+from repro.core.encoder import BatchSpinalEncoder, SpinalEncoder
 from repro.core.hashes import available_hashes, get_hash
 from repro.core.params import DecoderParams, SpinalParams
 from repro.core.spine import spine_states_batch
@@ -367,31 +370,47 @@ def test_search_step(benchmark, kernel_records, backend):
 
 
 # ---------------------------------------------------------------------------
-# one whole bubble search, at link_arq's shape
+# one whole bubble search, at link_arq's and spinal_awgn's shapes
 # ---------------------------------------------------------------------------
 
-#: perfbench ``link_arq``'s decoder: one message of 512 bits, B=64, d=1.
-SEARCH_BITS, SEARCH_BEAM = 512, 64
+#: (message bits, B, messages) of the searches timed: perfbench
+#: ``link_arq``'s decoder (one 512-bit message, B=64) and ``spinal_awgn``'s
+#: cohorts (fig8_1's ``spinal n=1024`` series, B=256), both k=4 and d=1.
+SEARCH_SHAPES = {"link_arq": (512, 64, 1), "spinal_awgn": (1024, 256, 2)}
+
+
+def _filled_cohort(params, n_bits, n_msgs, x, n_subpasses=4, seed=99):
+    """A view of ``n_msgs`` messages' received symbols, each over its own
+    AWGN channel, from ``n_subpasses`` subpasses."""
+    rng = np.random.default_rng(seed)
+    encoder = BatchSpinalEncoder(params, np.stack(
+        [random_message(n_bits, rng) for _ in range(n_msgs)]))
+    block = encoder.generate_batch(0, n_subpasses)
+    store = BatchReceivedSymbols(encoder.n_spine, n_msgs)
+    store.add_block(block.spine_indices, block.slots, np.stack([
+        AWGNChannel(x, rng=rng).transmit(row).values
+        for row in block.values]))
+    return store.prefix(np.arange(n_msgs), store.checkpoint())
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_whole_search(benchmark, kernel_records, backend):
-    """One ``BubbleDecoder.decode`` of a 512-bit message from 4 noisy
-    subpasses at 8 dB, as ``link_arq`` runs one decode attempt: ``start``,
-    128 steps of ``expand``, ``score`` and ``select``, ``finish``, the
-    ``argmin`` and the backtrack."""
+@pytest.mark.parametrize("shape", sorted(SEARCH_SHAPES))
+def test_whole_search(benchmark, kernel_records, shape, backend):
+    """One ``BatchBubbleDecoder.decode_batch`` from 4 noisy subpasses at 8
+    dB, as the workload ``shape`` runs one decode attempt: ``start``, the
+    whole search (``run``: one C call on the compiled path, the Python
+    step loop on the numpy one), the ``argmin`` and the backtrack."""
     params = SpinalParams()
-    store = _filled_store(params, SEARCH_BITS, 8.0)
-    view = store.prefix(store.checkpoint())
+    n_bits, n_beam, n_msgs = SEARCH_SHAPES[shape]
+    view = _filled_cohort(params, n_bits, n_msgs, 8.0)
     with _active(backend):
-        decoder = BubbleDecoder(params, DecoderParams(B=SEARCH_BEAM),
-                                SEARCH_BITS)
-        result = benchmark(decoder.decode, view)
-    assert result.message_bits.shape == (SEARCH_BITS,)
+        decoder = BatchBubbleDecoder(params, DecoderParams(B=n_beam), n_bits)
+        results = benchmark(decoder.decode_batch, view)
+    assert [r.message_bits.shape for r in results] == [(n_bits,)] * n_msgs
     _record(kernel_records, benchmark, "search",
-            f"awgn_k4_B{SEARCH_BEAM}_n{SEARCH_BITS}_M1{_suffix(backend)}",
-            config="awgn_k4_c6", n_bits=SEARCH_BITS, n_beam=SEARCH_BEAM,
-            n_msgs=1, backend=backend)
+            f"awgn_k4_B{n_beam}_n{n_bits}_M{n_msgs}{_suffix(backend)}",
+            config="awgn_k4_c6", n_bits=n_bits, n_beam=n_beam,
+            n_msgs=n_msgs, workload=shape, backend=backend)
 
 
 # ---------------------------------------------------------------------------

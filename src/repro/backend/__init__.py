@@ -10,16 +10,19 @@ and on the numpy reference hashes otherwise; a whole spine is one C call
 (``ckernels.spine_chain``, which :func:`repro.core.spine.
 spine_states_batch` takes for the hashes :func:`hash_kernel` returns).
 The bubble search runs on the passes of :func:`spinal_passes`, which
-check and bind the received view once per search (``start``); each step
-is then ``expand`` (the gather of the subtrees the previous step kept,
-then the tree-expansion hash) and ``score`` (the fused branch costs plus
-each parent's cost), taking only the spine position.  Beam selection is
-numpy's ``argpartition`` (``select``, between the passes).  ``finish``
-gathers the last survivors, and ``backtrack`` turns each message's best
-leaf (numpy's ``argmin``, on both paths) into its message bits.  The
-passes are the one way to score, select and backtrack spinal candidates:
-compiled as :class:`ckernels.SpinalPasses`, in numpy as
-:class:`_NumpyPasses`.
+check and bind the received view once per search (``start``), then run
+the whole search (``run(d, B)``): per spine position ``expand`` (the
+gather of the subtrees the previous step kept, then the tree-expansion
+hash) and ``score`` (the fused branch costs plus each parent's cost),
+and at every pruning step the selection, numpy's ``argpartition``, then
+the last gather.  Compiled, a search is one C call, whose selections call
+numpy's own ``argpartition`` through numpy's C API; in numpy, ``run`` is
+the Python loop over the same steps (``expand``, ``score``, ``select``
+and ``finish``, which the compiled passes also offer one at a time).
+``backtrack`` then turns each message's best leaf (numpy's ``argmin``,
+on both paths) into its message bits.  The passes are the one way to
+score, select and backtrack spinal candidates: compiled as
+:class:`ckernels.SpinalPasses`, in numpy as :class:`_NumpyPasses`.
 
 The contract is **bit-identical output**: the compiled passes reproduce
 the numpy ones exactly, which are the fallback and the test oracle —
@@ -39,14 +42,14 @@ numpy reference's bit for bit, whichever path ran.
 
 Observability follows the decode hot-loop discipline (see ``repro.obs``).
 The bubble search times each step's ``expand`` pass, survivor gather
-included, and the last survivors' gather in ``finish`` as ``kernel.hash``,
-its ``score`` pass, whose fused loop cannot time its hashing apart, as
-``kernel.branch_cost``, and ``select`` (the subtree minima and
-``argpartition``) as ``kernel.select``, on both paths, and flushes once
-per search.  The ``argmin`` and the backtrack after it are not kernel
-time: they stay in the decoder's own (``BubbleDecoder.decode``'s or
-``decode_batch``'s) time, as does the encoder's spine chain in the
-encoder's.
+included, and the last survivors' gather as ``kernel.hash``, its
+``score`` pass, whose fused loop cannot time its hashing apart, as
+``kernel.branch_cost``, and the selection (the subtree minima and
+``argpartition``) as ``kernel.select``, on both paths (the compiled run
+times its passes in C), and ``run`` flushes them once per search.  The
+``argmin`` and the backtrack after it are not kernel time: they stay in
+the decoder's own (``BubbleDecoder.decode``'s or ``decode_batch``'s)
+time, as does the encoder's spine chain in the encoder's.
 
 :mod:`repro.core.hashes` imports this package, so the reference hashes
 it defines are bound lazily, on first use.
@@ -136,9 +139,10 @@ class _NumpyPasses(ckernels._Passes):
     reproduces bit for bit, with the same interface and checks: the
     survivors' gathers by ``take``, the tree-expansion hash, the numpy
     branch costs of :func:`_distances` and ``leaf + bc``, each step
-    reading its panel from the planes :meth:`start` bound, and the
-    backtrack as a Python loop over the history rows.  The fallback when
-    the kernels do not build."""
+    reading its panel from the planes :meth:`start` bound, the search as
+    :meth:`ckernels._Passes.run`'s Python step loop, and the backtrack as
+    a Python loop over the history rows.  The fallback when the kernels
+    do not build."""
 
     def __init__(self, hash_name: str, *, levels: np.ndarray, c: int,
                  is_bsc: bool, has_csi: bool, k: int, n_msgs: int,
@@ -274,10 +278,11 @@ def spinal_passes(hash_name: str, *, levels: np.ndarray, c: int,
     equivalent otherwise.  Both own ``states``, ``costs``, ``children``,
     ``totals`` and ``history`` buffers for ``n_msgs`` messages of up to
     ``beam`` subtrees of ``group`` leaves over ``n_steps`` pruning steps,
-    and both run a search as ``start(received)``, then per spine position
-    ``expand(step)``, ``score(step)`` and, at every pruning step,
-    ``select(B)``, then ``finish()`` and ``backtrack(best)``, bit for bit
-    alike."""
+    and both run a search as ``start(received)``, ``run(d, B)`` (one C
+    call when compiled) and ``backtrack(best)``, bit for bit alike; a
+    search can also be stepped, per spine position ``expand(step)``,
+    ``score(step)`` and, at every pruning step, ``select(B)``, then
+    ``finish()``."""
     levels = np.ascontiguousarray(levels, dtype=np.float64)
     kwargs = dict(levels=levels, c=c, is_bsc=is_bsc, has_csi=has_csi, k=k,
                   n_msgs=n_msgs, beam=beam, group=group, n_steps=n_steps,

@@ -5,9 +5,11 @@ match the numpy code they replace bit for bit (its header comment gives
 the rules): Strider's max-log BCJR decode (:class:`BcjrDecoder`), the
 spine hashes (:func:`spine_hash`) and the whole spine chain
 (:func:`spine_chain`), the passes of a bubble search
-(:class:`SpinalPasses`, whose ``score`` runs the fused spinal branch costs
-and whose ``backtrack`` chases every message's survivors back to its
-bits in one call), BP's exact passes
+(:class:`SpinalPasses`, whose ``run`` is a whole search in one call,
+survivor selection by numpy's own ``argpartition`` through numpy's C API
+included, whose ``score`` runs the fused spinal branch costs and whose
+``backtrack`` chases every message's survivors back to its bits in one
+call), BP's exact passes
 (:class:`BpPasses`) and the LT and precode draws, each behind a checked
 wrapper below.  The draws call
 numpy's own bounded-integer code, linked from numpy's ``libnpyrandom``
@@ -22,7 +24,8 @@ cache is available.  That case is announced once per process with a
 instead.
 
 The build lands in :data:`CACHE_ROOT` under a module name keyed by a hash
-of the C source, the compile flags (the gather switch among them), the CPU
+of the C source, the compile flags (the gather switch among them) and
+macros, the CPU
 target they resolve to, the
 Python ABI and the cffi and numpy versions, so a changed source,
 interpreter or numpy (whose library the module links) never loads a stale
@@ -51,6 +54,8 @@ from functools import cache, partial
 from types import ModuleType
 
 import numpy as np
+
+from repro.obs import OBS, clock
 
 __all__ = ["CACHE_ROOT", "BcjrDecoder", "BpPasses", "SpinalPasses",
            "build_or_load", "choice_draw", "floyd_choice", "load", "lt_draw",
@@ -87,6 +92,8 @@ struct spinal_search {
     double *totals;
     int32_t *history;
     int64_t *kept;
+    const int64_t *every;
+    double *minima;
     int64_t n_spine;
     const int64_t *counts;
     const uint32_t *slots;
@@ -97,10 +104,13 @@ struct spinal_search {
     int64_t n_leaves, row;
     const void *sel;
     int64_t n_keep, sel_step;
+    int timed;
+    double hash_s, score_s, select_s;
 };
 int spinal_gather(struct spinal_search *s);
 int spinal_expand(struct spinal_search *s, int64_t step);
 int spinal_score(struct spinal_search *s, int64_t step);
+int spinal_run(struct spinal_search *s, int64_t d, int64_t n_beam);
 int spinal_backtrack(const struct spinal_search *s, const int64_t *best,
                      uint8_t *bits, int64_t n_bits);
 void bp_magnitudes(double *edge, uint8_t *neg, int64_t n_edges,
@@ -131,6 +141,11 @@ void lt_draw(void *bitgen, int64_t n, int64_t count,
 #: :func:`_build_flags` adds ``-march=native`` where the compiler resolves
 #: it, and :data:`_GATHER_FLAG` after it where gathers are fast.
 _FLAGS = ("-O3", "-fno-split-loops", "-ffp-contract=off", "-fno-fast-math")
+
+#: The search's selection calls numpy's C API, whose import needs more of
+#: Python's API than the limited API cffi builds against by default.  In
+#: the module key, as the flags are.
+_MACROS = (("_CFFI_NO_LIMITED_API", None),)
 
 #: Lets gcc vectorise a table lookup such as ``levels[w & mask]`` into one
 #: hardware gather rather than a scalar load per lane.  A gather loads the
@@ -174,26 +189,97 @@ def _compiler() -> tuple[str, ...]:
                              or sysconfig.get_config_var("CC") or "cc"))
 
 
+def _host_cpu() -> str | None:
+    """The host CPU as Linux describes its first processor (vendor,
+    family, model, stepping, feature flags), without the lines that change
+    while it runs (clock speed, BogoMIPS); ``None`` where
+    ``/proc/cpuinfo`` cannot be read."""
+    lines = []
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if not line.strip():
+                    break
+                if line.split(":")[0].strip().lower() not in ("cpu mhz",
+                                                              "bogomips"):
+                    lines.append(line)
+    except OSError:
+        return None
+    return "".join(lines) or None
+
+
+def _probe_record(compiler: tuple[str, ...],
+                  question: tuple[str, ...]) -> str | None:
+    """Where :func:`_probe` remembers ``compiler``'s answer to
+    ``question``: a ``probe-*.txt`` file under :data:`CACHE_ROOT`, keyed by
+    the compiler's command, its resolved path and modification time, the
+    question and the host CPU (:func:`_host_cpu`); ``None`` without a
+    resolvable compiler or a readable CPU description."""
+    path = shutil.which(compiler[0]) if compiler else None
+    cpu = _host_cpu()
+    if path is None or cpu is None:
+        return None
+    path = os.path.realpath(path)
+    try:
+        stamp = os.stat(path).st_mtime_ns
+    except OSError:
+        return None
+    key = hashlib.sha256(repr((compiler, path, stamp, question,
+                               cpu)).encode()).hexdigest()
+    return os.path.join(CACHE_ROOT, f"probe-{key[:16]}.txt")
+
+
+def _probe(compiler: tuple[str, ...], args: tuple[str, ...],
+           stdin: str) -> tuple[int, str] | None:
+    """``(returncode, stderr)`` of ``compiler`` run with ``args`` on
+    ``stdin``, or ``None`` when it cannot run.
+
+    The answer is remembered (the return code on the first line of its
+    :func:`_probe_record`, then the error output), so later processes, and
+    a cache shared between hosts, start no compiler to ask again until the
+    compiler is replaced.
+    """
+    record = _probe_record(compiler, (*args, stdin))
+    if record is not None:
+        try:
+            with open(record) as f:
+                returncode, stderr = f.read().split("\n", 1)
+            return int(returncode), stderr
+        except (OSError, ValueError):
+            pass  # not asked yet, or a damaged record: ask again
+    try:
+        proc = subprocess.run([*compiler, *args], input=stdin,
+                              capture_output=True, text=True, timeout=60)
+    except (OSError, ValueError, subprocess.SubprocessError):
+        return None
+    if record is not None:
+        try:
+            os.makedirs(CACHE_ROOT, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(prefix=os.path.basename(record) + ".",
+                                       dir=CACHE_ROOT)
+            with os.fdopen(fd, "w") as f:
+                f.write(f"{proc.returncode}\n{proc.stderr}")
+            os.replace(tmp, record)
+        except OSError:
+            pass  # an unwritable cache: ask again next time
+    return proc.returncode, proc.stderr
+
+
 @cache
 def _native_target(compiler: tuple[str, ...]) -> tuple[str, ...]:
     """The ``-march``/``-m*`` flags ``compiler`` expands ``-march=native``
     into on this host, or ``()`` when it cannot say.
 
     Asks the compiler driver to print, not run, its commands
-    (``-march=native -### -E -``).  gcc names the host's CPU there
-    (``-march=cooperlake``, say) with every ``-m`` feature switch; a failed
-    probe, or one that names no target, leaves the plain flags.
+    (``-march=native -### -E -``), through :func:`_probe`.  gcc names the
+    host's CPU there (``-march=cooperlake``, say) with every ``-m``
+    feature switch; a failed probe, or one that names no target, leaves
+    the plain flags.
     """
-    try:
-        proc = subprocess.run(
-            [*compiler, "-march=native", "-###", "-E", "-"],
-            stdin=subprocess.DEVNULL, capture_output=True, text=True,
-            timeout=60)
-    except (OSError, ValueError, subprocess.SubprocessError):
+    answer = _probe(compiler, ("-march=native", "-###", "-E", "-"), "")
+    if answer is None or answer[0] != 0:
         return ()
-    if proc.returncode != 0:
-        return ()
-    for line in proc.stderr.splitlines():
+    for line in answer[1].splitlines():
         try:
             words = shlex.split(line)
         except ValueError:
@@ -216,14 +302,11 @@ def _gathers_fast(target: tuple[str, ...]) -> bool:
 
 @cache
 def _accepts(compiler: tuple[str, ...], flag: str) -> bool:
-    """Whether ``compiler`` takes ``flag`` without an error or warning."""
-    try:
-        proc = subprocess.run(
-            [*compiler, "-Werror", flag, "-fsyntax-only", "-x", "c", "-"],
-            input="int x;\n", capture_output=True, text=True, timeout=60)
-    except (OSError, ValueError, subprocess.SubprocessError):
-        return False
-    return proc.returncode == 0
+    """Whether ``compiler`` takes ``flag`` without an error or warning
+    (asked through :func:`_probe`)."""
+    answer = _probe(compiler, ("-Werror", flag, "-fsyntax-only", "-x", "c",
+                               "-"), "int x;\n")
+    return answer is not None and answer[0] == 0
 
 
 def _build_flags() -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -244,7 +327,8 @@ def _build_flags() -> tuple[tuple[str, ...], tuple[str, ...]]:
 
 
 def _module_name() -> str:
-    """Extension module name for the current source, flags, target CPU and
+    """Extension module name for the current source, flags, macros, target
+    CPU and
     ABI."""
     import _cffi_backend
 
@@ -253,7 +337,7 @@ def _module_name() -> str:
         source = f.read()
     key = hashlib.sha256()
     for part in (source, _CDEF.encode(), " ".join(flags).encode(),
-                 " ".join(target).encode(),
+                 repr(_MACROS).encode(), " ".join(target).encode(),
                  str(sysconfig.get_config_var("EXT_SUFFIX")).encode(),
                  sys.implementation.cache_tag.encode(),
                  _cffi_backend.__version__.encode(),
@@ -296,7 +380,8 @@ def _build(name: str, path: str, root: str,
             name, f.read(), include_dirs=[np.get_include()],
             library_dirs=[os.path.join(os.path.dirname(np.random.__file__),
                                        "lib")],
-            libraries=["npyrandom", "m"], extra_compile_args=list(flags))
+            libraries=["npyrandom", "m"], extra_compile_args=list(flags),
+            define_macros=list(_MACROS))
     tmp = tempfile.mkdtemp(prefix=f"{name}.", dir=root)
     try:
         built = ffi.compile(tmpdir=tmp)
@@ -616,7 +701,9 @@ class _Passes:
     :class:`SpinalPasses` on ``kernels.c``, and the numpy fallback
     ``repro.backend._NumpyPasses``.  That is the search's shape and
     buffers, :meth:`start`'s checks of the received view, :meth:`select`,
-    :meth:`finish` and :meth:`backtrack`'s checks.  The step's state sits
+    :meth:`finish`, :meth:`run` (the search's step loop, which
+    :class:`SpinalPasses` replaces by one C call) and :meth:`backtrack`'s
+    checks.  The step's state sits
     in ``_ctx`` under the field names of ``kernels.c``'s ``struct
     spinal_search``: the leaves per message (``n_leaves``), the next
     history row (``row``) and the pending selection (``sel``, ``n_keep``,
@@ -664,6 +751,7 @@ class _Passes:
         self._finished = False
         planes = _check_planes(received, self._n_msgs, self._is_bsc,
                                self._has_csi)
+        self._sel = None
         self.states[:self._n_msgs] = self._s0
         self.costs[:self._n_msgs] = 0.0
         self._bind(*planes)
@@ -733,6 +821,11 @@ class _Passes:
         ``costs`` that the next search overwrites; :meth:`backtrack` reads
         the paths to them from ``history`` and ``kept``."""
         self._gather()
+        return self._end()
+
+    def _end(self) -> np.ndarray:
+        """Unbind the view of a search whose last survivors are gathered;
+        their path costs, as :meth:`finish` returns them."""
         n_leaves = self._ctx.n_leaves
         leaf_costs = self.costs[:self._n_msgs * n_leaves].reshape(
             self._n_msgs, n_leaves)
@@ -740,9 +833,81 @@ class _Passes:
         self._finished = True
         return leaf_costs
 
+    def _run_shape(self, d: object, n_beam: object) -> int:
+        """The bound view's spine length, after checking that a fresh
+        search is bound (:meth:`start` binds one, and no step has run) and
+        that ``d`` lies in ``[1, n_spine]`` and ``n_beam`` is at least 1;
+        otherwise the view is unbound and ``ValueError`` raised."""
+        ctx = self._ctx
+        try:
+            if (self._view is None or self._sel is not None or ctx.row != 0
+                    or ctx.n_leaves != 1):
+                raise ValueError("run needs a fresh search bound by start")
+            n_spine = self._view[3].size
+            _check_count("d", d, 1, n_spine)
+            _check_count("n_beam", n_beam, 1)
+        except ValueError:
+            self._abandon()
+            raise
+        return n_spine
+
+    def _abandon(self) -> None:
+        """Unbind a refused search's view; it leaves nothing to
+        backtrack."""
+        self._unbind()
+        self._finished = False
+
+    def run(self, d: int, n_beam: int) -> np.ndarray:
+        """The whole search over the view :meth:`start` bound: per spine
+        position :meth:`expand` and :meth:`score`, at every pruning step
+        (position ``d - 1`` on, ``d`` the pruning depth) :meth:`select`
+        keeping ``n_beam`` subtrees, then :meth:`finish`, whose leaf costs
+        it returns.  With ``repro.obs`` on, the passes' time flushes once
+        a search to ``kernel.hash`` (``expand``, the gathers included),
+        ``kernel.branch_cost`` (``score``) and ``kernel.select``.  A refused
+        search unbinds the view and raises ``ValueError``; the passes then
+        serve the next :meth:`start`."""
+        n_spine = self._run_shape(d, n_beam)
+        expand, score, select = self.expand, self.score, self.select
+        # Kernel timing accumulates in locals and flushes once at the end
+        # (repro.obs hot-loop discipline: disabled cost is one branch per
+        # step, no allocations).
+        _on = OBS.enabled
+        t_hash = t_bc = t_sel = 0.0
+        try:
+            # The first d-1 steps expand the tree unpruned (the initial
+            # partial tree of Figure 4-1(a)); every later step prunes to
+            # n_beam subtrees, which the next expand gathers.
+            for step in range(n_spine):
+                if _on:
+                    t0 = clock()
+                expand(step)
+                if _on:
+                    t1 = clock()
+                score(step)
+                if _on:
+                    t2 = clock()
+                    t_hash += t1 - t0
+                    t_bc += t2 - t1
+                if step >= d - 1:
+                    select(n_beam)
+                    if _on:
+                        t_sel += clock() - t2
+            if _on:
+                t0 = clock()
+            leaf_costs = self.finish()
+        except ValueError:
+            self._abandon()
+            raise
+        if _on:
+            _flush_search_times(t_hash + clock() - t0, t_bc, t_sel, n_spine,
+                                d)
+        return leaf_costs
+
     def backtrack(self, best: np.ndarray) -> np.ndarray:
         """The message bits of each message's leaf ``best[m]`` among the
-        leaves :meth:`finish` returned, ``(n_msgs, (n_rows + d - 1) k)``
+        leaves :meth:`run` (or :meth:`finish`) returned, ``(n_msgs,
+        (n_rows + d - 1) k)``
         uint8 for ``n_rows`` pruning steps and subtrees of
         ``2^(k (d - 1))`` leaves: the edges the survivors' history records,
         then the leaf's place in its subtree.  ``best`` must be a 1-D
@@ -763,6 +928,14 @@ class _Passes:
                         dtype=np.uint8)
         self._backtrack(np.ascontiguousarray(best), bits)
         return bits
+
+
+def _flush_search_times(hash_s: float, score_s: float, select_s: float,
+                        n_spine: int, d: int) -> None:
+    """One search's pass times into ``repro.obs``'s kernel timers."""
+    OBS.add_time("kernel.hash", hash_s, n_spine)
+    OBS.add_time("kernel.branch_cost", score_s, n_spine)
+    OBS.add_time("kernel.select", select_s, n_spine - d + 1)
 
 
 class SpinalPasses(_Passes):
@@ -803,17 +976,22 @@ class SpinalPasses(_Passes):
       leaf's cost, in numpy's operand order ``costs[..., None] + bc``
       (``+ 0.0`` with no slots).
 
-    So a step is two C calls with one argument each and one
-    ``argpartition``, which :meth:`select` runs on subtree-cost views made
-    once per leaf count and hands to C as an untyped pointer.
-    :meth:`finish` gathers the last survivors and unbinds the view, so the
-    passes hold no pointer into a store past its search.  Each gather
-    records its kept count in ``kept`` (n_steps,) int64, and
-    :meth:`backtrack` then turns every message's best leaf into its
-    message bits in one C call, which checks the finished search, the
-    leaves and the output's length before it reads anything and every
-    history entry it chases before it writes.  A refused call raises
-    ``ValueError``.
+    A search is one C call, :meth:`run`: every step's ``expand`` and
+    ``score``, at each pruning step the selection, made by numpy's own
+    ``minimum.reduce`` and ``argpartition`` through numpy's C API on
+    arrays wrapping the passes' buffers (so it is the choice
+    :meth:`select` makes from Python, at every dispatch level), and the
+    last gather.  The passes also step one call at a time, as
+    :meth:`_Passes.run` does: :meth:`select` runs ``argpartition`` on
+    subtree-cost views made once per leaf count and hands it to C as an
+    untyped pointer, and :meth:`finish` gathers the last survivors.
+    Either way the search ends with the view unbound, so the passes hold
+    no pointer into a store past its search.  Each gather records its
+    kept count in ``kept`` (n_steps,) int64, and :meth:`backtrack` then
+    turns every message's best leaf into its message bits in one C call,
+    which checks the finished search, the leaves and the output's length
+    before it reads anything and every history entry it chases before it
+    writes.  A refused call raises ``ValueError``.
     """
 
     def __init__(self, module: ModuleType, hash_name: str, *,
@@ -836,18 +1014,23 @@ class SpinalPasses(_Passes):
                             require_writable=True),
             ffi.from_buffer("double[]", self.totals, require_writable=True),
             ffi.from_buffer("int32_t[]", self.history, require_writable=True),
-            ffi.from_buffer("int64_t[]", self.kept, require_writable=True))
+            ffi.from_buffer("int64_t[]", self.kept, require_writable=True),
+            ffi.from_buffer("int64_t[]", self._all),
+            ffi.NULL if self._minima is None else ffi.from_buffer(
+                "double[]", self._minima, require_writable=True))
         ctx = ffi.new("struct spinal_search *")
         ctx.hash_id, ctx.metric, ctx.c, ctx.k = hash_id, metric, int(c), \
             self._k
         ctx.n_msgs, ctx.beam, ctx.group = n_msgs, beam, group
         ctx.n_steps = n_steps
         (ctx.edges, ctx.levels, ctx.leaves, ctx.costs, ctx.children,
-         ctx.totals, ctx.history, ctx.kept) = self._buffers
+         ctx.totals, ctx.history, ctx.kept, ctx.every,
+         ctx.minima) = self._buffers
         self._ctx = ctx
         self._expand = partial(lib.spinal_expand, ctx)
         self._score = partial(lib.spinal_score, ctx)
         self._gather_survivors = partial(lib.spinal_gather, ctx)
+        self._run_search = partial(lib.spinal_run, ctx)
         self._backtrack_paths = partial(lib.spinal_backtrack, ctx)
         # A selection reaches C untyped (the struct's sel is a void
         # pointer): an untyped from_buffer costs about half of an
@@ -894,6 +1077,32 @@ class SpinalPasses(_Passes):
         if self._gather_survivors():
             raise ValueError("no selection to gather, or one naming a "
                              "subtree outside the scored step")
+
+    def run(self, d: int, n_beam: int) -> np.ndarray:
+        """The whole search in one C call, ``spinal_run``: the step loop
+        of :meth:`_Passes.run`, with every selection made by numpy's own
+        ``minimum.reduce`` and ``argpartition`` through numpy's C API, and
+        the last gather, so no selection outlives the call.  Returns the
+        leaf costs as :meth:`finish` does, and with ``repro.obs`` on
+        flushes the times C took of its passes to the same timers.  A
+        refused search unbinds the view and raises ``ValueError``; a failed
+        numpy call inside C raises ``RuntimeError``."""
+        n_spine = self._run_shape(d, n_beam)
+        ctx = self._ctx
+        ctx.timed = timed = OBS.enabled
+        code = self._run_search(d, n_beam)
+        if code:
+            self._abandon()
+            if code == -1:
+                raise ValueError("run refused the search: a kept count, "
+                                 "selection or unpruned step outside the "
+                                 "passes' shape")
+            raise RuntimeError("numpy's C API failed inside the compiled "
+                               "search (import or allocation)")
+        if timed:
+            _flush_search_times(ctx.hash_s, ctx.score_s, ctx.select_s,
+                                n_spine, d)
+        return self._end()
 
     def _backtrack(self, best: np.ndarray, bits: np.ndarray) -> None:
         ffi = self._ffi

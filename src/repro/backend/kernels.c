@@ -47,12 +47,22 @@
  *
  * Random draws call numpy's own bounded-integer functions, linked from
  * numpy's libnpyrandom, on the caller's bit generator, so the draws and
- * the generator's final state are numpy's.
+ * the generator's final state are numpy's.  The same holds for the one
+ * step of the bubble search that is not exact arithmetic, survivor
+ * selection: spinal_run calls numpy's own argpartition (and minimum
+ * reduction) through numpy's C API, on the same float64 rows, so every
+ * selection is the one ndarray.argpartition makes, at every CPU dispatch
+ * level, dependence on that level included (ckernels._Passes.select
+ * documents it).  Code reached through numpy's C API is numpy's code,
+ * not a reimplementation of it.
  */
 
 #include <stdbool.h>
 #include <stdint.h>
+#include <time.h>
 
+#define NPY_NO_DEPRECATED_API NPY_1_7_API_VERSION
+#include "numpy/arrayobject.h"
 #include "numpy/random/distributions.h"
 
 /* np.maximum on float64: a NaN first operand wins, otherwise the larger
@@ -482,9 +492,12 @@ static void score_states(int hash_id, int metric,
  * it in three parts.  The first is bound when the passes are made, after
  * their checks: the hash, the metric, the cohort's shape (n_msgs messages
  * of at most beam subtrees of `group` leaves, 2^k children a leaf, n_steps
- * pruning steps) and the buffers the passes own.  The second is the
- * received view, bound by start after its checks and unbound (n_spine = 0,
- * every pointer NULL) by finish: spine position i has counts[i] slots at
+ * pruning steps) and the buffers the passes own, among them every (0, 1,
+ * ..., beam - 1, the selection of every subtree in order) and minima
+ * (n_msgs * beam << k subtree costs, NULL when group is 1).  The second is
+ * the received view, bound by start after its checks and unbound (n_spine
+ * = 0, every pointer NULL) once the search ends (run or finish): spine
+ * position i has counts[i] slots at
  * slots + i * slot_step, and message m's values at values + (i *
  * value_step + m * row_step) * w doubles, w = 1 for BSC and 2 for complex
  * values; csi has the values' shape and strides.  The third is the step's
@@ -495,7 +508,9 @@ static void score_states(int hash_id, int metric,
  * indices but is untyped, since cffi points at a numpy array fastest by
  * an untyped buffer.  Each gather records its
  * kept count in kept[row] (n_steps entries, owned by the passes), which
- * spinal_backtrack reads once finish has gathered the last row. */
+ * spinal_backtrack reads once finish has gathered the last row.  When
+ * timed is set, spinal_run adds the seconds its passes take to hash_s
+ * (expand, the gathers included), score_s and select_s. */
 struct spinal_search {
     int hash_id, metric, c, k;
     int64_t n_msgs, beam, group, n_steps;
@@ -507,6 +522,8 @@ struct spinal_search {
     double *totals;
     int32_t *history;
     int64_t *kept;
+    const int64_t *every;
+    double *minima;
     int64_t n_spine;
     const int64_t *counts;
     const uint32_t *slots;
@@ -517,6 +534,8 @@ struct spinal_search {
     int64_t n_leaves, row;
     const void *sel;
     int64_t n_keep, sel_step;
+    int timed;
+    double hash_s, score_s, select_s;
 };
 
 /* The survivors of the scored children: the n_leaves << k children of each
@@ -611,6 +630,143 @@ int spinal_score(struct spinal_search *s, int64_t step)
                  s->counts[step], s->values + at, s->csi ? s->csi + at : 0,
                  s->row_step, s->levels, s->c, s->costs, s->k, s->totals);
     return 0;
+}
+
+/* ---- the whole search: one call, survivors chosen by numpy ---- */
+
+_Static_assert(sizeof(npy_intp) == sizeof(int64_t),
+               "argpartition's intp indices are read as int64");
+
+/* The kth array every selection hands argpartition, one intp; made with
+ * numpy's C API, which the first search imports.  Both happen with the
+ * GIL held, as does every later use. */
+static PyArrayObject *select_kth;
+
+static int numpy_ready(void)
+{
+    if (select_kth)
+        return 0;
+    if (PyArray_API == NULL && _import_array() < 0)
+        return -1;
+    npy_intp one = 1;
+    select_kth = (PyArrayObject *)PyArray_SimpleNew(1, &one, NPY_INTP);
+    return select_kth ? 0 : -1;
+}
+
+static inline double run_clock(const struct spinal_search *s)
+{
+    struct timespec t;
+    if (!s->timed)
+        return 0.0;
+    clock_gettime(CLOCK_MONOTONIC, &t);
+    return (double)t.tv_sec + 1e-9 * (double)t.tv_nsec;
+}
+
+/* ckernels._Passes.select, by the same numpy calls: of each message's
+ * n_groups subtrees of `group` consecutive children, the n_keep =
+ * min(n_beam, n_groups) cheapest by their cheapest child, which is
+ * np.minimum.reduce(totals as (n_msgs * n_groups, group), axis=1, out=
+ * minima) when group > 1, then costs.argpartition(n_keep - 1, axis=1) on
+ * the (n_msgs, n_groups) subtree costs, both through numpy's C API on
+ * arrays wrapping the passes' own buffers.  When every subtree fits, the
+ * selection is `every`, with no numpy call.  The argpartition result is
+ * left in *held for the caller to release once the next gather has used
+ * it.  Returns -1, having changed nothing, when the kept count does not
+ * fit the beam or the children do not form whole subtrees, and -2 when a
+ * numpy call fails. */
+static int run_select(struct spinal_search *s, int64_t n_beam,
+                      PyObject **held)
+{
+    const int64_t n_children = s->n_leaves << s->k, group = s->group;
+    const int64_t n_groups = n_children / group;
+    const int64_t n_keep = n_beam < n_groups ? n_beam : n_groups;
+    if (n_children % group || n_keep < 1 || n_keep > s->beam)
+        return -1;
+    s->n_keep = n_keep;
+    if (n_keep == n_groups) {
+        s->sel = s->every;
+        s->sel_step = 0;
+        return 0;
+    }
+    double *costs = s->totals;
+    if (group > 1) {
+        npy_intp rows[2] = {s->n_msgs * n_groups, group};
+        PyObject *all = PyArray_SimpleNewFromData(2, rows, NPY_DOUBLE,
+                                                  s->totals);
+        PyObject *minima = PyArray_SimpleNewFromData(1, rows, NPY_DOUBLE,
+                                                     s->minima);
+        PyObject *out = all && minima ? PyArray_Min(
+            (PyArrayObject *)all, 1, (PyArrayObject *)minima) : NULL;
+        Py_XDECREF(all);
+        Py_XDECREF(minima);
+        if (!out)
+            return -2;
+        Py_DECREF(out);
+        costs = s->minima;
+    }
+    npy_intp shape[2] = {s->n_msgs, n_groups};
+    PyObject *view = PyArray_SimpleNewFromData(2, shape, NPY_DOUBLE, costs);
+    if (!view)
+        return -2;
+    *(npy_intp *)PyArray_DATA(select_kth) = n_keep - 1;
+    PyObject *sel = PyArray_ArgPartition((PyArrayObject *)view, select_kth,
+                                         1, NPY_INTROSELECT);
+    Py_DECREF(view);
+    if (!sel)
+        return -2;
+    s->sel = PyArray_DATA((PyArrayObject *)sel);
+    s->sel_step = n_groups;
+    *held = sel;
+    return 0;
+}
+
+/* A whole search over the view start bound, as ckernels._Passes.run runs
+ * it step by step: at every spine position spinal_expand and
+ * spinal_score, at every pruning step (position d - 1 on) run_select
+ * keeping n_beam subtrees, and at the end the last spinal_gather, so no
+ * selection outlives the call.  cffi releases the GIL around the call;
+ * this takes it back for the whole search, since selection runs numpy.
+ * Returns -1 when no fresh search is bound (start binds one), d is not in
+ * [1, n_spine], the pruning steps overflow the history or n_beam < 1,
+ * all before anything is written, or when a pass refuses mid-search, and
+ * -2 when numpy's C API cannot be imported or a numpy call fails (its
+ * Python error is cleared).  Either way the selection pointer is left
+ * NULL. */
+int spinal_run(struct spinal_search *s, int64_t d, int64_t n_beam)
+{
+    const int64_t n_spine = s->n_spine;
+    if (n_spine < 1 || d < 1 || d > n_spine || n_spine - d + 1 > s->n_steps
+            || n_beam < 1 || s->n_leaves != 1 || s->row != 0 || s->sel)
+        return -1;
+    PyGILState_STATE gil = PyGILState_Ensure();
+    PyObject *held = NULL;
+    int rc = numpy_ready() ? -2 : 0;
+    s->hash_s = s->score_s = s->select_s = 0.0;
+    for (int64_t step = 0; !rc && step < n_spine; ++step) {
+        const double t0 = run_clock(s);
+        rc = spinal_expand(s, step);
+        Py_CLEAR(held);  /* the gather has used the selection */
+        const double t1 = run_clock(s);
+        rc = rc ? rc : spinal_score(s, step);
+        const double t2 = run_clock(s);
+        s->hash_s += t1 - t0;
+        s->score_s += t2 - t1;
+        if (!rc && step >= d - 1) {
+            rc = run_select(s, n_beam, &held);
+            s->select_s += run_clock(s) - t2;
+        }
+    }
+    if (!rc) {
+        const double t0 = run_clock(s);
+        rc = spinal_gather(s);
+        s->hash_s += run_clock(s) - t0;
+    }
+    Py_CLEAR(held);
+    s->sel = 0;
+    if (rc == -2)
+        PyErr_Clear();
+    PyGILState_Release(gil);
+    return rc;
 }
 
 /* The survivor of history row r at flat index b, read as the flat

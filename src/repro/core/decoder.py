@@ -29,21 +29,22 @@ positions (puncturing) simply contribute zero branch cost, which matches
 :func:`repro.backend.spinal_passes`, compiled C where it builds.
 ``start`` checks the received view once per search and binds it (rows
 forming one run are read in place from the store, other row sets are
-copied once).  A step is then ``expand(step)``, which gathers the
-subtrees the previous step selected (their states, path costs, history
-row and kept count) and hashes their children, ``score(step)``, which
-adds each leaf's cost to its children's branch costs over that position's
-slots, and, at every pruning step, ``select(B)``, the subtree minima and
-``argpartition`` on views of the passes' own costs made once per leaf
-count.  Each step's state (leaf count, history row, survivors) stays
-inside the passes, so a compiled step is two C calls and one
-``argpartition``.  A finish is ``finish()``, which gathers the last
-survivors, unbinds the view and returns their path costs, numpy's
-``argmin`` over each message's row (its first minimum, or its first NaN),
-and ``backtrack(best)``, which chases the history from every message's
-best leaf to its message bits: one C call for the whole cohort.  The
-passes' leaf, child, cost and survivor buffers are allocated once per
-decoder and cohort size and reused by the cohort's later attempts.
+copied once), and ``run(d, B)`` is then the whole search: per spine
+position ``expand``, which gathers the subtrees the previous step
+selected (their states, path costs, history row and kept count) and
+hashes their children, and ``score``, which adds each leaf's cost to its
+children's branch costs over that position's slots, and at every pruning
+step the selection, the subtree minima and numpy's ``argpartition`` on
+the passes' own costs; then the last survivors' gather, after which it
+unbinds the view and returns their path costs.  A compiled search is one
+C call, whose selections reach numpy's own ``argpartition`` through
+numpy's C API; the numpy fallback runs the same steps as a Python loop.
+numpy's ``argmin`` over each message's row (its first minimum, or its
+first NaN) then picks the best leaf, and ``backtrack(best)`` chases the
+history from every message's best leaf to its message bits: one C call
+for the whole cohort.  The passes' leaf, child, cost and survivor
+buffers are allocated once per decoder and cohort size and reused by the
+cohort's later attempts.
 
 Messages never mix: branch costs keep the slot axis leading (the same
 reduction order for every row), and selection and the final argmin work
@@ -61,7 +62,6 @@ import numpy as np
 from repro.backend import ckernels, spinal_passes
 from repro.core.params import DecoderParams, SpinalParams
 from repro.core.symbols import BatchReceivedView, ReceivedSymbols
-from repro.obs import OBS, clock
 
 __all__ = ["BubbleDecoder", "BatchBubbleDecoder", "DecodeResult"]
 
@@ -139,45 +139,12 @@ class BubbleDecoder:
         """The bubble search over every message of ``received``."""
         if received.n_spine != self.n_spine:
             raise ValueError("received-symbol store has mismatched spine length")
-        d, M, B = self.d, received.n_rows, self.dec.B
+        M = received.n_rows
         passes = self._search_passes(M, received.has_csi)
-        # The view is checked and bound once; each step then passes only
-        # its spine position.
+        # The view is checked and bound once; the passes then run every
+        # step and gather the last survivors.
         passes.start(received)
-        expand, score, select = passes.expand, passes.score, passes.select
-        # Kernel timing accumulates in locals and flushes once at the end
-        # (repro.obs hot-loop discipline: disabled cost is one branch per
-        # step, no allocations).
-        _on = OBS.enabled
-        t_hash = t_bc = t_sel = 0.0
-
-        # One spine position per step.  The first d-1 steps expand the
-        # tree unpruned (the initial partial tree of Figure 4-1(a)); every
-        # later step prunes to B subtrees of W leaves each, which the next
-        # step's expand gathers from the children before hashing them.
-        for step in range(self.n_spine):
-            if _on:
-                t0 = clock()
-            expand(step)
-            if _on:
-                t1 = clock()
-            score(step)
-            if _on:
-                t2 = clock()
-                t_hash += t1 - t0
-                t_bc += t2 - t1
-            if step >= d - 1:
-                select(B)
-                if _on:
-                    t_sel += clock() - t2
-        if _on:
-            t0 = clock()
-        leaf_costs = passes.finish()
-        if _on:
-            OBS.add_time("kernel.hash", t_hash + clock() - t0, self.n_spine)
-            OBS.add_time("kernel.branch_cost", t_bc, self.n_spine)
-            OBS.add_time("kernel.select", t_sel, self.n_spine - d + 1)
-
+        leaf_costs = passes.run(self.d, self.dec.B)
         # Each message's best leaf (numpy's argmin: the first minimum, or
         # the first NaN), then the path to it, for every message at once.
         best = np.argmin(leaf_costs, axis=1)

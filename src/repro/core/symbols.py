@@ -11,9 +11,10 @@ plan (same spine indices and slots per subpass, e.g. a Monte-Carlo cohort
 over i.i.d. channels).  It is columnar: per spine position, preallocated
 slot columns shared by every message and ``(n_spine, M, capacity)`` value
 (and optional CSI) planes, plus a fill count.  ``add_block`` is a
-vectorised group-by-spine scatter (one ``argsort`` + one fancy assignment
-per block, no Python loop over symbols), and ``prefix`` hands out O(1)
-views of any row subset at any earlier fill state.  That is what lets a
+vectorised group-by-spine scatter (a stable ``argsort`` only for a block
+out of spine order, then one fancy assignment, no Python loop over
+symbols), and ``prefix`` hands out O(1) views of any row subset at any
+earlier fill state.  That is what lets a
 rateless session keep one incremental store across all of its decode
 attempts, and what the bubble decoder reads: :meth:`BatchReceivedView.planes`
 hands a search every position's ``(rows, slots)`` panel at once.
@@ -35,39 +36,31 @@ _INITIAL_CAPACITY = 4
 
 def _scatter_layout(
     spine_indices: np.ndarray, n_spine: int, counts: np.ndarray
-) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray]:
     """Column assignment for a block of incoming symbols.
 
-    Returns ``(order, rows, cols, uniq, cnt)``: storing symbol ``order[j]``
-    at ``[rows[j], cols[j]]`` appends every symbol to its spine position in
+    Returns ``(order, rows, cols, added)``: storing symbol ``order[j]`` at
+    ``[rows[j], cols[j]]`` appends every symbol to its spine position in
     arrival order (the stable sort keeps within-position order), after which
-    ``counts[uniq] += cnt`` advances the fill counts.  ``order`` is None
-    when the block is already in spine order — the common case, since
-    ``transmission_plan`` emits each subpass's positions ascending — so
-    callers can skip the gather entirely.
+    ``counts += added`` (the symbols per position) advances the fill counts.
+    ``order`` is None when the block is already in spine order — the
+    common case, since ``transmission_plan`` emits each subpass's positions
+    ascending — so callers can skip the gather entirely, and this skips
+    the sort: a block of a few dozen symbols costs a handful of small
+    numpy calls.
     """
-    arr = np.asarray(spine_indices, dtype=np.intp).ravel()
-    n = arr.size
-    if n == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return None, arr, empty, arr, empty
-    lo, hi = int(arr.min()), int(arr.max())
-    if lo < 0 or hi >= n_spine:
-        bad = lo if lo < 0 else hi
+    rows = np.asarray(spine_indices, dtype=np.intp).ravel()
+    order = None
+    if rows.size > 1 and np.diff(rows).min() < 0:
+        order = rows.argsort(kind="stable")
+        rows = rows[order]
+    if rows.size and (rows[0] < 0 or rows[-1] >= n_spine):
+        bad = rows[0] if rows[0] < 0 else rows[-1]
         raise IndexError(f"spine index {bad} out of range")
-    if np.all(arr[1:] >= arr[:-1]):
-        # Already grouped: group boundaries fall out of one diff.
-        order, rows = None, arr
-        start = np.concatenate(([0], np.flatnonzero(np.diff(arr)) + 1))
-        uniq = arr[start]
-        cnt = np.diff(np.concatenate((start, [n])))
-    else:
-        order = np.argsort(arr, kind="stable")
-        rows = arr[order]
-        uniq, start, cnt = np.unique(rows, return_index=True, return_counts=True)
-    offsets = np.arange(n, dtype=np.int64) - np.repeat(start, cnt)
-    cols = counts[rows] + offsets
-    return order, rows, cols, uniq, cnt
+    # rows ascend, so each symbol's first equal row (searchsorted's left
+    # insertion point) starts its position's run
+    cols = counts[rows] + (np.arange(rows.size) - rows.searchsorted(rows))
+    return order, rows, cols, np.bincount(rows, minlength=n_spine)
 
 
 def _grown(arr: np.ndarray, capacity: int) -> np.ndarray:
@@ -163,7 +156,7 @@ class BatchReceivedSymbols:
             raise ValueError("store already holds CSI; blocks must keep providing it")
         if spine_indices.size == 0:
             return
-        order, srows, cols, uniq, cnt = _scatter_layout(
+        order, srows, cols, added = _scatter_layout(
             spine_indices, self.n_spine, self._counts
         )
         self._ensure_capacity(int(cols.max()) + 1)
@@ -176,7 +169,7 @@ class BatchReceivedSymbols:
             if order is not None:
                 csi = csi[:, order]
             self._csi[srows[None, :], rows_idx[:, None], cols[None, :]] = csi
-        self._counts[uniq] += cnt
+        self._counts += added
 
     def checkpoint(self) -> np.ndarray:
         """Snapshot of the per-spine fill counts (give to :meth:`prefix`)."""

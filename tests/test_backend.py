@@ -57,8 +57,9 @@ from reference_decoder import reference_decode
 #: classes, and the passes of a bubble search by ``Class.method``.
 _COMPILED_ENTRY_POINTS = ("spine_hash", "spine_chain", "SpinalPasses.expand",
                           "SpinalPasses.score", "SpinalPasses.finish",
-                          "SpinalPasses.backtrack", "BcjrDecoder.decode",
-                          "BpPasses", "lt_draw", "choice_draw")
+                          "SpinalPasses.run", "SpinalPasses.backtrack",
+                          "BcjrDecoder.decode", "BpPasses", "lt_draw",
+                          "choice_draw")
 
 
 def _owner(name):
@@ -636,7 +637,12 @@ class TestCompiledStep:
         exactly ``argpartition``'s choice along each message's row of
         subtree minima (every subtree, in order, when they fit), and
         ``finish`` returns the same survivors' costs, and leaves the same
-        history and kept counts, on both."""
+        history and kept counts, on both.  Then the same search runs again
+        as one ``run(d, n_beam)`` on each, from the same sentinel buffers:
+        ``SpinalPasses.run`` (one C call, numpy's argpartition through its
+        C API) and ``_NumpyPasses.run`` (the Python step loop) leave every
+        buffer as the steps did, return the same leaf costs and backtrack
+        to the same bits."""
         if ckernels.load() is None:
             pytest.skip("compiled kernels unavailable here")
         rng = np.random.default_rng(seed)
@@ -663,14 +669,18 @@ class TestCompiledStep:
                       n_steps=n_steps, s0=int(rng.integers(0, 2**32)))
         both = (ckernels.SpinalPasses(ckernels.load(), hash_name, **search),
                 _NumpyPasses(hash_name, **search))
-        # the buffers start equal, so a stray write shows as a difference
-        for p in both:
-            p.states[:] = 7
-            p.costs[:] = -3.0
-            p.children[:] = 9
-            p.totals[:] = -4.0
-            p.history[:] = -5
-            p.kept[:] = -6
+        def sentinels():
+            """The buffers start equal, so a stray write shows as a
+            difference."""
+            for p in both:
+                p.states[:] = 7
+                p.costs[:] = -3.0
+                p.children[:] = 9
+                p.totals[:] = -4.0
+                p.history[:] = -5
+                p.kept[:] = -6
+
+        sentinels()
 
         def same(a, b, nan_free=False):
             if nan_free:
@@ -720,6 +730,27 @@ class TestCompiledStep:
             kept = [p.history[row, :, :n_keep] for row, n_keep in
                     enumerate(p.kept[:len(chosen)].tolist())]
             assert [a.tolist() for a in kept] == [a.tolist() for a in chosen]
+
+        best = np.argmin(final[1], axis=1)
+        stepped = {name: getattr(both[1], name).copy() for name in (
+            "states", "children", "history", "kept", "costs", "totals")}
+        stepped_bits = both[1].backtrack(best)
+        assert both[0].backtrack(best).tobytes() == stepped_bits.tobytes()
+        sentinels()
+        with deadline(30), np.errstate(all="ignore"):
+            ran = []
+            for p in both:
+                p.start(view)
+                ran.append(p.run(d, n_beam))
+        agree()
+        for name, want in stepped.items():
+            same(getattr(both[0], name), want,
+                 nan_free=name in ("costs", "totals"))
+        same(ran[0], ran[1], nan_free=True)
+        assert ran[0].shape == (n_msgs, n_leaves)
+        for p, leaf_costs in zip(both, ran):
+            bits = p.backtrack(np.argmin(leaf_costs, axis=1))
+            assert bits.tobytes() == stepped_bits.tobytes()
 
 
 def _loop_backtrack(leaf_costs, kept_hist, k, d):
@@ -839,6 +870,223 @@ class TestBacktrack:
             assert _same_cost(a_cost, b_cost)
 
 
+def _run_case(path, *, d=1, n_beam=3, n_msgs=2, k=2, n_spine=6, seed=31):
+    """Passes on ``path`` (``numpy`` or ``compiled``) for an AWGN search of
+    ``n_msgs`` messages over ``n_spine`` positions, and a view of a store
+    with a punctured position and values on the constellation levels, so
+    rows of subtree costs tie."""
+    rng = np.random.default_rng(seed)
+    params = SpinalParams(k=k, c=1)
+    levels = params.make_mapping().levels
+    store = BatchReceivedSymbols(n_spine, n_msgs)
+    spine = np.repeat(np.arange(1, n_spine), 2)
+    values = (rng.choice(levels, (n_msgs, spine.size))
+              + 1j * rng.choice(levels, (n_msgs, spine.size)))
+    store.add_block(spine, rng.integers(0, 2**32, size=spine.size,
+                                        dtype=np.uint32), values)
+    search = dict(levels=np.ascontiguousarray(levels), c=params.c,
+                  is_bsc=False, has_csi=False, k=k, n_msgs=n_msgs,
+                  beam=n_beam, group=(1 << k) ** (d - 1),
+                  n_steps=n_spine - d + 1, s0=params.s0)
+    passes = (ckernels.SpinalPasses(ckernels.load(), params.hash_name,
+                                    **search)
+              if path == "compiled" else
+              _NumpyPasses(params.hash_name, **search))
+    return passes, store.prefix(np.arange(n_msgs), store.checkpoint())
+
+
+def _run_result(passes, view, d, n_beam):
+    """Bits, leaf costs, and the history rows and kept counts written by
+    one ``run``."""
+    passes.start(view)
+    leaf_costs = passes.run(d, n_beam).copy()
+    bits = passes.backtrack(np.argmin(leaf_costs, axis=1))
+    kept = passes.kept.tolist()
+    return (bits.tobytes(), leaf_costs.tobytes(), kept,
+            [passes.history[row, :, :n].tolist()
+             for row, n in enumerate(kept)])
+
+
+class TestRun:
+    """``run``, the whole search in one call: one C call on
+    :class:`ckernels.SpinalPasses`, the Python step loop on
+    ``_NumpyPasses``.  Both refuse the same searches, flush the same
+    kernel timers, and the compiled one holds no selection past a call."""
+
+    @pytest.mark.parametrize("path", ["numpy", "compiled"])
+    @pytest.mark.parametrize("refusal", [
+        "no start", "twice", "after a step", "d 0", "d past the spine",
+        "no beam", "unpruned past one subtree"])
+    def test_refused_run_raises_and_serves_the_next_start(self, path,
+                                                          refusal):
+        """A refused ``run`` raises ``ValueError`` and unbinds the view;
+        the passes then serve the next ``start`` with the search a fresh
+        passes runs."""
+        if path not in _paths():
+            pytest.skip("compiled kernels unavailable here")
+        d, n_beam = 2, 3
+        passes, view = _run_case(path, d=d, n_beam=n_beam)
+        fresh, _ = _run_case(path, d=d, n_beam=n_beam)
+        with deadline(30), np.errstate(all="ignore"):
+            want = _run_result(fresh, view, d, n_beam)
+            if refusal != "no start":
+                passes.start(view)
+            if refusal == "twice":
+                passes.run(d, n_beam)
+            elif refusal == "after a step":
+                passes.expand(0)
+                passes.score(0)
+                passes.expand(1)
+            bad = {"d 0": (0, n_beam), "d past the spine": (7, n_beam),
+                   "no beam": (d, 0),
+                   "unpruned past one subtree": (3, n_beam)}
+            with pytest.raises(ValueError):
+                passes.run(*bad.get(refusal, (d, n_beam)))
+            assert passes._view is None and passes._sel is None
+            with pytest.raises(ValueError):
+                passes.backtrack(np.zeros(2, dtype=np.int64))
+            assert _run_result(passes, view, d, n_beam) == want
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_run_flushes_the_kernel_timers_once_a_search(self, d):
+        """With ``repro.obs`` on, each search adds its passes' time to
+        ``kernel.hash``, ``kernel.branch_cost`` and ``kernel.select``,
+        counted per spine position and per pruning step, on both paths."""
+        from repro.obs import OBS
+
+        for path in _paths():
+            passes, view = _run_case(path, d=d, n_spine=6)
+            OBS.disable()
+            OBS.reset()
+            OBS.enable()
+            try:
+                with deadline(30):
+                    for _ in range(3):
+                        passes.start(view)
+                        passes.run(d, 3)
+                timers = OBS.snapshot()["timers"]
+            finally:
+                OBS.disable()
+                OBS.reset()
+            for name, n in (("kernel.hash", 6), ("kernel.branch_cost", 6),
+                            ("kernel.select", 7 - d)):
+                assert timers[name]["n"] == 3 * n, (path, name)
+                assert timers[name]["total_s"] > 0.0, (path, name)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_two_thousand_runs_leak_no_selections(self, d):
+        """Every selection ``spinal_run`` makes is an ndarray (with the
+        array objects wrapping the passes' buffers around it); all of them
+        are released inside the call, so 2,000 searches leave the traced
+        memory where it was."""
+        if ckernels.load() is None:
+            pytest.skip("compiled kernels unavailable here")
+        import tracemalloc
+
+        passes, view = _run_case("compiled", d=d, n_spine=8, n_beam=2)
+        with deadline(120), np.errstate(all="ignore"):
+            for _ in range(50):
+                passes.start(view)
+                passes.run(d, 2)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                for _ in range(2000):
+                    passes.start(view)
+                    passes.run(d, 2)
+                gc.collect()
+                grown = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+        # one kept selection a search would be over 100 bytes each
+        assert grown < 20_000, grown
+
+
+#: One ``SpinalPasses.run`` against ``_NumpyPasses.run`` (the Python step
+#: loop, whose selections are ``ndarray.argpartition`` calls) over searches
+#: with tied subtree costs, in a fresh interpreter: numpy picks its SIMD
+#: loops at import, so ``baseline`` runs with every dispatch target this
+#: CPU supports disabled.  argv: the dispatch level, the kernel cache.
+_RUN_DISPATCH = """
+import sys
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+from repro.backend import _NumpyPasses, ckernels
+from repro.core.params import SpinalParams
+from repro.core.symbols import BatchReceivedSymbols
+if sys.argv[1] == "baseline":
+    on = [k for k in __cpu_dispatch__ if __cpu_features__.get(k)]
+    assert not on, on
+ckernels.CACHE_ROOT = sys.argv[2]
+module = ckernels.load()
+assert module is not None
+rng = np.random.default_rng(3)
+for case in range(24):
+    k, d, n_msgs = 1 + case % 4, 1 + case % 2, 1 + case % 3
+    bsc = case % 3 == 2
+    n_spine, n_beam = 12, (4, 16, 64)[case % 3]
+    params = SpinalParams.bsc(k=k) if bsc else SpinalParams(k=k, c=1)
+    levels = np.ascontiguousarray(params.make_mapping().levels)
+    store = BatchReceivedSymbols(n_spine, n_msgs, complex_valued=not bsc)
+    spine = np.sort(rng.integers(0, n_spine, size=2 * n_spine))
+    spine = spine[spine % 5 != 3]
+    values = (rng.integers(0, 2, size=(n_msgs, spine.size)).astype(float)
+              if bsc else rng.choice(levels, (n_msgs, spine.size))
+              + 1j * rng.choice(levels, (n_msgs, spine.size)))
+    store.add_block(spine, rng.integers(0, 2**32, size=spine.size,
+                                        dtype=np.uint32), values)
+    view = store.prefix(np.arange(n_msgs), store.checkpoint())
+    n_steps = n_spine - d + 1
+    search = dict(levels=levels, c=params.c, is_bsc=bsc, has_csi=False,
+                  k=k, n_msgs=n_msgs,
+                  beam=min(n_beam, (1 << k) ** n_steps),
+                  group=(1 << k) ** (d - 1), n_steps=n_steps, s0=params.s0)
+    got = []
+    for passes in (ckernels.SpinalPasses(module, params.hash_name, **search),
+                   _NumpyPasses(params.hash_name, **search)):
+        passes.start(view)
+        leaf_costs = passes.run(d, n_beam).copy()
+        bits = passes.backtrack(np.argmin(leaf_costs, axis=1))
+        kept = passes.kept.tolist()
+        got.append((kept, [passes.history[row, :, :n].tolist()
+                           for row, n in enumerate(kept)],
+                    leaf_costs.tobytes(), bits.tobytes()))
+    assert got[0] == got[1], case
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("dispatch", ["native", "baseline"])
+def test_run_selects_as_ndarray_argpartition_at_each_dispatch(dispatch):
+    """``spinal_run`` selects by numpy's own argpartition through numpy's C
+    API, so at every CPU dispatch level its selections are those of the
+    Python loop calling ``ndarray.argpartition`` in that interpreter, tied
+    costs included (which differ between levels)."""
+    if ckernels.load() is None:
+        pytest.skip("compiled kernels unavailable here")
+    import subprocess
+    import sys
+
+    from numpy._core._multiarray_umath import (
+        __cpu_dispatch__, __cpu_features__)
+    import repro
+
+    env = {k: v for k, v in os.environ.items()
+           if k != "NPY_DISABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+    if dispatch == "baseline":
+        env["NPY_DISABLE_CPU_FEATURES"] = " ".join(
+            k for k in __cpu_dispatch__ if __cpu_features__.get(k))
+    with deadline(150):
+        proc = subprocess.run(
+            [sys.executable, "-c", _RUN_DISPATCH, dispatch,
+             ckernels.CACHE_ROOT], env=env, capture_output=True, text=True,
+            timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
+
+
 # ---------------------------------------------------------------------------
 # the one backend: its name and get_hash
 # ---------------------------------------------------------------------------
@@ -942,10 +1190,10 @@ class TestCrossBackendDecode:
                 for ref, one, row in zip(refs, rows, cohort):
                     self._assert_equal_results(ref, row)
                     self._assert_equal_results(ref, dec.decode(one))
-            # both passes of every step and the backtrack ran compiled,
-            # and none on numpy
+            # the whole search and the backtrack ran compiled, and none on
+            # numpy
             if path == "compiled":
-                assert {"expand", "score", "finish", "backtrack"} <= set(calls)
+                assert {"run", "backtrack"} <= set(calls)
             else:
                 assert calls == []
 

@@ -22,7 +22,11 @@ from repro.channels import AWGNChannel, BSCChannel, RayleighBlockFadingChannel
 from repro.core.decoder import BatchBubbleDecoder, BubbleDecoder
 from repro.core.encoder import BatchSpinalEncoder, SpinalEncoder
 from repro.core.params import DecoderParams, SpinalParams
-from repro.core.symbols import BatchReceivedSymbols, ReceivedSymbols
+from repro.core.symbols import (
+    BatchReceivedSymbols,
+    ReceivedSymbols,
+    _scatter_layout,
+)
 from repro.simulation import (
     BatchSession,
     SpinalScheme,
@@ -521,6 +525,22 @@ class TestIncrementalStoreSession:
             assert a.n_symbols_used == b.n_symbols_used == fresh.n_symbols
 
 
+def _argsort_layout(spine_indices, counts):
+    """The store's scatter layout of a block as its general path computes
+    it, every block stably sorted (before ascending blocks skipped the
+    sort), kept as an oracle: ``(order, rows, cols, added)`` as
+    :func:`repro.core.symbols._scatter_layout` returns them."""
+    arr = np.asarray(spine_indices, dtype=np.intp).ravel()
+    order = np.argsort(arr, kind="stable")
+    rows = arr[order]
+    uniq, start, cnt = np.unique(rows, return_index=True,
+                                 return_counts=True)
+    cols = counts[rows] + np.arange(arr.size) - np.repeat(start, cnt)
+    added = np.zeros_like(counts)
+    added[uniq] = cnt
+    return order, rows, cols, added
+
+
 class TestColumnarStore:
     def test_scatter_preserves_arrival_order(self):
         """Multi-subpass blocks with repeated spine positions keep per-spine
@@ -541,6 +561,46 @@ class TestColumnarStore:
         assert slots3.tolist() == [0, 1]
         assert values3.tolist() == [3.0, 4.0]
         assert store.n_symbols == 7
+
+    @given(n_spine=st.integers(1, 12),
+           kind=st.sampled_from(["sorted", "unsorted", "one position",
+                                 "single", "empty"]),
+           data=st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_scatter_layout_matches_the_general_path(self, n_spine, kind,
+                                                     data):
+        """The layout of a block, whether its positions ascend (no sort)
+        or not, is the general path's: every block stably sorted, each
+        symbol's column its position's fill count plus its rank among the
+        block's symbols there (:func:`_argsort_layout`).  Blocks ascend or
+        not, repeat positions, hold one symbol or none."""
+        size = {"single": 1, "empty": 0}.get(kind)
+        positions = st.integers(0, n_spine - 1)
+        if kind == "one position":
+            block = [data.draw(positions)] * data.draw(st.integers(1, 9))
+        else:
+            block = data.draw(st.lists(
+                positions, min_size=size if size is not None else 2,
+                max_size=size if size is not None else 40))
+        if kind == "sorted":
+            block.sort()
+        counts = np.array(data.draw(st.lists(
+            st.integers(0, 6), min_size=n_spine, max_size=n_spine)),
+            dtype=np.int64)
+        order, rows, cols, added = _scatter_layout(
+            np.array(block, dtype=np.int64), n_spine, counts.copy())
+        want_order, want_rows, want_cols, want_added = _argsort_layout(
+            block, counts)
+        if order is None:
+            assert block == sorted(block)
+            order = np.arange(len(block))
+        assert order.tolist() == want_order.tolist()
+        assert rows.tolist() == want_rows.tolist()
+        assert cols.tolist() == want_cols.tolist()
+        assert added.tolist() == want_added.tolist()
+        for bad in (-1, n_spine):
+            with pytest.raises(IndexError):
+                _scatter_layout(np.array(block + [bad]), n_spine, counts)
 
     def test_store_validation_errors(self):
         store = ReceivedSymbols(2)

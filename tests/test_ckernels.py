@@ -49,6 +49,13 @@ def _require_compiler():
         pytest.skip("compiled kernels unavailable here")
 
 
+def _without_probes(names):
+    """A cache directory's file names without the compiler-probe records
+    (``probe-*.txt``, see ``ckernels._probe_record``)."""
+    return [n for n in names
+            if not (n.startswith("probe-") and n.endswith(".txt"))]
+
+
 def test_failing_build_warns_once_and_falls_back(tmp_path, monkeypatch):
     case = _bcjr_case()
     want = max_log_bcjr(*case)
@@ -65,8 +72,10 @@ def test_failing_build_warns_once_and_falls_back(tmp_path, monkeypatch):
     for got in (first, second):
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
-    # nothing half-built is left behind: only the lock file
-    assert os.listdir(tmp_path) == [ckernels._module_name() + ".lock"]
+    # nothing half-built is left behind: only the lock file (beside the
+    # records of the compiler's answers to the flag probes)
+    assert _without_probes(os.listdir(tmp_path)) == [
+        ckernels._module_name() + ".lock"]
 
 
 def test_any_build_error_falls_back(tmp_path, monkeypatch):
@@ -138,9 +147,76 @@ def test_two_processes_share_a_cold_cache(tmp_path):
         assert out.strip() == ckernels.module_path(root)
     # one module, its digest and its lock; no temporary build directory
     module_file = os.path.basename(ckernels.module_path(root))
-    assert sorted(os.listdir(root)) == sorted([
+    assert sorted(_without_probes(os.listdir(root))) == sorted([
         ckernels._module_name() + ".lock", module_file,
         module_file + ".sha256"])
+
+
+def _forget_probes():
+    """Drop this process's memory of the compiler's answers, as a new
+    process starts."""
+    ckernels._native_target.cache_clear()
+    ckernels._accepts.cache_clear()
+
+
+def test_warm_cache_starts_no_compiler(monkeypatch):
+    """Once a cache holds the module and the compiler's answers to the
+    flag probes, a new process loads the kernels without running the
+    compiler (no ``-march=native -###``, no gather probe)."""
+    _require_compiler()
+    with deadline(60):
+        _forget_probes()
+        flags = ckernels._build_flags()
+        _forget_probes()
+
+        def no_compiler(*args, **kwargs):
+            raise AssertionError(f"a compiler ran: {args}")
+
+        monkeypatch.setattr(subprocess, "run", no_compiler)
+        monkeypatch.setattr(ckernels, "_tried", False)
+        monkeypatch.setattr(ckernels, "_module", None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            module = ckernels.load()
+        assert ckernels._build_flags() == flags
+    _forget_probes()
+    assert module is not None
+    assert module.__file__ == ckernels.module_path(ckernels.CACHE_ROOT)
+
+
+def test_replaced_compiler_is_probed_again(tmp_path, monkeypatch):
+    """The probe records are keyed by the compiler's path and modification
+    time: a second process asks nothing, but once the compiler file
+    changes every probe runs again, with the same answers here."""
+    _require_compiler()
+    log = tmp_path / "cc.log"
+    wrapper = tmp_path / "cc"
+    wrapper.write_text(
+        "#!/bin/sh\n"
+        f'echo "$@" >> {log}\n'
+        f'exec {" ".join(ckernels._compiler())} "$@"\n')
+    wrapper.chmod(0o755)
+    monkeypatch.setattr(ckernels, "CACHE_ROOT", str(tmp_path / "cache"))
+    monkeypatch.setenv("CC", str(wrapper))
+
+    def resolve():
+        """The flags a new process resolves, and the compiler runs it
+        took."""
+        _forget_probes()
+        before = len(log.read_text().splitlines()) if log.exists() else 0
+        flags = ckernels._build_flags()
+        return flags, len(log.read_text().splitlines()) - before
+
+    with deadline(60):
+        first, n_first = resolve()
+        again, n_again = resolve()
+        stat = wrapper.stat()
+        os.utime(wrapper, ns=(stat.st_atime_ns,
+                              stat.st_mtime_ns + 10**9))
+        replaced, n_replaced = resolve()
+    _forget_probes()
+    assert n_first >= 1 and n_again == 0 and n_replaced == n_first
+    assert first == again == replaced
 
 
 def _spinal_call():
@@ -159,8 +235,8 @@ def _reached_c(*args):
 _FAKE = SimpleNamespace(ffi=None, lib=SimpleNamespace(
     spine_hash=_reached_c, lt_draw=_reached_c, choice_draw=_reached_c,
     spinal_expand=_reached_c, spinal_score=_reached_c,
-    spinal_gather=_reached_c, spinal_backtrack=_reached_c,
-    spine_chain=_reached_c))
+    spinal_gather=_reached_c, spinal_run=_reached_c,
+    spinal_backtrack=_reached_c, spine_chain=_reached_c))
 
 
 def _fake_module():
@@ -916,10 +992,9 @@ def test_store_bytes_match_on_both_recursions(tmp_path, monkeypatch):
                 spinal))
     assert {p.kind for p in spec.points} == {"measure", "link"}
     assert any(p.channel.kind == "rayleigh" for p in spinal)
-    # the bubble search enters the kernels through its step passes and
-    # its backtrack, the encoders through the spine chain and the hash
-    calls = {"BcjrDecoder.decode": 0, "SpinalPasses.expand": 0,
-             "SpinalPasses.score": 0, "SpinalPasses.finish": 0,
+    # the bubble search enters the kernels through its run and its
+    # backtrack, the encoders through the spine chain and the hash
+    calls = {"BcjrDecoder.decode": 0, "SpinalPasses.run": 0,
              "SpinalPasses.backtrack": 0, "spine_hash": 0, "spine_chain": 0,
              "BpPasses": 0, "lt_draw": 0, "choice_draw": 0}
 
