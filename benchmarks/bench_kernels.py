@@ -3,33 +3,28 @@
 The bubble decoder spends its time in three kernels — the spine hash, the
 branch-cost evaluation, and beam selection — and ``repro.obs`` now reports
 their live shares per run (``--metrics``).  This suite tracks the hash and
-the branch costs in isolation, and the whole search step, with
-pytest-benchmark so a regression is attributable to one kernel, not just
-"decode got slower":
+the branch costs in isolation, and whole searches, with pytest-benchmark
+so a regression is attributable to one kernel, not just "decode got
+slower":
 
 - ``hash``: every registered spine hash (:func:`repro.core.hashes.
   available_hashes`) over beam-sized and cohort-sized uint32 state arrays,
   the element counts the tree expansion hashes each step, and at the
   branch-cost broadcast ``(n_slots, 1) x (1, n_states)``;
-- ``branch_cost``: the ``score`` pass of :func:`repro.backend.
-  spinal_passes` — the fused hash and distance arithmetic over all
-  received symbols of one spine position, plus each parent's cost — over
-  ``B=256`` leaves of ``2^4`` children a message, on a one-message view
-  of a store for the paper's AWGN code, the rate-1/3 BSC code and a
-  fading store with per-symbol CSI, and on the ``spinal_awgn`` cohort
-  shape of three messages;
-- ``step``: one whole bubble-search step as the decoder runs it — the
-  ``expand``, ``score`` and ``select`` of :func:`repro.backend.
-  spinal_passes` (the gather of the previous step's survivors and the
-  hash, the branch costs read in place from a store, the subtree
-  ``argpartition``) — at ``B=256``, ``k=4`` and two messages; selection
-  is timed here, as the decoder runs it;
+- ``branch_cost``: the score pass of a bubble search — the fused hash
+  and distance arithmetic over all received symbols of one spine
+  position, plus each parent's cost — over ``B=256`` leaves of ``2^4``
+  children a message, on a one-message view of a store for the paper's
+  AWGN code, the rate-1/3 BSC code and a fading store with per-symbol
+  CSI, and on the ``spinal_awgn`` cohort shape of three messages: the
+  kernel module's ``spinal_score`` on the compiled path, the private
+  score pass of ``repro.backend._NumpyPasses`` on the numpy one;
 - ``search``: one whole bubble search through ``BatchBubbleDecoder.
   decode_batch`` at ``link_arq``'s shape (one 512-bit message, ``B=64``)
   and at ``spinal_awgn``'s cohort shape (two 1024-bit messages,
-  ``B=256``), ``k=4``: ``start``, ``run`` (every step and the last
-  gather, one C call on the compiled path), the ``argmin`` and the
-  backtrack;
+  ``B=256``), ``k=4``: the passes' ``search`` (every step, selection
+  included, and the last gather, one C call on the compiled path, then
+  the ``argmin`` and the backtrack);
 - ``spine``: the encoder's spine chain,
   :func:`repro.core.spine.spine_states_batch`, at ``n=512`` with one
   message and ``n=1024`` with three (one C call on the compiled path);
@@ -62,7 +57,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro.backend import ckernels, spinal_passes
+from repro.backend import _NumpyPasses, ckernels
 from repro.channels import AWGNChannel, BSCChannel
 from repro.core.decoder import BatchBubbleDecoder
 from repro.core.encoder import BatchSpinalEncoder, SpinalEncoder
@@ -212,29 +207,34 @@ def test_hash_kernel_outer(benchmark, kernel_records, hash_name, backend):
 N_BEAM = 256
 
 
-def _scoring_passes(params, view):
-    """The passes of a search over ``view`` at ``B=256``, holding 256
-    leaves a message with their ``2^k`` children hashed, ready to
-    ``score`` at spine position 1."""
-    passes = spinal_passes(
-        params.hash_name, levels=params.make_mapping().levels, c=params.c,
-        is_bsc=params.is_bsc, has_csi=view.has_csi, k=params.k,
-        n_msgs=view.n_rows, beam=N_BEAM, group=1, n_steps=2, s0=params.s0)
-    passes.start(view)
-    # 1 leaf a message, then 16, then 256
-    for step in (0, 1):
-        passes.expand(step)
-        passes.score(1)
-        passes.select(N_BEAM)
-    passes.expand(1)
-    return passes
-
-
 def _bench_score(benchmark, params, view):
-    """Time ``score`` at spine position 1 of ``view``; return the scored
-    path costs, ``(n_rows, BEAM)``."""
-    passes = _scoring_passes(params, view)
-    benchmark(passes.score, 1)
+    """Time the score pass at spine position 1 of ``view`` over ``B=256``
+    random leaves a message at cost 0, their ``2^k`` children hashed:
+    ``spinal_score`` on the compiled passes' struct, or
+    ``_NumpyPasses._score``.  Returns the scored path costs, ``(n_rows,
+    BEAM)``."""
+    search = dict(levels=params.make_mapping().levels, c=params.c,
+                  is_bsc=params.is_bsc, has_csi=view.has_csi, k=params.k,
+                  n_msgs=view.n_rows, beam=N_BEAM, group=1, n_steps=2,
+                  s0=params.s0)
+    kernels = ckernels.load()
+    passes = (_NumpyPasses(params.hash_name, **search) if kernels is None
+              else ckernels.SpinalPasses(kernels, params.hash_name,
+                                         **search))
+    passes._bind(*ckernels._check_planes(view, view.n_rows, params.is_bsc,
+                                         view.has_csi))
+    n = view.n_rows * N_BEAM
+    passes.states[:n] = np.random.default_rng(15).integers(
+        0, 2**32, size=n, dtype=np.uint32)
+    passes.costs[:n] = 0.0
+    if kernels is None:
+        passes._n_leaves = N_BEAM
+        passes._expand(0)
+        benchmark(passes._score, 1)
+    else:
+        passes._ctx.n_leaves = N_BEAM
+        assert kernels.lib.spinal_expand(passes._ctx, 0) == 0
+        benchmark(kernels.lib.spinal_score, passes._ctx, 1)
     return passes.totals[:view.n_rows * BEAM].reshape(view.n_rows, BEAM)
 
 
@@ -317,59 +317,6 @@ def test_branch_cost_kernel_cohort(benchmark, kernel_records, backend):
 
 
 # ---------------------------------------------------------------------------
-# one whole bubble-search step
-# ---------------------------------------------------------------------------
-
-#: Timed rounds of the search-step benchmark; the passes keep one history
-#: row per round.
-STEP_ROUNDS = 1000
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_search_step(benchmark, kernel_records, backend):
-    """One step of the bubble search at the paper's AWGN code: 2 messages
-    of B=256 surviving leaves, 2^4 children each, 8 received passes read
-    in place from a store.  A round is a step as the decoder runs it:
-    ``expand`` gathers the survivors the last round's ``select`` chose and
-    hashes their children, ``score`` costs them at spine position 1, and
-    ``select`` keeps the cheapest B subtrees of each message, so each
-    round continues the search from the last."""
-    params = SpinalParams()
-    n_msgs, n_beam, k = 2, 256, params.k
-    rng = np.random.default_rng(13)
-    store = BatchReceivedSymbols(2, n_msgs)
-    store.add_block(np.ones(OUTER_SLOTS, dtype=np.intp),
-                    np.arange(OUTER_SLOTS, dtype=np.uint32),
-                    rng.normal(size=(n_msgs, OUTER_SLOTS))
-                    + 1j * rng.normal(size=(n_msgs, OUTER_SLOTS)))
-    view = store.prefix(np.arange(n_msgs), store.checkpoint())
-    with _active(backend):
-        passes = spinal_passes(
-            params.hash_name, levels=params.make_mapping().levels,
-            c=params.c, is_bsc=False, has_csi=False, k=k, n_msgs=n_msgs,
-            beam=n_beam, group=1, n_steps=STEP_ROUNDS + 3, s0=params.s0)
-        passes.start(view)
-        # 1 leaf a message, then 16, then 256 and a pending selection
-        for step in (0, 1):
-            passes.expand(step)
-            passes.score(1)
-            passes.select(n_beam)
-
-        def one_step():
-            passes.expand(1)
-            passes.score(1)
-            passes.select(n_beam)
-
-        benchmark.pedantic(one_step, rounds=STEP_ROUNDS, warmup_rounds=1)
-        leaf_costs = passes.finish()
-    assert leaf_costs.shape == (n_msgs, n_beam)
-    _record(kernel_records, benchmark, "step",
-            f"awgn_k4_B{n_beam}_M{n_msgs}{_suffix(backend)}",
-            config="awgn_k4_c6", n_msgs=n_msgs, n_beam=n_beam,
-            n_slots=OUTER_SLOTS, backend=backend)
-
-
-# ---------------------------------------------------------------------------
 # one whole bubble search, at link_arq's and spinal_awgn's shapes
 # ---------------------------------------------------------------------------
 
@@ -397,9 +344,10 @@ def _filled_cohort(params, n_bits, n_msgs, x, n_subpasses=4, seed=99):
 @pytest.mark.parametrize("shape", sorted(SEARCH_SHAPES))
 def test_whole_search(benchmark, kernel_records, shape, backend):
     """One ``BatchBubbleDecoder.decode_batch`` from 4 noisy subpasses at 8
-    dB, as the workload ``shape`` runs one decode attempt: ``start``, the
-    whole search (``run``: one C call on the compiled path, the Python
-    step loop on the numpy one), the ``argmin`` and the backtrack."""
+    dB, as the workload ``shape`` runs one decode attempt: the passes'
+    ``search`` (one C call for the search on the compiled path, the
+    Python step loop on the numpy one, then the ``argmin`` and the
+    backtrack)."""
     params = SpinalParams()
     n_bits, n_beam, n_msgs = SEARCH_SHAPES[shape]
     view = _filled_cohort(params, n_bits, n_msgs, 8.0)

@@ -9,20 +9,19 @@ or search call of a process, never at import or decoder construction),
 and on the numpy reference hashes otherwise; a whole spine is one C call
 (``ckernels.spine_chain``, which :func:`repro.core.spine.
 spine_states_batch` takes for the hashes :func:`hash_kernel` returns).
-The bubble search runs on the passes of :func:`spinal_passes`, which
-check and bind the received view once per search (``start``), then run
-the whole search (``run(d, B)``): per spine position ``expand`` (the
-gather of the subtrees the previous step kept, then the tree-expansion
-hash) and ``score`` (the fused branch costs plus each parent's cost),
-and at every pruning step the selection, numpy's ``argpartition``, then
-the last gather.  Compiled, a search is one C call, whose selections call
-numpy's own ``argpartition`` through numpy's C API; in numpy, ``run`` is
-the Python loop over the same steps (``expand``, ``score``, ``select``
-and ``finish``, which the compiled passes also offer one at a time).
-``backtrack`` then turns each message's best leaf (numpy's ``argmin``,
-on both paths) into its message bits.  The passes are the one way to
-score, select and backtrack spinal candidates: compiled as
-:class:`ckernels.SpinalPasses`, in numpy as :class:`_NumpyPasses`.
+The bubble search runs on the passes of :func:`spinal_passes`, whose
+one call, ``search(received, d, B)``, checks and binds the received view,
+runs the whole search (per spine position the gather of the subtrees the
+previous step kept, the tree-expansion hash and the fused branch costs
+plus each parent's cost, and at every pruning step the selection by
+numpy's ``argpartition``), picks each message's best leaf by numpy's
+``argmin`` and backtracks to its bits.  Compiled, the search is one C
+call, whose selections call numpy's own ``argpartition`` through numpy's
+C API, and the backtrack another; in numpy, the search is a Python loop
+over the same steps and the backtrack a loop over the history rows.  The
+passes are the one way to score, select and backtrack spinal candidates:
+compiled as :class:`ckernels.SpinalPasses`, in numpy as
+:class:`_NumpyPasses`.
 
 The contract is **bit-identical output**: the compiled passes reproduce
 the numpy ones exactly, which are the fallback and the test oracle —
@@ -41,15 +40,15 @@ files on both paths are the end-to-end corollary.
 numpy reference's bit for bit, whichever path ran.
 
 Observability follows the decode hot-loop discipline (see ``repro.obs``).
-The bubble search times each step's ``expand`` pass, survivor gather
-included, and the last survivors' gather as ``kernel.hash``, its
-``score`` pass, whose fused loop cannot time its hashing apart, as
-``kernel.branch_cost``, and the selection (the subtree minima and
-``argpartition``) as ``kernel.select``, on both paths (the compiled run
-times its passes in C), and ``run`` flushes them once per search.  The
-``argmin`` and the backtrack after it are not kernel time: they stay in
-the decoder's own (``BubbleDecoder.decode``'s or ``decode_batch``'s)
-time, as does the encoder's spine chain in the encoder's.
+A search times its tree expansions, survivor gathers included, as
+``kernel.hash``, its branch costs, whose fused loop cannot time its
+hashing apart, as ``kernel.branch_cost``, and its selections (the
+subtree minima and ``argpartition``) as ``kernel.select``, on both paths
+(the compiled search times its passes in C), and flushes them once per
+search.  The ``argmin`` and the backtrack after it are not kernel time:
+they stay in the decoder's own (``BubbleDecoder.decode``'s or
+``decode_batch``'s) time, as does the encoder's spine chain in the
+encoder's.
 
 :mod:`repro.core.hashes` imports this package, so the reference hashes
 it defines are bound lazily, on first use.
@@ -59,12 +58,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
 from repro.backend import ckernels
+from repro.obs import OBS, clock
 from repro.utils.bitops import pack_chunks
 
 __all__ = [
@@ -136,13 +135,16 @@ def hash_kernel(name: str) -> HashFn:
 
 class _NumpyPasses(ckernels._Passes):
     """The numpy bubble search that :class:`ckernels.SpinalPasses`
-    reproduces bit for bit, with the same interface and checks: the
-    survivors' gathers by ``take``, the tree-expansion hash, the numpy
-    branch costs of :func:`_distances` and ``leaf + bc``, each step
-    reading its panel from the planes :meth:`start` bound, the search as
-    :meth:`ckernels._Passes.run`'s Python step loop, and the backtrack as
-    a Python loop over the history rows.  The fallback when the kernels
-    do not build."""
+    reproduces bit for bit, with the same interface and checks, and the
+    fallback when the kernels do not build.  The search is a Python loop
+    over the steps: per spine position :meth:`_expand` (the survivors'
+    gathers by ``take``, then the tree-expansion hash) and :meth:`_score`
+    (the numpy branch costs of :func:`_distances` and ``leaf + bc``, read
+    from the planes :meth:`_bind` bound), at every pruning step
+    :meth:`_select`, then the last :meth:`_gather`; the backtrack is a
+    Python loop over the history rows.  Between the steps the search's
+    state is ``_n_leaves`` leaves a message, the next history row
+    ``_row`` and the pending selection ``_sel``."""
 
     def __init__(self, hash_name: str, *, levels: np.ndarray, c: int,
                  is_bsc: bool, has_csi: bool, k: int, n_msgs: int,
@@ -152,58 +154,168 @@ class _NumpyPasses(ckernels._Passes):
         self._hash = _reference_hash(hash_name)
         self._levels, self._c = levels, c
         self._edges = np.arange(1 << self._k, dtype=_U32)
-        self._ctx = SimpleNamespace(n_leaves=1, row=0, sel=None, n_keep=0,
-                                    sel_step=0)
-
-    @staticmethod
-    def _pointer(sel: np.ndarray) -> np.ndarray:
-        return sel
+        # _select's plans by leaf count and beam
+        self._plans: dict[tuple[int, int], tuple] = {}
+        self._n_leaves, self._row = 1, 0
+        self._sel: np.ndarray | None = None
 
     def _bind(self, slots: np.ndarray, values: np.ndarray,
               csi: np.ndarray | None, counts: np.ndarray) -> None:
         self._view = (slots, values, csi, counts)
-        self._ctx.n_leaves, self._ctx.row, self._ctx.sel = 1, 0, None
+        self._n_leaves, self._row, self._sel = 1, 0, None
 
     def _unbind(self) -> None:
-        self._view = self._sel = self._ctx.sel = None
+        self._view = self._sel = None
+
+    def _run(self, n_spine: int, d: int, n_beam: int) -> tuple[int, int]:
+        # Kernel timing accumulates in locals and flushes once at the end
+        # (repro.obs hot-loop discipline: disabled cost is one branch per
+        # step, no allocations).
+        _on = OBS.enabled
+        t_hash = t_bc = t_sel = 0.0
+        # The first d-1 steps expand the tree unpruned (the initial
+        # partial tree of Figure 4-1(a)); every later step prunes to
+        # n_beam subtrees, which the next expansion gathers.
+        for step in range(n_spine):
+            if _on:
+                t0 = clock()
+            self._expand(step)
+            if _on:
+                t1 = clock()
+            self._score(step)
+            if _on:
+                t2 = clock()
+                t_hash += t1 - t0
+                t_bc += t2 - t1
+            if step >= d - 1:
+                self._select(n_beam)
+                if _on:
+                    t_sel += clock() - t2
+        if _on:
+            t0 = clock()
+        self._gather()
+        if _on:
+            ckernels._flush_search_times(t_hash + clock() - t0, t_bc, t_sel,
+                                         n_spine, d)
+        return self._n_leaves, self._row
 
     def _check_step(self, step: int) -> None:
         if self._view is None or not 0 <= step < self._view[3].size:
             raise ValueError(f"spine position {step} lies outside the bound "
                              "view")
 
-    def expand(self, step: int) -> None:
+    def _expand(self, step: int) -> None:
+        """Pass 1 at spine position ``step``: gather the new leaves, then
+        hash their children into ``children``.  The new leaves are the
+        survivors of the pending selection; without one, every child of
+        the last step, while those fit in one subtree (the unpruned first
+        ``d - 1`` steps); at step 0 the leaves :meth:`search` set."""
         self._check_step(step)
-        ctx = self._ctx
-        if ctx.sel is not None:
+        if self._sel is not None:
             self._gather()
         elif step > 0:
-            if ctx.n_leaves << self._k > self._group:
+            if self._n_leaves << self._k > self._group:
                 raise ValueError("unpruned children past one subtree")
-            n = self._n_msgs * ctx.n_leaves << self._k
+            n = self._n_msgs * self._n_leaves << self._k
             self.states[:n] = self.children[:n]
             self.costs[:n] = self.totals[:n]
-            ctx.n_leaves <<= self._k
-        leaves = self.states[:self._n_msgs * ctx.n_leaves]
+            self._n_leaves <<= self._k
+        leaves = self.states[:self._n_msgs * self._n_leaves]
         self.children[:leaves.size << self._k] = self._hash(
             leaves[:, None], self._edges).ravel()
 
+    def _score(self, step: int) -> None:
+        """Pass 2 at spine position ``step``: the children's path costs
+        into ``totals``."""
+        self._check_step(step)
+        slots, values, csi, counts = self._view
+        n_slots = counts[step]
+        n = self._n_msgs * self._n_leaves
+        K = 1 << self._k
+        if n_slots == 0:
+            bc = np.zeros(n * K)
+        else:
+            words = self._hash(
+                self.children[:n * K].reshape(1, self._n_msgs, -1),
+                slots[step, :n_slots, None, None])
+            bc = _distances(
+                words, values[step, :, :n_slots],
+                None if csi is None else csi[step, :, :n_slots],
+                self._levels, self._c, self._is_bsc)
+        parents = self.costs[:n, None]
+        totals = self.totals[:n * K].reshape(n, K)
+        np.add(parents, bc.reshape(n, K), out=totals)
+        # numpy picks between a NaN parent and a NaN branch cost by
+        # position; the compiled score always keeps the parent's
+        np.copyto(totals, parents, where=np.isnan(parents))
+
+    def _plan(self, n_leaves: int, n_beam: int) -> tuple:
+        """What :meth:`_select` needs at ``n_leaves`` leaves a message,
+        made and checked once per passes: the kept count, the ``(n_msgs,
+        n_groups)`` subtree costs ``argpartition`` ranks (a view of
+        ``totals``, or of the minima with their reduction's operands when
+        subtrees have several leaves), and the selection of every subtree
+        when all of them fit."""
+        n_children = n_leaves << self._k
+        n_groups = n_children // self._group
+        n_keep = min(n_beam, n_groups)
+        if not 0 < n_keep <= self._beam:
+            raise ValueError(f"cannot keep {n_keep} of {n_groups} subtrees "
+                             f"in a beam of {self._beam}")
+        size = self._n_msgs * n_groups
+        totals = self.totals[:self._n_msgs * n_children]
+        if self._minima is None:
+            costs, minimum = totals.reshape(self._n_msgs, n_groups), None
+        else:
+            minima = self._minima[:size]
+            costs = minima.reshape(self._n_msgs, n_groups)
+            minimum = (totals.reshape(size, self._group), minima)
+        every = None if n_keep < n_groups else np.broadcast_to(
+            self._all[:n_keep], (self._n_msgs, n_keep))
+        plan = self._plans[n_leaves, n_beam] = (n_keep, costs, minimum,
+                                                every)
+        return plan
+
+    def _select(self, n_beam: int) -> None:
+        """Choose the survivors of the step just scored: of each message's
+        subtrees of ``group`` consecutive children, scored by their
+        cheapest child, the ``min(n_beam, n_subtrees)`` cheapest by
+        ``argpartition`` along each message's row (all of them, in order,
+        when they fit), for the next :meth:`_gather`.
+
+        The choice depends on numpy's CPU dispatch level: under numpy
+        2.4.6 the X86_V4, X86_V3 and baseline ``argpartition`` loops
+        return the same index set in different orders, and different sets
+        among tied costs.  Survivor order decides which tied candidate
+        later steps keep and which leaf the final ``argmin`` picks, so
+        where costs tie a decode can differ between hosts (a (cost, index)
+        tie-break would make it host-independent, at the price of some
+        stored records).  The compiled search makes the same calls."""
+        plan = self._plans.get((self._n_leaves, n_beam))
+        if plan is None:
+            plan = self._plan(self._n_leaves, n_beam)
+        n_keep, costs, minimum, every = plan
+        if minimum is not None:
+            np.minimum.reduce(minimum[0], axis=1, out=minimum[1])
+        self._sel = every if every is not None else costs.argpartition(
+            n_keep - 1, axis=1)[:, :n_keep]
+
     def _gather(self) -> None:
+        """The pending selection's survivors into ``states`` and
+        ``costs``, their group rows into the next ``history`` row and
+        their count into ``kept``."""
         # Subtree g of message m is row m * n_groups + g of the
         # (M * n_groups, group) children and totals, so one take gathers
         # the survivors of every message.
-        ctx = self._ctx
-        M, group = self._n_msgs, self._group
-        n_groups = (ctx.n_leaves << self._k) // group
-        n_keep = ctx.n_keep
-        if (ctx.sel is None or not 0 < n_keep <= min(self._beam, n_groups)
-                or ctx.row >= len(self.history)):
+        M, group, sel = self._n_msgs, self._group, self._sel
+        n_groups = (self._n_leaves << self._k) // group
+        if (sel is None or not 0 < sel.shape[1] <= min(self._beam, n_groups)
+                or self._row >= len(self.history)):
             raise ValueError("no selection to gather")
-        sel = (ctx.sel[:, :n_keep] if ctx.sel_step else
-               np.broadcast_to(ctx.sel[:n_keep], (M, n_keep)))
         if sel.min() < 0 or sel.max() >= n_groups:
             raise ValueError("a selection names a subtree outside the "
                              "scored step")
+        n_keep = sel.shape[1]
         kept = sel + np.arange(0, M * n_groups, n_groups)[:, None]
         n, size = M * n_keep * group, M * n_groups * group
         self.children[:size].reshape(M * n_groups, group).take(
@@ -212,9 +324,10 @@ class _NumpyPasses(ckernels._Passes):
         self.totals[:size].reshape(M * n_groups, group).take(
             kept, axis=0, out=self.costs[:n].reshape(M, n_keep, group),
             mode="clip")
-        self.history[ctx.row, :, :n_keep] = kept
-        self.kept[ctx.row] = n_keep
-        ctx.n_leaves, ctx.row, ctx.sel = n_keep * group, ctx.row + 1, None
+        self.history[self._row, :, :n_keep] = kept
+        self.kept[self._row] = n_keep
+        self._n_leaves, self._row = n_keep * group, self._row + 1
+        self._sel = None
 
     def _backtrack(self, best: np.ndarray, bits: np.ndarray) -> None:
         # Beams are numbered across the cohort (beam b of message m is
@@ -222,9 +335,9 @@ class _NumpyPasses(ckernels._Passes):
         # edge divides by K into the previous row's flat beam index and
         # the edge taken.
         k, K, group = self._k, 1 << self._k, self._group
-        n_leaves = self._ctx.n_leaves
+        n_leaves = self._n_leaves
         rows = [self.history[row, :, :n_keep] for row, n_keep in
-                enumerate(self.kept[:self._ctx.row].tolist())]
+                enumerate(self.kept[:self._row].tolist())]
         for m in range(self._n_msgs):
             b, w = divmod(m * n_leaves + int(best[m]), group)
             rev_chunks: list[int] = []
@@ -245,29 +358,6 @@ class _NumpyPasses(ckernels._Passes):
             chunks.extend(reversed(digits))
             bits[m] = pack_chunks(np.asarray(chunks, dtype=np.uint32), k)
 
-    def score(self, step: int) -> None:
-        self._check_step(step)
-        slots, values, csi, counts = self._view
-        n_slots = counts[step]
-        n = self._n_msgs * self._ctx.n_leaves
-        K = 1 << self._k
-        if n_slots == 0:
-            bc = np.zeros(n * K)
-        else:
-            words = self._hash(
-                self.children[:n * K].reshape(1, self._n_msgs, -1),
-                slots[step, :n_slots, None, None])
-            bc = _distances(
-                words, values[step, :, :n_slots],
-                None if csi is None else csi[step, :, :n_slots],
-                self._levels, self._c, self._is_bsc)
-        parents = self.costs[:n, None]
-        totals = self.totals[:n * K].reshape(n, K)
-        np.add(parents, bc.reshape(n, K), out=totals)
-        # numpy picks between a NaN parent and a NaN branch cost by
-        # position; the compiled score always keeps the parent's
-        np.copyto(totals, parents, where=np.isnan(parents))
-
 
 def spinal_passes(hash_name: str, *, levels: np.ndarray, c: int,
                   is_bsc: bool, has_csi: bool, k: int, n_msgs: int,
@@ -276,13 +366,10 @@ def spinal_passes(hash_name: str, *, levels: np.ndarray, c: int,
     """The passes of a bubble search, made for a search shape:
     :class:`ckernels.SpinalPasses` where the kernels build, its numpy
     equivalent otherwise.  Both own ``states``, ``costs``, ``children``,
-    ``totals`` and ``history`` buffers for ``n_msgs`` messages of up to
-    ``beam`` subtrees of ``group`` leaves over ``n_steps`` pruning steps,
-    and both run a search as ``start(received)``, ``run(d, B)`` (one C
-    call when compiled) and ``backtrack(best)``, bit for bit alike; a
-    search can also be stepped, per spine position ``expand(step)``,
-    ``score(step)`` and, at every pruning step, ``select(B)``, then
-    ``finish()``."""
+    ``totals``, ``history`` and ``kept`` buffers for ``n_msgs`` messages
+    of up to ``beam`` subtrees of ``group`` leaves over ``n_steps``
+    pruning steps, and both run a search as one call,
+    ``search(received, d, B) -> (bits, costs)``, bit for bit alike."""
     levels = np.ascontiguousarray(levels, dtype=np.float64)
     kwargs = dict(levels=levels, c=c, is_bsc=is_bsc, has_csi=has_csi, k=k,
                   n_msgs=n_msgs, beam=beam, group=group, n_steps=n_steps,

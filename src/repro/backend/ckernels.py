@@ -4,12 +4,10 @@
 match the numpy code they replace bit for bit (its header comment gives
 the rules): Strider's max-log BCJR decode (:class:`BcjrDecoder`), the
 spine hashes (:func:`spine_hash`) and the whole spine chain
-(:func:`spine_chain`), the passes of a bubble search
-(:class:`SpinalPasses`, whose ``run`` is a whole search in one call,
-survivor selection by numpy's own ``argpartition`` through numpy's C API
-included, whose ``score`` runs the fused spinal branch costs and whose
-``backtrack`` chases every message's survivors back to its bits in one
-call), BP's exact passes
+(:func:`spine_chain`), the bubble search (:class:`SpinalPasses`, whose
+``search`` is one C call for the whole search, survivor selection by
+numpy's own ``argpartition`` through numpy's C API included, and one for
+the backtrack to every message's bits), BP's exact passes
 (:class:`BpPasses`) and the LT and precode draws, each behind a checked
 wrapper below.  The draws call
 numpy's own bounded-integer code, linked from numpy's ``libnpyrandom``
@@ -55,7 +53,7 @@ from types import ModuleType
 
 import numpy as np
 
-from repro.obs import OBS, clock
+from repro.obs import OBS
 
 __all__ = ["CACHE_ROOT", "BcjrDecoder", "BpPasses", "SpinalPasses",
            "build_or_load", "choice_draw", "floyd_choice", "load", "lt_draw",
@@ -697,25 +695,28 @@ def _check_planes(received, n_msgs: int, is_bsc: bool, has_csi: bool
 
 
 class _Passes:
-    """What the two implementations of a bubble search's passes share:
+    """What the two implementations of a bubble search share:
     :class:`SpinalPasses` on ``kernels.c``, and the numpy fallback
     ``repro.backend._NumpyPasses``.  That is the search's shape and
-    buffers, :meth:`start`'s checks of the received view, :meth:`select`,
-    :meth:`finish`, :meth:`run` (the search's step loop, which
-    :class:`SpinalPasses` replaces by one C call) and :meth:`backtrack`'s
-    checks.  The step's state sits
-    in ``_ctx`` under the field names of ``kernels.c``'s ``struct
-    spinal_search``: the leaves per message (``n_leaves``), the next
-    history row (``row``) and the pending selection (``sel``, ``n_keep``,
-    ``sel_step``).  A subclass binds the view (``_bind``, ``_unbind``) and
-    a selection (``_pointer``), and runs ``expand``, ``score``, the last
-    gather (``_gather``) and the backtrack (``_backtrack``)."""
+    buffers and its one public call, :meth:`search`.  A subclass binds
+    the received view for one search (``_bind``, ``_unbind``), runs the
+    search over it (``_run``) and turns each message's best leaf into its
+    bits (``_backtrack``)."""
 
     def __init__(self, *, is_bsc: bool, has_csi: bool, k: int, n_msgs: int,
                  beam: int, group: int, n_steps: int, s0: int):
         k, n_msgs, beam, group, n_steps = _check_search(
             k, n_msgs, beam, group, n_steps)
         self._s0 = _check_count("s0", s0, 0, 0xFFFFFFFF)
+        # a subtree's leaves are the last d - 1 edges of its path, so a
+        # backtrack needs group = 2^(k (d - 1))
+        digits, span = 0, 1
+        while span < group:
+            span, digits = span << k, digits + 1
+        if span != group:
+            raise ValueError(f"group must be a power of 2^k = {1 << k} (the "
+                             f"leaves of a depth-d subtree), got {group}")
+        self._digits = digits
         self._is_bsc, self._has_csi = is_bsc, has_csi
         self._k, self._n_msgs, self._beam, self._group = k, n_msgs, beam, group
         size = n_msgs * beam * group
@@ -725,209 +726,67 @@ class _Passes:
         self.totals = np.empty(size << k)
         self.history = np.empty((n_steps, n_msgs, beam), dtype=np.int32)
         self.kept = np.zeros(n_steps, dtype=np.int64)
-        # a subtree's leaves are the last d - 1 edges of its path, so a
-        # backtrack needs group = 2^(k (d - 1))
-        digits, span = 0, 1
-        while span < group:
-            span, digits = span << k, digits + 1
-        self._digits = digits if span == group else None
-        # the subtree minima select ranks, and its plans by leaf count
+        # the subtree minima a selection ranks when subtrees have several
+        # leaves
         self._minima = np.empty(n_msgs * beam << k) if group > 1 else None
-        self._plans: dict[tuple[int, int], tuple] = {}
         # every subtree in order, as each message's survivors while it
         # has no more subtrees than the beam keeps
         self._all = np.arange(beam)
-        # the bound view's planes and the pending selection, kept alive
-        # while C may read them
-        self._view = self._sel = None
-        self._finished = False
+        self._msgs = np.arange(n_msgs)
+        # the bound view's planes, kept alive while C may read them
+        self._view: tuple | None = None
 
-    def start(self, received) -> None:
-        """Check the received view ``received`` (a
+    def search(self, received, d: int, n_beam: int
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """One bubble search over ``received`` (a
         :class:`repro.core.symbols.BatchReceivedView` of ``n_msgs`` rows)
-        and bind it for one search, which starts from one leaf per message,
-        the root state ``s0`` at cost 0.  A bad view raises
-        ``ValueError``."""
-        self._finished = False
-        planes = _check_planes(received, self._n_msgs, self._is_bsc,
-                               self._has_csi)
-        self._sel = None
-        self.states[:self._n_msgs] = self._s0
-        self.costs[:self._n_msgs] = 0.0
-        self._bind(*planes)
+        at pruning depth ``d`` in ``[1, n_spine]``, keeping ``n_beam >= 1``
+        subtrees.
 
-    def _plan(self, n_leaves: int, n_beam: int) -> tuple:
-        """What :meth:`select` needs at ``n_leaves`` leaves a message, made
-        and checked once per passes: the kept count, the ``(n_msgs,
-        n_groups)`` subtree costs ``argpartition`` ranks (a view of
-        ``totals``, or of the minima with their reduction's operands when
-        subtrees have several leaves), and the selection of every subtree
-        when all of them fit."""
-        n_children = n_leaves << self._k
-        n_groups = n_children // self._group
-        n_keep = min(n_beam, n_groups)
-        if not 0 < n_keep <= self._beam:
-            raise ValueError(f"cannot keep {n_keep} of {n_groups} subtrees "
-                             f"in a beam of {self._beam}")
-        size = self._n_msgs * n_groups
-        totals = self.totals[:self._n_msgs * n_children]
-        if self._minima is None:
-            costs, minimum = totals.reshape(self._n_msgs, n_groups), None
-        else:
-            minima = self._minima[:size]
-            costs = minima.reshape(self._n_msgs, n_groups)
-            minimum = (totals.reshape(size, self._group), minima)
-        every = None if n_keep < n_groups else self._pointer(self._all)
-        plan = self._plans[n_leaves, n_beam] = (n_keep, n_groups, costs,
-                                                minimum, every)
-        return plan
+        From one leaf a message, the root state ``s0`` at cost 0, each
+        spine position gathers the subtrees the last pruning step kept
+        (while the tree is shallower than a subtree, every child), hashes
+        their children and adds each child's branch cost over the
+        position's slots to its leaf's path cost.  Each pruning step
+        (position ``d - 1`` on) keeps, of each message's subtrees of
+        ``group`` consecutive children scored by their cheapest child,
+        the ``min(n_beam, n_subtrees)`` cheapest by ``argpartition`` along
+        the message's row (all of them, in order, when they fit), and
+        records them in ``history`` and their count in ``kept``.  numpy's
+        ``argmin`` over each message's last leaves (its first minimum, or
+        its first NaN) picks the best, and the history leads back from it
+        to the message bits.
 
-    def select(self, n_beam: int) -> None:
-        """Choose the survivors of the step just scored: of each message's
-        subtrees of ``group`` consecutive children, scored by their
-        cheapest child, the ``min(n_beam, n_subtrees)`` cheapest by
-        ``argpartition`` along each message's row (all of them, in order,
-        when they fit), for the next :meth:`expand` or :meth:`finish` to
-        gather.
-
-        The choice depends on numpy's CPU dispatch level: under numpy
-        2.4.6 the X86_V4, X86_V3 and baseline ``argpartition`` loops
-        return the same index set in different orders, and different sets
-        among tied costs.  Survivor order decides which tied candidate
-        later steps keep and which leaf the final ``argmin`` picks, so
-        where costs tie a decode can differ between hosts (a (cost, index)
-        tie-break would make it host-independent, at the price of some
-        stored records)."""
-        ctx = self._ctx
-        plan = self._plans.get((ctx.n_leaves, n_beam))
-        if plan is None:
-            plan = self._plan(ctx.n_leaves, n_beam)
-        n_keep, n_groups, costs, minimum, every = plan
-        if minimum is not None:
-            np.minimum.reduce(minimum[0], axis=1, out=minimum[1])
-        if every is None:
-            # the pointer keeps the selection alive until it is gathered
-            self._sel = ctx.sel = self._pointer(
-                costs.argpartition(n_keep - 1, axis=1))
-            ctx.sel_step = n_groups
-        else:
-            self._sel = ctx.sel = every
-            ctx.sel_step = 0
-        ctx.n_keep = n_keep
-
-    def finish(self) -> np.ndarray:
-        """Gather the last step's survivors and unbind the received view.
-        Returns their path costs, ``(n_msgs, n_leaves)``, a view of
-        ``costs`` that the next search overwrites; :meth:`backtrack` reads
-        the paths to them from ``history`` and ``kept``."""
-        self._gather()
-        return self._end()
-
-    def _end(self) -> np.ndarray:
-        """Unbind the view of a search whose last survivors are gathered;
-        their path costs, as :meth:`finish` returns them."""
-        n_leaves = self._ctx.n_leaves
-        leaf_costs = self.costs[:self._n_msgs * n_leaves].reshape(
-            self._n_msgs, n_leaves)
-        self._unbind()
-        self._finished = True
-        return leaf_costs
-
-    def _run_shape(self, d: object, n_beam: object) -> int:
-        """The bound view's spine length, after checking that a fresh
-        search is bound (:meth:`start` binds one, and no step has run) and
-        that ``d`` lies in ``[1, n_spine]`` and ``n_beam`` is at least 1;
-        otherwise the view is unbound and ``ValueError`` raised."""
-        ctx = self._ctx
+        Returns ``(bits, costs)``: ``(n_msgs, (n_rows + d - 1) k)`` uint8
+        for ``n_rows`` pruning steps, and each message's best path cost,
+        ``(n_msgs,)`` float64.  The view is checked first (its dtypes,
+        shapes, strides, CSI mode, row count and every position's slot
+        count against the store's capacity) and bound for this search
+        only.  With ``repro.obs`` on, the search's time flushes once to
+        ``kernel.hash`` (the expansions, gathers included),
+        ``kernel.branch_cost`` and ``kernel.select``.  A refused search
+        raises ``ValueError`` (``RuntimeError`` when numpy's C API fails
+        inside the compiled one) and leaves the passes ready for the
+        next."""
+        slots, values, csi, counts = _check_planes(
+            received, self._n_msgs, self._is_bsc, self._has_csi)
+        n_spine = counts.size
+        _check_count("d", d, 1, n_spine)
+        _check_count("n_beam", n_beam, 1)
+        n_msgs = self._n_msgs
+        self.states[:n_msgs] = self._s0
+        self.costs[:n_msgs] = 0.0
+        self._bind(slots, values, csi, counts)
         try:
-            if (self._view is None or self._sel is not None or ctx.row != 0
-                    or ctx.n_leaves != 1):
-                raise ValueError("run needs a fresh search bound by start")
-            n_spine = self._view[3].size
-            _check_count("d", d, 1, n_spine)
-            _check_count("n_beam", n_beam, 1)
-        except ValueError:
-            self._abandon()
-            raise
-        return n_spine
-
-    def _abandon(self) -> None:
-        """Unbind a refused search's view; it leaves nothing to
-        backtrack."""
-        self._unbind()
-        self._finished = False
-
-    def run(self, d: int, n_beam: int) -> np.ndarray:
-        """The whole search over the view :meth:`start` bound: per spine
-        position :meth:`expand` and :meth:`score`, at every pruning step
-        (position ``d - 1`` on, ``d`` the pruning depth) :meth:`select`
-        keeping ``n_beam`` subtrees, then :meth:`finish`, whose leaf costs
-        it returns.  With ``repro.obs`` on, the passes' time flushes once
-        a search to ``kernel.hash`` (``expand``, the gathers included),
-        ``kernel.branch_cost`` (``score``) and ``kernel.select``.  A refused
-        search unbinds the view and raises ``ValueError``; the passes then
-        serve the next :meth:`start`."""
-        n_spine = self._run_shape(d, n_beam)
-        expand, score, select = self.expand, self.score, self.select
-        # Kernel timing accumulates in locals and flushes once at the end
-        # (repro.obs hot-loop discipline: disabled cost is one branch per
-        # step, no allocations).
-        _on = OBS.enabled
-        t_hash = t_bc = t_sel = 0.0
-        try:
-            # The first d-1 steps expand the tree unpruned (the initial
-            # partial tree of Figure 4-1(a)); every later step prunes to
-            # n_beam subtrees, which the next expand gathers.
-            for step in range(n_spine):
-                if _on:
-                    t0 = clock()
-                expand(step)
-                if _on:
-                    t1 = clock()
-                score(step)
-                if _on:
-                    t2 = clock()
-                    t_hash += t1 - t0
-                    t_bc += t2 - t1
-                if step >= d - 1:
-                    select(n_beam)
-                    if _on:
-                        t_sel += clock() - t2
-            if _on:
-                t0 = clock()
-            leaf_costs = self.finish()
-        except ValueError:
-            self._abandon()
-            raise
-        if _on:
-            _flush_search_times(t_hash + clock() - t0, t_bc, t_sel, n_spine,
-                                d)
-        return leaf_costs
-
-    def backtrack(self, best: np.ndarray) -> np.ndarray:
-        """The message bits of each message's leaf ``best[m]`` among the
-        leaves :meth:`run` (or :meth:`finish`) returned, ``(n_msgs,
-        (n_rows + d - 1) k)``
-        uint8 for ``n_rows`` pruning steps and subtrees of
-        ``2^(k (d - 1))`` leaves: the edges the survivors' history records,
-        then the leaf's place in its subtree.  ``best`` must be a 1-D
-        int64 array of one leaf a message (``np.argmin``'s); a bad one, or
-        a backtrack without a finished search, raises ``ValueError``."""
-        ctx = self._ctx
-        if not self._finished or self._digits is None:
-            raise ValueError("no finished search of subtrees of 2^(k (d - "
-                             "1)) leaves to backtrack")
-        if not (isinstance(best, np.ndarray) and best.dtype == _INT64
-                and best.shape == (self._n_msgs,)):
-            raise ValueError(f"best must be ({self._n_msgs},) int64 leaf "
-                             "indices")
-        # a negative index reads as a uint64 above any leaf count
-        if best.view(np.uint64).max() >= ctx.n_leaves:
-            raise ValueError(f"a best leaf lies outside [0, {ctx.n_leaves})")
-        bits = np.empty((self._n_msgs, (ctx.row + self._digits) * self._k),
+            n_leaves, n_rows = self._run(n_spine, d, n_beam)
+        finally:
+            self._unbind()
+        leaf_costs = self.costs[:n_msgs * n_leaves].reshape(n_msgs, n_leaves)
+        best = leaf_costs.argmin(axis=1)
+        bits = np.empty((n_msgs, (n_rows + self._digits) * self._k),
                         dtype=np.uint8)
-        self._backtrack(np.ascontiguousarray(best), bits)
-        return bits
+        self._backtrack(best, bits)
+        return bits, leaf_costs[self._msgs, best]
 
 
 def _flush_search_times(hash_s: float, score_s: float, select_s: float,
@@ -939,7 +798,9 @@ def _flush_search_times(hash_s: float, score_s: float, select_s: float,
 
 
 class SpinalPasses(_Passes):
-    """The passes of a bubble search on ``kernels.c``.
+    """The bubble search on ``kernels.c``: :meth:`_Passes.search`, whose
+    search is one C call, ``spinal_run``, and whose backtrack another,
+    ``spinal_backtrack``.
 
     Made for a search shape, and reused by every later search of that
     shape.  Each check runs where its inputs become fixed:
@@ -947,51 +808,34 @@ class SpinalPasses(_Passes):
     - when the passes are made: the hash, the metric (``levels``, ``c``,
       BSC or not, CSI or not) and the cohort's shape, before any pointer
       reaches C.  Each of ``n_msgs`` messages keeps at most ``beam``
-      subtrees of ``group`` leaves at each of ``n_steps`` pruning steps,
-      and each leaf has ``2^k`` children.  The passes own their buffers:
-      ``states`` and ``costs`` (n_msgs * beam * group,) hold the leaves'
-      spine states and path costs, a step's ``n_leaves`` leaves of message
-      m at ``[m * n_leaves, (m + 1) * n_leaves)``; ``children`` and
-      ``totals`` hold their ``2^k`` children each and those children's
-      path costs; ``history`` (n_steps, n_msgs, beam) int32 records each
-      pruning step's survivors, ``history[row, m, j]`` being the flat group
-      row ``m * n_groups + g`` of message m's j-th survivor, group g of
-      its ``n_groups`` candidate subtrees, and ``kept[row]`` how many
+      subtrees of ``group`` leaves, ``group`` a power of ``2^k``, at each
+      of ``n_steps`` pruning steps, and each leaf has ``2^k`` children.
+      The passes own their buffers: ``states`` and ``costs`` (n_msgs *
+      beam * group,) hold the leaves' spine states and path costs, a
+      step's ``n_leaves`` leaves of message m at ``[m * n_leaves, (m + 1)
+      * n_leaves)``; ``children`` and ``totals`` hold their ``2^k``
+      children each and those children's path costs; ``history``
+      (n_steps, n_msgs, beam) int32 records each pruning step's
+      survivors, ``history[row, m, j]`` being the flat group row ``m *
+      n_groups + g`` of message m's j-th survivor, group g of its
+      ``n_groups`` candidate subtrees, and ``kept[row]`` how many
       survivors each message kept there;
-    - once per search, in :meth:`start`: the received view's dtypes,
-      shapes, strides, CSI mode, row count and every position's slot
-      count against the store's capacity.  ``start`` then binds the view
-      into the C search state: rows that form one run (a whole cohort,
-      one message) are read in place at the store's row stride, other
-      row sets are copied once (see ``BatchReceivedView.planes``);
-    - at each step, in C: :meth:`expand` and :meth:`score` take only the
-      spine position, which C checks against the bound view.
-      :meth:`expand` gathers the survivors :meth:`select` chose (C checks
-      every survivor's index, the kept count and the history row before
-      it writes anything) into ``states`` and ``costs`` and their rows
-      into ``history``, or, while the tree is shallower than a subtree,
-      takes every child as a leaf, then hashes every leaf against every
-      edge, ``h(states[..., None], edges)``.  :meth:`score` adds each
-      child's branch cost over the position's received slots to its
-      leaf's cost, in numpy's operand order ``costs[..., None] + bc``
-      (``+ 0.0`` with no slots).
+    - once per search, in :meth:`search`: the received view.  It is then
+      bound into the C search state (rows that form one run, a whole
+      cohort or one message, are read in place at the store's row
+      stride; other row sets are copied once, see
+      ``BatchReceivedView.planes``) and unbound when the search ends, so
+      the passes hold no pointer into a store past its search;
+    - in C: every spine position against the bound view, every
+      survivor's index, kept count and history row before a gather writes
+      anything, and at the backtrack the finished search, the best
+      leaves and the output's length before it reads anything and every
+      history entry it chases before it writes.
 
-    A search is one C call, :meth:`run`: every step's ``expand`` and
-    ``score``, at each pruning step the selection, made by numpy's own
-    ``minimum.reduce`` and ``argpartition`` through numpy's C API on
-    arrays wrapping the passes' buffers (so it is the choice
-    :meth:`select` makes from Python, at every dispatch level), and the
-    last gather.  The passes also step one call at a time, as
-    :meth:`_Passes.run` does: :meth:`select` runs ``argpartition`` on
-    subtree-cost views made once per leaf count and hands it to C as an
-    untyped pointer, and :meth:`finish` gathers the last survivors.
-    Either way the search ends with the view unbound, so the passes hold
-    no pointer into a store past its search.  Each gather records its
-    kept count in ``kept`` (n_steps,) int64, and :meth:`backtrack` then
-    turns every message's best leaf into its message bits in one C call,
-    which checks the finished search, the leaves and the output's length
-    before it reads anything and every history entry it chases before it
-    writes.  A refused call raises ``ValueError``.
+    ``spinal_run`` selects survivors by numpy's own ``minimum.reduce``
+    and ``argpartition``, through numpy's C API on arrays wrapping the
+    passes' buffers, so every selection is the one ``_NumpyPasses``
+    makes from Python, at every dispatch level.
     """
 
     def __init__(self, module: ModuleType, hash_name: str, *,
@@ -1027,15 +871,8 @@ class SpinalPasses(_Passes):
          ctx.totals, ctx.history, ctx.kept, ctx.every,
          ctx.minima) = self._buffers
         self._ctx = ctx
-        self._expand = partial(lib.spinal_expand, ctx)
-        self._score = partial(lib.spinal_score, ctx)
-        self._gather_survivors = partial(lib.spinal_gather, ctx)
         self._run_search = partial(lib.spinal_run, ctx)
         self._backtrack_paths = partial(lib.spinal_backtrack, ctx)
-        # A selection reaches C untyped (the struct's sel is a void
-        # pointer): an untyped from_buffer costs about half of an
-        # int64_t[] one.  argpartition's indices are intp, int64 here.
-        self._pointer = ffi.from_buffer
 
     def _bind(self, slots: np.ndarray, values: np.ndarray,
               csi: np.ndarray | None, counts: np.ndarray) -> None:
@@ -1056,53 +893,23 @@ class SpinalPasses(_Passes):
         ffi, ctx = self._ffi, self._ctx
         ctx.n_spine = 0
         ctx.counts = ctx.slots = ctx.values = ctx.csi = ctx.sel = ffi.NULL
-        self._view = self._sel = None
+        self._view = None
 
-    def expand(self, step: int) -> None:
-        """Pass 1 at spine position ``step``: gather the new leaves, then
-        hash their children into ``children``."""
-        if self._expand(step):
-            raise ValueError(f"expand refused spine position {step}: outside "
-                             "the bound view, a bad selection or unpruned "
-                             "children past one subtree")
-
-    def score(self, step: int) -> None:
-        """Pass 2 at spine position ``step``: the children's path costs
-        into ``totals``."""
-        if self._score(step):
-            raise ValueError(f"spine position {step} lies outside the bound "
-                             "view")
-
-    def _gather(self) -> None:
-        if self._gather_survivors():
-            raise ValueError("no selection to gather, or one naming a "
-                             "subtree outside the scored step")
-
-    def run(self, d: int, n_beam: int) -> np.ndarray:
-        """The whole search in one C call, ``spinal_run``: the step loop
-        of :meth:`_Passes.run`, with every selection made by numpy's own
-        ``minimum.reduce`` and ``argpartition`` through numpy's C API, and
-        the last gather, so no selection outlives the call.  Returns the
-        leaf costs as :meth:`finish` does, and with ``repro.obs`` on
-        flushes the times C took of its passes to the same timers.  A
-        refused search unbinds the view and raises ``ValueError``; a failed
-        numpy call inside C raises ``RuntimeError``."""
-        n_spine = self._run_shape(d, n_beam)
+    def _run(self, n_spine: int, d: int, n_beam: int) -> tuple[int, int]:
         ctx = self._ctx
         ctx.timed = timed = OBS.enabled
         code = self._run_search(d, n_beam)
+        if code == -1:
+            raise ValueError("the compiled search refused a kept count, "
+                             "selection or unpruned step outside the "
+                             "passes' shape")
         if code:
-            self._abandon()
-            if code == -1:
-                raise ValueError("run refused the search: a kept count, "
-                                 "selection or unpruned step outside the "
-                                 "passes' shape")
             raise RuntimeError("numpy's C API failed inside the compiled "
                                "search (import or allocation)")
         if timed:
             _flush_search_times(ctx.hash_s, ctx.score_s, ctx.select_s,
                                 n_spine, d)
-        return self._end()
+        return ctx.n_leaves, ctx.row
 
     def _backtrack(self, best: np.ndarray, bits: np.ndarray) -> None:
         ffi = self._ffi

@@ -39,8 +39,8 @@
  * Every pointer and size reaching C is checked in ckernels.py first,
  * where its inputs become fixed: a BCJR trellis's tables when its decoder
  * is made and the LLRs at each decode, a search's shape and buffers when
- * its passes are made, its received view once per search in start.  What
- * only C sees at a step, the spine position and the selected survivors, C
+ * its passes are made, its received view once per search.  What only C
+ * sees during a search, the spine position and the selected survivors, C
  * checks before it reads or writes, and at a backtrack it checks the
  * finished search and the best leaves before it reads and the history
  * entries it chases before it writes.
@@ -52,9 +52,9 @@
  * selection: spinal_run calls numpy's own argpartition (and minimum
  * reduction) through numpy's C API, on the same float64 rows, so every
  * selection is the one ndarray.argpartition makes, at every CPU dispatch
- * level, dependence on that level included (ckernels._Passes.select
- * documents it).  Code reached through numpy's C API is numpy's code,
- * not a reimplementation of it.
+ * level, dependence on that level included (the numpy search's
+ * _NumpyPasses._select documents it).  Code reached through numpy's C
+ * API is numpy's code, not a reimplementation of it.
  */
 
 #include <stdbool.h>
@@ -489,28 +489,27 @@ static void score_states(int hash_id, int metric,
 /* ---- the bubble search, steps to backtrack: repro.core.decoder ---- */
 
 /* One bubble search's state, owned by ckernels.SpinalPasses, which fills
- * it in three parts.  The first is bound when the passes are made, after
- * their checks: the hash, the metric, the cohort's shape (n_msgs messages
- * of at most beam subtrees of `group` leaves, 2^k children a leaf, n_steps
- * pruning steps) and the buffers the passes own, among them every (0, 1,
- * ..., beam - 1, the selection of every subtree in order) and minima
- * (n_msgs * beam << k subtree costs, NULL when group is 1).  The second is
- * the received view, bound by start after its checks and unbound (n_spine
- * = 0, every pointer NULL) once the search ends (run or finish): spine
- * position i has counts[i] slots at
+ * it in two parts and leaves the third to C.  The first is bound when the
+ * passes are made, after their checks: the hash, the metric, the cohort's
+ * shape (n_msgs messages of at most beam subtrees of `group` leaves, 2^k
+ * children a leaf, n_steps pruning steps) and the buffers the passes own,
+ * among them every (0, 1, ..., beam - 1, the selection of every subtree
+ * in order) and minima (n_msgs * beam << k subtree costs, NULL when group
+ * is 1).  The second is the received view, bound by SpinalPasses.search
+ * after its checks and unbound (n_spine = 0, every pointer NULL) once the
+ * search ends: spine position i has counts[i] slots at
  * slots + i * slot_step, and message m's values at values + (i *
  * value_step + m * row_step) * w doubles, w = 1 for BSC and 2 for complex
  * values; csi has the values' shape and strides.  The third is the step's
  * state: n_leaves leaves per message, the next history row, and the
- * selection select left for the next gather, which names survivor j of
- * message m sel[m * sel_step + j], j < n_keep (sel_step 0 when every
- * message keeps the same subtrees), or NULL; sel holds numpy's int64
- * indices but is untyped, since cffi points at a numpy array fastest by
- * an untyped buffer.  Each gather records its
- * kept count in kept[row] (n_steps entries, owned by the passes), which
- * spinal_backtrack reads once finish has gathered the last row.  When
- * timed is set, spinal_run adds the seconds its passes take to hash_s
- * (expand, the gathers included), score_s and select_s. */
+ * selection left for the next gather, which names survivor j of message
+ * m sel[m * sel_step + j], j < n_keep (sel_step 0 when every message
+ * keeps the same subtrees), or NULL; sel holds numpy's intp indices,
+ * int64 here.  Each gather records its kept count in kept[row] (n_steps
+ * entries, owned by the passes), which spinal_backtrack reads once the
+ * last row is gathered.  When timed is set, spinal_run adds the seconds
+ * its passes take to hash_s (expand, the gathers included), score_s and
+ * select_s. */
 struct spinal_search {
     int hash_id, metric, c, k;
     int64_t n_msgs, beam, group, n_steps;
@@ -589,9 +588,9 @@ int spinal_gather(struct spinal_search *s)
  * tree expansion h(leaves[..., None], edges).  The new leaves are the
  * survivors of the pending selection (spinal_gather); without one, every
  * child of the last step, while those fit in one subtree (the unpruned
- * first d - 1 steps); at step 0 the leaves start binds.  Returns -1 before
- * anything is written for a position outside the bound view, a refused
- * gather, or unpruned children that would not fit. */
+ * first d - 1 steps); at step 0 the leaves the search starts from.
+ * Returns -1 before anything is written for a position outside the bound
+ * view, a refused gather, or unpruned children that would not fit. */
 int spinal_expand(struct spinal_search *s, int64_t step)
 {
     if (step < 0 || step >= s->n_spine)
@@ -662,7 +661,7 @@ static inline double run_clock(const struct spinal_search *s)
     return (double)t.tv_sec + 1e-9 * (double)t.tv_nsec;
 }
 
-/* ckernels._Passes.select, by the same numpy calls: of each message's
+/* _NumpyPasses._select, by the same numpy calls: of each message's
  * n_groups subtrees of `group` consecutive children, the n_keep =
  * min(n_beam, n_groups) cheapest by their cheapest child, which is
  * np.minimum.reduce(totals as (n_msgs * n_groups, group), axis=1, out=
@@ -720,14 +719,14 @@ static int run_select(struct spinal_search *s, int64_t n_beam,
     return 0;
 }
 
-/* A whole search over the view start bound, as ckernels._Passes.run runs
- * it step by step: at every spine position spinal_expand and
- * spinal_score, at every pruning step (position d - 1 on) run_select
- * keeping n_beam subtrees, and at the end the last spinal_gather, so no
- * selection outlives the call.  cffi releases the GIL around the call;
- * this takes it back for the whole search, since selection runs numpy.
- * Returns -1 when no fresh search is bound (start binds one), d is not in
- * [1, n_spine], the pruning steps overflow the history or n_beam < 1,
+/* A whole search over the bound view, as _NumpyPasses._run runs it step
+ * by step: at every spine position spinal_expand and spinal_score, at
+ * every pruning step (position d - 1 on) run_select keeping n_beam
+ * subtrees, and at the end the last spinal_gather, so no selection
+ * outlives the call.  cffi releases the GIL around the call; this takes
+ * it back for the whole search, since selection runs numpy.  Returns -1
+ * when no fresh search is bound (SpinalPasses.search binds one), d is not
+ * in [1, n_spine], the pruning steps overflow the history or n_beam < 1,
  * all before anything is written, or when a pass refuses mid-search, and
  * -2 when numpy's C API cannot be imported or a numpy call fails (its
  * Python error is cleared).  Either way the selection pointer is left
@@ -783,8 +782,8 @@ static int64_t history_entry(const struct spinal_search *s, int64_t r,
     return g >= 0 && g < (s->n_msgs * n_prev) << s->k ? g : -1;
 }
 
-/* The decoded bits of a finished search (finish has gathered its last
- * row and unbound the view), n_bits = (row + d - 1) * k a message, from
+/* The decoded bits of a finished search (its last row gathered and the
+ * view unbound), n_bits = (row + d - 1) * k a message, from
  * best[m], the index among message m's n_leaves final leaves of the one
  * np.argmin chose.  Leaf best[m] is survivor b = m * kept[row - 1] +
  * best[m] / group of the last row, at w = best[m] % group in its subtree;

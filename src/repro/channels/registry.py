@@ -41,15 +41,24 @@ _FAMILIES: dict[str, tuple[Callable[..., Channel], tuple[str, ...]]] = {
 
 
 def channel_family(
-        name: str) -> tuple[Callable[..., Channel], tuple[str, ...]]:
-    """The ``(factory, options)`` of family ``name``."""
+        name: str, options: Mapping[str, object] | None = None
+) -> tuple[Callable[..., Channel], tuple[str, ...]]:
+    """The ``(factory, options)`` of family ``name``, after checking that
+    it takes every key of ``options``."""
     try:
-        return _FAMILIES[name]
+        factory, accepted = _FAMILIES[name]
     except KeyError:
         raise ValueError(
             f"unknown channel kind {name!r}; "
             f"expected one of {sorted(_FAMILIES)}"
         ) from None
+    unknown = set(options or ()) - set(accepted)
+    if unknown:
+        raise ValueError(
+            f"channel family {name!r} does not accept options "
+            f"{sorted(unknown)}; accepted: {sorted(accepted)}"
+        )
+    return factory, accepted
 
 
 def make_channel(
@@ -63,15 +72,8 @@ def make_channel(
     ``options`` supplies family-specific knobs; names the family does not
     declare raise a ``ValueError``.
     """
-    factory, accepted = channel_family(kind)
-    opts = dict(options or {})
-    unknown = set(opts) - set(accepted)
-    if unknown:
-        raise ValueError(
-            f"channel family {kind!r} does not accept options "
-            f"{sorted(unknown)}; accepted: {sorted(accepted)}"
-        )
-    return factory(point, rng, **opts)
+    factory, _ = channel_family(kind, options)
+    return factory(point, rng, **dict(options or {}))
 
 
 def channel_factory(

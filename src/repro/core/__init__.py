@@ -12,7 +12,6 @@ Public surface:
 from repro.core.params import DecoderParams, SpinalParams
 from repro.core.hashes import available_hashes, get_hash
 from repro.core.rng import SpinalRNG
-from repro.core.spine import spine_states
 from repro.core.constellation import (
     BscMapping,
     TruncatedGaussianMapping,
@@ -27,7 +26,6 @@ from repro.core.puncturing import (
 from repro.core.encoder import BatchSpinalEncoder, SpinalEncoder
 from repro.core.symbols import BatchReceivedSymbols, ReceivedSymbols
 from repro.core.decoder import BatchBubbleDecoder, BubbleDecoder, DecodeResult
-from repro.core.ml import MLDecoder
 from repro.core.crc import crc16
 from repro.core.framing import Frame, FrameDecoder, FrameEncoder
 
@@ -37,7 +35,6 @@ __all__ = [
     "available_hashes",
     "get_hash",
     "SpinalRNG",
-    "spine_states",
     "UniformMapping",
     "TruncatedGaussianMapping",
     "BscMapping",
@@ -52,7 +49,6 @@ __all__ = [
     "BubbleDecoder",
     "BatchBubbleDecoder",
     "DecodeResult",
-    "MLDecoder",
     "crc16",
     "Frame",
     "FrameEncoder",

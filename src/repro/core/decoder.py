@@ -25,24 +25,16 @@ selects each message's best ``B`` subtrees with its own ``argpartition``
 row.  Each pruning step records its survivors for backtracking (one
 compact ``(M, B)`` history row and its kept count); missing spine
 positions (puncturing) simply contribute zero branch cost, which matches
-§5 exactly.  The search runs on the passes of
-:func:`repro.backend.spinal_passes`, compiled C where it builds.
-``start`` checks the received view once per search and binds it (rows
-forming one run are read in place from the store, other row sets are
-copied once), and ``run(d, B)`` is then the whole search: per spine
-position ``expand``, which gathers the subtrees the previous step
-selected (their states, path costs, history row and kept count) and
-hashes their children, and ``score``, which adds each leaf's cost to its
-children's branch costs over that position's slots, and at every pruning
-step the selection, the subtree minima and numpy's ``argpartition`` on
-the passes' own costs; then the last survivors' gather, after which it
-unbinds the view and returns their path costs.  A compiled search is one
-C call, whose selections reach numpy's own ``argpartition`` through
-numpy's C API; the numpy fallback runs the same steps as a Python loop.
-numpy's ``argmin`` over each message's row (its first minimum, or its
-first NaN) then picks the best leaf, and ``backtrack(best)`` chases the
-history from every message's best leaf to its message bits: one C call
-for the whole cohort.  The passes' leaf, child, cost and survivor
+§5 exactly.  numpy's ``argmin`` over each message's leaves (its first
+minimum, or its first NaN) then picks the best, and the history leads
+back from it to the message bits.  The whole search is one call,
+``search(received, d, B)``, of the passes of
+:func:`repro.backend.spinal_passes`: compiled C where it builds (one C
+call for the search, selections by numpy's own ``argpartition`` through
+numpy's C API included, and one for the backtrack of the whole cohort),
+a numpy loop over the same steps otherwise.  It checks the received view
+once and reads rows forming one run in place from the store (other row
+sets are copied once).  The passes' leaf, child, cost and survivor
 buffers are allocated once per decoder and cohort size and reused by the
 cohort's later attempts.
 
@@ -140,18 +132,10 @@ class BubbleDecoder:
         if received.n_spine != self.n_spine:
             raise ValueError("received-symbol store has mismatched spine length")
         M = received.n_rows
-        passes = self._search_passes(M, received.has_csi)
-        # The view is checked and bound once; the passes then run every
-        # step and gather the last survivors.
-        passes.start(received)
-        leaf_costs = passes.run(self.d, self.dec.B)
-        # Each message's best leaf (numpy's argmin: the first minimum, or
-        # the first NaN), then the path to it, for every message at once.
-        best = np.argmin(leaf_costs, axis=1)
-        bits = passes.backtrack(best)
-        costs = leaf_costs[np.arange(M), best].tolist()
-        return [DecodeResult(bits[m], costs[m], received.n_symbols)
-                for m in range(M)]
+        bits, costs = self._search_passes(M, received.has_csi).search(
+            received, self.d, self.dec.B)
+        return [DecodeResult(bits[m], cost, received.n_symbols)
+                for m, cost in enumerate(costs.tolist())]
 
 
 class BatchBubbleDecoder(BubbleDecoder):

@@ -17,20 +17,7 @@ import numpy as np
 from repro.backend import ckernels
 from repro.core.hashes import HashFn
 
-__all__ = ["spine_states", "spine_states_batch", "expand_states"]
-
-
-def spine_states(
-    hash_fn: HashFn, k: int, message_bits: np.ndarray, s0: int = 0
-) -> np.ndarray:
-    """Compute all n/k spine values for a message (encoder side).
-
-    Returns a ``(n/k,)`` uint32 array; entry i is ``s_{i+1}`` in the paper's
-    numbering (the state *after* absorbing chunk i).  The one-message row
-    of :func:`spine_states_batch`.
-    """
-    messages = np.asarray(message_bits, dtype=np.uint8).reshape(1, -1)
-    return spine_states_batch(hash_fn, k, messages, s0)[0]
+__all__ = ["spine_states_batch"]
 
 
 def spine_states_batch(
@@ -66,14 +53,3 @@ def spine_states_batch(
         s = hash_fn(s, chunks[:, i])
         states[:, i] = s
     return states
-
-
-def expand_states(hash_fn: HashFn, k: int, states: np.ndarray) -> np.ndarray:
-    """All 2^k child states of each input state (decoder-side expansion).
-
-    ``states`` has shape ``(...,)``; the result has shape ``(..., 2^k)``
-    where the last axis indexes the k-bit edge value.
-    """
-    states = np.asarray(states, dtype=np.uint32)
-    edges = np.arange(1 << k, dtype=np.uint32)
-    return hash_fn(states[..., None], edges)

@@ -21,6 +21,8 @@ formulas).
 from __future__ import annotations
 
 import hashlib
+import importlib
+import inspect
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -77,20 +79,33 @@ def _make_spinal(
     )
 
 
-def _make_raptor(**options: object) -> RatelessScheme:
-    from repro.fountain import RaptorScheme
-    return RaptorScheme(**options)
+class _Imported:
+    """The scheme class ``name`` of ``module``, imported when it is first
+    called or its signature read, so a spinal spec loads no baseline
+    code."""
+
+    def __init__(self, module: str, name: str):
+        self._module, self._name = module, name
+
+    def _load(self) -> Callable[..., RatelessScheme]:
+        cls: Callable[..., RatelessScheme] = getattr(
+            importlib.import_module(self._module), self._name)
+        return cls
+
+    @property
+    def __signature__(self) -> inspect.Signature:
+        return inspect.signature(self._load())
+
+    def __call__(self, **options: object) -> RatelessScheme:
+        return self._load()(**options)
 
 
-def _make_strider(**options: object) -> RatelessScheme:
-    from repro.strider import StriderScheme
-    return StriderScheme(**options)
-
-
+#: Scheme kind -> its factory, whose keyword parameters are the options
+#: the kind accepts.
 _SCHEMES: dict[str, Callable[..., RatelessScheme]] = {
     "spinal": _make_spinal,
-    "raptor": _make_raptor,
-    "strider": _make_strider,
+    "raptor": _Imported("repro.fountain", "RaptorScheme"),
+    "strider": _Imported("repro.strider", "StriderScheme"),
 }
 
 #: Point kind -> the spec fields it needs and the ``options`` keys it
@@ -115,10 +130,27 @@ POINT_KINDS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
 
 @dataclass(frozen=True)
 class SchemeSpec:
-    """A scheme by kind name plus JSON-safe constructor options."""
+    """A scheme by kind name plus JSON-safe constructor options.  Building
+    one refuses an unknown kind, and option keys its factory in
+    :data:`_SCHEMES` does not take, with ``ValueError``, so a misspelled
+    knob fails at once instead of in a worker."""
 
     kind: str
     options: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        try:
+            factory = _SCHEMES[self.kind]
+        except KeyError:
+            raise ValueError(
+                f"unknown scheme kind {self.kind!r}; "
+                f"expected one of {sorted(_SCHEMES)}") from None
+        try:
+            inspect.signature(factory).bind_partial(**self.options)
+        except TypeError as exc:
+            raise ValueError(
+                f"{self.kind} scheme options {sorted(self.options)}: "
+                f"{exc}") from None
 
     def as_dict(self) -> dict:
         return {"kind": self.kind, "options": dict(self.options)}
@@ -126,25 +158,20 @@ class SchemeSpec:
 
 def make_scheme(spec: SchemeSpec) -> RatelessScheme:
     """Instantiate the live scheme a spec describes (in the worker)."""
-    try:
-        factory = _SCHEMES[spec.kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown scheme kind {spec.kind!r}; "
-            f"expected one of {sorted(_SCHEMES)}"
-        ) from None
-    return factory(**spec.options)
+    return _SCHEMES[spec.kind](**spec.options)
 
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    """A channel family by name plus family options."""
+    """A channel family by name plus family options.  Building one
+    refuses an unknown family or option key with ``ValueError``."""
 
     kind: str
     options: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        channel_family(self.kind)  # fail at spec-build time, not in workers
+        # fail at spec-build time, not in workers
+        channel_family(self.kind, self.options)
 
     def as_dict(self) -> dict:
         return {"kind": self.kind, "options": dict(self.options)}

@@ -10,7 +10,6 @@ propagation over soft demapped information from a dense QAM constellation
 from repro.fountain.distributions import (
     RFC5053_DEGREES,
     ideal_soliton,
-    robust_soliton,
     sample_rfc5053_degree,
 )
 from repro.fountain.lt import LTStream
@@ -21,7 +20,6 @@ __all__ = [
     "RFC5053_DEGREES",
     "sample_rfc5053_degree",
     "ideal_soliton",
-    "robust_soliton",
     "LTStream",
     "LdpcPrecode",
     "RaptorCodec",

@@ -2,8 +2,8 @@
 
 The paper's Raptor baseline uses "the degree distribution in the Raptor
 RFC" (RFC 5053 §5.4.4.2), a fixed table optimised jointly with the
-precode.  The classic soliton distributions (Luby's LT paper) are included
-for completeness and for tests/ablations.
+precode.  The ideal soliton distribution (Luby's LT paper) is included
+for comparison.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ __all__ = [
     "RFC5053_DEGREES",
     "sample_rfc5053_degree",
     "ideal_soliton",
-    "robust_soliton",
 ]
 
 #: RFC 5053 degree table: (cumulative threshold out of 2^20, degree).
@@ -49,20 +48,3 @@ def ideal_soliton(n: int) -> np.ndarray:
     d = np.arange(2, n + 1)
     p[2:] = 1.0 / (d * (d - 1))
     return p[1:]
-
-
-def robust_soliton(n: int, c: float = 0.1, delta: float = 0.5) -> np.ndarray:
-    """Robust soliton distribution mu(d) over degrees 1..n (Luby 2002)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rho = ideal_soliton(n)
-    s = c * np.log(n / delta) * np.sqrt(n)
-    s = max(1.0, s)
-    tau = np.zeros(n)
-    cutoff = int(round(n / s))
-    cutoff = min(max(cutoff, 1), n)
-    for d in range(1, cutoff):
-        tau[d - 1] = s / (n * d)
-    tau[cutoff - 1] = s * np.log(s / delta) / n
-    mu = rho + tau
-    return mu / mu.sum()

@@ -8,7 +8,7 @@ structure (see DESIGN.md for the substitution rationale), the same decoder,
 and the same envelope procedure.
 """
 
-from repro.ldpc.gf2 import gf2_rank, gf2_rref, generator_from_parity
+from repro.ldpc.gf2 import gf2_rref, generator_from_parity
 from repro.ldpc.bp import BeliefPropagation
 from repro.ldpc.construction import make_qc_ldpc
 from repro.ldpc.code import LdpcCode, wifi_ldpc_family
@@ -16,7 +16,6 @@ from repro.ldpc.envelope import LdpcOperatingPoint, WIFI_OPERATING_POINTS, ldpc_
 
 __all__ = [
     "gf2_rref",
-    "gf2_rank",
     "generator_from_parity",
     "BeliefPropagation",
     "make_qc_ldpc",

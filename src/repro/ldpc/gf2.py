@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["gf2_rref", "gf2_rank", "gf2_matmul", "generator_from_parity"]
+__all__ = ["gf2_rref", "gf2_matmul", "generator_from_parity"]
 
 
 def gf2_rref(matrix: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -35,11 +35,6 @@ def gf2_rref(matrix: np.ndarray) -> tuple[np.ndarray, list[int]]:
         pivots.append(col)
         row += 1
     return a, pivots
-
-
-def gf2_rank(matrix: np.ndarray) -> int:
-    """Rank over GF(2)."""
-    return len(gf2_rref(matrix)[1])
 
 
 def gf2_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from repro.modulation.qam import (
     Constellation,
     make_constellation,
 )
-from repro.modulation.demapper import soft_demap, hard_demap
+from repro.modulation.demapper import soft_demap
 
 __all__ = [
     "Constellation",
@@ -23,5 +23,4 @@ __all__ = [
     "BPSK",
     "make_constellation",
     "soft_demap",
-    "hard_demap",
 ]

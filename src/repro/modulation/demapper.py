@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.modulation.qam import QAM, Constellation
 
-__all__ = ["soft_demap", "hard_demap"]
+__all__ = ["soft_demap"]
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
@@ -139,13 +139,3 @@ def soft_demap(
     metric = -(diff.real**2 + diff.imag**2) / noise
     llrs = _llrs(metric, constellation.bit_table(), received.size == 1)
     return llrs.T.reshape(-1)
-
-
-def hard_demap(constellation: Constellation, received: np.ndarray) -> np.ndarray:
-    """Nearest-point hard decisions, returned as bits (MSB-first)."""
-    received = np.asarray(received, dtype=np.complex128)
-    diff = received[:, None] - constellation.points[None, :]
-    labels = np.argmin(diff.real**2 + diff.imag**2, axis=1)
-    bps = constellation.bits_per_symbol
-    shifts = np.arange(bps - 1, -1, -1, dtype=np.int64)
-    return ((labels[:, None] >> shifts) & 1).astype(np.uint8).reshape(-1)

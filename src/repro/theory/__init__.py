@@ -3,13 +3,11 @@
 from repro.theory.bounds import (
     achievable_rate_bound,
     delta_gap,
-    minimum_passes,
     uniform_constellation_gap,
 )
 
 __all__ = [
     "delta_gap",
     "achievable_rate_bound",
-    "minimum_passes",
     "uniform_constellation_gap",
 ]

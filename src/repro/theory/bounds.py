@@ -20,7 +20,6 @@ import numpy as np
 __all__ = [
     "delta_gap",
     "achievable_rate_bound",
-    "minimum_passes",
     "uniform_constellation_gap",
 ]
 
@@ -46,14 +45,3 @@ def achievable_rate_bound(c: int, snr_db: float) -> float:
     """
     capacity = float(np.log2(1.0 + 10.0 ** (snr_db / 10.0)))
     return max(0.0, capacity - delta_gap(c, snr_db))
-
-
-def minimum_passes(k: int, c: int, snr_db: float) -> int:
-    """Smallest L with ``L (C - delta) > k``: the theorem's decodable pass
-    count (infinite when the bound is vacuous at this c/SNR)."""
-    bound = achievable_rate_bound(c, snr_db)
-    if bound <= 0.0:
-        raise ValueError(
-            f"bound is vacuous at c={c}, snr={snr_db} dB (delta >= capacity)"
-        )
-    return int(np.floor(k / bound)) + 1

@@ -4,9 +4,7 @@ from repro.utils.bitops import (
     bits_from_bytes,
     bits_from_int,
     bits_to_bytes,
-    bits_to_int,
     chunk_bits,
-    hamming_distance,
     pack_chunks,
     random_message,
 )
@@ -16,9 +14,7 @@ __all__ = [
     "bits_from_bytes",
     "bits_from_int",
     "bits_to_bytes",
-    "bits_to_int",
     "chunk_bits",
-    "hamming_distance",
     "pack_chunks",
     "random_message",
     "render_table",

@@ -14,10 +14,8 @@ __all__ = [
     "bits_from_bytes",
     "bits_to_bytes",
     "bits_from_int",
-    "bits_to_int",
     "chunk_bits",
     "pack_chunks",
-    "hamming_distance",
     "random_message",
 ]
 
@@ -59,14 +57,6 @@ def bits_from_int(value: int, width: int) -> np.ndarray:
     return out
 
 
-def bits_to_int(bits: np.ndarray) -> int:
-    """Interpret a bit array (MSB first) as a non-negative integer."""
-    value = 0
-    for b in np.asarray(bits, dtype=np.uint8):
-        value = (value << 1) | int(b)
-    return value
-
-
 def chunk_bits(bits: np.ndarray, k: int) -> np.ndarray:
     """Group a bit array into k-bit integers (MSB first within each chunk).
 
@@ -90,15 +80,6 @@ def pack_chunks(chunks: np.ndarray, k: int) -> np.ndarray:
         raise ValueError(f"chunk value exceeds {k} bits")
     shifts = np.arange(k - 1, -1, -1, dtype=np.uint32)
     return ((chunks[:, None] >> shifts) & 1).astype(np.uint8).ravel()
-
-
-def hamming_distance(a: np.ndarray, b: np.ndarray) -> int:
-    """Number of positions at which two bit arrays differ."""
-    a = np.asarray(a, dtype=np.uint8)
-    b = np.asarray(b, dtype=np.uint8)
-    if a.shape != b.shape:
-        raise ValueError("bit arrays must have equal shape")
-    return int(np.count_nonzero(a != b))
 
 
 def random_message(n_bits: int, rng: np.random.Generator | int | None = None) -> np.ndarray:

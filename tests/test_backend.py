@@ -50,16 +50,15 @@ from repro.experiments.store import ResultStore
 from repro.utils.bitops import pack_chunks, random_message
 
 from deadline import deadline
+from hand_steps import bind, set_leaves, step
 from reference_decoder import reference_decode
 
 
 #: Where the compiled kernels are entered: ``ckernels`` functions and
 #: classes, and the passes of a bubble search by ``Class.method``.
-_COMPILED_ENTRY_POINTS = ("spine_hash", "spine_chain", "SpinalPasses.expand",
-                          "SpinalPasses.score", "SpinalPasses.finish",
-                          "SpinalPasses.run", "SpinalPasses.backtrack",
-                          "BcjrDecoder.decode", "BpPasses", "lt_draw",
-                          "choice_draw")
+_COMPILED_ENTRY_POINTS = ("spine_hash", "spine_chain", "SpinalPasses._run",
+                          "SpinalPasses._backtrack", "BcjrDecoder.decode",
+                          "BpPasses", "lt_draw", "choice_draw")
 
 
 def _owner(name):
@@ -315,21 +314,21 @@ def _oracle_totals(hash_name, metric, leaves, parents, slots, values, csi,
 
 def _score(path, view, leaves, parents, *, hash_name, metric, levels, c, k):
     """Children and path costs ``(M, n << k)`` of one step on ``path``'s
-    passes: after ``start(view)`` the ``(M, n)`` ``leaves`` and their
-    ``parents`` costs are set as the step's leaves, then ``expand(0)``
-    and ``score(0)`` run over spine position 0 of ``view``."""
+    passes: with ``view`` bound, the ``(M, n)`` ``leaves`` and their
+    ``parents`` costs are set as the step's leaves, then the expand and
+    score passes run over spine position 0 of ``view``."""
     n_msgs, n_leaves = leaves.shape
     search = dict(levels=levels, c=c, is_bsc=metric == "bsc",
                   has_csi=metric == "csi", k=k, n_msgs=n_msgs,
                   beam=n_leaves, group=1, n_steps=1, s0=0)
     passes = (ckernels.SpinalPasses(ckernels.load(), hash_name, **search)
               if path == "compiled" else _NumpyPasses(hash_name, **search))
-    passes.start(view)
-    passes._ctx.n_leaves = n_leaves
+    bind(passes, view)
+    set_leaves(passes, n_leaves)
     passes.states[:leaves.size] = leaves.ravel()
     passes.costs[:leaves.size] = parents.ravel()
-    passes.expand(0)
-    passes.score(0)
+    step(passes, "expand", 0)
+    step(passes, "score", 0)
     n = leaves.size << k
     return (passes.children[:n].reshape(n_msgs, -1),
             passes.totals[:n].reshape(n_msgs, -1))
@@ -525,10 +524,11 @@ def _search_store(rng, metric, n_spine, n_rows, n_blocks, n_special,
 
 class TestCompiledStep:
     """The compiled passes of a bubble search (:class:`ckernels.
-    SpinalPasses`) equal the numpy search they replace: ``expand`` the
-    tree-expansion hash ``hash_fn(leaves[..., None], edges)``, ``score``
-    the oracle branch costs of those children (:func:`_oracle_totals`)
-    added to ``leaf``, and the gathers of ``select``'s survivors, byte for
+    SpinalPasses`) equal the numpy search they replace: the expand pass
+    the tree-expansion hash ``hash_fn(leaves[..., None], edges)``, the
+    score pass the oracle branch costs of those children
+    (:func:`_oracle_totals`) added to ``leaf``, and a whole ``search``,
+    its survivors' gathers, leaf costs and bits included, byte for
     byte.
 
     The cases cover every hash and metric, 1 to 3 messages, depth 1 and 2
@@ -552,12 +552,13 @@ class TestCompiledStep:
     @settings(max_examples=150, deadline=None)
     def test_matches_numpy_step(self, seed, hash_name, metric, n_msgs, k, d,
                                 n_slots, spare, c, n_special):
-        """One step at spine position 1, whose ``n_slots`` symbols sit in
-        a store of ``n_slots + spare`` columns, ahead of further rows, so
-        the view is read at the store's strides.  The leaves are set
-        after ``start`` (one per message) or are the children of an
-        unpruned step (``2^k`` per message at d = 2), and the parent costs
-        are set before ``score``."""
+        """One step at spine position 1, through the kernel module's
+        ``spinal_expand`` and ``spinal_score``, whose ``n_slots`` symbols
+        sit in a store of ``n_slots + spare`` columns, ahead of further
+        rows, so the view is read at the store's strides.  The leaves are
+        set after the view is bound (one per message) or are the children
+        of an unpruned step (``2^k`` per message at d = 2), and the parent
+        costs are set before the score pass."""
         if ckernels.load() is None:
             pytest.skip("compiled kernels unavailable here")
         rng = np.random.default_rng(seed)
@@ -581,28 +582,26 @@ class TestCompiledStep:
             levels = np.sort(rng.normal(size=1 << c))
         n_leaves = K ** (d - 1)
         with np.errstate(all="ignore"):
-            with _on_path("compiled") as calls:
-                passes = ckernels.SpinalPasses(
-                    ckernels.load(), hash_name, levels=levels, c=c,
-                    is_bsc=metric == "bsc", has_csi=csi is not None, k=k,
-                    n_msgs=n_msgs, beam=1, group=n_leaves, n_steps=1,
-                    s0=int(rng.integers(0, 2**32)))
-                passes.start(view)
-                passes.states[:n_msgs] = rng.integers(
-                    0, 2**32, size=n_msgs, dtype=np.uint32)
-                passes.expand(0)
-                if d == 2:
-                    passes.score(0)
-                    passes.expand(1)
-                leaves = passes.states[:n_msgs * n_leaves].copy()
-                parents = _special_costs(rng, n_msgs * n_leaves, n_special)
-                passes.costs[:parents.size] = parents
-                passes.score(1)
+            passes = ckernels.SpinalPasses(
+                ckernels.load(), hash_name, levels=levels, c=c,
+                is_bsc=metric == "bsc", has_csi=csi is not None, k=k,
+                n_msgs=n_msgs, beam=1, group=n_leaves, n_steps=1,
+                s0=int(rng.integers(0, 2**32)))
+            bind(passes, view)
+            passes.states[:n_msgs] = rng.integers(
+                0, 2**32, size=n_msgs, dtype=np.uint32)
+            step(passes, "expand", 0)
+            if d == 2:
+                step(passes, "score", 0)
+                step(passes, "expand", 1)
+            leaves = passes.states[:n_msgs * n_leaves].copy()
+            parents = _special_costs(rng, n_msgs * n_leaves, n_special)
+            passes.costs[:parents.size] = parents
+            step(passes, "score", 1)
             want_children, want_totals = _oracle_totals(
                 hash_name, metric, leaves.reshape(n_msgs, n_leaves),
                 parents.reshape(n_msgs, n_leaves), slots, values, csi,
                 levels, c, k)
-        assert set(calls) == {"expand", "score"}
         n = n_msgs * n_leaves * K
         children, totals = passes.children[:n], passes.totals[:n]
         assert children.tobytes() == want_children.tobytes()
@@ -624,25 +623,19 @@ class TestCompiledStep:
     def test_gather_and_expand_match_numpy_passes(
             self, seed, hash_name, metric, n_msgs, k, d, n_beam, n_spine,
             n_blocks, punctured, rows, c, n_special):
-        """A whole search, ``start``, then ``expand``, ``score`` and at
-        each pruning step ``select(n_beam)`` per spine position, then
-        ``finish``, on the compiled passes and on ``_NumpyPasses``, over a
-        view of ``n_msgs`` rows of a store of ``n_msgs + 2``: one run of
-        rows, read in place, or a scattered set, copied once.  After every
-        call the states, children and history agree byte for byte over the
-        whole buffers, so nothing is written outside a message's rows, and
-        the costs and totals bit for bit except for which NaN a NaN entry
-        holds (a NaN parent cost meets NaN branch costs, where numpy's own
-        ``leaf + bc`` picks a NaN by position).  Every pruning step keeps
-        exactly ``argpartition``'s choice along each message's row of
-        subtree minima (every subtree, in order, when they fit), and
-        ``finish`` returns the same survivors' costs, and leaves the same
-        history and kept counts, on both.  Then the same search runs again
-        as one ``run(d, n_beam)`` on each, from the same sentinel buffers:
-        ``SpinalPasses.run`` (one C call, numpy's argpartition through its
-        C API) and ``_NumpyPasses.run`` (the Python step loop) leave every
-        buffer as the steps did, return the same leaf costs and backtrack
-        to the same bits."""
+        """A whole ``search(view, d, n_beam)`` on the compiled passes and
+        on ``_NumpyPasses``, from the same sentinel buffers, over a view
+        of ``n_msgs`` rows of a store of ``n_msgs + 2``: one run of rows,
+        read in place, or a scattered set, copied once.  Afterwards the
+        states, children, history and kept counts agree byte for byte
+        over the whole buffers, so nothing is written outside a message's
+        rows, and the leaf costs and totals bit for bit except for which
+        NaN a NaN entry holds (a NaN parent cost meets NaN branch costs,
+        where numpy's own ``leaf + bc`` picks a NaN by position); both
+        return the same bits and best costs.  Both also equal the numpy
+        passes stepped by hand, where every pruning step keeps exactly
+        ``argpartition``'s choice along each message's row of subtree
+        minima (every subtree, in order, when they fit)."""
         if ckernels.load() is None:
             pytest.skip("compiled kernels unavailable here")
         rng = np.random.default_rng(seed)
@@ -669,18 +662,16 @@ class TestCompiledStep:
                       n_steps=n_steps, s0=int(rng.integers(0, 2**32)))
         both = (ckernels.SpinalPasses(ckernels.load(), hash_name, **search),
                 _NumpyPasses(hash_name, **search))
-        def sentinels():
-            """The buffers start equal, so a stray write shows as a
-            difference."""
-            for p in both:
-                p.states[:] = 7
-                p.costs[:] = -3.0
-                p.children[:] = 9
-                p.totals[:] = -4.0
-                p.history[:] = -5
-                p.kept[:] = -6
-
-        sentinels()
+        stepped = _NumpyPasses(hash_name, **search)
+        for p in (*both, stepped):
+            # the buffers start equal, so a stray write shows as a
+            # difference
+            p.states[:] = 7
+            p.costs[:] = -3.0
+            p.children[:] = 9
+            p.totals[:] = -4.0
+            p.history[:] = -5
+            p.kept[:] = -6
 
         def same(a, b, nan_free=False):
             if nan_free:
@@ -688,30 +679,18 @@ class TestCompiledStep:
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()
 
-        def agree():
-            for name in ("states", "children", "history", "kept"):
-                same(*(getattr(p, name) for p in both))
-            for name in ("costs", "totals"):
-                same(*(getattr(p, name) for p in both), nan_free=True)
-
         chosen = []
         with np.errstate(all="ignore"):
-            for p in both:
-                p.start(view)
-            agree()
+            bind(stepped, view)
             n_leaves = 1
-            for step in range(n_spine):
-                for p in both:
-                    p.expand(step)
-                agree()
-                for p in both:
-                    p.score(step)
-                agree()
-                if step < d - 1:
+            for position in range(n_spine):
+                step(stepped, "expand", position)
+                step(stepped, "score", position)
+                if position < d - 1:
                     n_leaves *= K
                     continue
                 n_groups = n_leaves * K // W
-                group_costs = both[1].totals[:n_msgs * n_leaves * K]
+                group_costs = stepped.totals[:n_msgs * n_leaves * K]
                 group_costs = group_costs.reshape(-1, W).min(axis=1)
                 n_keep = min(n_beam, n_groups)
                 sel = (group_costs.reshape(n_msgs, n_groups).argpartition(
@@ -719,38 +698,27 @@ class TestCompiledStep:
                     else np.broadcast_to(np.arange(n_groups),
                                          (n_msgs, n_groups)))
                 chosen.append(sel + np.arange(n_msgs)[:, None] * n_groups)
-                for p in both:
-                    p.select(n_beam)
+                stepped._select(n_beam)
                 n_leaves = sel.shape[1] * W
-            final = [p.finish() for p in both]
-        agree()
-        same(final[0], final[1], nan_free=True)
-        assert final[0].shape == (n_msgs, n_leaves)
+            step(stepped, "gather")
+            stepped._unbind()
+            with deadline(30):
+                found = [p.search(view, d, n_beam) for p in both]
         for p in both:
+            for name in ("states", "children", "history", "kept", "costs",
+                         "totals"):
+                same(getattr(p, name), getattr(stepped, name),
+                     nan_free=name in ("costs", "totals"))
             kept = [p.history[row, :, :n_keep] for row, n_keep in
                     enumerate(p.kept[:len(chosen)].tolist())]
             assert [a.tolist() for a in kept] == [a.tolist() for a in chosen]
-
-        best = np.argmin(final[1], axis=1)
-        stepped = {name: getattr(both[1], name).copy() for name in (
-            "states", "children", "history", "kept", "costs", "totals")}
-        stepped_bits = both[1].backtrack(best)
-        assert both[0].backtrack(best).tobytes() == stepped_bits.tobytes()
-        sentinels()
-        with deadline(30), np.errstate(all="ignore"):
-            ran = []
-            for p in both:
-                p.start(view)
-                ran.append(p.run(d, n_beam))
-        agree()
-        for name, want in stepped.items():
-            same(getattr(both[0], name), want,
-                 nan_free=name in ("costs", "totals"))
-        same(ran[0], ran[1], nan_free=True)
-        assert ran[0].shape == (n_msgs, n_leaves)
-        for p, leaf_costs in zip(both, ran):
-            bits = p.backtrack(np.argmin(leaf_costs, axis=1))
-            assert bits.tobytes() == stepped_bits.tobytes()
+        (bits, costs), (numpy_bits, numpy_costs) = found
+        assert bits.shape == (n_msgs, n_spine * k)
+        assert bits.tobytes() == numpy_bits.tobytes()
+        same(costs, numpy_costs, nan_free=True)
+        leaf_costs = stepped.costs[:n_msgs * n_leaves].reshape(n_msgs, -1)
+        same(costs, leaf_costs[np.arange(n_msgs),
+                               np.argmin(leaf_costs, axis=1)], nan_free=True)
 
 
 def _loop_backtrack(leaf_costs, kept_hist, k, d):
@@ -786,10 +754,11 @@ def _same_cost(a, b):
 
 
 class TestBacktrack:
-    """The backtrack, one C call on the compiled passes, equals
-    ``_NumpyPasses``' loop and the decoder's former Python loop
-    (:func:`_loop_backtrack`) over whole searches, and the decoder
-    returns those bits and costs on both paths."""
+    """The backtrack that ends a ``search``, one C call on the compiled
+    passes, equals ``_NumpyPasses``' loop and the decoder's former Python
+    loop (:func:`_loop_backtrack`) over the leaf costs and history of
+    whole searches, and the decoder returns those bits and costs on both
+    paths."""
 
     @given(seed=st.integers(0, 2**32 - 1),
            hash_name=st.sampled_from(sorted(GOLDEN_VECTORS)),
@@ -840,28 +809,26 @@ class TestBacktrack:
         decoded = []
         with deadline(60), np.errstate(all="ignore"):
             for passes in both:
-                passes.start(view)
-                for step in range(n_spine):
-                    passes.expand(step)
-                    passes.score(step)
-                    if step >= d_eff - 1:
-                        passes.select(n_beam)
-                leaf_costs = passes.finish()
+                bits, costs = passes.search(view, d_eff, n_beam)
                 kept_hist = [passes.history[row, :, :n_keep]
                              for row, n_keep in enumerate(
                                  passes.kept[:n_steps].tolist())]
-                want = _loop_backtrack(leaf_costs, kept_hist, k, d_eff)
-                bits = passes.backtrack(np.argmin(leaf_costs, axis=1))
+                n_leaves = kept_hist[-1].shape[1] * search["group"]
+                want = _loop_backtrack(
+                    passes.costs[:n_msgs * n_leaves].reshape(n_msgs, -1),
+                    kept_hist, k, d_eff)
                 assert bits.shape == (n_msgs, n_spine * k)
-                for row, (want_bits, _) in zip(bits, want):
+                for row, cost, (want_bits, want_cost) in zip(bits, costs,
+                                                             want):
                     assert row.tobytes() == want_bits.tobytes()
+                    assert _same_cost(cost, want_cost)
                 decoded.append(want)
             for path in _paths():
                 with _on_path(path) as calls:
                     results = BatchBubbleDecoder(
                         params, DecoderParams(B=n_beam, d=d),
                         n_spine * k).decode_batch(view)
-                assert ("backtrack" in calls) == (path == "compiled")
+                assert ("_backtrack" in calls) == (path == "compiled")
                 for got, (want_bits, want_cost) in zip(results, decoded[0]):
                     assert got.message_bits.tobytes() == want_bits.tobytes()
                     assert _same_cost(got.path_cost, want_cost)
@@ -896,32 +863,40 @@ def _run_case(path, *, d=1, n_beam=3, n_msgs=2, k=2, n_spine=6, seed=31):
 
 
 def _run_result(passes, view, d, n_beam):
-    """Bits, leaf costs, and the history rows and kept counts written by
-    one ``run``."""
-    passes.start(view)
-    leaf_costs = passes.run(d, n_beam).copy()
-    bits = passes.backtrack(np.argmin(leaf_costs, axis=1))
+    """Bits, best costs, and the history rows and kept counts written by
+    one ``search``."""
+    bits, costs = passes.search(view, d, n_beam)
     kept = passes.kept.tolist()
-    return (bits.tobytes(), leaf_costs.tobytes(), kept,
+    return (bits.tobytes(), costs.tobytes(), kept,
             [passes.history[row, :, :n].tolist()
              for row, n in enumerate(kept)])
 
 
+#: The refused searches, as (refusal, path): those ``search`` refuses on
+#: both paths, and on the compiled one the searches ``spinal_run`` refuses
+#: because no fresh search is bound, which ``search`` never hands it.
+_REFUSALS = [(refusal, path) for refusal in (
+    "d 0", "d past the spine", "no beam", "unpruned past one subtree")
+    for path in ("numpy", "compiled")] + [
+        (refusal, "compiled") for refusal in (
+            "no start", "twice", "after a step")]
+
+
 class TestRun:
-    """``run``, the whole search in one call: one C call on
+    """``search``, the whole search in one call: one C call on
     :class:`ckernels.SpinalPasses`, the Python step loop on
     ``_NumpyPasses``.  Both refuse the same searches, flush the same
     kernel timers, and the compiled one holds no selection past a call."""
 
-    @pytest.mark.parametrize("path", ["numpy", "compiled"])
-    @pytest.mark.parametrize("refusal", [
-        "no start", "twice", "after a step", "d 0", "d past the spine",
-        "no beam", "unpruned past one subtree"])
+    @pytest.mark.parametrize("refusal, path", _REFUSALS,
+                             ids=[f"{r}-{p}" for r, p in _REFUSALS])
     def test_refused_run_raises_and_serves_the_next_start(self, path,
                                                           refusal):
-        """A refused ``run`` raises ``ValueError`` and unbinds the view;
-        the passes then serve the next ``start`` with the search a fresh
-        passes runs."""
+        """A refused ``search`` raises ``ValueError`` and unbinds the
+        view; the passes then serve the next ``search`` with the search a
+        fresh passes runs.  ``spinal_run`` itself refuses, writing
+        nothing, to run without a bound view, a second time over one
+        binding, or after a step was taken by hand."""
         if path not in _paths():
             pytest.skip("compiled kernels unavailable here")
         d, n_beam = 2, 3
@@ -929,22 +904,27 @@ class TestRun:
         fresh, _ = _run_case(path, d=d, n_beam=n_beam)
         with deadline(30), np.errstate(all="ignore"):
             want = _run_result(fresh, view, d, n_beam)
-            if refusal != "no start":
-                passes.start(view)
-            if refusal == "twice":
-                passes.run(d, n_beam)
-            elif refusal == "after a step":
-                passes.expand(0)
-                passes.score(0)
-                passes.expand(1)
             bad = {"d 0": (0, n_beam), "d past the spine": (7, n_beam),
                    "no beam": (d, 0),
                    "unpruned past one subtree": (3, n_beam)}
-            with pytest.raises(ValueError):
-                passes.run(*bad.get(refusal, (d, n_beam)))
-            assert passes._view is None and passes._sel is None
-            with pytest.raises(ValueError):
-                passes.backtrack(np.zeros(2, dtype=np.int64))
+            if refusal in bad:
+                with pytest.raises(ValueError):
+                    passes.search(view, *bad[refusal])
+            else:
+                run = ckernels.load().lib.spinal_run
+                if refusal != "no start":
+                    bind(passes, view)
+                if refusal == "twice":
+                    assert run(passes._ctx, d, n_beam) == 0
+                elif refusal == "after a step":
+                    step(passes, "expand", 0)
+                    step(passes, "score", 0)
+                    step(passes, "expand", 1)
+                history = passes.history.copy()
+                assert run(passes._ctx, d, n_beam) == -1
+                assert passes.history.tobytes() == history.tobytes()
+                passes._unbind()
+            assert passes._view is None
             assert _run_result(passes, view, d, n_beam) == want
 
     @pytest.mark.parametrize("d", [1, 2])
@@ -962,8 +942,7 @@ class TestRun:
             try:
                 with deadline(30):
                     for _ in range(3):
-                        passes.start(view)
-                        passes.run(d, 3)
+                        passes.search(view, d, 3)
                 timers = OBS.snapshot()["timers"]
             finally:
                 OBS.disable()
@@ -977,8 +956,8 @@ class TestRun:
     def test_two_thousand_runs_leak_no_selections(self, d):
         """Every selection ``spinal_run`` makes is an ndarray (with the
         array objects wrapping the passes' buffers around it); all of them
-        are released inside the call, so 2,000 searches leave the traced
-        memory where it was."""
+        are released inside the call, so 2,000 ``search`` calls leave the
+        traced memory where it was."""
         if ckernels.load() is None:
             pytest.skip("compiled kernels unavailable here")
         import tracemalloc
@@ -986,15 +965,13 @@ class TestRun:
         passes, view = _run_case("compiled", d=d, n_spine=8, n_beam=2)
         with deadline(120), np.errstate(all="ignore"):
             for _ in range(50):
-                passes.start(view)
-                passes.run(d, 2)
+                passes.search(view, d, 2)
             gc.collect()
             tracemalloc.start()
             try:
                 before = tracemalloc.get_traced_memory()[0]
                 for _ in range(2000):
-                    passes.start(view)
-                    passes.run(d, 2)
+                    passes.search(view, d, 2)
                 gc.collect()
                 grown = tracemalloc.get_traced_memory()[0] - before
             finally:
@@ -1003,7 +980,7 @@ class TestRun:
         assert grown < 20_000, grown
 
 
-#: One ``SpinalPasses.run`` against ``_NumpyPasses.run`` (the Python step
+#: One compiled ``search`` against ``_NumpyPasses.search`` (the Python step
 #: loop, whose selections are ``ndarray.argpartition`` calls) over searches
 #: with tied subtree costs, in a fresh interpreter: numpy picks its SIMD
 #: loops at import, so ``baseline`` runs with every dispatch target this
@@ -1045,13 +1022,13 @@ for case in range(24):
     got = []
     for passes in (ckernels.SpinalPasses(module, params.hash_name, **search),
                    _NumpyPasses(params.hash_name, **search)):
-        passes.start(view)
-        leaf_costs = passes.run(d, n_beam).copy()
-        bits = passes.backtrack(np.argmin(leaf_costs, axis=1))
+        bits, costs = passes.search(view, d, n_beam)
         kept = passes.kept.tolist()
+        n_leaves = n_msgs * kept[-1] * search["group"]
         got.append((kept, [passes.history[row, :, :n].tolist()
                            for row, n in enumerate(kept)],
-                    leaf_costs.tobytes(), bits.tobytes()))
+                    passes.costs[:n_leaves].tobytes(), costs.tobytes(),
+                    bits.tobytes()))
     assert got[0] == got[1], case
 print("ok")
 """
@@ -1193,7 +1170,7 @@ class TestCrossBackendDecode:
             # the whole search and the backtrack ran compiled, and none on
             # numpy
             if path == "compiled":
-                assert {"run", "backtrack"} <= set(calls)
+                assert {"_run", "_backtrack"} <= set(calls)
             else:
                 assert calls == []
 
@@ -1218,7 +1195,7 @@ class TestCrossBackendDecode:
                             channel.transmit(block.values[0]).values)
 
         def unbound(passes):
-            assert passes._view is None and passes._sel is None
+            assert passes._view is None
             if isinstance(passes, ckernels.SpinalPasses):
                 ctx, null = passes._ctx, passes._ffi.NULL
                 assert ctx.n_spine == 0

@@ -18,6 +18,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from functools import partial
 from types import SimpleNamespace
 from unittest import mock
 
@@ -33,6 +34,7 @@ from repro.strider.bcjr import BcjrTrellis, max_log_bcjr
 from repro.strider.rsc import RscCode
 
 from deadline import deadline
+from hand_steps import bind, step
 
 _SRC = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(ckernels.__file__))))
@@ -250,16 +252,16 @@ def _fake_module():
 
 def _score_call(call):
     """Run ``call`` as the passes take it, on :func:`_fake_module`: its
-    metric when they are made, its panel, as spine position 0 of a view
-    holding 3 slots a message, in ``start``, then the first step."""
+    metric when they are made, then a search over its panel, as spine
+    position 0 of a view holding 3 slots a message."""
     call = dict(call)
     panel = [call.pop(name) for name in ("slots", "values", "csi")]
     passes = ckernels.SpinalPasses(
         _fake_module(), **call, has_csi=panel[2] is not None, k=1,
         n_msgs=2, beam=1, group=1, n_steps=1, s0=0)
     planes = tuple(None if a is None else a[None] for a in panel)
-    passes.start(SimpleNamespace(planes=lambda: (*planes, np.array([3]))))
-    passes.score(0)
+    passes.search(SimpleNamespace(planes=lambda: (*planes, np.array([3]))),
+                  1, 1)
 
 
 @pytest.mark.parametrize("name, bad", [
@@ -287,7 +289,7 @@ def _score_call(call):
 def test_bad_branch_cost_calls_raise_before_reaching_c(name, bad):
     """Each input of a branch cost is refused where the passes take it:
     the hash, ``levels`` and ``c`` when they are made, one position's
-    slots, values and CSI when ``start`` binds the view.  The good call
+    slots, values and CSI when ``search`` checks the view.  The good call
     they start from reaches C."""
     with pytest.raises(AssertionError, match="reached the C kernel"):
         _score_call(_spinal_call())
@@ -378,21 +380,20 @@ def test_bsc_step_search_rejects_csi():
     ("csi", lambda _: np.zeros((2, 2, 4), dtype=np.complex128)),
 ])
 def test_bad_steps_raise_before_reaching_c(name, bad):
-    """A step reads only what ``start`` bound, so ``start`` checks the
-    received view's planes once per search: their dtypes, shapes, unit
-    inner strides, the CSI mode, the row count and every position's slot
-    count against the store's capacity (here 4).  The good view they
-    start from reaches C at the first step."""
+    """C reads the received view's planes at every step, so ``search``
+    checks them once, before C runs: their dtypes, shapes, unit inner
+    strides, the CSI mode, the row count and every position's slot count
+    against the store's capacity (here 4).  The good view they start from
+    reaches C."""
     passes = _fake_passes()
     good = _good_view()
-    passes.start(good)
-    for run in (passes.expand, passes.score):
-        with pytest.raises(AssertionError, match="reached the C kernel"):
-            run(0)
+    with pytest.raises(AssertionError, match="reached the C kernel"):
+        passes.search(good, 1, 2)
     planes = dict(zip(("slots", "values", "csi", "counts"), good.planes()))
     planes[name] = bad(planes[name])
     with pytest.raises(ValueError):
-        passes.start(SimpleNamespace(planes=lambda: tuple(planes.values())))
+        passes.search(SimpleNamespace(planes=lambda: tuple(planes.values())),
+                      1, 2)
 
 
 @pytest.mark.parametrize("name, bad", [
@@ -412,64 +413,65 @@ def test_bad_steps_raise_before_reaching_c(name, bad):
 def test_bad_selections_raise_before_reaching_c(name, bad):
     """A view's row selection ``sel`` (its ``rows``) must be a 1-D intp
     array naming one row of the store per message of the search, and each
-    ``row`` must lie in the store's 3; ``start`` refuses any other view,
-    and the good selection reaches C at the first step."""
+    ``row`` must lie in the store's 3; ``search`` refuses any other view,
+    and the good selection reaches C."""
     passes = _fake_passes()
     view = _good_view()
-    passes.start(view)
     with pytest.raises(AssertionError, match="reached the C kernel"):
-        passes.expand(0)
+        passes.search(view, 1, 2)
     rows = view.rows
     view.rows = (bad(rows) if name == "sel" else
                  np.array([bad(int(rows[0])), *rows[1:].tolist()]))
     with pytest.raises(ValueError):
-        passes.start(view)
+        passes.search(view, 1, 2)
 
 
 def test_gathers_need_a_scored_step_and_matching_leaves():
     """Nothing is gathered without a selection of a scored step, no more
     subtrees are kept than the beam holds, children become leaves unpruned
     only while they fit in one subtree, and no step runs outside the bound
-    view, before ``start`` or after ``finish``; on the compiled passes
-    (where they build) and the numpy ones alike."""
+    view, before it is bound or after the search unbinds it; on the
+    compiled passes (where they build, through the kernel module) and the
+    numpy ones alike."""
     both = [_NumpyPasses(**_step_search())]
     if ckernels.load() is not None:
         both.append(ckernels.SpinalPasses(ckernels.load(), **_step_search()))
     view = _good_view()
     for passes in both:
-        for step in (0, -1):
-            with pytest.raises(ValueError):
-                passes.expand(step)
-            with pytest.raises(ValueError):
-                passes.score(step)
-        passes.start(view)
+        numpy = isinstance(passes, _NumpyPasses)
+        for position in (0, -1):
+            for name in ("expand", "score"):
+                with pytest.raises(ValueError):
+                    step(passes, name, position)
+        bind(passes, view)
         with pytest.raises(ValueError):
-            passes.finish()
-        passes.start(view)
-        passes.expand(0)
-        passes.score(0)
-        for step in (2, -1):
-            with pytest.raises(ValueError):
-                passes.expand(step)
-            with pytest.raises(ValueError):
-                passes.score(step)
+            step(passes, "gather")
+        step(passes, "expand", 0)
+        step(passes, "score", 0)
+        for position in (2, -1):
+            for name in ("expand", "score"):
+                with pytest.raises(ValueError):
+                    step(passes, name, position)
         # 4 subtrees a message were scored, and the beam holds 3
-        with pytest.raises(ValueError):
-            passes.select(5)
+        if numpy:
+            with pytest.raises(ValueError):
+                passes._select(5)
+        else:
+            passes._ctx.sel, passes._ctx.n_keep = passes._ctx.every, 4
+            with pytest.raises(ValueError):
+                step(passes, "gather")
+            passes._ctx.sel = passes._ffi.NULL
         # without a selection, the 4 children of a leaf are no one-leaf
         # subtree
         with pytest.raises(ValueError):
-            passes.expand(1)
-        passes.select(2)
-        passes.expand(1)
-        passes.score(1)
-        passes.select(2)
-        leaf_costs = passes.finish()
-        assert leaf_costs.shape == (2, 2)
+            step(passes, "expand", 1)
+        passes._unbind()
+        bits, costs = passes.search(view, 1, 2)
+        assert bits.shape == (2, 4) and costs.shape == (2,)
         assert passes.kept.tolist() == [2, 2]
-        for run in (passes.expand, passes.score):
+        for name in ("expand", "score"):
             with pytest.raises(ValueError):
-                run(0)
+                step(passes, name, 0)
 
 
 def test_out_of_range_subtrees_are_refused_before_any_write():
@@ -479,69 +481,47 @@ def test_out_of_range_subtrees_are_refused_before_any_write():
     _require_compiler()
     passes = ckernels.SpinalPasses(ckernels.load(), **_step_search())
     passes.history[:] = -1
-    passes.start(_good_view())
-    passes.expand(0)
-    passes.score(0)
+    bind(passes, _good_view())
+    step(passes, "expand", 0)
+    step(passes, "score", 0)
+    held = []
 
-    def bind(sel):
+    def select(sel):
         """Leave ``sel`` (one row of 2 survivors a message) for the next
-        gather, as ``select`` leaves its choice."""
-        sel = np.array(sel, dtype=np.int64)
-        passes._sel = passes._ctx.sel = passes._pointer(sel)
+        gather, as the compiled selection leaves its choice."""
+        held.append(np.array(sel, dtype=np.int64))
+        passes._ctx.sel = passes._ffi.from_buffer(held[-1])
         passes._ctx.n_keep, passes._ctx.sel_step = 2, 2
 
     before = [a.copy() for a in (passes.states, passes.costs, passes.history)]
     for bad in ([[0, 4], [1, 2]], [[0, 1], [-1, 2]]):
-        bind(bad)
+        select(bad)
         with pytest.raises(ValueError, match="refused"):
-            passes.expand(1)
+            step(passes, "expand", 1)
         for a, b in zip((passes.states, passes.costs, passes.history),
                         before):
             assert a.tobytes() == b.tobytes()
-    bind([[0, 3], [2, 1]])
-    passes.expand(1)
+    select([[0, 3], [2, 1]])
+    step(passes, "expand", 1)
     assert passes.history[0].tolist() == [[0, 3, -1], [6, 5, -1]]
     with pytest.raises(ValueError):
-        passes.finish()
+        step(passes, "gather")
 
 
-def _finished_search(passes):
-    """Run ``_step_search``'s two pruning steps on ``_good_view`` with a
-    beam of 2 and return the leaf costs ``finish`` gives."""
-    passes.start(_good_view())
-    for step in range(2):
-        passes.expand(step)
-        passes.score(step)
-        passes.select(2)
-    return passes.finish()
-
-
-def test_bad_backtracks_raise_before_reaching_c():
-    """``backtrack`` takes one int64 leaf index a message, each inside the
-    leaves ``finish`` returned, and only after a finished search: never
-    before the first, nor between ``start`` and ``finish``; on the
-    compiled passes and the numpy ones alike, whose good call reaches
-    their ``_backtrack``."""
-    both = [_NumpyPasses(**_step_search())]
-    if ckernels.load() is not None:
-        both.append(ckernels.SpinalPasses(ckernels.load(), **_step_search()))
-    good = np.array([1, 0])
-    for passes in both:
-        with pytest.raises(ValueError, match="no finished search"):
-            passes.backtrack(good)
-        assert _finished_search(passes).shape == (2, 2)
-        assert passes.backtrack(good).shape == (2, 4)
-        passes._backtrack = _reached_c
-        with pytest.raises(AssertionError, match="reached the C kernel"):
-            passes.backtrack(good)
-        for bad in (np.array([2, 0]), np.array([0, -1]),
-                    good.astype(np.int32), good.astype(np.float64),
-                    good[:1], good[:, None], good.tolist()):
-            with pytest.raises(ValueError):
-                passes.backtrack(bad)
-        passes.start(_good_view())
-        with pytest.raises(ValueError, match="no finished search"):
-            passes.backtrack(good)
+@pytest.mark.parametrize("path", ["numpy", "compiled"])
+@pytest.mark.parametrize("group", [2, 8, 32])
+def test_group_that_is_no_power_of_2k_is_refused_when_made(path, group):
+    """A search's subtrees hold the last ``d - 1`` edges of a path, so its
+    ``group`` must be ``2^(k j)``: with k = 2 each of 2, 8 and 32 leaves
+    the backtrack without a whole last edge, and the passes refuse it
+    when they are made, before any search runs.  1, 4 and 16 are taken."""
+    make = (_NumpyPasses if path == "numpy" else
+            partial(ckernels.SpinalPasses, _fake_module()))
+    with pytest.raises(ValueError, match="power of 2"):
+        make(**dict(_step_search(), group=group))
+    for good in (1, 4, 16):
+        assert make(**dict(_step_search(), group=good))._digits == {
+            1: 0, 4: 1, 16: 2}[good]
 
 
 def test_c_refuses_bad_backtracks():
@@ -550,9 +530,10 @@ def test_c_refuses_bad_backtracks():
     raises and leaves the output as it was."""
     _require_compiler()
     passes = ckernels.SpinalPasses(ckernels.load(), **_step_search())
-    _finished_search(passes)
+    passes.search(_good_view(), 1, 2)
     good = np.array([1, 0])
-    want = passes.backtrack(good)
+    want = np.empty((2, 4), dtype=np.uint8)
+    passes._backtrack(good, want)
 
     def refused(best=good, width=4):
         bits = np.full((2, width), 7, dtype=np.uint8)
@@ -573,7 +554,8 @@ def test_c_refuses_bad_backtracks():
     bits = np.empty((2, 4), dtype=np.uint8)
     passes._backtrack(good, bits)
     assert bits.tobytes() == want.tobytes()
-    passes.start(_good_view())
+    # a bound view is a search still running
+    bind(passes, _good_view())
     refused()
 
 
@@ -786,10 +768,10 @@ def test_branch_cost_sum_keeps_the_first_slots_nan():
             [[complex(_quiet_nan(first), 0.5),
               complex(_quiet_nan(second), -0.5)], finite]))
         for passes in both:
-            passes.start(store.prefix(np.arange(2), store.checkpoint()))
+            bind(passes, store.prefix(np.arange(2), store.checkpoint()))
             passes.costs[1] = 1.375
-            passes.expand(0)
-            passes.score(0)
+            step(passes, "expand", 0)
+            step(passes, "score", 0)
             totals = passes.totals[:16].reshape(2, 8)
             assert (totals[0].view(np.uint64)
                     == np.uint64(0x7FF8000000000000 | first)).all()
@@ -822,10 +804,10 @@ def test_nan_parents_keep_their_nan_over_nan_branch_costs(k, n_msgs):
     parents[::2] *= -1.0  # NaNs of both signs
     got = []
     for passes in both:
-        passes.start(store.prefix(np.arange(n_msgs), store.checkpoint()))
+        bind(passes, store.prefix(np.arange(n_msgs), store.checkpoint()))
         passes.costs[:n_msgs] = parents
-        passes.expand(0)
-        passes.score(0)
+        step(passes, "expand", 0)
+        step(passes, "score", 0)
         totals = passes.totals[:n_msgs << k].reshape(n_msgs, 1 << k)
         assert (totals.view(np.uint64)
                 == parents.view(np.uint64)[:, None]).all()
@@ -994,8 +976,8 @@ def test_store_bytes_match_on_both_recursions(tmp_path, monkeypatch):
     assert any(p.channel.kind == "rayleigh" for p in spinal)
     # the bubble search enters the kernels through its run and its
     # backtrack, the encoders through the spine chain and the hash
-    calls = {"BcjrDecoder.decode": 0, "SpinalPasses.run": 0,
-             "SpinalPasses.backtrack": 0, "spine_hash": 0, "spine_chain": 0,
+    calls = {"BcjrDecoder.decode": 0, "SpinalPasses._run": 0,
+             "SpinalPasses._backtrack": 0, "spine_hash": 0, "spine_chain": 0,
              "BpPasses": 0, "lt_draw": 0, "choice_draw": 0}
 
     def counted(name, compiled):

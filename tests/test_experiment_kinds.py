@@ -249,15 +249,15 @@ class TestLinkKind:
             tiny_link_point(npackets=8)  # typo for n_packets
 
     def test_unknown_link_channel_option_rejected(self):
-        """Same rule for channel knobs (measure points raise via the
-        registry; link points must not silently fall back to defaults)."""
-        point = PointSpec(
-            series="link", x=10.0, seed=1, kind="link",
-            channel=ChannelSpec("rayleigh", {"coherence_tme": 4}),  # typo
-            options={"job_id": "j", "n_packets": 1, "payload_bytes": 4,
-                     "decoder": {"B": 4, "max_passes": 8}})
+        """Same rule for channel knobs: a link point must not silently
+        fall back to defaults, so its channel spec refuses the typo when
+        it is built, before the point could run."""
         with pytest.raises(ValueError, match="does not accept options"):
-            run_point(point)
+            PointSpec(
+                series="link", x=10.0, seed=1, kind="link",
+                channel=ChannelSpec("rayleigh", {"coherence_tme": 4}),
+                options={"job_id": "j", "n_packets": 1, "payload_bytes": 4,
+                         "decoder": {"B": 4, "max_passes": 8}})
 
 
 class TestSymbolCdfKind:

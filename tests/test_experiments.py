@@ -119,6 +119,29 @@ class TestSpecHashing:
         with pytest.raises(ValueError, match="unknown channel kind"):
             ChannelSpec("nope")
 
+    def test_scheme_spec_refuses_unknown_kinds_and_options_when_built(self):
+        """A scheme spec takes exactly the keyword options of its kind's
+        factory (for the baselines, their scheme class), and refuses any
+        other key, or an unknown kind, before a point can run."""
+        for kind, options in (("spinal", {"n_bits": 16, "decoder": {}}),
+                              ("raptor", {"k": 256, "iterations": 5}),
+                              ("strider", {"n_bits": 96, "n_layers": 2})):
+            SchemeSpec(kind, options)
+            for typo in ("n_bit", "decoder_params", "iteration"):
+                with pytest.raises(ValueError, match=typo):
+                    SchemeSpec(kind, {**options, typo: 1})
+        with pytest.raises(ValueError, match="unknown scheme kind"):
+            SchemeSpec("nope", {"n_bits": 16})
+
+    def test_channel_spec_refuses_unknown_options_when_built(self):
+        """A channel spec takes exactly its family's option keys."""
+        ChannelSpec("rayleigh", {"coherence_time": 4})
+        for kind, options in (("rayleigh", {"coherence_tme": 4}),
+                              ("awgn", {"coherence_time": 4}),
+                              ("bsc", {"snr_db": 4})):
+            with pytest.raises(ValueError, match="does not accept options"):
+                ChannelSpec(kind, options)
+
     def test_grid_includes_endpoint(self):
         assert grid(-5, 35, 5.0) == [-5, 0, 5, 10, 15, 20, 25, 30, 35]
         assert grid(0, 30, 10.0)[-1] == 30.0

@@ -13,7 +13,6 @@ from repro.fountain import (
     RaptorCodec,
     RaptorScheme,
     ideal_soliton,
-    robust_soliton,
     sample_rfc5053_degree,
 )
 from repro.modulation import soft_demap
@@ -45,9 +44,6 @@ class TestDegreeDistribution:
 
     def test_ideal_soliton_sums_to_one(self):
         assert ideal_soliton(100).sum() == pytest.approx(1.0)
-
-    def test_robust_soliton_sums_to_one(self):
-        assert robust_soliton(100).sum() == pytest.approx(1.0)
 
     def test_soliton_shapes(self):
         p = ideal_soliton(50)

@@ -13,7 +13,6 @@ from repro.backend import ckernels
 from repro.channels.awgn import AWGNChannel
 from repro.ldpc import (
     BeliefPropagation,
-    gf2_rank,
     gf2_rref,
     generator_from_parity,
     ldpc_envelope,
@@ -25,6 +24,11 @@ from repro.ldpc.construction import base_matrix_shape
 from repro.modulation import make_constellation, soft_demap
 
 from deadline import deadline
+
+
+def gf2_rank(matrix):
+    """Rank over GF(2): the pivot count of :func:`gf2_rref`."""
+    return len(gf2_rref(matrix)[1])
 
 
 class TestGf2:

@@ -2,7 +2,11 @@
 
 These tests pin the relationship the paper proves: the unpruned bubble
 decoder IS the ML decoder, and a well-provisioned pruned decoder almost
-always matches it.
+always matches it.  The oracle, :class:`MLDecoder`, is brute-force
+evaluation of equation (4.1) (§4.1): replay the encoder for every possible
+message and return the one whose symbols are closest to the received
+vector.  Exponential in n, so usable only for small messages; §4.3 notes
+that ``d = n/k`` (no pruning) recovers it exactly.
 """
 
 import numpy as np
@@ -11,12 +15,73 @@ from hypothesis import given, settings, strategies as st
 
 from repro.channels.awgn import AWGNChannel
 from repro.channels.bsc import BSCChannel
-from repro.core.decoder import BubbleDecoder
+from repro.core.decoder import BubbleDecoder, DecodeResult
 from repro.core.encoder import SpinalEncoder
-from repro.core.ml import MLDecoder
 from repro.core.params import DecoderParams, SpinalParams
+from repro.core.rng import SpinalRNG
 from repro.core.symbols import ReceivedSymbols
-from repro.utils.bitops import random_message
+from repro.utils.bitops import pack_chunks, random_message
+
+_MAX_ML_BITS = 24
+
+
+class MLDecoder:
+    """Exact ML decoder by exhaustive tree expansion (small n only)."""
+
+    def __init__(self, params: SpinalParams, n_bits: int):
+        if n_bits > _MAX_ML_BITS:
+            raise ValueError(
+                f"exact ML is exponential; refusing n > {_MAX_ML_BITS} bits"
+            )
+        self.params = params
+        self.n_bits = n_bits
+        self.n_spine = params.n_spine(n_bits)
+        self._rng = SpinalRNG(params.hash_fn, params.c)
+        self._mapping = params.make_mapping()
+        self._mask = np.uint32((1 << params.c) - 1)
+
+    def _costs(
+        self, states: np.ndarray, spine_idx: int, received: ReceivedSymbols
+    ) -> np.ndarray:
+        slots, values, csi = received.for_spine(spine_idx)
+        if slots.size == 0:
+            return np.zeros(states.size)
+        words = self._rng.words(states[None, :], slots[:, None])
+        if self.params.is_bsc:
+            bits = (words & np.uint32(1)).astype(np.float64)
+            return np.abs(bits - values[:, None]).sum(axis=0)
+        c = self.params.c
+        x_i = self._mapping.levels[(words & self._mask).astype(np.intp)]
+        x_q = self._mapping.levels[
+            ((words >> np.uint32(c)) & self._mask).astype(np.intp)]
+        x = x_i + 1j * x_q
+        if csi is not None:
+            x = csi[:, None] * x
+        d = values[:, None] - x
+        return (d.real**2 + d.imag**2).sum(axis=0)
+
+    def decode(self, received: ReceivedSymbols) -> DecodeResult:
+        """Search all 2^n messages; returns the exact argmin of (4.1)."""
+        k = self.params.k
+        big_k = 1 << k
+        states = np.array([self.params.s0], dtype=np.uint32)
+        costs = np.zeros(1)
+        for step in range(self.n_spine):
+            children = self.params.hash_fn(
+                states[:, None], np.arange(big_k, dtype=np.uint32)).ravel()
+            costs = (np.repeat(costs, big_k)
+                     + self._costs(children, step, received))
+            states = children
+        best = int(np.argmin(costs))
+        # index in base 2^k spells the message chunks, MSB-first
+        digits = []
+        idx = best
+        for _ in range(self.n_spine):
+            digits.append(idx % big_k)
+            idx //= big_k
+        message = pack_chunks(np.asarray(list(reversed(digits)),
+                                         dtype=np.uint32), k)
+        return DecodeResult(message, float(costs[best]), received.n_symbols)
 
 
 def _received(params, msg, snr_db, n_passes, seed, channel_cls=AWGNChannel):

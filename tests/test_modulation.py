@@ -9,9 +9,19 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
 
 from repro.channels.awgn import AWGNChannel
-from repro.modulation import BPSK, QAM, QPSK, hard_demap, make_constellation, soft_demap
+from repro.modulation import BPSK, QAM, QPSK, make_constellation, soft_demap
 from repro.modulation.demapper import _logsumexp
 from repro.modulation.qam import gray_code
+
+
+def hard_demap(constellation, received):
+    """Nearest-point hard decisions, returned as bits (MSB-first)."""
+    received = np.asarray(received, dtype=np.complex128)
+    diff = received[:, None] - constellation.points[None, :]
+    labels = np.argmin(diff.real**2 + diff.imag**2, axis=1)
+    bps = constellation.bits_per_symbol
+    shifts = np.arange(bps - 1, -1, -1, dtype=np.int64)
+    return ((labels[:, None] >> shifts) & 1).astype(np.uint8).reshape(-1)
 
 
 class TestGrayCode:

@@ -8,7 +8,6 @@ from repro.ofdm.papr import constellation_sampler
 from repro.theory import (
     achievable_rate_bound,
     delta_gap,
-    minimum_passes,
     uniform_constellation_gap,
 )
 from repro.channels.capacity import awgn_capacity
@@ -89,10 +88,3 @@ class TestTheoremBounds:
         """At high SNR a small c makes the bound vacuous (§4.6)."""
         assert achievable_rate_bound(4, 30) == 0.0
         assert achievable_rate_bound(12, 30) > 8.0
-
-    def test_minimum_passes(self):
-        # k=4 at 10 dB with c=8: bound ~ 3.1 bits/sym -> L = 2
-        l_min = minimum_passes(4, 8, 10.0)
-        assert l_min == int(4 // achievable_rate_bound(8, 10.0)) + 1
-        with pytest.raises(ValueError):
-            minimum_passes(4, 4, 30.0)

@@ -11,8 +11,24 @@ from repro.core.puncturing import (
     make_schedule,
     transmission_plan,
 )
-from repro.core.spine import expand_states, spine_states
+from repro.core.spine import spine_states_batch
 from repro.utils.bitops import random_message
+
+
+def spine_states(hash_fn, k, message_bits, s0=0):
+    """The ``(n/k,)`` uint32 spine of one message (encoder side): entry i
+    is ``s_{i+1}`` in the paper's numbering (the state *after* absorbing
+    chunk i), the one-message row of :func:`spine_states_batch`."""
+    messages = np.asarray(message_bits, dtype=np.uint8).reshape(1, -1)
+    return spine_states_batch(hash_fn, k, messages, s0)[0]
+
+
+def expand_states(hash_fn, k, states):
+    """All ``2^k`` child states of each input state (decoder-side
+    expansion): shape ``(..., 2^k)``, the last axis the k-bit edge
+    value."""
+    states = np.asarray(states, dtype=np.uint32)
+    return hash_fn(states[..., None], np.arange(1 << k, dtype=np.uint32))
 
 
 class TestSpine:
