@@ -28,6 +28,11 @@ slower":
 - ``spine``: the encoder's spine chain,
   :func:`repro.core.spine.spine_states_batch`, at ``n=512`` with one
   message and ``n=1024`` with three (one C call on the compiled path);
+- ``encode``: a fresh encoder's symbol stream, ``ENCODE_PASSES`` passes
+  of 8-way subpasses: ``SpinalEncoder.generate`` a subpass at a time at
+  ``link_arq``'s shape (one 512-bit message), and ``BatchSpinalEncoder.
+  generate_batch`` at ``spinal_awgn``'s cohort shape (three 1024-bit
+  messages, the later half for one straggler row);
 - ``bp``: one 40-iteration sum-product decode of a fixed Raptor graph
   (:meth:`repro.ldpc.bp.BeliefPropagation.posteriors`), on the compiled
   passes and on the numpy loop, at about 50k edges and at the mean (about
@@ -383,6 +388,68 @@ def test_spine(benchmark, kernel_records, n_bits, n_msgs, backend):
     _record(kernel_records, benchmark, "spine",
             f"n{n_bits}_M{n_msgs}{_suffix(backend)}",
             hash=params.hash_name, n_bits=n_bits, n_msgs=n_msgs,
+            backend=backend)
+
+
+# ---------------------------------------------------------------------------
+# the encoder's symbol stream
+# ---------------------------------------------------------------------------
+
+#: Passes of 8-way subpasses an ``encode`` benchmark draws.
+ENCODE_PASSES = 4
+
+
+def _bench_stream(benchmark, make_encoder, draw):
+    """Time ``draw(encoder)`` on a fresh encoder each round (the encoder
+    keeps the passes it computed, so a reused one would time only the
+    takes).  Returns the blocks of the last round."""
+    return benchmark.pedantic(draw, setup=lambda: ((make_encoder(),), {}),
+                              rounds=40)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_encode_link_stream(benchmark, kernel_records, backend):
+    """``SpinalEncoder.generate`` one 8-way subpass at a time over
+    ``ENCODE_PASSES`` passes of a 512-bit message, as ``link_arq``'s
+    sender asks for them: each pass encoded on its first subpass."""
+    params = SpinalParams()
+    message = random_message(512, 16)
+    n_subpasses = ENCODE_PASSES * 8
+    with _active(backend):
+        blocks = _bench_stream(
+            benchmark, lambda: SpinalEncoder(params, message),
+            lambda enc: [enc.generate(g) for g in range(n_subpasses)])
+    assert sum(len(b) for b in blocks) == ENCODE_PASSES * (
+        512 // params.k - 1 + params.tail_symbols)
+    _record(kernel_records, benchmark, "encode",
+            f"generate/n512_M1_{ENCODE_PASSES}passes{_suffix(backend)}",
+            n_bits=512, n_msgs=1, n_subpasses=n_subpasses, backend=backend)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_encode_cohort_stream(benchmark, kernel_records, backend):
+    """``BatchSpinalEncoder.generate_batch`` at ``spinal_awgn``'s cohort
+    shape (three 1024-bit messages): ``ENCODE_PASSES`` passes of 8-way
+    subpasses, the first half for every row and the rest for one
+    straggler row, as the engine asks once the others have decoded."""
+    params = SpinalParams()
+    messages = np.random.default_rng(17).integers(
+        0, 2, size=(3, 1024), dtype=np.uint8)
+    n_subpasses = ENCODE_PASSES * 8
+    straggler = np.array([2])
+
+    def draw(encoder):
+        return [encoder.generate_batch(
+            g, rows=None if g < n_subpasses // 2 else straggler)
+            for g in range(n_subpasses)]
+
+    with _active(backend):
+        blocks = _bench_stream(
+            benchmark, lambda: BatchSpinalEncoder(params, messages), draw)
+    assert blocks[0].values.shape[0] == 3 and blocks[-1].values.shape[0] == 1
+    _record(kernel_records, benchmark, "encode",
+            f"generate_batch/n1024_M3_straggler{_suffix(backend)}",
+            n_bits=1024, n_msgs=3, n_subpasses=n_subpasses,
             backend=backend)
 
 

@@ -171,6 +171,7 @@ _METRIC_AWGN, _METRIC_CSI, _METRIC_BSC = 0, 1, 2
 #: The dtypes the received planes' checks compare against (a dtype
 #: compares with a dtype faster than with a scalar type).
 _INT64, _UINT32 = np.dtype(np.int64), np.dtype(np.uint32)
+_UINT64 = np.dtype(np.uint64)
 _UINT8 = np.dtype(np.uint8)
 _FLOAT64, _COMPLEX128 = np.dtype(np.float64), np.dtype(np.complex128)
 
@@ -659,8 +660,9 @@ def _check_planes(received, n_msgs: int, is_bsc: bool, has_csi: bool
     (n_spine,) int64 with every count in ``[0, min(s, v)]``.  Returns the
     counts as a private copy."""
     slots, values, csi, counts = received.planes()
-    if not all(isinstance(a, np.ndarray) for a in (slots, values, counts)) \
-            or not (csi is None or isinstance(csi, np.ndarray)):
+    if not (isinstance(slots, np.ndarray) and isinstance(values, np.ndarray)
+            and isinstance(counts, np.ndarray)
+            and (csi is None or isinstance(csi, np.ndarray))):
         raise ValueError("the received planes must be numpy arrays")
     if (csi is not None) != has_csi:
         raise ValueError("csi must be given exactly when the search has CSI")
@@ -682,16 +684,27 @@ def _check_planes(received, n_msgs: int, is_bsc: bool, has_csi: bool
                             or csi.strides != values.strides):
         raise ValueError("csi must have the values' shape and strides")
     for a in (slots, values):
-        if a.strides[-1] != a.itemsize or any(
-                st < 0 or st % a.itemsize for st in a.strides):
+        size, strides = a.itemsize, a.strides
+        if strides[-1] != size or min(strides) < 0 or any(
+                st % size for st in strides):
             raise ValueError("the received planes need unit inner strides "
                              "and non-negative outer ones")
-    if counts.size and (counts.min() < 0 or counts.max() > min(
-            slots.shape[1], values.shape[2])):
+    capacity = min(slots.shape[1], values.shape[2])
+    # one reduction: a negative count read as unsigned exceeds any capacity
+    if counts.size and counts.view(_UINT64).max() > capacity:
         raise ValueError(f"a position's slot count lies outside [0, "
-                         f"{min(slots.shape[1], values.shape[2])}], the "
-                         "store's capacity")
+                         f"{capacity}], the store's capacity")
     return slots, values, csi, counts.copy()
+
+
+def _data(ffi, ctype: str, a: np.ndarray):
+    """``a``'s data pointer as ``ctype *``, for the bound view (kept alive
+    by the passes while C reads it): ``ffi.from_buffer``, which takes a
+    C-contiguous array only, else the slower ``ndarray.ctypes`` (a row run
+    read in place from a larger store)."""
+    if a.flags.c_contiguous:
+        return ffi.from_buffer(ctype + "[]", a)
+    return ffi.cast(ctype + " *", a.ctypes.data)
 
 
 class _Passes:
@@ -878,12 +891,11 @@ class SpinalPasses(_Passes):
               csi: np.ndarray | None, counts: np.ndarray) -> None:
         ffi, ctx = self._ffi, self._ctx
         self._view = (slots, values, csi, counts)
-        ctx.counts = ffi.cast("int64_t *", counts.ctypes.data)
-        ctx.slots = ffi.cast("uint32_t *", slots.ctypes.data)
+        ctx.counts = _data(ffi, "int64_t", counts)
+        ctx.slots = _data(ffi, "uint32_t", slots)
         ctx.slot_step = slots.strides[0] // slots.itemsize
-        ctx.values = ffi.cast("double *", values.ctypes.data)
-        ctx.csi = ffi.NULL if csi is None else ffi.cast("double *",
-                                                        csi.ctypes.data)
+        ctx.values = _data(ffi, "double", values)
+        ctx.csi = ffi.NULL if csi is None else _data(ffi, "double", csi)
         ctx.value_step = values.strides[0] // values.itemsize
         ctx.row_step = values.strides[1] // values.itemsize
         ctx.n_leaves, ctx.row, ctx.sel = 1, 0, ffi.NULL

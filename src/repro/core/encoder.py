@@ -6,10 +6,13 @@ RNGs, in the order given by the puncturing schedule's transmission plan.
 One RNG word supplies both the I and Q coordinate values for a symbol
 (``c`` bits each); in BSC mode one word supplies a single bit.
 
-The encoder is *stateless across subpasses*: symbol slot ``t`` of spine
-``i`` is always ``RNG(s_i, t)``, so any subrange of the infinite stream can
-be (re)generated on demand — exactly the property §7.1 calls out for
-handling lost frames.
+The encoder's output is a pure function of (spine value, slot): symbol
+slot ``t`` of spine ``i`` is always ``RNG(s_i, t)``, so any subrange of the
+infinite stream can be (re)generated on demand — exactly the property §7.1
+calls out for handling lost frames.  Since every pass sends the same
+positions (§5), that function is memoised per pass: an encoder computes
+pass ``l`` once, when a subpass of it is first requested, and each
+subpass is then a column take from the cached pass.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.params import SpinalParams
-from repro.core.puncturing import transmission_plan
+from repro.core.puncturing import subpass_layout, transmission_plan
 from repro.core.spine import spine_states_batch
 
 __all__ = ["SymbolBlock", "SpinalEncoder", "BatchSpinalEncoder"]
@@ -33,7 +36,9 @@ class SymbolBlock:
     shaped ``(block_length,)`` for one message or ``(M, block_length)``
     for M aligned messages; ``spine_indices``/``slots`` identify which RNG
     draw produced each entry (the receiver needs them to replay candidate
-    encodings) and are shared by every message.
+    encodings) and are shared by every message.  Blocks from an encoder
+    hand out read-only ``spine_indices`` and ``slots``, which may be
+    shared with its other blocks.
     """
 
     spine_indices: np.ndarray
@@ -49,7 +54,9 @@ class BatchSpinalEncoder:
 
     The spine construction, RNG draws and constellation mapping all
     broadcast over a leading message axis, so each row's symbols depend
-    only on its own message.
+    only on its own message.  Pass ``l`` is encoded once, for every
+    message, the first time a subpass of it is requested, and kept for the
+    encoder's life; each block is then cut from the cached passes.
 
     Parameters
     ----------
@@ -69,6 +76,8 @@ class BatchSpinalEncoder:
         self._rng = params.make_rng()
         self._mapping = params.make_mapping()
         self._schedule = params.make_schedule()
+        # pass index -> (slots, values) of the whole pass
+        self._passes: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def subpasses_per_pass(self) -> int:
@@ -100,6 +109,21 @@ class BatchSpinalEncoder:
         i_vals, q_vals = self._rng.iq_values(seeds, slots)
         return self._mapping.map(i_vals) + 1j * self._mapping.map(q_vals)
 
+    def _pass(self, pass_idx: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(slots, values)`` of every message's whole pass ``pass_idx``
+        (read-only slots), encoded on first request."""
+        cached = self._passes.get(pass_idx)
+        if cached is None:
+            w = self.subpasses_per_pass
+            spine_idx, slots = transmission_plan(
+                self._schedule, self.n_spine, self.params.tail_symbols,
+                pass_idx * w, w,
+            )
+            slots.setflags(write=False)
+            cached = self._passes[pass_idx] = (
+                slots, self.symbols_at(spine_idx, slots))
+        return cached
+
     def generate_batch(
         self,
         first_subpass: int,
@@ -109,16 +133,34 @@ class BatchSpinalEncoder:
         """Generate a range of (global) subpasses for every message in rows.
 
         Late subpasses of a cohort are usually driven by a few undecoded
-        stragglers; ``rows`` avoids encoding symbols for messages that have
-        already left the cohort.
+        stragglers; ``rows`` returns only their symbols.  Each subpass is a
+        column take from its cached pass, and a range crossing passes joins
+        them; ``spine_indices`` and ``slots`` are read-only.
         """
-        spine_idx, slots = transmission_plan(
-            self._schedule, self.n_spine, self.params.tail_symbols,
-            first_subpass, n_subpasses,
-        )
-        return SymbolBlock(
-            spine_idx, slots, self.symbols_at(spine_idx, slots, rows=rows)
-        )
+        if first_subpass < 0 or n_subpasses < 1:
+            raise ValueError("need first_subpass >= 0 and n_subpasses >= 1")
+        w = self.subpasses_per_pass
+        rows = slice(None) if rows is None else rows
+        spine_parts, slot_parts, value_parts = [], [], []
+        for g in range(first_subpass, first_subpass + n_subpasses):
+            pass_idx, sub = divmod(g, w)
+            spine_idx, columns = subpass_layout(
+                self._schedule, self.n_spine, self.params.tail_symbols, sub)
+            slots, values = self._pass(pass_idx)
+            spine_parts.append(spine_idx)
+            slot_parts.append(slots[columns])
+            value_parts.append(values[rows, columns])
+        return SymbolBlock(_joined(spine_parts), _joined(slot_parts),
+                           np.concatenate(value_parts, axis=1))
+
+
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """Read-only concatenation of read-only arrays (the one part itself)."""
+    if len(parts) == 1:
+        return parts[0]
+    out = np.concatenate(parts)
+    out.setflags(write=False)
+    return out
 
 
 class SpinalEncoder(BatchSpinalEncoder):

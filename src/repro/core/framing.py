@@ -72,7 +72,11 @@ class FrameEncoder:
         self._sequence = first_sequence & 0xFF
 
     def frame(self, datagram: bytes) -> Frame:
-        """Build the frame for a datagram (splitting, CRC, padding)."""
+        """Build the frame for a datagram (splitting, CRC, padding).
+
+        An empty datagram has no code block to carry, so it is refused."""
+        if not datagram:
+            raise ValueError("cannot frame an empty datagram")
         payload = bits_from_bytes(datagram)
         layout = block_layout(len(datagram), self.max_block_bits, self.params.k)
         blocks = []

@@ -13,10 +13,15 @@ pairs — lives here too so the encoder, the receiver's bookkeeping, and the
 simulation engine all derive it from one place.  Slot ``t`` of spine ``i``
 is the RNG symbol index used for that transmission: regular positions send
 slot ``l`` in pass ``l``; the final spine position sends ``tail_symbols``
-slots per pass (§4.4).
+slots per pass (§4.4).  Every pass sends the same spine positions in the
+same order, so :func:`subpass_layout` memoises where each subpass sits
+within a pass: the encoder computes a pass once and takes its subpasses
+from it.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,6 +30,7 @@ __all__ = [
     "NoPuncturing",
     "StridedPuncturing",
     "make_schedule",
+    "subpass_layout",
     "transmission_plan",
 ]
 
@@ -93,8 +99,12 @@ class StridedPuncturing(PuncturingSchedule):
         return np.arange(residue, n_spine, self.ways, dtype=np.int64)
 
 
+@lru_cache(maxsize=16)
 def make_schedule(name: str) -> PuncturingSchedule:
-    """Schedule by name: 'none', '2-way', '4-way', '8-way'."""
+    """Schedule by name: 'none', '2-way', '4-way', '8-way'.
+
+    One shared (immutable) schedule per name, so :func:`subpass_layout`'s
+    memo serves every encoder of a schedule."""
     if name == "none":
         return NoPuncturing()
     if name.endswith("-way"):
@@ -146,3 +156,29 @@ def transmission_plan(
         empty = np.empty(0, dtype=np.int64)
         return empty, empty.copy()
     return np.concatenate(spine_parts), np.concatenate(slot_parts)
+
+
+@lru_cache(maxsize=1024)
+def subpass_layout(
+    schedule: PuncturingSchedule,
+    n_spine: int,
+    tail_symbols: int,
+    subpass: int,
+) -> tuple[np.ndarray, slice]:
+    """Where subpass ``subpass`` (``0 <= subpass < w``) sits in every pass.
+
+    Returns ``(spine_indices, columns)``: the subpass's spine indices, a
+    read-only array shared by every caller, and the slice of a whole pass's
+    :func:`transmission_plan` (``w`` subpasses from ``l * w``) that holds
+    it.  Both are the same in every pass ``l``; only the slots differ.
+    Memoised per schedule and shape, never per global subpass.
+    """
+    w = schedule.subpasses_per_pass
+    if not 0 <= subpass < w:
+        raise IndexError(f"subpass must be in [0, {w})")
+    before, _ = transmission_plan(schedule, n_spine, tail_symbols, 0, subpass)
+    spine_indices, _ = transmission_plan(
+        schedule, n_spine, tail_symbols, subpass, 1)
+    start = before.size
+    spine_indices.setflags(write=False)
+    return spine_indices, slice(start, start + spine_indices.size)

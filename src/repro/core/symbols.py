@@ -27,6 +27,8 @@ that takes and returns 1-D blocks.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = ["ReceivedSymbols", "BatchReceivedSymbols"]
@@ -45,11 +47,26 @@ def _scatter_layout(
     ``counts += added`` (the symbols per position) advances the fill counts.
     ``order`` is None when the block is already in spine order — the
     common case, since ``transmission_plan`` emits each subpass's positions
-    ascending — so callers can skip the gather entirely, and this skips
-    the sort: a block of a few dozen symbols costs a handful of small
-    numpy calls.
+    ascending — so callers can skip the gather entirely.  Everything but
+    ``cols`` depends on the block's positions alone, which repeat from
+    pass to pass, so it comes from :func:`_block_layout`'s memo.
     """
     rows = np.asarray(spine_indices, dtype=np.intp).ravel()
+    order, rows, ranks, added = _block_layout(rows.tobytes(), n_spine)
+    return order, rows, counts[rows] + ranks, added
+
+
+@lru_cache(maxsize=256)
+def _block_layout(
+    positions: bytes, n_spine: int
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray]:
+    """``(order, rows, ranks, added)`` of a block of spine positions (intp
+    bytes), all read-only: the stable sort into spine order (None when the
+    block ascends, which skips the sort), the sorted positions, each
+    symbol's rank among the block's symbols at its position, and the
+    symbols per position.  Raises ``IndexError`` for a position outside
+    ``[0, n_spine)``."""
+    rows = np.frombuffer(positions, dtype=np.intp)
     order = None
     if rows.size > 1 and np.diff(rows).min() < 0:
         order = rows.argsort(kind="stable")
@@ -59,8 +76,18 @@ def _scatter_layout(
         raise IndexError(f"spine index {bad} out of range")
     # rows ascend, so each symbol's first equal row (searchsorted's left
     # insertion point) starts its position's run
-    cols = counts[rows] + (np.arange(rows.size) - rows.searchsorted(rows))
-    return order, rows, cols, np.bincount(rows, minlength=n_spine)
+    ranks = np.arange(rows.size) - rows.searchsorted(rows)
+    added = np.bincount(rows, minlength=n_spine)
+    for a in (order, rows, ranks, added):
+        if a is not None:
+            a.setflags(write=False)
+    return order, rows, ranks, added
+
+
+def _outside(index: np.ndarray, n: int) -> bool:
+    """Whether an entry of the intp array ``index`` lies outside ``[0, n)``,
+    in one reduction: a negative entry read as unsigned exceeds any n."""
+    return bool(index.size) and index.view(np.uintp).max() >= n
 
 
 def _grown(arr: np.ndarray, capacity: int) -> np.ndarray:
@@ -188,12 +215,13 @@ class BatchReceivedSymbols:
         if counts.shape != (self.n_spine,) or (counts > self._counts).any():
             raise ValueError("checkpoint does not match this store")
         rows = np.asarray(rows)
-        if rows.dtype.kind not in "iu" or rows.ndim != 1 or (rows.size and (
-                rows.min() < 0 or rows.max() >= self.n_messages)):
+        if rows.dtype.kind in "iu" and rows.ndim == 1:
+            rows = rows.astype(np.intp, copy=False)
+        if rows.dtype != np.intp or rows.ndim != 1 or _outside(
+                rows, self.n_messages):
             raise ValueError(f"rows must be a 1-D integer set in [0, "
                              f"{self.n_messages})")
-        return BatchReceivedView(self, rows.astype(np.intp, copy=False),
-                                 counts)
+        return BatchReceivedView(self, rows, counts)
 
 
 _ONE_ROW = np.zeros(1, dtype=np.intp)
@@ -278,7 +306,7 @@ class BatchReceivedView:
         if not (isinstance(rows, np.ndarray) and rows.dtype == np.intp
                 and rows.ndim == 1):
             raise ValueError("a view's rows must be a 1-D intp array")
-        if rows.size and (rows.min() < 0 or rows.max() >= store.n_messages):
+        if _outside(rows, store.n_messages):
             raise ValueError(
                 f"a view's rows must lie in [0, {store.n_messages})")
         index = self._row_index()

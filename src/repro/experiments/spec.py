@@ -259,8 +259,9 @@ class PointSpec:
     ``x`` is the channel family's operating-point scalar — SNR in dB, or
     flip probability for a BSC (for ``"papr"`` it is just the table row
     index).  ``options`` carries the kind's extras.  Building a point
-    checks its fields and option keys against :data:`POINT_KINDS`, and
-    ``capacity_reference`` against the known capacities, and raises
+    checks its fields and option keys against :data:`POINT_KINDS`,
+    ``capacity_reference`` against the known capacities and a link
+    point's ``n_packets`` and ``payload_bytes`` (integers >= 1), and raises
     ``ValueError`` on a mismatch.
     """
 
@@ -296,6 +297,13 @@ class PointSpec:
             raise ValueError(
                 f"unknown capacity reference {self.capacity_reference!r}; "
                 f"expected one of {sorted(CAPACITY_FNS)}")
+        if self.kind == "link":
+            # a flow of no packets, or of empty ones, measures nothing
+            for name in ("n_packets", "payload_bytes"):
+                value = self.options.get(name, 1)
+                if not isinstance(value, (int, np.integer)) or value < 1:
+                    raise ValueError(f"link points need an integer {name} "
+                                     f">= 1, got {value!r}")
 
     def as_dict(self) -> dict:
         return {

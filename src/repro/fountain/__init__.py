@@ -9,7 +9,6 @@ propagation over soft demapped information from a dense QAM constellation
 
 from repro.fountain.distributions import (
     RFC5053_DEGREES,
-    ideal_soliton,
     sample_rfc5053_degree,
 )
 from repro.fountain.lt import LTStream
@@ -19,7 +18,6 @@ from repro.fountain.raptor import RaptorCodec, RaptorScheme
 __all__ = [
     "RFC5053_DEGREES",
     "sample_rfc5053_degree",
-    "ideal_soliton",
     "LTStream",
     "LdpcPrecode",
     "RaptorCodec",

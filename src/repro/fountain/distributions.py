@@ -2,8 +2,7 @@
 
 The paper's Raptor baseline uses "the degree distribution in the Raptor
 RFC" (RFC 5053 §5.4.4.2), a fixed table optimised jointly with the
-precode.  The ideal soliton distribution (Luby's LT paper) is included
-for comparison.
+precode.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import numpy as np
 __all__ = [
     "RFC5053_DEGREES",
     "sample_rfc5053_degree",
-    "ideal_soliton",
 ]
 
 #: RFC 5053 degree table: (cumulative threshold out of 2^20, degree).
@@ -38,13 +36,3 @@ def sample_rfc5053_degree(rng: np.random.Generator, size: int = 1) -> np.ndarray
     idx = np.searchsorted(_THRESHOLDS, v, side="right")
     return _DEGREE_VALUES[idx]
 
-
-def ideal_soliton(n: int) -> np.ndarray:
-    """Ideal soliton distribution rho(d) over degrees 1..n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    p = np.zeros(n + 1)
-    p[1] = 1.0 / n
-    d = np.arange(2, n + 1)
-    p[2:] = 1.0 / (d * (d - 1))
-    return p[1:]

@@ -43,7 +43,7 @@ from repro.channels.base import Channel
 from repro.channels.shared import SharedChannel
 from repro.core.decoder import BubbleDecoder
 from repro.core.encoder import SpinalEncoder
-from repro.core.framing import FrameDecoder, FrameEncoder
+from repro.core.framing import Frame, FrameDecoder, FrameEncoder
 from repro.core.params import DecoderParams, SpinalParams
 from repro.core.symbols import ReceivedSymbols
 from repro.obs import OBS
@@ -177,7 +177,9 @@ class PacketTransmitter:
             datagram = bytes(payload)
             sender = FrameEncoder(params, max_block_bits=config.max_block_bits,
                                   first_sequence=seq)
-            frame = sender.frame(datagram)
+            # an empty datagram has no blocks: nothing to frame or send
+            frame = (sender.frame(datagram) if datagram
+                     else Frame(seq & 0xFF, 0))
             self._encoders = sender.encoders(frame)
             self.rx = FrameDecoder(params, decoder_params, frame.sequence,
                                    len(datagram),

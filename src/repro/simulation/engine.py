@@ -223,7 +223,8 @@ class SpinalSession:
 
     @property
     def encoder(self) -> SpinalEncoder:
-        """The message's encoder (stateless, so a fresh one is equivalent)."""
+        """The message's encoder (its output is a pure function of (spine,
+        slot), so a fresh one is equivalent)."""
         return SpinalEncoder(self._cohort.params, self._cohort.messages[0])
 
     def run(self) -> SessionResult:

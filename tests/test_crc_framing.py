@@ -109,6 +109,12 @@ class TestFraming:
         f2 = sender.frame(b"b" * 10)
         assert f2.sequence == (f1.sequence + 1) & 0xFF
 
+    def test_empty_datagram_is_refused(self):
+        """An empty datagram has no block; its frame's receiver could
+        never reassemble it."""
+        with pytest.raises(ValueError, match="empty datagram"):
+            FrameEncoder(SpinalParams()).frame(b"")
+
     def test_reassemble_before_complete_raises(self):
         receiver = FrameDecoder(SpinalParams(), DecoderParams(B=4), 0, 100)
         with pytest.raises(RuntimeError):

@@ -248,6 +248,22 @@ class TestLinkKind:
         with pytest.raises(ValueError, match="unknown link point options"):
             tiny_link_point(npackets=8)  # typo for n_packets
 
+    def test_empty_payload_link_point_refused_when_built(self):
+        """``payload_bytes: 0`` once ran and stored 1 of 1 packets
+        delivered in 0 symbols."""
+        with pytest.raises(ValueError, match="payload_bytes >= 1"):
+            tiny_link_point(payload_bytes=0)
+
+    def test_packetless_link_point_refused_when_built(self):
+        """``n_packets: 0`` once ran and stored a record of rate None."""
+        with pytest.raises(ValueError, match="n_packets >= 1"):
+            tiny_link_point(n_packets=0)
+
+    def test_negative_payload_link_point_refused_when_built(self):
+        """``payload_bytes: -3`` once failed inside the run, in numpy."""
+        with pytest.raises(ValueError, match="payload_bytes >= 1"):
+            tiny_link_point(payload_bytes=-3)
+
     def test_unknown_link_channel_option_rejected(self):
         """Same rule for channel knobs: a link point must not silently
         fall back to defaults, so its channel spec refuses the typo when

@@ -12,13 +12,24 @@ from repro.fountain import (
     LTStream,
     RaptorCodec,
     RaptorScheme,
-    ideal_soliton,
     sample_rfc5053_degree,
 )
 from repro.modulation import soft_demap
 from repro.simulation import measure_scheme
 
 from deadline import deadline
+
+
+def ideal_soliton(n: int) -> np.ndarray:
+    """Ideal soliton distribution rho(d) over degrees 1..n (Luby's LT
+    paper), the textbook reference for the RFC 5053 table."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    p = np.zeros(n + 1)
+    p[1] = 1.0 / n
+    d = np.arange(2, n + 1)
+    p[2:] = 1.0 / (d * (d - 1))
+    return p[1:]
 
 
 class TestDegreeDistribution:
